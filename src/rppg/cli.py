@@ -29,7 +29,6 @@ from .biophysics import (
     pixel_snr_sweep,
 )
 from .config import DIFFUSE_ESTIMATORS, ENV_CONFIG_VAR, METHODS, load_run_config
-from .diffuse import diffuse_luminance  # noqa: F401  (re-exported for scripts)
 from .errors import DataFormatError, MissingInputError, ToolkitError, UsageError
 from .evaluation import (
     CohortKey,

@@ -17,6 +17,15 @@ point 1/3 are left untouched (they carry no chroma evidence either way).
 A much cheaper specular-free fallback (subtract the per-pixel minimum
 channel) is available for large batch runs where only the *weighting*
 behaviour matters, not the reconstruction quality.
+
+Frames are processed in chunks sized by bytes, not by frame count: each
+chunk holds as many frames as fit CHUNK_PLANE_BYTES per float32 (t, h, w)
+plane, so the bilateral temporaries stay cache-sized whatever the frame
+size. The bilateral pass and its stopping rule are per frame, so results
+do not depend on the chunk size. Within a pass the range weight of an
+offset d is reused, unshifted, for its mirror -d: the guide difference
+only changes sign, and the target slice of -d is the source slice of d.
+That halves the exp passes and leaves every sum bit-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +42,16 @@ CONVERGENCE_TOL = 0.03
 MAX_ITERATIONS = 10
 ACHROMATIC_EPS = 0.005
 DARK_FLOOR = 1e-6
+# Bytes per float32 (t, h, w) plane in one chunk: 4 frames at 96x96, small
+# enough that a bilateral pass's temporaries stay close to the CPU caches.
+CHUNK_PLANE_BYTES = 160 * 1024
+
+
+def frame_chunks(n_frames: int, height: int, width: int) -> list[slice]:
+    """Slices over n_frames frames, each holding at most CHUNK_PLANE_BYTES of
+    float32 (h, w) planes and at least one frame."""
+    step = max(1, CHUNK_PLANE_BYTES // (4 * height * width))
+    return [slice(start, start + step) for start in range(0, n_frames, step)]
 
 
 def _chromaticities(frames: np.ndarray):
@@ -53,17 +72,34 @@ def _joint_bilateral(lam: np.ndarray, guide: np.ndarray) -> np.ndarray:
     num = np.zeros_like(lam)
     den = np.zeros_like(lam)
     h, w = lam.shape[-2:]
+    # Contiguous scratch, viewed at each offset's overlap shape.
+    diff_buf = np.empty(lam.size, dtype=np.float32)
+    prod_buf = np.empty(lam.size, dtype=np.float32)
+    # Weights of the first offset of each mirrored pair, keyed by the
+    # offset that will reuse them.
+    mirrored: dict[tuple[int, int], np.ndarray] = {}
     for dy in range(-radius, radius + 1):
         ys = slice(max(dy, 0), h + min(dy, 0))
         yt = slice(max(-dy, 0), h + min(-dy, 0))
         for dx in range(-radius, radius + 1):
             xs = slice(max(dx, 0), w + min(dx, 0))
             xt = slice(max(-dx, 0), w + min(-dx, 0))
-            ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
-            diff = guide[..., yt, xt] - guide[..., ys, xs]
-            wr = np.exp((-inv_2sr) * diff * diff)
-            wr *= ws
-            num[..., yt, xt] += wr * lam[..., ys, xs]
+            src = lam[..., ys, xs]
+            wr = mirrored.pop((dy, dx), None)
+            if wr is None:
+                ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
+                diff = diff_buf[: src.size].reshape(src.shape)
+                np.subtract(guide[..., yt, xt], guide[..., ys, xs], out=diff)
+                wr = np.empty(src.shape, dtype=np.float32)
+                np.multiply(-inv_2sr, diff, out=wr)
+                wr *= diff
+                np.exp(wr, out=wr)
+                wr *= ws
+                if (dy, dx) != (0, 0):
+                    mirrored[(-dy, -dx)] = wr
+            prod = prod_buf[: src.size].reshape(src.shape)
+            np.multiply(wr, src, out=prod)
+            num[..., yt, xt] += prod
             den[..., yt, xt] += wr
     return num / den
 
@@ -88,20 +124,19 @@ def estimate_diffuse_stack(
     frames: np.ndarray,
     tol: float = CONVERGENCE_TOL,
     max_iterations: int = MAX_ITERATIONS,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Diffuse component of a uint8 frame stack (t, h, w, 3), as float32.
 
-    Frames are processed in chunks; the chromaticity smoothing iterates per
-    frame until the max per-pixel change drops below tol or the iteration
-    cap is reached.
+    Frames are processed in byte-sized chunks (see frame_chunks); the
+    chromaticity smoothing iterates per frame until the max per-pixel change
+    drops below tol or the iteration cap is reached.
     """
     frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[-1] != 3:
         raise ValueError(f"expected (t, h, w, 3) frames, got {frames.shape}")
     out = np.empty(frames.shape, dtype=np.float32)
-    for start in range(0, frames.shape[0], chunk):
-        block = frames[start : start + chunk].astype(np.float32)
+    for sl in frame_chunks(*frames.shape[:3]):
+        block = frames[sl].astype(np.float32)
         smax, smin = _chromaticities(block)
         lam = smax.copy()
         active = np.ones(block.shape[0], dtype=bool)
@@ -113,7 +148,7 @@ def estimate_diffuse_stack(
             delta = np.abs(new - lam[active]).max(axis=(1, 2))
             lam[active] = new
             active[np.nonzero(active)[0][delta < tol]] = False
-        out[start : start + chunk] = _reconstruct_diffuse(block, lam)
+        out[sl] = _reconstruct_diffuse(block, lam)
     return out
 
 

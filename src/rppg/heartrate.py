@@ -26,7 +26,7 @@ from .errors import (
     SpectrumTooShortError,
     UsageError,
 )
-from .signals import PulseWaveform, Psd, zero_mean
+from .signals import PulseWaveform, Psd
 
 PASSBAND_HZ = (0.7, 3.5)
 FILTER_ORDER = 3
@@ -59,10 +59,6 @@ def bandpass_series(
     sos = _bandpass_sos(float(fps), band[0], band[1], order)
     padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
     return scipy.signal.sosfiltfilt(sos, x, padlen=padlen)
-
-
-def bandpass(wave: PulseWaveform, band: tuple[float, float] = PASSBAND_HZ) -> PulseWaveform:
-    return PulseWaveform(zero_mean(bandpass_series(wave.samples, wave.fps, band)), wave.fps)
 
 
 def _next_pow2(n: int) -> int:

@@ -21,6 +21,7 @@ Ground truth is a two-column CSV with header ``time_s,value`` per signal
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -231,22 +232,27 @@ def write_frame_dir(seq: FrameSequence, directory: Path) -> None:
 
 
 def load_raw_stream(path: Path) -> FrameSequence:
-    data = Path(path).read_bytes()
-    if len(data) < RAW_HEADER.size:
-        raise MalformedStreamError(f"{path}: shorter than the 24-byte header")
-    magic, width, height, count, fps_millihz = RAW_HEADER.unpack_from(data)
-    if magic != RAW_MAGIC:
-        raise MalformedStreamError(f"{path}: bad magic {magic!r}")
-    if fps_millihz == 0:
-        raise NonPositiveFpsError(f"{path}: fps_millihz must be positive")
-    need = width * height * 3 * count
-    payload = data[RAW_HEADER.size :]
-    if len(payload) != need:
+    with open(path, "rb") as fh:
+        header = fh.read(RAW_HEADER.size)
+        if len(header) < RAW_HEADER.size:
+            raise MalformedStreamError(f"{path}: shorter than the 24-byte header")
+        magic, width, height, count, fps_millihz = RAW_HEADER.unpack(header)
+        if magic != RAW_MAGIC:
+            raise MalformedStreamError(f"{path}: bad magic {magic!r}")
+        if fps_millihz == 0:
+            raise NonPositiveFpsError(f"{path}: fps_millihz must be positive")
+        need = width * height * 3 * count
+        size = os.fstat(fh.fileno()).st_size - RAW_HEADER.size
+        if size != need:
+            raise MalformedStreamError(
+                f"{path}: payload is {size} bytes, header implies {need}"
+            )
+        frames = np.fromfile(fh, dtype=np.uint8, count=need)
+    if frames.size != need:
         raise MalformedStreamError(
-            f"{path}: payload is {len(payload)} bytes, header implies {need}"
+            f"{path}: payload is {frames.size} bytes, header implies {need}"
         )
-    frames = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width, 3)
-    return FrameSequence(frames=frames.copy(), fps=fps_millihz / 1000.0)
+    return FrameSequence(frames=frames.reshape(count, height, width, 3), fps=fps_millihz / 1000.0)
 
 
 def write_raw_stream(seq: FrameSequence, path: Path) -> None:
@@ -273,6 +279,11 @@ def load_frame_sequence(path: Path) -> FrameSequence:
 # ---------------------------------------------------------------------------
 
 
+def _is_json_int(v) -> bool:
+    """True for a JSON integer; bool is an int subclass in Python but not a JSON number."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_polygon(raw, where: str) -> tuple[tuple[int, int], ...]:
     if not isinstance(raw, list):
         raise MalformedPolygonError(f"{where}: polygon must be a list of [x, y] pairs")
@@ -284,16 +295,16 @@ def _parse_polygon(raw, where: str) -> tuple[tuple[int, int], ...]:
         )
     verts = []
     for v in raw:
-        if not (isinstance(v, list) and len(v) == 2):
-            raise MalformedPolygonError(f"{where}: vertex {v!r} is not an [x, y] pair")
-        verts.append((int(v[0]), int(v[1])))
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_json_int, v))):
+            raise MalformedPolygonError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
+        verts.append((v[0], v[1]))
     return tuple(verts)
 
 
 def _check_bbox(bbox, width: int, height: int, where: str) -> tuple[int, int, int, int]:
-    if not (isinstance(bbox, list) and len(bbox) == 4):
-        raise DataFormatError(f"{where}: bbox must be [x, y, w, h]")
-    x, y, w, h = (int(v) for v in bbox)
+    if not (isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_json_int, bbox))):
+        raise DataFormatError(f"{where}: bbox must be [x, y, w, h] integers, got {bbox!r}")
+    x, y, w, h = bbox
     if w < 0 or h < 0:
         raise OutOfBoundsError(f"{where}: bbox has negative extent {bbox}")
     if x < 0 or y < 0 or x + w > width or y + h > height:

@@ -26,6 +26,7 @@ from .diffuse import (
     diffuse_luminance,
     diffuse_weights,
     estimate_diffuse_stack,
+    frame_chunks,
     specular_free_min_subtract,
 )
 from .heartrate import estimate_video_hr, plan_windows
@@ -42,10 +43,25 @@ class PipelineResult:
     diffuse_frames: np.ndarray | None = None
 
 
-def _diffuse_stack(frames: np.ndarray, estimator: str) -> np.ndarray:
-    if estimator == "min_subtract":
-        return specular_free_min_subtract(frames)
-    return estimate_diffuse_stack(frames)
+def diffuse_luminance_stack(
+    frames: np.ndarray, estimator: str, keep_diffuse: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-pixel diffuse luminance (t, h, w) as float64, built chunk by chunk.
+
+    Only one chunk's diffuse frames are alive at a time; the full float32
+    diffuse stack is also returned when keep_diffuse is set, else None.
+    """
+    separate = (
+        specular_free_min_subtract if estimator == "min_subtract" else estimate_diffuse_stack
+    )
+    lum = np.empty(frames.shape[:3], dtype=np.float64)
+    diffuse = np.empty(frames.shape, dtype=np.float32) if keep_diffuse else None
+    for sl in frame_chunks(*frames.shape[:3]):
+        block = separate(frames[sl])
+        lum[sl] = diffuse_luminance(block)
+        if diffuse is not None:
+            diffuse[sl] = block
+    return lum, diffuse
 
 
 def run_pipeline(
@@ -63,8 +79,7 @@ def run_pipeline(
     lum = None
     diffuse = None
     if cfg.method == "proposed":
-        diffuse = _diffuse_stack(seq.frames, cfg.diffuse_estimator)
-        lum = diffuse_luminance(diffuse)
+        lum, diffuse = diffuse_luminance_stack(seq.frames, cfg.diffuse_estimator, keep_diffuse)
 
     waves: list[PulseWaveform] = []
     weight_log: list[dict] = []
@@ -102,5 +117,5 @@ def run_pipeline(
         report=report,
         waveforms=waves,
         window_weights=weight_log,
-        diffuse_frames=diffuse if keep_diffuse else None,
+        diffuse_frames=diffuse,
     )

@@ -47,3 +47,18 @@ def pulsed_sequence(
     return FrameSequence(
         frames=np.clip(np.rint(frames), 0, 255).astype(np.uint8), fps=fps
     )
+
+
+def mixed_frames(n, h, w, seed=0) -> np.ndarray:
+    """Random uint8 frames seeded with the diffuse estimator's edge cases:
+    dark (all-zero), achromatic grey, fully saturated and one-channel-clipped
+    pixels."""
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+    kind = rng.integers(0, 5, size=(n, h, w))
+    frames[kind == 0] = 0
+    grey = rng.integers(1, 256, size=(n, h, w), dtype=np.uint8)
+    frames[kind == 1] = grey[kind == 1][:, None]
+    frames[kind == 2] = 255
+    frames[..., 0][kind == 3] = 255
+    return frames

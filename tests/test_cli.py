@@ -6,6 +6,7 @@ import pytest
 
 from rppg.biophysics import CameraNoiseParams
 from rppg.cli import main
+from rppg.diffuse import estimate_diffuse_stack, specular_free_min_subtract
 from rppg.ingest import (
     LandmarkRecord,
     LandmarkSidecar,
@@ -83,21 +84,29 @@ def test_estimate_dump_weights(dataset, tmp_path):
 
 
 def test_estimate_dump_diffuse(dataset, tmp_path):
-    ddir = tmp_path / "diffuse"
-    rc = main(
-        run_estimate(
-            dataset,
-            "--out", str(tmp_path / "r.json"),
-            "--method", "proposed",
-            "--diffuse-estimator", "min_subtract",
-            "--dump-diffuse", str(ddir),
+    frames = load_frame_sequence(dataset["frames"]).frames
+    for estimator, separate in (
+        ("min_subtract", specular_free_min_subtract),
+        ("bilateral", estimate_diffuse_stack),
+    ):
+        ddir = tmp_path / estimator
+        rc = main(
+            run_estimate(
+                dataset,
+                "--out", str(tmp_path / "r.json"),
+                "--method", "proposed",
+                "--diffuse-estimator", estimator,
+                "--dump-diffuse", str(ddir),
+            )
         )
-    )
-    assert rc == 0
-    seq = load_frame_sequence(ddir)
-    assert seq.frames.shape == (360, 24, 24, 3)
+        assert rc == 0
+        seq = load_frame_sequence(ddir)
+        assert seq.frames.shape == (360, 24, 24, 3)
+        # byte-identical to the whole-stack estimate, rounded as the dump does
+        expect = np.clip(np.rint(separate(frames)), 0, 255).astype(np.uint8)
+        assert np.array_equal(seq.frames, expect)
     # min-subtract zeroes the per-pixel minimum channel
-    assert seq.frames.min(axis=-1).max() == 0
+    assert load_frame_sequence(tmp_path / "min_subtract").frames.min(axis=-1).max() == 0
 
 
 def test_dump_diffuse_requires_proposed(dataset, tmp_path):

@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rppg import diffuse
 from rppg.diffuse import (
     diffuse_luminance,
     diffuse_weights,
     estimate_diffuse,
     estimate_diffuse_stack,
+    frame_chunks,
     specular_free_min_subtract,
 )
 from rppg.errors import EmptyRegionError
 from rppg.roi import build_grid
+
+from helpers import mixed_frames
 
 DIFFUSE_RGB = np.array([120.0, 80.0, 60.0])
 
@@ -85,6 +89,69 @@ def test_stack_matches_per_frame_estimates():
     stack = estimate_diffuse_stack(frames)
     assert np.allclose(stack[0], estimate_diffuse(frames[0]))
     assert np.allclose(stack[1], estimate_diffuse(frames[1]))
+
+
+# Reference: the brute-force kernel, one range weight per offset, over
+# whole 512-frame chunks. The production kernel must match it bit for bit.
+
+
+def reference_joint_bilateral(lam, guide):
+    radius = diffuse.WINDOW_PX // 2
+    inv_2ss = 1.0 / (2.0 * diffuse.SPATIAL_SIGMA_PX**2)
+    inv_2sr = 1.0 / (2.0 * diffuse.RANGE_SIGMA**2)
+    num = np.zeros_like(lam)
+    den = np.zeros_like(lam)
+    h, w = lam.shape[-2:]
+    for dy in range(-radius, radius + 1):
+        ys = slice(max(dy, 0), h + min(dy, 0))
+        yt = slice(max(-dy, 0), h + min(-dy, 0))
+        for dx in range(-radius, radius + 1):
+            xs = slice(max(dx, 0), w + min(dx, 0))
+            xt = slice(max(-dx, 0), w + min(-dx, 0))
+            ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
+            diff = guide[..., yt, xt] - guide[..., ys, xs]
+            wr = np.exp((-inv_2sr) * diff * diff)
+            wr *= ws
+            num[..., yt, xt] += wr * lam[..., ys, xs]
+            den[..., yt, xt] += wr
+    return num / den
+
+
+def reference_diffuse_stack(frames, chunk=512):
+    out = np.empty(frames.shape, dtype=np.float32)
+    for start in range(0, frames.shape[0], chunk):
+        block = frames[start : start + chunk].astype(np.float32)
+        smax, smin = diffuse._chromaticities(block)
+        lam = smax.copy()
+        active = np.ones(block.shape[0], dtype=bool)
+        for _ in range(diffuse.MAX_ITERATIONS):
+            if not active.any():
+                break
+            smoothed = reference_joint_bilateral(lam[active], smin[active])
+            new = np.maximum(smax[active], smoothed)
+            delta = np.abs(new - lam[active]).max(axis=(1, 2))
+            lam[active] = new
+            active[np.nonzero(active)[0][delta < diffuse.CONVERGENCE_TOL]] = False
+        out[start : start + chunk] = diffuse._reconstruct_diffuse(block, lam)
+    return out
+
+
+@pytest.mark.parametrize("h, w", [(12, 20), (32, 32)])
+def test_stack_bit_identical_to_reference(h, w):
+    per_chunk = frame_chunks(1, h, w)[0].stop
+    n = 2 * per_chunk + 3  # three chunks, the last one partial
+    frames = mixed_frames(n, h, w, seed=h)
+    assert len(frame_chunks(n, h, w)) == 3
+    assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
+
+
+def test_frame_chunks_cover_frames_in_order():
+    chunks = frame_chunks(10, 200, 300)  # one frame's plane exceeds the budget
+    assert chunks == [slice(i, i + 1) for i in range(10)]
+    per_chunk = frame_chunks(1, 8, 8)[0].stop
+    assert per_chunk * 8 * 8 * 4 <= diffuse.CHUNK_PLANE_BYTES
+    covered = np.concatenate([np.arange(100)[sl] for sl in frame_chunks(100, 8, 8)])
+    assert np.array_equal(covered, np.arange(100))
 
 
 def test_stack_rejects_bad_shape():

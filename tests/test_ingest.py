@@ -120,6 +120,14 @@ def test_raw_stream_truncated_payload(tmp_path):
         load_raw_stream(path)
 
 
+def test_raw_stream_overlong_payload(tmp_path):
+    header = RAW_HEADER.pack(RAW_MAGIC, 4, 4, 2, 30_000)
+    path = tmp_path / "s.raw"
+    path.write_bytes(header + bytes(4 * 4 * 3 * 2 + 1))
+    with pytest.raises(errors.MalformedStreamError):
+        load_raw_stream(path)
+
+
 def test_raw_stream_zero_fps(tmp_path):
     header = RAW_HEADER.pack(RAW_MAGIC, 4, 4, 1, 0)
     path = tmp_path / "s.raw"
@@ -238,6 +246,22 @@ def test_landmarks_bbox_out_of_frame(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0, bbox=(4, 4, 6, 4))])
     with pytest.raises(errors.OutOfBoundsError):
+        load_landmarks(path, frame_count=1, width=8, height=6)
+
+
+@pytest.mark.parametrize("bad", ["a", None, 0.7, True])
+def test_landmarks_bbox_entries_must_be_integers(tmp_path, bad):
+    path = tmp_path / "lm.jsonl"
+    write_jsonl(path, [record_dict(0, bbox=(bad, 1, 6, 4))])
+    with pytest.raises(errors.DataFormatError):
+        load_landmarks(path, frame_count=1, width=8, height=6)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 2.5])
+def test_landmarks_vertex_coordinates_must_be_integers(tmp_path, bad):
+    path = tmp_path / "lm.jsonl"
+    write_jsonl(path, [record_dict(0, mouth=[[2, bad], [3, 2], [3, 3]])])
+    with pytest.raises(errors.MalformedPolygonError):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 

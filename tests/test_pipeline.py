@@ -1,10 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rppg.biophysics import CameraNoiseParams
 from rppg.config import RunConfig
-from rppg.pipeline import run_pipeline
+from rppg.diffuse import (
+    CHUNK_PLANE_BYTES,
+    diffuse_luminance,
+    estimate_diffuse_stack,
+    frame_chunks,
+    specular_free_min_subtract,
+)
+from rppg.pipeline import diffuse_luminance_stack, run_pipeline
 from rppg.synth import SynthScene, render
+
+from helpers import mixed_frames
 
 
 def make_scene(**kw):
@@ -117,3 +128,37 @@ def test_bbox_smoothing_path():
                     bbox_smoothing_alpha=0.8)
     result = run_pipeline(seq, sidecar, cfg)
     assert abs(result.report["video_bpm"] - 72.0) <= 2.0
+
+
+@pytest.mark.parametrize(
+    "estimator, separate",
+    [("bilateral", estimate_diffuse_stack), ("min_subtract", specular_free_min_subtract)],
+)
+def test_chunked_luminance_matches_whole_stack(estimator, separate):
+    h, w = 10, 14
+    n = 2 * frame_chunks(1, h, w)[0].stop + 5
+    frames = mixed_frames(n, h, w, seed=4)
+    whole = separate(frames)
+    lum, kept = diffuse_luminance_stack(frames, estimator, keep_diffuse=True)
+    assert np.array_equal(lum, diffuse_luminance(whole))
+    assert np.array_equal(kept, whole)
+    lum_only, none = diffuse_luminance_stack(frames, estimator)
+    assert none is None
+    assert np.array_equal(lum_only, lum)
+
+
+def test_luminance_stage_memory_is_bounded_by_the_chunk():
+    # Uniform skin-coloured frames converge in one bilateral pass, so the
+    # test is quick; the pass's temporaries are what bound the peak.
+    peaks = []
+    for n in (64, 640):
+        frames = np.empty((n, 48, 48, 3), dtype=np.uint8)
+        frames[...] = (150, 110, 80)
+        tracemalloc.start()
+        try:
+            lum, _ = diffuse_luminance_stack(frames, "bilateral")
+            peak = tracemalloc.get_traced_memory()[1] - lum.nbytes
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) < 96 * CHUNK_PLANE_BYTES, peaks
