@@ -4,6 +4,10 @@ Each channel is normalized by its window mean, projected onto the two
 chrominance axes Xs = 3Rn - 2Gn and Ys = 1.5Rn + Gn - 1.5Bn, band-passed,
 and recombined as S = Xf - alpha*Yf with alpha = sigma(Xf)/sigma(Yf). The
 alpha ratio adapts the specular/skin-tone rejection to the actual window.
+
+The extraction is batched over a leading trace axis (one row per grid cell,
+pyVHR's multi-patch layout): chrom_rows band-passes every row's Xs and Ys in
+one filter call. chrom, for a single trace, is the k=1 case.
 """
 
 from __future__ import annotations
@@ -12,26 +16,41 @@ import numpy as np
 
 from .errors import TraceTooShortError, ZeroChannelMeanError
 from .heartrate import bandpass_series
-from .signals import PulseWaveform, RgbTrace, zero_mean
+from .signals import PulseWaveform, RgbTrace
 
 MIN_TRACE_SECONDS = 2.0
 SIGMA_FLOOR = 1e-12
 
 
-def chrom(trace: RgbTrace) -> PulseWaveform:
-    n = len(trace)
-    if n < MIN_TRACE_SECONDS * trace.fps:
-        raise TraceTooShortError(
-            f"{n} samples at {trace.fps} fps is under {MIN_TRACE_SECONDS} s"
-        )
-    means = trace.samples.mean(axis=0)
-    if np.any(means <= SIGMA_FLOOR):
-        raise ZeroChannelMeanError(f"channel means {means} must all be positive")
-    rn, gn, bn = (trace.samples / means).T
+def chrom_rows(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]:
+    """CHROM of k RGB traces at once: samples (k, n, 3) -> (waves (k, n), ok (k,)).
+
+    A row with a channel mean <= SIGMA_FLOOR has no waveform: ok is False
+    and its row of waves is zero.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[1]
+    if n < MIN_TRACE_SECONDS * fps:
+        raise TraceTooShortError(f"{n} samples at {fps} fps is under {MIN_TRACE_SECONDS} s")
+    means = samples.mean(axis=1)
+    ok = np.all(means > SIGMA_FLOOR, axis=1)
+    rn, gn, bn = np.moveaxis(samples / np.where(ok[:, None], means, 1.0)[:, None, :], -1, 0)
     xs = 3.0 * rn - 2.0 * gn
     ys = 1.5 * rn + gn - 1.5 * bn
-    xf = bandpass_series(xs, trace.fps)
-    yf = bandpass_series(ys, trace.fps)
-    sigma_y = float(yf.std())
-    alpha = 0.0 if sigma_y < SIGMA_FLOOR else float(xf.std()) / sigma_y
-    return PulseWaveform(zero_mean(xf - alpha * yf), trace.fps)
+    xf, yf = bandpass_series(np.stack((xs, ys)), fps)
+    sigma_y = yf.std(axis=-1)
+    flat = sigma_y < SIGMA_FLOOR
+    alpha = np.where(flat, 0.0, xf.std(axis=-1) / np.where(flat, 1.0, sigma_y))
+    s = xf - alpha[:, None] * yf
+    waves = s - s.mean(axis=-1, keepdims=True)
+    waves[~ok] = 0.0
+    return waves, ok
+
+
+def chrom(trace: RgbTrace) -> PulseWaveform:
+    waves, ok = chrom_rows(trace.samples[None], trace.fps)
+    if not ok[0]:
+        raise ZeroChannelMeanError(
+            f"channel means {trace.samples.mean(axis=0)} must all be positive"
+        )
+    return PulseWaveform(waves[0], trace.fps)

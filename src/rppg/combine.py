@@ -7,23 +7,28 @@
   on a single debiased trace. Weighting in RGB space keeps cells with weak
   diffuse reflection (strong melanin attenuation or specular pollution)
   from diluting the pulse before inference.
+
+Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
+cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
+and one SNR pass give the weights, and snr reuses those same waveforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chrom import chrom
+from .chrom import chrom_rows
+from .diffuse import frame_chunks
 from .errors import (
     AllCellsDeadError,
-    DegenerateSpectrumError,
     DegenerateWeightsError,
     EmptyRegionError,
     ZeroChannelMeanError,
 )
-from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, psd, two_harmonic_snr
+from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
 from .roi import GridSpec
 from .signals import PulseWaveform, RgbTrace, zero_mean
 
@@ -68,38 +73,60 @@ class GridTraces:
     def cell_trace(self, i: int) -> RgbTrace:
         return RgbTrace(self.samples[i], self.fps)
 
+    @cached_property
+    def waveforms(self) -> tuple[np.ndarray, np.ndarray]:
+        """CHROM of every cell in one batch, computed once and shared by the
+        SNR weights and the snr combination: (waves (n_cells, n_frames),
+        ok (n_cells,)); a cell with a zero channel mean has ok False."""
+        return chrom_rows(self.samples, self.fps)
+
 
 def grid_traces(frames: np.ndarray, masks: np.ndarray, grid: GridSpec, fps: float) -> GridTraces:
+    """Mean masked RGB per grid cell and frame, from integer (uint8) frames.
+
+    The bbox crop is summed per cell with exact int64 block sums over the
+    cell row and column starts, a frame_chunks chunk at a time, so memory
+    stays bounded by a chunk whatever the window length.
+    """
     frames = np.asarray(frames)
     masks = np.asarray(masks, dtype=bool)
     if frames.shape[:3] != masks.shape:
         raise ValueError(f"frames {frames.shape} and masks {masks.shape} disagree")
-    n_frames = frames.shape[0]
-    labels = grid.label_map(frames.shape[2], frames.shape[1])
-    n = grid.n_cells
-    samples = np.zeros((n, n_frames, 3))
-    live = np.zeros(n, dtype=bool)
-    for t in range(n_frames):
-        sel = masks[t] & (labels >= 0)
-        lab = labels[sel]
-        counts = np.bincount(lab, minlength=n).astype(np.float64)
-        vals = frames[t][sel].astype(np.float64)
-        filled = counts > 0
-        for c in range(3):
-            sums = np.bincount(lab, weights=vals[:, c], minlength=n)
-            samples[filled, t, c] = sums[filled] / counts[filled]
-        if t == 0:
-            live = filled
-        else:
-            samples[~filled, t, :] = samples[~filled, t - 1, :]  # carry forward
+    if not np.issubdtype(frames.dtype, np.integer):
+        raise ValueError(f"frames must hold integer pixels, got {frames.dtype}")
+    n_frames, height, width = masks.shape
+    rects = grid.cell_rects
+    # Cell edges along each axis, clipped to the frame; the non-empty cells
+    # then tile the crop [y_edges[0], y_edges[-1]) x [x_edges[0], x_edges[-1]).
+    y_edges = np.clip(np.append(rects[:: grid.cols, 1], rects[-1, 1] + rects[-1, 3]), 0, height)
+    x_edges = np.clip(np.append(rects[: grid.cols, 0], rects[-1, 0] + rects[-1, 2]), 0, width)
+    rs = np.flatnonzero(np.diff(y_edges) > 0)
+    cs = np.flatnonzero(np.diff(x_edges) > 0)
+    samples = np.zeros((grid.rows, grid.cols, n_frames, 3))
+    filled = np.zeros((grid.rows, grid.cols, n_frames), dtype=bool)
+    if rs.size and cs.size:
+        crop = (slice(y_edges[0], y_edges[-1]), slice(x_edges[0], x_edges[-1]))
+        y_starts, x_starts = y_edges[rs] - y_edges[0], x_edges[cs] - x_edges[0]
+        cells = (slice(rs[0], rs[-1] + 1), slice(cs[0], cs[-1] + 1))
+        for sl in frame_chunks(n_frames, y_edges[-1] - y_edges[0], x_edges[-1] - x_edges[0]):
+            m = masks[sl][:, crop[0], crop[1]]
+            px = np.where(m[..., None], frames[sl][:, crop[0], crop[1]], 0)
+            sums = np.add.reduceat(np.add.reduceat(px, y_starts, axis=1, dtype=np.int64),
+                                   x_starts, axis=2)
+            counts = np.add.reduceat(np.add.reduceat(m, y_starts, axis=1, dtype=np.int64),
+                                     x_starts, axis=2)
+            hit = np.moveaxis(counts > 0, 0, -1)
+            np.divide(np.moveaxis(sums, 0, -2), np.moveaxis(counts, 0, -1)[..., None],
+                      out=samples[cells[0], cells[1], sl], where=hit[..., None])
+            filled[cells[0], cells[1], sl] = hit
+    samples = samples.reshape(grid.n_cells, n_frames, 3)
+    filled = filled.reshape(grid.n_cells, n_frames)
+    for i in np.flatnonzero(~filled.all(axis=1)):
+        # carry the last filled sample forward (zeros before the first one)
+        last = np.maximum.accumulate(np.where(filled[i], np.arange(n_frames), 0))
+        samples[i] = samples[i, last]
+    live = filled[:, :1].any(axis=1)
     return GridTraces(samples=samples, live=live, fps=fps, rows=grid.rows, cols=grid.cols)
-
-
-def _cell_waveform(traces: GridTraces, i: int) -> PulseWaveform | None:
-    try:
-        return chrom(traces.cell_trace(i))
-    except ZeroChannelMeanError:
-        return None
 
 
 def snr_weights(
@@ -109,27 +136,28 @@ def snr_weights(
 ) -> np.ndarray:
     """Two-harmonic SNR per live cell, normalized to sum to one.
 
-    Each live cell's trace goes through CHROM; the SNR is taken around the
-    cell's own dominant in-band peak. Cells without usable spectra get
-    weight zero; if no cell produces any SNR the live cells share the
-    weight evenly (no spectral evidence to prefer one over another).
+    The live cells' CHROM waveforms get one batched periodogram; each cell's
+    SNR is taken on that spectrum around the cell's own dominant in-band
+    peak. Cells without usable spectra (zero channel mean, no in-band
+    power, zero total power) get weight zero; if no cell produces any SNR
+    the live cells share the weight evenly (no spectral evidence to prefer
+    one over another).
     """
     if not traces.live.any():
         raise AllCellsDeadError("every grid cell is empty in the first frame")
+    waves, ok = traces.waveforms
+    cells = np.flatnonzero(traces.live & ok)
     w = np.zeros(traces.n_cells)
-    for i in np.nonzero(traces.live)[0]:
-        wave = _cell_waveform(traces, i)
-        if wave is None:
-            continue
-        spectrum = psd(wave)
-        in_band = (spectrum.freqs >= band[0]) & (spectrum.freqs <= band[1])
-        if not in_band.any() or spectrum.power[in_band].max() <= 0.0:
-            continue
-        peak_hz = float(spectrum.freqs[in_band][np.argmax(spectrum.power[in_band])])
-        try:
-            w[i] = two_harmonic_snr(wave, peak_hz, halfwidth_hz, band)
-        except DegenerateSpectrumError:
-            continue
+    if cells.size:
+        freqs, power = periodogram(waves[cells], traces.fps)
+        in_band = (freqs >= band[0]) & (freqs <= band[1])
+        if in_band.any():
+            band_power = power[:, in_band]
+            peak = band_power.argmax(axis=1)
+            has_peak = band_power[np.arange(cells.size), peak] > 0.0
+            w[cells[has_peak]] = harmonic_snr(
+                freqs, power[has_peak], freqs[in_band][peak[has_peak]], halfwidth_hz
+            )
     total = w.sum()
     if total <= 0.0:
         w[traces.live] = 1.0 / int(traces.live.sum())
@@ -149,16 +177,16 @@ def _check_normalized(weights: np.ndarray, name: str) -> np.ndarray:
 
 
 def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> PulseWaveform:
-    """SNR-weighted mean of the per-cell CHROM waveforms."""
+    """SNR-weighted mean of the per-cell CHROM waveforms (traces.waveforms)."""
     weights = _check_normalized(weights, "snr weights")
     if weights.size != traces.n_cells:
         raise ValueError("one weight per cell required")
-    acc = np.zeros(traces.samples.shape[1])
-    for i in np.nonzero(weights > 0)[0]:
-        wave = _cell_waveform(traces, i)
-        if wave is None:
-            raise ZeroChannelMeanError(f"cell {i} has positive weight but no waveform")
-        acc += weights[i] * wave.samples
+    waves, ok = traces.waveforms
+    cells = np.flatnonzero(weights > 0)
+    missing = cells[~ok[cells]]
+    if missing.size:
+        raise ZeroChannelMeanError(f"cell {missing[0]} has positive weight but no waveform")
+    acc = np.tensordot(weights[cells], waves[cells], axes=1)
     return PulseWaveform(zero_mean(acc), traces.fps)
 
 

@@ -78,12 +78,14 @@ def _joint_bilateral(lam: np.ndarray, guide: np.ndarray) -> np.ndarray:
     # Weights of the first offset of each mirrored pair, keyed by the
     # offset that will reuse them.
     mirrored: dict[tuple[int, int], np.ndarray] = {}
+    # Slice ends are clamped at 0: an offset beyond a small frame's edge
+    # selects nothing (a negative end would wrap around).
     for dy in range(-radius, radius + 1):
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        yt = slice(max(-dy, 0), h + min(-dy, 0))
+        ys = slice(max(dy, 0), max(h + min(dy, 0), 0))
+        yt = slice(max(-dy, 0), max(h + min(-dy, 0), 0))
         for dx in range(-radius, radius + 1):
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            xt = slice(max(-dx, 0), w + min(-dx, 0))
+            xs = slice(max(dx, 0), max(w + min(dx, 0), 0))
+            xt = slice(max(-dx, 0), max(w + min(-dx, 0), 0))
             src = lam[..., ys, xs]
             wr = mirrored.pop((dy, dx), None)
             if wr is None:
@@ -180,10 +182,12 @@ def diffuse_weights(diffuse_frames: np.ndarray, grid: GridSpec, masks: np.ndarra
 
     weight(cell) is the mean diffuse luminance over all (frame, masked
     pixel) pairs that fall in the cell; cells that never see a masked pixel
-    get weight zero.
+    get weight zero. diffuse_frames is a (t, h, w, 3) stack or its (t, h, w)
+    luminance; the shape of masks tells them apart even when w is 3.
     """
-    lum = diffuse_luminance(diffuse_frames)
     masks = np.asarray(masks, dtype=bool)
+    d = np.asarray(diffuse_frames)
+    lum = d.astype(np.float64) if d.shape == masks.shape else diffuse_luminance(d)
     if lum.shape != masks.shape:
         raise ValueError(f"diffuse {lum.shape} and masks {masks.shape} disagree")
     labels = grid.label_map(masks.shape[2], masks.shape[1])

@@ -8,6 +8,10 @@ Heart rate is picked from up to five in-band spectral peaks by harmonic
 scoring: a candidate at p Hz is scored by the band power within +/-w of p
 plus the band power within +/-2w of 2p, which rejects sub-harmonic and
 motion peaks that lack a first harmonic.
+
+The periodogram and the two-harmonic SNR work on a leading row axis, so
+the spectra of all grid cells of a window are taken in one call; psd and
+two_harmonic_snr, for a single waveform, are the one-row case.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ NOTCH_HALFWIDTH_HZ = 0.05
 MAX_PEAKS = 5
 PEAK_PROMINENCE_FRAC = 0.05
 SNR_CAP = 100.0
+MIN_TOTAL_POWER = 1e-15
 
 
 @lru_cache(maxsize=32)
@@ -65,15 +70,20 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def psd(wave: PulseWaveform, pad_factor: int = PSD_PAD_FACTOR) -> Psd:
-    """Hann-tapered periodogram, zero-padded to >= pad_factor x the length."""
-    n = len(wave)
+def periodogram(x: np.ndarray, fps: float, pad_factor: int = PSD_PAD_FACTOR):
+    """Hann-tapered periodograms of the rows of x (..., n), zero-padded to
+    >= pad_factor x n. Returns (freqs, power (..., n_freqs))."""
+    n = x.shape[-1]
     if n < PSD_MIN_SAMPLES:
         raise SpectrumTooShortError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
     nfft = _next_pow2(pad_factor * n)
-    freqs, power = scipy.signal.periodogram(
-        wave.samples, fs=wave.fps, window="hann", nfft=nfft, detrend=False
-    )
+    return scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft, detrend=False)
+
+
+def psd(wave: PulseWaveform, pad_factor: int = PSD_PAD_FACTOR) -> Psd:
+    """Periodogram of one waveform (the single-row case of periodogram)."""
+    freqs, power = periodogram(wave.samples, wave.fps, pad_factor)
+    nfft = _next_pow2(pad_factor * len(wave))
     return Psd(freqs=freqs, power=power, resolution_hz=wave.fps / nfft)
 
 
@@ -148,33 +158,51 @@ def select_hr(
     return 60.0 * float(f[best])
 
 
+def harmonic_snr(
+    freqs: np.ndarray,
+    power: np.ndarray,
+    peak_hz,
+    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
+) -> np.ndarray:
+    """Two-harmonic SNR of each power row (..., n_freqs) around its peak_hz (...).
+
+    Signal power is the sum of the bins in [p-w, p+w] plus those in
+    [2p-2w, 2p+2w]; noise is everything else in the spectrum. The ratio is
+    clamped to [0, SNR_CAP]; a near-pure tone (noise power < 1e-12 of total)
+    reports the cap, and a row whose total power is under MIN_TOTAL_POWER
+    reports 0.
+    """
+    if halfwidth_hz <= 0:
+        raise UsageError("halfwidth must be positive")
+    p = np.asarray(peak_hz, dtype=np.float64)[..., None]
+    w = halfwidth_hz
+
+    def band_sum(lo, hi):
+        return np.where((freqs >= lo) & (freqs <= hi), power, 0.0).sum(axis=-1)
+
+    total = power.sum(axis=-1)
+    num = band_sum(p - w, p + w) + band_sum(2.0 * p - 2.0 * w, 2.0 * p + 2.0 * w)
+    den = total - num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.clip(num / den, 0.0, SNR_CAP)
+    snr = np.where(den <= 1e-12 * total, SNR_CAP, snr)
+    return np.where(total < MIN_TOTAL_POWER, 0.0, snr)
+
+
 def two_harmonic_snr(
     wave: PulseWaveform,
     peak_hz: float,
     halfwidth_hz: float = SNR_HALFWIDTH_HZ,
     band: tuple[float, float] = PASSBAND_HZ,
 ) -> float:
-    """Signal-to-noise ratio of a pulse waveform around a known rate.
-
-    Signal power is integrated over [p-w, p+w] and [2p-2w, 2p+2w]; noise is
-    everything else in the spectrum. The ratio is clamped to [0, SNR_CAP];
-    a near-pure tone (noise power < 1e-12 of total) reports the cap.
-    """
+    """Signal-to-noise ratio of a pulse waveform around a known rate
+    (harmonic_snr of its periodogram); a zero spectrum raises."""
     if not band[0] <= peak_hz <= band[1]:
         raise UsageError(f"peak {peak_hz} Hz outside the {band} Hz band")
-    if halfwidth_hz <= 0:
-        raise UsageError("halfwidth must be positive")
     spectrum = psd(wave)
-    total = float(spectrum.power.sum())
-    if total < 1e-15:
+    if spectrum.power.sum() < MIN_TOTAL_POWER:
         raise DegenerateSpectrumError("total spectral power is zero")
-    w = halfwidth_hz
-    num = spectrum.band_power(peak_hz - w, peak_hz + w)
-    num += spectrum.band_power(2.0 * peak_hz - 2.0 * w, 2.0 * peak_hz + 2.0 * w)
-    den = total - num
-    if den <= 1e-12 * total:
-        return SNR_CAP
-    return float(np.clip(num / den, 0.0, SNR_CAP))
+    return float(harmonic_snr(spectrum.freqs, spectrum.power, peak_hz, halfwidth_hz))
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,11 @@ class GridSpec:
         return self.rows * self.cols
 
     def label_map(self, width: int, height: int) -> np.ndarray:
-        """Cell index per pixel; -1 outside the bbox."""
+        """Cell index per pixel; -1 outside the bbox. Cells are clipped to
+        the frame on every side."""
         labels = np.full((height, width), -1, dtype=np.int32)
         for i, (x, y, w, h) in enumerate(self.cell_rects):
-            labels[y : y + h, x : x + w] = i
+            labels[max(y, 0) : max(y + h, 0), max(x, 0) : max(x + w, 0)] = i
         return labels
 
 

@@ -12,8 +12,11 @@ from rppg.ingest import (
     LandmarkSidecar,
     load_frame_sequence,
     write_landmarks,
+    write_raw_stream,
 )
 from rppg.synth import SynthScene, write_scene_dataset
+
+from helpers import full_sidecar, pulsed_sequence
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,21 @@ def test_estimate_dump_diffuse(dataset, tmp_path):
         assert np.array_equal(seq.frames, expect)
     # min-subtract zeroes the per-pixel minimum channel
     assert load_frame_sequence(tmp_path / "min_subtract").frames.min(axis=-1).max() == 0
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
+def test_estimate_proposed_on_frames_under_window_radius(tmp_path, capsys, h, w):
+    # synth refuses frames under 8x8, so the stream is written directly
+    seq = pulsed_sequence(n=300, h=h, w=w, hz=1.2)
+    write_raw_stream(seq, tmp_path / "tiny.raw")
+    write_landmarks(full_sidecar(seq), tmp_path / "tiny.jsonl")
+    rc = main([
+        "estimate", "--frames", str(tmp_path / "tiny.raw"),
+        "--landmarks", str(tmp_path / "tiny.jsonl"),
+        "--method", "proposed", "--grid-rows", "1", "--grid-cols", "1",
+    ])
+    assert rc == 0
+    assert abs(json.loads(capsys.readouterr().out)["video_bpm"] - 72.0) <= 1.0
 
 
 def test_dump_diffuse_requires_proposed(dataset, tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rppg.chrom import chrom
+from rppg.biophysics import CameraNoiseParams, SkinParams
+from rppg.chrom import chrom, chrom_rows
 from rppg.combine import (
     combine_benchmark_snr,
     combine_proposed,
@@ -9,9 +12,18 @@ from rppg.combine import (
     grid_traces,
     snr_weights,
 )
-from rppg.errors import AllCellsDeadError, DegenerateWeightsError, EmptyRegionError
-from rppg.roi import build_grid
+from rppg.diffuse import CHUNK_PLANE_BYTES
+from rppg.errors import (
+    AllCellsDeadError,
+    DegenerateSpectrumError,
+    DegenerateWeightsError,
+    EmptyRegionError,
+    ZeroChannelMeanError,
+)
+from rppg.heartrate import plan_windows, psd, two_harmonic_snr
+from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import RgbTrace, zero_mean
+from rppg.synth import SpecularPatch, SynthScene, render
 
 
 def random_scene(seed=0, n=8, h=6, w=8, mask_p=0.7):
@@ -73,25 +85,65 @@ def test_facial_aggregate_uniform_frame_is_exact():
 # ---------------------------------------------------------------------------
 
 
+def loop_grid_traces(frames, masks, grid, fps):
+    """Reference: the per-frame bincount loop that grid_traces replaced."""
+    n_frames = frames.shape[0]
+    labels = grid.label_map(frames.shape[2], frames.shape[1])
+    n = grid.n_cells
+    samples = np.zeros((n, n_frames, 3))
+    live = np.zeros(n, dtype=bool)
+    for t in range(n_frames):
+        sel = masks[t] & (labels >= 0)
+        lab = labels[sel]
+        counts = np.bincount(lab, minlength=n).astype(np.float64)
+        vals = frames[t][sel].astype(np.float64)
+        filled = counts > 0
+        for c in range(3):
+            sums = np.bincount(lab, weights=vals[:, c], minlength=n)
+            samples[filled, t, c] = sums[filled] / counts[filled]
+        if t == 0:
+            live = filled
+        else:
+            samples[~filled, t, :] = samples[~filled, t - 1, :]  # carry forward
+    return samples, live
+
+
 def test_grid_traces_matches_loop_oracle():
     frames, masks = random_scene(seed=5, n=6, h=9, w=12)
-    grid = build_grid((1, 1, 10, 7), rows=2, cols=3)
-    traces = grid_traces(frames, masks, grid, 25.0)
-    labels = grid.label_map(12, 9)
-    for i in range(grid.n_cells):
-        cell = labels == i
-        prev = None
-        for t in range(6):
-            sel = cell & masks[t]
-            if sel.any():
-                expect = frames[t][sel].astype(float).mean(axis=0)
-                prev = expect
-            elif t == 0:
-                expect = np.zeros(3)
-                prev = expect
-            else:
-                expect = prev
-            assert np.allclose(traces.samples[i, t], expect, atol=1e-12)
+    for poly in (((2, 2), (5, 2), (5, 4), (2, 4)), ((7, 6), (11, 6), (9, 8))):
+        masks &= ~rasterize_polygon(poly, 12, 9)  # eye and mouth holes
+    masks[3:, 1:4, 1:4] = False  # cell 0 of the first grid empties mid-window
+    cases = (
+        ((1, 1, 10, 7), 2, 3),  # uneven remainder cells
+        ((-3, -2, 11, 8), 3, 2),  # partly outside the frame, negative x/y
+        ((5, 4, 12, 9), 2, 4),  # partly outside the frame, right and bottom
+        ((-20, 0, 12, 9), 2, 2),  # wholly outside: every cell dead
+        ((0, 0, 12, 9), 1, 1),
+    )
+    for bbox, rows, cols in cases:
+        grid = build_grid(bbox, rows=rows, cols=cols)
+        traces = grid_traces(frames, masks, grid, 25.0)
+        samples, live = loop_grid_traces(frames, masks, grid, 25.0)
+        assert np.array_equal(traces.samples, samples), bbox
+        assert np.array_equal(traces.live, live), bbox
+    first = grid_traces(frames, masks, build_grid((1, 1, 10, 7), 2, 3), 25.0)
+    assert np.array_equal(first.samples[0, 3:], np.repeat(first.samples[0, 2:3], 3, axis=0))
+
+
+@pytest.mark.parametrize("n_frames", [64, 640])
+def test_grid_traces_memory_bounded_by_chunk(n_frames):
+    rng = np.random.default_rng(n_frames)
+    frames = rng.integers(0, 256, size=(n_frames, 96, 96, 3), dtype=np.uint8)
+    masks = rng.random((n_frames, 96, 96)) < 0.9
+    grid = build_grid((4, 4, 88, 88), rows=8, cols=8)
+    tracemalloc.start()
+    try:
+        traces = grid_traces(frames, masks, grid, 30.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured ~7x for both lengths: the int64 block sums of one chunk
+    assert peak - traces.samples.nbytes < 12 * CHUNK_PLANE_BYTES
 
 
 def test_grid_traces_live_flags_and_carry_forward():
@@ -195,6 +247,121 @@ def test_combine_benchmark_validates_weights():
         combine_benchmark_snr(traces, np.array([0.5, 0.2, 0.1, 0.1]))  # sums to 0.9
     with pytest.raises(ValueError):
         combine_benchmark_snr(traces, np.array([1.5, -0.5, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# batched spectral core against the per-cell loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
+    """Reference: one CHROM, one peak-picking PSD and one SNR PSD per cell."""
+    w = np.zeros(traces.n_cells)
+    for i in np.nonzero(traces.live)[0]:
+        try:
+            wave = chrom(traces.cell_trace(i))
+        except ZeroChannelMeanError:
+            continue
+        spectrum = psd(wave)
+        in_band = (spectrum.freqs >= band[0]) & (spectrum.freqs <= band[1])
+        if not in_band.any() or spectrum.power[in_band].max() <= 0.0:
+            continue
+        peak_hz = float(spectrum.freqs[in_band][np.argmax(spectrum.power[in_band])])
+        try:
+            w[i] = two_harmonic_snr(wave, peak_hz, halfwidth_hz, band)
+        except DegenerateSpectrumError:
+            continue
+    total = w.sum()
+    if total <= 0.0:
+        w[traces.live] = 1.0 / int(traces.live.sum())
+        return w
+    return w / total
+
+
+def loop_combine_benchmark_snr(traces, weights):
+    """Reference: a second CHROM pass per positive-weight cell."""
+    acc = np.zeros(traces.samples.shape[1])
+    for i in np.nonzero(weights > 0)[0]:
+        acc += weights[i] * chrom(traces.cell_trace(i)).samples
+    return zero_mean(acc)
+
+
+def assert_matches_loop(traces):
+    w = snr_weights(traces)
+    ref = loop_snr_weights(traces)
+    assert np.all(np.abs(w - ref) <= 1e-12 * ref)
+    wave = combine_benchmark_snr(traces, w).samples
+    assert np.max(np.abs(wave - loop_combine_benchmark_snr(traces, ref))) <= 1e-12
+    return w
+
+
+def scene_windows(scene, rows, cols):
+    seq, sidecar, _ = render(scene)
+    masks = build_mask(seq, sidecar)
+    for sl in plan_windows(seq.duration_s).frame_slices(seq.fps):
+        grid = build_grid(sidecar.records[sl.start].bbox, rows, cols)
+        yield grid_traces(seq.frames[sl], masks[sl], grid, seq.fps)
+
+
+def test_batched_snr_matches_loop_on_criterion_1_scene():
+    scene = SynthScene(
+        width=32, height=32, fps=30.0, duration_s=30.0, hr_bpm=96.0,
+        shot_noise=False, noise=CameraNoiseParams(sigma_read=0.0), seed=3,
+    )
+    for traces in scene_windows(scene, 8, 8):
+        assert_matches_loop(traces)
+
+
+def test_batched_snr_matches_loop_on_bias_scene():
+    scene = SynthScene(
+        width=24, height=24, fps=30.0, duration_s=30.0, hr_bpm=70.0,
+        skin=SkinParams(f_mel=0.40, f_blood=0.05, f_hg=0.45, delta_f_blood=0.004),
+        specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
+        exposure=1.1, seed=1,
+    )
+    for traces in scene_windows(scene, 2, 2):
+        assert_matches_loop(traces)
+
+
+def test_batched_snr_zero_channel_mean_cell_among_good_cells():
+    frames, masks, grid, fps = grid_scene(seed=11, noise_cell=(1, 0))
+    frames[:, :4, 4:, 2] = 0  # cell 1 has no blue: no CHROM waveform
+    traces = grid_traces(frames, masks, grid, fps)
+    assert traces.waveforms[1].tolist() == [True, False, True, True]
+    w = assert_matches_loop(traces)
+    assert w[1] == 0.0 and np.all(w[[0, 2, 3]] > 0.0)
+    with pytest.raises(ZeroChannelMeanError):
+        combine_benchmark_snr(traces, np.array([0.4, 0.2, 0.2, 0.2]))
+
+
+def test_batched_snr_even_fallback_on_flat_cells():
+    frames = np.full((300, 4, 4, 3), 90, dtype=np.uint8)
+    masks = np.ones((300, 4, 4), dtype=bool)
+    masks[:, :2, 2:] = False  # one dead cell among the flat ones
+    traces = grid_traces(frames, masks, build_grid((0, 0, 4, 4), rows=2, cols=2), 30.0)
+    w = assert_matches_loop(traces)
+    assert np.array_equal(w, [1 / 3, 0.0, 1 / 3, 1 / 3])
+
+
+def test_batched_snr_dead_cells_and_single_cell():
+    frames, masks, grid, fps = grid_scene(seed=12, noise_cell=(0, 1))
+    masks[0, 4:, :4] = False  # cell 2 empty in the first frame only: dead
+    traces = grid_traces(frames, masks, grid, fps)
+    assert traces.live.tolist() == [True, True, False, True]
+    assert assert_matches_loop(traces)[2] == 0.0
+    one = grid_traces(frames, masks, build_grid((0, 0, 8, 8), rows=1, cols=1), fps)
+    assert np.array_equal(assert_matches_loop(one), [1.0])
+
+
+def test_chrom_is_row_zero_of_batched_chrom():
+    frames, masks, grid, fps = grid_scene(seed=13, noise_cell=(1, 1))
+    traces = grid_traces(frames, masks, grid, fps)
+    waves, ok = chrom_rows(traces.samples, fps)
+    assert ok.all()
+    for i in range(traces.n_cells):
+        trace = traces.cell_trace(i)
+        assert np.array_equal(chrom(trace).samples, chrom_rows(trace.samples[None], fps)[0][0])
+        assert np.array_equal(chrom(trace).samples, waves[i])
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,11 @@ def reference_joint_bilateral(lam, guide):
     den = np.zeros_like(lam)
     h, w = lam.shape[-2:]
     for dy in range(-radius, radius + 1):
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        yt = slice(max(-dy, 0), h + min(-dy, 0))
+        ys = slice(max(dy, 0), max(h + min(dy, 0), 0))
+        yt = slice(max(-dy, 0), max(h + min(-dy, 0), 0))
         for dx in range(-radius, radius + 1):
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            xt = slice(max(-dx, 0), w + min(-dx, 0))
+            xs = slice(max(dx, 0), max(w + min(dx, 0), 0))
+            xt = slice(max(-dx, 0), max(w + min(-dx, 0), 0))
             ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
             diff = guide[..., yt, xt] - guide[..., ys, xs]
             wr = np.exp((-inv_2sr) * diff * diff)
@@ -142,6 +142,13 @@ def test_stack_bit_identical_to_reference(h, w):
     n = 2 * per_chunk + 3  # three chunks, the last one partial
     frames = mixed_frames(n, h, w, seed=h)
     assert len(frame_chunks(n, h, w)) == 3
+    assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
+def test_frames_under_window_radius_bit_identical_to_reference(h, w):
+    # Offsets reach past the frame edge: they must contribute nothing.
+    frames = mixed_frames(5, h, w, seed=h * 10 + w)
     assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
 
 

@@ -17,6 +17,7 @@ from rppg.heartrate import (
     PASSBAND_HZ,
     bandpass_series,
     estimate_video_hr,
+    harmonic_snr,
     plan_windows,
     psd,
     select_hr,
@@ -282,6 +283,17 @@ def test_snr_validates_inputs():
         two_harmonic_snr(tone(1.0), 5.0)
     with pytest.raises(UsageError):
         two_harmonic_snr(tone(1.0), 1.0, halfwidth_hz=0.0)
+
+
+def test_harmonic_snr_rows_use_inclusive_bands_around_their_own_peaks():
+    # dyadic bins, so p +/- w and 2p +/- 2w land exactly on bin centres
+    freqs = np.arange(64) * 0.125
+    power = np.ones((3, 64))
+    power[2] = 0.0  # no power at all
+    snr = harmonic_snr(freqs, power, np.array([1.0, 2.0, 1.0]), halfwidth_hz=0.25)
+    # peak 1.0: 5 bins in [0.75, 1.25] + 9 in [1.5, 2.5]; peak 2.0: 5 + 9 in [3.5, 4.5]
+    assert snr.tolist() == [14 / 50, 14 / 50, 0.0]
+    assert harmonic_snr(freqs, power[0], 1.0, halfwidth_hz=0.125) == 8 / 56  # one row
 
 
 def test_snr_clamped_to_cap():
