@@ -25,17 +25,13 @@ from .combine import (
     GridTraces,
     combine_benchmark_snr,
     combine_proposed,
+    diffuse_weights,
     facial_aggregate,
     grid_traces,
     snr_weights,
 )
 from .config import RunConfig, load_run_config
-from .diffuse import (
-    diffuse_weights,
-    estimate_diffuse,
-    estimate_diffuse_stack,
-    specular_free_min_subtract,
-)
+from .diffuse import estimate_diffuse, estimate_diffuse_stack, specular_free_min_subtract
 from .errors import ToolkitError
 from .evaluation import AgreementStats, CohortKey, CohortRecord, agreement, cohort_report
 from .heartrate import (

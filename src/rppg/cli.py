@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,14 @@ from .biophysics import (
     melanin_sweep,
     pixel_snr_sweep,
 )
-from .config import DIFFUSE_ESTIMATORS, ENV_CONFIG_VAR, METHODS, load_run_config
+from .config import (
+    DIFFUSE_ESTIMATORS,
+    ENV_CONFIG_VAR,
+    METHODS,
+    RunConfig,
+    _parse_value,
+    load_run_config,
+)
 from .errors import DataFormatError, MissingInputError, ToolkitError, UsageError
 from .evaluation import (
     CohortKey,
@@ -105,29 +113,10 @@ def _resolve_config(args: argparse.Namespace):
     cfg_path = args.config
     if cfg_path is None and os.environ.get(ENV_CONFIG_VAR):
         cfg_path = Path(os.environ[ENV_CONFIG_VAR])
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "method",
-            "window_s",
-            "hop_s",
-            "passband_lo_hz",
-            "passband_hi_hz",
-            "snr_halfwidth_hz",
-            "grid_rows",
-            "grid_cols",
-            "diffuse_estimator",
-            "bbox_smoothing",
-            "bbox_smoothing_alpha",
-        )
-        if getattr(args, key, None) is not None
-    }
-    if getattr(args, "notch_hz", None) is not None:
-        raw = args.notch_hz.strip()
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    if overrides["notch_hz"] is not None:
         try:
-            overrides["notch_hz"] = (
-                tuple(float(v) for v in raw.replace(",", " ").split()) if raw else ()
-            )
+            overrides["notch_hz"] = _parse_value("notch_hz", overrides["notch_hz"])
         except ValueError as exc:
             raise UsageError(f"--notch-hz: {exc}") from exc
     return load_run_config(cfg_path, overrides)

@@ -11,6 +11,12 @@
 Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
 cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
 and one SNR pass give the weights, and snr reuses those same waveforms.
+
+This module owns the pixel-to-cell reduction and every cell weight. One
+reducer, masked_cell_sums, pools masked pixels into cells by exact block
+sums: aggregate is its one-cell case spanning the frame, grid_traces its
+per-frame mean over the grid cells, and diffuse_weights its sum over a
+window.
 """
 
 from __future__ import annotations
@@ -36,19 +42,57 @@ WEIGHT_EPS = 1e-12
 NORMALIZATION_TOL = 1e-6
 
 
-def facial_aggregate(frames: np.ndarray, masks: np.ndarray, fps: float) -> RgbTrace:
-    """Mean RGB over all masked pixels, per frame."""
-    frames = np.asarray(frames)
+def masked_cell_sums(
+    values: np.ndarray, masks: np.ndarray, y_edges, x_edges
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked sums and masked-pixel counts per cell and frame.
+
+    values is (t, h, w, ...) with any trailing channel axes, masks (t, h, w).
+    Cell (r, c) spans [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]),
+    the edges clipped to the frame. Integers are summed exactly in int64,
+    floats in float64, one frame_chunks chunk of the cells' crop at a time,
+    so temporaries stay bounded by a chunk. Returns sums (t, rows, cols, ...)
+    and int64 counts (t, rows, cols).
+    """
+    values = np.asarray(values)
     masks = np.asarray(masks, dtype=bool)
-    if frames.shape[:3] != masks.shape:
-        raise ValueError(f"frames {frames.shape} and masks {masks.shape} disagree")
-    out = np.empty((frames.shape[0], 3))
-    for t in range(frames.shape[0]):
-        sel = masks[t]
-        if not sel.any():
-            raise EmptyRegionError(f"frame {t}: mask selects no pixels")
-        out[t] = frames[t][sel].mean(axis=0)
-    return RgbTrace(out, fps)
+    if values.shape[:3] != masks.shape:
+        raise ValueError(f"values {values.shape} and masks {masks.shape} disagree")
+    n_frames, height, width = masks.shape
+    y_edges = np.clip(y_edges, 0, height)
+    x_edges = np.clip(x_edges, 0, width)
+    dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
+    shape = (n_frames, y_edges.size - 1, x_edges.size - 1)
+    sums = np.zeros(shape + values.shape[3:], dtype=dtype)
+    counts = np.zeros(shape, dtype=np.int64)
+    rs = np.flatnonzero(np.diff(y_edges) > 0)
+    cs = np.flatnonzero(np.diff(x_edges) > 0)
+    if not (rs.size and cs.size):
+        return sums, counts
+    ys = slice(y_edges[0], y_edges[-1])
+    xs = slice(x_edges[0], x_edges[-1])
+    y_starts, x_starts = y_edges[rs] - ys.start, x_edges[cs] - xs.start
+    channels = (1,) * (values.ndim - 3)
+    for sl in frame_chunks(n_frames, ys.stop - ys.start, xs.stop - xs.start):
+        m = masks[sl, ys, xs]
+        px = np.where(m.reshape(m.shape + channels), values[sl, ys, xs], 0)
+        sums[sl, rs[:, None], cs] = np.add.reduceat(
+            np.add.reduceat(px, y_starts, axis=1, dtype=dtype), x_starts, axis=2
+        )
+        counts[sl, rs[:, None], cs] = np.add.reduceat(
+            np.add.reduceat(m, y_starts, axis=1, dtype=np.int64), x_starts, axis=2
+        )
+    return sums, counts
+
+
+def facial_aggregate(frames: np.ndarray, masks: np.ndarray, fps: float) -> RgbTrace:
+    """Mean RGB over all masked pixels, per frame: one cell spanning the frame."""
+    masks = np.asarray(masks, dtype=bool)
+    sums, counts = masked_cell_sums(frames, masks, [0, masks.shape[1]], [0, masks.shape[2]])
+    empty = np.flatnonzero(counts[:, 0, 0] == 0)
+    if empty.size:
+        raise EmptyRegionError(f"frame {empty[0]}: mask selects no pixels")
+    return RgbTrace(sums[:, 0, 0] / counts[:, 0, 0, None], fps)
 
 
 @dataclass(frozen=True)
@@ -82,45 +126,14 @@ class GridTraces:
 
 
 def grid_traces(frames: np.ndarray, masks: np.ndarray, grid: GridSpec, fps: float) -> GridTraces:
-    """Mean masked RGB per grid cell and frame, from integer (uint8) frames.
-
-    The bbox crop is summed per cell with exact int64 block sums over the
-    cell row and column starts, a frame_chunks chunk at a time, so memory
-    stays bounded by a chunk whatever the window length.
-    """
-    frames = np.asarray(frames)
-    masks = np.asarray(masks, dtype=bool)
-    if frames.shape[:3] != masks.shape:
-        raise ValueError(f"frames {frames.shape} and masks {masks.shape} disagree")
-    if not np.issubdtype(frames.dtype, np.integer):
-        raise ValueError(f"frames must hold integer pixels, got {frames.dtype}")
-    n_frames, height, width = masks.shape
-    rects = grid.cell_rects
-    # Cell edges along each axis, clipped to the frame; the non-empty cells
-    # then tile the crop [y_edges[0], y_edges[-1]) x [x_edges[0], x_edges[-1]).
-    y_edges = np.clip(np.append(rects[:: grid.cols, 1], rects[-1, 1] + rects[-1, 3]), 0, height)
-    x_edges = np.clip(np.append(rects[: grid.cols, 0], rects[-1, 0] + rects[-1, 2]), 0, width)
-    rs = np.flatnonzero(np.diff(y_edges) > 0)
-    cs = np.flatnonzero(np.diff(x_edges) > 0)
-    samples = np.zeros((grid.rows, grid.cols, n_frames, 3))
-    filled = np.zeros((grid.rows, grid.cols, n_frames), dtype=bool)
-    if rs.size and cs.size:
-        crop = (slice(y_edges[0], y_edges[-1]), slice(x_edges[0], x_edges[-1]))
-        y_starts, x_starts = y_edges[rs] - y_edges[0], x_edges[cs] - x_edges[0]
-        cells = (slice(rs[0], rs[-1] + 1), slice(cs[0], cs[-1] + 1))
-        for sl in frame_chunks(n_frames, y_edges[-1] - y_edges[0], x_edges[-1] - x_edges[0]):
-            m = masks[sl][:, crop[0], crop[1]]
-            px = np.where(m[..., None], frames[sl][:, crop[0], crop[1]], 0)
-            sums = np.add.reduceat(np.add.reduceat(px, y_starts, axis=1, dtype=np.int64),
-                                   x_starts, axis=2)
-            counts = np.add.reduceat(np.add.reduceat(m, y_starts, axis=1, dtype=np.int64),
-                                     x_starts, axis=2)
-            hit = np.moveaxis(counts > 0, 0, -1)
-            np.divide(np.moveaxis(sums, 0, -2), np.moveaxis(counts, 0, -1)[..., None],
-                      out=samples[cells[0], cells[1], sl], where=hit[..., None])
-            filled[cells[0], cells[1], sl] = hit
-    samples = samples.reshape(grid.n_cells, n_frames, 3)
-    filled = filled.reshape(grid.n_cells, n_frames)
+    """Mean masked RGB per grid cell and frame (masked_cell_sums over grid.edges)."""
+    sums, counts = masked_cell_sums(frames, masks, *grid.edges)
+    n_frames = counts.shape[0]
+    sums = np.moveaxis(sums.reshape(n_frames, grid.n_cells, 3), 0, 1)
+    counts = counts.reshape(n_frames, grid.n_cells).T
+    filled = counts > 0
+    samples = np.zeros((grid.n_cells, n_frames, 3))
+    np.divide(sums, counts[..., None], out=samples, where=filled[..., None])
     for i in np.flatnonzero(~filled.all(axis=1)):
         # carry the last filled sample forward (zeros before the first one)
         last = np.maximum.accumulate(np.where(filled[i], np.arange(n_frames), 0))
@@ -163,6 +176,33 @@ def snr_weights(
         w[traces.live] = 1.0 / int(traces.live.sum())
         return w
     return w / total
+
+
+def diffuse_weights(diffuse_frames: np.ndarray, grid: GridSpec, masks: np.ndarray) -> np.ndarray:
+    """Per-cell diffuse-strength weights, normalized to sum to one.
+
+    weight(cell) is the mean diffuse luminance (R + G + B) / 3 over all
+    (frame, masked pixel) pairs that fall in the cell; cells that never see
+    a masked pixel get weight zero. diffuse_frames is a (t, h, w, 3) stack or
+    its (t, h, w) luminance; the shape of masks tells them apart even when
+    w is 3.
+    """
+    d = np.asarray(diffuse_frames)
+    masks = np.asarray(masks, dtype=bool)
+    if d.shape not in (masks.shape, masks.shape + (3,)):
+        raise ValueError(f"diffuse {d.shape} and masks {masks.shape} disagree")
+    sums, counts = masked_cell_sums(d, masks, *grid.edges)
+    # per cell: the channel mean of the summed RGB (or the summed luminance)
+    sums = sums.sum(axis=0).reshape(grid.n_cells, -1).mean(axis=1)
+    counts = counts.sum(axis=0).ravel()
+    if counts.sum() == 0:
+        raise EmptyRegionError("no masked pixels fall inside the grid")
+    weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    total = weights.sum()
+    if total <= 0:
+        # all-black diffuse region: no luminance evidence, weight evenly
+        return (counts > 0) / max(1, int((counts > 0).sum()))
+    return weights / total
 
 
 def _check_normalized(weights: np.ndarray, name: str) -> np.ndarray:

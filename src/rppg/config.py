@@ -1,7 +1,8 @@
 """Run configuration: defaults, config-file parsing, flag overrides.
 
 Config files are flat key=value text with INI-style sections (the
-[pipeline] section holds every pipeline key). Any key can be overridden by
+[pipeline] section holds every pipeline key); values are literal, with no
+%-interpolation, and float values must be finite. Any key can be overridden by
 the command-line flag of the same name; the RPPG_CONFIG environment
 variable names a default config file used when --config is not given.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +39,12 @@ class RunConfig:
     bbox_smoothing_alpha: float = 0.9
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value}")
+        if not all(math.isfinite(v) for v in self.notch_hz):
+            raise UsageError(f"notch_hz must be finite, got {self.notch_hz}")
         if self.method not in METHODS:
             raise UsageError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.diffuse_estimator not in DIFFUSE_ESTIMATORS:
@@ -93,7 +101,7 @@ def load_run_config(path: Path | None, overrides: dict | None = None) -> RunConf
         path = Path(path)
         if not path.exists():
             raise MissingInputError(f"{path}: config file not found")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(path.read_text())
         except configparser.Error as exc:

@@ -1,4 +1,4 @@
-"""Specular/diffuse separation and diffuse-strength weights.
+"""Specular/diffuse separation.
 
 Under the dichromatic reflection model with white illumination a pixel is
 I = m_d * D + m_s * (1/3, 1/3, 1/3): a diffuse chromaticity D scaled by
@@ -31,9 +31,6 @@ That halves the exp passes and leaves every sum bit-identical.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import EmptyRegionError
-from .roi import GridSpec
 
 SPATIAL_SIGMA_PX = 5.0
 RANGE_SIGMA = 0.05
@@ -170,41 +167,5 @@ def specular_free_min_subtract(frames: np.ndarray) -> np.ndarray:
 
 
 def diffuse_luminance(diffuse_frames: np.ndarray) -> np.ndarray:
-    """(R + G + B) / 3 of a diffuse stack; accepts (..., 3) or pre-reduced."""
-    d = np.asarray(diffuse_frames)
-    if d.ndim >= 1 and d.shape[-1] == 3:
-        return d.mean(axis=-1, dtype=np.float64)
-    return d.astype(np.float64)
-
-
-def diffuse_weights(diffuse_frames: np.ndarray, grid: GridSpec, masks: np.ndarray) -> np.ndarray:
-    """Per-cell diffuse-strength weights, normalized to sum to one.
-
-    weight(cell) is the mean diffuse luminance over all (frame, masked
-    pixel) pairs that fall in the cell; cells that never see a masked pixel
-    get weight zero. diffuse_frames is a (t, h, w, 3) stack or its (t, h, w)
-    luminance; the shape of masks tells them apart even when w is 3.
-    """
-    masks = np.asarray(masks, dtype=bool)
-    d = np.asarray(diffuse_frames)
-    lum = d.astype(np.float64) if d.shape == masks.shape else diffuse_luminance(d)
-    if lum.shape != masks.shape:
-        raise ValueError(f"diffuse {lum.shape} and masks {masks.shape} disagree")
-    labels = grid.label_map(masks.shape[2], masks.shape[1])
-    n = grid.n_cells
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for t in range(masks.shape[0]):
-        sel = masks[t] & (labels >= 0)
-        lab = labels[sel]
-        sums += np.bincount(lab, weights=lum[t][sel], minlength=n)
-        counts += np.bincount(lab, minlength=n)
-    if counts.sum() == 0:
-        raise EmptyRegionError("no masked pixels fall inside the grid")
-    weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    total = weights.sum()
-    if total <= 0:
-        # all-black diffuse region: no luminance evidence, weight evenly
-        weights = (counts > 0) / max(1, int((counts > 0).sum()))
-        return weights.astype(np.float64)
-    return weights / total
+    """(R + G + B) / 3 of a (..., 3) diffuse stack, as float64."""
+    return np.asarray(diffuse_frames).mean(axis=-1, dtype=np.float64)

@@ -17,6 +17,7 @@ from .chrom import chrom
 from .combine import (
     combine_benchmark_snr,
     combine_proposed,
+    diffuse_weights,
     facial_aggregate,
     grid_traces,
     snr_weights,
@@ -24,7 +25,6 @@ from .combine import (
 from .config import REPORT_SCHEMA_VERSION, RunConfig
 from .diffuse import (
     diffuse_luminance,
-    diffuse_weights,
     estimate_diffuse_stack,
     frame_chunks,
     specular_free_min_subtract,

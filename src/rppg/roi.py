@@ -77,13 +77,15 @@ class GridSpec:
     def n_cells(self) -> int:
         return self.rows * self.cols
 
-    def label_map(self, width: int, height: int) -> np.ndarray:
-        """Cell index per pixel; -1 outside the bbox. Cells are clipped to
-        the frame on every side."""
-        labels = np.full((height, width), -1, dtype=np.int32)
-        for i, (x, y, w, h) in enumerate(self.cell_rects):
-            labels[max(y, 0) : max(y + h, 0), max(x, 0) : max(x + w, 0)] = i
-        return labels
+    @property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(y_edges, x_edges): cell row r spans [y_edges[r], y_edges[r + 1]) and
+        column c spans [x_edges[c], x_edges[c + 1]), in frame pixels that may
+        lie outside the frame."""
+        rects = self.cell_rects
+        y_edges = np.append(rects[:: self.cols, 1], rects[-1, 1] + rects[-1, 3])
+        x_edges = np.append(rects[: self.cols, 0], rects[-1, 0] + rects[-1, 2])
+        return y_edges, x_edges
 
 
 def build_grid(bbox, rows: int, cols: int) -> GridSpec:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
+from rppg.roi import GridSpec
 
 
 def flat_sequence(n=64, h=12, w=16, fps=16.0, level=(120, 90, 70)) -> FrameSequence:
@@ -62,3 +63,13 @@ def mixed_frames(n, h, w, seed=0) -> np.ndarray:
     frames[kind == 2] = 255
     frames[..., 0][kind == 3] = 255
     return frames
+
+
+def label_map(grid: GridSpec, width: int, height: int) -> np.ndarray:
+    """Cell index per pixel of a (height, width) frame; -1 outside the bbox.
+    Cells are clipped to the frame on every side. The loop oracles index
+    pixels by cell with it."""
+    labels = np.full((height, width), -1, dtype=np.int32)
+    for i, (x, y, w, h) in enumerate(grid.cell_rects):
+        labels[max(y, 0) : max(y + h, 0), max(x, 0) : max(x + w, 0)] = i
+    return labels

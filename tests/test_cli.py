@@ -195,6 +195,7 @@ def test_malformed_inputs_exit_4(dataset, tmp_path):
 
 def test_usage_errors_exit_2(dataset, tmp_path):
     assert main(run_estimate(dataset, "--notch-hz", "abc")) == 2
+    assert main(run_estimate(dataset, "--method", "snr", "--snr-halfwidth-hz", "nan")) == 2
     ini = tmp_path / "bad.ini"
     ini.write_text("[pipeline]\nwindowing = 1\n")
     assert main(run_estimate(dataset, "--config", str(ini))) == 2

@@ -1,5 +1,6 @@
 import pytest
 
+from rppg.cli import main
 from rppg.config import METHODS, RunConfig, load_run_config
 from rppg.errors import MissingInputError, UsageError
 
@@ -29,6 +30,9 @@ def test_defaults():
         {"snr_halfwidth_hz": 0.0},
         {"grid_rows": 0},
         {"bbox_smoothing_alpha": 1.0},
+        {"snr_halfwidth_hz": float("nan")},
+        {"window_s": float("inf")},
+        {"hop_s": float("nan")},
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -110,6 +114,18 @@ def test_bad_values_rejected(tmp_path):
         p.write_text(body)
         with pytest.raises(UsageError):
             load_run_config(p)
+
+
+@pytest.mark.parametrize("line", ["method = 50%", "notch_hz = 1,%(x)s"])
+def test_percent_values_are_literal_and_rejected(tmp_path, line):
+    # no %-interpolation: the raw value reaches validation and fails there
+    p = tmp_path / "run.ini"
+    p.write_text(f"[pipeline]\n{line}\n")
+    with pytest.raises(UsageError):
+        load_run_config(p)
+    argv = ["estimate", "--frames", str(tmp_path / "absent.raw"), "--landmarks",
+            str(tmp_path / "absent.jsonl"), "--config", str(p)]
+    assert main(argv) == 2
 
 
 def test_notch_parsing_variants(tmp_path):

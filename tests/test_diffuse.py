@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rppg import diffuse
+from rppg.combine import diffuse_weights
 from rppg.diffuse import (
     diffuse_luminance,
-    diffuse_weights,
     estimate_diffuse,
     estimate_diffuse_stack,
     frame_chunks,
@@ -16,7 +16,7 @@ from rppg.diffuse import (
 from rppg.errors import EmptyRegionError
 from rppg.roi import build_grid
 
-from helpers import mixed_frames
+from helpers import label_map, mixed_frames
 
 DIFFUSE_RGB = np.array([120.0, 80.0, 60.0])
 
@@ -203,8 +203,6 @@ def test_diffuse_luminance_shapes():
     lum = diffuse_luminance(stack)
     assert lum.shape == (2, 3, 4)
     assert np.allclose(lum, stack.mean(axis=-1))
-    # pre-reduced input passes through
-    assert np.allclose(diffuse_luminance(lum), lum)
 
 
 def test_uniform_frames_give_uniform_weights():
@@ -222,7 +220,7 @@ def test_weights_match_loop_oracle():
     masks[:, 0, 0] = True
     grid = build_grid((1, 0, 10, 8), rows=2, cols=3)
     w = diffuse_weights(frames, grid, masks)
-    labels = grid.label_map(12, 8)
+    labels = label_map(grid, 12, 8)
     lum = frames.astype(float).mean(axis=-1)
     expect = np.zeros(grid.n_cells)
     for i in range(grid.n_cells):
@@ -235,6 +233,57 @@ def test_weights_match_loop_oracle():
         expect[i] = flat.mean() if flat.size else 0.0
     expect = expect / expect.sum()
     assert np.allclose(w, expect, atol=1e-9)
+
+
+def loop_diffuse_weights(diffuse_frames, grid, masks):
+    """Reference: the per-frame label_map/bincount loop that diffuse_weights
+    replaced."""
+    masks = np.asarray(masks, dtype=bool)
+    d = np.asarray(diffuse_frames)
+    lum = d.astype(np.float64) if d.shape == masks.shape else d.mean(axis=-1, dtype=np.float64)
+    labels = label_map(grid, masks.shape[2], masks.shape[1])
+    n = grid.n_cells
+    sums = np.zeros(n)
+    counts = np.zeros(n)
+    for t in range(masks.shape[0]):
+        sel = masks[t] & (labels >= 0)
+        lab = labels[sel]
+        sums += np.bincount(lab, weights=lum[t][sel], minlength=n)
+        counts += np.bincount(lab, minlength=n)
+    if counts.sum() == 0:
+        raise EmptyRegionError("no masked pixels fall inside the grid")
+    weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    total = weights.sum()
+    if total <= 0:
+        return (counts > 0) / max(1, int((counts > 0).sum()))
+    return weights / total
+
+
+def test_weights_match_bincount_loop_oracle():
+    frames = mixed_frames(6, 9, 12, seed=9)
+    masks = np.random.default_rng(9).random((6, 9, 12)) < 0.7
+    masks[3:, 1:4, 1:4] = False  # a cell empties mid-window
+    inputs = (
+        frames,  # uint8 RGB
+        estimate_diffuse_stack(frames),  # float32 diffuse stack
+        frames.mean(axis=-1),  # float64 luminance
+    )
+    cases = (
+        ((1, 1, 10, 7), 2, 3),  # uneven remainder cells
+        ((-3, -2, 11, 8), 3, 2),  # partly outside the frame, negative x/y
+        ((5, 4, 12, 9), 2, 4),  # partly outside the frame, right and bottom
+        ((0, 0, 12, 9), 1, 1),
+    )
+    for bbox, rows, cols in cases:
+        grid = build_grid(bbox, rows=rows, cols=cols)
+        for d in inputs:
+            w = diffuse_weights(d, grid, masks)
+            expect = loop_diffuse_weights(d, grid, masks)
+            assert np.allclose(w, expect, rtol=1e-12, atol=0.0), (bbox, d.dtype)
+    outside = build_grid((-20, 0, 12, 9), rows=2, cols=2)  # wholly outside
+    for d in inputs:
+        with pytest.raises(EmptyRegionError):
+            diffuse_weights(d, outside, masks)
 
 
 def test_highlight_cell_suppressed_vs_raw_weighting():

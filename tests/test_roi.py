@@ -7,7 +7,7 @@ from rppg.errors import GridTooFineError
 from rppg.ingest import LandmarkRecord, LandmarkSidecar
 from rppg.roi import bbox_mask, build_grid, build_mask, rasterize_polygon
 
-from helpers import flat_sequence
+from helpers import flat_sequence, label_map
 
 
 def brute_force_rasterize(poly, width, height):
@@ -100,12 +100,15 @@ def test_build_grid_partitions_bbox():
     # cells tile the bbox exactly: total area matches, no overlap
     areas = rects[:, 2] * rects[:, 3]
     assert areas.sum() == 70
-    labels = grid.label_map(20, 15)
+    labels = label_map(grid, 20, 15)
     inside = labels >= 0
     assert inside.sum() == 70
     # remainder columns/rows absorbed by the last cell in each direction
     assert rects[:, 2].max() == 2 + 10 % 4
     assert rects[:, 3].max() == 2 + 7 % 3
+    y_edges, x_edges = grid.edges
+    assert y_edges.tolist() == [2, 4, 6, 9]
+    assert x_edges.tolist() == [3, 5, 7, 9, 13]
 
 
 @settings(deadline=None, max_examples=60)
@@ -119,7 +122,7 @@ def test_build_grid_partitions_bbox():
 )
 def test_build_grid_covers_every_bbox_pixel_once(rows, cols, x0, y0, bw, bh):
     grid = build_grid((x0, y0, bw, bh), rows=rows, cols=cols)
-    labels = grid.label_map(20, 20)
+    labels = label_map(grid, 20, 20)
     block = labels[y0 : y0 + bh, x0 : x0 + bw]
     assert (block >= 0).all()
     # row-major cell ids, each cell contiguous
