@@ -39,6 +39,7 @@ optics summary. Tables cover 400-700 nm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,6 +175,8 @@ class SpectralContext:
 
     @classmethod
     def default(cls, step_nm: float = DEFAULT_STEP_NM) -> "SpectralContext":
+        if not (math.isfinite(step_nm) and step_nm > 0):
+            raise UsageError(f"wavelength step must be positive and finite, got {step_nm}")
         lam = _default_grid(step_nm)
         sens = np.stack(
             [

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -23,20 +24,14 @@ import tempfile
 from pathlib import Path
 
 from .biophysics import (
+    DEFAULT_STEP_NM,
     CameraNoiseParams,
     SkinParams,
     SpectralContext,
     melanin_sweep,
     pixel_snr_sweep,
 )
-from .config import (
-    DIFFUSE_ESTIMATORS,
-    ENV_CONFIG_VAR,
-    METHODS,
-    RunConfig,
-    _parse_value,
-    load_run_config,
-)
+from .config import ENV_CONFIG_VAR, KINDS, RunConfig, load_run_config, parse_value
 from .errors import DataFormatError, MissingInputError, ToolkitError, UsageError
 from .evaluation import (
     CohortKey,
@@ -46,7 +41,7 @@ from .evaluation import (
     report_to_csv,
     scatter_csv,
 )
-from .ingest import FrameSequence, load_frame_sequence, load_landmarks, read_timeseries_csv, write_frame_dir
+from .ingest import FrameSequence, load_frame_sequence, load_ground_truth, load_landmarks, write_frame_dir
 from .pipeline import run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
 
@@ -80,46 +75,64 @@ def _json_dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# estimate
+# flags derived from settings dataclasses
 # ---------------------------------------------------------------------------
 
+# Flags spelled other than "--" + the field name with "-" for "_".
+_FLAG_NAMES = {"sigma_read": "--read-noise", "sigma_quant": "--quant-noise"}
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="INI config file")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--window-s", type=float, dest="window_s")
-    p.add_argument("--hop-s", type=float, dest="hop_s")
-    p.add_argument("--passband-lo-hz", type=float, dest="passband_lo_hz")
-    p.add_argument("--passband-hi-hz", type=float, dest="passband_hi_hz")
-    p.add_argument("--snr-halfwidth-hz", type=float, dest="snr_halfwidth_hz")
-    p.add_argument(
-        "--notch-hz",
-        dest="notch_hz",
-        help="comma-separated frequencies to suppress, e.g. 0.5,1.0",
-    )
-    p.add_argument("--grid-rows", type=int, dest="grid_rows")
-    p.add_argument("--grid-cols", type=int, dest="grid_cols")
-    p.add_argument("--diffuse-estimator", choices=DIFFUSE_ESTIMATORS, dest="diffuse_estimator")
-    p.add_argument(
-        "--bbox-smoothing",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="bbox_smoothing",
-    )
-    p.add_argument("--bbox-smoothing-alpha", type=float, dest="bbox_smoothing_alpha")
+
+def _flag(f: dataclasses.Field) -> str:
+    return _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+
+
+def _settable_fields(cls, skip=()) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.type in KINDS and f.name not in skip]
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls, skip=()) -> None:
+    """One flag per settable field of cls, kept as raw text until _field_values."""
+    for f in _settable_fields(cls, skip):
+        help_text = " ".join(filter(None, (f.metadata.get("help"), f"(default: {f.default})")))
+        if f.type == "bool":
+            how = {"action": argparse.BooleanOptionalAction}
+        else:
+            how = {"choices": f.metadata.get("choices")}
+        p.add_argument(_flag(f), dest=f.name, default=None, help=help_text, **how)
+
+
+def _field_values(args: argparse.Namespace, cls) -> dict:
+    """The fields of cls set on the command line, parsed; unset ones are left out."""
+    values = {}
+    for f in _settable_fields(cls):
+        value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            try:
+                value = parse_value(f.type, value)
+            except ValueError as exc:
+                raise UsageError(f"{_flag(f)}: {exc}") from exc
+        if value is not None:
+            values[f.name] = value
+    return values
+
+
+def _typed(kind: str):
+    """An argparse type for a flag that is not a field: parse_value of kind."""
+    parse = functools.partial(parse_value, kind)
+    parse.__name__ = kind  # argparse names the type in its error message
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# estimate
+# ---------------------------------------------------------------------------
 
 
 def _resolve_config(args: argparse.Namespace):
     cfg_path = args.config
     if cfg_path is None and os.environ.get(ENV_CONFIG_VAR):
         cfg_path = Path(os.environ[ENV_CONFIG_VAR])
-    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
-    if overrides["notch_hz"] is not None:
-        try:
-            overrides["notch_hz"] = _parse_value("notch_hz", overrides["notch_hz"])
-        except ValueError as exc:
-            raise UsageError(f"--notch-hz: {exc}") from exc
-    return load_run_config(cfg_path, overrides)
+    return load_run_config(cfg_path, _field_values(args, RunConfig))
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -176,13 +189,12 @@ def _load_manifest(path: Path) -> list[CohortRecord]:
             est = float(report["video_bpm"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
-        _, hr = read_timeseries_csv(gt_path)
         records.append(
             CohortRecord(
                 method=method,
                 key=CohortKey(skin_tone=tone, condition=condition, viewpoint=viewpoint),
                 estimate_bpm=est,
-                truth_bpm=float(hr.mean()),
+                truth_bpm=load_ground_truth(hr_path=gt_path).mean_hr_bpm,
             )
         )
     return records
@@ -219,38 +231,19 @@ def _parse_specular(raw: str | None) -> SpecularPatch | None:
     if len(parts) != 5:
         raise UsageError("--specular wants x,y,w,h,strength")
     try:
-        x, y, w, h = (int(v) for v in parts[:4])
-        strength = float(parts[4])
+        x, y, w, h = (parse_value("int", v) for v in parts[:4])
+        strength = parse_value("float", parts[4])
     except ValueError as exc:
         raise UsageError(f"--specular: {exc}") from exc
     return SpecularPatch(rect=(x, y, w, h), strength=strength)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    skin = SkinParams(
-        f_mel=args.f_mel,
-        f_blood=args.f_blood,
-        f_hg=args.f_hg,
-        delta_f_blood=args.delta_f_blood,
-    )
-    noise = CameraNoiseParams(
-        gain=args.gain, sigma_read=args.read_noise, sigma_quant=args.quant_noise
-    )
     scene = SynthScene(
-        width=args.width,
-        height=args.height,
-        fps=args.fps,
-        duration_s=args.duration_s,
-        hr_bpm=args.hr_bpm,
-        skin=skin,
-        noise=noise,
-        shot_noise=not args.no_shot_noise,
+        skin=SkinParams(**_field_values(args, SkinParams)),
+        noise=CameraNoiseParams(**_field_values(args, CameraNoiseParams)),
         specular=_parse_specular(args.specular),
-        motion_px=args.motion_px,
-        exposure=args.exposure,
-        texture_amplitude=args.texture_amplitude,
-        two_harmonic=args.two_harmonic,
-        seed=args.seed,
+        **_field_values(args, SynthScene),
     )
     paths = write_scene_dataset(scene, args.out, layout=args.layout)
     sys.stdout.write(_json_dumps({k: str(v) for k, v in paths.items()}))
@@ -277,23 +270,19 @@ def _spectral_context(args: argparse.Namespace) -> SpectralContext:
 
 
 def _cmd_biophys(args: argparse.Namespace) -> int:
+    base = SkinParams(**_field_values(args, SkinParams))
+    noise = CameraNoiseParams(**_field_values(args, CameraNoiseParams))
     if args.table == "melanin":
         import numpy as np
 
         if args.points < 1:
             raise UsageError("--points must be at least 1")
         ctx = _spectral_context(args)
-        base = SkinParams(
-            f_blood=args.f_blood, f_hg=args.f_hg, delta_f_blood=args.delta_f_blood
-        )
         grid = np.linspace(args.f_mel_min, args.f_mel_max, args.points)
         rows = melanin_sweep(grid, base, ctx, channel=args.channel)
         lines = ["f_mel,signal,sinr"]
         lines += [f"{f!r},{m!r},{n!r}" for f, m, n in rows]
     else:
-        noise = CameraNoiseParams(
-            gain=args.gain, sigma_read=args.read_noise, sigma_quant=args.quant_noise
-        )
         if args.level_min > args.level_max:
             raise UsageError("--level-min must not exceed --level-max")
         levels = range(args.level_min, args.level_max + 1)
@@ -321,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--out", default=None, help="report path (default: stdout)")
     est.add_argument("--dump-weights", default=None, help="write per-window weights JSON")
     est.add_argument("--dump-diffuse", default=None, help="write diffuse frames as a PPM dir")
-    _add_config_flags(est)
+    est.add_argument("--config", type=Path, default=None, help="INI config file")
+    _add_field_flags(est, RunConfig)
     est.set_defaults(func=_cmd_estimate)
 
     ev = sub.add_parser("evaluate", help="cohort agreement statistics from a manifest")
@@ -339,47 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="render a synthetic face dataset")
     sy.add_argument("--out", type=Path, required=True, help="output directory")
     sy.add_argument("--layout", choices=("raw", "ppm"), default="raw")
-    sy.add_argument("--width", type=int, default=48)
-    sy.add_argument("--height", type=int, default=48)
-    sy.add_argument("--fps", type=float, default=30.0)
-    sy.add_argument("--duration-s", type=float, default=30.0)
-    sy.add_argument("--hr-bpm", type=float, default=72.0)
-    sy.add_argument("--f-mel", type=float, default=0.15)
-    sy.add_argument("--f-blood", type=float, default=0.05)
-    sy.add_argument("--f-hg", type=float, default=0.45)
-    sy.add_argument("--delta-f-blood", type=float, default=0.004)
-    sy.add_argument("--gain", type=float, default=1.0)
-    sy.add_argument("--read-noise", type=float, default=1.5)
-    sy.add_argument("--quant-noise", type=float, default=0.5)
-    sy.add_argument("--no-shot-noise", action="store_true")
     sy.add_argument("--specular", default=None, help="x,y,w,h,strength additive patch")
-    sy.add_argument("--motion-px", type=int, default=0)
-    sy.add_argument("--exposure", type=float, default=2.0)
-    sy.add_argument("--texture-amplitude", type=float, default=0.05)
-    sy.add_argument("--two-harmonic", action="store_true")
-    sy.add_argument("--seed", type=int, default=0)
+    for cls in (SynthScene, SkinParams, CameraNoiseParams):
+        _add_field_flags(sy, cls)
     sy.set_defaults(func=_cmd_synth)
 
     bio = sub.add_parser("biophys", help="dump diagnostic tables")
     bio.add_argument("--table", choices=("melanin", "pixel-snr"), required=True)
     bio.add_argument("--out", default=None, help="CSV path (default: stdout)")
     bio.add_argument("--channel", choices=("r", "g", "b"), default="g")
-    bio.add_argument("--f-mel-min", type=float, default=MELANIN_SWEEP_DEFAULT[0])
-    bio.add_argument("--f-mel-max", type=float, default=MELANIN_SWEEP_DEFAULT[1])
+    bio.add_argument("--f-mel-min", type=_typed("float"), default=MELANIN_SWEEP_DEFAULT[0])
+    bio.add_argument("--f-mel-max", type=_typed("float"), default=MELANIN_SWEEP_DEFAULT[1])
     bio.add_argument("--points", type=int, default=MELANIN_SWEEP_DEFAULT[2])
-    bio.add_argument("--f-blood", type=float, default=0.05)
-    bio.add_argument("--f-hg", type=float, default=0.45)
-    bio.add_argument("--delta-f-blood", type=float, default=0.004)
-    bio.add_argument("--step-nm", type=float, default=5.0)
+    bio.add_argument("--step-nm", type=_typed("float"), default=DEFAULT_STEP_NM)
     bio.add_argument("--illuminant", type=Path, default=None, help="wavelength_nm,value CSV")
     bio.add_argument(
         "--sensitivities", default=None, help="three wavelength_nm,value CSVs: r,g,b"
     )
     bio.add_argument("--level-min", type=int, default=PIXEL_SWEEP_DEFAULT[0])
     bio.add_argument("--level-max", type=int, default=PIXEL_SWEEP_DEFAULT[1])
-    bio.add_argument("--gain", type=float, default=1.0)
-    bio.add_argument("--read-noise", type=float, default=1.5)
-    bio.add_argument("--quant-noise", type=float, default=0.5)
+    _add_field_flags(bio, SkinParams, skip=("f_mel",))
+    _add_field_flags(bio, CameraNoiseParams)
     bio.set_defaults(func=_cmd_biophys)
 
     return parser

@@ -2,9 +2,11 @@
 
 Config files are flat key=value text with INI-style sections (the
 [pipeline] section holds every pipeline key); values are literal, with no
-%-interpolation, and float values must be finite. Any key can be overridden by
-the command-line flag of the same name; the RPPG_CONFIG environment
-variable names a default config file used when --config is not given.
+%-interpolation. File values and command-line flags both go through
+parse_value, keyed by the field's type name, and float values must be
+finite. Any key can be overridden by the command-line flag of the same name;
+the RPPG_CONFIG environment variable names a default config file used when
+--config is not given.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MissingInputError, UsageError
@@ -25,16 +27,18 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    method: str = "proposed"
+    method: str = field(default="proposed", metadata={"choices": METHODS})
     window_s: float = 10.0
     hop_s: float = 5.0
     passband_lo_hz: float = 0.7
     passband_hi_hz: float = 3.5
     snr_halfwidth_hz: float = 0.1
-    notch_hz: tuple[float, ...] = ()
+    notch_hz: tuple[float, ...] = field(
+        default=(), metadata={"help": "comma-separated frequencies to suppress, e.g. 0.5,1.0"}
+    )
     grid_rows: int = 8
     grid_cols: int = 8
-    diffuse_estimator: str = "bilateral"
+    diffuse_estimator: str = field(default="bilateral", metadata={"choices": DIFFUSE_ESTIMATORS})
     bbox_smoothing: bool = False
     bbox_smoothing_alpha: float = 0.9
 
@@ -43,15 +47,11 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise UsageError(f"{f.name} must be finite, got {value}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise UsageError(f"{f.name} must be one of {choices}, got {value!r}")
         if not all(math.isfinite(v) for v in self.notch_hz):
             raise UsageError(f"notch_hz must be finite, got {self.notch_hz}")
-        if self.method not in METHODS:
-            raise UsageError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.diffuse_estimator not in DIFFUSE_ESTIMATORS:
-            raise UsageError(
-                f"diffuse_estimator must be one of {DIFFUSE_ESTIMATORS}, "
-                f"got {self.diffuse_estimator!r}"
-            )
         if self.window_s <= 0 or self.hop_s <= 0:
             raise UsageError("window_s and hop_s must be positive")
         if not 0 < self.passband_lo_hz < self.passband_hi_hz:
@@ -73,25 +73,35 @@ class RunConfig:
         return d
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# The field type names (as annotated) that parse_value reads from text.
+KINDS = ("float", "int", "bool", "str", "tuple[float, ...]")
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(kind: str, raw: str):
+    """Parse a setting's text by its field type name; floats must be finite.
+
+    Raises ValueError on text that is not a value of that type.
+    """
     raw = raw.strip()
-    if key == "notch_hz":
-        return tuple(float(v) for v in raw.replace(",", " ").split()) if raw else ()
-    kind = _FIELD_TYPES[key]
+    if kind == "tuple[float, ...]":
+        return tuple(parse_value("float", v) for v in raw.replace(",", " ").split())
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"{key}: cannot parse boolean from {raw!r}")
+        raise ValueError(f"cannot parse boolean from {raw!r}")
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not a finite number")
+        return value
     return raw
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def load_run_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
@@ -111,7 +121,7 @@ def load_run_config(path: Path | None, overrides: dict | None = None) -> RunConf
                 if key not in _FIELD_TYPES:
                     raise UsageError(f"{path}: unknown config key {key!r}")
                 try:
-                    values[key] = _parse_value(key, raw)
+                    values[key] = parse_value(_FIELD_TYPES[key], raw)
                 except ValueError as exc:
                     raise UsageError(f"{path}: bad value for {key}: {exc}") from exc
     for key, val in (overrides or {}).items():

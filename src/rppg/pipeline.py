@@ -29,6 +29,7 @@ from .diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
+from .errors import UsageError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
 from .roi import build_grid, build_mask
@@ -70,6 +71,8 @@ def run_pipeline(
     cfg: RunConfig,
     keep_diffuse: bool = False,
 ) -> PipelineResult:
+    if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
+        raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
         sidecar = smooth_bboxes(sidecar, cfg.bbox_smoothing_alpha)
     masks = build_mask(seq, sidecar)

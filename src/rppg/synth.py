@@ -84,6 +84,8 @@ class SynthScene:
             raise InvalidSceneError("texture_amplitude must lie in [0, 0.5]")
         if self.exposure <= 0:
             raise InvalidSceneError("exposure must be positive")
+        if self.seed < 0:
+            raise InvalidSceneError("seed must be non-negative")
         if self.motion_px < 0 or 2 * self.motion_px >= min(self.width, self.height):
             raise InvalidSceneError("motion_px must be small against the frame")
         if self.specular is not None:

@@ -292,6 +292,14 @@ def test_spectral_context_default_layout():
     assert lam[np.argmax(ctx.channel("b"))] == 460.0
 
 
+@pytest.mark.parametrize("step_nm", [0.0, -5.0, float("nan"), float("inf")])
+def test_spectral_context_default_rejects_bad_step(step_nm):
+    with pytest.raises(UsageError):
+        SpectralContext.default(step_nm)
+    with pytest.raises(UsageError):
+        SpectralContext.from_csv(step_nm=step_nm)
+
+
 def test_spectral_context_validation():
     lam = np.arange(400.0, 701.0, 10.0)
     ones = np.ones_like(lam)

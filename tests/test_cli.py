@@ -1,11 +1,14 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rppg.biophysics import CameraNoiseParams
-from rppg.cli import main
+from rppg.biophysics import CameraNoiseParams, SkinParams
+from rppg.cli import build_parser, main
+from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, specular_free_min_subtract
 from rppg.ingest import (
     LandmarkRecord,
@@ -14,7 +17,7 @@ from rppg.ingest import (
     write_landmarks,
     write_raw_stream,
 )
-from rppg.synth import SynthScene, write_scene_dataset
+from rppg.synth import SpecularPatch, SynthScene, write_scene_dataset
 
 from helpers import full_sidecar, pulsed_sequence
 
@@ -204,6 +207,11 @@ def test_usage_errors_exit_2(dataset, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--hop-s", "1e-9"), ("--window-s", "0.01")])
+def test_window_or_hop_shorter_than_one_frame_exits_2(dataset, flag, value):
+    assert main(run_estimate(dataset, "--method", "aggregate", flag, value)) == 2
+
+
 def test_geometry_error_exits_5(dataset):
     assert main(run_estimate(dataset, "--method", "snr", "--grid-cols", "30")) == 5
 
@@ -282,6 +290,47 @@ def test_synth_ppm_layout(tmp_path, capsys):
 
 def test_synth_bad_specular_exits_2(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "s"), "--specular", "1,2,3"]) == 2
+    assert main(["synth", "--out", str(tmp_path / "s"), "--specular", "1,1,4,4,nan"]) == 2
+
+
+def test_synth_flags_set_the_scene_fields(tmp_path, capsys):
+    # every synth flag, the renamed noise flags and the boolean pairs included
+    rc = main(
+        ["synth", "--out", str(tmp_path / "cli"), "--width", "16", "--height", "20",
+         "--fps", "25", "--duration-s", "10", "--hr-bpm", "90", "--f-mel", "0.3",
+         "--f-blood", "0.06", "--f-hg", "0.4", "--delta-f-blood", "0.005",
+         "--gain", "2", "--read-noise", "0.7", "--quant-noise", "0.2", "--no-shot-noise",
+         "--specular", "2,3,4,5,30", "--motion-px", "1", "--exposure", "1.5",
+         "--texture-amplitude", "0.1", "--two-harmonic", "--seed", "4"]
+    )
+    assert rc == 0
+    cli_paths = json.loads(capsys.readouterr().out)
+    scene = SynthScene(
+        width=16, height=20, fps=25.0, duration_s=10.0, hr_bpm=90.0,
+        skin=SkinParams(f_mel=0.3, f_blood=0.06, f_hg=0.4, delta_f_blood=0.005),
+        noise=CameraNoiseParams(gain=2.0, sigma_read=0.7, sigma_quant=0.2),
+        shot_noise=False, specular=SpecularPatch(rect=(2, 3, 4, 5), strength=30.0),
+        motion_px=1, exposure=1.5, texture_amplitude=0.1, two_harmonic=True, seed=4,
+    )
+    direct = write_scene_dataset(scene, tmp_path / "direct")
+    for key, path in direct.items():
+        assert open(cli_paths[key], "rb").read() == path.read_bytes(), key
+    # the generated --shot-noise / --no-two-harmonic spell the defaults
+    assert main(["synth", "--out", str(tmp_path / "a"), "--width", "16", "--height", "16",
+                 "--duration-s", "10", "--shot-noise", "--no-two-harmonic"]) == 0
+    assert main(["synth", "--out", str(tmp_path / "b"), "--width", "16", "--height", "16",
+                 "--duration-s", "10"]) == 0
+    assert (tmp_path / "a" / "frames.raw").read_bytes() == (tmp_path / "b" / "frames.raw").read_bytes()
+
+
+def test_synth_negative_seed_exits_9(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 9
+
+
+@pytest.mark.parametrize("flag", ["--fps", "--exposure", "--read-noise"])
+def test_synth_non_finite_floats_exit_2(tmp_path, flag):
+    assert main(["synth", "--out", str(tmp_path / "s"), flag, "nan"]) == 2
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +412,18 @@ def test_evaluate_error_paths(manifest_dir, tmp_path):
     assert rc == 2
 
 
+def test_evaluate_rejects_out_of_range_ground_truth(manifest_dir):
+    # a 0 bpm ground truth fails the same range check as ingest.load_ground_truth
+    (manifest_dir / "zero.csv").write_text("time_s,value\n0.0,0.0\n1.0,0.0\n")
+    manifest = manifest_dir / "zero_manifest.csv"
+    manifest.write_text(
+        "report,ground_truth,skin_tone,condition,viewpoint\n"
+        "aggregate.json,zero.csv,light,room,front\n"
+    )
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(manifest_dir / "z.csv")]) == 4
+    assert not (manifest_dir / "z.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # biophys tables
 # ---------------------------------------------------------------------------
@@ -399,3 +460,64 @@ def test_biophys_custom_spectra(tmp_path, capsys):
     assert main(["biophys", "--table", "melanin", "--sensitivities", "a.csv,b.csv"]) == 2
     assert main(["biophys", "--table", "melanin", "--points", "0"]) == 2
     assert main(["biophys", "--table", "pixel-snr", "--level-min", "9", "--level-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--step-nm", "--f-mel-min", "--f-mel-max"])
+def test_biophys_sweep_flags_rejected(capsys, flag, value):
+    try:
+        rc = main(["biophys", "--table", "melanin", "--points", "3", f"{flag}={value}"])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# every flag derived from a settings field, over malformed and edge values
+# ---------------------------------------------------------------------------
+
+
+def _field_flags():
+    settings = (RunConfig, SynthScene, SkinParams, CameraNoiseParams)
+    names = {f.name for cls in settings for f in dataclasses.fields(cls)}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [
+        (command, flag)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.dest in names
+        for flag in action.option_strings
+    ]
+
+
+FIELD_FLAGS = _field_flags()
+
+
+def test_field_flags_cover_every_subcommand_that_takes_settings():
+    commands = {command for command, _ in FIELD_FLAGS}
+    assert commands == {"estimate", "synth", "biophys"}
+    flags = {flag for _, flag in FIELD_FLAGS}
+    assert {"--read-noise", "--quant-noise", "--no-shot-noise", "--two-harmonic",
+            "--notch-hz", "--bbox-smoothing-alpha"} <= flags
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "abc", "", "0", "-1"])
+@pytest.mark.parametrize("command, flag", FIELD_FLAGS)
+def test_no_flag_value_exits_1(dataset, tmp_path, capsys, command, flag, token):
+    base = {
+        "estimate": run_estimate(
+            dataset, "--method", "proposed", "--diffuse-estimator", "min_subtract",
+            "--grid-rows", "2", "--grid-cols", "2",
+        ),
+        "synth": ["synth", "--out", str(tmp_path / "s"), "--width", "16", "--height", "16",
+                  "--duration-s", "10"],
+        "biophys": ["biophys", "--table", "pixel-snr"],
+    }[command]
+    try:
+        rc = main([*base, f"{flag}={token}"])
+    except SystemExit as exc:  # argparse rejects the text itself
+        rc = exc.code
+    # 0 where the token is a valid value (e.g. --seed=0), else a documented code
+    assert rc == 0 or 2 <= rc <= 9, rc

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from rppg.cli import main
-from rppg.config import METHODS, RunConfig, load_run_config
+from rppg.config import METHODS, RunConfig, load_run_config, parse_value
 from rppg.errors import MissingInputError, UsageError
 
 
@@ -108,6 +110,8 @@ def test_bad_values_rejected(tmp_path):
         "[pipeline]\nwindow_s = ten\n",
         "[pipeline]\nbbox_smoothing = maybe\n",
         "[pipeline]\nnotch_hz = 1.0, x\n",
+        "[pipeline]\nwindow_s = nan\n",
+        "[pipeline]\nnotch_hz = 1.0, inf\n",
         "not an ini file at all [",
     ):
         p = tmp_path / "run.ini"
@@ -134,3 +138,47 @@ def test_notch_parsing_variants(tmp_path):
     assert load_run_config(p).notch_hz == ()
     p.write_text("[pipeline]\nnotch_hz = 0.5 1.5\n")
     assert load_run_config(p).notch_hz == (0.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "kind, raw, value",
+    [
+        ("float", " 2.5 ", 2.5),
+        ("int", "7", 7),
+        ("bool", "Yes", True),
+        ("bool", "off", False),
+        ("str", " snr ", "snr"),
+        ("tuple[float, ...]", "0.5, 1.5 2", (0.5, 1.5, 2.0)),
+        ("tuple[float, ...]", "", ()),
+    ],
+)
+def test_parse_value_by_field_type(kind, raw, value):
+    assert parse_value(kind, raw) == value
+
+
+@pytest.mark.parametrize(
+    "kind, raw",
+    [
+        ("float", "nan"),
+        ("float", "-inf"),
+        ("float", "1e400"),
+        ("float", ""),
+        ("int", "1.5"),
+        ("bool", "maybe"),
+        ("tuple[float, ...]", "1, nan"),
+    ],
+)
+def test_parse_value_rejects_bad_text(kind, raw):
+    with pytest.raises(ValueError):
+        parse_value(kind, raw)
+
+
+def test_choices_come_from_field_metadata():
+    for f in dataclasses.fields(RunConfig):
+        choices = f.metadata.get("choices")
+        if choices is None:
+            continue
+        for choice in choices:
+            assert getattr(RunConfig(**{f.name: choice}), f.name) == choice
+        with pytest.raises(UsageError, match=f.name):
+            RunConfig(**{f.name: "none-of-these"})

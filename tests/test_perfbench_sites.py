@@ -18,6 +18,8 @@ REMOVED = {
     ("rppg.combine", "chrom"),
     ("rppg.combine", "psd"),
     ("rppg.combine", "two_harmonic_snr"),
+    # evaluate reads ground truth through ingest.load_ground_truth
+    ("rppg.cli", "read_timeseries_csv"),
 }
 
 

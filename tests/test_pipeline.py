@@ -12,6 +12,7 @@ from rppg.diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
+from rppg.errors import UsageError
 from rppg.pipeline import diffuse_luminance_stack, run_pipeline
 from rppg.synth import SynthScene, render
 
@@ -75,6 +76,21 @@ def test_longer_video_hops_windows():
     assert result.report["video_bpm"] == pytest.approx(
         np.mean([w["bpm"] for w in result.report["windows"]])
     )
+
+
+@pytest.mark.parametrize("method", ["aggregate", "snr"])
+@pytest.mark.parametrize("kw", [{"hop_s": 1e-9}, {"window_s": 0.01}])
+def test_window_or_hop_shorter_than_one_frame_rejected(method, kw):
+    seq, sidecar, _ = CLEAN
+    with pytest.raises(UsageError, match="span one frame"):
+        run_pipeline(seq, sidecar, RunConfig(method=method, **kw))
+
+
+def test_one_frame_hop_accepted():
+    seq, sidecar, _ = CLEAN
+    # exactly one frame is still a hop
+    result = run_pipeline(seq, sidecar, RunConfig(method="aggregate", window_s=11.9, hop_s=1 / 30))
+    assert len(result.report["windows"]) == 4
 
 
 def test_weight_logs_per_method():

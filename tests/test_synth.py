@@ -42,6 +42,7 @@ def melanin(f_mel, delta=0.004):
         {"motion_px": 8},  # 2*8 >= 16
         {"specular": SpecularPatch(rect=(10, 10, 8, 8), strength=40.0)},
         {"specular": SpecularPatch(rect=(0, 0, 4, 4), strength=-1.0)},
+        {"seed": -1},
     ],
 )
 def test_invalid_scenes_rejected(kw):
