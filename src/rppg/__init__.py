@@ -31,7 +31,7 @@ from .combine import (
     snr_weights,
 )
 from .config import RunConfig, load_run_config
-from .diffuse import estimate_diffuse, estimate_diffuse_stack, specular_free_min_subtract
+from .diffuse import estimate_diffuse_stack, specular_free_min_subtract
 from .errors import ToolkitError
 from .evaluation import AgreementStats, CohortKey, CohortRecord, agreement, cohort_report
 from .heartrate import (
@@ -39,7 +39,6 @@ from .heartrate import (
     WindowPlan,
     estimate_video_hr,
     plan_windows,
-    psd,
     select_hr,
     suppress_artifacts,
     two_harmonic_snr,
@@ -55,7 +54,7 @@ from .ingest import (
 )
 from .pipeline import PipelineResult, run_pipeline
 from .roi import GridSpec, build_grid, build_mask
-from .signals import Psd, PulseWaveform, RgbTrace
+from .signals import PulseWaveform, RgbTrace
 from .synth import SpecularPatch, SynthScene, render, write_scene_dataset
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "LandmarkRecord",
     "LandmarkSidecar",
     "PipelineResult",
-    "Psd",
     "PulseWaveform",
     "RgbTrace",
     "RunConfig",
@@ -90,7 +88,6 @@ __all__ = [
     "combine_benchmark_snr",
     "combine_proposed",
     "diffuse_weights",
-    "estimate_diffuse",
     "estimate_diffuse_stack",
     "estimate_video_hr",
     "facial_aggregate",
@@ -102,7 +99,6 @@ __all__ = [
     "melanin_sweep",
     "pixel_snr_sweep",
     "plan_windows",
-    "psd",
     "render",
     "run_pipeline",
     "select_hr",

@@ -55,6 +55,8 @@ from .errors import (
 WAVELENGTH_MIN_NM = 400.0
 WAVELENGTH_MAX_NM = 700.0
 DEFAULT_STEP_NM = 5.0
+# The finest default grid step: 30 001 wavelengths over 400-700 nm.
+MIN_STEP_NM = 0.01
 
 # molar extinction of hemoglobin, cm^-1 / (mol/l), 400..700 nm at 10 nm
 _HB_GRID_NM = np.arange(400.0, 701.0, 10.0)
@@ -175,8 +177,10 @@ class SpectralContext:
 
     @classmethod
     def default(cls, step_nm: float = DEFAULT_STEP_NM) -> "SpectralContext":
-        if not (math.isfinite(step_nm) and step_nm > 0):
-            raise UsageError(f"wavelength step must be positive and finite, got {step_nm}")
+        if not (math.isfinite(step_nm) and step_nm >= MIN_STEP_NM):
+            raise UsageError(
+                f"wavelength step must be finite and at least {MIN_STEP_NM} nm, got {step_nm}"
+            )
         lam = _default_grid(step_nm)
         sens = np.stack(
             [
@@ -269,48 +273,29 @@ def reflectance_over_blood(params: SkinParams, wavelengths_nm, f_blood_values) -
     return (t * t)[None, :] * _km_reflectance(k / dermal_scattering(lam)[None, :])
 
 
-def reflectance_blood_derivative(
-    params: SkinParams, wavelengths_nm, method: str = "analytic"
-) -> np.ndarray:
-    """dR/df_blood at the mean blood fraction.
-
-    The Kubelka-Munk form has a closed-form derivative, used by default; a
-    central finite difference with step 1e-4 * f_blood is kept as a
-    cross-check route.
-    """
-    if method == "analytic":
-        lam = _check_wavelengths(wavelengths_nm)
-        t = epidermal_transmission(lam, params.f_mel)
-        s = dermal_scattering(lam)
-        k = _dermal_absorption(lam, params.f_blood, params.f_hg)
-        x = k / s
-        dr_dx = 1.0 - (x + 1.0) / np.sqrt(x * x + 2.0 * x)
-        mu_blood = whole_blood_absorption(lam) * (params.f_hg / HG_VOLUME_FRACTION_REF)
-        dk_dfb = mu_blood - baseline_absorption(lam)
-        return t * t * dr_dx * dk_dfb / s
-    if method == "finite_difference":
-        h = 1e-4 * params.f_blood
-        t = epidermal_transmission(wavelengths_nm, params.f_mel)
-        hi = dermal_reflectance(wavelengths_nm, params.f_blood + h, params.f_hg)
-        lo = dermal_reflectance(wavelengths_nm, params.f_blood - h, params.f_hg)
-        return t * t * (hi - lo) / (2.0 * h)
-    raise UsageError(f"unknown derivative method {method!r}")
+def reflectance_blood_derivative(params: SkinParams, wavelengths_nm) -> np.ndarray:
+    """dR/df_blood at the mean blood fraction, from the closed-form
+    derivative of the Kubelka-Munk reflectance."""
+    lam = _check_wavelengths(wavelengths_nm)
+    t = epidermal_transmission(lam, params.f_mel)
+    s = dermal_scattering(lam)
+    k = _dermal_absorption(lam, params.f_blood, params.f_hg)
+    x = k / s
+    dr_dx = 1.0 - (x + 1.0) / np.sqrt(x * x + 2.0 * x)
+    mu_blood = whole_blood_absorption(lam) * (params.f_hg / HG_VOLUME_FRACTION_REF)
+    dk_dfb = mu_blood - baseline_absorption(lam)
+    return t * t * dr_dx * dk_dfb / s
 
 
-def pulse_signal_spectrum(params: SkinParams, wavelengths_nm, method: str = "analytic") -> np.ndarray:
+def pulse_signal_spectrum(params: SkinParams, wavelengths_nm) -> np.ndarray:
     """S(lambda): reflectance swing produced by the blood-volume pulse."""
-    return reflectance_blood_derivative(params, wavelengths_nm, method) * params.delta_f_blood
+    return reflectance_blood_derivative(params, wavelengths_nm) * params.delta_f_blood
 
 
-def signal_strength(
-    params: SkinParams,
-    ctx: SpectralContext,
-    channel: str = "g",
-    method: str = "analytic",
-) -> float:
+def signal_strength(params: SkinParams, ctx: SpectralContext, channel: str = "g") -> float:
     """M: magnitude of the channel-integrated pulse signal."""
     lam = ctx.wavelengths_nm
-    integrand = ctx.illuminant * ctx.channel(channel) * pulse_signal_spectrum(params, lam, method)
+    integrand = ctx.illuminant * ctx.channel(channel) * pulse_signal_spectrum(params, lam)
     return float(abs(np.trapezoid(integrand, lam)))
 
 
@@ -330,6 +315,10 @@ def sinr(params: SkinParams, ctx: SpectralContext, channel: str = "g") -> float:
 # Camera noise
 # ---------------------------------------------------------------------------
 
+# The largest gain whose shot noise NumPy can draw: a full-scale level of 255
+# times the gain must stay under rng.poisson's mean limit of about 9.2e18.
+MAX_GAIN = 9.2e18 / 255.0
+
 
 @dataclass(frozen=True)
 class CameraNoiseParams:
@@ -340,8 +329,8 @@ class CameraNoiseParams:
     sigma_quant: float = 0.5
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise UsageError(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain <= MAX_GAIN:
+            raise UsageError(f"gain must lie in (0, {MAX_GAIN:.6g}], got {self.gain}")
         if self.sigma_read < 0 or self.sigma_quant < 0:
             raise UsageError("noise sigmas must be non-negative")
 

@@ -32,16 +32,15 @@ from .biophysics import (
     pixel_snr_sweep,
 )
 from .config import ENV_CONFIG_VAR, KINDS, RunConfig, load_run_config, parse_value
-from .errors import DataFormatError, MissingInputError, ToolkitError, UsageError
+from .errors import MissingInputError, ToolkitError, UsageError
 from .evaluation import (
-    CohortKey,
-    CohortRecord,
     bland_altman_csv,
     cohort_report,
+    load_manifest,
     report_to_csv,
     scatter_csv,
 )
-from .ingest import FrameSequence, load_frame_sequence, load_ground_truth, load_landmarks, write_frame_dir
+from .ingest import FrameSequence, load_frame_sequence, load_landmarks, write_frame_dir
 from .pipeline import run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
 
@@ -137,6 +136,8 @@ def _resolve_config(args: argparse.Namespace):
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    if args.dump_diffuse is not None and cfg.method != "proposed":
+        raise UsageError("--dump-diffuse requires --method proposed")
     seq = load_frame_sequence(args.frames)
     sidecar = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
     result = run_pipeline(seq, sidecar, cfg, keep_diffuse=args.dump_diffuse is not None)
@@ -144,12 +145,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))
     if args.dump_diffuse is not None:
-        diffuse = result.diffuse_frames
-        if diffuse is None:
-            raise UsageError("--dump-diffuse requires --method proposed")
         import numpy as np
 
-        frames = np.clip(np.rint(diffuse), 0, 255).astype(np.uint8)
+        frames = np.clip(np.rint(result.diffuse_frames), 0, 255).astype(np.uint8)
         write_frame_dir(FrameSequence(frames=frames, fps=seq.fps), Path(args.dump_diffuse))
     return 0
 
@@ -158,50 +156,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-_MANIFEST_COLUMNS = ("report", "ground_truth", "skin_tone", "condition", "viewpoint")
-
-
-def _load_manifest(path: Path) -> list[CohortRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"{path}: manifest not found")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{path}: empty manifest")
-    header = tuple(col.strip() for col in lines[0].split(","))
-    if header != _MANIFEST_COLUMNS:
-        raise DataFormatError(
-            f"{path}: manifest header must be {','.join(_MANIFEST_COLUMNS)}"
-        )
-    records = []
-    for ln_no, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != len(_MANIFEST_COLUMNS):
-            raise DataFormatError(f"{path}:{ln_no}: expected {len(_MANIFEST_COLUMNS)} columns")
-        report_path, gt_path, tone, condition, viewpoint = parts
-        report_path = (path.parent / report_path).resolve() if not os.path.isabs(report_path) else Path(report_path)
-        gt_path = (path.parent / gt_path).resolve() if not os.path.isabs(gt_path) else Path(gt_path)
-        if not report_path.exists():
-            raise MissingInputError(f"{path}:{ln_no}: report {report_path} not found")
-        try:
-            report = json.loads(report_path.read_text())
-            method = report["method"]
-            est = float(report["video_bpm"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
-        records.append(
-            CohortRecord(
-                method=method,
-                key=CohortKey(skin_tone=tone, condition=condition, viewpoint=viewpoint),
-                estimate_bpm=est,
-                truth_bpm=load_ground_truth(hr_path=gt_path).mean_hr_bpm,
-            )
-        )
-    return records
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    records = _load_manifest(args.manifest)
+    records = load_manifest(args.manifest)
     summary = cohort_report(records)
     _emit(report_to_csv(summary), args.out)
     if args.scatter is not None or args.bland_altman is not None:

@@ -11,12 +11,13 @@
 Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
 cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
 and one SNR pass give the weights, and snr reuses those same waveforms.
+The periodogram is heartrate's, the one the window rates are read from.
 
 This module owns the pixel-to-cell reduction and every cell weight. One
 reducer, masked_cell_sums, pools masked pixels into cells by exact block
 sums: aggregate is its one-cell case spanning the frame, grid_traces its
-per-frame mean over the grid cells, and diffuse_weights its sum over a
-window.
+per-frame mean over the grid cells, and diffuse_weights its sum of the
+diffuse luminance over a window.
 """
 
 from __future__ import annotations
@@ -114,9 +115,6 @@ class GridTraces:
     def n_cells(self) -> int:
         return self.samples.shape[0]
 
-    def cell_trace(self, i: int) -> RgbTrace:
-        return RgbTrace(self.samples[i], self.fps)
-
     @cached_property
     def waveforms(self) -> tuple[np.ndarray, np.ndarray]:
         """CHROM of every cell in one batch, computed once and shared by the
@@ -178,22 +176,17 @@ def snr_weights(
     return w / total
 
 
-def diffuse_weights(diffuse_frames: np.ndarray, grid: GridSpec, masks: np.ndarray) -> np.ndarray:
+def diffuse_weights(lum: np.ndarray, grid: GridSpec, masks: np.ndarray) -> np.ndarray:
     """Per-cell diffuse-strength weights, normalized to sum to one.
 
-    weight(cell) is the mean diffuse luminance (R + G + B) / 3 over all
-    (frame, masked pixel) pairs that fall in the cell; cells that never see
-    a masked pixel get weight zero. diffuse_frames is a (t, h, w, 3) stack or
-    its (t, h, w) luminance; the shape of masks tells them apart even when
-    w is 3.
+    weight(cell) is the mean diffuse luminance lum (t, h, w), (R + G + B) / 3
+    of the diffuse frames, over all (frame, masked pixel) pairs that fall in
+    the cell; cells that never see a masked pixel get weight zero.
     """
-    d = np.asarray(diffuse_frames)
-    masks = np.asarray(masks, dtype=bool)
-    if d.shape not in (masks.shape, masks.shape + (3,)):
-        raise ValueError(f"diffuse {d.shape} and masks {masks.shape} disagree")
-    sums, counts = masked_cell_sums(d, masks, *grid.edges)
-    # per cell: the channel mean of the summed RGB (or the summed luminance)
-    sums = sums.sum(axis=0).reshape(grid.n_cells, -1).mean(axis=1)
+    if np.shape(lum) != np.shape(masks):
+        raise ValueError(f"luminance {np.shape(lum)} and masks {np.shape(masks)} disagree")
+    sums, counts = masked_cell_sums(lum, masks, *grid.edges)
+    sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()
     if counts.sum() == 0:
         raise EmptyRegionError("no masked pixels fall inside the grid")

@@ -14,9 +14,12 @@ follows in closed form,
 and is subtracted from all channels. Pixels with Lambda at the achromatic
 point 1/3 are left untouched (they carry no chroma evidence either way).
 
-A much cheaper specular-free fallback (subtract the per-pixel minimum
-channel) is available for large batch runs where only the *weighting*
-behaviour matters, not the reconstruction quality.
+Both estimators take a whole (t, h, w, 3) stack: estimate_diffuse_stack
+runs the bilateral scheme, and specular_free_min_subtract is a much
+cheaper specular-free fallback (subtract the per-pixel minimum channel)
+for large batch runs where only the *weighting* behaviour matters, not the
+reconstruction quality. The bilateral iteration stops per frame once no
+pixel moves by CONVERGENCE_TOL, or after MAX_ITERATIONS passes.
 
 Frames are processed in chunks sized by bytes, not by frame count: each
 chunk holds as many frames as fit CHUNK_PLANE_BYTES per float32 (t, h, w)
@@ -119,16 +122,12 @@ def _reconstruct_diffuse(frames: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 255.0).astype(np.float32)
 
 
-def estimate_diffuse_stack(
-    frames: np.ndarray,
-    tol: float = CONVERGENCE_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> np.ndarray:
+def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
     """Diffuse component of a uint8 frame stack (t, h, w, 3), as float32.
 
     Frames are processed in byte-sized chunks (see frame_chunks); the
     chromaticity smoothing iterates per frame until the max per-pixel change
-    drops below tol or the iteration cap is reached.
+    drops below CONVERGENCE_TOL or MAX_ITERATIONS passes have run.
     """
     frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[-1] != 3:
@@ -139,21 +138,16 @@ def estimate_diffuse_stack(
         smax, smin = _chromaticities(block)
         lam = smax.copy()
         active = np.ones(block.shape[0], dtype=bool)
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             if not active.any():
                 break
             smoothed = _joint_bilateral(lam[active], smin[active])
             new = np.maximum(smax[active], smoothed)
             delta = np.abs(new - lam[active]).max(axis=(1, 2))
             lam[active] = new
-            active[np.nonzero(active)[0][delta < tol]] = False
+            active[np.nonzero(active)[0][delta < CONVERGENCE_TOL]] = False
         out[sl] = _reconstruct_diffuse(block, lam)
     return out
-
-
-def estimate_diffuse(frame: np.ndarray, **kwargs) -> np.ndarray:
-    """Single-frame convenience wrapper around estimate_diffuse_stack."""
-    return estimate_diffuse_stack(np.asarray(frame)[None], **kwargs)[0]
 
 
 def specular_free_min_subtract(frames: np.ndarray) -> np.ndarray:

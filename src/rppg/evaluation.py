@@ -10,16 +10,23 @@ cohort_report() marginalizes a set of records over skin tone, lighting
 condition, and viewpoint, one column per cohort value plus an overall
 column, one row block per combination method, plus per-method delta rows
 (method MAE minus the facial-aggregation MAE in the same column).
+
+load_manifest() reads the records of a cohort from a manifest CSV that
+names each report, its ground truth and its cohort values.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFileError, LengthMismatchError
+from .errors import DataFormatError, EmptyFileError, LengthMismatchError, MissingInputError
+from .ingest import load_ground_truth
 
 LOA_FACTOR = 1.96
 
@@ -38,10 +45,6 @@ class AgreementStats:
     loa_low: float
     loa_high: float
     r: float  # NaN when undefined
-
-    @property
-    def loa_span(self) -> float:
-        return self.loa_high - self.loa_low
 
 
 def agreement(estimates, truths) -> AgreementStats:
@@ -86,6 +89,50 @@ class CohortRecord:
     key: CohortKey
     estimate_bpm: float
     truth_bpm: float
+
+
+_MANIFEST_COLUMNS = ("report", "ground_truth", "skin_tone", "condition", "viewpoint")
+
+
+def load_manifest(path: Path) -> list[CohortRecord]:
+    """Cohort records from a report,ground_truth,skin_tone,condition,viewpoint
+    CSV; relative paths are taken from the manifest's directory."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingInputError(f"{path}: manifest not found")
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty manifest")
+    header = tuple(col.strip() for col in lines[0].split(","))
+    if header != _MANIFEST_COLUMNS:
+        raise DataFormatError(
+            f"{path}: manifest header must be {','.join(_MANIFEST_COLUMNS)}"
+        )
+    records = []
+    for ln_no, line in enumerate(lines[1:], start=2):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != len(_MANIFEST_COLUMNS):
+            raise DataFormatError(f"{path}:{ln_no}: expected {len(_MANIFEST_COLUMNS)} columns")
+        report_path, gt_path, tone, condition, viewpoint = parts
+        report_path = (path.parent / report_path).resolve() if not os.path.isabs(report_path) else Path(report_path)
+        gt_path = (path.parent / gt_path).resolve() if not os.path.isabs(gt_path) else Path(gt_path)
+        if not report_path.exists():
+            raise MissingInputError(f"{path}:{ln_no}: report {report_path} not found")
+        try:
+            report = json.loads(report_path.read_text())
+            method = report["method"]
+            est = float(report["video_bpm"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
+        records.append(
+            CohortRecord(
+                method=method,
+                key=CohortKey(skin_tone=tone, condition=condition, viewpoint=viewpoint),
+                estimate_bpm=est,
+                truth_bpm=load_ground_truth(hr_path=gt_path).mean_hr_bpm,
+            )
+        )
+    return records
 
 
 _COLUMNS = (*SKIN_TONES, *CONDITIONS, *VIEWPOINTS, "overall")

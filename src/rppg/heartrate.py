@@ -9,9 +9,11 @@ scoring: a candidate at p Hz is scored by the band power within +/-w of p
 plus the band power within +/-2w of 2p, which rejects sub-harmonic and
 motion peaks that lack a first harmonic.
 
-The periodogram and the two-harmonic SNR work on a leading row axis, so
-the spectra of all grid cells of a window are taken in one call; psd and
-two_harmonic_snr, for a single waveform, are the one-row case.
+Cells and windows share one spectral core: periodogram and harmonic_snr
+work on a leading row axis, so the spectra of all grid cells of a window,
+and of all windows of a recording, are each taken in one call.
+suppress_artifacts and select_hr then work on one plain (freqs, power) row;
+two_harmonic_snr, for a single waveform, is the one-row case.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     SpectrumTooShortError,
     UsageError,
 )
-from .signals import PulseWaveform, Psd
+from .signals import PulseWaveform
 
 PASSBAND_HZ = (0.7, 3.5)
 FILTER_ORDER = 3
@@ -45,23 +47,18 @@ MIN_TOTAL_POWER = 1e-15
 
 
 @lru_cache(maxsize=32)
-def _bandpass_sos(fps: float, lo_hz: float, hi_hz: float, order: int) -> np.ndarray:
-    return scipy.signal.butter(order, (lo_hz, hi_hz), btype="bandpass", output="sos", fs=fps)
+def _bandpass_sos(fps: float) -> np.ndarray:
+    return scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
 
 
-def bandpass_series(
-    x: np.ndarray,
-    fps: float,
-    band: tuple[float, float] = PASSBAND_HZ,
-    order: int = FILTER_ORDER,
-) -> np.ndarray:
-    """Zero-phase Butterworth band-pass of a raw sample array."""
-    if fps <= 2.0 * band[1]:
+def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
+    """Zero-phase Butterworth band-pass (PASSBAND_HZ) of a raw sample array."""
+    if fps <= 2.0 * PASSBAND_HZ[1]:
         raise SampleRateTooLowError(
-            f"fps {fps} leaves no headroom above the {band[1]} Hz band edge"
+            f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
         )
     x = np.asarray(x, dtype=np.float64)
-    sos = _bandpass_sos(float(fps), band[0], band[1], order)
+    sos = _bandpass_sos(float(fps))
     padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
     return scipy.signal.sosfiltfilt(sos, x, padlen=padlen)
 
@@ -70,38 +67,27 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def periodogram(x: np.ndarray, fps: float, pad_factor: int = PSD_PAD_FACTOR):
+def periodogram(x: np.ndarray, fps: float):
     """Hann-tapered periodograms of the rows of x (..., n), zero-padded to
-    >= pad_factor x n. Returns (freqs, power (..., n_freqs))."""
+    >= PSD_PAD_FACTOR x n. Returns (freqs, power (..., n_freqs))."""
     n = x.shape[-1]
     if n < PSD_MIN_SAMPLES:
         raise SpectrumTooShortError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
-    nfft = _next_pow2(pad_factor * n)
+    nfft = _next_pow2(PSD_PAD_FACTOR * n)
     return scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft, detrend=False)
 
 
-def psd(wave: PulseWaveform, pad_factor: int = PSD_PAD_FACTOR) -> Psd:
-    """Periodogram of one waveform (the single-row case of periodogram)."""
-    freqs, power = periodogram(wave.samples, wave.fps, pad_factor)
-    nfft = _next_pow2(pad_factor * len(wave))
-    return Psd(freqs=freqs, power=power, resolution_hz=wave.fps / nfft)
+def suppress_artifacts(freqs: np.ndarray, power: np.ndarray, notch_hz) -> np.ndarray:
+    """Bridge over known interference lines (e.g. flicker) in one power row.
 
-
-def suppress_artifacts(
-    spectrum: Psd,
-    notch_hz,
-    halfwidth_hz: float = NOTCH_HALFWIDTH_HZ,
-) -> Psd:
-    """Bridge over known interference lines (e.g. flicker) in a PSD.
-
-    Power within +/-halfwidth of each notch frequency is replaced by the
-    linear interpolation between the band-edge bins. Notches outside the
-    spectrum are ignored.
+    Power within +/-NOTCH_HALFWIDTH_HZ of each notch frequency is replaced by
+    the linear interpolation between the band-edge bins; returns a copy.
+    Notches outside the spectrum are ignored.
     """
-    power = spectrum.power.copy()
-    f = spectrum.freqs
+    power = power.copy()
+    f = freqs
     for f0 in notch_hz:
-        idx = np.nonzero(np.abs(f - float(f0)) <= halfwidth_hz)[0]
+        idx = np.nonzero(np.abs(f - float(f0)) <= NOTCH_HALFWIDTH_HZ)[0]
         if idx.size == 0:
             continue
         lo, hi = idx[0] - 1, idx[-1] + 1
@@ -113,26 +99,22 @@ def suppress_artifacts(
             power[idx] = power[lo]
         else:
             power[idx] = np.interp(f[idx], (f[lo], f[hi]), (power[lo], power[hi]))
-    return Psd(freqs=f, power=power, resolution_hz=spectrum.resolution_hz)
-
-
-def _check_band_coverage(spectrum: Psd, band: tuple[float, float]) -> None:
-    if spectrum.freqs[0] > band[0] or spectrum.freqs[-1] < band[1]:
-        raise UsageError(
-            f"spectrum covers {spectrum.freqs[0]:.3f}-{spectrum.freqs[-1]:.3f} Hz, "
-            f"does not span the {band[0]}-{band[1]} Hz analysis band"
-        )
+    return power
 
 
 def select_hr(
-    spectrum: Psd,
+    freqs: np.ndarray,
+    power: np.ndarray,
     band: tuple[float, float] = PASSBAND_HZ,
     halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-    max_peaks: int = MAX_PEAKS,
 ) -> float:
-    """Harmonic-scored peak selection; returns heart rate in bpm."""
-    _check_band_coverage(spectrum, band)
-    f, power = spectrum.freqs, spectrum.power
+    """Harmonic-scored peak selection on one power row; returns heart rate in bpm."""
+    f = freqs
+    if f[0] > band[0] or f[-1] < band[1]:
+        raise UsageError(
+            f"spectrum covers {f[0]:.3f}-{f[-1]:.3f} Hz, "
+            f"does not span the {band[0]}-{band[1]} Hz analysis band"
+        )
     in_band = (f >= band[0]) & (f <= band[1])
     peak_floor = power[in_band].max()
     if peak_floor <= 0.0:
@@ -141,7 +123,7 @@ def select_hr(
     peaks = peaks[in_band[peaks]]
     if peaks.size == 0:
         raise NoPeaksError("no in-band spectral peaks above the prominence floor")
-    peaks = peaks[np.argsort(power[peaks])[::-1][:max_peaks]]
+    peaks = peaks[np.argsort(power[peaks])[::-1][:MAX_PEAKS]]
     w = halfwidth_hz
 
     # Open intervals: a rival peak sitting exactly w away must not leak its
@@ -199,10 +181,10 @@ def two_harmonic_snr(
     (harmonic_snr of its periodogram); a zero spectrum raises."""
     if not band[0] <= peak_hz <= band[1]:
         raise UsageError(f"peak {peak_hz} Hz outside the {band} Hz band")
-    spectrum = psd(wave)
-    if spectrum.power.sum() < MIN_TOTAL_POWER:
+    freqs, power = periodogram(wave.samples, wave.fps)
+    if power.sum() < MIN_TOTAL_POWER:
         raise DegenerateSpectrumError("total spectral power is zero")
-    return float(harmonic_snr(spectrum.freqs, spectrum.power, peak_hz, halfwidth_hz))
+    return float(harmonic_snr(freqs, power, peak_hz, halfwidth_hz))
 
 
 @dataclass(frozen=True)
@@ -241,12 +223,21 @@ def estimate_video_hr(
     band: tuple[float, float] = PASSBAND_HZ,
     halfwidth_hz: float = SNR_HALFWIDTH_HZ,
 ) -> HrEstimate:
-    """Per-window harmonic peak selection, then the mean across windows."""
+    """Per-window harmonic peak selection, then the mean across windows.
+
+    Windows of one length and frame rate share one periodogram call. The
+    last window of a recording can be a frame short of the others
+    (WindowPlan.frame_slices rounds its start and its length apart), and
+    then gets a call of its own.
+    """
     waveforms = list(waveforms)
     if not waveforms:
         raise NoWindowsError("no analysis windows fit in the recording")
-    bpm = []
-    for wave in waveforms:
-        spectrum = suppress_artifacts(psd(wave), notch_hz)
-        bpm.append(select_hr(spectrum, band=band, halfwidth_hz=halfwidth_hz))
+    bpm = [0.0] * len(waveforms)
+    for n, fps in dict.fromkeys((len(w), w.fps) for w in waveforms):
+        rows = [i for i, w in enumerate(waveforms) if (len(w), w.fps) == (n, fps)]
+        freqs, power = periodogram(np.stack([waveforms[i].samples for i in rows]), fps)
+        for i, row in zip(rows, power):
+            spectrum = suppress_artifacts(freqs, row, notch_hz)
+            bpm[i] = select_hr(freqs, spectrum, band, halfwidth_hz)
     return HrEstimate(window_bpm=tuple(bpm), video_bpm=float(np.mean(bpm)))

@@ -112,15 +112,6 @@ class GroundTruth:
     hr_time_s: np.ndarray | None = None
     hr_bpm: np.ndarray | None = None
 
-    def resample_ppg(self, fs_hz: float) -> tuple[np.ndarray, np.ndarray]:
-        """Linearly interpolate the PPG onto a uniform grid at fs_hz."""
-        if self.ppg_time_s is None:
-            raise EmptyFileError("no PPG samples loaded")
-        t0, t1 = float(self.ppg_time_s[0]), float(self.ppg_time_s[-1])
-        n = int(np.floor((t1 - t0) * fs_hz)) + 1
-        t = t0 + np.arange(n) / fs_hz
-        return t, np.interp(t, self.ppg_time_s, self.ppg_value)
-
     @property
     def mean_hr_bpm(self) -> float:
         if self.hr_bpm is None:

@@ -31,10 +31,6 @@ class RgbTrace:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.fps
-
 
 @dataclass(frozen=True)
 class PulseWaveform:
@@ -64,31 +60,3 @@ def zero_mean(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x - x.mean() if x.size else x
 
-
-@dataclass(frozen=True)
-class Psd:
-    """One-sided power spectral density on a uniform frequency grid."""
-
-    freqs: np.ndarray
-    power: np.ndarray
-    resolution_hz: float
-
-    def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=np.float64)
-        p = np.asarray(self.power, dtype=np.float64)
-        if f.shape != p.shape or f.ndim != 1 or f.size < 2:
-            raise ValueError("Psd needs matching 1-d freqs/power with >= 2 bins")
-        df = np.diff(f)
-        if np.any(df <= 0):
-            raise ValueError("Psd freqs must be ascending")
-        if not np.allclose(df, self.resolution_hz, rtol=1e-6, atol=1e-12):
-            raise ValueError("Psd freqs must be uniformly spaced at resolution_hz")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("Psd power must be finite and non-negative")
-        object.__setattr__(self, "freqs", f)
-        object.__setattr__(self, "power", p)
-
-    def band_power(self, lo_hz: float, hi_hz: float) -> float:
-        """Sum of power bins with lo_hz <= f <= hi_hz (inclusive)."""
-        m = (self.freqs >= lo_hz) & (self.freqs <= hi_hz)
-        return float(self.power[m].sum())

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.biophysics import (
+    MAX_GAIN,
+    MIN_STEP_NM,
     CameraNoiseParams,
     SkinParams,
     SpectralContext,
@@ -153,13 +155,20 @@ def test_signal_strength_drops_with_melanin():
     )
 
 
+def finite_difference_derivative(params, lam):
+    """Oracle for dR/df_blood: a central difference with step 1e-4 * f_blood."""
+    h = 1e-4 * params.f_blood
+    t = epidermal_transmission(lam, params.f_mel)
+    hi = dermal_reflectance(lam, params.f_blood + h, params.f_hg)
+    lo = dermal_reflectance(lam, params.f_blood - h, params.f_hg)
+    return t * t * (hi - lo) / (2.0 * h)
+
+
 def test_derivative_routes_agree():
     lam = np.arange(400.0, 701.0, 5.0)
-    analytic = reflectance_blood_derivative(AVG, lam, method="analytic")
-    fd = reflectance_blood_derivative(AVG, lam, method="finite_difference")
+    analytic = reflectance_blood_derivative(AVG, lam)
+    fd = finite_difference_derivative(AVG, lam)
     assert np.max(np.abs(fd - analytic) / np.abs(analytic)) < 1e-6
-    with pytest.raises(UsageError):
-        reflectance_blood_derivative(AVG, lam, method="spline")
 
 
 def trapezoid_oracle(y, x):
@@ -273,6 +282,12 @@ def test_skin_params_validation():
 def test_camera_noise_params_validation():
     with pytest.raises(UsageError):
         CameraNoiseParams(gain=0.0)
+    # past MAX_GAIN, 255 x gain is beyond rng.poisson's mean limit
+    assert 255.0 * MAX_GAIN <= 9.2e18
+    CameraNoiseParams(gain=MAX_GAIN)
+    for gain in (float(np.nextafter(MAX_GAIN, np.inf)), 1e20, float("nan")):
+        with pytest.raises(UsageError):
+            CameraNoiseParams(gain=gain)
     with pytest.raises(UsageError):
         CameraNoiseParams(sigma_read=-1.0)
     with pytest.raises(UsageError):
@@ -284,6 +299,7 @@ def test_spectral_context_default_layout():
     assert ctx.wavelengths_nm[0] == 400.0
     assert ctx.wavelengths_nm[-1] == 700.0
     assert ctx.wavelengths_nm.size == 61
+    assert SpectralContext.default(MIN_STEP_NM).wavelengths_nm.size == 30001
     assert np.all(ctx.illuminant == 1.0)
     # channel peaks sit at the stated centers
     lam = ctx.wavelengths_nm
@@ -292,7 +308,12 @@ def test_spectral_context_default_layout():
     assert lam[np.argmax(ctx.channel("b"))] == 460.0
 
 
-@pytest.mark.parametrize("step_nm", [0.0, -5.0, float("nan"), float("inf")])
+# steps under MIN_STEP_NM are refused before any grid is allocated: 1e-9 nm
+# would be 3e11 wavelengths
+@pytest.mark.parametrize(
+    "step_nm",
+    [0.0, -5.0, float("nan"), float("inf"), 1e-9, float(np.nextafter(MIN_STEP_NM, 0.0))],
+)
 def test_spectral_context_default_rejects_bad_step(step_nm):
     with pytest.raises(UsageError):
         SpectralContext.default(step_nm)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rppg.biophysics import CameraNoiseParams, SkinParams
+from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, specular_free_min_subtract
@@ -131,15 +131,26 @@ def test_estimate_proposed_on_frames_under_window_radius(tmp_path, capsys, h, w)
 
 
 def test_dump_diffuse_requires_proposed(dataset, tmp_path):
-    rc = main(
-        run_estimate(
-            dataset,
-            "--out", str(tmp_path / "r.json"),
-            "--method", "aggregate",
-            "--dump-diffuse", str(tmp_path / "d"),
+    # rejected before any input is read: no report and no weights dump
+    for method in ("aggregate", "snr"):
+        rc = main(
+            run_estimate(
+                dataset,
+                "--out", str(tmp_path / "r.json"),
+                "--dump-weights", str(tmp_path / "w.json"),
+                "--method", method,
+                "--dump-diffuse", str(tmp_path / "d"),
+            )
         )
+        assert rc == 2
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "w.json").exists()
+        assert not (tmp_path / "d").exists()
+    rc = main(
+        ["estimate", "--frames", str(tmp_path / "missing.raw"), "--landmarks",
+         str(tmp_path / "missing.jsonl"), "--method", "snr", "--dump-diffuse", str(tmp_path / "d")]
     )
-    assert rc == 2
+    assert rc == 2  # a usage error, not the missing input (3)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +344,17 @@ def test_synth_non_finite_floats_exit_2(tmp_path, flag):
     assert not (tmp_path / "s").exists()
 
 
+def test_gain_past_the_poisson_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    small = ["--width", "16", "--height", "16", "--duration-s", "10"]
+    assert main(["synth", "--out", str(out), *small, "--gain=1e20"]) == 2
+    assert not out.exists()
+    assert main(["biophys", "--table", "pixel-snr", "--gain=1e20"]) == 2
+    just_under = float(np.nextafter(MAX_GAIN, 0.0))
+    assert main(["synth", "--out", str(out), *small, f"--gain={just_under!r}"]) == 0
+    assert load_frame_sequence(out / "frames.raw").count == 300
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -460,6 +482,12 @@ def test_biophys_custom_spectra(tmp_path, capsys):
     assert main(["biophys", "--table", "melanin", "--sensitivities", "a.csv,b.csv"]) == 2
     assert main(["biophys", "--table", "melanin", "--points", "0"]) == 2
     assert main(["biophys", "--table", "pixel-snr", "--level-min", "9", "--level-max", "3"]) == 2
+
+
+def test_biophys_step_below_the_floor_exits_2(capsys):
+    # 1e-9 nm would be a 3e11-wavelength grid; it is refused before the grid exists
+    assert main(["biophys", "--table", "melanin", "--points", "3", "--step-nm=1e-9"]) == 2
+    assert "wavelength step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -21,12 +21,17 @@ from rppg.errors import (
     EmptyRegionError,
     ZeroChannelMeanError,
 )
-from rppg.heartrate import plan_windows, psd, two_harmonic_snr
+from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
 from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import RgbTrace, zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
 from helpers import label_map
+
+
+def cell_trace(traces, i):
+    """The RGB trace of grid cell i."""
+    return RgbTrace(traces.samples[i], traces.fps)
 
 
 def random_scene(seed=0, n=8, h=6, w=8, mask_p=0.7):
@@ -197,17 +202,15 @@ def test_snr_weights_noise_cell_gets_smallest_weight():
 
 
 def test_snr_weights_match_direct_per_cell_snr():
-    from rppg.heartrate import psd, two_harmonic_snr
-
     frames, masks, grid, fps = grid_scene(seed=2, noise_cell=(0, 1))
     traces = grid_traces(frames, masks, grid, fps)
     w = snr_weights(traces)
     raw = np.zeros(4)
     for i in range(4):
-        wave = chrom(traces.cell_trace(i))
-        spectrum = psd(wave)
-        band = (spectrum.freqs >= 0.7) & (spectrum.freqs <= 3.5)
-        peak = float(spectrum.freqs[band][np.argmax(spectrum.power[band])])
+        wave = chrom(cell_trace(traces, i))
+        freqs, power = periodogram(wave.samples, wave.fps)
+        band = (freqs >= 0.7) & (freqs <= 3.5)
+        peak = float(freqs[band][np.argmax(power[band])])
         raw[i] = two_harmonic_snr(wave, peak)
     assert np.allclose(w, raw / raw.sum(), atol=1e-12)
 
@@ -250,7 +253,7 @@ def test_combine_benchmark_is_weighted_waveform_mean():
     wave = combine_benchmark_snr(traces, weights)
     expect = np.zeros(frames.shape[0])
     for i, wi in enumerate(weights):
-        expect += wi * chrom(traces.cell_trace(i)).samples
+        expect += wi * chrom(cell_trace(traces, i)).samples
     assert np.allclose(wave.samples, zero_mean(expect), atol=1e-12)
     assert wave.fps == fps
 
@@ -274,14 +277,14 @@ def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
     w = np.zeros(traces.n_cells)
     for i in np.nonzero(traces.live)[0]:
         try:
-            wave = chrom(traces.cell_trace(i))
+            wave = chrom(cell_trace(traces, i))
         except ZeroChannelMeanError:
             continue
-        spectrum = psd(wave)
-        in_band = (spectrum.freqs >= band[0]) & (spectrum.freqs <= band[1])
-        if not in_band.any() or spectrum.power[in_band].max() <= 0.0:
+        freqs, power = periodogram(wave.samples, wave.fps)
+        in_band = (freqs >= band[0]) & (freqs <= band[1])
+        if not in_band.any() or power[in_band].max() <= 0.0:
             continue
-        peak_hz = float(spectrum.freqs[in_band][np.argmax(spectrum.power[in_band])])
+        peak_hz = float(freqs[in_band][np.argmax(power[in_band])])
         try:
             w[i] = two_harmonic_snr(wave, peak_hz, halfwidth_hz, band)
         except DegenerateSpectrumError:
@@ -297,7 +300,7 @@ def loop_combine_benchmark_snr(traces, weights):
     """Reference: a second CHROM pass per positive-weight cell."""
     acc = np.zeros(traces.samples.shape[1])
     for i in np.nonzero(weights > 0)[0]:
-        acc += weights[i] * chrom(traces.cell_trace(i)).samples
+        acc += weights[i] * chrom(cell_trace(traces, i)).samples
     return zero_mean(acc)
 
 
@@ -374,7 +377,7 @@ def test_chrom_is_row_zero_of_batched_chrom():
     waves, ok = chrom_rows(traces.samples, fps)
     assert ok.all()
     for i in range(traces.n_cells):
-        trace = traces.cell_trace(i)
+        trace = cell_trace(traces, i)
         assert np.array_equal(chrom(trace).samples, chrom_rows(trace.samples[None], fps)[0][0])
         assert np.array_equal(chrom(trace).samples, waves[i])
 

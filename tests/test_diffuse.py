@@ -8,7 +8,6 @@ from rppg import diffuse
 from rppg.combine import diffuse_weights
 from rppg.diffuse import (
     diffuse_luminance,
-    estimate_diffuse,
     estimate_diffuse_stack,
     frame_chunks,
     specular_free_min_subtract,
@@ -17,6 +16,11 @@ from rppg.errors import EmptyRegionError
 from rppg.roi import build_grid
 
 from helpers import label_map, mixed_frames
+
+
+def estimate_diffuse(frame):
+    """The diffuse estimate of one (h, w, 3) frame."""
+    return estimate_diffuse_stack(np.asarray(frame)[None])[0]
 
 DIFFUSE_RGB = np.array([120.0, 80.0, 60.0])
 
@@ -209,7 +213,7 @@ def test_uniform_frames_give_uniform_weights():
     frames = np.full((3, 8, 8, 3), 90, dtype=np.uint8)
     masks = np.ones((3, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights(frames, grid, masks)
+    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
@@ -219,7 +223,7 @@ def test_weights_match_loop_oracle():
     masks = rng.random((4, 8, 12)) < 0.6
     masks[:, 0, 0] = True
     grid = build_grid((1, 0, 10, 8), rows=2, cols=3)
-    w = diffuse_weights(frames, grid, masks)
+    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
     labels = label_map(grid, 12, 8)
     lum = frames.astype(float).mean(axis=-1)
     expect = np.zeros(grid.n_cells)
@@ -264,8 +268,8 @@ def test_weights_match_bincount_loop_oracle():
     masks = np.random.default_rng(9).random((6, 9, 12)) < 0.7
     masks[3:, 1:4, 1:4] = False  # a cell empties mid-window
     inputs = (
-        frames,  # uint8 RGB
-        estimate_diffuse_stack(frames),  # float32 diffuse stack
+        diffuse_luminance(frames),  # of uint8 RGB
+        diffuse_luminance(estimate_diffuse_stack(frames)),  # of a float32 diffuse stack
         frames.mean(axis=-1),  # float64 luminance
     )
     cases = (
@@ -294,8 +298,8 @@ def test_highlight_cell_suppressed_vs_raw_weighting():
     frames = np.clip(frames, 0, 255).astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights(frames, grid, masks)
-    dif_w = diffuse_weights(estimate_diffuse_stack(frames), grid, masks)
+    raw_w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    dif_w = diffuse_weights(diffuse_luminance(estimate_diffuse_stack(frames)), grid, masks)
     assert raw_w[1] > 0.25
     assert dif_w[1] < raw_w[1]
     # highlight recovered to within a few levels, so the cell sits back
@@ -309,8 +313,8 @@ def test_saturated_cell_suppressed_by_min_subtract():
     frames = frames.astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights(frames, grid, masks)
-    sf_w = diffuse_weights(specular_free_min_subtract(frames), grid, masks)
+    raw_w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    sf_w = diffuse_weights(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
     assert sf_w[1] < 0.25 < raw_w[1]
 
 
@@ -319,7 +323,7 @@ def test_weights_empty_mask_raises():
     masks = np.zeros((1, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
     with pytest.raises(EmptyRegionError):
-        diffuse_weights(frames, grid, masks)
+        diffuse_weights(diffuse_luminance(frames), grid, masks)
 
 
 def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
@@ -327,7 +331,7 @@ def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
     masks = np.zeros((2, 8, 8), dtype=bool)
     masks[:, 0:4, :] = True  # only the top half has masked pixels
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights(frames, grid, masks)
+    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
     assert np.allclose(w, [0.5, 0.5, 0.0, 0.0])
 
 
@@ -340,6 +344,6 @@ def test_weight_normalization_property(seed, rows, cols):
     if not masks.any():
         masks[0, 3, 3] = True
     grid = build_grid((0, 0, 6, 6), rows=rows, cols=cols)
-    w = diffuse_weights(frames, grid, masks)
+    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-9

@@ -97,7 +97,7 @@ def test_agreement_properties(pairs):
     gt = [p[1] for p in pairs]
     s = agreement(est, gt)
     flipped = agreement(gt, est)
-    assert s.loa_span == pytest.approx(2.0 * 1.96 * s.se, abs=1e-9)
+    assert s.loa_high - s.loa_low == pytest.approx(2.0 * 1.96 * s.se, abs=1e-9)
     assert flipped.mae == pytest.approx(s.mae, abs=1e-9)
     assert flipped.bias == pytest.approx(-s.bias, abs=1e-9)
     assert flipped.se == pytest.approx(s.se, abs=1e-9)

@@ -18,13 +18,13 @@ from rppg.heartrate import (
     bandpass_series,
     estimate_video_hr,
     harmonic_snr,
+    periodogram,
     plan_windows,
-    psd,
     select_hr,
     suppress_artifacts,
     two_harmonic_snr,
 )
-from rppg.signals import Psd, PulseWaveform, zero_mean
+from rppg.signals import PulseWaveform, zero_mean
 
 
 def tone(hz, n=300, fps=30.0, amp=1.0, phase=0.0):
@@ -89,28 +89,32 @@ def test_bandpass_rejects_low_sample_rate():
 # ---------------------------------------------------------------------------
 
 
+def spectrum_of(wave):
+    return periodogram(wave.samples, wave.fps)
+
+
 def test_psd_peak_location():
-    spectrum = psd(tone(1.0))
-    assert spectrum.freqs[np.argmax(spectrum.power)] == pytest.approx(1.0, abs=0.05)
+    freqs, power = spectrum_of(tone(1.0))
+    assert freqs[np.argmax(power)] == pytest.approx(1.0, abs=0.05)
 
 
 def test_psd_resolution_bound():
     wave = tone(1.0, n=300, fps=30.0)
-    spectrum = psd(wave)
-    assert spectrum.resolution_hz <= 30.0 / (8 * 300)
+    freqs, _ = spectrum_of(wave)
+    assert freqs[1] - freqs[0] <= 30.0 / (8 * 300)
     # uniform grid from 0 to Nyquist
-    assert spectrum.freqs[0] == 0.0
-    assert spectrum.freqs[-1] == pytest.approx(15.0)
+    assert freqs[0] == 0.0
+    assert freqs[-1] == pytest.approx(15.0)
 
 
 def test_psd_zero_input_gives_zero_power():
-    spectrum = psd(PulseWaveform(samples=np.zeros(128), fps=30.0))
-    assert np.all(spectrum.power == 0.0)
+    _, power = spectrum_of(PulseWaveform(samples=np.zeros(128), fps=30.0))
+    assert np.all(power == 0.0)
 
 
 def test_psd_too_short():
     with pytest.raises(SpectrumTooShortError):
-        psd(PulseWaveform(samples=np.zeros(63), fps=30.0))
+        spectrum_of(PulseWaveform(samples=np.zeros(63), fps=30.0))
 
 
 def test_psd_white_noise_has_no_towering_bin():
@@ -120,8 +124,8 @@ def test_psd_white_noise_has_no_towering_bin():
     # range below has zero exceedances).
     bad = 0
     for seed in range(200):
-        spectrum = psd(noise_wave(seed))
-        power = spectrum.power[1:]  # DC bin is structurally ~0 for zero-mean input
+        _, power = spectrum_of(noise_wave(seed))
+        power = power[1:]  # DC bin is structurally ~0 for zero-mean input
         if power.max() > 16.0 * np.median(power):
             bad += 1
     assert bad / 200 <= 0.01
@@ -133,35 +137,34 @@ def test_psd_white_noise_has_no_towering_bin():
 
 
 def test_suppress_empty_list_is_identity():
-    spectrum = psd(tone(1.0))
-    out = suppress_artifacts(spectrum, ())
-    assert np.array_equal(out.power, spectrum.power)
+    freqs, power = spectrum_of(tone(1.0))
+    out = suppress_artifacts(freqs, power, ())
+    assert np.array_equal(out, power)
 
 
 def test_suppress_removes_notched_peak():
-    spectrum = psd(tone(1.0))
-    out = suppress_artifacts(spectrum, [1.0])
-    assert spectrum.freqs[np.argmax(spectrum.power)] == pytest.approx(1.0, abs=0.05)
-    assert abs(out.freqs[np.argmax(out.power)] - 1.0) > 0.05
+    freqs, power = spectrum_of(tone(1.0))
+    out = suppress_artifacts(freqs, power, [1.0])
+    assert freqs[np.argmax(power)] == pytest.approx(1.0, abs=0.05)
+    assert abs(freqs[np.argmax(out)] - 1.0) > 0.05
 
 
 def test_suppress_linear_interpolation_oracle():
-    spectrum = psd(tone(1.0))
-    out = suppress_artifacts(spectrum, [1.0])
-    f = spectrum.freqs
+    f, power = spectrum_of(tone(1.0))
+    out = suppress_artifacts(f, power, [1.0])
     inside = (f >= 1.0 - 0.05) & (f <= 1.0 + 0.05)
     idx = np.nonzero(inside)[0]
     lo, hi = idx[0] - 1, idx[-1] + 1
-    expect = np.interp(f[idx], [f[lo], f[hi]], [spectrum.power[lo], spectrum.power[hi]])
-    assert np.allclose(out.power[idx], expect)
+    expect = np.interp(f[idx], [f[lo], f[hi]], [power[lo], power[hi]])
+    assert np.allclose(out[idx], expect)
     outside = ~inside
-    assert np.array_equal(out.power[outside], spectrum.power[outside])
+    assert np.array_equal(out[outside], power[outside])
 
 
 def test_suppress_notch_outside_range_is_noop():
-    spectrum = psd(tone(1.0))
-    out = suppress_artifacts(spectrum, [40.0])
-    assert np.array_equal(out.power, spectrum.power)
+    freqs, power = spectrum_of(tone(1.0))
+    out = suppress_artifacts(freqs, power, [40.0])
+    assert np.array_equal(out, power)
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +177,19 @@ def synthetic_psd(df=0.05, f_max=4.0, peaks=()):
     p = np.zeros_like(f)
     for hz, power in peaks:
         p[int(round(hz / df))] = power
-    return Psd(freqs=f, power=p, resolution_hz=df)
+    return f, p
 
 
 def test_select_hr_single_peak():
     spectrum = synthetic_psd(peaks=[(1.2, 10.0)])
-    assert select_hr(spectrum) == pytest.approx(72.0)
+    assert select_hr(*spectrum) == pytest.approx(72.0)
 
 
 def test_select_hr_prefers_harmonic_support():
     # 0.9 Hz peak alone scores 8; the 1.0 Hz peak scores 10 + 5 through its
     # second harmonic, so it must win even though 8 < 10 < 15.
     spectrum = synthetic_psd(peaks=[(0.9, 8.0), (1.0, 10.0), (2.0, 5.0)])
-    assert select_hr(spectrum) == pytest.approx(60.0)
+    assert select_hr(*spectrum) == pytest.approx(60.0)
 
 
 def test_select_hr_respects_peak_cap():
@@ -204,34 +207,30 @@ def test_select_hr_respects_peak_cap():
         (3.8, 100.0),
     ]
     spectrum = synthetic_psd(peaks=peaks)
-    assert select_hr(spectrum) == pytest.approx(48.0)
+    assert select_hr(*spectrum) == pytest.approx(48.0)
 
 
 def test_select_hr_flat_spectrum_raises():
     f = np.arange(0.0, 4.0, 0.05)
-    spectrum = Psd(freqs=f, power=np.zeros_like(f), resolution_hz=0.05)
     with pytest.raises(NoPeaksError):
-        select_hr(spectrum)
+        select_hr(f, np.zeros_like(f))
 
 
 def test_select_hr_band_coverage_required():
     f = np.arange(0.0, 2.0, 0.05)  # ends below 3.5 Hz
     with pytest.raises(UsageError):
-        select_hr(Psd(freqs=f, power=np.ones_like(f), resolution_hz=0.05))
+        select_hr(f, np.ones_like(f))
 
 
 def test_select_hr_on_real_tone():
-    assert select_hr(psd(tone(1.2))) == pytest.approx(72.0, abs=0.5)
+    assert select_hr(*spectrum_of(tone(1.2))) == pytest.approx(72.0, abs=0.5)
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.floats(0.75, 3.4), st.floats(0.2, 9.0))
 def test_select_hr_scale_invariance(hz, scale):
-    spectrum = psd(tone(hz))
-    scaled = Psd(
-        freqs=spectrum.freqs, power=spectrum.power * scale, resolution_hz=spectrum.resolution_hz
-    )
-    assert select_hr(scaled) == pytest.approx(select_hr(spectrum))
+    freqs, power = spectrum_of(tone(hz))
+    assert select_hr(freqs, power * scale) == pytest.approx(select_hr(freqs, power))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +253,9 @@ def test_snr_white_noise_is_small():
     # worst case: aim the band at the noise's own in-band argmax
     for seed in range(1000, 1040):
         wave = noise_wave(seed)
-        spectrum = psd(wave)
-        band = (spectrum.freqs >= 0.7) & (spectrum.freqs <= 3.5)
-        peak = float(spectrum.freqs[band][np.argmax(spectrum.power[band])])
+        freqs, power = spectrum_of(wave)
+        band = (freqs >= 0.7) & (freqs <= 3.5)
+        peak = float(freqs[band][np.argmax(power[band])])
         assert two_harmonic_snr(wave, peak) < 0.2
 
 
@@ -357,3 +356,77 @@ def test_estimate_video_hr_applies_notch():
     notched = estimate_video_hr([wave], notch_hz=[1.0]).video_bpm
     assert plain == pytest.approx(60.0, abs=0.5)
     assert notched == pytest.approx(90.0, abs=0.5)
+
+
+# ---------------------------------------------------------------------------
+# One spectral core for cells and windows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fps", [24.0, 29.97, 30.0])
+@pytest.mark.parametrize("n", [240, 257, 300, 301, 600, 1000])
+def test_batched_periodogram_rows_equal_single_row_calls(n, fps):
+    x = np.random.default_rng(n).standard_normal((5, n))
+    freqs, power = periodogram(x, fps)
+    for row, expect in zip(x, power):
+        f1, p1 = periodogram(row, fps)
+        assert np.array_equal(f1, freqs)
+        assert np.array_equal(p1, expect)
+
+
+def per_window_oracle(waveforms, notch_hz):
+    """The per-window loop estimate_video_hr replaced: one single-waveform
+    periodogram (Hann taper, zero-padded to the power of two >= 8n), then
+    suppress_artifacts and select_hr on it."""
+    bpm = []
+    for wave in waveforms:
+        n = len(wave)
+        nfft = 1 << (8 * n - 1).bit_length()
+        freqs, power = scipy.signal.periodogram(
+            wave.samples, fs=wave.fps, window="hann", nfft=nfft, detrend=False
+        )
+        bpm.append(select_hr(freqs, suppress_artifacts(freqs, power, notch_hz)))
+    return bpm
+
+
+def mixed_windows():
+    """24 windows: two frame rates, and at each a full-length window run plus
+    one window a frame short, as the last window of a recording can be."""
+    waves = []
+    for fps, n in ((30.0, 300), (24.0, 240)):
+        for k in range(12):
+            length = n - 1 if k == 11 else n
+            t = np.arange(length) / fps
+            hz = 0.8 + 0.2 * k
+            x = np.sin(2 * np.pi * hz * t) + 0.5 * np.sin(2 * np.pi * 1.25 * t)
+            x += 0.4 * np.random.default_rng(k).standard_normal(length)
+            waves.append(PulseWaveform(samples=zero_mean(x), fps=fps))
+    return waves
+
+
+@pytest.mark.parametrize(
+    "notch_hz",
+    [
+        (),
+        (1.0, 1.25),  # on a peak, and on the shared second tone
+        (0.0,),  # the first bin
+        (12.0, 15.0),  # the last bin at 24 and at 30 fps
+        (40.0,),  # outside the spectrum
+    ],
+)
+def test_estimate_video_hr_matches_per_window_oracle(notch_hz):
+    waves = mixed_windows()
+    est = estimate_video_hr(waves, notch_hz)
+    expect = per_window_oracle(waves, notch_hz)
+    assert list(est.window_bpm) == expect
+    assert est.video_bpm == float(np.mean(expect))
+
+
+def test_estimate_video_hr_notch_covering_the_whole_spectrum(monkeypatch):
+    from rppg import heartrate
+
+    monkeypatch.setattr(heartrate, "NOTCH_HALFWIDTH_HZ", 100.0)
+    waves = mixed_windows()
+    est = estimate_video_hr(waves, (5.0,))
+    assert list(est.window_bpm) == per_window_oracle(waves, (5.0,))
+    assert list(est.window_bpm) == per_window_oracle(waves, ())

@@ -384,16 +384,15 @@ def test_timeseries_rejects_bad_files(tmp_path):
         read_timeseries_csv(p)
 
 
-def test_ground_truth_loading_and_resample(tmp_path):
+def test_ground_truth_loading(tmp_path):
     hr = tmp_path / "hr.csv"
     ppg = tmp_path / "ppg.csv"
     write_timeseries_csv(np.array([0.0, 1.0, 2.0]), np.array([70.0, 72.0, 74.0]), hr)
     write_timeseries_csv(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]), ppg)
     gt = load_ground_truth(hr_path=hr, ppg_path=ppg)
     assert gt.mean_hr_bpm == pytest.approx(72.0)
-    t, v = gt.resample_ppg(4.0)
-    # linear interpolation oracle
-    assert np.allclose(v, np.interp(t, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
+    assert gt.ppg_time_s.tolist() == [0.0, 0.5, 1.0]
+    assert gt.ppg_value.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_ground_truth_rejects_out_of_range_bpm(tmp_path):

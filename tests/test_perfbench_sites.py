@@ -20,6 +20,10 @@ REMOVED = {
     ("rppg.combine", "two_harmonic_snr"),
     # evaluate reads ground truth through ingest.load_ground_truth
     ("rppg.cli", "read_timeseries_csv"),
+    # the manifest loader moved to evaluation.load_manifest
+    ("rppg.cli", "_load_manifest"),
+    # windows take one batched periodogram, as the cells do
+    ("rppg.heartrate", "psd"),
 }
 
 

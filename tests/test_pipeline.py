@@ -178,3 +178,11 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
         peaks.append(peak)
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, peaks
+
+
+def test_public_names_resolve():
+    import rppg
+
+    missing = [name for name in rppg.__all__ if not hasattr(rppg, name)]
+    assert missing == []
+    assert len(set(rppg.__all__)) == len(rppg.__all__)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rppg.signals import Psd, PulseWaveform, RgbTrace, zero_mean
+from rppg.signals import PulseWaveform, RgbTrace, zero_mean
 
 
 def test_rgb_trace_accepts_and_coerces():
     tr = RgbTrace(samples=[[1, 2, 3], [4, 5, 6]], fps=30.0)
     assert tr.samples.dtype == np.float64
     assert len(tr) == 2
-    assert tr.duration_s == pytest.approx(2 / 30)
 
 
 @pytest.mark.parametrize(
@@ -53,21 +52,3 @@ def test_zero_mean_centers_and_ignores_shift(values, shift):
     assert abs(a.mean()) <= 1e-9 * scale
     assert np.allclose(a, b, atol=1e-6 * max(1.0, abs(shift)) + 1e-9 * scale)
 
-
-def test_psd_band_power_is_inclusive():
-    f = np.arange(0.0, 2.01, 0.25)
-    p = np.ones_like(f)
-    spec = Psd(freqs=f, power=p, resolution_hz=0.25)
-    # endpoints at exactly 0.5 and 1.0 both count
-    assert spec.band_power(0.5, 1.0) == pytest.approx(3.0)
-    assert spec.band_power(0.51, 0.99) == pytest.approx(1.0)
-    assert spec.band_power(5.0, 6.0) == 0.0
-
-
-def test_psd_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        Psd(freqs=np.array([0.0, 0.5, 0.7]), power=np.zeros(3), resolution_hz=0.5)
-    with pytest.raises(ValueError):
-        Psd(freqs=np.array([0.0, 0.5]), power=np.array([1.0, -2.0]), resolution_hz=0.5)
-    with pytest.raises(ValueError):
-        Psd(freqs=np.array([0.5, 0.0]), power=np.zeros(2), resolution_hz=0.5)
