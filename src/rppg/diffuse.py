@@ -25,10 +25,17 @@ Frames are processed in chunks sized by bytes, not by frame count: each
 chunk holds as many frames as fit CHUNK_PLANE_BYTES per float32 (t, h, w)
 plane, so the bilateral temporaries stay cache-sized whatever the frame
 size. The bilateral pass and its stopping rule are per frame, so results
-do not depend on the chunk size. Within a pass the range weight of an
-offset d is reused, unshifted, for its mirror -d: the guide difference
-only changes sign, and the target slice of -d is the source slice of d.
-That halves the exp passes and leaves every sum bit-identical.
+do not depend on the chunk size.
+
+The guide (the minimum chromaticity) never changes across a frame's
+passes, so the range weights of the window offsets, and their sum, are
+computed once per chunk (see _range_weights: 61 arrays for 121 offsets,
+as an offset and its mirror share one); each pass then only accumulates
+the weighted neighbours. As frames converge the table is compacted to the
+frames still iterating, one array at a time, so mirrored offsets keep
+sharing one copy. The channel sums, maxima and minima are taken once per
+chunk as plane operations. Results are bit-identical to recomputing the
+weights on every pass.
 """
 
 from __future__ import annotations
@@ -54,62 +61,88 @@ def frame_chunks(n_frames: int, height: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n_frames, step)]
 
 
-def _chromaticities(frames: np.ndarray):
-    """Max/min chromaticity maps for a float32 frame stack (t, h, w, 3)."""
-    total = frames.sum(axis=-1)
+def _channel_planes(frames: np.ndarray):
+    """(R + G + B, max channel, min channel) planes of a (..., 3) stack."""
+    r, g, b = frames[..., 0], frames[..., 1], frames[..., 2]
+    return (r + g) + b, np.maximum(np.maximum(r, g), b), np.minimum(np.minimum(r, g), b)
+
+
+def _chromaticities(total: np.ndarray, imax: np.ndarray, imin: np.ndarray):
+    """Max/min chromaticity maps from a float32 stack's channel planes."""
     dark = total < DARK_FLOOR
     safe = np.where(dark, 1.0, total)
-    smax = np.where(dark, 1.0 / 3.0, frames.max(axis=-1) / safe).astype(np.float32)
-    smin = np.where(dark, 1.0 / 3.0, frames.min(axis=-1) / safe).astype(np.float32)
+    smax = np.where(dark, 1.0 / 3.0, imax / safe).astype(np.float32)
+    smin = np.where(dark, 1.0 / 3.0, imin / safe).astype(np.float32)
     return smax, smin
 
 
-def _joint_bilateral(lam: np.ndarray, guide: np.ndarray) -> np.ndarray:
-    """One joint-bilateral pass of lam (t, h, w), range-guided by guide."""
+def _window_offsets(h: int, w: int) -> list[tuple[np.float32, tuple, tuple]]:
+    """(spatial weight, source index, target index) of each window offset d
+    over (t, h, w) planes, in row-major order of d, so offset i's mirror -d
+    is offset n - 1 - i.
+
+    The target pixel p takes its neighbour p + d. Slice ends are clamped
+    at 0: an offset beyond a small frame's edge selects nothing (a negative
+    end would wrap around).
+    """
     radius = WINDOW_PX // 2
     inv_2ss = 1.0 / (2.0 * SPATIAL_SIGMA_PX**2)
-    inv_2sr = 1.0 / (2.0 * RANGE_SIGMA**2)
-    num = np.zeros_like(lam)
-    den = np.zeros_like(lam)
-    h, w = lam.shape[-2:]
-    # Contiguous scratch, viewed at each offset's overlap shape.
-    diff_buf = np.empty(lam.size, dtype=np.float32)
-    prod_buf = np.empty(lam.size, dtype=np.float32)
-    # Weights of the first offset of each mirrored pair, keyed by the
-    # offset that will reuse them.
-    mirrored: dict[tuple[int, int], np.ndarray] = {}
-    # Slice ends are clamped at 0: an offset beyond a small frame's edge
-    # selects nothing (a negative end would wrap around).
+    offsets = []
     for dy in range(-radius, radius + 1):
         ys = slice(max(dy, 0), max(h + min(dy, 0), 0))
         yt = slice(max(-dy, 0), max(h + min(-dy, 0), 0))
         for dx in range(-radius, radius + 1):
             xs = slice(max(dx, 0), max(w + min(dx, 0), 0))
             xt = slice(max(-dx, 0), max(w + min(-dx, 0), 0))
-            src = lam[..., ys, xs]
-            wr = mirrored.pop((dy, dx), None)
-            if wr is None:
-                ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
-                diff = diff_buf[: src.size].reshape(src.shape)
-                np.subtract(guide[..., yt, xt], guide[..., ys, xs], out=diff)
-                wr = np.empty(src.shape, dtype=np.float32)
-                np.multiply(-inv_2sr, diff, out=wr)
-                wr *= diff
-                np.exp(wr, out=wr)
-                wr *= ws
-                if (dy, dx) != (0, 0):
-                    mirrored[(-dy, -dx)] = wr
-            prod = prod_buf[: src.size].reshape(src.shape)
-            np.multiply(wr, src, out=prod)
-            num[..., yt, xt] += prod
-            den[..., yt, xt] += wr
+            ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
+            offsets.append((ws, (..., ys, xs), (..., yt, xt)))
+    return offsets
+
+
+def _range_weights(guide: np.ndarray, offsets) -> tuple[list[np.ndarray], np.ndarray]:
+    """Joint-bilateral weights of each window offset over a fixed guide
+    (t, h, w), and their sum den.
+
+    Returns one weight array per offset of the first half (and the centre);
+    offset i uses entry min(i, n - 1 - i). The weights of d serve its
+    mirror -d unshifted: the guide difference only changes sign, and the
+    target slice of -d is the source slice of d. den is the sum of every
+    offset's weights at its target pixels, in offset order.
+    """
+    inv_2sr = 1.0 / (2.0 * RANGE_SIGMA**2)
+    den = np.zeros_like(guide)
+    diff_buf = np.empty(guide.size, dtype=np.float32)
+    weights: list[np.ndarray] = []
+    last = len(offsets) - 1
+    for i, (ws, src, tgt) in enumerate(offsets):
+        if i <= last - i:
+            source = guide[src]
+            diff = diff_buf[: source.size].reshape(source.shape)
+            np.subtract(guide[tgt], source, out=diff)
+            wr = np.empty(source.shape, dtype=np.float32)
+            np.multiply(-inv_2sr, diff, out=wr)
+            wr *= diff
+            np.exp(wr, out=wr)
+            wr *= ws
+            weights.append(wr)
+        den[tgt] += weights[min(i, last - i)]
+    return weights, den
+
+
+def _joint_bilateral(lam: np.ndarray, weights, den: np.ndarray, offsets) -> np.ndarray:
+    """One joint-bilateral pass of lam (t, h, w) with _range_weights' table."""
+    num = np.zeros_like(lam)
+    prod_buf = np.empty(lam.size, dtype=np.float32)
+    last = len(offsets) - 1
+    for i, (_, src, tgt) in enumerate(offsets):
+        wr = weights[min(i, last - i)]
+        prod = prod_buf[: wr.size].reshape(wr.shape)
+        np.multiply(wr, lam[src], out=prod)
+        num[tgt] += prod
     return num / den
 
 
-def _reconstruct_diffuse(frames: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    total = frames.sum(axis=-1)
-    imax = frames.max(axis=-1)
-    imin = frames.min(axis=-1)
+def _reconstruct_diffuse(frames, lam, total, imax, imin) -> np.ndarray:
     denom = 1.0 - 3.0 * lam
     chromatic = lam > (1.0 / 3.0 + ACHROMATIC_EPS)
     ms = np.where(
@@ -119,7 +152,7 @@ def _reconstruct_diffuse(frames: np.ndarray, lam: np.ndarray) -> np.ndarray:
     )
     ms = np.clip(ms, 0.0, 3.0 * imin)
     out = frames - (ms / 3.0)[..., None]
-    return np.clip(out, 0.0, 255.0).astype(np.float32)
+    return np.clip(out, 0.0, 255.0)
 
 
 def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
@@ -133,20 +166,34 @@ def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
     if frames.ndim != 4 or frames.shape[-1] != 3:
         raise ValueError(f"expected (t, h, w, 3) frames, got {frames.shape}")
     out = np.empty(frames.shape, dtype=np.float32)
+    offsets = _window_offsets(*frames.shape[1:3])
     for sl in frame_chunks(*frames.shape[:3]):
         block = frames[sl].astype(np.float32)
-        smax, smin = _chromaticities(block)
+        total, imax, imin = _channel_planes(block)
+        smax, smin = _chromaticities(total, imax, imin)
+        weights, den = _range_weights(smin, offsets)
+        del smin  # only the weights needed the guide
         lam = smax.copy()
-        active = np.ones(block.shape[0], dtype=bool)
+        live = np.arange(block.shape[0])  # frames still iterating
         for _ in range(MAX_ITERATIONS):
-            if not active.any():
+            if live.size == 0:
                 break
-            smoothed = _joint_bilateral(lam[active], smin[active])
-            new = np.maximum(smax[active], smoothed)
-            delta = np.abs(new - lam[active]).max(axis=(1, 2))
-            lam[active] = new
-            active[np.nonzero(active)[0][delta < CONVERGENCE_TOL]] = False
-        out[sl] = _reconstruct_diffuse(block, lam)
+            prev = lam[live]
+            new = np.maximum(smax[live], _joint_bilateral(prev, weights, den, offsets))
+            delta = np.abs(new - prev).max(axis=(1, 2))
+            lam[live] = new
+            done = delta < CONVERGENCE_TOL
+            if done.any():
+                # One array at a time, so compaction adds one plane at most.
+                keep = ~done
+                live = live[keep]
+                for k in range(len(weights)):
+                    weights[k] = weights[k][keep]
+                den = den[keep]
+        # Frames stopped by MAX_ITERATIONS still hold this chunk's weight
+        # table: release it before the next one is built.
+        del weights, den
+        out[sl] = _reconstruct_diffuse(block, lam, total, imax, imin)
     return out
 
 
@@ -157,9 +204,15 @@ def specular_free_min_subtract(frames: np.ndarray) -> np.ndarray:
     diffuse body colour, so it is only suitable for relative weighting).
     """
     frames = np.asarray(frames).astype(np.float32)
-    return frames - frames.min(axis=-1, keepdims=True)
+    imin = np.minimum(np.minimum(frames[..., 0], frames[..., 1]), frames[..., 2])
+    frames -= imin[..., None]
+    return frames
 
 
 def diffuse_luminance(diffuse_frames: np.ndarray) -> np.ndarray:
     """(R + G + B) / 3 of a (..., 3) diffuse stack, as float64."""
-    return np.asarray(diffuse_frames).mean(axis=-1, dtype=np.float64)
+    d = np.asarray(diffuse_frames)
+    lum = np.add(d[..., 0], d[..., 1], dtype=np.float64)
+    lum += d[..., 2]
+    lum /= 3
+    return lum

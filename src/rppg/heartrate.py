@@ -195,9 +195,16 @@ class WindowPlan:
     hop_s: float
     starts: tuple[float, ...]
 
-    def frame_slices(self, fps: float) -> list[slice]:
+    def frame_slices(self, fps: float, n_frames: int) -> list[slice]:
+        """Each window's frames in a recording of n_frames at fps.
+
+        Every slice holds round(window_s * fps) frames. A start that would
+        run the window past the recording (its rounding and the length's
+        can add up to one frame) moves back to end on the last frame.
+        """
         n = int(round(self.window_s * fps))
-        return [slice(int(round(s * fps)), int(round(s * fps)) + n) for s in self.starts]
+        starts = (min(int(round(s * fps)), n_frames - n) for s in self.starts)
+        return [slice(start, start + n) for start in starts]
 
 
 def plan_windows(duration_s: float, window_s: float = 10.0, hop_s: float = 5.0) -> WindowPlan:
@@ -225,10 +232,7 @@ def estimate_video_hr(
 ) -> HrEstimate:
     """Per-window harmonic peak selection, then the mean across windows.
 
-    Windows of one length and frame rate share one periodogram call. The
-    last window of a recording can be a frame short of the others
-    (WindowPlan.frame_slices rounds its start and its length apart), and
-    then gets a call of its own.
+    Windows of one length and frame rate share one periodogram call.
     """
     waveforms = list(waveforms)
     if not waveforms:

@@ -77,7 +77,7 @@ def run_pipeline(
         sidecar = smooth_bboxes(sidecar, cfg.bbox_smoothing_alpha)
     masks = build_mask(seq, sidecar)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
-    slices = plan.frame_slices(seq.fps)
+    slices = plan.frame_slices(seq.fps, seq.count)
 
     lum = None
     diffuse = None

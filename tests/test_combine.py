@@ -316,7 +316,7 @@ def assert_matches_loop(traces):
 def scene_windows(scene, rows, cols):
     seq, sidecar, _ = render(scene)
     masks = build_mask(seq, sidecar)
-    for sl in plan_windows(seq.duration_s).frame_slices(seq.fps):
+    for sl in plan_windows(seq.duration_s).frame_slices(seq.fps, seq.count):
         grid = build_grid(sidecar.records[sl.start].bbox, rows, cols)
         yield grid_traces(seq.frames[sl], masks[sl], grid, seq.fps)
 

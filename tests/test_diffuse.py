@@ -95,8 +95,18 @@ def test_stack_matches_per_frame_estimates():
     assert np.allclose(stack[1], estimate_diffuse(frames[1]))
 
 
-# Reference: the brute-force kernel, one range weight per offset, over
-# whole 512-frame chunks. The production kernel must match it bit for bit.
+# Reference: the brute-force kernel, range weights recomputed for every
+# offset on every pass, and the 3-wide channel-axis reductions, over whole
+# 512-frame chunks. The production kernel must match it bit for bit.
+
+
+def reference_chromaticities(frames):
+    total = frames.sum(axis=-1)
+    dark = total < diffuse.DARK_FLOOR
+    safe = np.where(dark, 1.0, total)
+    smax = np.where(dark, 1.0 / 3.0, frames.max(axis=-1) / safe).astype(np.float32)
+    smin = np.where(dark, 1.0 / 3.0, frames.min(axis=-1) / safe).astype(np.float32)
+    return smax, smin
 
 
 def reference_joint_bilateral(lam, guide):
@@ -121,22 +131,42 @@ def reference_joint_bilateral(lam, guide):
     return num / den
 
 
-def reference_diffuse_stack(frames, chunk=512):
+def reference_reconstruct_diffuse(frames, lam):
+    total = frames.sum(axis=-1)
+    imax = frames.max(axis=-1)
+    imin = frames.min(axis=-1)
+    denom = 1.0 - 3.0 * lam
+    chromatic = lam > (1.0 / 3.0 + diffuse.ACHROMATIC_EPS)
+    ms = np.where(
+        chromatic,
+        3.0 * (imax - lam * total) / np.where(chromatic, denom, 1.0),
+        0.0,
+    )
+    ms = np.clip(ms, 0.0, 3.0 * imin)
+    out = frames - (ms / 3.0)[..., None]
+    return np.clip(out, 0.0, 255.0).astype(np.float32)
+
+
+def reference_diffuse_stack(frames, chunk=512, active_counts=None):
+    """The brute-force estimate; appends each pass's count of iterating
+    frames to active_counts when given."""
     out = np.empty(frames.shape, dtype=np.float32)
     for start in range(0, frames.shape[0], chunk):
         block = frames[start : start + chunk].astype(np.float32)
-        smax, smin = diffuse._chromaticities(block)
+        smax, smin = reference_chromaticities(block)
         lam = smax.copy()
         active = np.ones(block.shape[0], dtype=bool)
         for _ in range(diffuse.MAX_ITERATIONS):
             if not active.any():
                 break
+            if active_counts is not None:
+                active_counts.append(int(active.sum()))
             smoothed = reference_joint_bilateral(lam[active], smin[active])
             new = np.maximum(smax[active], smoothed)
             delta = np.abs(new - lam[active]).max(axis=(1, 2))
             lam[active] = new
             active[np.nonzero(active)[0][delta < diffuse.CONVERGENCE_TOL]] = False
-        out[start : start + chunk] = diffuse._reconstruct_diffuse(block, lam)
+        out[start : start + chunk] = reference_reconstruct_diffuse(block, lam)
     return out
 
 
@@ -156,6 +186,16 @@ def test_frames_under_window_radius_bit_identical_to_reference(h, w):
     assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
 
 
+def test_frames_converging_at_different_passes_bit_identical_to_reference():
+    # Noise frames take several passes, and some stop before the others:
+    # the weight table is compacted to the frames still iterating.
+    frames = np.random.default_rng(1).integers(0, 256, size=(9, 32, 32, 3), dtype=np.uint8)
+    counts = []
+    expect = reference_diffuse_stack(frames, active_counts=counts)
+    assert counts == [9, 9, 9, 7]
+    assert np.array_equal(estimate_diffuse_stack(frames), expect)
+
+
 def test_frame_chunks_cover_frames_in_order():
     chunks = frame_chunks(10, 200, 300)  # one frame's plane exceeds the budget
     assert chunks == [slice(i, i + 1) for i in range(10)]
@@ -173,6 +213,21 @@ def test_stack_rejects_bad_shape():
 # ---------------------------------------------------------------------------
 # Min-subtract fallback
 # ---------------------------------------------------------------------------
+
+
+FRAMES_11 = mixed_frames(6, 9, 12, seed=11)
+
+
+def test_min_subtract_bit_identical_to_channel_axis_form():
+    inputs = (
+        FRAMES_11,
+        estimate_diffuse_stack(FRAMES_11),
+        np.random.default_rng(11).uniform(0, 255, size=(3, 7, 5, 3)),
+    )
+    for frames in inputs:
+        f = frames.astype(np.float32)
+        expect = f - f.min(axis=-1, keepdims=True)
+        assert np.array_equal(specular_free_min_subtract(frames), expect), frames.dtype
 
 
 def test_min_subtract_removes_additive_achromatic_layer():
@@ -207,6 +262,20 @@ def test_diffuse_luminance_shapes():
     lum = diffuse_luminance(stack)
     assert lum.shape == (2, 3, 4)
     assert np.allclose(lum, stack.mean(axis=-1))
+
+
+def test_diffuse_luminance_bit_identical_to_channel_axis_form():
+    # What the pipeline and the tests feed it: uint8 RGB and both
+    # estimators' float32 stacks.
+    inputs = (
+        FRAMES_11,
+        estimate_diffuse_stack(FRAMES_11),
+        specular_free_min_subtract(FRAMES_11),
+    )
+    for frames in inputs:
+        lum = diffuse_luminance(frames)
+        assert lum.dtype == np.float64
+        assert np.array_equal(lum, frames.mean(axis=-1, dtype=np.float64)), frames.dtype
 
 
 def test_uniform_frames_give_uniform_weights():

@@ -325,8 +325,25 @@ def test_plan_windows_too_short_video():
 
 def test_frame_slices_align_to_fps():
     plan = plan_windows(20.0, 10.0, 5.0)
-    slices = plan.frame_slices(30.0)
+    slices = plan.frame_slices(30.0, 600)
     assert [(s.start, s.stop) for s in slices] == [(0, 300), (150, 450), (300, 600)]
+    # Rounding the last start (187.5) and the length (297.5) up separately
+    # would give 188:486, a frame past the end.
+    plan = plan_windows(485 / 25.0, 11.9, 2.5)
+    assert plan.frame_slices(25.0, 485)[-1] == slice(187, 485)
+
+
+def test_frame_slices_sweep_equal_lengths_inside_the_recording():
+    for fps in (12.5, 24.0, 25.0, 29.97, 30.0, 59.94):
+        for window_s in (5.0, 7.3, 10.0, 11.9):
+            for hop_s in (0.7, 1.0, 2.5, 5.0):
+                for n_frames in range(int(window_s * fps) - 2, int(window_s * fps) + 120):
+                    plan = plan_windows(n_frames / fps, window_s, hop_s)
+                    n = int(round(window_s * fps))
+                    for start_s, sl in zip(plan.starts, plan.frame_slices(fps, n_frames)):
+                        assert sl.stop - sl.start == n
+                        assert 0 <= sl.start and sl.stop <= n_frames
+                        assert abs(sl.start - start_s * fps) <= 1.5
 
 
 def test_estimate_video_hr_means_windows():

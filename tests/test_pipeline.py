@@ -164,19 +164,23 @@ def test_chunked_luminance_matches_whole_stack(estimator, separate):
 
 
 def test_luminance_stage_memory_is_bounded_by_the_chunk():
-    # Uniform skin-coloured frames converge in one bilateral pass, so the
-    # test is quick; the pass's temporaries are what bound the peak.
+    # Uniform skin-coloured frames converge in one bilateral pass; noise
+    # frames take three to five passes and stop at different ones, so each
+    # chunk's weight table is compacted while it is alive. The pass's
+    # temporaries and that table are what bound the peak.
+    uniform = np.empty((640, 48, 48, 3), dtype=np.uint8)
+    uniform[...] = (150, 110, 80)
+    noise = np.random.default_rng(6).integers(0, 256, size=(640, 48, 48, 3), dtype=np.uint8)
     peaks = []
-    for n in (64, 640):
-        frames = np.empty((n, 48, 48, 3), dtype=np.uint8)
-        frames[...] = (150, 110, 80)
-        tracemalloc.start()
-        try:
-            lum, _ = diffuse_luminance_stack(frames, "bilateral")
-            peak = tracemalloc.get_traced_memory()[1] - lum.nbytes
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
+    for frames in (uniform, noise):
+        for n in (64, 640):
+            tracemalloc.start()
+            try:
+                lum, _ = diffuse_luminance_stack(frames[:n], "bilateral")
+                peak = tracemalloc.get_traced_memory()[1] - lum.nbytes
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, peaks
 
 
