@@ -20,7 +20,6 @@ from .biophysics import (
     sinr,
     skin_reflectance,
 )
-from .chrom import chrom
 from .combine import (
     GridTraces,
     combine_benchmark_snr,
@@ -83,7 +82,6 @@ __all__ = [
     "WindowPlan",
     "agreement",
     "camera_snr",
-    "chrom",
     "cohort_report",
     "combine_benchmark_snr",
     "combine_proposed",

@@ -51,6 +51,7 @@ from .errors import (
     WavelengthOutOfRangeError,
     ZeroDenominatorError,
 )
+from .ingest import read_two_column_csv
 
 WAVELENGTH_MIN_NM = 400.0
 WAVELENGTH_MAX_NM = 700.0
@@ -218,14 +219,9 @@ class SpectralContext:
 
 
 def _interp_csv(path: Path, lam: np.ndarray) -> np.ndarray:
-    rows = [
-        line.split(",")
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.lower().startswith("wavelength")
-    ]
-    table = np.array([[float(a), float(b)] for a, b in rows])
-    order = np.argsort(table[:, 0])
-    return np.interp(lam, table[order, 0], table[order, 1])
+    wavelengths, values = read_two_column_csv(path, "wavelength_nm,value")
+    order = np.argsort(wavelengths)
+    return np.interp(lam, wavelengths[order], values[order])
 
 
 # ---------------------------------------------------------------------------

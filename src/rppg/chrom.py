@@ -5,18 +5,19 @@ chrominance axes Xs = 3Rn - 2Gn and Ys = 1.5Rn + Gn - 1.5Bn, band-passed,
 and recombined as S = Xf - alpha*Yf with alpha = sigma(Xf)/sigma(Yf). The
 alpha ratio adapts the specular/skin-tone rejection to the actual window.
 
-The extraction is batched over a leading trace axis (one row per grid cell,
-pyVHR's multi-patch layout): chrom_rows band-passes every row's Xs and Ys in
-one filter call. chrom, for a single trace, is the k=1 case.
+The extraction is batched over a leading trace axis, pyVHR's multi-patch
+layout: chrom_rows band-passes every row's Xs and Ys in one filter call.
+The rows are the grid cells of one window (GridTraces.waveforms), or the
+pooled traces of every window of a recording (run_pipeline). Rows are
+independent: a row's waveform is bit-identical to a one-row call on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import TraceTooShortError, ZeroChannelMeanError
+from .errors import TraceTooShortError
 from .heartrate import bandpass_series
-from .signals import PulseWaveform, RgbTrace
 
 MIN_TRACE_SECONDS = 2.0
 SIGMA_FLOOR = 1e-12
@@ -46,11 +47,3 @@ def chrom_rows(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]
     waves[~ok] = 0.0
     return waves, ok
 
-
-def chrom(trace: RgbTrace) -> PulseWaveform:
-    waves, ok = chrom_rows(trace.samples[None], trace.fps)
-    if not ok[0]:
-        raise ZeroChannelMeanError(
-            f"channel means {trace.samples.mean(axis=0)} must all be positive"
-        )
-    return PulseWaveform(waves[0], trace.fps)

@@ -108,8 +108,6 @@ class GridTraces:
     samples: np.ndarray
     live: np.ndarray
     fps: float
-    rows: int
-    cols: int
 
     @property
     def n_cells(self) -> int:
@@ -137,7 +135,7 @@ def grid_traces(frames: np.ndarray, masks: np.ndarray, grid: GridSpec, fps: floa
         last = np.maximum.accumulate(np.where(filled[i], np.arange(n_frames), 0))
         samples[i] = samples[i, last]
     live = filled[:, :1].any(axis=1)
-    return GridTraces(samples=samples, live=live, fps=fps, rows=grid.rows, cols=grid.cols)
+    return GridTraces(samples=samples, live=live, fps=fps)
 
 
 def snr_weights(

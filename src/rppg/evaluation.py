@@ -120,15 +120,22 @@ def load_manifest(path: Path) -> list[CohortRecord]:
             raise MissingInputError(f"{path}:{ln_no}: report {report_path} not found")
         try:
             report = json.loads(report_path.read_text())
-            method = report["method"]
-            est = float(report["video_bpm"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            method, est = report["method"], report["video_bpm"]
+            # a JSON number: bools and numeric strings do not count
+            finite = type(est) in (int, float) and math.isfinite(est)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
+        if not isinstance(method, str):
+            raise DataFormatError(f"{report_path}: method must be a JSON string, got {method!r}")
+        if not finite:
+            raise DataFormatError(
+                f"{report_path}: video_bpm must be a finite JSON number, got {est!r}"
+            )
         records.append(
             CohortRecord(
                 method=method,
                 key=CohortKey(skin_tone=tone, condition=condition, viewpoint=viewpoint),
-                estimate_bpm=est,
+                estimate_bpm=float(est),
                 truth_bpm=load_ground_truth(hr_path=gt_path).mean_hr_bpm,
             )
         )

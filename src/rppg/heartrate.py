@@ -11,9 +11,12 @@ motion peaks that lack a first harmonic.
 
 Cells and windows share one spectral core: periodogram and harmonic_snr
 work on a leading row axis, so the spectra of all grid cells of a window,
-and of all windows of a recording, are each taken in one call.
-suppress_artifacts and select_hr then work on one plain (freqs, power) row;
-two_harmonic_snr, for a single waveform, is the one-row case.
+and of all windows of a recording, are each taken in one call. Every
+window of a recording has the same length and frame rate
+(WindowPlan.frame_slices), so estimate_video_hr takes the windows as the
+rows of one (n_windows, n) block. suppress_artifacts and select_hr then
+work on one plain (freqs, power) row; two_harmonic_snr, for a single
+waveform, is the one-row case.
 """
 
 from __future__ import annotations
@@ -225,23 +228,23 @@ class HrEstimate:
 
 
 def estimate_video_hr(
-    waveforms,
+    waves: np.ndarray,
+    fps: float,
     notch_hz=(),
     band: tuple[float, float] = PASSBAND_HZ,
     halfwidth_hz: float = SNR_HALFWIDTH_HZ,
 ) -> HrEstimate:
     """Per-window harmonic peak selection, then the mean across windows.
 
-    Windows of one length and frame rate share one periodogram call.
+    waves (n_windows, n) holds one pulse waveform per window, all at fps;
+    the windows share one periodogram call.
     """
-    waveforms = list(waveforms)
-    if not waveforms:
+    waves = np.asarray(waves, dtype=np.float64)
+    if waves.shape[0] == 0:
         raise NoWindowsError("no analysis windows fit in the recording")
-    bpm = [0.0] * len(waveforms)
-    for n, fps in dict.fromkeys((len(w), w.fps) for w in waveforms):
-        rows = [i for i, w in enumerate(waveforms) if (len(w), w.fps) == (n, fps)]
-        freqs, power = periodogram(np.stack([waveforms[i].samples for i in rows]), fps)
-        for i, row in zip(rows, power):
-            spectrum = suppress_artifacts(freqs, row, notch_hz)
-            bpm[i] = select_hr(freqs, spectrum, band, halfwidth_hz)
-    return HrEstimate(window_bpm=tuple(bpm), video_bpm=float(np.mean(bpm)))
+    freqs, power = periodogram(waves, fps)
+    bpm = tuple(
+        select_hr(freqs, suppress_artifacts(freqs, row, notch_hz), band, halfwidth_hz)
+        for row in power
+    )
+    return HrEstimate(window_bpm=bpm, video_bpm=float(np.mean(bpm)))

@@ -15,7 +15,8 @@ Landmarks ride in a JSON-lines sidecar, one record per frame:
 but one or two vertices is malformed.
 
 Ground truth is a two-column CSV with header ``time_s,value`` per signal
-(contact-PPG waveform or heart-rate numerics).
+(contact-PPG waveform or heart-rate numerics). read_two_column_csv, which
+reads it, also reads the ``wavelength_nm,value`` spectra of biophysics.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         raise NonPositiveFpsError(f"{manifest_path}: fps must be positive, got {fps}")
     if count < 1:
         raise DataFormatError(f"{manifest_path}: count must be >= 1")
-    frames = np.empty((count, height, width, 3), dtype=np.uint8)
-    for i in range(count):
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{manifest_path}: width and height must be >= 1")
+
+    def read_frame(i: int) -> np.ndarray:
         fp = directory / _frame_name(i)
         if not fp.exists():
             raise MissingInputError(f"{fp}: listed in manifest but missing")
@@ -199,7 +202,15 @@ def load_frame_dir(directory: Path) -> FrameSequence:
                 f"{fp}: frame is {frame.shape[1]}x{frame.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
-        frames[i] = frame
+        return frame
+
+    # The files must back the manifest before (count, height, width, 3) is
+    # allocated: its first and last frames exist at that size.
+    for i in (0, count - 1):
+        read_frame(i)
+    frames = np.empty((count, height, width, 3), dtype=np.uint8)
+    for i in range(count):
+        frames[i] = read_frame(i)
     return FrameSequence(frames=frames, fps=fps)
 
 
@@ -383,26 +394,39 @@ def smooth_bboxes(sidecar: LandmarkSidecar, alpha: float = 0.9) -> LandmarkSidec
 # ---------------------------------------------------------------------------
 
 
-def read_timeseries_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def read_two_column_csv(path: Path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a CSV whose first line is header (e.g. 'time_s,value'),
+    every value a finite float."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"{path}: no such file")
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "time_s,value":
-        raise DataFormatError(f"{path}: first line must be the header 'time_s,value'")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file: {exc}") from exc
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].replace(" ", "") != header:
+        raise DataFormatError(f"{path}: first line must be the header {header!r}")
     rows = lines[1:]
     if not rows:
         raise EmptyFileError(f"{path}: no data rows")
-    t = np.empty(len(rows))
-    v = np.empty(len(rows))
+    x = np.empty(len(rows))
+    y = np.empty(len(rows))
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 2:
             raise DataFormatError(f"{path}: row {i + 2} is not two columns: {row!r}")
         try:
-            t[i], v[i] = float(parts[0]), float(parts[1])
+            x[i], y[i] = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i + 2} not numeric: {row!r}") from exc
+        if not (np.isfinite(x[i]) and np.isfinite(y[i])):
+            raise DataFormatError(f"{path}: row {i + 2} not finite: {row!r}")
+    return x, y
+
+
+def read_timeseries_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    t, v = read_two_column_csv(path, "time_s,value")
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTimeError(f"{path}: time_s must be strictly increasing")
     return t, v

@@ -1,10 +1,16 @@
 """End-to-end video -> heart-rate orchestration.
 
-One run slices the recording into overlapping analysis windows, builds a
-pulse waveform per window with the configured combination method, and
-reduces the per-window rates to a single video-level estimate. The grid
-methods re-anchor the cell grid to the face bbox at the start of every
-window so slow drift does not smear cells across face regions.
+One run slices the recording into overlapping analysis windows, pools each
+window's masked pixels with the configured combination method, and reduces
+the per-window rates to a single video-level estimate. The grid methods
+re-anchor the cell grid to the face bbox at the start of every window so
+slow drift does not smear cells across face regions.
+
+Windows are the rows of one block, as grid cells are: every window has the
+same number of frames, so the pooled RGB traces of aggregate and proposed,
+(n_windows, n, 3), go through one chrom_rows call, and the pulse
+waveforms of all three methods, (n_windows, n), through one
+estimate_video_hr periodogram.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chrom import chrom
+from .chrom import chrom_rows
 from .combine import (
     combine_benchmark_snr,
     combine_proposed,
@@ -29,7 +35,7 @@ from .diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from .errors import UsageError
+from .errors import NoWindowsError, UsageError, ZeroChannelMeanError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
 from .roi import build_grid, build_mask
@@ -78,33 +84,44 @@ def run_pipeline(
     masks = build_mask(seq, sidecar)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
+    if not slices:
+        raise NoWindowsError("no analysis windows fit in the recording")
 
     lum = None
     diffuse = None
     if cfg.method == "proposed":
         lum, diffuse = diffuse_luminance_stack(seq.frames, cfg.diffuse_estimator, keep_diffuse)
 
-    waves: list[PulseWaveform] = []
+    rows: list[np.ndarray] = []
     weight_log: list[dict] = []
     for start_s, sl in zip(plan.starts, slices):
         fw, mw = seq.frames[sl], masks[sl]
         if cfg.method == "aggregate":
-            waves.append(chrom(facial_aggregate(fw, mw, seq.fps)))
+            rows.append(facial_aggregate(fw, mw, seq.fps).samples)
             continue
         grid = build_grid(sidecar.records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
         traces = grid_traces(fw, mw, grid, seq.fps)
         w_snr = snr_weights(traces, cfg.snr_halfwidth_hz, cfg.passband_hz)
         if cfg.method == "snr":
-            waves.append(combine_benchmark_snr(traces, w_snr))
+            rows.append(combine_benchmark_snr(traces, w_snr).samples)
             weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
         else:
             w_dif = diffuse_weights(lum[sl], grid, mw)
-            waves.append(chrom(combine_proposed(traces, w_snr, w_dif)))
+            rows.append(combine_proposed(traces, w_snr, w_dif).samples)
             weight_log.append(
                 {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}
             )
 
-    est = estimate_video_hr(waves, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
+    waves = np.stack(rows)
+    if cfg.method != "snr":
+        waves, ok = chrom_rows(waves, seq.fps)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ZeroChannelMeanError(
+                f"window {i} (start {plan.starts[i]} s): "
+                f"channel means {rows[i].mean(axis=0)} must all be positive"
+            )
+    est = estimate_video_hr(waves, seq.fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "method": cfg.method,
@@ -118,7 +135,7 @@ def run_pipeline(
     }
     return PipelineResult(
         report=report,
-        waveforms=waves,
+        waveforms=[PulseWaveform(w, seq.fps) for w in waves],
         window_weights=weight_log,
         diffuse_frames=diffuse,
     )

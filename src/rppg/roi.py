@@ -4,9 +4,11 @@ The skin mask for a frame is the face bbox interior minus the eye and mouth
 polygon interiors. Polygon membership is decided with the even-odd rule,
 evaluated at pixel centers (x + 0.5, y + 0.5).
 
-The grid tiles the bbox row-major into rows x cols rectangular cells; when
-the bbox does not divide evenly the last row/column absorbs the remainder,
-so the cells always cover the bbox exactly.
+The grid tiles the bbox row-major into rows x cols rectangular cells,
+stored as their row and column edges: x0 + [0, b, 2b, ..., bw] with
+b = bw // cols, and likewise for y. When the bbox does not divide evenly
+the last row/column absorbs the remainder, so the cells always cover the
+bbox exactly.
 """
 
 from __future__ import annotations
@@ -66,26 +68,17 @@ def build_mask(seq: FrameSequence, sidecar: LandmarkSidecar) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Row-major cells over a bbox. cell_rects: (rows*cols, 4) of x, y, w, h."""
+    """Row-major cells over a bbox. edges is (y_edges, x_edges): cell row r
+    spans [y_edges[r], y_edges[r + 1]) and column c spans
+    [x_edges[c], x_edges[c + 1]), in frame pixels that may lie outside the
+    frame."""
 
-    rows: int
-    cols: int
-    bbox: tuple[int, int, int, int]
-    cell_rects: np.ndarray
+    edges: tuple[np.ndarray, np.ndarray]
 
     @property
     def n_cells(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y_edges, x_edges): cell row r spans [y_edges[r], y_edges[r + 1]) and
-        column c spans [x_edges[c], x_edges[c + 1]), in frame pixels that may
-        lie outside the frame."""
-        rects = self.cell_rects
-        y_edges = np.append(rects[:: self.cols, 1], rects[-1, 1] + rects[-1, 3])
-        x_edges = np.append(rects[: self.cols, 0], rects[-1, 0] + rects[-1, 2])
-        return y_edges, x_edges
+        y_edges, x_edges = self.edges
+        return (y_edges.size - 1) * (x_edges.size - 1)
 
 
 def build_grid(bbox, rows: int, cols: int) -> GridSpec:
@@ -97,16 +90,6 @@ def build_grid(bbox, rows: int, cols: int) -> GridSpec:
             f"bbox {bw}x{bh} cannot host a {rows}x{cols} grid "
             "(every cell needs at least one pixel)"
         )
-    base_w, rem_w = divmod(bw, cols)
-    base_h, rem_h = divmod(bh, rows)
-    widths = [base_w] * (cols - 1) + [base_w + rem_w]
-    heights = [base_h] * (rows - 1) + [base_h + rem_h]
-    xs = x0 + np.concatenate([[0], np.cumsum(widths)[:-1]])
-    ys = y0 + np.concatenate([[0], np.cumsum(heights)[:-1]])
-    rects = np.empty((rows * cols, 4), dtype=np.int64)
-    k = 0
-    for r in range(rows):
-        for c in range(cols):
-            rects[k] = (xs[c], ys[r], widths[c], heights[r])
-            k += 1
-    return GridSpec(rows=rows, cols=cols, bbox=(x0, y0, bw, bh), cell_rects=rects)
+    y_edges = y0 + np.append(np.arange(rows) * (bh // rows), bh)
+    x_edges = x0 + np.append(np.arange(cols) * (bw // cols), bw)
+    return GridSpec(edges=(y_edges, x_edges))

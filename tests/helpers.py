@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from rppg.chrom import chrom_rows
+from rppg.errors import ZeroChannelMeanError
 from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
 from rppg.roi import GridSpec
+from rppg.signals import PulseWaveform, RgbTrace
 
 
 def flat_sequence(n=64, h=12, w=16, fps=16.0, level=(120, 90, 70)) -> FrameSequence:
@@ -70,6 +73,18 @@ def label_map(grid: GridSpec, width: int, height: int) -> np.ndarray:
     Cells are clipped to the frame on every side. The loop oracles index
     pixels by cell with it."""
     labels = np.full((height, width), -1, dtype=np.int32)
-    for i, (x, y, w, h) in enumerate(grid.cell_rects):
-        labels[max(y, 0) : max(y + h, 0), max(x, 0) : max(x + w, 0)] = i
+    y_edges, x_edges = np.maximum(grid.edges[0], 0), np.maximum(grid.edges[1], 0)
+    cols = x_edges.size - 1
+    for r in range(y_edges.size - 1):
+        for c in range(cols):
+            labels[y_edges[r] : y_edges[r + 1], x_edges[c] : x_edges[c + 1]] = r * cols + c
     return labels
+
+
+def chrom_one(trace: RgbTrace) -> PulseWaveform:
+    """CHROM of one RGB trace: the one-row chrom_rows call. A zero channel
+    mean raises, as the pipeline does for a window."""
+    waves, ok = chrom_rows(trace.samples[None], trace.fps)
+    if not ok[0]:
+        raise ZeroChannelMeanError(f"channel means {trace.samples.mean(axis=0)}")
+    return PulseWaveform(waves[0], trace.fps)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rppg.ingest import (
     LandmarkRecord,
     LandmarkSidecar,
     load_frame_sequence,
+    write_frame_dir,
     write_landmarks,
     write_raw_stream,
 )
@@ -207,6 +209,34 @@ def test_malformed_inputs_exit_4(dataset, tmp_path):
     assert main(["estimate", "--frames", dataset["frames"], "--landmarks", str(bad_marks)]) == 4
 
 
+def frame_dir_claiming(tmp_path, size, **manifest):
+    """A two-frame PPM directory whose manifest.json is overridden by manifest."""
+    d = tmp_path / "frames"
+    write_frame_dir(pulsed_sequence(n=2, h=size, w=size), d)
+    claimed = {**json.loads((d / "manifest.json").read_text()), **manifest}
+    (d / "manifest.json").write_text(json.dumps(claimed))
+    return str(d)
+
+
+def test_frame_dir_manifest_without_positive_size_exits_4(dataset, tmp_path):
+    for bad in ({"width": -4}, {"height": 0}):
+        frames = frame_dir_claiming(tmp_path, 8, **bad)
+        assert main(["estimate", "--frames", frames, "--landmarks", dataset["landmarks"]]) == 4
+
+
+def test_frame_dir_manifest_count_past_the_files_exits_3_before_allocating(dataset, tmp_path):
+    count = 1_000_000_000
+    frames = frame_dir_claiming(tmp_path, 96, count=count)
+    tracemalloc.start()
+    try:
+        rc = main(["estimate", "--frames", frames, "--landmarks", dataset["landmarks"]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 16 << 20 < count * 96 * 96 * 3  # the manifest claims ~25 TiB
+
+
 def test_usage_errors_exit_2(dataset, tmp_path):
     assert main(run_estimate(dataset, "--notch-hz", "abc")) == 2
     assert main(run_estimate(dataset, "--method", "snr", "--snr-halfwidth-hz", "nan")) == 2
@@ -248,6 +278,11 @@ def test_empty_region_exits_6(dataset, tmp_path):
 def test_signal_error_exits_7(dataset):
     # 20 s windows never fit a 12 s recording
     assert main(run_estimate(dataset, "--window-s", "20")) == 7
+
+
+@pytest.mark.parametrize("method", ["aggregate", "snr"])
+def test_window_longer_than_the_recording_exits_7_for_every_method(dataset, method):
+    assert main(run_estimate(dataset, "--method", method, "--window-s", "20")) == 7
 
 
 def test_model_error_exits_8():
@@ -433,6 +468,23 @@ def test_evaluate_error_paths(manifest_dir, tmp_path):
     )
     assert rc == 2
 
+    # report fields of the wrong JSON type: method a string, video_bpm a finite number
+    good = json.loads((manifest_dir / "aggregate.json").read_text())
+    header = "report,ground_truth,skin_tone,condition,viewpoint\n"
+    for i, field in enumerate(
+        [{"method": ["aggregate"]}, {"method": 7}, {"video_bpm": True},
+         {"video_bpm": "72.0"}, {"video_bpm": None}, {"video_bpm": 10**400},
+         {"video_bpm": math.nan}, {"video_bpm": math.inf}]
+    ):
+        (manifest_dir / f"typed{i}.json").write_text(json.dumps({**good, **field}))
+        typed = manifest_dir / f"typed{i}.csv"
+        # the bad report sits next to a good one, as in a cohort
+        typed.write_text(
+            header + "aggregate.json,hr.csv,light,room,front\n"
+            f"typed{i}.json,hr.csv,light,room,front\n"
+        )
+        assert main(["evaluate", "--manifest", str(typed)]) == 4, field
+
 
 def test_evaluate_rejects_out_of_range_ground_truth(manifest_dir):
     # a 0 bpm ground truth fails the same range check as ingest.load_ground_truth
@@ -482,6 +534,28 @@ def test_biophys_custom_spectra(tmp_path, capsys):
     assert main(["biophys", "--table", "melanin", "--sensitivities", "a.csv,b.csv"]) == 2
     assert main(["biophys", "--table", "melanin", "--points", "0"]) == 2
     assert main(["biophys", "--table", "pixel-snr", "--level-min", "9", "--level-max", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"wavelength_nm,value\n400,0.5,9\n700,1.5\n",  # three fields
+        b"wavelength_nm,value\n400,bright\n700,1.5\n",  # not a number
+        b"wavelength_nm,value\n",  # header only
+        b"wavelength_nm,value\n400,nan\n700,1.5\n",
+        b"400,0.5\n700,1.5\n",  # no header
+        b"\xff\xfe\x00\x01",  # not text
+    ],
+)
+def test_biophys_malformed_spectrum_csv_exits_4(tmp_path, data):
+    good = tmp_path / "good.csv"
+    good.write_text("wavelength_nm,value\n400,1.0\n700,1.0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    table = ["biophys", "--table", "melanin", "--points", "3"]
+    assert main([*table, "--illuminant", str(bad)]) == 4
+    assert main([*table, "--sensitivities", f"{good},{bad},{good}"]) == 4
+    assert main([*table, "--sensitivities", f"{good},{good},{good}"]) == 0
 
 
 def test_biophys_step_below_the_floor_exits_2(capsys):

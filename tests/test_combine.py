@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rppg.biophysics import CameraNoiseParams, SkinParams
-from rppg.chrom import chrom, chrom_rows
+from rppg.chrom import chrom_rows
 from rppg.combine import (
     combine_benchmark_snr,
     combine_proposed,
@@ -26,7 +26,7 @@ from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import RgbTrace, zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
-from helpers import label_map
+from helpers import chrom_one, label_map
 
 
 def cell_trace(traces, i):
@@ -207,7 +207,7 @@ def test_snr_weights_match_direct_per_cell_snr():
     w = snr_weights(traces)
     raw = np.zeros(4)
     for i in range(4):
-        wave = chrom(cell_trace(traces, i))
+        wave = chrom_one(cell_trace(traces, i))
         freqs, power = periodogram(wave.samples, wave.fps)
         band = (freqs >= 0.7) & (freqs <= 3.5)
         peak = float(freqs[band][np.argmax(power[band])])
@@ -253,7 +253,7 @@ def test_combine_benchmark_is_weighted_waveform_mean():
     wave = combine_benchmark_snr(traces, weights)
     expect = np.zeros(frames.shape[0])
     for i, wi in enumerate(weights):
-        expect += wi * chrom(cell_trace(traces, i)).samples
+        expect += wi * chrom_one(cell_trace(traces, i)).samples
     assert np.allclose(wave.samples, zero_mean(expect), atol=1e-12)
     assert wave.fps == fps
 
@@ -277,7 +277,7 @@ def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
     w = np.zeros(traces.n_cells)
     for i in np.nonzero(traces.live)[0]:
         try:
-            wave = chrom(cell_trace(traces, i))
+            wave = chrom_one(cell_trace(traces, i))
         except ZeroChannelMeanError:
             continue
         freqs, power = periodogram(wave.samples, wave.fps)
@@ -300,7 +300,7 @@ def loop_combine_benchmark_snr(traces, weights):
     """Reference: a second CHROM pass per positive-weight cell."""
     acc = np.zeros(traces.samples.shape[1])
     for i in np.nonzero(weights > 0)[0]:
-        acc += weights[i] * chrom(cell_trace(traces, i)).samples
+        acc += weights[i] * chrom_one(cell_trace(traces, i)).samples
     return zero_mean(acc)
 
 
@@ -377,9 +377,7 @@ def test_chrom_is_row_zero_of_batched_chrom():
     waves, ok = chrom_rows(traces.samples, fps)
     assert ok.all()
     for i in range(traces.n_cells):
-        trace = cell_trace(traces, i)
-        assert np.array_equal(chrom(trace).samples, chrom_rows(trace.samples[None], fps)[0][0])
-        assert np.array_equal(chrom(trace).samples, waves[i])
+        assert np.array_equal(chrom_one(cell_trace(traces, i)).samples, waves[i])
 
 
 # ---------------------------------------------------------------------------
@@ -433,5 +431,5 @@ def test_single_cell_grid_reduces_to_aggregate():
         combine_proposed(traces, one, one).samples, agg.samples, atol=1e-12
     )
     assert np.allclose(
-        combine_benchmark_snr(traces, one).samples, chrom(agg).samples, atol=1e-12
+        combine_benchmark_snr(traces, one).samples, chrom_one(agg).samples, atol=1e-12
     )

@@ -33,6 +33,11 @@ def tone(hz, n=300, fps=30.0, amp=1.0, phase=0.0):
     return PulseWaveform(samples=zero_mean(x), fps=fps)
 
 
+def rows(*waves):
+    """The (n_windows, n) block estimate_video_hr takes."""
+    return np.stack([w.samples for w in waves])
+
+
 def noise_wave(seed, n=300, fps=30.0, sigma=1.0):
     x = sigma * np.random.default_rng(seed).standard_normal(n)
     return PulseWaveform(samples=zero_mean(x), fps=fps)
@@ -347,20 +352,20 @@ def test_frame_slices_sweep_equal_lengths_inside_the_recording():
 
 
 def test_estimate_video_hr_means_windows():
-    est = estimate_video_hr([tone(1.2, n=600), tone(1.2, n=600)])
+    est = estimate_video_hr(rows(tone(1.2, n=600), tone(1.2, n=600)), 30.0)
     assert est.video_bpm == pytest.approx(np.mean(est.window_bpm))
     assert est.video_bpm == pytest.approx(72.0, abs=0.5)
 
 
 def test_estimate_video_hr_two_window_mean():
-    est = estimate_video_hr([tone(70 / 60, n=600), tone(74 / 60, n=600)])
+    est = estimate_video_hr(rows(tone(70 / 60, n=600), tone(74 / 60, n=600)), 30.0)
     assert est.video_bpm == pytest.approx(np.mean(est.window_bpm))
     assert est.video_bpm == pytest.approx(72.0, abs=0.5)
 
 
 def test_estimate_video_hr_no_windows():
     with pytest.raises(NoWindowsError):
-        estimate_video_hr([])
+        estimate_video_hr(np.empty((0, 300)), 30.0)
 
 
 def test_estimate_video_hr_applies_notch():
@@ -369,8 +374,8 @@ def test_estimate_video_hr_applies_notch():
     t = np.arange(2400) / 30.0
     x = 3.0 * np.sin(2 * np.pi * 1.0 * t) + 1.0 * np.sin(2 * np.pi * 1.5 * t)
     wave = PulseWaveform(samples=zero_mean(x), fps=30.0)
-    plain = estimate_video_hr([wave]).video_bpm
-    notched = estimate_video_hr([wave], notch_hz=[1.0]).video_bpm
+    plain = estimate_video_hr(rows(wave), 30.0).video_bpm
+    notched = estimate_video_hr(rows(wave), 30.0, notch_hz=[1.0]).video_bpm
     assert plain == pytest.approx(60.0, abs=0.5)
     assert notched == pytest.approx(90.0, abs=0.5)
 
@@ -406,19 +411,19 @@ def per_window_oracle(waveforms, notch_hz):
     return bpm
 
 
-def mixed_windows():
-    """24 windows: two frame rates, and at each a full-length window run plus
-    one window a frame short, as the last window of a recording can be."""
+def windows_at(fps, n):
+    """12 equal-length windows at one frame rate, as a recording's are."""
+    t = np.arange(n) / fps
     waves = []
-    for fps, n in ((30.0, 300), (24.0, 240)):
-        for k in range(12):
-            length = n - 1 if k == 11 else n
-            t = np.arange(length) / fps
-            hz = 0.8 + 0.2 * k
-            x = np.sin(2 * np.pi * hz * t) + 0.5 * np.sin(2 * np.pi * 1.25 * t)
-            x += 0.4 * np.random.default_rng(k).standard_normal(length)
-            waves.append(PulseWaveform(samples=zero_mean(x), fps=fps))
+    for k in range(12):
+        hz = 0.8 + 0.2 * k
+        x = np.sin(2 * np.pi * hz * t) + 0.5 * np.sin(2 * np.pi * 1.25 * t)
+        x += 0.4 * np.random.default_rng(k).standard_normal(n)
+        waves.append(PulseWaveform(samples=zero_mean(x), fps=fps))
     return waves
+
+
+RECORDINGS = ((30.0, 300), (24.0, 240))
 
 
 @pytest.mark.parametrize(
@@ -432,18 +437,20 @@ def mixed_windows():
     ],
 )
 def test_estimate_video_hr_matches_per_window_oracle(notch_hz):
-    waves = mixed_windows()
-    est = estimate_video_hr(waves, notch_hz)
-    expect = per_window_oracle(waves, notch_hz)
-    assert list(est.window_bpm) == expect
-    assert est.video_bpm == float(np.mean(expect))
+    for fps, n in RECORDINGS:
+        waves = windows_at(fps, n)
+        est = estimate_video_hr(rows(*waves), fps, notch_hz)
+        expect = per_window_oracle(waves, notch_hz)
+        assert list(est.window_bpm) == expect
+        assert est.video_bpm == float(np.mean(expect))
 
 
 def test_estimate_video_hr_notch_covering_the_whole_spectrum(monkeypatch):
     from rppg import heartrate
 
     monkeypatch.setattr(heartrate, "NOTCH_HALFWIDTH_HZ", 100.0)
-    waves = mixed_windows()
-    est = estimate_video_hr(waves, (5.0,))
-    assert list(est.window_bpm) == per_window_oracle(waves, (5.0,))
-    assert list(est.window_bpm) == per_window_oracle(waves, ())
+    for fps, n in RECORDINGS:
+        waves = windows_at(fps, n)
+        est = estimate_video_hr(rows(*waves), fps, (5.0,))
+        assert list(est.window_bpm) == per_window_oracle(waves, (5.0,))
+        assert list(est.window_bpm) == per_window_oracle(waves, ())

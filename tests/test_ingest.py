@@ -382,6 +382,13 @@ def test_timeseries_rejects_bad_files(tmp_path):
     p.write_text("time_s,value\n0,x\n")
     with pytest.raises(errors.DataFormatError):
         read_timeseries_csv(p)
+    for rows in ("0,nan\n", "0,1\ninf,2\n", "-inf,1\n0,2\n"):
+        p.write_text("time_s,value\n" + rows)
+        with pytest.raises(errors.DataFormatError, match="not finite"):
+            read_timeseries_csv(p)
+    p.write_bytes(b"time_s,value\n0,\xff\n")
+    with pytest.raises(errors.DataFormatError, match="not a text file"):
+        read_timeseries_csv(p)
 
 
 def test_ground_truth_loading(tmp_path):

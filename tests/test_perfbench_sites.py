@@ -24,6 +24,8 @@ REMOVED = {
     ("rppg.cli", "_load_manifest"),
     # windows take one batched periodogram, as the cells do
     ("rppg.heartrate", "psd"),
+    # windows are the rows of one chrom_rows call, as the cells are
+    ("rppg.pipeline", "chrom"),
 }
 
 

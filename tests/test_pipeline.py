@@ -12,11 +12,14 @@ from rppg.diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from rppg.errors import UsageError
+from rppg import pipeline
+from rppg.chrom import chrom_rows
+from rppg.combine import facial_aggregate
+from rppg.errors import UsageError, ZeroChannelMeanError
 from rppg.pipeline import diffuse_luminance_stack, run_pipeline
 from rppg.synth import SynthScene, render
 
-from helpers import mixed_frames
+from helpers import full_sidecar, mixed_frames, pulsed_sequence
 
 
 def make_scene(**kw):
@@ -114,6 +117,44 @@ def test_weight_logs_per_method():
     assert set(entry) == {"start_s", "snr", "diffuse"}
     assert sum(entry["diffuse"]) == pytest.approx(1.0)
     assert all(v >= 0.0 for v in entry["diffuse"])
+
+
+@pytest.mark.parametrize("method", ["aggregate", "snr", "proposed"])
+def test_zero_blue_channel_raises_zero_channel_mean(method):
+    seq = pulsed_sequence(base=(150, 110, 0), amp=(4, 6, 0))
+    cfg = RunConfig(method=method, grid_rows=2, grid_cols=2, diffuse_estimator="min_subtract")
+    with pytest.raises(ZeroChannelMeanError):
+        run_pipeline(seq, full_sidecar(seq), cfg)
+
+
+@pytest.mark.parametrize("method", ["aggregate", "proposed"])
+def test_one_chrom_rows_call_per_recording(monkeypatch, method):
+    seq, sidecar, _ = render(make_scene(duration_s=20.0))
+    calls = []
+
+    def counted(samples, fps):
+        calls.append(np.shape(samples))
+        return chrom_rows(samples, fps)
+
+    monkeypatch.setattr(pipeline, "chrom_rows", counted)
+    cfg = RunConfig(method=method, grid_rows=2, grid_cols=2, diffuse_estimator="min_subtract")
+    result = run_pipeline(seq, sidecar, cfg)
+    assert calls == [(3, 300, 3)]
+    assert len(result.waveforms) == 3
+
+
+@pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0])
+def test_window_rows_equal_one_row_chrom_calls(fps):
+    seq = pulsed_sequence(n=int(30 * fps), fps=fps, noise=3.0, seed=int(fps))
+    sidecar = full_sidecar(seq)
+    result = run_pipeline(seq, sidecar, RunConfig(method="aggregate", hop_s=1.0))
+    slices = pipeline.plan_windows(seq.duration_s, 10.0, 1.0).frame_slices(fps, seq.count)
+    assert len(slices) == len(result.waveforms) >= 20
+    masks = np.ones(seq.frames.shape[:3], dtype=bool)
+    for sl, wave in zip(slices, result.waveforms):
+        trace = facial_aggregate(seq.frames[sl], masks[sl], fps)
+        one, ok = chrom_rows(trace.samples[None], fps)
+        assert ok[0] and np.array_equal(wave.samples, one[0])
 
 
 def test_single_cell_grid_reduces_to_aggregation():

@@ -96,17 +96,17 @@ def test_build_mask_subtracts_polygons():
 def test_build_grid_partitions_bbox():
     grid = build_grid((3, 2, 10, 7), rows=3, cols=4)
     assert grid.n_cells == 12
-    rects = grid.cell_rects
+    y_edges, x_edges = grid.edges
+    heights, widths = np.diff(y_edges), np.diff(x_edges)
     # cells tile the bbox exactly: total area matches, no overlap
-    areas = rects[:, 2] * rects[:, 3]
-    assert areas.sum() == 70
+    assert np.outer(heights, widths).sum() == 70
     labels = label_map(grid, 20, 15)
     inside = labels >= 0
     assert inside.sum() == 70
+    assert np.array_equal(np.bincount(labels[inside]), np.outer(heights, widths).ravel())
     # remainder columns/rows absorbed by the last cell in each direction
-    assert rects[:, 2].max() == 2 + 10 % 4
-    assert rects[:, 3].max() == 2 + 7 % 3
-    y_edges, x_edges = grid.edges
+    assert widths.max() == widths[-1] == 2 + 10 % 4
+    assert heights.max() == heights[-1] == 2 + 7 % 3
     assert y_edges.tolist() == [2, 4, 6, 9]
     assert x_edges.tolist() == [3, 5, 7, 9, 13]
 
