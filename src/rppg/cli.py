@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
@@ -40,7 +41,7 @@ from .evaluation import (
     report_to_csv,
     scatter_csv,
 )
-from .ingest import FrameSequence, load_frame_sequence, load_landmarks, write_frame_dir
+from .ingest import FrameDirWriter, load_frame_sequence, load_landmarks
 from .pipeline import run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
 
@@ -140,15 +141,23 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError("--dump-diffuse requires --method proposed")
     seq = load_frame_sequence(args.frames)
     sidecar = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
-    result = run_pipeline(seq, sidecar, cfg, keep_diffuse=args.dump_diffuse is not None)
-    _emit(_json_dumps(result.report), args.out)
-    if args.dump_weights is not None:
-        _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))
+    dump = on_diffuse = None
     if args.dump_diffuse is not None:
         import numpy as np
 
-        frames = np.clip(np.rint(result.diffuse_frames), 0, 255).astype(np.uint8)
-        write_frame_dir(FrameSequence(frames=frames, fps=seq.fps), Path(args.dump_diffuse))
+        # frames are written as the pass makes them; the manifest only
+        # once the run has succeeded
+        dump = FrameDirWriter(Path(args.dump_diffuse), seq.fps, seq.width, seq.height)
+
+        def on_diffuse(diffuse):
+            dump.write(np.clip(np.rint(diffuse), 0, 255).astype(np.uint8))
+
+    result = run_pipeline(seq, sidecar, cfg, on_diffuse=on_diffuse)
+    _emit(_json_dumps(result.report), args.out)
+    if args.dump_weights is not None:
+        _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))
+    if dump is not None:
+        dump.finish()
     return 0
 
 
@@ -311,7 +320,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc malloc parameters (malloc.h) and the values pinned for a CLI run.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep the memory a run frees for reuse.
+
+    A pass over a recording allocates and frees the same chunk- and
+    window-sized arrays again and again. Under glibc's dynamic thresholds
+    those of a few hundred KiB or more are mapped and unmapped each time,
+    or trimmed off the heap, and every reuse faults its pages back in.
+    Pinning the thresholds at the largest value glibc would pick on its own
+    keeps them on the heap; the peak memory of a run is unchanged. No-op
+    where there is no glibc mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,9 +15,13 @@ The periodogram is heartrate's, the one the window rates are read from.
 
 This module owns the pixel-to-cell reduction and every cell weight. One
 reducer, masked_cell_sums, pools masked pixels into cells by exact block
-sums: aggregate is its one-cell case spanning the frame, grid_traces its
-per-frame mean over the grid cells, and diffuse_weights its sum of the
-diffuse luminance over a window.
+sums, per frame: facial_aggregate takes the sums of its one-cell case
+spanning the frame, grid_traces the per-frame mean over the grid cells, and
+diffuse_weights the sum of the diffuse luminance over a window. Per-frame
+sums do not depend on which other frames share the call, so a window's sums
+can be gathered chunk by chunk and concatenated; the three consumers take
+a window's per-frame sums and counts, (t, rows, cols, ...) and
+(t, rows, cols), not its pixels.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .errors import (
     ZeroChannelMeanError,
 )
 from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
-from .roi import GridSpec
 from .signals import PulseWaveform, RgbTrace, zero_mean
 
 WEIGHT_EPS = 1e-12
@@ -86,10 +89,9 @@ def masked_cell_sums(
     return sums, counts
 
 
-def facial_aggregate(frames: np.ndarray, masks: np.ndarray, fps: float) -> RgbTrace:
-    """Mean RGB over all masked pixels, per frame: one cell spanning the frame."""
-    masks = np.asarray(masks, dtype=bool)
-    sums, counts = masked_cell_sums(frames, masks, [0, masks.shape[1]], [0, masks.shape[2]])
+def facial_aggregate(sums: np.ndarray, counts: np.ndarray, fps: float) -> RgbTrace:
+    """Mean RGB over all masked pixels, per frame, from masked_cell_sums's
+    sums (t, 1, 1, 3) and counts (t, 1, 1) of one cell spanning the frame."""
     empty = np.flatnonzero(counts[:, 0, 0] == 0)
     if empty.size:
         raise EmptyRegionError(f"frame {empty[0]}: mask selects no pixels")
@@ -121,14 +123,15 @@ class GridTraces:
         return chrom_rows(self.samples, self.fps)
 
 
-def grid_traces(frames: np.ndarray, masks: np.ndarray, grid: GridSpec, fps: float) -> GridTraces:
-    """Mean masked RGB per grid cell and frame (masked_cell_sums over grid.edges)."""
-    sums, counts = masked_cell_sums(frames, masks, *grid.edges)
-    n_frames = counts.shape[0]
-    sums = np.moveaxis(sums.reshape(n_frames, grid.n_cells, 3), 0, 1)
-    counts = counts.reshape(n_frames, grid.n_cells).T
+def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
+    """Mean masked RGB per grid cell and frame, from masked_cell_sums's sums
+    (t, rows, cols, 3) and counts (t, rows, cols) over a grid's edges."""
+    n_frames, rows, cols = counts.shape
+    n_cells = rows * cols
+    sums = np.moveaxis(sums.reshape(n_frames, n_cells, 3), 0, 1)
+    counts = counts.reshape(n_frames, n_cells).T
     filled = counts > 0
-    samples = np.zeros((grid.n_cells, n_frames, 3))
+    samples = np.zeros((n_cells, n_frames, 3))
     np.divide(sums, counts[..., None], out=samples, where=filled[..., None])
     for i in np.flatnonzero(~filled.all(axis=1)):
         # carry the last filled sample forward (zeros before the first one)
@@ -174,16 +177,17 @@ def snr_weights(
     return w / total
 
 
-def diffuse_weights(lum: np.ndarray, grid: GridSpec, masks: np.ndarray) -> np.ndarray:
+def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cell diffuse-strength weights, normalized to sum to one.
 
-    weight(cell) is the mean diffuse luminance lum (t, h, w), (R + G + B) / 3
-    of the diffuse frames, over all (frame, masked pixel) pairs that fall in
-    the cell; cells that never see a masked pixel get weight zero.
+    weight(cell) is the mean diffuse luminance, (R + G + B) / 3 of the
+    diffuse frames, over all (frame, masked pixel) pairs that fall in the
+    cell, from masked_cell_sums's per-frame luminance sums (t, rows, cols)
+    and counts (t, rows, cols); cells that never see a masked pixel get
+    weight zero.
     """
-    if np.shape(lum) != np.shape(masks):
-        raise ValueError(f"luminance {np.shape(lum)} and masks {np.shape(masks)} disagree")
-    sums, counts = masked_cell_sums(lum, masks, *grid.edges)
+    if np.shape(sums) != np.shape(counts):
+        raise ValueError(f"sums {np.shape(sums)} and counts {np.shape(counts)} disagree")
     sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()
     if counts.sum() == 0:

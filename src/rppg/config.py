@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MissingInputError, UsageError
+from .ingest import read_text
 
 METHODS = ("aggregate", "snr", "proposed")
 DIFFUSE_ESTIMATORS = ("bilateral", "min_subtract")
@@ -113,7 +114,7 @@ def load_run_config(path: Path | None, overrides: dict | None = None) -> RunConf
             raise MissingInputError(f"{path}: config file not found")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read_string(path.read_text())
+            parser.read_string(read_text(path))
         except configparser.Error as exc:
             raise UsageError(f"{path}: {exc}") from exc
         for section in parser.sections():

@@ -54,10 +54,12 @@ DARK_FLOOR = 1e-6
 CHUNK_PLANE_BYTES = 160 * 1024
 
 
-def frame_chunks(n_frames: int, height: int, width: int) -> list[slice]:
-    """Slices over n_frames frames, each holding at most CHUNK_PLANE_BYTES of
+def frame_chunks(
+    n_frames: int, height: int, width: int, plane_bytes: int = CHUNK_PLANE_BYTES
+) -> list[slice]:
+    """Slices over n_frames frames, each holding at most plane_bytes of
     float32 (h, w) planes and at least one frame."""
-    step = max(1, CHUNK_PLANE_BYTES // (4 * height * width))
+    step = max(1, plane_bytes // (4 * height * width))
     return [slice(start, start + step) for start in range(0, n_frames, step)]
 
 

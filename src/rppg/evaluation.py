@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, EmptyFileError, LengthMismatchError, MissingInputError
-from .ingest import load_ground_truth
+from .ingest import load_ground_truth, read_text
 
 LOA_FACTOR = 1.96
 
@@ -100,7 +100,7 @@ def load_manifest(path: Path) -> list[CohortRecord]:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"{path}: manifest not found")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty manifest")
     header = tuple(col.strip() for col in lines[0].split(","))
@@ -119,7 +119,7 @@ def load_manifest(path: Path) -> list[CohortRecord]:
         if not report_path.exists():
             raise MissingInputError(f"{path}:{ln_no}: report {report_path} not found")
         try:
-            report = json.loads(report_path.read_text())
+            report = json.loads(read_text(report_path))
             method, est = report["method"], report["video_bpm"]
             # a JSON number: bools and numeric strings do not count
             finite = type(est) in (int, float) and math.isfinite(est)

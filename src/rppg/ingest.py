@@ -9,6 +9,15 @@ ever needed:
   little-endian u32 width, height, frame count, fps in millihertz) followed
   by count*width*height*3 interleaved RGB bytes.
 
+Loading checks a recording's header and size (for a frame directory: its
+manifest, and that its first and last frames exist at the stated size) but
+reads no pixels: FrameSequence.frames is then a FrameReader, which reads
+frames[a:b] from disk when asked, so a pass over the recording in chunks
+holds one chunk at a time. A frame-directory frame that is missing or
+mis-sized in mid-sequence is found when its chunk is read. Frames rendered
+in memory stay a plain ndarray; both answer frames[a:b] with a
+(b - a, h, w, 3) uint8 array.
+
 Landmarks ride in a JSON-lines sidecar, one record per frame:
 ``{"frame": i, "bbox": [x, y, w, h], "eyes": [[[x, y], ...], [...]],
 "mouth": [[x, y], ...]}``. Polygon vertex lists may be empty (no occluder),
@@ -24,11 +33,13 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .diffuse import frame_chunks
 from .errors import (
     CountMismatchError,
     DataFormatError,
@@ -51,14 +62,35 @@ HR_BPM_MAX = 240.0
 
 
 @dataclass(frozen=True)
-class FrameSequence:
-    """8-bit RGB frames with a constant frame rate. frames: (n, h, w, 3) uint8."""
+class FrameReader:
+    """Frames on disk, read on demand: frames[a:b] is read(a, b), a
+    (b - a, h, w, 3) uint8 array. Only step-1 slices are answered."""
 
-    frames: np.ndarray
+    shape: tuple[int, int, int, int]
+    read: Callable[[int, int], np.ndarray]
+    ndim = 4
+    dtype = np.dtype(np.uint8)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"frames on disk are read by [a:b] slices, not {key!r}")
+        start, stop, _ = key.indices(self.shape[0])
+        return self.read(start, max(start, stop))
+
+
+@dataclass(frozen=True)
+class FrameSequence:
+    """8-bit RGB frames with a constant frame rate. frames is an (n, h, w, 3)
+    uint8 ndarray or a FrameReader; frames[a:b] is an ndarray either way."""
+
+    frames: np.ndarray | FrameReader
     fps: float
 
     def __post_init__(self):
-        f = np.asarray(self.frames)
+        f = self.frames if isinstance(self.frames, FrameReader) else np.asarray(self.frames)
         if f.ndim != 4 or f.shape[3] != 3:
             raise DimensionMismatchError(f"frames must be (n, h, w, 3), got {f.shape}")
         if f.dtype != np.uint8:
@@ -120,6 +152,14 @@ class GroundTruth:
         return float(np.mean(self.hr_bpm))
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 text file's contents; other bytes raise DataFormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # PPM frames
 # ---------------------------------------------------------------------------
@@ -151,6 +191,8 @@ def read_ppm(path: Path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad PPM header tokens {tokens}") from exc
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{path}: PPM size {width}x{height} is not positive")
     if maxval != 255:
         raise DataFormatError(f"{path}: only 8-bit PPM supported (maxval {maxval})")
     need = width * height * 3
@@ -178,7 +220,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
     if not manifest_path.exists():
         raise MissingManifestError(f"{directory}: manifest.json not found")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(read_text(manifest_path))
         fps = float(manifest["fps"])
         width = int(manifest["width"])
         height = int(manifest["height"])
@@ -204,28 +246,45 @@ def load_frame_dir(directory: Path) -> FrameSequence:
             )
         return frame
 
-    # The files must back the manifest before (count, height, width, 3) is
-    # allocated: its first and last frames exist at that size.
+    def read(start: int, stop: int) -> np.ndarray:
+        frames = np.empty((stop - start, height, width, 3), dtype=np.uint8)
+        for j in range(stop - start):
+            frames[j] = read_frame(start + j)
+        return frames
+
+    # The files must back the manifest: its first and last frames exist at
+    # that size. The others are read with their chunk.
     for i in (0, count - 1):
         read_frame(i)
-    frames = np.empty((count, height, width, 3), dtype=np.uint8)
-    for i in range(count):
-        frames[i] = read_frame(i)
-    return FrameSequence(frames=frames, fps=fps)
+    return FrameSequence(frames=FrameReader((count, height, width, 3), read), fps=fps)
+
+
+class FrameDirWriter:
+    """Writes a frame directory chunk by chunk (write), then its manifest
+    (finish). A stale manifest is removed first, so a directory whose writer
+    did not finish does not load."""
+
+    def __init__(self, directory: Path, fps: float, width: int, height: int):
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / "manifest.json").unlink(missing_ok=True)
+        self.manifest = {"fps": fps, "width": width, "height": height, "count": 0}
+
+    def write(self, frames: np.ndarray) -> None:
+        for frame in frames:
+            write_ppm(frame, self.directory / _frame_name(self.manifest["count"]))
+            self.manifest["count"] += 1
+
+    def finish(self) -> None:
+        text = json.dumps(self.manifest, sort_keys=True)
+        (self.directory / "manifest.json").write_text(text)
 
 
 def write_frame_dir(seq: FrameSequence, directory: Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "fps": seq.fps,
-        "width": seq.width,
-        "height": seq.height,
-        "count": seq.count,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-    for i in range(seq.count):
-        write_ppm(seq.frames[i], directory / _frame_name(i))
+    writer = FrameDirWriter(directory, seq.fps, seq.width, seq.height)
+    for sl in frame_chunks(seq.count, seq.height, seq.width):
+        writer.write(seq.frames[sl])
+    writer.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +293,9 @@ def write_frame_dir(seq: FrameSequence, directory: Path) -> None:
 
 
 def load_raw_stream(path: Path) -> FrameSequence:
+    """A raw stream whose header and payload size agree; frames are read by
+    chunk with np.fromfile (not a memory map: mapped pages that a pass
+    touches would stay resident and count toward its peak)."""
     with open(path, "rb") as fh:
         header = fh.read(RAW_HEADER.size)
         if len(header) < RAW_HEADER.size:
@@ -249,12 +311,18 @@ def load_raw_stream(path: Path) -> FrameSequence:
             raise MalformedStreamError(
                 f"{path}: payload is {size} bytes, header implies {need}"
             )
-        frames = np.fromfile(fh, dtype=np.uint8, count=need)
-    if frames.size != need:
-        raise MalformedStreamError(
-            f"{path}: payload is {frames.size} bytes, header implies {need}"
-        )
-    return FrameSequence(frames=frames.reshape(count, height, width, 3), fps=fps_millihz / 1000.0)
+    frame_bytes = width * height * 3
+
+    def read(start: int, stop: int) -> np.ndarray:
+        want = (stop - start) * frame_bytes
+        offset = RAW_HEADER.size + start * frame_bytes
+        frames = np.fromfile(path, dtype=np.uint8, count=want, offset=offset)
+        if frames.size != want:
+            raise MalformedStreamError(f"{path}: payload ends before frame {stop}")
+        return frames.reshape(stop - start, height, width, 3)
+
+    shape = (count, height, width, 3)
+    return FrameSequence(frames=FrameReader(shape, read), fps=fps_millihz / 1000.0)
 
 
 def write_raw_stream(seq: FrameSequence, path: Path) -> None:
@@ -263,7 +331,8 @@ def write_raw_stream(seq: FrameSequence, path: Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(seq.frames).tobytes())
+        for sl in frame_chunks(seq.count, seq.height, seq.width):
+            fh.write(np.ascontiguousarray(seq.frames[sl]).tobytes())
 
 
 def load_frame_sequence(path: Path) -> FrameSequence:
@@ -329,7 +398,7 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
     if not path.exists():
         raise MissingInputError(f"{path}: no such file")
     records: dict[int, LandmarkRecord] = {}
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise EmptyFileError(f"{path}: no landmark records")
     for lineno, line in enumerate(lines, start=1):
@@ -400,11 +469,7 @@ def read_two_column_csv(path: Path, header: str) -> tuple[np.ndarray, np.ndarray
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"{path}: no such file")
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a text file: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != header:
         raise DataFormatError(f"{path}: first line must be the header {header!r}")
     rows = lines[1:]

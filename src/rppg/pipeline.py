@@ -1,20 +1,37 @@
-"""End-to-end video -> heart-rate orchestration.
+"""End-to-end video -> heart-rate orchestration, in one pass over the frames.
 
 One run slices the recording into overlapping analysis windows, pools each
 window's masked pixels with the configured combination method, and reduces
 the per-window rates to a single video-level estimate. The grid methods
 re-anchor the cell grid to the face bbox at the start of every window so
-slow drift does not smear cells across face regions.
+slow drift does not smear cells across face regions; every window's grid
+is built before any frame is read.
 
-Windows are the rows of one block, as grid cells are: every window has the
-same number of frames, so the pooled RGB traces of aggregate and proposed,
-(n_windows, n, 3), go through one chrom_rows call, and the pulse
-waveforms of all three methods, (n_windows, n), through one
-estimate_video_hr periodogram.
+The recording is read once, in chunks of PASS_PLANE_BYTES per float32 plane
+(diffuse.frame_chunks). For each chunk the pass builds the skin masks from
+the chunk's landmark records, and for proposed separates the diffuse frames
+and takes their luminance. masked_cell_sums then pools the chunk into the
+cells of every window that overlaps it, with that window's grid, and the
+per-frame sums and counts join the window's own list. Aggregate's one cell
+spans the frame, so each chunk is pooled once and its sums are shared by
+every window that contains it. As soon as a window's last frame has been
+read the window is finished (traces, weights, combination) and its sums
+are dropped. Peak memory is one chunk plus the per-frame cell sums of the
+windows open across it, whatever the length of the recording. Per-frame
+sums do not depend on how the frames are chunked, so every result is that
+of pooling each window whole.
+
+Windows are the rows of blocks, as grid cells are: every window has the
+same number of frames, so the pooled RGB traces of aggregate and proposed
+go through one chrom_rows call per WINDOW_BLOCK windows, (k, n, 3), and the
+pulse waveforms of all three methods through one estimate_video_hr
+periodogram per block, (k, n). Rows are independent, so the rates do not
+depend on the blocking; the video rate is the mean over every window.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +43,12 @@ from .combine import (
     diffuse_weights,
     facial_aggregate,
     grid_traces,
+    masked_cell_sums,
     snr_weights,
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
 from .diffuse import (
+    CHUNK_PLANE_BYTES,
     diffuse_luminance,
     estimate_diffuse_stack,
     frame_chunks,
@@ -38,8 +57,19 @@ from .diffuse import (
 from .errors import NoWindowsError, UsageError, ZeroChannelMeanError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
-from .roi import build_grid, build_mask
+from .roi import GridSpec, build_grid, build_mask
 from .signals import PulseWaveform
+
+
+# Bytes per float32 (h, w) plane in one chunk of the pass: 4 of the diffuse
+# stage's chunks (17 frames at 96x96, 160 at 32x32), so reading, masking and
+# pooling take enough frames per call to amortise their per-call work,
+# while the diffuse stage splits each chunk into its own cache-sized ones.
+PASS_PLANE_BYTES = 4 * CHUNK_PLANE_BYTES
+# Windows per chrom_rows and periodogram call: the rows, waveforms and
+# spectra alive at the end of a window are one block's, so this stage too is
+# bounded by the window length, not the recording's.
+WINDOW_BLOCK = 8
 
 
 @dataclass
@@ -47,95 +77,154 @@ class PipelineResult:
     report: dict
     waveforms: list[PulseWaveform] = field(default_factory=list)
     window_weights: list[dict] = field(default_factory=list)
-    diffuse_frames: np.ndarray | None = None
 
 
-def diffuse_luminance_stack(
-    frames: np.ndarray, estimator: str, keep_diffuse: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-pixel diffuse luminance (t, h, w) as float64, built chunk by chunk.
+def _window_sums(
+    seq: FrameSequence,
+    records,
+    slices: list[slice],
+    grids: list[GridSpec] | None,
+    separate: Callable[[np.ndarray], np.ndarray] | None,
+    on_diffuse: Callable[[np.ndarray], None] | None,
+):
+    """Each window's per-frame masked cell sums, in window order, each as
+    soon as the window's last frame has been read.
 
-    Only one chunk's diffuse frames are alive at a time; the full float32
-    diffuse stack is also returned when keep_diffuse is set, else None.
+    Yields (sums, counts, luminance sums) as masked_cell_sums gives them over
+    the window's frames and grids[i].edges, or over one cell spanning the
+    frame when grids is None. The luminance sums are those of the diffuse
+    frames that separate makes, or None without it. Every chunk of the
+    recording is read, and its diffuse frames go to on_diffuse, the tail
+    after the last window included.
     """
-    separate = (
-        specular_free_min_subtract if estimator == "min_subtract" else estimate_diffuse_stack
-    )
-    lum = np.empty(frames.shape[:3], dtype=np.float64)
-    diffuse = np.empty(frames.shape, dtype=np.float32) if keep_diffuse else None
-    for sl in frame_chunks(*frames.shape[:3]):
-        block = separate(frames[sl])
-        lum[sl] = diffuse_luminance(block)
-        if diffuse is not None:
-            diffuse[sl] = block
-    return lum, diffuse
+    height, width = seq.height, seq.width
+    parts: list[list | None] = [[] for _ in slices]
+    done = 0
+    for chunk in frame_chunks(seq.count, height, width, PASS_PLANE_BYTES):
+        frames = seq.frames[chunk]
+        masks = build_mask(records[chunk], width, height)
+        lum = None
+        if separate is not None:
+            diffuse = separate(frames)
+            if on_diffuse is not None:
+                on_diffuse(diffuse)
+            lum = diffuse_luminance(diffuse)
+            del diffuse
+        if grids is None:
+            whole = masked_cell_sums(frames, masks, [0, height], [0, width])
+        for i in range(done, len(slices)):
+            sl = slices[i]
+            if sl.start >= chunk.stop:
+                break
+            part = slice(max(sl.start - chunk.start, 0), min(sl.stop, chunk.stop) - chunk.start)
+            if grids is None:
+                parts[i].append((whole[0][part], whole[1][part], None))
+                continue
+            edges = grids[i].edges
+            sums, counts = masked_cell_sums(frames[part], masks[part], *edges)
+            lum_sums = None if lum is None else masked_cell_sums(lum[part], masks[part], *edges)[0]
+            parts[i].append((sums, counts, lum_sums))
+        while done < len(slices) and slices[done].stop <= chunk.stop:
+            sums, counts, lum_sums = zip(*parts[done])
+            parts[done] = None
+            done += 1
+            yield (
+                np.concatenate(sums),
+                np.concatenate(counts),
+                None if lum_sums[0] is None else np.concatenate(lum_sums),
+            )
+
+
+def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps: float):
+    """The pulse waveforms (k, n) and rates of the block of windows first,
+    first + 1, ... from their pooled rows: one chrom_rows call (aggregate,
+    proposed; snr rows are waveforms already) and one estimate_video_hr
+    periodogram."""
+    waves = np.stack(rows)
+    if cfg.method != "snr":
+        waves, ok = chrom_rows(waves, fps)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise ZeroChannelMeanError(
+                f"window {first + j} (start {starts[first + j]} s): "
+                f"channel means {rows[j].mean(axis=0)} must all be positive"
+            )
+    est = estimate_video_hr(waves, fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
+    return waves, est.window_bpm
 
 
 def run_pipeline(
     seq: FrameSequence,
     sidecar: LandmarkSidecar,
     cfg: RunConfig,
-    keep_diffuse: bool = False,
+    on_diffuse: Callable[[np.ndarray], None] | None = None,
 ) -> PipelineResult:
+    """Estimate the recording's heart rate in one pass over its frames.
+
+    For proposed, on_diffuse (if given) receives each chunk's float32
+    diffuse frames (k, h, w, 3) in frame order, every frame of the
+    recording once, as they are made.
+    """
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
         sidecar = smooth_bboxes(sidecar, cfg.bbox_smoothing_alpha)
-    masks = build_mask(seq, sidecar)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
     if not slices:
         raise NoWindowsError("no analysis windows fit in the recording")
-
-    lum = None
-    diffuse = None
+    grids = None
+    if cfg.method != "aggregate":
+        grids = [
+            build_grid(sidecar.records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
+            for sl in slices
+        ]
+    separate = None
     if cfg.method == "proposed":
-        lum, diffuse = diffuse_luminance_stack(seq.frames, cfg.diffuse_estimator, keep_diffuse)
+        separate = (
+            specular_free_min_subtract
+            if cfg.diffuse_estimator == "min_subtract"
+            else estimate_diffuse_stack
+        )
 
     rows: list[np.ndarray] = []
+    waves: list[np.ndarray] = []
+    bpm: list[float] = []
     weight_log: list[dict] = []
-    for start_s, sl in zip(plan.starts, slices):
-        fw, mw = seq.frames[sl], masks[sl]
+    window_sums = _window_sums(seq, sidecar.records, slices, grids, separate, on_diffuse)
+    for i, (sums, counts, lum_sums) in enumerate(window_sums):
+        start_s = plan.starts[i]
         if cfg.method == "aggregate":
-            rows.append(facial_aggregate(fw, mw, seq.fps).samples)
-            continue
-        grid = build_grid(sidecar.records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
-        traces = grid_traces(fw, mw, grid, seq.fps)
-        w_snr = snr_weights(traces, cfg.snr_halfwidth_hz, cfg.passband_hz)
-        if cfg.method == "snr":
-            rows.append(combine_benchmark_snr(traces, w_snr).samples)
-            weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
+            rows.append(facial_aggregate(sums, counts, seq.fps).samples)
         else:
-            w_dif = diffuse_weights(lum[sl], grid, mw)
-            rows.append(combine_proposed(traces, w_snr, w_dif).samples)
-            weight_log.append(
-                {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}
-            )
+            traces = grid_traces(sums, counts, seq.fps)
+            w_snr = snr_weights(traces, cfg.snr_halfwidth_hz, cfg.passband_hz)
+            if cfg.method == "snr":
+                rows.append(combine_benchmark_snr(traces, w_snr).samples)
+                weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
+            else:
+                w_dif = diffuse_weights(lum_sums, counts)
+                rows.append(combine_proposed(traces, w_snr, w_dif).samples)
+                weight_log.append(
+                    {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}
+                )
+        if len(rows) == WINDOW_BLOCK or i == len(slices) - 1:
+            block_waves, block_bpm = _block_rates(rows, len(bpm), plan.starts, cfg, seq.fps)
+            waves.extend(block_waves)
+            bpm.extend(block_bpm)
+            rows = []
 
-    waves = np.stack(rows)
-    if cfg.method != "snr":
-        waves, ok = chrom_rows(waves, seq.fps)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise ZeroChannelMeanError(
-                f"window {i} (start {plan.starts[i]} s): "
-                f"channel means {rows[i].mean(axis=0)} must all be positive"
-            )
-    est = estimate_video_hr(waves, seq.fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "method": cfg.method,
         "fps": seq.fps,
         "n_frames": seq.count,
-        "windows": [
-            {"start_s": s, "bpm": b} for s, b in zip(plan.starts, est.window_bpm)
-        ],
-        "video_bpm": est.video_bpm,
+        "windows": [{"start_s": s, "bpm": b} for s, b in zip(plan.starts, bpm)],
+        "video_bpm": float(np.mean(bpm)),
         "config": cfg.as_dict(),
     }
     return PipelineResult(
         report=report,
         waveforms=[PulseWaveform(w, seq.fps) for w in waves],
         window_weights=weight_log,
-        diffuse_frames=diffuse,
     )

@@ -2,7 +2,8 @@
 
 The skin mask for a frame is the face bbox interior minus the eye and mouth
 polygon interiors. Polygon membership is decided with the even-odd rule,
-evaluated at pixel centers (x + 0.5, y + 0.5).
+evaluated at pixel centers (x + 0.5, y + 0.5). Masks are built for a run of
+frames from their landmark records, one chunk of a recording at a time.
 
 The grid tiles the bbox row-major into rows x cols rectangular cells,
 stored as their row and column edges: x0 + [0, b, 2b, ..., bw] with
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooFineError
-from .ingest import FrameSequence, LandmarkSidecar
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -54,14 +54,15 @@ def bbox_mask(bbox, width: int, height: int) -> np.ndarray:
     return m
 
 
-def build_mask(seq: FrameSequence, sidecar: LandmarkSidecar) -> np.ndarray:
-    """Per-frame skin masks, shape (n, height, width) bool."""
-    masks = np.zeros((seq.count, seq.height, seq.width), dtype=bool)
-    for i, rec in enumerate(sidecar.records):
-        m = bbox_mask(rec.bbox, seq.width, seq.height)
+def build_mask(records, width: int, height: int) -> np.ndarray:
+    """Skin masks of the frames whose landmark records are given (a slice of
+    LandmarkSidecar.records), shape (len(records), height, width) bool."""
+    masks = np.zeros((len(records), height, width), dtype=bool)
+    for i, rec in enumerate(records):
+        m = bbox_mask(rec.bbox, width, height)
         for poly in (*rec.eye_polygons, rec.mouth_polygon):
             if len(poly) >= 3:
-                m &= ~rasterize_polygon(poly, seq.width, seq.height)
+                m &= ~rasterize_polygon(poly, width, height)
         masks[i] = m
     return masks
 

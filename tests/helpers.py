@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from rppg.chrom import chrom_rows
+from rppg.combine import diffuse_weights, facial_aggregate, grid_traces, masked_cell_sums
 from rppg.errors import ZeroChannelMeanError
 from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
 from rppg.roi import GridSpec
@@ -88,3 +89,20 @@ def chrom_one(trace: RgbTrace) -> PulseWaveform:
     if not ok[0]:
         raise ZeroChannelMeanError(f"channel means {trace.samples.mean(axis=0)}")
     return PulseWaveform(waves[0], trace.fps)
+
+
+# The window-level compositions the pipeline makes from masked_cell_sums:
+# pool a whole window's pixels, then reduce its per-frame sums and counts.
+
+
+def grid_traces_of(frames, masks, grid: GridSpec, fps: float):
+    return grid_traces(*masked_cell_sums(frames, masks, *grid.edges), fps)
+
+
+def facial_aggregate_of(frames, masks, fps: float) -> RgbTrace:
+    height, width = np.shape(masks)[1:]
+    return facial_aggregate(*masked_cell_sums(frames, masks, [0, height], [0, width]), fps)
+
+
+def diffuse_weights_of(lum, grid: GridSpec, masks) -> np.ndarray:
+    return diffuse_weights(*masked_cell_sums(lum, masks, *grid.edges))

@@ -11,6 +11,7 @@ from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, specular_free_min_subtract
+from rppg.errors import MissingManifestError
 from rppg.ingest import (
     LandmarkRecord,
     LandmarkSidecar,
@@ -92,7 +93,7 @@ def test_estimate_dump_weights(dataset, tmp_path):
 
 
 def test_estimate_dump_diffuse(dataset, tmp_path):
-    frames = load_frame_sequence(dataset["frames"]).frames
+    frames = load_frame_sequence(dataset["frames"]).frames[:]
     for estimator, separate in (
         ("min_subtract", specular_free_min_subtract),
         ("bilateral", estimate_diffuse_stack),
@@ -112,9 +113,28 @@ def test_estimate_dump_diffuse(dataset, tmp_path):
         assert seq.frames.shape == (360, 24, 24, 3)
         # byte-identical to the whole-stack estimate, rounded as the dump does
         expect = np.clip(np.rint(separate(frames)), 0, 255).astype(np.uint8)
-        assert np.array_equal(seq.frames, expect)
+        assert np.array_equal(seq.frames[:], expect)
     # min-subtract zeroes the per-pixel minimum channel
-    assert load_frame_sequence(tmp_path / "min_subtract").frames.min(axis=-1).max() == 0
+    assert load_frame_sequence(tmp_path / "min_subtract").frames[:].min(axis=-1).max() == 0
+
+
+def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
+    scene = SynthScene(width=24, height=24, fps=30.0, duration_s=12.0, seed=2)
+    paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
+    args = [
+        "estimate", "--frames", str(paths["frames"]), "--landmarks", str(paths["landmarks"]),
+        "--method", "proposed", "--diffuse-estimator", "min_subtract",
+        "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "diffuse"),
+    ]
+    assert main(args) == 0
+    assert load_frame_sequence(tmp_path / "diffuse").count == 360
+    # a frame in mid-sequence goes missing: found when its chunk is read,
+    # after earlier chunks' diffuse frames were written over the old tree
+    (paths["frames"] / "frame_000200.ppm").unlink()
+    assert main(args) == 3
+    assert (tmp_path / "diffuse" / "frame_000000.ppm").exists()
+    with pytest.raises(MissingManifestError):
+        load_frame_sequence(tmp_path / "diffuse")
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
@@ -207,6 +227,22 @@ def test_malformed_inputs_exit_4(dataset, tmp_path):
     bad_marks = tmp_path / "bad.jsonl"
     bad_marks.write_text("{ nope\n")
     assert main(["estimate", "--frames", dataset["frames"], "--landmarks", str(bad_marks)]) == 4
+
+
+# Text inputs read through ingest.read_text: bytes that are not UTF-8 are
+# malformed data (exit 4), not a UnicodeDecodeError traceback.
+
+
+def test_landmarks_not_utf8_exits_4(dataset, tmp_path):
+    marks = tmp_path / "latin1.jsonl"
+    marks.write_bytes(open(dataset["landmarks"], "rb").read().replace(b"eyes", b"ey\xe9s", 1))
+    assert main(["estimate", "--frames", dataset["frames"], "--landmarks", str(marks)]) == 4
+
+
+def test_config_not_utf8_exits_4(dataset, tmp_path):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"[pipeline]\n# caf\xe9\nmethod = aggregate\n")
+    assert main(run_estimate(dataset, "--config", str(ini))) == 4
 
 
 def frame_dir_claiming(tmp_path, size, **manifest):
@@ -484,6 +520,15 @@ def test_evaluate_error_paths(manifest_dir, tmp_path):
             f"typed{i}.json,hr.csv,light,room,front\n"
         )
         assert main(["evaluate", "--manifest", str(typed)]) == 4, field
+
+
+def test_evaluate_manifest_not_utf8_exits_4(manifest_dir):
+    manifest = manifest_dir / "latin1.csv"
+    manifest.write_bytes(
+        b"report,ground_truth,skin_tone,condition,viewpoint\n"
+        b"aggregate.json,hr.csv,light,room,front\n# \xff\xfe\n"
+    )
+    assert main(["evaluate", "--manifest", str(manifest)]) == 4
 
 
 def test_evaluate_rejects_out_of_range_ground_truth(manifest_dir):

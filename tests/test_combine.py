@@ -2,15 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rppg.biophysics import CameraNoiseParams, SkinParams
 from rppg.chrom import chrom_rows
 from rppg.combine import (
     combine_benchmark_snr,
     combine_proposed,
-    diffuse_weights,
-    facial_aggregate,
-    grid_traces,
+    masked_cell_sums,
     snr_weights,
 )
 from rppg.diffuse import CHUNK_PLANE_BYTES
@@ -26,7 +26,13 @@ from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import RgbTrace, zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
-from helpers import chrom_one, label_map
+from helpers import (
+    chrom_one,
+    diffuse_weights_of,
+    facial_aggregate_of,
+    grid_traces_of,
+    label_map,
+)
 
 
 def cell_trace(traces, i):
@@ -68,7 +74,7 @@ def grid_scene(seed=0, n=300, h=8, w=8, fps=30.0, hz=1.2, amp=6.0, noise_cell=No
 
 def test_facial_aggregate_matches_loop_oracle():
     frames, masks = random_scene(seed=3)
-    trace = facial_aggregate(frames, masks, 30.0)
+    trace = facial_aggregate_of(frames, masks, 30.0)
     for t in range(frames.shape[0]):
         expect = frames[t][masks[t]].astype(float).mean(axis=0)
         assert np.array_equal(trace.samples[t], expect)
@@ -78,13 +84,13 @@ def test_facial_aggregate_empty_frame_raises():
     frames, masks = random_scene(seed=4)
     masks[3] = False
     with pytest.raises(EmptyRegionError):
-        facial_aggregate(frames, masks, 30.0)
+        facial_aggregate_of(frames, masks, 30.0)
 
 
 def test_facial_aggregate_uniform_frame_is_exact():
     frames = np.full((4, 5, 5, 3), 77, dtype=np.uint8)
     masks = np.ones((4, 5, 5), dtype=bool)
-    trace = facial_aggregate(frames, masks, 10.0)
+    trace = facial_aggregate_of(frames, masks, 10.0)
     assert np.allclose(trace.samples, 77.0)
 
 
@@ -130,19 +136,49 @@ def test_grid_traces_matches_loop_oracle():
     )
     for bbox, rows, cols in cases:
         grid = build_grid(bbox, rows=rows, cols=cols)
-        traces = grid_traces(frames, masks, grid, 25.0)
+        traces = grid_traces_of(frames, masks, grid, 25.0)
         samples, live = loop_grid_traces(frames, masks, grid, 25.0)
         assert np.array_equal(traces.samples, samples), bbox
         assert np.array_equal(traces.live, live), bbox
-    first = grid_traces(frames, masks, build_grid((1, 1, 10, 7), 2, 3), 25.0)
+    first = grid_traces_of(frames, masks, build_grid((1, 1, 10, 7), 2, 3), 25.0)
     assert np.array_equal(first.samples[0, 3:], np.repeat(first.samples[0, 2:3], 3, axis=0))
+
+
+SPLIT_GRIDS = (
+    ((1, 1, 10, 7), 2, 3),  # uneven remainder cells
+    ((-3, -2, 11, 8), 3, 2),  # clipped at the top and left
+    ((5, 4, 12, 9), 2, 4),  # clipped at the bottom and right
+    ((-20, 0, 12, 9), 2, 2),  # wholly outside: every cell empty
+    ((0, 0, 12, 9), 1, 1),  # one cell spanning the frame
+)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    cuts=st.lists(st.integers(1, 22), max_size=6, unique=True).map(sorted),
+    case=st.sampled_from(SPLIT_GRIDS),
+    luminance=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(cuts, case, luminance, seed):
+    # The streaming pass pools a window chunk by chunk and concatenates the
+    # per-frame sums: they must equal, bit for bit, one call over the stack.
+    frames, masks = random_scene(seed=seed, n=23, h=9, w=12)
+    values = frames.mean(axis=-1) if luminance else frames  # float64 or uint8 RGB
+    edges = build_grid(*case).edges
+    whole = masked_cell_sums(values, masks, *edges)
+    bounds = [0, *cuts, 23]
+    parts = [masked_cell_sums(values[a:b], masks[a:b], *edges) for a, b in zip(bounds, bounds[1:])]
+    for i, out in enumerate(whole):
+        joined = np.concatenate([p[i] for p in parts])
+        assert joined.dtype == out.dtype and np.array_equal(joined, out)
 
 
 # The callers of masked_cell_sums, each returning its output array.
 REDUCERS = {
-    "grid_traces": lambda frames, masks, grid: grid_traces(frames, masks, grid, 30.0).samples,
-    "facial_aggregate": lambda frames, masks, grid: facial_aggregate(frames, masks, 30.0).samples,
-    "diffuse_weights": lambda lum, masks, grid: diffuse_weights(lum, grid, masks),
+    "grid_traces": lambda frames, masks, grid: grid_traces_of(frames, masks, grid, 30.0).samples,
+    "facial_aggregate": lambda frames, masks, grid: facial_aggregate_of(frames, masks, 30.0).samples,
+    "diffuse_weights": lambda lum, masks, grid: diffuse_weights_of(lum, grid, masks),
 }
 
 
@@ -172,7 +208,7 @@ def test_grid_traces_live_flags_and_carry_forward():
     masks[:, :2, :2] = True          # top-left cell always filled
     masks[0, 2:, 2:] = True          # bottom-right only at t=0
     grid = build_grid((0, 0, 4, 4), rows=2, cols=2)
-    traces = grid_traces(frames, masks, grid, 30.0)
+    traces = grid_traces_of(frames, masks, grid, 30.0)
     assert traces.live.tolist() == [True, False, False, True]
     # bottom-right cell: frame 0 sampled, frames 1-2 carried forward
     assert np.allclose(traces.samples[3], 100.0)
@@ -182,7 +218,7 @@ def test_grid_traces_shape_mismatch():
     frames, masks = random_scene(seed=6)
     grid = build_grid((0, 0, 8, 6), rows=2, cols=2)
     with pytest.raises(ValueError):
-        grid_traces(frames, masks[:, :4, :], grid, 30.0)
+        grid_traces_of(frames, masks[:, :4, :], grid, 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +228,7 @@ def test_grid_traces_shape_mismatch():
 
 def test_snr_weights_noise_cell_gets_smallest_weight():
     frames, masks, grid, fps = grid_scene(seed=1, noise_cell=(1, 1))
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     w = snr_weights(traces)
     assert w.shape == (4,)
     assert w.sum() == pytest.approx(1.0)
@@ -203,7 +239,7 @@ def test_snr_weights_noise_cell_gets_smallest_weight():
 
 def test_snr_weights_match_direct_per_cell_snr():
     frames, masks, grid, fps = grid_scene(seed=2, noise_cell=(0, 1))
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     w = snr_weights(traces)
     raw = np.zeros(4)
     for i in range(4):
@@ -219,7 +255,7 @@ def test_snr_weights_uniform_fallback_on_flat_cells():
     frames = np.full((300, 4, 4, 3), 90, dtype=np.uint8)
     masks = np.ones((300, 4, 4), dtype=bool)
     grid = build_grid((0, 0, 4, 4), rows=2, cols=2)
-    traces = grid_traces(frames, masks, grid, 30.0)
+    traces = grid_traces_of(frames, masks, grid, 30.0)
     w = snr_weights(traces)
     assert np.allclose(w, 0.25)
 
@@ -227,7 +263,7 @@ def test_snr_weights_uniform_fallback_on_flat_cells():
 def test_snr_weights_dead_cells_excluded():
     frames, masks, grid, fps = grid_scene(seed=3)
     masks[:, : 8 // 2, : 8 // 2] = False  # kill cell 0 for the whole window
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     w = snr_weights(traces)
     assert w[0] == 0.0
     assert w.sum() == pytest.approx(1.0)
@@ -236,7 +272,7 @@ def test_snr_weights_dead_cells_excluded():
 def test_snr_weights_all_dead_raises():
     frames, masks, grid, fps = grid_scene(seed=4)
     masks[0] = False  # first frame empty everywhere -> no live cells
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     with pytest.raises(AllCellsDeadError):
         snr_weights(traces)
 
@@ -248,7 +284,7 @@ def test_snr_weights_all_dead_raises():
 
 def test_combine_benchmark_is_weighted_waveform_mean():
     frames, masks, grid, fps = grid_scene(seed=5, noise_cell=(1, 0))
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     weights = np.array([0.3, 0.45, 0.05, 0.2])
     wave = combine_benchmark_snr(traces, weights)
     expect = np.zeros(frames.shape[0])
@@ -260,7 +296,7 @@ def test_combine_benchmark_is_weighted_waveform_mean():
 
 def test_combine_benchmark_validates_weights():
     frames, masks, grid, fps = grid_scene(seed=6)
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     with pytest.raises(ValueError):
         combine_benchmark_snr(traces, np.array([0.5, 0.2, 0.1, 0.1]))  # sums to 0.9
     with pytest.raises(ValueError):
@@ -315,10 +351,10 @@ def assert_matches_loop(traces):
 
 def scene_windows(scene, rows, cols):
     seq, sidecar, _ = render(scene)
-    masks = build_mask(seq, sidecar)
+    masks = build_mask(sidecar.records, seq.width, seq.height)
     for sl in plan_windows(seq.duration_s).frame_slices(seq.fps, seq.count):
         grid = build_grid(sidecar.records[sl.start].bbox, rows, cols)
-        yield grid_traces(seq.frames[sl], masks[sl], grid, seq.fps)
+        yield grid_traces_of(seq.frames[sl], masks[sl], grid, seq.fps)
 
 
 def test_batched_snr_matches_loop_on_criterion_1_scene():
@@ -344,7 +380,7 @@ def test_batched_snr_matches_loop_on_bias_scene():
 def test_batched_snr_zero_channel_mean_cell_among_good_cells():
     frames, masks, grid, fps = grid_scene(seed=11, noise_cell=(1, 0))
     frames[:, :4, 4:, 2] = 0  # cell 1 has no blue: no CHROM waveform
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     assert traces.waveforms[1].tolist() == [True, False, True, True]
     w = assert_matches_loop(traces)
     assert w[1] == 0.0 and np.all(w[[0, 2, 3]] > 0.0)
@@ -356,7 +392,7 @@ def test_batched_snr_even_fallback_on_flat_cells():
     frames = np.full((300, 4, 4, 3), 90, dtype=np.uint8)
     masks = np.ones((300, 4, 4), dtype=bool)
     masks[:, :2, 2:] = False  # one dead cell among the flat ones
-    traces = grid_traces(frames, masks, build_grid((0, 0, 4, 4), rows=2, cols=2), 30.0)
+    traces = grid_traces_of(frames, masks, build_grid((0, 0, 4, 4), rows=2, cols=2), 30.0)
     w = assert_matches_loop(traces)
     assert np.array_equal(w, [1 / 3, 0.0, 1 / 3, 1 / 3])
 
@@ -364,16 +400,16 @@ def test_batched_snr_even_fallback_on_flat_cells():
 def test_batched_snr_dead_cells_and_single_cell():
     frames, masks, grid, fps = grid_scene(seed=12, noise_cell=(0, 1))
     masks[0, 4:, :4] = False  # cell 2 empty in the first frame only: dead
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     assert traces.live.tolist() == [True, True, False, True]
     assert assert_matches_loop(traces)[2] == 0.0
-    one = grid_traces(frames, masks, build_grid((0, 0, 8, 8), rows=1, cols=1), fps)
+    one = grid_traces_of(frames, masks, build_grid((0, 0, 8, 8), rows=1, cols=1), fps)
     assert np.array_equal(assert_matches_loop(one), [1.0])
 
 
 def test_chrom_is_row_zero_of_batched_chrom():
     frames, masks, grid, fps = grid_scene(seed=13, noise_cell=(1, 1))
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     waves, ok = chrom_rows(traces.samples, fps)
     assert ok.all()
     for i in range(traces.n_cells):
@@ -387,7 +423,7 @@ def test_chrom_is_row_zero_of_batched_chrom():
 
 def test_combine_proposed_product_weighting_oracle():
     frames, masks, grid, fps = grid_scene(seed=7, noise_cell=(0, 1))
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     snr_w = np.array([0.4, 0.1, 0.3, 0.2])
     dif_w = np.array([0.25, 0.25, 0.4, 0.1])
     out = combine_proposed(traces, snr_w, dif_w)
@@ -401,7 +437,7 @@ def test_combine_proposed_product_weighting_oracle():
 def test_combine_proposed_zeroes_dead_cells():
     frames, masks, grid, fps = grid_scene(seed=8)
     masks[:, :4, :4] = False  # cell 0 dead
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     snr_w = np.array([0.7, 0.1, 0.1, 0.1])  # deliberately favours the dead cell
     dif_w = np.array([0.7, 0.1, 0.1, 0.1])
     out = combine_proposed(traces, snr_w, dif_w)
@@ -413,7 +449,7 @@ def test_combine_proposed_zeroes_dead_cells():
 
 def test_combine_proposed_disjoint_supports_degenerate():
     frames, masks, grid, fps = grid_scene(seed=9)
-    traces = grid_traces(frames, masks, grid, fps)
+    traces = grid_traces_of(frames, masks, grid, fps)
     snr_w = np.array([1.0, 0.0, 0.0, 0.0])
     dif_w = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(DegenerateWeightsError):
@@ -423,8 +459,8 @@ def test_combine_proposed_disjoint_supports_degenerate():
 def test_single_cell_grid_reduces_to_aggregate():
     frames, masks, grid, fps = grid_scene(seed=10)
     grid1 = build_grid((0, 0, 8, 8), rows=1, cols=1)
-    traces = grid_traces(frames, masks, grid1, fps)
-    agg = facial_aggregate(frames, masks, fps)
+    traces = grid_traces_of(frames, masks, grid1, fps)
+    agg = facial_aggregate_of(frames, masks, fps)
     assert np.allclose(traces.samples[0], agg.samples, atol=1e-12)
     one = np.array([1.0])
     assert np.allclose(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rppg import diffuse
-from rppg.combine import diffuse_weights
 from rppg.diffuse import (
     diffuse_luminance,
     estimate_diffuse_stack,
@@ -15,7 +14,7 @@ from rppg.diffuse import (
 from rppg.errors import EmptyRegionError
 from rppg.roi import build_grid
 
-from helpers import label_map, mixed_frames
+from helpers import diffuse_weights_of, label_map, mixed_frames
 
 
 def estimate_diffuse(frame):
@@ -282,7 +281,7 @@ def test_uniform_frames_give_uniform_weights():
     frames = np.full((3, 8, 8, 3), 90, dtype=np.uint8)
     masks = np.ones((3, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
@@ -292,7 +291,7 @@ def test_weights_match_loop_oracle():
     masks = rng.random((4, 8, 12)) < 0.6
     masks[:, 0, 0] = True
     grid = build_grid((1, 0, 10, 8), rows=2, cols=3)
-    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
     labels = label_map(grid, 12, 8)
     lum = frames.astype(float).mean(axis=-1)
     expect = np.zeros(grid.n_cells)
@@ -350,13 +349,13 @@ def test_weights_match_bincount_loop_oracle():
     for bbox, rows, cols in cases:
         grid = build_grid(bbox, rows=rows, cols=cols)
         for d in inputs:
-            w = diffuse_weights(d, grid, masks)
+            w = diffuse_weights_of(d, grid, masks)
             expect = loop_diffuse_weights(d, grid, masks)
             assert np.allclose(w, expect, rtol=1e-12, atol=0.0), (bbox, d.dtype)
     outside = build_grid((-20, 0, 12, 9), rows=2, cols=2)  # wholly outside
     for d in inputs:
         with pytest.raises(EmptyRegionError):
-            diffuse_weights(d, outside, masks)
+            diffuse_weights_of(d, outside, masks)
 
 
 def test_highlight_cell_suppressed_vs_raw_weighting():
@@ -367,8 +366,8 @@ def test_highlight_cell_suppressed_vs_raw_weighting():
     frames = np.clip(frames, 0, 255).astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights(diffuse_luminance(frames), grid, masks)
-    dif_w = diffuse_weights(diffuse_luminance(estimate_diffuse_stack(frames)), grid, masks)
+    raw_w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    dif_w = diffuse_weights_of(diffuse_luminance(estimate_diffuse_stack(frames)), grid, masks)
     assert raw_w[1] > 0.25
     assert dif_w[1] < raw_w[1]
     # highlight recovered to within a few levels, so the cell sits back
@@ -382,8 +381,8 @@ def test_saturated_cell_suppressed_by_min_subtract():
     frames = frames.astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights(diffuse_luminance(frames), grid, masks)
-    sf_w = diffuse_weights(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
+    raw_w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    sf_w = diffuse_weights_of(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
     assert sf_w[1] < 0.25 < raw_w[1]
 
 
@@ -392,7 +391,7 @@ def test_weights_empty_mask_raises():
     masks = np.zeros((1, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
     with pytest.raises(EmptyRegionError):
-        diffuse_weights(diffuse_luminance(frames), grid, masks)
+        diffuse_weights_of(diffuse_luminance(frames), grid, masks)
 
 
 def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
@@ -400,7 +399,7 @@ def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
     masks = np.zeros((2, 8, 8), dtype=bool)
     masks[:, 0:4, :] = True  # only the top half has masked pixels
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
     assert np.allclose(w, [0.5, 0.5, 0.0, 0.0])
 
 
@@ -413,6 +412,6 @@ def test_weight_normalization_property(seed, rows, cols):
     if not masks.any():
         masks[0, 3, 3] = True
     grid = build_grid((0, 0, 6, 6), rows=rows, cols=cols)
-    w = diffuse_weights(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-9

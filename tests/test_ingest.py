@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rppg import errors
 from rppg.ingest import (
@@ -89,6 +91,45 @@ def test_ppm_rejects_malformed(tmp_path, raw):
         read_ppm(path)
 
 
+# A PPM header: magic, then width, height and maxval tokens separated by
+# whitespace and comments, then one whitespace byte before the raster.
+PPM_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t\r ", b" # note\n", b"#\n", b""])
+PPM_JUNK = st.one_of(
+    st.sampled_from([b"65535", b"0255", b"+2", b"1_0", b"2e0", b"\xd9\xa3", b"9" * 5000]),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@st.composite
+def ppm_files(draw):
+    width, height = draw(st.integers(-3, 5)), draw(st.integers(-3, 5))
+    tokens = [str(width).encode(), str(height).encode(), b"255"]
+    for i in draw(st.lists(st.integers(0, 2), max_size=2)):
+        tokens[i] = draw(PPM_JUNK)
+    seps = [draw(PPM_SEPARATORS) for _ in range(4)]
+    header = draw(st.sampled_from([b"P6", b"P5", b""]))
+    header += b"".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[3][:1]
+    # a raster of the size the tokens imply, give or take a byte, or any
+    size = abs(width * height * 3) + draw(st.sampled_from([0, 0, -1, 1]))
+    payload = draw(st.one_of(st.binary(min_size=max(size, 0), max_size=max(size, 0)), st.binary(max_size=90)))
+    return header, payload
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(ppm=ppm_files())
+def test_ppm_header_parses_or_exits_4(tmp_path_factory, ppm):
+    header, payload = ppm
+    path = tmp_path_factory.mktemp("ppm") / "f.ppm"
+    path.write_bytes(header + payload)
+    try:
+        frame = read_ppm(path)
+    except errors.ToolkitError as exc:
+        assert exc.exit_code == errors.DataFormatError.exit_code
+        return
+    h, w, _ = frame.shape
+    assert min(h, w) >= 1 and frame.tobytes() == payload[: h * w * 3]
+
+
 # ---------------------------------------------------------------------------
 # Raw stream
 # ---------------------------------------------------------------------------
@@ -102,7 +143,7 @@ def test_raw_stream_round_trip_and_size(tmp_path):
     assert path.stat().st_size == 24 + 5 * 5 * 7 * 3
     back = load_raw_stream(path)
     assert back.fps == pytest.approx(12.5)
-    assert np.array_equal(back.frames, seq.frames)
+    assert np.array_equal(back.frames[:], seq.frames)
 
 
 def test_raw_stream_bad_magic(tmp_path):
@@ -136,6 +177,36 @@ def test_raw_stream_zero_fps(tmp_path):
         load_raw_stream(path)
 
 
+U32 = st.one_of(st.integers(0, 5), st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    magic=st.sampled_from([RAW_MAGIC, b"RPPGRAW2", b"\x00" * 8]),
+    dims=st.tuples(U32, U32, U32),
+    fps_millihz=st.sampled_from([0, 1, 30_000, 2**32 - 1]),
+    extra=st.sampled_from([0, 0, 0, -1, 1, -3]),
+    cut=st.one_of(st.none(), st.integers(0, RAW_HEADER.size - 1)),
+)
+def test_raw_stream_parses_or_exits_4(tmp_path_factory, magic, dims, fps_millihz, extra, cut):
+    width, height, count = dims
+    need = width * height * 3 * count
+    size = max(0, need + extra) if need <= 4096 else 64
+    payload = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    data = RAW_HEADER.pack(magic, width, height, count, fps_millihz) + payload
+    path = tmp_path_factory.mktemp("raw") / "s.raw"
+    path.write_bytes(data if cut is None else data[:cut])
+    try:
+        seq = load_raw_stream(path)
+    except errors.ToolkitError as exc:
+        assert exc.exit_code == errors.DataFormatError.exit_code
+        return
+    assert (seq.count, seq.height, seq.width) == (count, height, width)
+    assert seq.fps == fps_millihz / 1000
+    assert seq.frames[:].tobytes() == payload
+    assert seq.frames[count - 1 :].tobytes() == payload[-width * height * 3 :]
+
+
 def test_raw_stream_header_layout():
     # magic, then u32 little-endian width, height, count, fps_millihz
     packed = RAW_HEADER.pack(RAW_MAGIC, 2, 3, 4, 30_000)
@@ -156,7 +227,7 @@ def test_frame_dir_round_trip(tmp_path):
     assert manifest["count"] == 4
     assert manifest["fps"] == pytest.approx(24.0)
     back = load_frame_dir(d)
-    assert np.array_equal(back.frames, seq.frames)
+    assert np.array_equal(back.frames[:], seq.frames)
     assert back.fps == pytest.approx(24.0)
 
 
@@ -172,7 +243,14 @@ def test_frame_dir_missing_frame_file(tmp_path):
     d = tmp_path / "frames"
     write_frame_dir(seq, d)
     (d / "frame_000001.ppm").unlink()
-    with pytest.raises(errors.MissingInputError):
+    # a middle frame is found missing when its chunk is read
+    loaded = load_frame_dir(d)
+    assert np.array_equal(loaded.frames[2:3], seq.frames[2:3])
+    with pytest.raises(errors.MissingInputError, match="frame_000001"):
+        loaded.frames[0:2]
+    # the last one at load
+    (d / "frame_000002.ppm").unlink()
+    with pytest.raises(errors.MissingInputError, match="frame_000002"):
         load_frame_dir(d)
 
 
@@ -191,8 +269,8 @@ def test_load_frame_sequence_dispatch(tmp_path):
     write_frame_dir(seq, d)
     raw = tmp_path / "s.raw"
     write_raw_stream(seq, raw)
-    assert np.array_equal(load_frame_sequence(d).frames, seq.frames)
-    assert np.array_equal(load_frame_sequence(raw).frames, seq.frames)
+    assert np.array_equal(load_frame_sequence(d).frames[:], seq.frames)
+    assert np.array_equal(load_frame_sequence(raw).frames[:], seq.frames)
     with pytest.raises(errors.MissingInputError):
         load_frame_sequence(tmp_path / "nope")
 

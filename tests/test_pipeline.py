@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,12 +16,19 @@ from rppg.diffuse import (
 )
 from rppg import pipeline
 from rppg.chrom import chrom_rows
-from rppg.combine import facial_aggregate
-from rppg.errors import UsageError, ZeroChannelMeanError
-from rppg.pipeline import diffuse_luminance_stack, run_pipeline
+from rppg.errors import GridTooFineError, UsageError, ZeroChannelMeanError
+from rppg.ingest import FrameReader, FrameSequence, LandmarkSidecar
+from rppg.pipeline import run_pipeline
+from rppg.roi import build_grid, build_mask
 from rppg.synth import SynthScene, render
 
-from helpers import full_sidecar, mixed_frames, pulsed_sequence
+from helpers import (
+    diffuse_weights_of,
+    facial_aggregate_of,
+    full_sidecar,
+    mixed_frames,
+    pulsed_sequence,
+)
 
 
 def make_scene(**kw):
@@ -48,16 +57,18 @@ def test_clean_scene_recovered_by_every_method(method):
 def test_bilateral_estimator_route():
     seq, sidecar, _ = CLEAN
     cfg = RunConfig(method="proposed", grid_rows=4, grid_cols=4, diffuse_estimator="bilateral")
-    result = run_pipeline(seq, sidecar, cfg, keep_diffuse=True)
+    chunks = []
+    result = run_pipeline(seq, sidecar, cfg, on_diffuse=chunks.append)
     assert abs(result.report["video_bpm"] - 72.0) <= 1.0
-    assert result.diffuse_frames is not None
-    assert result.diffuse_frames.shape == seq.frames.shape
+    assert np.concatenate(chunks).shape == seq.frames.shape
 
 
 def test_report_structure():
     seq, sidecar, _ = CLEAN
     cfg = RunConfig(method="snr", grid_rows=4, grid_cols=4)
-    result = run_pipeline(seq, sidecar, cfg)
+    chunks = []
+    result = run_pipeline(seq, sidecar, cfg, on_diffuse=chunks.append)
+    assert chunks == []  # diffuse frames are made for proposed only
     rep = result.report
     assert rep["schema_version"] == 1
     assert rep["method"] == "snr"
@@ -68,7 +79,7 @@ def test_report_structure():
     assert rep["video_bpm"] == pytest.approx(
         np.mean([w["bpm"] for w in rep["windows"]])
     )
-    assert result.diffuse_frames is None
+    assert not hasattr(result, "diffuse_frames")
 
 
 def test_longer_video_hops_windows():
@@ -127,20 +138,85 @@ def test_zero_blue_channel_raises_zero_channel_mean(method):
         run_pipeline(seq, full_sidecar(seq), cfg)
 
 
-@pytest.mark.parametrize("method", ["aggregate", "proposed"])
-def test_one_chrom_rows_call_per_recording(monkeypatch, method):
+def logged_reads(seq, reads):
+    """seq with its frames behind a FrameReader that logs each [a:b] read."""
+
+    def read(start, stop):
+        reads.append((start, stop))
+        return seq.frames[start:stop]
+
+    return FrameSequence(frames=FrameReader(seq.frames.shape, read), fps=seq.fps)
+
+
+@pytest.mark.parametrize("method", ["aggregate", "snr", "proposed"])
+def test_each_frame_is_read_once_a_chunk_at_a_time(method):
+    seq = pulsed_sequence(n=609, h=48, w=48, noise=2.0, seed=2)
+    sidecar = full_sidecar(seq)
+    cfg = RunConfig(method=method, grid_rows=2, grid_cols=2, diffuse_estimator="min_subtract")
+    reads = []
+    result = run_pipeline(logged_reads(seq, reads), sidecar, cfg)
+    chunks = frame_chunks(seq.count, 48, 48, pipeline.PASS_PLANE_BYTES)
+    assert len(chunks) == 9
+    # the frames after the last window (20 s of 20.3 s) are read too
+    assert reads == [(sl.start, min(sl.stop, seq.count)) for sl in chunks]
+    assert result.report == run_pipeline(seq, sidecar, cfg).report
+
+
+def test_every_grid_is_built_before_any_frame_is_read():
     seq, sidecar, _ = render(make_scene(duration_s=20.0))
+    records = list(sidecar.records)
+    records[300] = dataclasses.replace(records[300], bbox=(0, 0, 3, 3))  # third window
+    reads = []
+    with pytest.raises(GridTooFineError):
+        run_pipeline(
+            logged_reads(seq, reads),
+            LandmarkSidecar(records=tuple(records)),
+            RunConfig(method="snr", grid_rows=4, grid_cols=4),
+        )
+    assert reads == []
+
+
+def counted_chrom_rows(monkeypatch):
+    """The sample blocks that run_pipeline passes to chrom_rows."""
     calls = []
 
     def counted(samples, fps):
-        calls.append(np.shape(samples))
+        calls.append(np.array(samples))
         return chrom_rows(samples, fps)
 
     monkeypatch.setattr(pipeline, "chrom_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["aggregate", "proposed"])
+def test_one_chrom_rows_call_per_block_of_windows(monkeypatch, method):
+    seq, sidecar, _ = render(make_scene(duration_s=20.0))
+    calls = counted_chrom_rows(monkeypatch)
     cfg = RunConfig(method=method, grid_rows=2, grid_cols=2, diffuse_estimator="min_subtract")
     result = run_pipeline(seq, sidecar, cfg)
-    assert calls == [(3, 300, 3)]
+    assert [c.shape for c in calls] == [(3, 300, 3)]
     assert len(result.waveforms) == 3
+    # 11 windows: a full block of WINDOW_BLOCK, then the rest
+    calls.clear()
+    result = run_pipeline(seq, sidecar, dataclasses.replace(cfg, hop_s=1.0))
+    assert pipeline.WINDOW_BLOCK == 8
+    assert [c.shape for c in calls] == [(8, 300, 3), (3, 300, 3)]
+    assert len(result.waveforms) == len(result.report["windows"]) == 11
+
+
+def test_aggregate_rows_pooled_once_equal_per_window_calls(monkeypatch):
+    # Each chunk is pooled once and its per-frame sums are shared by the
+    # windows that contain it; the rows equal pooling each window whole.
+    seq, sidecar, _ = render(make_scene(duration_s=20.0, motion_px=2, seed=3))
+    calls = counted_chrom_rows(monkeypatch)
+    run_pipeline(seq, sidecar, RunConfig(method="aggregate", window_s=7.3, hop_s=1.1))
+    rows = np.concatenate(calls)
+    slices = pipeline.plan_windows(seq.duration_s, 7.3, 1.1).frame_slices(seq.fps, seq.count)
+    assert len(rows) == len(slices) == 12
+    masks = build_mask(sidecar.records, seq.width, seq.height)
+    assert not masks.all()  # the eye and mouth cutouts move with the face
+    for row, sl in zip(rows, slices):
+        assert np.array_equal(row, facial_aggregate_of(seq.frames[sl], masks[sl], seq.fps).samples)
 
 
 @pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0])
@@ -152,7 +228,7 @@ def test_window_rows_equal_one_row_chrom_calls(fps):
     assert len(slices) == len(result.waveforms) >= 20
     masks = np.ones(seq.frames.shape[:3], dtype=bool)
     for sl, wave in zip(slices, result.waveforms):
-        trace = facial_aggregate(seq.frames[sl], masks[sl], fps)
+        trace = facial_aggregate_of(seq.frames[sl], masks[sl], fps)
         one, ok = chrom_rows(trace.samples[None], fps)
         assert ok[0] and np.array_equal(wave.samples, one[0])
 
@@ -192,37 +268,83 @@ def test_bbox_smoothing_path():
     [("bilateral", estimate_diffuse_stack), ("min_subtract", specular_free_min_subtract)],
 )
 def test_chunked_luminance_matches_whole_stack(estimator, separate):
-    h, w = 10, 14
-    n = 2 * frame_chunks(1, h, w)[0].stop + 5
-    frames = mixed_frames(n, h, w, seed=4)
-    whole = separate(frames)
-    lum, kept = diffuse_luminance_stack(frames, estimator, keep_diffuse=True)
-    assert np.array_equal(lum, diffuse_luminance(whole))
-    assert np.array_equal(kept, whole)
-    lum_only, none = diffuse_luminance_stack(frames, estimator)
-    assert none is None
-    assert np.array_equal(lum_only, lum)
+    # The pass makes the diffuse frames chunk by chunk; they, and each
+    # window's diffuse weights, equal those of the whole stack.
+    h, w = 32, 40
+    pass_chunks = functools.partial(
+        frame_chunks, height=h, width=w, plane_bytes=pipeline.PASS_PLANE_BYTES
+    )
+    n = 2 * pass_chunks(1)[0].stop + 5
+    seq = FrameSequence(frames=mixed_frames(n, h, w, seed=4), fps=30.0)
+    cfg = RunConfig(
+        method="proposed", window_s=4.0, hop_s=3.0, grid_rows=2, grid_cols=3,
+        diffuse_estimator=estimator,
+    )
+    chunks = []
+    result = run_pipeline(seq, full_sidecar(seq), cfg, on_diffuse=chunks.append)
+    whole = separate(seq.frames)
+    assert [len(c) for c in chunks] == [len(range(n)[sl]) for sl in pass_chunks(n)]
+    assert len(chunks) == 3
+    assert np.array_equal(np.concatenate(chunks), whole)
+    grid = build_grid((0, 0, w, h), 2, 3)
+    masks = np.ones((n, h, w), dtype=bool)
+    slices = pipeline.plan_windows(seq.duration_s, 4.0, 3.0).frame_slices(seq.fps, n)
+    assert len(slices) == len(result.window_weights) == 2
+    for sl, entry in zip(slices, result.window_weights):
+        expect = diffuse_weights_of(diffuse_luminance(whole[sl]), grid, masks[sl])
+        assert entry["diffuse"] == expect.tolist()
+
+
+def working_memory(seq, cfg):
+    """tracemalloc peak of run_pipeline less what it returns (the waveforms,
+    weights and report it keeps), after a short untraced run at the same
+    rate fills the caches."""
+    warm = pulsed_sequence(n=int(cfg.window_s * seq.fps) + 1, h=8, w=8, fps=seq.fps)
+    run_pipeline(warm, full_sidecar(warm), cfg)
+    sidecar = full_sidecar(seq)
+    tracemalloc.start()
+    try:
+        result = run_pipeline(seq, sidecar, cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.waveforms
+    return peak - kept
 
 
 def test_luminance_stage_memory_is_bounded_by_the_chunk():
-    # Uniform skin-coloured frames converge in one bilateral pass; noise
-    # frames take three to five passes and stop at different ones, so each
-    # chunk's weight table is compacted while it is alive. The pass's
-    # temporaries and that table are what bound the peak.
-    uniform = np.empty((640, 48, 48, 3), dtype=np.uint8)
-    uniform[...] = (150, 110, 80)
+    # Uniform frames converge in one bilateral pass; noise frames take three
+    # to five passes and stop at different ones, so each chunk's weight
+    # table is compacted while it is alive. The pass's temporaries and that
+    # table bound the peak of the whole run, for 64 frames or 640.
+    uniform = pulsed_sequence(n=640, h=48, w=48).frames
     noise = np.random.default_rng(6).integers(0, 256, size=(640, 48, 48, 3), dtype=np.uint8)
-    peaks = []
-    for frames in (uniform, noise):
-        for n in (64, 640):
-            tracemalloc.start()
-            try:
-                lum, _ = diffuse_luminance_stack(frames[:n], "bilateral")
-                peak = tracemalloc.get_traced_memory()[1] - lum.nbytes
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-    assert max(peaks) < 96 * CHUNK_PLANE_BYTES, peaks
+    cfg = RunConfig(method="proposed", window_s=2.0, hop_s=1.0, grid_rows=4, grid_cols=4)
+    peaks = [
+        working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg)
+        for frames in (uniform, noise)
+        for n in (64, 640)
+    ]
+    # measured 78-81 planes: the pass chunk's frames, masks and diffuse
+    # frames, and one diffuse chunk's bilateral table and temporaries
+    assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
+
+
+@pytest.mark.parametrize(
+    "method, estimator",
+    [("aggregate", "bilateral"), ("snr", "bilateral"), ("proposed", "min_subtract")],
+)
+def test_run_pipeline_memory_does_not_grow_with_the_recording(method, estimator):
+    # 20 s and 80 s (3 and 15 windows of 10 s) of 48x48 frames: frames,
+    # masks, diffuse frames and cell sums live one chunk at a time, and the
+    # end stage one block of windows at a time, so the working peak stays
+    # put (measured within 2 %).
+    cfg = RunConfig(method=method, grid_rows=4, grid_cols=4, diffuse_estimator=estimator)
+    short, long = (
+        working_memory(pulsed_sequence(n=n, h=48, w=48, noise=2.0, seed=1), cfg)
+        for n in (600, 2400)
+    )
+    assert long <= 1.1 * short, (short, long)
 
 
 def test_public_names_resolve():

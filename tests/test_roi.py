@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.errors import GridTooFineError
-from rppg.ingest import LandmarkRecord, LandmarkSidecar
+from rppg.ingest import LandmarkRecord
 from rppg.roi import bbox_mask, build_grid, build_mask, rasterize_polygon
 
 from helpers import flat_sequence, label_map
@@ -81,7 +81,7 @@ def test_build_mask_subtracts_polygons():
         mouth_polygon=((5, 5), (8, 5), (8, 8), (5, 8)),
     )
     rec2 = LandmarkRecord(frame=1, bbox=(1, 1, 8, 8), eye_polygons=((), ()), mouth_polygon=())
-    masks = build_mask(seq, LandmarkSidecar(records=(rec, rec2)))
+    masks = build_mask((rec, rec2), seq.width, seq.height)
     assert masks.shape == (2, 10, 10)
     # cutouts removed on frame 0 only
     assert not masks[0][3, 3]

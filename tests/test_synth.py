@@ -232,7 +232,7 @@ def test_dataset_round_trip(tmp_path, layout):
     seq, sidecar, _ = render(scene)
     loaded = load_frame_sequence(paths["frames"])
     assert loaded.fps == scene.fps
-    assert np.array_equal(loaded.frames, seq.frames)
+    assert np.array_equal(loaded.frames[:], seq.frames)
 
     again = load_landmarks(paths["landmarks"], scene.n_frames, 16, 16)
     assert [r.bbox for r in again.records] == [r.bbox for r in sidecar.records]
