@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import json
@@ -320,37 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc malloc parameters (malloc.h) and the values pinned for a CLI run.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-def _keep_freed_memory() -> None:
-    """Let glibc's malloc keep the memory a run frees for reuse.
-
-    A pass over a recording allocates and frees the same chunk- and
-    window-sized arrays again and again. Under glibc's dynamic thresholds
-    those of a few hundred KiB or more are mapped and unmapped each time,
-    or trimmed off the heap, and every reuse faults its pages back in.
-    Pinning the thresholds at the largest value glibc would pick on its own
-    keeps them on the heap; the peak memory of a run is unchanged. No-op
-    where there is no glibc mallopt.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,16 +10,18 @@ import pytest
 from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
-from rppg.diffuse import estimate_diffuse_stack, specular_free_min_subtract
+from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min_subtract
 from rppg.errors import MissingManifestError
 from rppg.ingest import (
     LandmarkRecord,
     LandmarkSidecar,
     load_frame_sequence,
+    read_ppm,
     write_frame_dir,
     write_landmarks,
     write_raw_stream,
 )
+from rppg.pipeline import PASS_PLANE_BYTES
 from rppg.synth import SpecularPatch, SynthScene, write_scene_dataset
 
 from helpers import full_sidecar, pulsed_sequence
@@ -121,20 +123,33 @@ def test_estimate_dump_diffuse(dataset, tmp_path):
 def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
     scene = SynthScene(width=24, height=24, fps=30.0, duration_s=12.0, seed=2)
     paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
-    args = [
-        "estimate", "--frames", str(paths["frames"]), "--landmarks", str(paths["landmarks"]),
-        "--method", "proposed", "--diffuse-estimator", "min_subtract",
-        "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "diffuse"),
-    ]
-    assert main(args) == 0
-    assert load_frame_sequence(tmp_path / "diffuse").count == 360
-    # a frame in mid-sequence goes missing: found when its chunk is read,
-    # after earlier chunks' diffuse frames were written over the old tree
-    (paths["frames"] / "frame_000200.ppm").unlink()
-    assert main(args) == 3
-    assert (tmp_path / "diffuse" / "frame_000000.ppm").exists()
-    with pytest.raises(MissingManifestError):
-        load_frame_sequence(tmp_path / "diffuse")
+
+    def estimate(ddir):
+        return main([
+            "estimate", "--frames", str(paths["frames"]), "--landmarks", str(paths["landmarks"]),
+            "--method", "proposed", "--diffuse-estimator", "min_subtract",
+            "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(ddir),
+        ])
+
+    assert estimate(tmp_path / "diffuse") == 0
+    good = load_frame_sequence(tmp_path / "diffuse").frames[:]
+    assert len(good) == 360
+    # a frame of the pass's second chunk goes missing: found when that chunk
+    # is read, after the first chunk's diffuse frames were written
+    first = frame_chunks(360, 24, 24, PASS_PLANE_BYTES)[0]
+    assert first.stop < 300 < 359
+    (paths["frames"] / "frame_000300.ppm").unlink()
+    assert estimate(tmp_path / "fresh") == 3
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == [f"frame_{i:06d}.ppm" for i in range(first.stop)]
+    for i in (0, first.stop - 1):
+        written = read_ppm(tmp_path / "fresh" / names[i])
+        assert np.array_equal(written, good[i])
+    # over a finished tree, the failed run removes its manifest first
+    assert estimate(tmp_path / "diffuse") == 3
+    for ddir in ("fresh", "diffuse"):
+        with pytest.raises(MissingManifestError):
+            load_frame_sequence(tmp_path / ddir)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
