@@ -260,13 +260,11 @@ def skin_reflectance(params: SkinParams, wavelengths_nm) -> np.ndarray:
 def reflectance_over_blood(params: SkinParams, wavelengths_nm, f_blood_values) -> np.ndarray:
     """R(lambda) for many blood fractions at once; shape (n_fb, n_lambda)."""
     lam = _check_wavelengths(wavelengths_nm)
-    fb = np.asarray(f_blood_values, dtype=np.float64)[:, None]
+    fb = np.asarray(f_blood_values, dtype=np.float64)
     if np.any(fb <= 0) or np.any(fb >= 1):
         raise UsageError("f_blood values must lie in (0, 1)")
     t = epidermal_transmission(lam, params.f_mel)
-    mu_blood = whole_blood_absorption(lam) * (params.f_hg / HG_VOLUME_FRACTION_REF)
-    k = fb * mu_blood[None, :] + (1.0 - fb) * baseline_absorption(lam)[None, :]
-    return (t * t)[None, :] * _km_reflectance(k / dermal_scattering(lam)[None, :])
+    return t * t * dermal_reflectance(lam, fb[:, None], params.f_hg)
 
 
 def reflectance_blood_derivative(params: SkinParams, wavelengths_nm) -> np.ndarray:

@@ -7,8 +7,9 @@ Subcommands:
   biophys   dump the skin-signal / camera-noise diagnostic tables (CSV)
 
 Every output file is written atomically (temp file + rename). Errors map
-to stable exit codes: 2 usage, 3 missing input, 4 malformed data,
-5 geometry, 6 empty region, 7 signal, 8 model, 9 invalid scene.
+to stable exit codes: 2 usage or unwritable output, 3 missing or unreadable
+input, 4 malformed data, 5 geometry, 6 empty region, 7 signal, 8 model,
+9 invalid scene.
 """
 
 from __future__ import annotations
@@ -49,17 +50,22 @@ PIXEL_SWEEP_DEFAULT = (1, 255)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temp file and a rename; a path that
+    cannot be written (a directory, a name too long) is a UsageError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot be written: {exc.strerror}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -40,7 +40,7 @@ from .errors import (
     ZeroChannelMeanError,
 )
 from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
-from .signals import PulseWaveform, RgbTrace, zero_mean
+from .signals import zero_mean
 
 WEIGHT_EPS = 1e-12
 NORMALIZATION_TOL = 1e-6
@@ -89,13 +89,14 @@ def masked_cell_sums(
     return sums, counts
 
 
-def facial_aggregate(sums: np.ndarray, counts: np.ndarray, fps: float) -> RgbTrace:
-    """Mean RGB over all masked pixels, per frame, from masked_cell_sums's
-    sums (t, 1, 1, 3) and counts (t, 1, 1) of one cell spanning the frame."""
+def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean RGB over all masked pixels, per frame, (t, 3), from
+    masked_cell_sums's sums (t, 1, 1, 3) and counts (t, 1, 1) of one cell
+    spanning the frame."""
     empty = np.flatnonzero(counts[:, 0, 0] == 0)
     if empty.size:
         raise EmptyRegionError(f"frame {empty[0]}: mask selects no pixels")
-    return RgbTrace(sums[:, 0, 0] / counts[:, 0, 0, None], fps)
+    return sums[:, 0, 0] / counts[:, 0, 0, None]
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ def _check_normalized(weights: np.ndarray, name: str) -> np.ndarray:
     return weights
 
 
-def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> PulseWaveform:
-    """SNR-weighted mean of the per-cell CHROM waveforms (traces.waveforms)."""
+def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> np.ndarray:
+    """SNR-weighted mean of the per-cell CHROM waveforms (traces.waveforms),
+    zero-mean, (n_frames,)."""
     weights = _check_normalized(weights, "snr weights")
     if weights.size != traces.n_cells:
         raise ValueError("one weight per cell required")
@@ -222,13 +224,13 @@ def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> PulseWavef
     if missing.size:
         raise ZeroChannelMeanError(f"cell {missing[0]} has positive weight but no waveform")
     acc = np.tensordot(weights[cells], waves[cells], axes=1)
-    return PulseWaveform(zero_mean(acc), traces.fps)
+    return zero_mean(acc)
 
 
 def combine_proposed(
     traces: GridTraces, snr_w: np.ndarray, diffuse_w: np.ndarray
-) -> RgbTrace:
-    """Product-weighted mean of the raw per-cell RGB traces.
+) -> np.ndarray:
+    """Product-weighted mean of the raw per-cell RGB traces, (n_frames, 3).
 
     Weights are snr_w * diffuse_w renormalized; the result feeds a single
     downstream CHROM pass.
@@ -245,5 +247,4 @@ def combine_proposed(
             "snr and diffuse weights have no overlapping support"
         )
     w = product / total
-    combined = np.tensordot(w, traces.samples, axes=1)
-    return RgbTrace(combined, traces.fps)
+    return np.tensordot(w, traces.samples, axes=1)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MissingInputError, UsageError
+from .errors import UsageError
 from .ingest import read_text
 
 METHODS = ("aggregate", "snr", "proposed")
@@ -109,9 +109,6 @@ def load_run_config(path: Path | None, overrides: dict | None = None) -> RunConf
     """Defaults, then the config file, then explicit overrides."""
     values: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise MissingInputError(f"{path}: config file not found")
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(read_text(path))

@@ -14,13 +14,13 @@ class ToolkitError(Exception):
 
 
 class UsageError(ToolkitError):
-    """Bad flags, bad config values, unusable sweep ranges."""
+    """Bad flags, bad config values, unusable sweep ranges, unwritable output paths."""
 
     exit_code = 2
 
 
 class MissingInputError(ToolkitError):
-    """A required input path does not exist."""
+    """A required input path does not exist or cannot be opened as a file."""
 
     exit_code = 3
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, EmptyFileError, LengthMismatchError, MissingInputError
+from .errors import DataFormatError, EmptyFileError, LengthMismatchError
 from .ingest import load_ground_truth, read_text
 
 LOA_FACTOR = 1.96
@@ -98,8 +98,6 @@ def load_manifest(path: Path) -> list[CohortRecord]:
     """Cohort records from a report,ground_truth,skin_tone,condition,viewpoint
     CSV; relative paths are taken from the manifest's directory."""
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"{path}: manifest not found")
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty manifest")
@@ -110,20 +108,20 @@ def load_manifest(path: Path) -> list[CohortRecord]:
         )
     records = []
     for ln_no, line in enumerate(lines[1:], start=2):
+        if "\0" in line:
+            raise DataFormatError(f"{path}:{ln_no}: NUL byte in a manifest row")
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != len(_MANIFEST_COLUMNS):
             raise DataFormatError(f"{path}:{ln_no}: expected {len(_MANIFEST_COLUMNS)} columns")
         report_path, gt_path, tone, condition, viewpoint = parts
         report_path = (path.parent / report_path).resolve() if not os.path.isabs(report_path) else Path(report_path)
         gt_path = (path.parent / gt_path).resolve() if not os.path.isabs(gt_path) else Path(gt_path)
-        if not report_path.exists():
-            raise MissingInputError(f"{path}:{ln_no}: report {report_path} not found")
         try:
             report = json.loads(read_text(report_path))
             method, est = report["method"], report["video_bpm"]
             # a JSON number: bools and numeric strings do not count
             finite = type(est) in (int, float) and math.isfinite(est)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
         if not isinstance(method, str):
             raise DataFormatError(f"{report_path}: method must be a JSON string, got {method!r}")

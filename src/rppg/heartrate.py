@@ -221,20 +221,14 @@ def plan_windows(duration_s: float, window_s: float = 10.0, hop_s: float = 5.0) 
     return WindowPlan(window_s=window_s, hop_s=hop_s, starts=tuple(starts))
 
 
-@dataclass(frozen=True)
-class HrEstimate:
-    window_bpm: tuple[float, ...]
-    video_bpm: float
-
-
 def estimate_video_hr(
     waves: np.ndarray,
     fps: float,
     notch_hz=(),
     band: tuple[float, float] = PASSBAND_HZ,
     halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-) -> HrEstimate:
-    """Per-window harmonic peak selection, then the mean across windows.
+) -> tuple[float, ...]:
+    """Per-window harmonic peak selection: the rate of each window in bpm.
 
     waves (n_windows, n) holds one pulse waveform per window, all at fps;
     the windows share one periodogram call.
@@ -243,8 +237,7 @@ def estimate_video_hr(
     if waves.shape[0] == 0:
         raise NoWindowsError("no analysis windows fit in the recording")
     freqs, power = periodogram(waves, fps)
-    bpm = tuple(
+    return tuple(
         select_hr(freqs, suppress_artifacts(freqs, row, notch_hz), band, halfwidth_hz)
         for row in power
     )
-    return HrEstimate(window_bpm=bpm, video_bpm=float(np.mean(bpm)))

@@ -34,7 +34,7 @@ import json
 import os
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ from .errors import (
     NonMonotoneTimeError,
     NonPositiveFpsError,
     OutOfBoundsError,
+    UsageError,
 )
 
 RAW_MAGIC = b"RPPGRAW1"
@@ -153,11 +154,15 @@ class GroundTruth:
 
 
 def read_text(path: Path) -> str:
-    """A UTF-8 text file's contents; other bytes raise DataFormatError."""
+    """A UTF-8 text file's contents; other bytes raise DataFormatError, and a
+    path that cannot be opened as a file (missing, a directory, a name too
+    long, no permission) MissingInputError."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not a text file: {exc}") from exc
+    except OSError as exc:
+        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +171,10 @@ def read_text(path: Path) -> str:
 
 
 def read_ppm(path: Path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
     # header = magic, width, height, maxval as whitespace-separated tokens,
@@ -225,7 +233,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         width = int(manifest["width"])
         height = int(manifest["height"])
         count = int(manifest["count"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest: {exc}") from exc
     if fps <= 0:
         raise NonPositiveFpsError(f"{manifest_path}: fps must be positive, got {fps}")
@@ -236,8 +244,6 @@ def load_frame_dir(directory: Path) -> FrameSequence:
 
     def read_frame(i: int) -> np.ndarray:
         fp = directory / _frame_name(i)
-        if not fp.exists():
-            raise MissingInputError(f"{fp}: listed in manifest but missing")
         frame = read_ppm(fp)
         if frame.shape != (height, width, 3):
             raise DimensionMismatchError(
@@ -262,12 +268,16 @@ def load_frame_dir(directory: Path) -> FrameSequence:
 class FrameDirWriter:
     """Writes a frame directory chunk by chunk (write), then its manifest
     (finish). A stale manifest is removed first, so a directory whose writer
-    did not finish does not load."""
+    did not finish does not load. A path that cannot be made a directory is
+    a UsageError."""
 
     def __init__(self, directory: Path, fps: float, width: int, height: int):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / "manifest.json").unlink(missing_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            (self.directory / "manifest.json").unlink(missing_ok=True)
+        except OSError as exc:
+            raise UsageError(f"{directory}: cannot be written: {exc.strerror}") from exc
         self.manifest = {"fps": fps, "width": width, "height": height, "count": 0}
 
     def write(self, frames: np.ndarray) -> None:
@@ -296,7 +306,11 @@ def load_raw_stream(path: Path) -> FrameSequence:
     """A raw stream whose header and payload size agree; frames are read by
     chunk with np.fromfile (not a memory map: mapped pages that a pass
     touches would stay resident and count toward its peak)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
+    with fh:
         header = fh.read(RAW_HEADER.size)
         if len(header) < RAW_HEADER.size:
             raise MalformedStreamError(f"{path}: shorter than the 24-byte header")
@@ -338,9 +352,9 @@ def write_raw_stream(seq: FrameSequence, path: Path) -> None:
 def load_frame_sequence(path: Path) -> FrameSequence:
     """Load either storage layout: a directory of PPMs or a raw stream file."""
     path = Path(path)
-    if path.is_dir():
+    if os.path.isdir(path):
         return load_frame_dir(path)
-    if path.is_file():
+    if os.path.isfile(path):
         return load_raw_stream(path)
     raise MissingInputError(f"{path}: no such file or directory")
 
@@ -395,8 +409,6 @@ def _check_polygon_in_bbox(poly, bbox, where: str) -> None:
 def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> LandmarkSidecar:
     """Load and validate a JSONL sidecar against the owning frame sequence."""
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"{path}: no such file")
     records: dict[int, LandmarkRecord] = {}
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
@@ -405,14 +417,14 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
         try:
             frame = int(obj["frame"])
             raw_bbox = obj["bbox"]
             raw_eyes = obj["eyes"]
             raw_mouth = obj["mouth"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{where}: missing field: {exc}") from exc
         bbox = _check_bbox(raw_bbox, width, height, where)
         if not (isinstance(raw_eyes, list) and len(raw_eyes) == 2):
@@ -467,8 +479,6 @@ def read_two_column_csv(path: Path, header: str) -> tuple[np.ndarray, np.ndarray
     """The two columns of a CSV whose first line is header (e.g. 'time_s,value'),
     every value a finite float."""
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"{path}: no such file")
     lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != header:
         raise DataFormatError(f"{path}: first line must be the header {header!r}")
@@ -497,20 +507,16 @@ def read_timeseries_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
-def load_ground_truth(hr_path: Path | None = None, ppg_path: Path | None = None) -> GroundTruth:
-    gt = GroundTruth()
-    if ppg_path is not None:
-        t, v = read_timeseries_csv(ppg_path)
-        gt = replace(gt, ppg_time_s=t, ppg_value=v)
-    if hr_path is not None:
-        t, v = read_timeseries_csv(hr_path)
-        if np.any(v < HR_BPM_MIN) or np.any(v > HR_BPM_MAX):
-            raise DataFormatError(
-                f"{hr_path}: heart-rate numerics outside "
-                f"[{HR_BPM_MIN}, {HR_BPM_MAX}] bpm"
-            )
-        gt = replace(gt, hr_time_s=t, hr_bpm=v)
-    return gt
+def load_ground_truth(hr_path: Path) -> GroundTruth:
+    """The heart-rate numerics of a time_s,value CSV, each within
+    [HR_BPM_MIN, HR_BPM_MAX] bpm."""
+    t, v = read_timeseries_csv(hr_path)
+    if np.any(v < HR_BPM_MIN) or np.any(v > HR_BPM_MAX):
+        raise DataFormatError(
+            f"{hr_path}: heart-rate numerics outside "
+            f"[{HR_BPM_MIN}, {HR_BPM_MAX}] bpm"
+        )
+    return GroundTruth(hr_time_s=t, hr_bpm=v)
 
 
 def write_timeseries_csv(t: np.ndarray, v: np.ndarray, path: Path) -> None:

@@ -57,7 +57,7 @@ from .diffuse import (
 from .errors import NoWindowsError, UsageError, ZeroChannelMeanError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
-from .roi import GridSpec, build_grid, build_mask
+from .roi import build_grid, build_mask
 from .signals import PulseWaveform
 
 
@@ -83,7 +83,7 @@ def _window_sums(
     seq: FrameSequence,
     records,
     slices: list[slice],
-    grids: list[GridSpec] | None,
+    grids: list[tuple[np.ndarray, np.ndarray]] | None,
     separate: Callable[[np.ndarray], np.ndarray] | None,
     on_diffuse: Callable[[np.ndarray], None] | None,
 ):
@@ -91,7 +91,7 @@ def _window_sums(
     soon as the window's last frame has been read.
 
     Yields (sums, counts, luminance sums) as masked_cell_sums gives them over
-    the window's frames and grids[i].edges, or over one cell spanning the
+    the window's frames and the edges grids[i], or over one cell spanning the
     frame when grids is None. The luminance sums are those of the diffuse
     frames that separate makes, or None without it. Every chunk of the
     recording is read, and its diffuse frames go to on_diffuse, the tail
@@ -120,7 +120,7 @@ def _window_sums(
             if grids is None:
                 parts[i].append((whole[0][part], whole[1][part], None))
                 continue
-            edges = grids[i].edges
+            edges = grids[i]
             sums, counts = masked_cell_sums(frames[part], masks[part], *edges)
             lum_sums = None if lum is None else masked_cell_sums(lum[part], masks[part], *edges)[0]
             parts[i].append((sums, counts, lum_sums))
@@ -149,8 +149,8 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
                 f"window {first + j} (start {starts[first + j]} s): "
                 f"channel means {rows[j].mean(axis=0)} must all be positive"
             )
-    est = estimate_video_hr(waves, fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
-    return waves, est.window_bpm
+    bpm = estimate_video_hr(waves, fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
+    return waves, bpm
 
 
 def run_pipeline(
@@ -195,16 +195,16 @@ def run_pipeline(
     for i, (sums, counts, lum_sums) in enumerate(window_sums):
         start_s = plan.starts[i]
         if cfg.method == "aggregate":
-            rows.append(facial_aggregate(sums, counts, seq.fps).samples)
+            rows.append(facial_aggregate(sums, counts))
         else:
             traces = grid_traces(sums, counts, seq.fps)
             w_snr = snr_weights(traces, cfg.snr_halfwidth_hz, cfg.passband_hz)
             if cfg.method == "snr":
-                rows.append(combine_benchmark_snr(traces, w_snr).samples)
+                rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
             else:
                 w_dif = diffuse_weights(lum_sums, counts)
-                rows.append(combine_proposed(traces, w_snr, w_dif).samples)
+                rows.append(combine_proposed(traces, w_snr, w_dif))
                 weight_log.append(
                     {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}
                 )

@@ -14,8 +14,6 @@ bbox exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooFineError
@@ -67,22 +65,10 @@ def build_mask(records, width: int, height: int) -> np.ndarray:
     return masks
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Row-major cells over a bbox. edges is (y_edges, x_edges): cell row r
-    spans [y_edges[r], y_edges[r + 1]) and column c spans
-    [x_edges[c], x_edges[c + 1]), in frame pixels that may lie outside the
-    frame."""
-
-    edges: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def n_cells(self) -> int:
-        y_edges, x_edges = self.edges
-        return (y_edges.size - 1) * (x_edges.size - 1)
-
-
-def build_grid(bbox, rows: int, cols: int) -> GridSpec:
+def build_grid(bbox, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major cells over a bbox as (y_edges, x_edges): cell row r spans
+    [y_edges[r], y_edges[r + 1]) and column c spans [x_edges[c], x_edges[c + 1]),
+    in frame pixels that may lie outside the frame."""
     x0, y0, bw, bh = (int(v) for v in bbox)
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
@@ -93,4 +79,4 @@ def build_grid(bbox, rows: int, cols: int) -> GridSpec:
         )
     y_edges = y0 + np.append(np.arange(rows) * (bh // rows), bh)
     x_edges = x0 + np.append(np.arange(cols) * (bw // cols), bw)
-    return GridSpec(edges=(y_edges, x_edges))
+    return y_edges, x_edges

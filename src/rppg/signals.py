@@ -1,35 +1,10 @@
-"""Shared waveform containers used across the extraction pipeline."""
+"""The pulse waveform container shared across the extraction pipeline."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RgbTrace:
-    """Per-frame mean RGB of some region. samples has shape (n, 3)."""
-
-    samples: np.ndarray
-    fps: float
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise ValueError(f"RgbTrace samples must be (n, 3), got {s.shape}")
-        if s.shape[0] < 1:
-            raise ValueError("RgbTrace needs at least one sample")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("RgbTrace samples must be finite")
-        if np.any(s < 0.0):
-            raise ValueError("RgbTrace components must be non-negative")
-        if not self.fps > 0:
-            raise ValueError("RgbTrace fps must be positive")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)

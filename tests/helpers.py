@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
 from rppg.combine import diffuse_weights, facial_aggregate, grid_traces, masked_cell_sums
 from rppg.errors import ZeroChannelMeanError
 from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
-from rppg.roi import GridSpec
-from rppg.signals import PulseWaveform, RgbTrace
+from rppg.signals import PulseWaveform
 
 
 def flat_sequence(n=64, h=12, w=16, fps=16.0, level=(120, 90, 70)) -> FrameSequence:
@@ -69,12 +69,12 @@ def mixed_frames(n, h, w, seed=0) -> np.ndarray:
     return frames
 
 
-def label_map(grid: GridSpec, width: int, height: int) -> np.ndarray:
-    """Cell index per pixel of a (height, width) frame; -1 outside the bbox.
-    Cells are clipped to the frame on every side. The loop oracles index
-    pixels by cell with it."""
+def label_map(edges, width: int, height: int) -> np.ndarray:
+    """Cell index per pixel of a (height, width) frame, for a grid's
+    (y_edges, x_edges); -1 outside the bbox. Cells are clipped to the frame
+    on every side. The loop oracles index pixels by cell with it."""
     labels = np.full((height, width), -1, dtype=np.int32)
-    y_edges, x_edges = np.maximum(grid.edges[0], 0), np.maximum(grid.edges[1], 0)
+    y_edges, x_edges = np.maximum(edges[0], 0), np.maximum(edges[1], 0)
     cols = x_edges.size - 1
     for r in range(y_edges.size - 1):
         for c in range(cols):
@@ -82,27 +82,48 @@ def label_map(grid: GridSpec, width: int, height: int) -> np.ndarray:
     return labels
 
 
-def chrom_one(trace: RgbTrace) -> PulseWaveform:
-    """CHROM of one RGB trace: the one-row chrom_rows call. A zero channel
-    mean raises, as the pipeline does for a window."""
-    waves, ok = chrom_rows(trace.samples[None], trace.fps)
+def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
+    """CHROM of one (n, 3) RGB trace: the one-row chrom_rows call. A zero
+    channel mean raises, as the pipeline does for a window."""
+    waves, ok = chrom_rows(np.asarray(samples, dtype=np.float64)[None], fps)
     if not ok[0]:
-        raise ZeroChannelMeanError(f"channel means {trace.samples.mean(axis=0)}")
-    return PulseWaveform(waves[0], trace.fps)
+        raise ZeroChannelMeanError(f"channel means {np.mean(samples, axis=0)}")
+    return PulseWaveform(waves[0], fps)
 
 
 # The window-level compositions the pipeline makes from masked_cell_sums:
 # pool a whole window's pixels, then reduce its per-frame sums and counts.
 
 
-def grid_traces_of(frames, masks, grid: GridSpec, fps: float):
-    return grid_traces(*masked_cell_sums(frames, masks, *grid.edges), fps)
+def grid_traces_of(frames, masks, edges, fps: float):
+    return grid_traces(*masked_cell_sums(frames, masks, *edges), fps)
 
 
-def facial_aggregate_of(frames, masks, fps: float) -> RgbTrace:
+def facial_aggregate_of(frames, masks) -> np.ndarray:
     height, width = np.shape(masks)[1:]
-    return facial_aggregate(*masked_cell_sums(frames, masks, [0, height], [0, width]), fps)
+    return facial_aggregate(*masked_cell_sums(frames, masks, [0, height], [0, width]))
 
 
-def diffuse_weights_of(lum, grid: GridSpec, masks) -> np.ndarray:
-    return diffuse_weights(*masked_cell_sums(lum, masks, *grid.edges))
+def diffuse_weights_of(lum, edges, masks) -> np.ndarray:
+    return diffuse_weights(*masked_cell_sums(lum, masks, *edges))
+
+
+# Values that break a JSON field: out of float range, not finite, the wrong
+# type, a bool where a number goes, an integer past 64 bits, bad JSON.
+JSON_JUNK = (
+    "1e400", "-1e400", "NaN", "Infinity", "null", "true", '"7"', "1.5", "-1", "0",
+    "[]", "{}", "[1, 2", "18446744073709551617",
+)
+
+
+@st.composite
+def json_object_text(draw, fields: dict[str, list[str]]):
+    """The text of one JSON object over fields: each key holds one of its
+    valid values (as JSON text), a JSON_JUNK value, or is absent."""
+    members = []
+    for key, valid in fields.items():
+        kind = draw(st.sampled_from(("valid", "valid", "junk", "absent")))
+        if kind != "absent":
+            value = draw(st.sampled_from(valid if kind == "valid" else JSON_JUNK))
+            members.append(f'"{key}": {value}')
+    return "{" + ", ".join(members) + "}"

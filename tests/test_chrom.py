@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rppg.chrom import chrom_rows
 from rppg.errors import TraceTooShortError
 from rppg.heartrate import periodogram
-from rppg.signals import RgbTrace
 
 from helpers import chrom_one
 
@@ -15,24 +14,23 @@ def modulated_trace(n=300, fps=30.0, hz=1.2, amp=(0.0, 1.0, 0.0), base=(120.0, 1
     t = np.arange(n) / fps
     pulse = np.sin(2 * np.pi * hz * t)
     samples = np.asarray(base) + np.outer(pulse, np.asarray(amp))
-    return RgbTrace(samples=samples, fps=fps)
+    return samples
 
 
 def test_constant_trace_gives_zero_output():
-    trace = RgbTrace(samples=np.full((128, 3), 80.0), fps=30.0)
-    wave = chrom_one(trace)
+    wave = chrom_one(np.full((128, 3), 80.0), 30.0)
     assert np.all(np.abs(wave.samples) < 1e-9)
 
 
 def test_green_modulation_peaks_at_pulse_frequency():
-    wave = chrom_one(modulated_trace(hz=1.2))
+    wave = chrom_one(modulated_trace(hz=1.2), 30.0)
     freqs, power = periodogram(wave.samples, wave.fps)
     peak = freqs[np.argmax(power)]
     assert peak == pytest.approx(1.2, abs=0.05)
 
 
 def test_output_is_zero_mean_and_same_length():
-    wave = chrom_one(modulated_trace())
+    wave = chrom_one(modulated_trace(), 30.0)
     assert len(wave) == 300
     rms = np.sqrt((wave.samples**2).mean())
     assert abs(wave.samples.mean()) <= 1e-9 * rms
@@ -42,9 +40,8 @@ def test_output_is_zero_mean_and_same_length():
 @given(st.floats(0.05, 50.0))
 def test_scale_invariance(k):
     trace = modulated_trace(n=150)
-    scaled = RgbTrace(samples=trace.samples * k, fps=trace.fps)
-    a = chrom_one(trace).samples
-    b = chrom_one(scaled).samples
+    a = chrom_one(trace, 30.0).samples
+    b = chrom_one(trace * k, 30.0).samples
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -53,30 +50,29 @@ def test_dc_rejection_small_offset():
     # changes of order offset/mean, so exact cancellation holds only in the
     # small-offset limit; the spectral peak location is offset-invariant.
     trace = modulated_trace()
-    a = chrom_one(trace).samples
-    b = chrom_one(RgbTrace(samples=trace.samples + 0.002, fps=trace.fps)).samples
+    a = chrom_one(trace, 30.0).samples
+    b = chrom_one(trace + 0.002, 30.0).samples
     assert np.sqrt(np.mean((a - b) ** 2)) < 1e-6
 
 
 def test_dc_rejection_argmax_invariant_under_large_offset():
     trace = modulated_trace()
-    _, base = periodogram(chrom_one(trace).samples, trace.fps)
-    shifted = chrom_one(RgbTrace(samples=trace.samples + 25.0, fps=trace.fps))
-    _, shifted = periodogram(shifted.samples, trace.fps)
+    _, base = periodogram(chrom_one(trace, 30.0).samples, 30.0)
+    _, shifted = periodogram(chrom_one(trace + 25.0, 30.0).samples, 30.0)
     assert np.argmax(base) == np.argmax(shifted)
 
 
 def test_zero_channel_mean_rejected():
     samples = np.full((128, 3), 50.0)
     samples[:, 2] = 0.0
-    waves, ok = chrom_rows(np.stack([samples, modulated_trace(n=128).samples]), 30.0)
+    waves, ok = chrom_rows(np.stack([samples, modulated_trace(n=128)]), 30.0)
     assert ok.tolist() == [False, True]
     assert not waves[0].any() and waves[1].any()
 
 
 def test_trace_too_short_rejected():
     with pytest.raises(TraceTooShortError):
-        chrom_one(RgbTrace(samples=np.full((30, 3), 50.0), fps=30.0))  # 1 s at 30 fps
+        chrom_one(np.full((30, 3), 50.0), 30.0)  # 1 s at 30 fps
 
 
 def test_alpha_zero_branch_keeps_x_chrominance():
@@ -94,7 +90,7 @@ def test_alpha_zero_branch_keeps_x_chrominance():
         ],
         axis=1,
     )
-    wave = chrom_one(RgbTrace(samples=samples, fps=fps))
+    wave = chrom_one(samples, fps)
     from rppg.heartrate import bandpass_series
 
     rn = samples[:, 0] / samples[:, 0].mean()

@@ -3,9 +3,12 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
@@ -20,6 +23,7 @@ from rppg.ingest import (
     write_frame_dir,
     write_landmarks,
     write_raw_stream,
+    write_timeseries_csv,
 )
 from rppg.pipeline import PASS_PLANE_BYTES
 from rppg.synth import SpecularPatch, SynthScene, write_scene_dataset
@@ -346,6 +350,154 @@ def test_model_error_exits_8():
 
 def test_invalid_scene_exits_9(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "s"), "--width", "4"]) == 9
+
+
+@pytest.fixture(scope="module")
+def bad_paths(dataset, tmp_path_factory):
+    """Inputs that cannot be opened or parsed, and outputs that cannot be written."""
+    root = tmp_path_factory.mktemp("bad-paths")
+    (root / "dir").mkdir()
+    (root / "file").write_text("x")
+    assert main(run_estimate(dataset, "--method", "aggregate", "--out", str(root / "report.json"))) == 0
+    (root / "hr.csv").write_text(open(dataset["hr"]).read())
+    (root / "nested.json").write_text("[" * 200_000)
+    for name, report, truth in (
+        ("report-dir", "dir", "hr.csv"), ("truth-dir", "report.json", "dir"),
+        ("report-long", "x" * 5000, "hr.csv"), ("report-nul", "report\0.json", "hr.csv"),
+        ("report-nested", "nested.json", "hr.csv"),
+    ):
+        (root / f"{name}.csv").write_text(
+            f"report,ground_truth,skin_tone,condition,viewpoint\n{report},{truth},light,room,front\n"
+        )
+    marks = open(dataset["landmarks"]).read()
+    (root / "frame-1e400.jsonl").write_text(marks.replace('"frame": 0,', '"frame": 1e400,', 1))
+    (root / "nested.jsonl").write_text("[" * 200_000 + "\n")
+    # a PPM directory whose frame 100 is a directory, found when its chunk is read
+    seq = pulsed_sequence(n=300, h=8, w=8)
+    write_frame_dir(seq, root / "ppm")
+    write_landmarks(full_sidecar(seq), root / "ppm.jsonl")
+    (root / "ppm" / "frame_000100.ppm").unlink()
+    (root / "ppm" / "frame_000100.ppm").mkdir()
+    frames = frame_dir_claiming(root, 8)
+    manifest = (Path(frames) / "manifest.json").read_text()
+    (Path(frames) / "manifest.json").write_text(manifest.replace('"width": 8', '"width": 1e400'))
+    return {**dataset, "root": str(root), "long": str(root / ("x" * 5000))}
+
+
+ESTIMATE = "estimate --frames {frames} --landmarks {landmarks} --method aggregate"
+EVALUATE = "evaluate --manifest {root}/"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # an input path that cannot be opened as a file: 3
+        ("estimate --frames {frames} --landmarks {root}/dir", 3),
+        (ESTIMATE + " --config {root}/dir", 3),
+        ("evaluate --manifest {root}/dir", 3),
+        (EVALUATE + "report-dir.csv", 3),
+        (EVALUATE + "truth-dir.csv", 3),
+        ("estimate --frames {root}/ppm --landmarks {root}/ppm.jsonl --method aggregate", 3),
+        ("estimate --frames {long} --landmarks {landmarks}", 3),
+        ("estimate --frames {frames} --landmarks {long}", 3),
+        (EVALUATE + "report-long.csv", 3),
+        # malformed input: 4
+        (EVALUATE + "report-nul.csv", 4),
+        (EVALUATE + "report-nested.csv", 4),
+        ("estimate --frames {frames} --landmarks {root}/frame-1e400.jsonl", 4),
+        ("estimate --frames {frames} --landmarks {root}/nested.jsonl", 4),
+        ("estimate --frames {root}/frames --landmarks {landmarks}", 4),
+        # an output path that cannot be written: 2
+        (ESTIMATE + " --out {root}/dir", 2),
+        (ESTIMATE + " --out {long}", 2),
+        (ESTIMATE + " --dump-weights {root}/dir", 2),
+        (ESTIMATE.replace("aggregate", "proposed") + " --dump-diffuse {root}/file", 2),
+        ("biophys --table pixel-snr --out {root}/dir", 2),
+    ],
+)
+def test_paths_that_cannot_be_opened_exit_2_3_or_4(bad_paths, capsys, argv, code):
+    capsys.readouterr()
+    assert main([arg.format(**bad_paths) for arg in argv.split()]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("rppg: error: ") and err.count("\n") == 1, err
+
+
+# Bytes that break a file: values out of range or of the wrong kind, bytes
+# that are not UTF-8, a NUL, a cut or joined line, nesting past the
+# recursion limit.
+SPLICES = st.one_of(
+    st.sampled_from([b"1e400", b"-1", b"NaN", b"null", b"\xff", b"\x00", b"\n", b",", b"", b"[" * 200_000]),
+    st.binary(max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 3.2 s 8x8 recording as a raw stream and a PPM directory, its
+    landmarks, a config for one 3 s aggregate window, and an evaluate
+    manifest naming its report and ground truth."""
+    root = tmp_path_factory.mktemp("small")
+    seq = pulsed_sequence(n=96, h=8, w=8)
+    write_raw_stream(seq, root / "frames.raw")
+    write_frame_dir(seq, root / "ppm")
+    write_landmarks(full_sidecar(seq), root / "landmarks.jsonl")
+    (root / "run.ini").write_text("[pipeline]\nmethod = aggregate\nwindow_s = 3\nhop_s = 3\n")
+    write_timeseries_csv(np.array([0.0, 3.0]), np.array([72.0, 72.0]), root / "hr.csv")
+    (root / "manifest.csv").write_text(
+        "report,ground_truth,skin_tone,condition,viewpoint\nreport.json,hr.csv,light,room,front\n"
+    )
+    for frames in ("frames.raw", "ppm"):
+        assert main(small_estimate(root, frames)) == 0
+    (root / "out.json").rename(root / "report.json")
+    return root
+
+
+def small_estimate(root, frames):
+    return ["estimate", "--frames", str(root / frames), "--landmarks", str(root / "landmarks.jsonl"),
+            "--config", str(root / "run.ini"), "--out", str(root / "out.json")]
+
+
+# each file input, and the run that reads it
+FILE_INPUTS = {
+    "landmarks.jsonl": "frames.raw",
+    "run.ini": "frames.raw",
+    "frames.raw": "frames.raw",
+    "ppm/manifest.json": "ppm",
+    "ppm/frame_000050.ppm": "ppm",
+    "manifest.csv": None,
+    "report.json": None,
+    "hr.csv": None,
+}
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(FILE_INPUTS)),
+    at=st.integers(0, 2**20),
+    cut=st.integers(0, 8),
+    splice=SPLICES,
+)
+# the first landmark's frame index, and the frame directory's width
+@example(name="landmarks.jsonl", at=10, cut=1, splice=b"1e400")
+@example(name="ppm/manifest.json", at=49, cut=1, splice=b"1e400")
+@example(name="landmarks.jsonl", at=0, cut=0, splice=b"[" * 200_000)
+@example(name="report.json", at=0, cut=0, splice=b"[" * 200_000)
+def test_no_file_input_exits_1(small_inputs, name, at, cut, splice):
+    # splice bytes into the file at offset at (modulo its length), over cut bytes
+    path = small_inputs / name
+    original = path.read_bytes()
+    at %= len(original) + 1
+    path.write_bytes(original[:at] + splice + original[at + cut :])
+    frames = FILE_INPUTS[name]
+    if frames is None:
+        argv = ["evaluate", "--manifest", str(small_inputs / "manifest.csv")]
+    else:
+        argv = small_estimate(small_inputs, frames)
+    try:
+        rc = main(argv)
+    finally:
+        path.write_bytes(original)
+    assert rc == 0 or 2 <= rc <= 9, rc
 
 
 # ---------------------------------------------------------------------------

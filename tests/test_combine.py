@@ -23,7 +23,7 @@ from rppg.errors import (
 )
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
 from rppg.roi import build_grid, build_mask, rasterize_polygon
-from rppg.signals import RgbTrace, zero_mean
+from rppg.signals import zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
 from helpers import (
@@ -33,11 +33,6 @@ from helpers import (
     grid_traces_of,
     label_map,
 )
-
-
-def cell_trace(traces, i):
-    """The RGB trace of grid cell i."""
-    return RgbTrace(traces.samples[i], traces.fps)
 
 
 def random_scene(seed=0, n=8, h=6, w=8, mask_p=0.7):
@@ -74,24 +69,24 @@ def grid_scene(seed=0, n=300, h=8, w=8, fps=30.0, hz=1.2, amp=6.0, noise_cell=No
 
 def test_facial_aggregate_matches_loop_oracle():
     frames, masks = random_scene(seed=3)
-    trace = facial_aggregate_of(frames, masks, 30.0)
+    trace = facial_aggregate_of(frames, masks)
     for t in range(frames.shape[0]):
         expect = frames[t][masks[t]].astype(float).mean(axis=0)
-        assert np.array_equal(trace.samples[t], expect)
+        assert np.array_equal(trace[t], expect)
 
 
 def test_facial_aggregate_empty_frame_raises():
     frames, masks = random_scene(seed=4)
     masks[3] = False
     with pytest.raises(EmptyRegionError):
-        facial_aggregate_of(frames, masks, 30.0)
+        facial_aggregate_of(frames, masks)
 
 
 def test_facial_aggregate_uniform_frame_is_exact():
     frames = np.full((4, 5, 5, 3), 77, dtype=np.uint8)
     masks = np.ones((4, 5, 5), dtype=bool)
-    trace = facial_aggregate_of(frames, masks, 10.0)
-    assert np.allclose(trace.samples, 77.0)
+    trace = facial_aggregate_of(frames, masks)
+    assert np.allclose(trace, 77.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +98,7 @@ def loop_grid_traces(frames, masks, grid, fps):
     """Reference: the per-frame bincount loop that grid_traces replaced."""
     n_frames = frames.shape[0]
     labels = label_map(grid, frames.shape[2], frames.shape[1])
-    n = grid.n_cells
+    n = (grid[0].size - 1) * (grid[1].size - 1)
     samples = np.zeros((n, n_frames, 3))
     live = np.zeros(n, dtype=bool)
     for t in range(n_frames):
@@ -165,7 +160,7 @@ def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(cuts, case, 
     # per-frame sums: they must equal, bit for bit, one call over the stack.
     frames, masks = random_scene(seed=seed, n=23, h=9, w=12)
     values = frames.mean(axis=-1) if luminance else frames  # float64 or uint8 RGB
-    edges = build_grid(*case).edges
+    edges = build_grid(*case)
     whole = masked_cell_sums(values, masks, *edges)
     bounds = [0, *cuts, 23]
     parts = [masked_cell_sums(values[a:b], masks[a:b], *edges) for a, b in zip(bounds, bounds[1:])]
@@ -177,7 +172,7 @@ def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(cuts, case, 
 # The callers of masked_cell_sums, each returning its output array.
 REDUCERS = {
     "grid_traces": lambda frames, masks, grid: grid_traces_of(frames, masks, grid, 30.0).samples,
-    "facial_aggregate": lambda frames, masks, grid: facial_aggregate_of(frames, masks, 30.0).samples,
+    "facial_aggregate": lambda frames, masks, grid: facial_aggregate_of(frames, masks),
     "diffuse_weights": lambda lum, masks, grid: diffuse_weights_of(lum, grid, masks),
 }
 
@@ -243,7 +238,7 @@ def test_snr_weights_match_direct_per_cell_snr():
     w = snr_weights(traces)
     raw = np.zeros(4)
     for i in range(4):
-        wave = chrom_one(cell_trace(traces, i))
+        wave = chrom_one(traces.samples[i], traces.fps)
         freqs, power = periodogram(wave.samples, wave.fps)
         band = (freqs >= 0.7) & (freqs <= 3.5)
         peak = float(freqs[band][np.argmax(power[band])])
@@ -289,9 +284,9 @@ def test_combine_benchmark_is_weighted_waveform_mean():
     wave = combine_benchmark_snr(traces, weights)
     expect = np.zeros(frames.shape[0])
     for i, wi in enumerate(weights):
-        expect += wi * chrom_one(cell_trace(traces, i)).samples
-    assert np.allclose(wave.samples, zero_mean(expect), atol=1e-12)
-    assert wave.fps == fps
+        expect += wi * chrom_one(traces.samples[i], traces.fps).samples
+    assert wave.shape == expect.shape
+    assert np.allclose(wave, zero_mean(expect), atol=1e-12)
 
 
 def test_combine_benchmark_validates_weights():
@@ -313,7 +308,7 @@ def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
     w = np.zeros(traces.n_cells)
     for i in np.nonzero(traces.live)[0]:
         try:
-            wave = chrom_one(cell_trace(traces, i))
+            wave = chrom_one(traces.samples[i], traces.fps)
         except ZeroChannelMeanError:
             continue
         freqs, power = periodogram(wave.samples, wave.fps)
@@ -336,7 +331,7 @@ def loop_combine_benchmark_snr(traces, weights):
     """Reference: a second CHROM pass per positive-weight cell."""
     acc = np.zeros(traces.samples.shape[1])
     for i in np.nonzero(weights > 0)[0]:
-        acc += weights[i] * chrom_one(cell_trace(traces, i)).samples
+        acc += weights[i] * chrom_one(traces.samples[i], traces.fps).samples
     return zero_mean(acc)
 
 
@@ -344,7 +339,7 @@ def assert_matches_loop(traces):
     w = snr_weights(traces)
     ref = loop_snr_weights(traces)
     assert np.all(np.abs(w - ref) <= 1e-12 * ref)
-    wave = combine_benchmark_snr(traces, w).samples
+    wave = combine_benchmark_snr(traces, w)
     assert np.max(np.abs(wave - loop_combine_benchmark_snr(traces, ref))) <= 1e-12
     return w
 
@@ -413,7 +408,7 @@ def test_chrom_is_row_zero_of_batched_chrom():
     waves, ok = chrom_rows(traces.samples, fps)
     assert ok.all()
     for i in range(traces.n_cells):
-        assert np.array_equal(chrom_one(cell_trace(traces, i)).samples, waves[i])
+        assert np.array_equal(chrom_one(traces.samples[i], traces.fps).samples, waves[i])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +425,8 @@ def test_combine_proposed_product_weighting_oracle():
     product = snr_w * dif_w
     product /= product.sum()
     expect = np.tensordot(product, traces.samples, axes=(0, 0))
-    assert np.allclose(out.samples, expect, atol=1e-12)
-    assert out.fps == fps
+    assert out.shape == (frames.shape[0], 3)
+    assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_combine_proposed_zeroes_dead_cells():
@@ -444,7 +439,7 @@ def test_combine_proposed_zeroes_dead_cells():
     live_product = np.array([0.0, 0.01, 0.01, 0.01])
     live_product /= live_product.sum()
     expect = np.tensordot(live_product, traces.samples, axes=(0, 0))
-    assert np.allclose(out.samples, expect, atol=1e-12)
+    assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_combine_proposed_disjoint_supports_degenerate():
@@ -460,12 +455,10 @@ def test_single_cell_grid_reduces_to_aggregate():
     frames, masks, grid, fps = grid_scene(seed=10)
     grid1 = build_grid((0, 0, 8, 8), rows=1, cols=1)
     traces = grid_traces_of(frames, masks, grid1, fps)
-    agg = facial_aggregate_of(frames, masks, fps)
-    assert np.allclose(traces.samples[0], agg.samples, atol=1e-12)
+    agg = facial_aggregate_of(frames, masks)
+    assert np.allclose(traces.samples[0], agg, atol=1e-12)
     one = np.array([1.0])
+    assert np.allclose(combine_proposed(traces, one, one), agg, atol=1e-12)
     assert np.allclose(
-        combine_proposed(traces, one, one).samples, agg.samples, atol=1e-12
-    )
-    assert np.allclose(
-        combine_benchmark_snr(traces, one).samples, chrom_one(agg).samples, atol=1e-12
+        combine_benchmark_snr(traces, one), chrom_one(agg, fps).samples, atol=1e-12
     )

@@ -1,10 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rppg.cli import main
 from rppg.config import METHODS, RunConfig, load_run_config, parse_value
-from rppg.errors import MissingInputError, UsageError
+from rppg.errors import MissingInputError, ToolkitError, UsageError
 
 
 def test_defaults():
@@ -182,3 +184,32 @@ def test_choices_come_from_field_metadata():
             assert getattr(RunConfig(**{f.name: choice}), f.name) == choice
         with pytest.raises(UsageError, match=f.name):
             RunConfig(**{f.name: "none-of-these"})
+
+
+INI_LINES = st.one_of(
+    st.sampled_from(
+        ["[pipeline]", "[other]", "[DEFAULT]", "[", "windowing = 1", "hop_s=", "  grid_rows = 2", "; note"]
+    ),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+        st.sampled_from(
+            ["1", "0", "-1", "2.5", "nan", "1e400", "yes", "abc", "", "snr", "min_subtract",
+             "0.5,1.0", "50%", "1,%(x)s"]
+        ),
+    ),
+    st.text(max_size=15),
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(lines=st.lists(INI_LINES, max_size=6))
+def test_ini_config_parses_or_exits_2(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("ini") / "run.ini"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        cfg = load_run_config(path)
+    except ToolkitError as exc:
+        assert exc.exit_code == UsageError.exit_code
+        return
+    assert isinstance(cfg, RunConfig)

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rppg.errors import EmptyFileError, LengthMismatchError
+from rppg.errors import (
+    DataFormatError,
+    EmptyFileError,
+    LengthMismatchError,
+    MissingInputError,
+    ToolkitError,
+)
 from rppg.evaluation import (
     AgreementStats,
     CohortKey,
@@ -13,9 +19,12 @@ from rppg.evaluation import (
     agreement,
     bland_altman_csv,
     cohort_report,
+    load_manifest,
     report_to_csv,
     scatter_csv,
 )
+
+from helpers import json_object_text
 
 
 def stats_oracle(est, gt):
@@ -231,3 +240,44 @@ def test_nan_r_rendered_as_nan():
     text = report_to_csv(cohort_report([rec("proposed", 75.0, 72.0)]))
     row = next(l for l in text.split("\n") if l.startswith("proposed,r"))
     assert row.split(",")[-1] == "nan"
+
+
+# ---------------------------------------------------------------------------
+# load_manifest
+# ---------------------------------------------------------------------------
+
+REPORT_FIELDS = {"method": ['"aggregate"', '"proposed"'], "video_bpm": ["72.0", "70", "0.5"]}
+MANIFEST_HEADER = "report,ground_truth,skin_tone,condition,viewpoint"
+MANIFEST_ROWS = st.one_of(
+    st.tuples(
+        st.sampled_from(["report.json", "missing.json", "sub", "", "report\0.json"]),
+        st.sampled_from(["hr.csv", "zero.csv", "missing.csv", "sub"]),
+        st.sampled_from(["light", "dark", "violet"]),
+        st.sampled_from(["room", "dusk"]),
+        st.sampled_from(["front", "lower"]),
+    ).map(",".join),
+    st.text(max_size=15),
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    header=st.sampled_from([MANIFEST_HEADER, "report,gt", ""]),
+    rows=st.lists(MANIFEST_ROWS, max_size=3),
+    report=st.one_of(json_object_text(REPORT_FIELDS), st.text(max_size=15)),
+)
+@example(header=MANIFEST_HEADER, rows=["report.json,hr.csv,dark,room,front"], report="[" * 200_000)
+def test_manifest_and_reports_parse_or_exit_3_or_4(tmp_path_factory, header, rows, report):
+    d = tmp_path_factory.mktemp("cohort")
+    (d / "sub").mkdir()
+    (d / "report.json").write_text(report)
+    (d / "hr.csv").write_text("time_s,value\n0,72\n1,74\n")
+    (d / "zero.csv").write_text("time_s,value\n0,0\n")
+    (d / "manifest.csv").write_text("\n".join([header, *rows]) + "\n")
+    try:
+        summary = cohort_report(load_manifest(d / "manifest.csv"))
+    except ToolkitError as exc:
+        # 3 when a row names a file that is missing or is a directory
+        assert exc.exit_code in (MissingInputError.exit_code, DataFormatError.exit_code)
+        return
+    assert summary["methods"]

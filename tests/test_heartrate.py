@@ -352,15 +352,15 @@ def test_frame_slices_sweep_equal_lengths_inside_the_recording():
 
 
 def test_estimate_video_hr_means_windows():
-    est = estimate_video_hr(rows(tone(1.2, n=600), tone(1.2, n=600)), 30.0)
-    assert est.video_bpm == pytest.approx(np.mean(est.window_bpm))
-    assert est.video_bpm == pytest.approx(72.0, abs=0.5)
+    bpm = estimate_video_hr(rows(tone(1.2, n=600), tone(1.2, n=600)), 30.0)
+    assert bpm == pytest.approx((72.0, 72.0), abs=0.5)
+    assert np.mean(bpm) == pytest.approx(72.0, abs=0.5)
 
 
 def test_estimate_video_hr_two_window_mean():
-    est = estimate_video_hr(rows(tone(70 / 60, n=600), tone(74 / 60, n=600)), 30.0)
-    assert est.video_bpm == pytest.approx(np.mean(est.window_bpm))
-    assert est.video_bpm == pytest.approx(72.0, abs=0.5)
+    bpm = estimate_video_hr(rows(tone(70 / 60, n=600), tone(74 / 60, n=600)), 30.0)
+    assert bpm == pytest.approx((70.0, 74.0), abs=0.5)
+    assert np.mean(bpm) == pytest.approx(72.0, abs=0.5)
 
 
 def test_estimate_video_hr_no_windows():
@@ -374,8 +374,8 @@ def test_estimate_video_hr_applies_notch():
     t = np.arange(2400) / 30.0
     x = 3.0 * np.sin(2 * np.pi * 1.0 * t) + 1.0 * np.sin(2 * np.pi * 1.5 * t)
     wave = PulseWaveform(samples=zero_mean(x), fps=30.0)
-    plain = estimate_video_hr(rows(wave), 30.0).video_bpm
-    notched = estimate_video_hr(rows(wave), 30.0, notch_hz=[1.0]).video_bpm
+    (plain,) = estimate_video_hr(rows(wave), 30.0)
+    (notched,) = estimate_video_hr(rows(wave), 30.0, notch_hz=[1.0])
     assert plain == pytest.approx(60.0, abs=0.5)
     assert notched == pytest.approx(90.0, abs=0.5)
 
@@ -439,10 +439,8 @@ RECORDINGS = ((30.0, 300), (24.0, 240))
 def test_estimate_video_hr_matches_per_window_oracle(notch_hz):
     for fps, n in RECORDINGS:
         waves = windows_at(fps, n)
-        est = estimate_video_hr(rows(*waves), fps, notch_hz)
-        expect = per_window_oracle(waves, notch_hz)
-        assert list(est.window_bpm) == expect
-        assert est.video_bpm == float(np.mean(expect))
+        bpm = estimate_video_hr(rows(*waves), fps, notch_hz)
+        assert list(bpm) == per_window_oracle(waves, notch_hz)
 
 
 def test_estimate_video_hr_notch_covering_the_whole_spectrum(monkeypatch):
@@ -451,6 +449,6 @@ def test_estimate_video_hr_notch_covering_the_whole_spectrum(monkeypatch):
     monkeypatch.setattr(heartrate, "NOTCH_HALFWIDTH_HZ", 100.0)
     for fps, n in RECORDINGS:
         waves = windows_at(fps, n)
-        est = estimate_video_hr(rows(*waves), fps, (5.0,))
-        assert list(est.window_bpm) == per_window_oracle(waves, (5.0,))
-        assert list(est.window_bpm) == per_window_oracle(waves, ())
+        bpm = estimate_video_hr(rows(*waves), fps, (5.0,))
+        assert list(bpm) == per_window_oracle(waves, (5.0,))
+        assert list(bpm) == per_window_oracle(waves, ())

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rppg import errors
@@ -11,6 +11,7 @@ from rppg.ingest import (
     RAW_HEADER,
     RAW_MAGIC,
     FrameSequence,
+    GroundTruth,
     LandmarkRecord,
     LandmarkSidecar,
     load_frame_dir,
@@ -28,7 +29,7 @@ from rppg.ingest import (
     write_timeseries_csv,
 )
 
-from helpers import flat_sequence
+from helpers import flat_sequence, json_object_text
 
 
 def rand_frames(rng, n=3, h=5, w=7):
@@ -263,6 +264,31 @@ def test_frame_dir_dimension_mismatch(tmp_path):
         load_frame_dir(d)
 
 
+FRAME_DIR_FIELDS = {
+    "fps": ["30.0", "12.5", "0"],
+    "width": ["8", "4"],
+    "height": ["8"],
+    "count": ["2", "1", "3"],
+}
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(text=st.one_of(json_object_text(FRAME_DIR_FIELDS), st.text(max_size=20)))
+@example(text='{"fps": 30.0, "width": 1e400, "height": 8, "count": 2}')
+@example(text="[" * 200_000)
+def test_frame_dir_manifest_parses_or_exits_3_or_4(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("frames")
+    write_frame_dir(flat_sequence(n=2, h=8, w=8), d)
+    (d / "manifest.json").write_text(text)
+    try:
+        seq = load_frame_dir(d)
+    except errors.ToolkitError as exc:
+        # 3 when the manifest counts past the two frame files
+        assert exc.exit_code in (errors.MissingInputError.exit_code, errors.DataFormatError.exit_code)
+        return
+    assert seq.frames[:].shape == (seq.count, 8, 8, 3) and seq.fps > 0
+
+
 def test_load_frame_sequence_dispatch(tmp_path):
     seq = flat_sequence(n=2, h=4, w=4)
     d = tmp_path / "frames"
@@ -385,6 +411,33 @@ def test_landmarks_missing_file(tmp_path):
         load_landmarks(tmp_path / "none.jsonl", frame_count=1, width=8, height=6)
 
 
+LANDMARK_FIELDS = {
+    "frame": ["0", "1"],
+    "bbox": ["[0, 0, 8, 8]", "[1, 1, 6, 6]", "[2, 2, 0, 0]", "[4, 4, 8, 8]"],
+    "eyes": ["[[], []]", "[[[2, 2], [4, 2], [3, 3]], []]", "[[]]"],
+    "mouth": ["[]", "[[2, 5], [5, 5], [4, 6]]", "[[1, 1], [2, 2]]", "[[1, true], [2, 2], [3, 3]]"],
+}
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    lines=st.lists(
+        st.one_of(json_object_text(LANDMARK_FIELDS), st.text(max_size=12)), min_size=1, max_size=3
+    )
+)
+@example(lines=['{"frame": 1e400, "bbox": [0, 0, 8, 8], "eyes": [[], []], "mouth": []}'])
+@example(lines=["[" * 200_000])
+def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        sidecar = load_landmarks(path, frame_count=2, width=8, height=8)
+    except errors.ToolkitError as exc:
+        assert exc.exit_code == errors.DataFormatError.exit_code
+        return
+    assert [r.frame for r in sidecar.records] == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # Bbox smoothing
 # ---------------------------------------------------------------------------
@@ -469,15 +522,36 @@ def test_timeseries_rejects_bad_files(tmp_path):
         read_timeseries_csv(p)
 
 
+CSV_CELLS = st.sampled_from(["0", "1", "2.5", "72", "-1", "nan", "inf", "1e400", "", "x", " 3 "])
+
+
+@st.composite
+def timeseries_texts(draw):
+    header = draw(st.sampled_from(["time_s,value", "time_s, value", "time,value", ""]))
+    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3).map(",".join), max_size=4))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(text=st.one_of(timeseries_texts(), st.text(max_size=30)))
+def test_timeseries_csv_parses_or_exits_4(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "hr.csv"
+    path.write_text(text)
+    try:
+        gt = load_ground_truth(path)
+    except errors.ToolkitError as exc:
+        assert exc.exit_code == errors.DataFormatError.exit_code
+        return
+    assert np.all(np.diff(gt.hr_time_s) > 0)
+    assert np.all((gt.hr_bpm >= 30.0) & (gt.hr_bpm <= 240.0))
+
+
 def test_ground_truth_loading(tmp_path):
     hr = tmp_path / "hr.csv"
-    ppg = tmp_path / "ppg.csv"
     write_timeseries_csv(np.array([0.0, 1.0, 2.0]), np.array([70.0, 72.0, 74.0]), hr)
-    write_timeseries_csv(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]), ppg)
-    gt = load_ground_truth(hr_path=hr, ppg_path=ppg)
+    gt = load_ground_truth(hr_path=hr)
+    assert gt.hr_time_s.tolist() == [0.0, 1.0, 2.0]
     assert gt.mean_hr_bpm == pytest.approx(72.0)
-    assert gt.ppg_time_s.tolist() == [0.0, 0.5, 1.0]
-    assert gt.ppg_value.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_ground_truth_rejects_out_of_range_bpm(tmp_path):
@@ -488,6 +562,5 @@ def test_ground_truth_rejects_out_of_range_bpm(tmp_path):
 
 
 def test_ground_truth_empty_mean_hr_raises():
-    gt = load_ground_truth()
     with pytest.raises(errors.EmptyFileError):
-        gt.mean_hr_bpm
+        GroundTruth().mean_hr_bpm

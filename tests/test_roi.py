@@ -95,8 +95,8 @@ def test_build_mask_subtracts_polygons():
 
 def test_build_grid_partitions_bbox():
     grid = build_grid((3, 2, 10, 7), rows=3, cols=4)
-    assert grid.n_cells == 12
-    y_edges, x_edges = grid.edges
+    y_edges, x_edges = grid
+    assert (y_edges.size - 1) * (x_edges.size - 1) == 12
     heights, widths = np.diff(y_edges), np.diff(x_edges)
     # cells tile the bbox exactly: total area matches, no overlap
     assert np.outer(heights, widths).sum() == 70
@@ -126,7 +126,7 @@ def test_build_grid_covers_every_bbox_pixel_once(rows, cols, x0, y0, bw, bh):
     block = labels[y0 : y0 + bh, x0 : x0 + bw]
     assert (block >= 0).all()
     # row-major cell ids, each cell contiguous
-    counts = np.bincount(block.ravel(), minlength=grid.n_cells)
+    counts = np.bincount(block.ravel(), minlength=rows * cols)
     assert (counts >= 1).all()
     outside = np.ones((20, 20), dtype=bool)
     outside[y0 : y0 + bh, x0 : x0 + bw] = False

@@ -3,29 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rppg.signals import PulseWaveform, RgbTrace, zero_mean
-
-
-def test_rgb_trace_accepts_and_coerces():
-    tr = RgbTrace(samples=[[1, 2, 3], [4, 5, 6]], fps=30.0)
-    assert tr.samples.dtype == np.float64
-    assert len(tr) == 2
-
-
-@pytest.mark.parametrize(
-    "samples,fps",
-    [
-        (np.zeros((4, 2)), 30.0),
-        (np.zeros((0, 3)), 30.0),
-        (np.full((4, 3), -1.0), 30.0),
-        (np.full((4, 3), np.nan), 30.0),
-        (np.zeros((4, 3)), 0.0),
-        (np.zeros((4, 3)), -1.0),
-    ],
-)
-def test_rgb_trace_rejects_bad_input(samples, fps):
-    with pytest.raises(ValueError):
-        RgbTrace(samples=samples, fps=fps)
+from rppg.signals import PulseWaveform, zero_mean
 
 
 def test_pulse_waveform_requires_zero_mean():
