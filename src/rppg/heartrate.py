@@ -4,6 +4,15 @@ The physiological passband is 0.7-3.5 Hz (42-210 bpm). Filtering is a
 zero-phase (forward-backward) 3rd-order Butterworth band-pass; spectra are
 Hann-tapered periodograms zero-padded to at least 8x the window length.
 
+The spectral core is NumPy only. The Butterworth design, the
+forward-backward filter and the periodogram follow scipy.signal's butter,
+sosfiltfilt and periodogram operation by operation, and the peak picking
+follows find_peaks(prominence=...); the tests hold them to SciPy. The
+forward-backward filter, with its fixed padding and steady-state initial
+conditions, is linear: on rows of n samples it is one (n, n) matrix,
+built once per (n, fps) by filtering the identity and then applied as a
+product.
+
 Heart rate is picked from up to five in-band spectral peaks by harmonic
 scoring: a candidate at p Hz is scored by the band power within +/-w of p
 plus the band power within +/-2w of 2p, which rejects sub-harmonic and
@@ -25,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     DegenerateSpectrumError,
@@ -51,19 +59,109 @@ MIN_TOTAL_POWER = 1e-15
 
 @lru_cache(maxsize=32)
 def _bandpass_sos(fps: float) -> np.ndarray:
-    return scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
+    """scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass",
+    output="sos", fs=fps), step by step in its operation order."""
+    n = FILTER_ORDER
+    wn = np.asarray(PASSBAND_HZ, dtype=np.float64) / (fps / 2)
+    # analog low-pass prototype, and the band edges prewarped at fs = 2
+    p = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # low-pass to band-pass: every pole splits in two, n zeros at s = 0
+    p_lp = p * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    p = np.concatenate((p_lp + root, p_lp - root))
+    # bilinear transform: the zeros at s = 0 go to z = +1, those at infinity to -1
+    k = bw**n * np.real(np.prod(np.full(n, 4.0 + 0j)) / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    # zpk2sos(pairing="nearest"): one pole of each conjugate pair, then the
+    # real poles; the pole nearest the unit circle goes to the last section
+    real = np.abs(p.imag) <= 100 * np.finfo(np.float64).eps * np.abs(p)
+    p = np.concatenate((np.sort(p[~real & (p.imag > 0)]), np.sort(p[real].real)))
+    z = np.repeat([-1.0, 1.0], n)
+    sos = np.zeros((n, 6))
+    for section in range(n - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        zeros = []
+        for _ in range(2):
+            i = np.argsort(np.abs(z - p1))[0]
+            zeros.append(z[i])
+            z = np.delete(z, i)
+        sos[section, :3] = np.poly(zeros)
+        sos[section, 3:] = np.poly([p1, p2])
+    sos[0, :3] *= k
+    return sos
+
+
+def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfilt_zi: each section's state for a unit step input."""
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
+        zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= b.sum() / a.sum()
+    return zi
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfilt down axis 0 of x (t, k), from the states zi
+    (sections, 2, k): direct form II transposed, sample by sample through
+    every section, in its operation order."""
+    y = np.empty_like(x)
+    z = [list(state) for state in zi]
+    sections = sos.tolist()
+    for t in range(x.shape[0]):
+        cur = x[t]
+        for state, (b0, b1, b2, _, a1, a2) in zip(z, sections):
+            new = b0 * cur + state[0]
+            state[0] = b1 * cur - a1 * new + state[1]
+            state[1] = b2 * cur - a2 * new
+            cur = new
+        y[t] = cur
+    return y
+
+
+@lru_cache(maxsize=8)
+def _bandpass_operator(n: int, fps: float) -> np.ndarray:
+    """The (n, n) matrix M for which bandpass_series(x) is x @ M on rows of n
+    samples: scipy.signal.sosfiltfilt(sos, np.eye(n), padlen=...), with its
+    odd extension and sosfilt_zi initial conditions. Row i of M is the
+    filtered impulse at sample i. It is read-only, since callers share it."""
+    sos = _bandpass_sos(fps)
+    pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
+    x = np.eye(n)  # time runs down axis 0, one impulse per column
+    if pad > 0:
+        x = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2 : -pad - 2 : -1]))
+    zi = _sosfilt_zi(sos)[:, :, None]
+    y = _sosfilt(sos, x, zi * x[0])
+    y = _sosfilt(sos, y[::-1], zi * y[-1])[::-1]
+    m = np.ascontiguousarray(y[pad : pad + n].T)
+    m.flags.writeable = False
+    return m
 
 
 def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
-    """Zero-phase Butterworth band-pass (PASSBAND_HZ) of a raw sample array."""
+    """Zero-phase Butterworth band-pass (PASSBAND_HZ) of a raw sample array,
+    along its last axis."""
     if fps <= 2.0 * PASSBAND_HZ[1]:
         raise SampleRateTooLowError(
             f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
         )
     x = np.asarray(x, dtype=np.float64)
-    sos = _bandpass_sos(float(fps))
-    padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
-    return scipy.signal.sosfiltfilt(sos, x, padlen=padlen)
+    m = _bandpass_operator(x.shape[-1], float(fps))
+    # Each row is its own (1, n) @ (n, n) product, one gemv per row: a row's
+    # result does not depend on the other rows, which one gemm over all of
+    # them does not promise.
+    return np.matmul(x[..., None, :], m)[..., 0, :]
 
 
 def _next_pow2(n: int) -> int:
@@ -77,7 +175,49 @@ def periodogram(x: np.ndarray, fps: float):
     if n < PSD_MIN_SAMPLES:
         raise SpectrumTooShortError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
     nfft = _next_pow2(PSD_PAD_FACTOR * n)
-    return scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft, detrend=False)
+    # scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft,
+    # detrend=False), in its operation order: a periodic Hann window scaled
+    # to density, summed with Python's sum as SciPy does
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
+    spec = np.fft.rfft(x * win, n=nfft)
+    power = spec.real**2 + spec.imag**2
+    power[..., 1:-1] *= 2  # one-sided; nfft is even, so the Nyquist bin has no mirror
+    return np.fft.rfftfreq(nfft, 1.0 / fps), power
+
+
+def _prominent_peaks(x: np.ndarray, keep: np.ndarray, min_prominence: float) -> np.ndarray:
+    """The local maxima i of the row x with keep[i] whose prominence is at
+    least min_prominence, in index order: scipy.signal.find_peaks(x,
+    prominence=min_prominence) filtered by keep.
+
+    A plateau's peak is its middle sample (the left one of two); the first
+    and last samples are never peaks. A peak's prominence is its height over
+    the higher of the lowest points on either side before the row rises
+    above the peak or ends. Between two neighbouring peaks the row only
+    falls and then rises, so that lowest point is the least of the minima
+    between neighbouring peaks, up to the nearest higher peak.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    level = x[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[top] + np.append(starts[1:], x.size)[top] - 1) // 2
+    q = np.flatnonzero(keep[peaks])
+    if q.size == 0:
+        return peaks[q]
+    # gap[j]: the least value left of peak j and right of peak j - 1
+    # (gap[0] left of the first peak, gap[-1] right of the last)
+    gap = np.concatenate(([x[: peaks[0] + 1].min()], np.minimum.reduceat(x, peaks)))
+    height = x[peaks]
+    j = np.arange(peaks.size)
+    higher = height > height[q, None]
+    left = np.where(higher & (j < q[:, None]), j, -1).max(axis=1)
+    right = np.where(higher & (j > q[:, None]), j, peaks.size).min(axis=1)
+    g = np.arange(peaks.size + 1)
+    left_min = np.where((g > left[:, None]) & (g <= q[:, None]), gap, np.inf).min(axis=1)
+    right_min = np.where((g > q[:, None]) & (g <= right[:, None]), gap, np.inf).min(axis=1)
+    prominence = height[q] - np.maximum(left_min, right_min)
+    return peaks[q[prominence >= min_prominence]]
 
 
 def suppress_artifacts(freqs: np.ndarray, power: np.ndarray, notch_hz) -> np.ndarray:
@@ -122,8 +262,7 @@ def select_hr(
     peak_floor = power[in_band].max()
     if peak_floor <= 0.0:
         raise NoPeaksError("no in-band power")
-    peaks, _ = scipy.signal.find_peaks(power, prominence=PEAK_PROMINENCE_FRAC * peak_floor)
-    peaks = peaks[in_band[peaks]]
+    peaks = _prominent_peaks(power, in_band, PEAK_PROMINENCE_FRAC * peak_floor)
     if peaks.size == 0:
         raise NoPeaksError("no in-band spectral peaks above the prominence floor")
     peaks = peaks[np.argsort(power[peaks])[::-1][:MAX_PEAKS]]

@@ -31,8 +31,10 @@ reads it, also reads the ``wavelength_nm,value`` spectra of biophysics.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -229,12 +231,14 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         raise MissingManifestError(f"{directory}: manifest.json not found")
     try:
         manifest = json.loads(read_text(manifest_path))
-        fps = float(manifest["fps"])
-        width = int(manifest["width"])
-        height = int(manifest["height"])
-        count = int(manifest["count"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        fps, width, height, count = (manifest[k] for k in ("fps", "width", "height", "count"))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest: {exc}") from exc
+    if not all(map(_is_json_int, (width, height, count))):
+        raise DataFormatError(f"{manifest_path}: width, height and count must be integers")
+    if not _is_json_number(fps):
+        raise DataFormatError(f"{manifest_path}: fps must be a finite number, got {fps!r}")
+    fps = float(fps)
     if fps <= 0:
         raise NonPositiveFpsError(f"{manifest_path}: fps must be positive, got {fps}")
     if count < 1:
@@ -369,6 +373,13 @@ def _is_json_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_json_number(v) -> bool:
+    """True for a JSON number that is a finite float64 (json reads 1e400 as inf)."""
+    if _is_json_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
 def _parse_polygon(raw, where: str) -> tuple[tuple[int, int], ...]:
     if not isinstance(raw, list):
         raise MalformedPolygonError(f"{where}: polygon must be a list of [x, y] pairs")
@@ -420,12 +431,14 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
         try:
-            frame = int(obj["frame"])
+            frame = obj["frame"]
             raw_bbox = obj["bbox"]
             raw_eyes = obj["eyes"]
             raw_mouth = obj["mouth"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataFormatError(f"{where}: missing field: {exc}") from exc
+        if not _is_json_int(frame):
+            raise DataFormatError(f"{where}: frame must be an integer, got {frame!r}")
         bbox = _check_bbox(raw_bbox, width, height, where)
         if not (isinstance(raw_eyes, list) and len(raw_eyes) == 2):
             raise DataFormatError(f"{where}: eyes must hold exactly two polygons")

@@ -117,13 +117,18 @@ JSON_JUNK = (
 
 
 @st.composite
-def json_object_text(draw, fields: dict[str, list[str]]):
+def json_object_text(draw, fields: dict[str, list[str]], near: dict[str, list[str]] | None = None):
     """The text of one JSON object over fields: each key holds one of its
-    valid values (as JSON text), a JSON_JUNK value, or is absent."""
+    valid values (as JSON text), one of its near misses (such as a value
+    of the wrong JSON type that int() or float() would coerce), a JSON_JUNK
+    value, or is absent."""
+    near = near or {}
     members = []
     for key, valid in fields.items():
-        kind = draw(st.sampled_from(("valid", "valid", "junk", "absent")))
+        kinds = ("valid", "valid", "junk", "absent") + (("near",) if key in near else ())
+        kind = draw(st.sampled_from(kinds))
         if kind != "absent":
-            value = draw(st.sampled_from(valid if kind == "valid" else JSON_JUNK))
+            pool = {"valid": valid, "near": near.get(key), "junk": JSON_JUNK}[kind]
+            value = draw(st.sampled_from(pool))
             members.append(f'"{key}": {value}')
     return "{" + ", ".join(members) + "}"

@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rppg
 from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
@@ -413,6 +417,8 @@ EVALUATE = "evaluate --manifest {root}/"
         (ESTIMATE + " --dump-weights {root}/dir", 2),
         (ESTIMATE.replace("aggregate", "proposed") + " --dump-diffuse {root}/file", 2),
         ("biophys --table pixel-snr --out {root}/dir", 2),
+        ("synth --out {root}/file", 2),
+        ("synth --out {root}/file/scene", 2),
     ],
 )
 def test_paths_that_cannot_be_opened_exit_2_3_or_4(bad_paths, capsys, argv, code):
@@ -835,3 +841,60 @@ def test_no_flag_value_exits_1(dataset, tmp_path, capsys, command, flag, token):
         rc = exc.code
     # 0 where the token is a valid value (e.g. --seed=0), else a documented code
     assert rc == 0 or 2 <= rc <= 9, rc
+
+
+# ---------------------------------------------------------------------------
+# SciPy is a test dependency only
+# ---------------------------------------------------------------------------
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Runs code in a fresh interpreter that imports this rppg package."""
+    src = str(Path(rppg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+
+
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+from rppg.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:  # --help
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    scene = tmp_path / "scene"
+    methods = ("aggregate", "snr", "proposed")
+    estimate = ["estimate", "--frames", str(scene / "frames.raw"), "--landmarks", str(scene / "landmarks.jsonl"),
+                "--grid-rows", "2", "--grid-cols", "2"]
+    (tmp_path / "manifest.csv").write_text(
+        "report,ground_truth,skin_tone,condition,viewpoint\n"
+        + "".join(f"{m}.json,scene/hr.csv,medium,room,front\n" for m in methods)
+    )
+    calls = [
+        ["--help"],
+        ["synth", "--out", str(scene), "--width", "16", "--height", "16", "--duration-s", "12", "--seed", "1"],
+        *([*estimate, "--method", m, "--out", str(tmp_path / f"{m}.json")] for m in methods),
+        ["evaluate", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "cohort.csv")],
+        ["biophys", "--table", "melanin", "--points", "3"],
+    ]
+    done = run_python(WITHOUT_SCIPY, json.dumps(calls))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(calls), done.stderr[-2000:]
+    assert len((tmp_path / "cohort.csv").read_text().splitlines()) > 1
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    done = run_python("import sys, rppg, rppg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

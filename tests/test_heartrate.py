@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rppg.errors import (
@@ -15,6 +15,9 @@ from rppg.errors import (
 from rppg.heartrate import (
     FILTER_ORDER,
     PASSBAND_HZ,
+    _bandpass_operator,
+    _bandpass_sos,
+    _prominent_peaks,
     bandpass_series,
     estimate_video_hr,
     harmonic_snr,
@@ -87,6 +90,97 @@ def test_zero_in_zero_out():
 def test_bandpass_rejects_low_sample_rate():
     with pytest.raises(SampleRateTooLowError):
         bandpass_series(np.zeros(256), 6.0)  # Nyquist below the 3.5 Hz edge
+    with pytest.raises(SampleRateTooLowError):
+        bandpass_series(np.zeros((2, 256)), 7.0)  # Nyquist on the edge
+
+
+# ---------------------------------------------------------------------------
+# The NumPy spectral core against SciPy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fps", [7.01, 7.5, 8.0, 12.5, 24.0, 29.97, 30.0, 59.94, 60.0, 240.0])
+def test_bandpass_sos_matches_scipy_butter(fps):
+    # below about 9.5 fps the band-pass has a pair of real poles
+    want = scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
+    got = _bandpass_sos(fps)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fps", [8.0, 24.0, 29.97, 30.0, 60.0])
+@pytest.mark.parametrize("n", [14, 21, 64, 299, 300, 301, 600, 1800])
+def test_bandpass_operator_matches_scipy_sosfiltfilt(n, fps):
+    # padlen is 21 (3 x (2 x sections + 1)), or n - 1 on rows of 21 or fewer
+    sos = scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
+    want = scipy.signal.sosfiltfilt(sos, np.eye(n), padlen=min(21, n - 1))
+    got = _bandpass_operator.__wrapped__(n, fps)  # uncached: n = 1800 is 26 MB
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_bandpass_series_takes_any_leading_axes():
+    x = np.random.default_rng(3).standard_normal((2, 4, 300))
+    sos = scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=30.0)
+    want = scipy.signal.sosfiltfilt(sos, x, padlen=21)
+    got = bandpass_series(x, 30.0)
+    assert got.shape == x.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(x).max()
+    # a 1-D trace (criterion 7's) is one row, bit for bit
+    assert np.array_equal(bandpass_series(x[1, 2], 30.0), got[1, 2])
+    assert np.array_equal(bandpass_series(list(x[0, 0]), 30), got[0, 0])
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    n=st.integers(64, 600),
+    fps=st.floats(8.0, 60.0),
+    rows=st.sampled_from([(), (1,), (2,), (3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_periodogram_matches_scipy(n, fps, rows, seed):
+    x = np.random.default_rng(seed).standard_normal((*rows, n))
+    nfft = 1 << (8 * n - 1).bit_length()
+    f0, p0 = scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft, detrend=False)
+    f1, p1 = periodogram(x, fps)
+    assert p1.shape == p0.shape
+    assert np.abs(f1 - f0).max() <= 1e-13 * f0[-1]
+    assert np.abs(p1 - p0).max() <= 1e-13 * np.abs(p0).max()
+
+
+def scipy_prominent_peaks(x, keep, floor):
+    peaks, _ = scipy.signal.find_peaks(x, prominence=floor)
+    return peaks[keep[peaks]]
+
+
+# rows with plateaus, ties and flat runs (few levels), and peaks at either end
+PEAK_ROWS = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40).map(np.array),
+    st.tuples(st.integers(1, 30), st.floats(-5.0, 5.0)).map(lambda t: np.full(t[0], t[1])),
+)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    x=PEAK_ROWS,
+    keep_bits=st.one_of(st.just(-1), st.integers(0, 2**40 - 1)),
+    floor=st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(0.0, 5.0)),
+)
+# a peak as high as the one being scanned does not stop the scan
+@example(x=np.array([0.0, 2.0, 1.0, 2.0, 0.0]), keep_bits=-1, floor=1.5)
+@example(x=np.array([3.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 0.0, 3.0]), keep_bits=-1, floor=1.0)
+def test_prominent_peaks_match_scipy_find_peaks(x, keep_bits, floor):
+    keep = (keep_bits >> np.arange(x.size)) & 1 == 1  # -1 keeps every sample
+    assert np.array_equal(_prominent_peaks(x, keep, floor), scipy_prominent_peaks(x, keep, floor))
+
+
+def test_prominent_peaks_on_spectra_match_scipy_find_peaks():
+    rng = np.random.default_rng(11)
+    for fps, n in ((30.0, 300), (24.0, 240), (60.0, 600)):
+        freqs, power = periodogram(rng.standard_normal((20, n)), fps)
+        in_band = (freqs >= PASSBAND_HZ[0]) & (freqs <= PASSBAND_HZ[1])
+        for row in power:
+            floor = 0.05 * row[in_band].max()
+            assert np.array_equal(_prominent_peaks(row, in_band, floor), scipy_prominent_peaks(row, in_band, floor))
 
 
 # ---------------------------------------------------------------------------

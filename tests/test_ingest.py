@@ -265,16 +265,25 @@ def test_frame_dir_dimension_mismatch(tmp_path):
 
 
 FRAME_DIR_FIELDS = {
-    "fps": ["30.0", "12.5", "0"],
+    "fps": ["30.0", "12.5", "0", "25"],
     "width": ["8", "4"],
     "height": ["8"],
     "count": ["2", "1", "3"],
 }
+# near misses: the wrong JSON type, or past float64
+FRAME_DIR_NEAR = {
+    "fps": ["true", '"30"', "1e400", "18446744073709551617" + "0" * 300],
+    "width": ["8.0", '"8"'],
+    "height": ["8.0", "8.5"],
+    "count": ["2.0", "1.5", "true", '"2"'],
+}
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
-@given(text=st.one_of(json_object_text(FRAME_DIR_FIELDS), st.text(max_size=20)))
+@given(text=st.one_of(json_object_text(FRAME_DIR_FIELDS, FRAME_DIR_NEAR), st.text(max_size=20)))
 @example(text='{"fps": 30.0, "width": 1e400, "height": 8, "count": 2}')
+@example(text='{"fps": 30.0, "width": 8, "height": 8, "count": 1.5}')
+@example(text='{"fps": true, "width": 8, "height": 8, "count": 2}')
 @example(text="[" * 200_000)
 def test_frame_dir_manifest_parses_or_exits_3_or_4(tmp_path_factory, text):
     d = tmp_path_factory.mktemp("frames")
@@ -287,6 +296,10 @@ def test_frame_dir_manifest_parses_or_exits_3_or_4(tmp_path_factory, text):
         assert exc.exit_code in (errors.MissingInputError.exit_code, errors.DataFormatError.exit_code)
         return
     assert seq.frames[:].shape == (seq.count, 8, 8, 3) and seq.fps > 0
+    # only JSON integers, and a JSON number for fps, load
+    manifest = json.loads(text)
+    assert all(type(manifest[k]) is int for k in ("width", "height", "count"))
+    assert type(manifest["fps"]) in (int, float) and np.isfinite(seq.fps)
 
 
 def test_load_frame_sequence_dispatch(tmp_path):
@@ -419,13 +432,25 @@ LANDMARK_FIELDS = {
 }
 
 
+# what int() would read as frame 0 or 1
+LANDMARK_NEAR = {"frame": ["true", "false", "1.0", "0.0", "1.5", '"1"', '"0"']}
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(
     lines=st.lists(
-        st.one_of(json_object_text(LANDMARK_FIELDS), st.text(max_size=12)), min_size=1, max_size=3
+        st.one_of(json_object_text(LANDMARK_FIELDS, LANDMARK_NEAR), st.text(max_size=12)),
+        min_size=1,
+        max_size=3,
     )
 )
 @example(lines=['{"frame": 1e400, "bbox": [0, 0, 8, 8], "eyes": [[], []], "mouth": []}'])
+@example(
+    lines=[
+        '{"frame": 0, "bbox": [0, 0, 8, 8], "eyes": [[], []], "mouth": []}',
+        '{"frame": true, "bbox": [0, 0, 8, 8], "eyes": [[], []], "mouth": []}',
+    ]
+)
 @example(lines=["[" * 200_000])
 def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
@@ -436,6 +461,7 @@ def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
         assert exc.exit_code == errors.DataFormatError.exit_code
         return
     assert [r.frame for r in sidecar.records] == [0, 1]
+    assert all(type(json.loads(line)["frame"]) is int for line in lines)  # only JSON integers load
 
 
 # ---------------------------------------------------------------------------
