@@ -7,11 +7,11 @@ Hann-tapered periodograms zero-padded to at least 8x the window length.
 The spectral core is NumPy only. The Butterworth design, the
 forward-backward filter and the periodogram follow scipy.signal's butter,
 sosfiltfilt and periodogram operation by operation, and the peak picking
-follows find_peaks(prominence=...); the tests hold them to SciPy. The
-forward-backward filter, with its fixed padding and steady-state initial
-conditions, is linear: on rows of n samples it is one (n, n) matrix,
-built once per (n, fps) by filtering the identity and then applied as a
-product.
+follows find_peaks(prominence=...); the tests hold them to SciPy. Each pass
+of the forward-backward filter is linear in the block of samples and the
+filter state before it: one small matrix per frame rate, built once by
+filtering impulses, steps it FILTER_BLOCK samples at a time, so its cost
+and memory grow linearly with the window length.
 
 Heart rate is picked from up to five in-band spectral peaks by harmonic
 scoring: a candidate at p Hz is scored by the band power within +/-w of p
@@ -55,6 +55,9 @@ MAX_PEAKS = 5
 PEAK_PROMINENCE_FRAC = 0.05
 SNR_CAP = 100.0
 MIN_TOTAL_POWER = 1e-15
+# Samples per step of a band-pass pass: each step is one gemv per row with a
+# (FILTER_BLOCK + 6)-square matrix, which stays in cache.
+FILTER_BLOCK = 32
 
 
 @lru_cache(maxsize=32)
@@ -112,10 +115,11 @@ def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, list]:
     """scipy.signal.sosfilt down axis 0 of x (t, k), from the states zi
     (sections, 2, k): direct form II transposed, sample by sample through
-    every section, in its operation order."""
+    every section, in its operation order. Returns the output and the final
+    states, as a list of each section's two."""
     y = np.empty_like(x)
     z = [list(state) for state in zi]
     sections = sos.tolist()
@@ -127,41 +131,72 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
             state[1] = b2 * cur - a2 * new
             cur = new
         y[t] = cur
-    return y
+    return y, z
 
 
-@lru_cache(maxsize=8)
-def _bandpass_operator(n: int, fps: float) -> np.ndarray:
-    """The (n, n) matrix M for which bandpass_series(x) is x @ M on rows of n
-    samples: scipy.signal.sosfiltfilt(sos, np.eye(n), padlen=...), with its
-    odd extension and sosfilt_zi initial conditions. Row i of M is the
-    filtered impulse at sample i. It is read-only, since callers share it."""
+@lru_cache(maxsize=32)
+def _bandpass_step(fps: float) -> np.ndarray:
+    """The matrix G that steps one sosfilt pass of the band-pass over a block
+    of b = FILTER_BLOCK samples: with the filter's s = 2 x sections states
+    before the block, [x_block, states] @ G is [y_block, states after it].
+    Row i < b is the pass over an impulse at sample i from zero states, row
+    b + j the pass over zeros from unit state j. It is read-only, since
+    callers share it."""
     sos = _bandpass_sos(fps)
-    pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
-    x = np.eye(n)  # time runs down axis 0, one impulse per column
-    if pad > 0:
-        x = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2 : -pad - 2 : -1]))
-    zi = _sosfilt_zi(sos)[:, :, None]
-    y = _sosfilt(sos, x, zi * x[0])
-    y = _sosfilt(sos, y[::-1], zi * y[-1])[::-1]
-    m = np.ascontiguousarray(y[pad : pad + n].T)
-    m.flags.writeable = False
-    return m
+    b, s = FILTER_BLOCK, 2 * sos.shape[0]
+    x = np.eye(b, b + s)  # time runs down axis 0, one input per column
+    zi = np.zeros((s, b + s))
+    zi[:, b:] = np.eye(s)
+    y, z = _sosfilt(sos, x, zi.reshape(sos.shape[0], 2, b + s))
+    g = np.ascontiguousarray(np.concatenate((y, np.array(z).reshape(s, b + s))).T)
+    g.flags.writeable = False
+    return g
+
+
+def _sosfilt_steps(g: np.ndarray, x: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """One sosfilt pass along the rows of x (k, t) from their states (k, s),
+    FILTER_BLOCK samples per step of G (_bandpass_step)."""
+    b = FILTER_BLOCK
+    t = x.shape[1]
+    # zeros after the last sample leave the output up to it as it is
+    x = np.concatenate((x, np.zeros((x.shape[0], -t % b))), axis=1)
+    y = np.empty_like(x)
+    step = np.empty((x.shape[0], 1, g.shape[0]))
+    for start in range(0, x.shape[1], b):
+        step[:, 0, :b] = x[:, start : start + b]
+        step[:, 0, b:] = states
+        # Each row is its own (1, b + s) @ (b + s, b + s) product, one gemv
+        # per row: a row's result does not depend on the other rows, which
+        # one gemm over all of them does not promise.
+        out = np.matmul(step, g)[:, 0]
+        y[:, start : start + b] = out[:, :b]
+        states = out[:, b:]
+    return y[:, :t]
 
 
 def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
     """Zero-phase Butterworth band-pass (PASSBAND_HZ) of a raw sample array,
-    along its last axis."""
+    along its last axis: scipy.signal.sosfiltfilt with its odd extension of
+    padlen = min(21, n - 1) samples and sosfilt_zi initial conditions."""
     if fps <= 2.0 * PASSBAND_HZ[1]:
         raise SampleRateTooLowError(
             f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
         )
     x = np.asarray(x, dtype=np.float64)
-    m = _bandpass_operator(x.shape[-1], float(fps))
-    # Each row is its own (1, n) @ (n, n) product, one gemv per row: a row's
-    # result does not depend on the other rows, which one gemm over all of
-    # them does not promise.
-    return np.matmul(x[..., None, :], m)[..., 0, :]
+    n = x.shape[-1]
+    sos = _bandpass_sos(float(fps))
+    pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
+    rows = x.reshape(-1, n)
+    if pad > 0:
+        rows = np.concatenate(
+            (2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]),
+            axis=1,
+        )
+    zi = _sosfilt_zi(sos).reshape(1, -1)
+    g = _bandpass_step(float(fps))
+    y = _sosfilt_steps(g, rows, zi * rows[:, :1])
+    y = _sosfilt_steps(g, y[:, ::-1], zi * y[:, -1:])[:, ::-1]
+    return y[:, pad : pad + n].reshape(x.shape)
 
 
 def _next_pow2(n: int) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -13,10 +15,11 @@ from rppg.errors import (
     UsageError,
 )
 from rppg.heartrate import (
+    FILTER_BLOCK,
     FILTER_ORDER,
     PASSBAND_HZ,
-    _bandpass_operator,
     _bandpass_sos,
+    _bandpass_step,
     _prominent_peaks,
     bandpass_series,
     estimate_video_hr,
@@ -109,12 +112,42 @@ def test_bandpass_sos_matches_scipy_butter(fps):
 
 @pytest.mark.parametrize("fps", [8.0, 24.0, 29.97, 30.0, 60.0])
 @pytest.mark.parametrize("n", [14, 21, 64, 299, 300, 301, 600, 1800])
-def test_bandpass_operator_matches_scipy_sosfiltfilt(n, fps):
-    # padlen is 21 (3 x (2 x sections + 1)), or n - 1 on rows of 21 or fewer
+def test_bandpass_matches_scipy_sosfiltfilt_on_impulses(n, fps):
+    # padlen is 21 (3 x (2 x sections + 1)), or n - 1 on rows of 21 or fewer;
+    # row i is the filtered impulse at sample i
     sos = scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
     want = scipy.signal.sosfiltfilt(sos, np.eye(n), padlen=min(21, n - 1))
-    got = _bandpass_operator.__wrapped__(n, fps)  # uncached: n = 1800 is 26 MB
+    got = bandpass_series(np.eye(n), fps)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fps", [30.0, 60.0])
+@pytest.mark.parametrize("n", [3600, 18000])
+def test_bandpass_matches_scipy_sosfiltfilt_on_long_rows(n, fps):
+    x = np.random.default_rng(n).standard_normal((3, n))
+    sos = scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass", output="sos", fs=fps)
+    want = scipy.signal.sosfiltfilt(sos, x, padlen=21)
+    got = bandpass_series(x, fps)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_bandpass_memory_is_linear_in_the_window():
+    # the filter keeps one cache-sized step matrix per frame rate, whatever
+    # the window length, and allocates a few copies of the rows it filters
+    fps = 60.0
+    step = _bandpass_step(fps)
+    bandpass_series(np.zeros((2, 64)), fps)
+    for n in (600, 6000, 60000):
+        x = np.random.default_rng(n).standard_normal((2, n))
+        tracemalloc.start()
+        try:
+            bandpass_series(x, fps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * x.nbytes + 64 * 1024
+        assert _bandpass_step(fps) is step
+    assert step.shape == (FILTER_BLOCK + 2 * FILTER_ORDER,) * 2
 
 
 def test_bandpass_series_takes_any_leading_axes():
