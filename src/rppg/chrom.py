@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TraceTooShortError
+from .errors import SignalError
 from .heartrate import bandpass_series
 
 MIN_TRACE_SECONDS = 2.0
@@ -32,7 +32,7 @@ def chrom_rows(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[1]
     if n < MIN_TRACE_SECONDS * fps:
-        raise TraceTooShortError(f"{n} samples at {fps} fps is under {MIN_TRACE_SECONDS} s")
+        raise SignalError(f"{n} samples at {fps} fps is under {MIN_TRACE_SECONDS} s")
     means = samples.mean(axis=1)
     ok = np.all(means > SIGMA_FLOOR, axis=1)
     rn, gn, bn = np.moveaxis(samples / np.where(ok[:, None], means, 1.0)[:, None, :], -1, 0)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .biophysics import (
     DEFAULT_STEP_NM,
+    MAX_MELANIN_POINTS,
     CameraNoiseParams,
     SkinParams,
     SpectralContext,
@@ -33,7 +34,7 @@ from .biophysics import (
     pixel_snr_sweep,
 )
 from .config import ENV_CONFIG_VAR, KINDS, RunConfig, load_run_config, parse_value
-from .errors import MissingInputError, ToolkitError, UsageError
+from .errors import MissingInputError, ToolkitError, UsageError, writing
 from .evaluation import (
     bland_altman_csv,
     cohort_report,
@@ -53,7 +54,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
     """Write text to path through a temp file and a rename; a path that
     cannot be written (a directory, a name too long) is a UsageError."""
     path = Path(path)
-    try:
+    with writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
@@ -64,8 +65,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise UsageError(f"{path}: cannot be written: {exc.strerror}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -247,6 +246,8 @@ def _cmd_biophys(args: argparse.Namespace) -> int:
 
         if args.points < 1:
             raise UsageError("--points must be at least 1")
+        if args.points > MAX_MELANIN_POINTS:
+            raise UsageError(f"--points must not exceed {MAX_MELANIN_POINTS}")
         ctx = _spectral_context(args)
         grid = np.linspace(args.f_mel_min, args.f_mel_max, args.points)
         rows = melanin_sweep(grid, base, ctx, channel=args.channel)
@@ -255,6 +256,8 @@ def _cmd_biophys(args: argparse.Namespace) -> int:
     else:
         if args.level_min > args.level_max:
             raise UsageError("--level-min must not exceed --level-max")
+        if args.level_min < 0 or args.level_max > 255:
+            raise UsageError("pixel level must lie in [0, 255]")
         levels = range(args.level_min, args.level_max + 1)
         rows = pixel_snr_sweep(levels, noise)
         lines = ["level,snr"]

@@ -33,12 +33,7 @@ import numpy as np
 
 from .chrom import chrom_rows
 from .diffuse import frame_chunks
-from .errors import (
-    AllCellsDeadError,
-    DegenerateWeightsError,
-    EmptyRegionError,
-    ZeroChannelMeanError,
-)
+from .errors import RegionError, SignalError
 from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
 from .signals import zero_mean
 
@@ -95,7 +90,7 @@ def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     spanning the frame."""
     empty = np.flatnonzero(counts[:, 0, 0] == 0)
     if empty.size:
-        raise EmptyRegionError(f"frame {empty[0]}: mask selects no pixels")
+        raise RegionError(f"frame {empty[0]}: mask selects no pixels")
     return sums[:, 0, 0] / counts[:, 0, 0, None]
 
 
@@ -157,7 +152,7 @@ def snr_weights(
     one over another).
     """
     if not traces.live.any():
-        raise AllCellsDeadError("every grid cell is empty in the first frame")
+        raise RegionError("every grid cell is empty in the first frame")
     waves, ok = traces.waveforms
     cells = np.flatnonzero(traces.live & ok)
     w = np.zeros(traces.n_cells)
@@ -192,7 +187,7 @@ def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()
     if counts.sum() == 0:
-        raise EmptyRegionError("no masked pixels fall inside the grid")
+        raise RegionError("no masked pixels fall inside the grid")
     weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     total = weights.sum()
     if total <= 0:
@@ -222,7 +217,7 @@ def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> np.ndarray
     cells = np.flatnonzero(weights > 0)
     missing = cells[~ok[cells]]
     if missing.size:
-        raise ZeroChannelMeanError(f"cell {missing[0]} has positive weight but no waveform")
+        raise SignalError(f"cell {missing[0]} has positive weight but no waveform")
     acc = np.tensordot(weights[cells], waves[cells], axes=1)
     return zero_mean(acc)
 
@@ -243,7 +238,7 @@ def combine_proposed(
     product[~traces.live] = 0.0
     total = product.sum()
     if total < WEIGHT_EPS:
-        raise DegenerateWeightsError(
+        raise RegionError(
             "snr and diffuse weights have no overlapping support"
         )
     w = product / total

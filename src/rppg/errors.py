@@ -1,10 +1,19 @@
-"""Exception hierarchy and process exit codes.
+"""Exception classes and process exit codes: the whole error contract.
 
-Every failure mode raised by this package derives from ToolkitError. Each
-error *family* carries a distinct CLI exit code so batch drivers can tell a
-configuration mistake from bad input data without parsing stderr. Zero is
-reserved for success.
+Every failure raised by this package is a ToolkitError, and each subclass
+is one CLI exit code, so batch drivers can tell a configuration mistake
+from bad input data without parsing stderr. Zero is reserved for success.
+A library caller catches the class of the code it handles; the message
+names the check that failed.
+
+An operating-system failure on a path (missing, a directory, no
+permission, a name too long) is a MissingInputError (exit 3) when the path
+is an input and a UsageError (exit 2) when it is an output: every file
+open or mkdir in the package sits inside ``reading(path)`` or
+``writing(path)``, which apply that rule.
 """
+
+import contextlib
 
 
 class ToolkitError(Exception):
@@ -25,50 +34,10 @@ class MissingInputError(ToolkitError):
     exit_code = 3
 
 
-class MissingManifestError(MissingInputError):
-    pass
-
-
 class DataFormatError(ToolkitError):
     """An input file exists but its contents violate the format contract."""
 
     exit_code = 4
-
-
-class DimensionMismatchError(DataFormatError):
-    pass
-
-
-class NonPositiveFpsError(DataFormatError):
-    pass
-
-
-class CountMismatchError(DataFormatError):
-    pass
-
-
-class MalformedPolygonError(DataFormatError):
-    pass
-
-
-class OutOfBoundsError(DataFormatError):
-    pass
-
-
-class NonMonotoneTimeError(DataFormatError):
-    pass
-
-
-class EmptyFileError(DataFormatError):
-    pass
-
-
-class MalformedStreamError(DataFormatError):
-    pass
-
-
-class LengthMismatchError(DataFormatError):
-    pass
 
 
 class GeometryError(ToolkitError):
@@ -77,26 +46,10 @@ class GeometryError(ToolkitError):
     exit_code = 5
 
 
-class GridTooFineError(GeometryError):
-    pass
-
-
 class RegionError(ToolkitError):
     """No usable skin pixels or weights left to combine."""
 
     exit_code = 6
-
-
-class EmptyRegionError(RegionError):
-    pass
-
-
-class AllCellsDeadError(RegionError):
-    pass
-
-
-class DegenerateWeightsError(RegionError):
-    pass
 
 
 class SignalError(ToolkitError):
@@ -105,53 +58,31 @@ class SignalError(ToolkitError):
     exit_code = 7
 
 
-class TraceTooShortError(SignalError):
-    pass
-
-
-class ZeroChannelMeanError(SignalError):
-    pass
-
-
-class SampleRateTooLowError(SignalError):
-    pass
-
-
-class SpectrumTooShortError(SignalError):
-    pass
-
-
-class NoPeaksError(SignalError):
-    pass
-
-
-class DegenerateSpectrumError(SignalError):
-    pass
-
-
-class NoWindowsError(SignalError):
-    pass
-
-
 class ModelError(ToolkitError):
     """Biophysical model evaluated outside its domain."""
 
     exit_code = 8
 
 
-class WavelengthOutOfRangeError(ModelError):
-    pass
-
-
-class DegenerateReflectanceError(ModelError):
-    pass
-
-
-class ZeroDenominatorError(ModelError):
-    pass
-
-
 class InvalidSceneError(ToolkitError):
     """Synthetic scene description fails validation."""
 
     exit_code = 9
+
+
+@contextlib.contextmanager
+def reading(path):
+    """An OSError in the block becomes MissingInputError('{path}: cannot be read: ...')."""
+    try:
+        yield
+    except OSError as exc:
+        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def writing(path):
+    """An OSError in the block becomes UsageError('{path}: cannot be written: ...')."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot be written: {exc.strerror}") from exc

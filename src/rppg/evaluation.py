@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, EmptyFileError, LengthMismatchError
+from .errors import DataFormatError
 from .ingest import load_ground_truth, read_text
 
 LOA_FACTOR = 1.96
@@ -51,11 +51,11 @@ def agreement(estimates, truths) -> AgreementStats:
     est = np.asarray(estimates, dtype=np.float64)
     gt = np.asarray(truths, dtype=np.float64)
     if est.ndim != 1 or est.shape != gt.shape:
-        raise LengthMismatchError(
+        raise DataFormatError(
             f"estimate/truth lengths differ: {est.shape} vs {gt.shape}"
         )
     if est.size < 1:
-        raise LengthMismatchError("need at least one estimate/truth pair")
+        raise DataFormatError("need at least one estimate/truth pair")
     diffs = est - gt
     bias = float(diffs.mean())
     se = float(diffs.std(ddof=0))
@@ -156,13 +156,13 @@ def cohort_report(records) -> dict:
     """
     records = list(records)
     if not records:
-        raise EmptyFileError("no evaluation records")
+        raise DataFormatError("no evaluation records")
     pairs: dict[str, dict[str, list[tuple[float, float]]]] = {}
     for rec in records:
         cols = pairs.setdefault(rec.method, {c: [] for c in _COLUMNS})
         for col in _column_members(rec.key):
             if col not in cols:
-                raise LengthMismatchError(f"unknown cohort value {col!r}")
+                raise DataFormatError(f"unknown cohort value {col!r}")
             cols[col].append((rec.estimate_bpm, rec.truth_bpm))
     methods: dict[str, dict[str, AgreementStats | None]] = {}
     for method, cols in pairs.items():

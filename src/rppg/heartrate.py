@@ -35,14 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    NoPeaksError,
-    NoWindowsError,
-    SampleRateTooLowError,
-    SpectrumTooShortError,
-    UsageError,
-)
+from .errors import SignalError, UsageError
 from .signals import PulseWaveform
 
 PASSBAND_HZ = (0.7, 3.5)
@@ -179,7 +172,7 @@ def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
     along its last axis: scipy.signal.sosfiltfilt with its odd extension of
     padlen = min(21, n - 1) samples and sosfilt_zi initial conditions."""
     if fps <= 2.0 * PASSBAND_HZ[1]:
-        raise SampleRateTooLowError(
+        raise SignalError(
             f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
         )
     x = np.asarray(x, dtype=np.float64)
@@ -208,7 +201,7 @@ def periodogram(x: np.ndarray, fps: float):
     >= PSD_PAD_FACTOR x n. Returns (freqs, power (..., n_freqs))."""
     n = x.shape[-1]
     if n < PSD_MIN_SAMPLES:
-        raise SpectrumTooShortError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
+        raise SignalError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
     nfft = _next_pow2(PSD_PAD_FACTOR * n)
     # scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft,
     # detrend=False), in its operation order: a periodic Hann window scaled
@@ -296,10 +289,10 @@ def select_hr(
     in_band = (f >= band[0]) & (f <= band[1])
     peak_floor = power[in_band].max()
     if peak_floor <= 0.0:
-        raise NoPeaksError("no in-band power")
+        raise SignalError("no in-band power")
     peaks = _prominent_peaks(power, in_band, PEAK_PROMINENCE_FRAC * peak_floor)
     if peaks.size == 0:
-        raise NoPeaksError("no in-band spectral peaks above the prominence floor")
+        raise SignalError("no in-band spectral peaks above the prominence floor")
     peaks = peaks[np.argsort(power[peaks])[::-1][:MAX_PEAKS]]
     w = halfwidth_hz
 
@@ -360,7 +353,7 @@ def two_harmonic_snr(
         raise UsageError(f"peak {peak_hz} Hz outside the {band} Hz band")
     freqs, power = periodogram(wave.samples, wave.fps)
     if power.sum() < MIN_TOTAL_POWER:
-        raise DegenerateSpectrumError("total spectral power is zero")
+        raise SignalError("total spectral power is zero")
     return float(harmonic_snr(freqs, power, peak_hz, halfwidth_hz))
 
 
@@ -409,7 +402,7 @@ def estimate_video_hr(
     """
     waves = np.asarray(waves, dtype=np.float64)
     if waves.shape[0] == 0:
-        raise NoWindowsError("no analysis windows fit in the recording")
+        raise SignalError("no analysis windows fit in the recording")
     freqs, power = periodogram(waves, fps)
     return tuple(
         select_hr(freqs, suppress_artifacts(freqs, row, notch_hz), band, halfwidth_hz)

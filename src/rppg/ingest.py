@@ -42,20 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffuse import frame_chunks
-from .errors import (
-    CountMismatchError,
-    DataFormatError,
-    DimensionMismatchError,
-    EmptyFileError,
-    MalformedPolygonError,
-    MalformedStreamError,
-    MissingInputError,
-    MissingManifestError,
-    NonMonotoneTimeError,
-    NonPositiveFpsError,
-    OutOfBoundsError,
-    UsageError,
-)
+from .errors import DataFormatError, MissingInputError, reading, writing
 
 RAW_MAGIC = b"RPPGRAW1"
 RAW_HEADER = struct.Struct("<8s4I")
@@ -95,13 +82,13 @@ class FrameSequence:
     def __post_init__(self):
         f = self.frames if isinstance(self.frames, FrameReader) else np.asarray(self.frames)
         if f.ndim != 4 or f.shape[3] != 3:
-            raise DimensionMismatchError(f"frames must be (n, h, w, 3), got {f.shape}")
+            raise DataFormatError(f"frames must be (n, h, w, 3), got {f.shape}")
         if f.dtype != np.uint8:
             raise DataFormatError(f"frames must be uint8, got {f.dtype}")
         if f.shape[0] < 1 or f.shape[1] < 1 or f.shape[2] < 1:
-            raise DimensionMismatchError("frame sequence must be non-empty")
+            raise DataFormatError("frame sequence must be non-empty")
         if not self.fps > 0:
-            raise NonPositiveFpsError(f"fps must be positive, got {self.fps}")
+            raise DataFormatError(f"fps must be positive, got {self.fps}")
         object.__setattr__(self, "frames", f)
 
     @property
@@ -151,7 +138,7 @@ class GroundTruth:
     @property
     def mean_hr_bpm(self) -> float:
         if self.hr_bpm is None:
-            raise EmptyFileError("no heart-rate numerics loaded")
+            raise DataFormatError("no heart-rate numerics loaded")
         return float(np.mean(self.hr_bpm))
 
 
@@ -160,11 +147,10 @@ def read_text(path: Path) -> str:
     path that cannot be opened as a file (missing, a directory, a name too
     long, no permission) MissingInputError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with reading(path):
+            return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not a text file: {exc}") from exc
-    except OSError as exc:
-        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +159,8 @@ def read_text(path: Path) -> str:
 
 
 def read_ppm(path: Path) -> np.ndarray:
-    try:
+    with reading(path):
         data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
     # header = magic, width, height, maxval as whitespace-separated tokens,
@@ -215,7 +199,7 @@ def read_ppm(path: Path) -> np.ndarray:
 def write_ppm(frame: np.ndarray, path: Path) -> None:
     frame = np.ascontiguousarray(frame, dtype=np.uint8)
     h, w = frame.shape[:2]
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(frame.tobytes())
 
@@ -228,7 +212,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
-        raise MissingManifestError(f"{directory}: manifest.json not found")
+        raise MissingInputError(f"{directory}: manifest.json not found")
     try:
         manifest = json.loads(read_text(manifest_path))
         fps, width, height, count = (manifest[k] for k in ("fps", "width", "height", "count"))
@@ -240,7 +224,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         raise DataFormatError(f"{manifest_path}: fps must be a finite number, got {fps!r}")
     fps = float(fps)
     if fps <= 0:
-        raise NonPositiveFpsError(f"{manifest_path}: fps must be positive, got {fps}")
+        raise DataFormatError(f"{manifest_path}: fps must be positive, got {fps}")
     if count < 1:
         raise DataFormatError(f"{manifest_path}: count must be >= 1")
     if width < 1 or height < 1:
@@ -250,7 +234,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         fp = directory / _frame_name(i)
         frame = read_ppm(fp)
         if frame.shape != (height, width, 3):
-            raise DimensionMismatchError(
+            raise DataFormatError(
                 f"{fp}: frame is {frame.shape[1]}x{frame.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
@@ -272,16 +256,14 @@ def load_frame_dir(directory: Path) -> FrameSequence:
 class FrameDirWriter:
     """Writes a frame directory chunk by chunk (write), then its manifest
     (finish). A stale manifest is removed first, so a directory whose writer
-    did not finish does not load. A path that cannot be made a directory is
-    a UsageError."""
+    did not finish does not load. A directory, frame or manifest that cannot
+    be written is a UsageError."""
 
     def __init__(self, directory: Path, fps: float, width: int, height: int):
         self.directory = Path(directory)
-        try:
+        with writing(directory):
             self.directory.mkdir(parents=True, exist_ok=True)
             (self.directory / "manifest.json").unlink(missing_ok=True)
-        except OSError as exc:
-            raise UsageError(f"{directory}: cannot be written: {exc.strerror}") from exc
         self.manifest = {"fps": fps, "width": width, "height": height, "count": 0}
 
     def write(self, frames: np.ndarray) -> None:
@@ -290,8 +272,9 @@ class FrameDirWriter:
             self.manifest["count"] += 1
 
     def finish(self) -> None:
-        text = json.dumps(self.manifest, sort_keys=True)
-        (self.directory / "manifest.json").write_text(text)
+        path = self.directory / "manifest.json"
+        with writing(path):
+            path.write_text(json.dumps(self.manifest, sort_keys=True))
 
 
 def write_frame_dir(seq: FrameSequence, directory: Path) -> None:
@@ -310,23 +293,19 @@ def load_raw_stream(path: Path) -> FrameSequence:
     """A raw stream whose header and payload size agree; frames are read by
     chunk with np.fromfile (not a memory map: mapped pages that a pass
     touches would stay resident and count toward its peak)."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
-    with fh:
+    with reading(path), open(path, "rb") as fh:
         header = fh.read(RAW_HEADER.size)
         if len(header) < RAW_HEADER.size:
-            raise MalformedStreamError(f"{path}: shorter than the 24-byte header")
+            raise DataFormatError(f"{path}: shorter than the 24-byte header")
         magic, width, height, count, fps_millihz = RAW_HEADER.unpack(header)
         if magic != RAW_MAGIC:
-            raise MalformedStreamError(f"{path}: bad magic {magic!r}")
+            raise DataFormatError(f"{path}: bad magic {magic!r}")
         if fps_millihz == 0:
-            raise NonPositiveFpsError(f"{path}: fps_millihz must be positive")
+            raise DataFormatError(f"{path}: fps_millihz must be positive")
         need = width * height * 3 * count
         size = os.fstat(fh.fileno()).st_size - RAW_HEADER.size
         if size != need:
-            raise MalformedStreamError(
+            raise DataFormatError(
                 f"{path}: payload is {size} bytes, header implies {need}"
             )
     frame_bytes = width * height * 3
@@ -334,9 +313,10 @@ def load_raw_stream(path: Path) -> FrameSequence:
     def read(start: int, stop: int) -> np.ndarray:
         want = (stop - start) * frame_bytes
         offset = RAW_HEADER.size + start * frame_bytes
-        frames = np.fromfile(path, dtype=np.uint8, count=want, offset=offset)
+        with reading(path):
+            frames = np.fromfile(path, dtype=np.uint8, count=want, offset=offset)
         if frames.size != want:
-            raise MalformedStreamError(f"{path}: payload ends before frame {stop}")
+            raise DataFormatError(f"{path}: payload ends before frame {stop}")
         return frames.reshape(stop - start, height, width, 3)
 
     shape = (count, height, width, 3)
@@ -347,7 +327,7 @@ def write_raw_stream(seq: FrameSequence, path: Path) -> None:
     header = RAW_HEADER.pack(
         RAW_MAGIC, seq.width, seq.height, seq.count, round(seq.fps * 1000)
     )
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         fh.write(header)
         for sl in frame_chunks(seq.count, seq.height, seq.width):
             fh.write(np.ascontiguousarray(seq.frames[sl]).tobytes())
@@ -382,17 +362,17 @@ def _is_json_number(v) -> bool:
 
 def _parse_polygon(raw, where: str) -> tuple[tuple[int, int], ...]:
     if not isinstance(raw, list):
-        raise MalformedPolygonError(f"{where}: polygon must be a list of [x, y] pairs")
+        raise DataFormatError(f"{where}: polygon must be a list of [x, y] pairs")
     if len(raw) == 0:
         return ()
     if len(raw) < 3:
-        raise MalformedPolygonError(
+        raise DataFormatError(
             f"{where}: polygon needs >= 3 vertices, got {len(raw)}"
         )
     verts = []
     for v in raw:
         if not (isinstance(v, list) and len(v) == 2 and all(map(_is_json_int, v))):
-            raise MalformedPolygonError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
+            raise DataFormatError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
         verts.append((v[0], v[1]))
     return tuple(verts)
 
@@ -402,9 +382,9 @@ def _check_bbox(bbox, width: int, height: int, where: str) -> tuple[int, int, in
         raise DataFormatError(f"{where}: bbox must be [x, y, w, h] integers, got {bbox!r}")
     x, y, w, h = bbox
     if w < 0 or h < 0:
-        raise OutOfBoundsError(f"{where}: bbox has negative extent {bbox}")
+        raise DataFormatError(f"{where}: bbox has negative extent {bbox}")
     if x < 0 or y < 0 or x + w > width or y + h > height:
-        raise OutOfBoundsError(
+        raise DataFormatError(
             f"{where}: bbox {bbox} exceeds frame bounds {width}x{height}"
         )
     return x, y, w, h
@@ -414,7 +394,7 @@ def _check_polygon_in_bbox(poly, bbox, where: str) -> None:
     x, y, w, h = bbox
     for vx, vy in poly:
         if not (x <= vx <= x + w and y <= vy <= y + h):
-            raise OutOfBoundsError(f"{where}: vertex ({vx}, {vy}) outside bbox {bbox}")
+            raise DataFormatError(f"{where}: vertex ({vx}, {vy}) outside bbox {bbox}")
 
 
 def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> LandmarkSidecar:
@@ -423,7 +403,7 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
     records: dict[int, LandmarkRecord] = {}
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
-        raise EmptyFileError(f"{path}: no landmark records")
+        raise DataFormatError(f"{path}: no landmark records")
     for lineno, line in enumerate(lines, start=1):
         where = f"{path}:{lineno}"
         try:
@@ -447,12 +427,12 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
         for poly in (*eyes, mouth):
             _check_polygon_in_bbox(poly, bbox, where)
         if frame in records:
-            raise CountMismatchError(f"{where}: duplicate record for frame {frame}")
+            raise DataFormatError(f"{where}: duplicate record for frame {frame}")
         records[frame] = LandmarkRecord(
             frame=frame, bbox=bbox, eye_polygons=eyes, mouth_polygon=mouth
         )
     if sorted(records) != list(range(frame_count)):
-        raise CountMismatchError(
+        raise DataFormatError(
             f"{path}: {len(records)} records do not cover frames 0..{frame_count - 1}"
         )
     ordered = tuple(records[i] for i in range(frame_count))
@@ -460,7 +440,7 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
 
 
 def write_landmarks(sidecar: LandmarkSidecar, path: Path) -> None:
-    with open(path, "w") as fh:
+    with writing(path), open(path, "w") as fh:
         for rec in sidecar.records:
             obj = {
                 "frame": rec.frame,
@@ -497,7 +477,7 @@ def read_two_column_csv(path: Path, header: str) -> tuple[np.ndarray, np.ndarray
         raise DataFormatError(f"{path}: first line must be the header {header!r}")
     rows = lines[1:]
     if not rows:
-        raise EmptyFileError(f"{path}: no data rows")
+        raise DataFormatError(f"{path}: no data rows")
     x = np.empty(len(rows))
     y = np.empty(len(rows))
     for i, row in enumerate(rows):
@@ -516,7 +496,7 @@ def read_two_column_csv(path: Path, header: str) -> tuple[np.ndarray, np.ndarray
 def read_timeseries_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     t, v = read_two_column_csv(path, "time_s,value")
     if np.any(np.diff(t) <= 0):
-        raise NonMonotoneTimeError(f"{path}: time_s must be strictly increasing")
+        raise DataFormatError(f"{path}: time_s must be strictly increasing")
     return t, v
 
 
@@ -533,7 +513,7 @@ def load_ground_truth(hr_path: Path) -> GroundTruth:
 
 
 def write_timeseries_csv(t: np.ndarray, v: np.ndarray, path: Path) -> None:
-    with open(path, "w") as fh:
+    with writing(path), open(path, "w") as fh:
         fh.write("time_s,value\n")
         for ti, vi in zip(t, v):
             fh.write(f"{float(ti)!r},{float(vi)!r}\n")

@@ -54,7 +54,7 @@ from .diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from .errors import NoWindowsError, UsageError, ZeroChannelMeanError
+from .errors import SignalError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
 from .roi import build_grid, build_mask
@@ -145,7 +145,7 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
         waves, ok = chrom_rows(waves, fps)
         if not ok.all():
             j = int(np.argmin(ok))
-            raise ZeroChannelMeanError(
+            raise SignalError(
                 f"window {first + j} (start {starts[first + j]} s): "
                 f"channel means {rows[j].mean(axis=0)} must all be positive"
             )
@@ -172,7 +172,7 @@ def run_pipeline(
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
     if not slices:
-        raise NoWindowsError("no analysis windows fit in the recording")
+        raise SignalError("no analysis windows fit in the recording")
     grids = None
     if cfg.method != "aggregate":
         grids = [

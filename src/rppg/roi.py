@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooFineError
+from .errors import GeometryError
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -73,7 +73,7 @@ def build_grid(bbox, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
     if bw < cols or bh < rows:
-        raise GridTooFineError(
+        raise GeometryError(
             f"bbox {bw}x{bh} cannot host a {rows}x{cols} grid "
             "(every cell needs at least one pixel)"
         )

@@ -27,7 +27,7 @@ from .biophysics import (
     SpectralContext,
     reflectance_over_blood,
 )
-from .errors import InvalidSceneError, UsageError
+from .errors import InvalidSceneError, writing
 from .ingest import (
     FrameSequence,
     GroundTruth,
@@ -183,13 +183,11 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
 
 
 def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") -> dict:
-    """Render and persist a scene; returns the file map. An outdir that
-    cannot be made a directory (an existing file, say) is a UsageError."""
+    """Render and persist a scene; returns the file map. An outdir or a file
+    in it that cannot be written is a UsageError."""
     outdir = Path(outdir)
-    try:
+    with writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"{outdir}: cannot be written: {exc.strerror}") from exc
     seq, sidecar, gt = render(scene)
     if layout == "raw":
         frames_path = outdir / "frames.raw"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
 from rppg.combine import diffuse_weights, facial_aggregate, grid_traces, masked_cell_sums
-from rppg.errors import ZeroChannelMeanError
+from rppg.errors import SignalError
 from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
 from rppg.signals import PulseWaveform
 
@@ -87,7 +87,7 @@ def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
     channel mean raises, as the pipeline does for a window."""
     waves, ok = chrom_rows(np.asarray(samples, dtype=np.float64)[None], fps)
     if not ok[0]:
-        raise ZeroChannelMeanError(f"channel means {np.mean(samples, axis=0)}")
+        raise SignalError(f"channel means {np.mean(samples, axis=0)}")
     return PulseWaveform(waves[0], fps)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
-from rppg.errors import TraceTooShortError
+from rppg.errors import SignalError
 from rppg.heartrate import periodogram
 
 from helpers import chrom_one
@@ -71,7 +71,7 @@ def test_zero_channel_mean_rejected():
 
 
 def test_trace_too_short_rejected():
-    with pytest.raises(TraceTooShortError):
+    with pytest.raises(SignalError, match="fps is under"):
         chrom_one(np.full((30, 3), 50.0), 30.0)  # 1 s at 30 fps
 
 

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rppg
-from rppg.biophysics import MAX_GAIN, CameraNoiseParams, SkinParams
+from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min_subtract
-from rppg.errors import MissingManifestError
+from rppg.errors import MissingInputError
 from rppg.ingest import (
     LandmarkRecord,
     LandmarkSidecar,
@@ -155,8 +155,11 @@ def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
         assert np.array_equal(written, good[i])
     # over a finished tree, the failed run removes its manifest first
     assert estimate(tmp_path / "diffuse") == 3
-    for ddir in ("fresh", "diffuse"):
-        with pytest.raises(MissingManifestError):
+    # a frame that cannot be written is a usage error, and no manifest follows
+    (tmp_path / "taken" / "frame_000000.ppm").mkdir(parents=True)
+    assert estimate(tmp_path / "taken") == 2
+    for ddir in ("fresh", "diffuse", "taken"):
+        with pytest.raises(MissingInputError, match="manifest.json not found"):
             load_frame_sequence(tmp_path / ddir)
 
 
@@ -383,6 +386,9 @@ def bad_paths(dataset, tmp_path_factory):
     (root / "ppm" / "frame_000100.ppm").unlink()
     (root / "ppm" / "frame_000100.ppm").mkdir()
     frames = frame_dir_claiming(root, 8)
+    # output trees where one file's name is taken by a directory
+    (root / "dump-taken" / "frame_000000.ppm").mkdir(parents=True)
+    (root / "synth-taken" / "landmarks.jsonl").mkdir(parents=True)
     manifest = (Path(frames) / "manifest.json").read_text()
     (Path(frames) / "manifest.json").write_text(manifest.replace('"width": 8', '"width": 1e400'))
     return {**dataset, "root": str(root), "long": str(root / ("x" * 5000))}
@@ -416,9 +422,11 @@ EVALUATE = "evaluate --manifest {root}/"
         (ESTIMATE + " --out {long}", 2),
         (ESTIMATE + " --dump-weights {root}/dir", 2),
         (ESTIMATE.replace("aggregate", "proposed") + " --dump-diffuse {root}/file", 2),
+        (ESTIMATE.replace("aggregate", "proposed") + " --dump-diffuse {root}/dump-taken", 2),
         ("biophys --table pixel-snr --out {root}/dir", 2),
         ("synth --out {root}/file", 2),
         ("synth --out {root}/file/scene", 2),
+        ("synth --out {root}/synth-taken", 2),
     ],
 )
 def test_paths_that_cannot_be_opened_exit_2_3_or_4(bad_paths, capsys, argv, code):
@@ -774,6 +782,22 @@ def test_biophys_malformed_spectrum_csv_exits_4(tmp_path, data):
     assert main([*table, "--illuminant", str(bad)]) == 4
     assert main([*table, "--sensitivities", f"{good},{bad},{good}"]) == 4
     assert main([*table, "--sensitivities", f"{good},{good},{good}"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--table", "pixel-snr", "--level-max", "256"],
+        ["--table", "pixel-snr", "--level-min", "-1"],
+        # 1e18 levels: refused before a range of them is built
+        ["--table", "pixel-snr", "--level-max", "1000000000000000000"],
+        ["--table", "melanin", "--points", str(MAX_MELANIN_POINTS + 1)],
+    ],
+)
+def test_biophys_sweep_sizes_exit_2_before_the_sweep(capsys, flags):
+    assert main(["biophys", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rppg: error: ") and err.count("\n") == 1, err
 
 
 def test_biophys_step_below_the_floor_exits_2(capsys):

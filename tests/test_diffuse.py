@@ -11,7 +11,7 @@ from rppg.diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from rppg.errors import EmptyRegionError
+from rppg.errors import RegionError
 from rppg.roi import build_grid
 
 from helpers import diffuse_weights_of, label_map, mixed_frames
@@ -323,7 +323,7 @@ def loop_diffuse_weights(diffuse_frames, grid, masks):
         sums += np.bincount(lab, weights=lum[t][sel], minlength=n)
         counts += np.bincount(lab, minlength=n)
     if counts.sum() == 0:
-        raise EmptyRegionError("no masked pixels fall inside the grid")
+        raise RegionError("no masked pixels fall inside the grid")
     weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     total = weights.sum()
     if total <= 0:
@@ -354,7 +354,7 @@ def test_weights_match_bincount_loop_oracle():
             assert np.allclose(w, expect, rtol=1e-12, atol=0.0), (bbox, d.dtype)
     outside = build_grid((-20, 0, 12, 9), rows=2, cols=2)  # wholly outside
     for d in inputs:
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(RegionError, match="no masked pixels fall inside the grid"):
             diffuse_weights_of(d, outside, masks)
 
 
@@ -390,7 +390,7 @@ def test_weights_empty_mask_raises():
     frames = np.full((1, 8, 8, 3), 90, dtype=np.uint8)
     masks = np.zeros((1, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    with pytest.raises(EmptyRegionError):
+    with pytest.raises(RegionError, match="no masked pixels fall inside the grid"):
         diffuse_weights_of(diffuse_luminance(frames), grid, masks)
 
 

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rppg.errors import (
-    DataFormatError,
-    EmptyFileError,
-    LengthMismatchError,
-    MissingInputError,
-    ToolkitError,
-)
+from rppg.errors import DataFormatError, MissingInputError, ToolkitError
 from rppg.evaluation import (
     AgreementStats,
     CohortKey,
@@ -118,9 +112,9 @@ def test_agreement_properties(pairs):
 
 
 def test_agreement_input_validation():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataFormatError, match="lengths differ"):
         agreement([72.0, 80.0], [70.0])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataFormatError, match="at least one estimate/truth pair"):
         agreement([], [])
 
 
@@ -187,10 +181,10 @@ def test_three_tone_deltas_match_recomputation():
 
 
 def test_cohort_report_validation():
-    with pytest.raises(EmptyFileError):
+    with pytest.raises(DataFormatError, match="no evaluation records"):
         cohort_report([])
     bad = CohortKey(skin_tone="olive", condition="room", viewpoint="front")
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataFormatError, match="unknown cohort value"):
         cohort_report([rec("proposed", 70.0, 70.0, bad)])
 
 

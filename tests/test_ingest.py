@@ -42,11 +42,11 @@ def rand_frames(rng, n=3, h=5, w=7):
 
 
 def test_frame_sequence_validation():
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.DataFormatError, match=r"must be \(n, h, w, 3\)"):
         FrameSequence(frames=np.zeros((3, 4, 5), dtype=np.uint8), fps=30.0)
     with pytest.raises(errors.DataFormatError):
         FrameSequence(frames=np.zeros((3, 4, 5, 3), dtype=np.float64), fps=30.0)
-    with pytest.raises(errors.NonPositiveFpsError):
+    with pytest.raises(errors.DataFormatError, match="fps must be positive"):
         FrameSequence(frames=np.zeros((3, 4, 5, 3), dtype=np.uint8), fps=0.0)
     seq = flat_sequence(n=4, h=6, w=8, fps=2.0)
     assert (seq.count, seq.height, seq.width) == (4, 6, 8)
@@ -150,7 +150,7 @@ def test_raw_stream_round_trip_and_size(tmp_path):
 def test_raw_stream_bad_magic(tmp_path):
     path = tmp_path / "s.raw"
     path.write_bytes(b"NOTRAW00" + bytes(100))
-    with pytest.raises(errors.MalformedStreamError):
+    with pytest.raises(errors.DataFormatError, match="bad magic"):
         load_raw_stream(path)
 
 
@@ -158,7 +158,7 @@ def test_raw_stream_truncated_payload(tmp_path):
     header = RAW_HEADER.pack(RAW_MAGIC, 4, 4, 2, 30_000)
     path = tmp_path / "s.raw"
     path.write_bytes(header + bytes(4 * 4 * 3 * 2 - 1))
-    with pytest.raises(errors.MalformedStreamError):
+    with pytest.raises(errors.DataFormatError, match="header implies"):
         load_raw_stream(path)
 
 
@@ -166,7 +166,7 @@ def test_raw_stream_overlong_payload(tmp_path):
     header = RAW_HEADER.pack(RAW_MAGIC, 4, 4, 2, 30_000)
     path = tmp_path / "s.raw"
     path.write_bytes(header + bytes(4 * 4 * 3 * 2 + 1))
-    with pytest.raises(errors.MalformedStreamError):
+    with pytest.raises(errors.DataFormatError, match="header implies"):
         load_raw_stream(path)
 
 
@@ -174,7 +174,7 @@ def test_raw_stream_zero_fps(tmp_path):
     header = RAW_HEADER.pack(RAW_MAGIC, 4, 4, 1, 0)
     path = tmp_path / "s.raw"
     path.write_bytes(header + bytes(4 * 4 * 3))
-    with pytest.raises(errors.NonPositiveFpsError):
+    with pytest.raises(errors.DataFormatError, match="fps_millihz must be positive"):
         load_raw_stream(path)
 
 
@@ -235,7 +235,7 @@ def test_frame_dir_round_trip(tmp_path):
 def test_frame_dir_missing_manifest(tmp_path):
     d = tmp_path / "frames"
     d.mkdir()
-    with pytest.raises(errors.MissingManifestError):
+    with pytest.raises(errors.MissingInputError, match="manifest.json not found"):
         load_frame_dir(d)
 
 
@@ -260,7 +260,7 @@ def test_frame_dir_dimension_mismatch(tmp_path):
     d = tmp_path / "frames"
     write_frame_dir(seq, d)
     write_ppm(np.zeros((3, 4, 3), dtype=np.uint8), d / "frame_000001.ppm")
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.DataFormatError, match="manifest says"):
         load_frame_dir(d)
 
 
@@ -348,21 +348,21 @@ def test_landmarks_round_trip(tmp_path):
 def test_landmarks_missing_frame(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0), record_dict(2)])
-    with pytest.raises(errors.CountMismatchError):
+    with pytest.raises(errors.DataFormatError, match="do not cover frames"):
         load_landmarks(path, frame_count=3, width=8, height=6)
 
 
 def test_landmarks_duplicate_frame(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0), record_dict(0)])
-    with pytest.raises(errors.CountMismatchError):
+    with pytest.raises(errors.DataFormatError, match="duplicate record for frame"):
         load_landmarks(path, frame_count=2, width=8, height=6)
 
 
 def test_landmarks_bbox_out_of_frame(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0, bbox=(4, 4, 6, 4))])
-    with pytest.raises(errors.OutOfBoundsError):
+    with pytest.raises(errors.DataFormatError, match="exceeds frame bounds"):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
@@ -378,14 +378,14 @@ def test_landmarks_bbox_entries_must_be_integers(tmp_path, bad):
 def test_landmarks_vertex_coordinates_must_be_integers(tmp_path, bad):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0, mouth=[[2, bad], [3, 2], [3, 3]])])
-    with pytest.raises(errors.MalformedPolygonError):
+    with pytest.raises(errors.DataFormatError, match=r"is not an \[x, y\] integer pair"):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
 def test_landmarks_vertex_outside_bbox(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0, eyes=[[[0, 0], [2, 2], [3, 2]], []])])
-    with pytest.raises(errors.OutOfBoundsError):
+    with pytest.raises(errors.DataFormatError, match="outside bbox"):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
@@ -393,7 +393,7 @@ def test_landmarks_short_polygon_is_malformed(tmp_path):
     # one or two vertices cannot bound a region; an empty list means absent
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0, mouth=[[2, 2], [3, 3]])])
-    with pytest.raises(errors.MalformedPolygonError):
+    with pytest.raises(errors.DataFormatError, match="polygon needs >= 3 vertices"):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
@@ -415,7 +415,7 @@ def test_landmarks_bad_json(tmp_path):
 def test_landmarks_empty_file(tmp_path):
     path = tmp_path / "lm.jsonl"
     path.write_text("")
-    with pytest.raises(errors.EmptyFileError):
+    with pytest.raises(errors.DataFormatError, match="no landmark records"):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
@@ -528,10 +528,10 @@ def test_timeseries_rejects_bad_files(tmp_path):
     with pytest.raises(errors.DataFormatError):
         read_timeseries_csv(p)
     p.write_text("time_s,value\n")
-    with pytest.raises(errors.EmptyFileError):
+    with pytest.raises(errors.DataFormatError, match="no data rows"):
         read_timeseries_csv(p)
     p.write_text("time_s,value\n0,1\n0,2\n")
-    with pytest.raises(errors.NonMonotoneTimeError):
+    with pytest.raises(errors.DataFormatError, match="time_s must be strictly increasing"):
         read_timeseries_csv(p)
     p.write_text("time_s,value\n0,1,2\n")
     with pytest.raises(errors.DataFormatError):
@@ -588,5 +588,5 @@ def test_ground_truth_rejects_out_of_range_bpm(tmp_path):
 
 
 def test_ground_truth_empty_mean_hr_raises():
-    with pytest.raises(errors.EmptyFileError):
+    with pytest.raises(errors.DataFormatError, match="no heart-rate numerics loaded"):
         GroundTruth().mean_hr_bpm
