@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Smoke test of the installed `rppg` entry point: every command end to end,
+# then the exit codes of a malformed input (4) and of a path that cannot be
+# opened, as an input (3) or as an output (2).
+#
+# Usage: bash scripts/smoke_cli.sh OUTDIR
+set -eu
+smoke="$1"
+rppg synth --out "$smoke" --width 24 --height 24 --duration-s 12 --seed 1
+for method in aggregate snr proposed; do
+  rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+    --method "$method" --grid-rows 2 --grid-cols 2 --out "$smoke/$method.json"
+done
+{
+  echo "report,ground_truth,skin_tone,condition,viewpoint"
+  for method in aggregate snr proposed; do
+    echo "$method.json,hr.csv,medium,room,front"
+  done
+} > "$smoke/manifest.csv"
+rppg evaluate --manifest "$smoke/manifest.csv" --out "$smoke/cohort.csv"
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --method proposed --grid-rows 2 --grid-cols 2 \
+  --out "$smoke/dump.json" --dump-diffuse "$smoke/diffuse"
+test -f "$smoke/diffuse/manifest.json"
+for method in aggregate snr proposed; do
+  rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+    --method "$method" --grid-rows 2 --grid-cols 2 --notch-hz 0.5,1.0 \
+    --out "$smoke/notch-$method.json" --dump-weights "$smoke/weights-$method.json"
+  test -s "$smoke/weights-$method.json"
+done
+rppg biophys --table melanin --points 3
+printf 'wavelength_nm,value\n400,0.5\n700,1.5\n' > "$smoke/illuminant.csv"
+rppg biophys --table melanin --points 3 --illuminant "$smoke/illuminant.csv"
+printf 'wavelength_nm,value\n400,0.5,9\n700,1.5\n' > "$smoke/bad-illuminant.csv"
+rc=0
+rppg biophys --table melanin --points 3 --illuminant "$smoke/bad-illuminant.csv" || rc=$?
+test "$rc" -eq 4
+rppg biophys --table pixel-snr --out "$smoke/pixel-snr.csv"
+# a path that cannot be opened: an input is exit 3, an output exit 2
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke" || rc=$?
+test "$rc" -eq 3
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --method aggregate --out "$smoke" || rc=$?
+test "$rc" -eq 2
+mkdir -p "$smoke/dump-taken/frame_000000.ppm"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --method proposed --dump-diffuse "$smoke/dump-taken" || rc=$?
+test "$rc" -eq 2
+test ! -e "$smoke/dump-taken/manifest.json"
+mkdir -p "$smoke/synth-taken/landmarks.jsonl"
+rc=0
+rppg synth --out "$smoke/synth-taken" --width 24 --height 24 --duration-s 12 --seed 1 || rc=$?
+test "$rc" -eq 2
+python -m rppg --help
+for command in estimate synth biophys; do
+  rppg "$command" --help
+done

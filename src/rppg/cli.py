@@ -6,7 +6,9 @@ Subcommands:
   synth     render a synthetic face dataset to disk
   biophys   dump the skin-signal / camera-noise diagnostic tables (CSV)
 
-Every output file is written atomically (temp file + rename). Errors map
+Every single-file output (--out, --dump-weights, --scatter, --bland-altman)
+is written atomically (temp file + rename); synth's files and the
+--dump-diffuse frames are written in place. Errors map
 to stable exit codes: 2 usage or unwritable output, 3 missing or unreadable
 input, 4 malformed data, 5 geometry, 6 empty region, 7 signal, 8 model,
 9 invalid scene.
@@ -52,7 +54,8 @@ PIXEL_SWEEP_DEFAULT = (1, 255)
 
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write text to path through a temp file and a rename; a path that
-    cannot be written (a directory, a name too long) is a UsageError."""
+    cannot be written (a directory, a name too long) is a UsageError. The
+    file gets the mode open() would give it, 0o666 less the umask."""
     path = Path(path)
     with writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -60,6 +63,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            # mkstemp made the file 0600, and os.replace keeps that mode
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -144,7 +151,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.dump_diffuse is not None and cfg.method != "proposed":
         raise UsageError("--dump-diffuse requires --method proposed")
     seq = load_frame_sequence(args.frames)
-    sidecar = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
+    records = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
     dump = on_diffuse = None
     if args.dump_diffuse is not None:
         import numpy as np
@@ -156,7 +163,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         def on_diffuse(diffuse):
             dump.write(np.clip(np.rint(diffuse), 0, 255).astype(np.uint8))
 
-    result = run_pipeline(seq, sidecar, cfg, on_diffuse=on_diffuse)
+    result = run_pipeline(seq, records, cfg, on_diffuse=on_diffuse)
     _emit(_json_dumps(result.report), args.out)
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))

@@ -38,7 +38,6 @@ from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
 from .signals import zero_mean
 
 WEIGHT_EPS = 1e-12
-NORMALIZATION_TOL = 1e-6
 
 
 def masked_cell_sums(
@@ -55,8 +54,6 @@ def masked_cell_sums(
     """
     values = np.asarray(values)
     masks = np.asarray(masks, dtype=bool)
-    if values.shape[:3] != masks.shape:
-        raise ValueError(f"values {values.shape} and masks {masks.shape} disagree")
     n_frames, height, width = masks.shape
     y_edges = np.clip(y_edges, 0, height)
     x_edges = np.clip(x_edges, 0, width)
@@ -182,8 +179,6 @@ def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     and counts (t, rows, cols); cells that never see a masked pixel get
     weight zero.
     """
-    if np.shape(sums) != np.shape(counts):
-        raise ValueError(f"sums {np.shape(sums)} and counts {np.shape(counts)} disagree")
     sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()
     if counts.sum() == 0:
@@ -196,23 +191,9 @@ def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def _check_normalized(weights: np.ndarray, name: str) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValueError(f"{name} must be a flat vector")
-    if np.any(weights < 0):
-        raise ValueError(f"{name} must be non-negative")
-    if abs(weights.sum() - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{name} must sum to one, got {weights.sum()}")
-    return weights
-
-
 def combine_benchmark_snr(traces: GridTraces, weights: np.ndarray) -> np.ndarray:
     """SNR-weighted mean of the per-cell CHROM waveforms (traces.waveforms),
-    zero-mean, (n_frames,)."""
-    weights = _check_normalized(weights, "snr weights")
-    if weights.size != traces.n_cells:
-        raise ValueError("one weight per cell required")
+    zero-mean, (n_frames,); weights are snr_weights's for these traces."""
     waves, ok = traces.waveforms
     cells = np.flatnonzero(weights > 0)
     missing = cells[~ok[cells]]
@@ -227,13 +208,10 @@ def combine_proposed(
 ) -> np.ndarray:
     """Product-weighted mean of the raw per-cell RGB traces, (n_frames, 3).
 
-    Weights are snr_w * diffuse_w renormalized; the result feeds a single
+    Weights are snr_w * diffuse_w renormalized, from snr_weights and
+    diffuse_weights over the same grid; the result feeds a single
     downstream CHROM pass.
     """
-    snr_w = _check_normalized(snr_w, "snr weights")
-    diffuse_w = _check_normalized(diffuse_w, "diffuse weights")
-    if snr_w.size != traces.n_cells or diffuse_w.size != traces.n_cells:
-        raise ValueError("one weight per cell required")
     product = snr_w * diffuse_w
     product[~traces.live] = 0.0
     total = product.sum()

@@ -6,7 +6,8 @@ Config files are flat key=value text with INI-style sections (the
 parse_value, keyed by the field's type name, and float values must be
 finite. Any key can be overridden by the command-line flag of the same name;
 the RPPG_CONFIG environment variable names a default config file used when
---config is not given.
+--config is not given. RunConfig checks every setting once, when it is made,
+and the pipeline's stages trust it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UsageError
+from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ
 from .ingest import read_text
 
 METHODS = ("aggregate", "snr", "proposed")
@@ -31,9 +33,9 @@ class RunConfig:
     method: str = field(default="proposed", metadata={"choices": METHODS})
     window_s: float = 10.0
     hop_s: float = 5.0
-    passband_lo_hz: float = 0.7
-    passband_hi_hz: float = 3.5
-    snr_halfwidth_hz: float = 0.1
+    passband_lo_hz: float = PASSBAND_HZ[0]
+    passband_hi_hz: float = PASSBAND_HZ[1]
+    snr_halfwidth_hz: float = SNR_HALFWIDTH_HZ
     notch_hz: tuple[float, ...] = field(
         default=(), metadata={"help": "comma-separated frequencies to suppress, e.g. 0.5,1.0"}
     )

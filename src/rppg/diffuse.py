@@ -165,8 +165,6 @@ def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
     drops below CONVERGENCE_TOL or MAX_ITERATIONS passes have run.
     """
     frames = np.asarray(frames)
-    if frames.ndim != 4 or frames.shape[-1] != 3:
-        raise ValueError(f"expected (t, h, w, 3) frames, got {frames.shape}")
     out = np.empty(frames.shape, dtype=np.float32)
     offsets = _window_offsets(*frames.shape[1:3])
     for sl in frame_chunks(*frames.shape[:3]):

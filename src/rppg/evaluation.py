@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .ingest import load_ground_truth, read_text
+from .ingest import _is_json_number, load_ground_truth, read_text
 
 LOA_FACTOR = 1.96
 
@@ -119,13 +119,12 @@ def load_manifest(path: Path) -> list[CohortRecord]:
         try:
             report = json.loads(read_text(report_path))
             method, est = report["method"], report["video_bpm"]
-            # a JSON number: bools and numeric strings do not count
-            finite = type(est) in (int, float) and math.isfinite(est)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
         if not isinstance(method, str):
             raise DataFormatError(f"{report_path}: method must be a JSON string, got {method!r}")
-        if not finite:
+        # a JSON number: bools and numeric strings do not count
+        if not _is_json_number(est):
             raise DataFormatError(
                 f"{report_path}: video_bpm must be a finite JSON number, got {est!r}"
             )

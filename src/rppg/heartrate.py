@@ -377,7 +377,7 @@ class WindowPlan:
         return [slice(start, start + n) for start in starts]
 
 
-def plan_windows(duration_s: float, window_s: float = 10.0, hop_s: float = 5.0) -> WindowPlan:
+def plan_windows(duration_s: float, window_s: float, hop_s: float) -> WindowPlan:
     if window_s <= 0 or hop_s <= 0:
         raise UsageError("window and hop must be positive")
     starts = []
@@ -398,11 +398,10 @@ def estimate_video_hr(
     """Per-window harmonic peak selection: the rate of each window in bpm.
 
     waves (n_windows, n) holds one pulse waveform per window, all at fps;
-    the windows share one periodogram call.
+    the windows share one periodogram call. run_pipeline passes at least
+    one window.
     """
     waves = np.asarray(waves, dtype=np.float64)
-    if waves.shape[0] == 0:
-        raise SignalError("no analysis windows fit in the recording")
     freqs, power = periodogram(waves, fps)
     return tuple(
         select_hr(freqs, suppress_artifacts(freqs, row, notch_hz), band, halfwidth_hz)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import sys
 from collections.abc import Callable
@@ -119,14 +120,6 @@ class LandmarkRecord:
 
 
 @dataclass(frozen=True)
-class LandmarkSidecar:
-    records: tuple[LandmarkRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """Reference signals: contact-PPG samples and/or heart-rate numerics."""
 
@@ -137,8 +130,6 @@ class GroundTruth:
 
     @property
     def mean_hr_bpm(self) -> float:
-        if self.hr_bpm is None:
-            raise DataFormatError("no heart-rate numerics loaded")
         return float(np.mean(self.hr_bpm))
 
 
@@ -158,29 +149,22 @@ def read_text(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+# header = magic, width, height, maxval as whitespace-separated tokens, with
+# '#' comments allowed between them; (?!\S) ends each token at whitespace, so
+# that backtracking cannot split one token in two
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*(?:\n|\Z))*(\S+)(?!\S)" * 3)
+
+
 def read_ppm(path: Path) -> np.ndarray:
     with reading(path):
         data = Path(path).read_bytes()
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
-    # header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataFormatError(f"{path}: truncated PPM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise DataFormatError(f"{path}: truncated PPM header")
+    tokens = list(header.groups())
+    pos = header.end() + 1  # single whitespace after maxval
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
@@ -397,8 +381,11 @@ def _check_polygon_in_bbox(poly, bbox, where: str) -> None:
             raise DataFormatError(f"{where}: vertex ({vx}, {vy}) outside bbox {bbox}")
 
 
-def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> LandmarkSidecar:
-    """Load and validate a JSONL sidecar against the owning frame sequence."""
+def load_landmarks(
+    path: Path, frame_count: int, width: int, height: int
+) -> tuple[LandmarkRecord, ...]:
+    """Load and validate a JSONL sidecar against the owning frame sequence:
+    its records, one per frame in frame order."""
     path = Path(path)
     records: dict[int, LandmarkRecord] = {}
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
@@ -435,13 +422,12 @@ def load_landmarks(path: Path, frame_count: int, width: int, height: int) -> Lan
         raise DataFormatError(
             f"{path}: {len(records)} records do not cover frames 0..{frame_count - 1}"
         )
-    ordered = tuple(records[i] for i in range(frame_count))
-    return LandmarkSidecar(records=ordered)
+    return tuple(records[i] for i in range(frame_count))
 
 
-def write_landmarks(sidecar: LandmarkSidecar, path: Path) -> None:
+def write_landmarks(records: tuple[LandmarkRecord, ...], path: Path) -> None:
     with writing(path), open(path, "w") as fh:
-        for rec in sidecar.records:
+        for rec in records:
             obj = {
                 "frame": rec.frame,
                 "bbox": list(rec.bbox),
@@ -451,16 +437,17 @@ def write_landmarks(sidecar: LandmarkSidecar, path: Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def smooth_bboxes(sidecar: LandmarkSidecar, alpha: float = 0.9) -> LandmarkSidecar:
-    """Exponentially smooth bbox jitter: s_t = alpha*s_{t-1} + (1-alpha)*b_t."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+def smooth_bboxes(
+    records: tuple[LandmarkRecord, ...], alpha: float
+) -> tuple[LandmarkRecord, ...]:
+    """Exponentially smooth bbox jitter: s_t = alpha*s_{t-1} + (1-alpha)*b_t,
+    alpha in [0, 1) as RunConfig holds it."""
     out = []
-    state = np.asarray(sidecar.records[0].bbox, dtype=np.float64)
-    for rec in sidecar.records:
+    state = np.asarray(records[0].bbox, dtype=np.float64)
+    for rec in records:
         state = alpha * state + (1.0 - alpha) * np.asarray(rec.bbox, dtype=np.float64)
         out.append(replace(rec, bbox=tuple(int(round(v)) for v in state)))
-    return LandmarkSidecar(records=tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

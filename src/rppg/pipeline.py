@@ -56,7 +56,7 @@ from .diffuse import (
 )
 from .errors import SignalError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
-from .ingest import FrameSequence, LandmarkSidecar, smooth_bboxes
+from .ingest import FrameSequence, LandmarkRecord, smooth_bboxes
 from .roi import build_grid, build_mask
 from .signals import PulseWaveform
 
@@ -155,7 +155,7 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
 
 def run_pipeline(
     seq: FrameSequence,
-    sidecar: LandmarkSidecar,
+    records: tuple[LandmarkRecord, ...],
     cfg: RunConfig,
     on_diffuse: Callable[[np.ndarray], None] | None = None,
 ) -> PipelineResult:
@@ -168,7 +168,7 @@ def run_pipeline(
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
-        sidecar = smooth_bboxes(sidecar, cfg.bbox_smoothing_alpha)
+        records = smooth_bboxes(records, cfg.bbox_smoothing_alpha)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
     if not slices:
@@ -176,7 +176,7 @@ def run_pipeline(
     grids = None
     if cfg.method != "aggregate":
         grids = [
-            build_grid(sidecar.records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
+            build_grid(records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
             for sl in slices
         ]
     separate = None
@@ -191,7 +191,7 @@ def run_pipeline(
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, sidecar.records, slices, grids, separate, on_diffuse)
+    window_sums = _window_sums(seq, records, slices, grids, separate, on_diffuse)
     for i, (sums, counts, lum_sums) in enumerate(window_sums):
         start_s = plan.starts[i]
         if cfg.method == "aggregate":

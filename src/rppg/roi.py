@@ -54,7 +54,7 @@ def bbox_mask(bbox, width: int, height: int) -> np.ndarray:
 
 def build_mask(records, width: int, height: int) -> np.ndarray:
     """Skin masks of the frames whose landmark records are given (a slice of
-    LandmarkSidecar.records), shape (len(records), height, width) bool."""
+    load_landmarks's records), shape (len(records), height, width) bool."""
     masks = np.zeros((len(records), height, width), dtype=bool)
     for i, rec in enumerate(records):
         m = bbox_mask(rec.bbox, width, height)
@@ -68,10 +68,9 @@ def build_mask(records, width: int, height: int) -> np.ndarray:
 def build_grid(bbox, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major cells over a bbox as (y_edges, x_edges): cell row r spans
     [y_edges[r], y_edges[r + 1]) and column c spans [x_edges[c], x_edges[c + 1]),
-    in frame pixels that may lie outside the frame."""
+    in frame pixels that may lie outside the frame. rows and cols are at
+    least 1, as RunConfig holds them."""
     x0, y0, bw, bh = (int(v) for v in bbox)
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
     if bw < cols or bh < rows:
         raise GeometryError(
             f"bbox {bw}x{bh} cannot host a {rows}x{cols} grid "

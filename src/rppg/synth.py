@@ -32,7 +32,6 @@ from .ingest import (
     FrameSequence,
     GroundTruth,
     LandmarkRecord,
-    LandmarkSidecar,
     write_landmarks,
     write_raw_stream,
     write_frame_dir,
@@ -127,7 +126,8 @@ def _base_intensities(scene: SynthScene, ctx: SpectralContext, fb: np.ndarray) -
 
 
 def render(scene: SynthScene, ctx: SpectralContext | None = None):
-    """Render a scene; returns (FrameSequence, LandmarkSidecar, GroundTruth)."""
+    """Render a scene; returns (FrameSequence, the LandmarkRecords of its
+    frames, GroundTruth)."""
     ctx = ctx or SpectralContext.default()
     t, fb = blood_fraction_series(scene)
     base = _base_intensities(scene, ctx, fb)
@@ -171,7 +171,6 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
         )
 
     seq = FrameSequence(frames=frames, fps=scene.fps)
-    sidecar = LandmarkSidecar(records=tuple(records))
     hr_t = np.arange(0.0, scene.duration_s - 1e-9, 1.0)
     gt = GroundTruth(
         ppg_time_s=t,
@@ -179,7 +178,7 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
         hr_time_s=hr_t,
         hr_bpm=np.full(hr_t.shape, scene.hr_bpm),
     )
-    return seq, sidecar, gt
+    return seq, tuple(records), gt
 
 
 def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") -> dict:
@@ -188,7 +187,7 @@ def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") ->
     outdir = Path(outdir)
     with writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    seq, sidecar, gt = render(scene)
+    seq, records, gt = render(scene)
     if layout == "raw":
         frames_path = outdir / "frames.raw"
         write_raw_stream(seq, frames_path)
@@ -198,7 +197,7 @@ def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") ->
     else:
         raise InvalidSceneError(f"unknown dataset layout {layout!r}")
     landmarks_path = outdir / "landmarks.jsonl"
-    write_landmarks(sidecar, landmarks_path)
+    write_landmarks(records, landmarks_path)
     hr_path = outdir / "hr.csv"
     write_timeseries_csv(gt.hr_time_s, gt.hr_bpm, hr_path)
     ppg_path = outdir / "ppg.csv"

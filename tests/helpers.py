@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rppg.chrom import chrom_rows
 from rppg.combine import diffuse_weights, facial_aggregate, grid_traces, masked_cell_sums
 from rppg.errors import SignalError
-from rppg.ingest import FrameSequence, LandmarkRecord, LandmarkSidecar
+from rppg.ingest import FrameSequence, LandmarkRecord
 from rppg.signals import PulseWaveform
 
 
@@ -18,14 +18,12 @@ def flat_sequence(n=64, h=12, w=16, fps=16.0, level=(120, 90, 70)) -> FrameSeque
     return FrameSequence(frames=frames, fps=fps)
 
 
-def full_sidecar(seq: FrameSequence, bbox=None) -> LandmarkSidecar:
+def full_sidecar(seq: FrameSequence, bbox=None) -> tuple[LandmarkRecord, ...]:
     """One record per frame, bbox covering the whole frame, no cutouts."""
     bbox = tuple(bbox) if bbox is not None else (0, 0, seq.width, seq.height)
-    return LandmarkSidecar(
-        records=tuple(
-            LandmarkRecord(frame=i, bbox=bbox, eye_polygons=((), ()), mouth_polygon=())
-            for i in range(seq.count)
-        )
+    return tuple(
+        LandmarkRecord(frame=i, bbox=bbox, eye_polygons=((), ()), mouth_polygon=())
+        for i in range(seq.count)
     )
 
 

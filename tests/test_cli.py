@@ -21,7 +21,6 @@ from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min
 from rppg.errors import MissingInputError
 from rppg.ingest import (
     LandmarkRecord,
-    LandmarkSidecar,
     load_frame_sequence,
     read_ppm,
     write_frame_dir,
@@ -321,16 +320,14 @@ def test_geometry_error_exits_5(dataset):
 
 def test_empty_region_exits_6(dataset, tmp_path):
     # mouth polygon swallows the whole bbox, leaving no skin pixels
-    covered = LandmarkSidecar(
-        records=tuple(
-            LandmarkRecord(
-                frame=i,
-                bbox=(0, 0, 24, 24),
-                eye_polygons=((), ()),
-                mouth_polygon=((0, 0), (24, 0), (24, 24), (0, 24)),
-            )
-            for i in range(360)
+    covered = tuple(
+        LandmarkRecord(
+            frame=i,
+            bbox=(0, 0, 24, 24),
+            eye_polygons=((), ()),
+            mouth_polygon=((0, 0), (24, 0), (24, 24), (0, 24)),
         )
+        for i in range(360)
     )
     marks = tmp_path / "covered.jsonl"
     write_landmarks(covered, marks)
@@ -656,6 +653,23 @@ def test_evaluate_summary_and_pair_files(manifest_dir, capsys):
     ba = (manifest_dir / "ba.csv").read_text().strip().split("\n")
     mean, diff = (float(v) for v in ba[1].split(","))
     assert diff == pytest.approx(est - gt)
+
+
+def test_written_reports_get_the_umask_mode(dataset, manifest_dir):
+    # a temp file renamed into place must not keep mkstemp's 0600
+    report, summary = manifest_dir / "aggregate.json", manifest_dir / "summary.csv"
+    report.unlink()
+    old = os.umask(0o022)
+    try:
+        rc_estimate = main(run_estimate(dataset, "--method", "aggregate", "--out", str(report)))
+        rc_evaluate = main(
+            ["evaluate", "--manifest", str(manifest_dir / "manifest.csv"), "--out", str(summary)]
+        )
+    finally:
+        os.umask(old)
+    assert (rc_estimate, rc_evaluate) == (0, 0)
+    assert report.stat().st_mode & 0o777 == 0o644
+    assert summary.stat().st_mode & 0o777 == 0o644
 
 
 def test_evaluate_error_paths(manifest_dir, tmp_path):

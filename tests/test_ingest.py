@@ -11,9 +11,7 @@ from rppg.ingest import (
     RAW_HEADER,
     RAW_MAGIC,
     FrameSequence,
-    GroundTruth,
     LandmarkRecord,
-    LandmarkSidecar,
     load_frame_dir,
     load_frame_sequence,
     load_ground_truth,
@@ -76,19 +74,22 @@ def test_ppm_reads_comments_and_split_header(tmp_path):
     assert img.tobytes() == payload
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        b"P5 2 2 255\n" + bytes(12),          # wrong magic
-        b"P6 2 2 65535\n" + bytes(24),        # 16-bit maxval
-        b"P6 2 2 255\n" + bytes(11),          # truncated payload
-        b"P6 2 2\n",                          # truncated header
-    ],
-)
+# each malformed file and the phrase of the check that must reject it
+MALFORMED_PPM = {
+    b"P5 2 2 255\n" + bytes(12): "not a binary PPM",      # wrong magic
+    b"P6 2 2 65535\n" + bytes(24): "only 8-bit",          # 16-bit maxval
+    b"P6 2 2 255\n" + bytes(11): "payload truncated",     # truncated payload
+    b"P6 2 2\n": "truncated PPM header",
+    # a token split by backtracking would read 11 x 25 with maxval 5
+    b"P6 11 255\n   ": "truncated PPM header",
+}
+
+
+@pytest.mark.parametrize("raw", list(MALFORMED_PPM))
 def test_ppm_rejects_malformed(tmp_path, raw):
     path = tmp_path / "bad.ppm"
     path.write_bytes(raw)
-    with pytest.raises(errors.DataFormatError):
+    with pytest.raises(errors.DataFormatError, match=MALFORMED_PPM[raw]):
         read_ppm(path)
 
 
@@ -328,16 +329,14 @@ def record_dict(frame, bbox=(1, 1, 6, 4), eyes=([], []), mouth=[]):
 
 
 def test_landmarks_round_trip(tmp_path):
-    sidecar = LandmarkSidecar(
-        records=(
-            LandmarkRecord(
-                frame=0,
-                bbox=(1, 1, 6, 4),
-                eye_polygons=(((2, 2), (3, 2), (3, 3)), ()),
-                mouth_polygon=((2, 3), (4, 3), (4, 4), (2, 4)),
-            ),
-            LandmarkRecord(frame=1, bbox=(1, 1, 6, 4), eye_polygons=((), ()), mouth_polygon=()),
-        )
+    sidecar = (
+        LandmarkRecord(
+            frame=0,
+            bbox=(1, 1, 6, 4),
+            eye_polygons=(((2, 2), (3, 2), (3, 3)), ()),
+            mouth_polygon=((2, 3), (4, 3), (4, 4), (2, 4)),
+        ),
+        LandmarkRecord(frame=1, bbox=(1, 1, 6, 4), eye_polygons=((), ()), mouth_polygon=()),
     )
     path = tmp_path / "lm.jsonl"
     write_landmarks(sidecar, path)
@@ -401,8 +400,8 @@ def test_landmarks_empty_polygon_means_absent(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0)])
     sidecar = load_landmarks(path, frame_count=1, width=8, height=6)
-    assert sidecar.records[0].eye_polygons == ((), ())
-    assert sidecar.records[0].mouth_polygon == ()
+    assert sidecar[0].eye_polygons == ((), ())
+    assert sidecar[0].mouth_polygon == ()
 
 
 def test_landmarks_bad_json(tmp_path):
@@ -460,7 +459,7 @@ def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
     except errors.ToolkitError as exc:
         assert exc.exit_code == errors.DataFormatError.exit_code
         return
-    assert [r.frame for r in sidecar.records] == [0, 1]
+    assert [r.frame for r in sidecar] == [0, 1]
     assert all(type(json.loads(line)["frame"]) is int for line in lines)  # only JSON integers load
 
 
@@ -471,39 +470,27 @@ def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
 
 def test_smooth_bboxes_fixed_point():
     seq = flat_sequence(n=5, h=10, w=10)
-    sidecar = LandmarkSidecar(
-        records=tuple(
-            LandmarkRecord(frame=i, bbox=(2, 3, 5, 4), eye_polygons=((), ()), mouth_polygon=())
-            for i in range(5)
-        )
+    sidecar = tuple(
+        LandmarkRecord(frame=i, bbox=(2, 3, 5, 4), eye_polygons=((), ()), mouth_polygon=())
+        for i in range(5)
     )
     out = smooth_bboxes(sidecar, alpha=0.9)
-    assert all(r.bbox == (2, 3, 5, 4) for r in out.records)
-    assert seq.count == len(out.records)
+    assert all(r.bbox == (2, 3, 5, 4) for r in out)
+    assert seq.count == len(out)
 
 
 def test_smooth_bboxes_matches_scalar_recursion():
     rng = np.random.default_rng(7)
     boxes = rng.integers(0, 20, size=(40, 4))
-    sidecar = LandmarkSidecar(
-        records=tuple(
-            LandmarkRecord(frame=i, bbox=tuple(int(v) for v in b), eye_polygons=((), ()), mouth_polygon=())
-            for i, b in enumerate(boxes)
-        )
+    sidecar = tuple(
+        LandmarkRecord(frame=i, bbox=tuple(int(v) for v in b), eye_polygons=((), ()), mouth_polygon=())
+        for i, b in enumerate(boxes)
     )
     out = smooth_bboxes(sidecar, alpha=0.6)
     state = boxes[0].astype(float)
-    for rec, b in zip(out.records, boxes):
+    for rec, b in zip(out, boxes):
         state = 0.6 * state + 0.4 * b
         assert rec.bbox == tuple(int(round(v)) for v in state)
-
-
-def test_smooth_bboxes_rejects_bad_alpha():
-    sidecar = LandmarkSidecar(
-        records=(LandmarkRecord(frame=0, bbox=(0, 0, 4, 4), eye_polygons=((), ()), mouth_polygon=()),)
-    )
-    with pytest.raises(ValueError):
-        smooth_bboxes(sidecar, alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +573,3 @@ def test_ground_truth_rejects_out_of_range_bpm(tmp_path):
     with pytest.raises(errors.DataFormatError):
         load_ground_truth(hr_path=hr)
 
-
-def test_ground_truth_empty_mean_hr_raises():
-    with pytest.raises(errors.DataFormatError, match="no heart-rate numerics loaded"):
-        GroundTruth().mean_hr_bpm

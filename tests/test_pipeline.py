@@ -17,7 +17,7 @@ from rppg.diffuse import (
 from rppg import pipeline
 from rppg.chrom import chrom_rows
 from rppg.errors import GeometryError, SignalError, UsageError
-from rppg.ingest import FrameReader, FrameSequence, LandmarkSidecar
+from rppg.ingest import FrameReader, FrameSequence
 from rppg.pipeline import run_pipeline
 from rppg.roi import build_grid, build_mask
 from rppg.synth import SynthScene, render
@@ -164,13 +164,13 @@ def test_each_frame_is_read_once_a_chunk_at_a_time(method):
 
 def test_every_grid_is_built_before_any_frame_is_read():
     seq, sidecar, _ = render(make_scene(duration_s=20.0))
-    records = list(sidecar.records)
+    records = list(sidecar)
     records[300] = dataclasses.replace(records[300], bbox=(0, 0, 3, 3))  # third window
     reads = []
     with pytest.raises(GeometryError, match="cannot host a"):
         run_pipeline(
             logged_reads(seq, reads),
-            LandmarkSidecar(records=tuple(records)),
+            tuple(records),
             RunConfig(method="snr", grid_rows=4, grid_cols=4),
         )
     assert reads == []
@@ -213,7 +213,7 @@ def test_aggregate_rows_pooled_once_equal_per_window_calls(monkeypatch):
     rows = np.concatenate(calls)
     slices = pipeline.plan_windows(seq.duration_s, 7.3, 1.1).frame_slices(seq.fps, seq.count)
     assert len(rows) == len(slices) == 12
-    masks = build_mask(sidecar.records, seq.width, seq.height)
+    masks = build_mask(sidecar, seq.width, seq.height)
     assert not masks.all()  # the eye and mouth cutouts move with the face
     for row, sl in zip(rows, slices):
         assert np.array_equal(row, facial_aggregate_of(seq.frames[sl], masks[sl]))

@@ -140,6 +140,3 @@ def test_build_grid_too_fine():
         build_grid((0, 0, 8, 4), rows=5, cols=2)
 
 
-def test_build_grid_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        build_grid((0, 0, 8, 8), rows=0, cols=2)

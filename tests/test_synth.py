@@ -61,8 +61,8 @@ def test_render_shapes_and_sidecar():
     assert seq.frames.shape == (240, 16, 16, 3)
     assert seq.frames.dtype == np.uint8
     assert seq.fps == 24.0
-    assert len(sidecar.records) == 240
-    for rec in sidecar.records:
+    assert len(sidecar) == 240
+    for rec in sidecar:
         assert rec.bbox == (0, 0, 16, 16)
         assert rec.eye_polygons == ((), ())
         assert rec.mouth_polygon == ()
@@ -151,9 +151,9 @@ def test_saturated_patch_loses_relative_modulation():
 def test_motion_jitters_bbox_within_frame():
     scene = quiet_scene(motion_px=3, duration_s=10.0)
     _, sidecar, _ = render(scene)
-    xs = np.array([r.bbox[0] for r in sidecar.records])
-    ys = np.array([r.bbox[1] for r in sidecar.records])
-    assert all(r.bbox[2] == 10 and r.bbox[3] == 10 for r in sidecar.records)
+    xs = np.array([r.bbox[0] for r in sidecar])
+    ys = np.array([r.bbox[1] for r in sidecar])
+    assert all(r.bbox[2] == 10 and r.bbox[3] == 10 for r in sidecar)
     assert xs.min() >= 0 and xs.max() <= 6
     assert ys.min() >= 0 and ys.max() <= 6
     assert xs.std() > 0  # jitter actually happens
@@ -235,7 +235,7 @@ def test_dataset_round_trip(tmp_path, layout):
     assert np.array_equal(loaded.frames[:], seq.frames)
 
     again = load_landmarks(paths["landmarks"], scene.n_frames, 16, 16)
-    assert [r.bbox for r in again.records] == [r.bbox for r in sidecar.records]
+    assert [r.bbox for r in again] == [r.bbox for r in sidecar]
 
     t, hr = read_timeseries_csv(paths["hr"])
     assert np.all(hr == 72.0)
