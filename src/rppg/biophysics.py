@@ -40,7 +40,7 @@ optics summary. Tables cover 400-700 nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -13,15 +13,11 @@ cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
 and one SNR pass give the weights, and snr reuses those same waveforms.
 The periodogram is heartrate's, the one the window rates are read from.
 
-This module owns the pixel-to-cell reduction and every cell weight. One
-reducer, masked_cell_sums, pools masked pixels into cells by exact block
-sums, per frame: facial_aggregate takes the sums of its one-cell case
-spanning the frame, grid_traces the per-frame mean over the grid cells, and
-diffuse_weights the sum of the diffuse luminance over a window. Per-frame
-sums do not depend on which other frames share the call, so a window's sums
-can be gathered chunk by chunk and concatenated; the three consumers take
-a window's per-frame sums and counts, (t, rows, cols, ...) and
-(t, rows, cols), not its pixels.
+This module owns the pixel-to-cell reduction and every cell weight:
+pool_planes pools masked_planes into cells by two exact float64 products,
+and masked_cell_sums is the one-call form over a stack. facial_aggregate,
+grid_traces and diffuse_weights take a window's per-frame sums and counts,
+(t, rows, cols, ...) and (t, rows, cols), not its pixels.
 """
 
 from __future__ import annotations
@@ -40,44 +36,57 @@ from .signals import zero_mean
 WEIGHT_EPS = 1e-12
 
 
+def masked_planes(masks: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """The float64 planes that pool_planes pools, (t, h, k + 1, w): the k
+    channels of the (t, h, w, ...) values arrays in turn, 0 where masks
+    (t, h, w) is False, then the mask itself."""
+    t, h, w = masks.shape
+    values = [np.moveaxis(v.reshape(t, h, w, -1), 3, 2) for v in values]
+    ends = np.cumsum([v.shape[2] for v in values])
+    planes = np.empty((t, h, ends[-1] + 1, w))
+    for v, end in zip(values, ends):
+        np.multiply(v, masks[:, :, None], out=planes[:, :, end - v.shape[2] : end])
+    planes[:, :, -1] = masks
+    return planes
+
+
+def pool_planes(planes: np.ndarray, y_edges, x_edges) -> np.ndarray:
+    """Per-cell sums of masked_planes's planes (t, h, k + 1, w), float64
+    (t, rows, cols, k + 1) with the pixel counts last; cell (r, c) spans
+    [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]) of the frame.
+    0/1 indicators (rows, h) @ planes, one product per frame, and that @
+    (w, cols) sum each cell in pixel order: a frame's sums do not depend on
+    the other frames in the call, and integer sums below 2**53 are exact."""
+    t, h, k1, w = planes.shape
+    rows_of, cols_of = _indicator(y_edges, h), _indicator(x_edges, w).T
+    by_row = rows_of @ planes.reshape(t, h, k1 * w)
+    pooled = by_row.reshape(-1, w) @ cols_of
+    return np.moveaxis(pooled.reshape(t, len(rows_of), k1, -1), 2, 3)
+
+
+def _indicator(edges, n: int) -> np.ndarray:
+    """0/1 float64 (len(edges) - 1, n): (i, p) is 1 where edges[i] <= p < edges[i + 1]."""
+    edges, px = np.asarray(edges)[:, None], np.arange(n)
+    return ((px >= edges[:-1]) & (px < edges[1:])).astype(np.float64)
+
+
 def masked_cell_sums(
     values: np.ndarray, masks: np.ndarray, y_edges, x_edges
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked sums and masked-pixel counts per cell and frame.
-
-    values is (t, h, w, ...) with any trailing channel axes, masks (t, h, w).
-    Cell (r, c) spans [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]),
-    the edges clipped to the frame. Integers are summed exactly in int64,
-    floats in float64, one frame_chunks chunk of the cells' crop at a time,
-    so temporaries stay bounded by a chunk. Returns sums (t, rows, cols, ...)
-    and int64 counts (t, rows, cols).
+    """Masked sums and masked-pixel counts per cell and frame of values
+    (t, h, w, ...) and masks (t, h, w): pool_planes over masked_planes, one
+    frame_chunks chunk at a time, so temporaries stay bounded by a chunk.
+    Returns sums (t, rows, cols, ...), int64 for integer values and float64
+    otherwise, and int64 counts (t, rows, cols).
     """
-    values = np.asarray(values)
-    masks = np.asarray(masks, dtype=bool)
-    n_frames, height, width = masks.shape
-    y_edges = np.clip(y_edges, 0, height)
-    x_edges = np.clip(x_edges, 0, width)
+    channels = values.shape[3:]
     dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
-    shape = (n_frames, y_edges.size - 1, x_edges.size - 1)
-    sums = np.zeros(shape + values.shape[3:], dtype=dtype)
-    counts = np.zeros(shape, dtype=np.int64)
-    rs = np.flatnonzero(np.diff(y_edges) > 0)
-    cs = np.flatnonzero(np.diff(x_edges) > 0)
-    if not (rs.size and cs.size):
-        return sums, counts
-    ys = slice(y_edges[0], y_edges[-1])
-    xs = slice(x_edges[0], x_edges[-1])
-    y_starts, x_starts = y_edges[rs] - ys.start, x_edges[cs] - xs.start
-    channels = (1,) * (values.ndim - 3)
-    for sl in frame_chunks(n_frames, ys.stop - ys.start, xs.stop - xs.start):
-        m = masks[sl, ys, xs]
-        px = np.where(m.reshape(m.shape + channels), values[sl, ys, xs], 0)
-        sums[sl, rs[:, None], cs] = np.add.reduceat(
-            np.add.reduceat(px, y_starts, axis=1, dtype=dtype), x_starts, axis=2
-        )
-        counts[sl, rs[:, None], cs] = np.add.reduceat(
-            np.add.reduceat(m, y_starts, axis=1, dtype=np.int64), x_starts, axis=2
-        )
+    counts = np.empty((len(masks), len(y_edges) - 1, len(x_edges) - 1), dtype=np.int64)
+    sums = np.empty(counts.shape + channels, dtype=dtype)
+    for sl in frame_chunks(*masks.shape):
+        pooled = pool_planes(masked_planes(masks[sl], values[sl]), y_edges, x_edges)
+        sums[sl] = pooled[..., :-1].reshape(pooled.shape[:3] + channels)
+        counts[sl] = pooled[..., -1]
     return sums, counts
 
 

@@ -10,16 +10,15 @@ is built before any frame is read.
 The recording is read once, in chunks of PASS_PLANE_BYTES per float32 plane
 (diffuse.frame_chunks). For each chunk the pass builds the skin masks from
 the chunk's landmark records, and for proposed separates the diffuse frames
-and takes their luminance. masked_cell_sums then pools the chunk into the
-cells of every window that overlaps it, with that window's grid, and the
-per-frame sums and counts join the window's own list. Aggregate's one cell
-spans the frame, so each chunk is pooled once and its sums are shared by
-every window that contains it. As soon as a window's last frame has been
-read the window is finished (traces, weights, combination) and its sums
-are dropped. Peak memory is one chunk plus the per-frame cell sums of the
-windows open across it, whatever the length of the recording. Per-frame
-sums do not depend on how the frames are chunked, so every result is that
-of pooling each window whole.
+and takes their luminance. Each diffuse-sized sub-chunk is laid out once
+by masked_planes (RGB, luminance, mask), and pool_planes pools it into the
+cells of every window that overlaps it; windows with the same edges, such
+as aggregate's one cell spanning the frame, share one pooling. A window is
+finished (traces, weights, combination) as soon as its last frame is read,
+and its sums are dropped, so peak memory is one chunk plus the per-frame
+cell sums of the open windows, whatever the length of the recording.
+Per-frame sums do not depend on how the frames are chunked, so every
+result is that of pooling each window whole.
 
 Windows are the rows of blocks, as grid cells are: every window has the
 same number of frames, so the pooled RGB traces of aggregate and proposed
@@ -43,7 +42,8 @@ from .combine import (
     diffuse_weights,
     facial_aggregate,
     grid_traces,
-    masked_cell_sums,
+    masked_planes,
+    pool_planes,
     snr_weights,
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
@@ -62,9 +62,9 @@ from .signals import PulseWaveform
 
 
 # Bytes per float32 (h, w) plane in one chunk of the pass: 4 of the diffuse
-# stage's chunks (17 frames at 96x96, 160 at 32x32), so reading, masking and
-# pooling take enough frames per call to amortise their per-call work,
-# while the diffuse stage splits each chunk into its own cache-sized ones.
+# stage's chunks (17 frames at 96x96, 160 at 32x32), so reading and masking
+# take enough frames per call to amortise their per-call work, while the
+# diffuse stage and the pooling split each chunk into cache-sized ones.
 PASS_PLANE_BYTES = 4 * CHUNK_PLANE_BYTES
 # Windows per chrom_rows and periodogram call: the rows, waveforms and
 # spectra alive at the end of a window are one block's, so this stage too is
@@ -83,56 +83,47 @@ def _window_sums(
     seq: FrameSequence,
     records,
     slices: list[slice],
-    grids: list[tuple[np.ndarray, np.ndarray]] | None,
+    grids: list[tuple[np.ndarray, np.ndarray]],
     separate: Callable[[np.ndarray], np.ndarray] | None,
     on_diffuse: Callable[[np.ndarray], None] | None,
 ):
-    """Each window's per-frame masked cell sums, in window order, each as
-    soon as the window's last frame has been read.
-
-    Yields (sums, counts, luminance sums) as masked_cell_sums gives them over
-    the window's frames and the edges grids[i], or over one cell spanning the
-    frame when grids is None. The luminance sums are those of the diffuse
-    frames that separate makes, or None without it. Every chunk of the
-    recording is read, and its diffuse frames go to on_diffuse, the tail
-    after the last window included.
+    """Each window's pool_planes sums over its frames and the edges grids[i],
+    (t, rows, cols, channels + 1): RGB, the luminance of the diffuse frames
+    that separate makes (if given), the pixel count. Each is yielded in window
+    order as soon as the window's last frame is read. Every chunk is read and
+    its diffuse frames go to on_diffuse, the tail after the last window too.
     """
     height, width = seq.height, seq.width
+    keys = [(tuple(y), tuple(x)) for y, x in grids]
     parts: list[list | None] = [[] for _ in slices]
     done = 0
     for chunk in frame_chunks(seq.count, height, width, PASS_PLANE_BYTES):
         frames = seq.frames[chunk]
         masks = build_mask(records[chunk], width, height)
-        lum = None
+        values = (frames,)
         if separate is not None:
             diffuse = separate(frames)
             if on_diffuse is not None:
                 on_diffuse(diffuse)
-            lum = diffuse_luminance(diffuse)
+            values = (frames, diffuse_luminance(diffuse))
             del diffuse
-        if grids is None:
-            whole = masked_cell_sums(frames, masks, [0, height], [0, width])
-        for i in range(done, len(slices)):
-            sl = slices[i]
-            if sl.start >= chunk.stop:
-                break
-            part = slice(max(sl.start - chunk.start, 0), min(sl.stop, chunk.stop) - chunk.start)
-            if grids is None:
-                parts[i].append((whole[0][part], whole[1][part], None))
-                continue
-            edges = grids[i]
-            sums, counts = masked_cell_sums(frames[part], masks[part], *edges)
-            lum_sums = None if lum is None else masked_cell_sums(lum[part], masks[part], *edges)[0]
-            parts[i].append((sums, counts, lum_sums))
-        while done < len(slices) and slices[done].stop <= chunk.stop:
-            sums, counts, lum_sums = zip(*parts[done])
-            parts[done] = None
-            done += 1
-            yield (
-                np.concatenate(sums),
-                np.concatenate(counts),
-                None if lum_sums[0] is None else np.concatenate(lum_sums),
-            )
+        for sub in frame_chunks(len(frames), height, width):
+            planes = masked_planes(masks[sub], *(v[sub] for v in values))
+            first = chunk.start + sub.start
+            stop = first + len(planes)
+            pooled = {}  # windows with the same edges share their sums
+            for i in range(done, len(slices)):
+                sl = slices[i]
+                if sl.start >= stop:
+                    break
+                if keys[i] not in pooled:
+                    pooled[keys[i]] = pool_planes(planes, *grids[i])
+                parts[i].append(pooled[keys[i]][max(sl.start - first, 0) : sl.stop - first])
+            del planes, pooled  # before a window is finished or the next chunk's are made
+            while done < len(slices) and slices[done].stop <= stop:
+                yield np.concatenate(parts[done])
+                parts[done] = None
+                done += 1
 
 
 def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps: float):
@@ -173,12 +164,11 @@ def run_pipeline(
     slices = plan.frame_slices(seq.fps, seq.count)
     if not slices:
         raise SignalError("no analysis windows fit in the recording")
-    grids = None
-    if cfg.method != "aggregate":
-        grids = [
-            build_grid(records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
-            for sl in slices
-        ]
+    grids = [  # aggregate's one cell spans the frame
+        build_grid(records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
+        if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
+        for sl in slices
+    ]
     separate = None
     if cfg.method == "proposed":
         separate = (
@@ -192,8 +182,10 @@ def run_pipeline(
     bpm: list[float] = []
     weight_log: list[dict] = []
     window_sums = _window_sums(seq, records, slices, grids, separate, on_diffuse)
-    for i, (sums, counts, lum_sums) in enumerate(window_sums):
+    for i, pooled in enumerate(window_sums):
         start_s = plan.starts[i]
+        sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces
+        counts = np.ascontiguousarray(pooled[..., -1])
         if cfg.method == "aggregate":
             rows.append(facial_aggregate(sums, counts))
         else:
@@ -203,7 +195,7 @@ def run_pipeline(
                 rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
             else:
-                w_dif = diffuse_weights(lum_sums, counts)
+                w_dif = diffuse_weights(np.ascontiguousarray(pooled[..., 3]), counts)
                 rows.append(combine_proposed(traces, w_snr, w_dif))
                 weight_log.append(
                     {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}

@@ -45,23 +45,22 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
 
 
 def bbox_mask(bbox, width: int, height: int) -> np.ndarray:
-    x, y, w, h = bbox
-    m = np.zeros((height, width), dtype=bool)
-    if w > 0 and h > 0:
-        m[max(y, 0) : y + h, max(x, 0) : x + w] = True
-    return m
+    """Interior of a bbox (x, y, w, h) as an (height, width) bool image, or of
+    each row of an (n, 4) array of them as (n, height, width)."""
+    x, y, w, h = np.moveaxis(np.asarray(bbox)[..., None], -2, 0)
+    rows = (np.arange(height) >= y) & (np.arange(height) < y + h)
+    cols = (np.arange(width) >= x) & (np.arange(width) < x + w)
+    return rows[..., :, None] & cols[..., None, :]
 
 
 def build_mask(records, width: int, height: int) -> np.ndarray:
     """Skin masks of the frames whose landmark records are given (a slice of
     load_landmarks's records), shape (len(records), height, width) bool."""
-    masks = np.zeros((len(records), height, width), dtype=bool)
-    for i, rec in enumerate(records):
-        m = bbox_mask(rec.bbox, width, height)
+    masks = bbox_mask(np.array([rec.bbox for rec in records]).reshape(-1, 4), width, height)
+    for m, rec in zip(masks, records):
         for poly in (*rec.eye_polygons, rec.mouth_polygon):
             if len(poly) >= 3:
                 m &= ~rasterize_polygon(poly, width, height)
-        masks[i] = m
     return masks
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rppg.biophysics import (
@@ -12,7 +12,6 @@ from rppg.biophysics import (
     SkinParams,
     SpectralContext,
     _km_reflectance,
-    baseline_absorption,
     camera_snr,
     dermal_reflectance,
     dermal_scattering,

@@ -11,7 +11,8 @@ from rppg.diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from rppg.errors import RegionError
+from rppg.errors import DataFormatError, RegionError
+from rppg.ingest import FrameSequence
 from rppg.roi import build_grid
 
 from helpers import diffuse_weights_of, label_map, mixed_frames
@@ -205,8 +206,10 @@ def test_frame_chunks_cover_frames_in_order():
 
 
 def test_stack_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        estimate_diffuse_stack(np.zeros((4, 4, 4), dtype=np.uint8))
+    # The estimators trust their input's shape: a 3-D stack is refused where
+    # frames enter the toolkit, as a FrameSequence.
+    with pytest.raises(DataFormatError, match=r"must be \(n, h, w, 3\)"):
+        FrameSequence(np.zeros((4, 4, 4), dtype=np.uint8), 30.0)
 
 
 # ---------------------------------------------------------------------------

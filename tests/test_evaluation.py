@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rppg.errors import DataFormatError, MissingInputError, ToolkitError
 from rppg.evaluation import (
-    AgreementStats,
     CohortKey,
     CohortRecord,
     agreement,
