@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `rppg` entry point: every command end to end,
-# then the exit codes of a malformed input (4) and of a path that cannot be
-# opened, as an input (3) or as an output (2).
+# then the exit codes of a malformed input (4), of a path that cannot be
+# opened, as an input (3) or as an output (2), of diffuse frames dumped over
+# the recording they come from (2) and of a scene too big to render (9).
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -54,6 +55,17 @@ mkdir -p "$smoke/synth-taken/landmarks.jsonl"
 rc=0
 rppg synth --out "$smoke/synth-taken" --width 24 --height 24 --duration-s 12 --seed 1 || rc=$?
 test "$rc" -eq 2
+rppg synth --out "$smoke/ppm" --layout ppm --width 16 --height 16 --duration-s 10 --seed 1
+cp -R "$smoke/ppm/frames" "$smoke/ppm-before"
+rc=0
+rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jsonl" \
+  --method proposed --dump-diffuse "$smoke/ppm/frames" || rc=$?
+test "$rc" -eq 2
+diff -r "$smoke/ppm-before" "$smoke/ppm/frames"
+rc=0
+rppg synth --out "$smoke/too-big" --duration-s 1e12 || rc=$?
+test "$rc" -eq 9
+test ! -e "$smoke/too-big"
 python -m rppg --help
 for command in estimate synth biophys; do
   rppg "$command" --help

@@ -146,10 +146,23 @@ def _resolve_config(args: argparse.Namespace):
     return load_run_config(cfg_path, _field_values(args, RunConfig))
 
 
+def _same_path(a, b) -> bool:
+    """Whether paths a and b both exist and name the same file or directory."""
+    try:
+        return os.path.samefile(a, b)
+    except (OSError, ValueError):
+        return False
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if args.dump_diffuse is not None and cfg.method != "proposed":
         raise UsageError("--dump-diffuse requires --method proposed")
+    if args.dump_diffuse is not None and _same_path(args.dump_diffuse, args.frames):
+        raise UsageError(
+            f"--dump-diffuse {args.dump_diffuse} is the --frames directory: "
+            "its frames would be overwritten"
+        )
     seq = load_frame_sequence(args.frames)
     records = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
     dump = on_diffuse = None

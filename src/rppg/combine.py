@@ -15,8 +15,8 @@ The periodogram is heartrate's, the one the window rates are read from.
 
 This module owns the pixel-to-cell reduction and every cell weight:
 pool_planes pools masked_planes into cells by two exact float64 products,
-and masked_cell_sums is the one-call form over a stack. facial_aggregate,
-grid_traces and diffuse_weights take a window's per-frame sums and counts,
+each one per frame. facial_aggregate, grid_traces and diffuse_weights take
+a window's per-frame sums and counts from pool_planes's output,
 (t, rows, cols, ...) and (t, rows, cols), not its pixels.
 """
 
@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .chrom import chrom_rows
-from .diffuse import frame_chunks
 from .errors import RegionError, SignalError
 from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
 from .signals import zero_mean
@@ -54,13 +53,15 @@ def pool_planes(planes: np.ndarray, y_edges, x_edges) -> np.ndarray:
     """Per-cell sums of masked_planes's planes (t, h, k + 1, w), float64
     (t, rows, cols, k + 1) with the pixel counts last; cell (r, c) spans
     [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]) of the frame.
-    0/1 indicators (rows, h) @ planes, one product per frame, and that @
-    (w, cols) sum each cell in pixel order: a frame's sums do not depend on
-    the other frames in the call, and integer sums below 2**53 are exact."""
+    0/1 indicators (rows, h) @ planes, then that @ (w, cols), both one
+    product per frame, sum each cell in pixel order: a frame's sums do not
+    depend on the other frames in the call (one gemm over all of them does
+    not promise that, as BLAS picks its kernel by size), and integer sums
+    below 2**53 are exact."""
     t, h, k1, w = planes.shape
     rows_of, cols_of = _indicator(y_edges, h), _indicator(x_edges, w).T
     by_row = rows_of @ planes.reshape(t, h, k1 * w)
-    pooled = by_row.reshape(-1, w) @ cols_of
+    pooled = by_row.reshape(t, -1, w) @ cols_of
     return np.moveaxis(pooled.reshape(t, len(rows_of), k1, -1), 2, 3)
 
 
@@ -70,30 +71,10 @@ def _indicator(edges, n: int) -> np.ndarray:
     return ((px >= edges[:-1]) & (px < edges[1:])).astype(np.float64)
 
 
-def masked_cell_sums(
-    values: np.ndarray, masks: np.ndarray, y_edges, x_edges
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked sums and masked-pixel counts per cell and frame of values
-    (t, h, w, ...) and masks (t, h, w): pool_planes over masked_planes, one
-    frame_chunks chunk at a time, so temporaries stay bounded by a chunk.
-    Returns sums (t, rows, cols, ...), int64 for integer values and float64
-    otherwise, and int64 counts (t, rows, cols).
-    """
-    channels = values.shape[3:]
-    dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
-    counts = np.empty((len(masks), len(y_edges) - 1, len(x_edges) - 1), dtype=np.int64)
-    sums = np.empty(counts.shape + channels, dtype=dtype)
-    for sl in frame_chunks(*masks.shape):
-        pooled = pool_planes(masked_planes(masks[sl], values[sl]), y_edges, x_edges)
-        sums[sl] = pooled[..., :-1].reshape(pooled.shape[:3] + channels)
-        counts[sl] = pooled[..., -1]
-    return sums, counts
-
-
 def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean RGB over all masked pixels, per frame, (t, 3), from
-    masked_cell_sums's sums (t, 1, 1, 3) and counts (t, 1, 1) of one cell
-    spanning the frame."""
+    """Mean RGB over all masked pixels, per frame, (t, 3), from pool_planes's
+    RGB sums (t, 1, 1, 3) and pixel counts (t, 1, 1) of one cell spanning
+    the frame."""
     empty = np.flatnonzero(counts[:, 0, 0] == 0)
     if empty.size:
         raise RegionError(f"frame {empty[0]}: mask selects no pixels")
@@ -126,8 +107,8 @@ class GridTraces:
 
 
 def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
-    """Mean masked RGB per grid cell and frame, from masked_cell_sums's sums
-    (t, rows, cols, 3) and counts (t, rows, cols) over a grid's edges."""
+    """Mean masked RGB per grid cell and frame, from pool_planes's RGB sums
+    (t, rows, cols, 3) and pixel counts (t, rows, cols) over a grid's edges."""
     n_frames, rows, cols = counts.shape
     n_cells = rows * cols
     sums = np.moveaxis(sums.reshape(n_frames, n_cells, 3), 0, 1)
@@ -184,8 +165,8 @@ def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     weight(cell) is the mean diffuse luminance, (R + G + B) / 3 of the
     diffuse frames, over all (frame, masked pixel) pairs that fall in the
-    cell, from masked_cell_sums's per-frame luminance sums (t, rows, cols)
-    and counts (t, rows, cols); cells that never see a masked pixel get
+    cell, from pool_planes's per-frame luminance sums (t, rows, cols) and
+    pixel counts (t, rows, cols); cells that never see a masked pixel get
     weight zero.
     """
     sums = sums.sum(axis=0).ravel()

@@ -16,6 +16,7 @@ counter-based generator streams seeded from (seed, stream tag, frame).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +44,12 @@ _STREAM_MOTION = 0xB2
 _STREAM_NOISE = 0xC3
 
 SECOND_HARMONIC_FRACTION = 0.25
+# The largest uint8 frame stack (n_frames x height x width x 3 bytes) a scene
+# may render. render holds the whole stack and makes about 10 MB of it a
+# second at 32x32 to 256x256, peaking near 1.2x the stack from 96x96 up: the
+# largest scene takes about 2 minutes and 1.3 GB (a 10 s 1280x720 scene at
+# 30 fps fits). It also keeps the raw header's uint32 millihertz fps in range.
+MAX_SCENE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,15 @@ class SynthScene:
                 raise InvalidSceneError(f"specular rect {self.specular.rect} outside frame")
             if self.specular.strength < 0:
                 raise InvalidSceneError("specular strength must be non-negative")
+        # Python integers from a finite frame count: the product cannot overflow
+        if not (
+            math.isfinite(self.duration_s * self.fps)
+            and self.n_frames * self.height * self.width * 3 <= MAX_SCENE_BYTES
+        ):
+            raise InvalidSceneError(
+                f"a {self.width}x{self.height} scene of {self.duration_s} s at {self.fps} fps "
+                f"exceeds {MAX_SCENE_BYTES} bytes of frames"
+            )
 
     @property
     def n_frames(self) -> int:

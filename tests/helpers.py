@@ -6,7 +6,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
-from rppg.combine import diffuse_weights, facial_aggregate, grid_traces, masked_cell_sums
+from rppg.combine import (
+    diffuse_weights,
+    facial_aggregate,
+    grid_traces,
+    masked_planes,
+    pool_planes,
+)
 from rppg.errors import SignalError
 from rppg.ingest import FrameSequence, LandmarkRecord
 from rppg.signals import PulseWaveform
@@ -89,21 +95,30 @@ def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
     return PulseWaveform(waves[0], fps)
 
 
-# The window-level compositions the pipeline makes from masked_cell_sums:
-# pool a whole window's pixels, then reduce its per-frame sums and counts.
+def pooled_sums(values, masks, edges) -> tuple[np.ndarray, np.ndarray]:
+    """pool_planes over the masked_planes of a whole stack, values (t, h, w,
+    ...) and masks (t, h, w), split as the pass hands it on: contiguous sums
+    (t, rows, cols, ...) and pixel counts (t, rows, cols), both float64."""
+    pooled = pool_planes(masked_planes(masks, values), *edges)
+    sums = pooled[..., :-1].reshape(pooled.shape[:3] + np.shape(values)[3:])
+    return np.ascontiguousarray(sums), np.ascontiguousarray(pooled[..., -1])
+
+
+# The window-level compositions the pipeline makes from pool_planes's
+# output: pool a whole window's pixels, then reduce its per-frame sums.
 
 
 def grid_traces_of(frames, masks, edges, fps: float):
-    return grid_traces(*masked_cell_sums(frames, masks, *edges), fps)
+    return grid_traces(*pooled_sums(frames, masks, edges), fps)
 
 
 def facial_aggregate_of(frames, masks) -> np.ndarray:
     height, width = np.shape(masks)[1:]
-    return facial_aggregate(*masked_cell_sums(frames, masks, [0, height], [0, width]))
+    return facial_aggregate(*pooled_sums(frames, masks, ([0, height], [0, width])))
 
 
 def diffuse_weights_of(lum, edges, masks) -> np.ndarray:
-    return diffuse_weights(*masked_cell_sums(lum, masks, *edges))
+    return diffuse_weights(*pooled_sums(lum, masks, edges))
 
 
 # Values that break a JSON field: out of float range, not finite, the wrong

@@ -162,6 +162,23 @@ def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
             load_frame_sequence(tmp_path / ddir)
 
 
+def test_dump_diffuse_into_the_frames_directory_exits_2(tmp_path):
+    scene = SynthScene(width=16, height=16, fps=30.0, duration_s=10.0, seed=2)
+    paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
+    frames = paths["frames"]
+    before = {p.name: p.read_bytes() for p in frames.iterdir()}
+    (tmp_path / "link").symlink_to(frames)
+    for ddir in (frames, tmp_path / "scene" / ".." / "scene" / "frames", tmp_path / "link"):
+        rc = main([
+            "estimate", "--frames", str(frames), "--landmarks", str(paths["landmarks"]),
+            "--method", "proposed", "--diffuse-estimator", "min_subtract",
+            "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(ddir),
+        ])
+        assert rc == 2
+        assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
 def test_estimate_proposed_on_frames_under_window_radius(tmp_path, capsys, h, w):
     # synth refuses frames under 8x8, so the stream is written directly
@@ -581,6 +598,16 @@ def test_synth_flags_set_the_scene_fields(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "b"), "--width", "16", "--height", "16",
                  "--duration-s", "10"]) == 0
     assert (tmp_path / "a" / "frames.raw").read_bytes() == (tmp_path / "b" / "frames.raw").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--duration-s", "1e12"], ["--width", "10000000"], ["--fps", "1e200", "--duration-s", "1e200"]],
+)
+def test_synth_scene_too_big_to_render_exits_9(tmp_path, flags):
+    # refused before the output directory is made, not by the allocation
+    assert main(["synth", "--out", str(tmp_path / "s"), *flags]) == 9
+    assert not (tmp_path / "s").exists()
 
 
 def test_synth_negative_seed_exits_9(tmp_path):

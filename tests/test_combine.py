@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +8,11 @@ from rppg.chrom import chrom_rows
 from rppg.combine import (
     combine_benchmark_snr,
     combine_proposed,
-    masked_cell_sums,
+    masked_planes,
+    pool_planes,
     snr_weights,
 )
-from rppg.diffuse import CHUNK_PLANE_BYTES, diffuse_luminance
+from rppg.diffuse import diffuse_luminance
 from rppg.errors import RegionError, SignalError
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
 from rppg.roi import build_grid, build_mask, rasterize_polygon
@@ -133,39 +132,45 @@ def test_grid_traces_matches_loop_oracle():
     assert np.array_equal(first.samples[0, 3:], np.repeat(first.samples[0, 2:3], 3, axis=0))
 
 
-SPLIT_GRIDS = (
-    ((1, 1, 10, 7), 2, 3),  # uneven remainder cells
-    ((-3, -2, 11, 8), 3, 2),  # clipped at the top and left
-    ((5, 4, 12, 9), 2, 4),  # clipped at the bottom and right
-    ((-20, 0, 12, 9), 2, 2),  # wholly outside: every cell empty
-    ((0, 0, 12, 9), 1, 1),  # one cell spanning the frame
-)
+def edges_in(size, cells=4):
+    """1 to cells cells' increasing edges, reaching 4 px past the frame each side."""
+    return st.lists(
+        st.integers(-4, size + 4), min_size=2, max_size=cells + 1, unique=True
+    ).map(sorted)
+
+
+@st.composite
+def split_stacks(draw):
+    """(n, h, w) of a stack of up to 80 frames of up to 64x64, the edges of a
+    grid of up to 8x8 cells over it, and the cuts that split the stack."""
+    n, h, w = draw(st.integers(2, 80)), draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    edges = (np.array(draw(edges_in(h, 8))), np.array(draw(edges_in(w, 8))))
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=6, unique=True).map(sorted))
+    return (n, h, w), edges, cuts
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
-@given(
-    cuts=st.lists(st.integers(1, 22), max_size=6, unique=True).map(sorted),
-    case=st.sampled_from(SPLIT_GRIDS),
-    luminance=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(cuts, case, luminance, seed):
+@given(case=split_stacks(), luminance=st.booleans(), seed=st.integers(0, 2**16))
+def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(case, luminance, seed):
     # The streaming pass pools a window chunk by chunk and concatenates the
     # per-frame sums: they must equal, bit for bit, one call over the stack.
-    frames, masks = random_scene(seed=seed, n=23, h=9, w=12)
+    # Float luminance (in thirds) is not summed exactly, so only a product
+    # per frame keeps each frame's summation order the same in any call.
+    (n, h, w), edges, cuts = case
+    frames, masks = random_scene(seed=seed, n=n, h=h, w=w)
     values = frames.mean(axis=-1) if luminance else frames  # float64 or uint8 RGB
-    edges = build_grid(*case)
-    whole = masked_cell_sums(values, masks, *edges)
-    bounds = [0, *cuts, 23]
-    parts = [masked_cell_sums(values[a:b], masks[a:b], *edges) for a, b in zip(bounds, bounds[1:])]
-    for i, out in enumerate(whole):
-        joined = np.concatenate([p[i] for p in parts])
-        assert joined.dtype == out.dtype and np.array_equal(joined, out)
+    whole = pool_planes(masked_planes(masks, values), *edges)
+    bounds = [0, *cuts, n]
+    parts = [
+        pool_planes(masked_planes(masks[a:b], values[a:b]), *edges)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def loop_cell_sums(values, masks, y_edges, x_edges):
-    """masked_cell_sums by a Python loop over frames, cells and pixels, in
-    exact Python integers or floats."""
+    """Per-cell masked sums and pixel counts by a Python loop over frames,
+    cells and pixels, in exact Python integers or floats."""
     n, h, w = masks.shape
     rows, cols = len(y_edges) - 1, len(x_edges) - 1
     sums = np.zeros((n, rows, cols) + values.shape[3:], dtype=object)
@@ -177,11 +182,6 @@ def loop_cell_sums(values, masks, y_edges, x_edges):
                     sums[t, r, c] += values[t, y, x].tolist() if values.ndim == 4 else values[t, y, x]
                     counts[t, r, c] += 1
     return sums, counts
-
-
-def edges_in(size):
-    """1 to 4 cells' increasing edges, reaching 4 px past the frame each side."""
-    return st.lists(st.integers(-4, size + 4), min_size=2, max_size=5, unique=True).map(sorted)
 
 
 @settings(deadline=None, max_examples=80, derandomize=True)
@@ -197,53 +197,26 @@ def test_masked_cell_sums_equal_a_loop_over_cells(y_edges, x_edges, luminance, s
     # exact in any order and the float products must match the loop too.
     frames, masks = random_scene(seed=seed, n=3, h=9, w=12)
     values = frames.sum(axis=-1) / 4 if luminance else frames
-    sums, counts = masked_cell_sums(values, masks, np.array(y_edges), np.array(x_edges))
+    pooled = pool_planes(masked_planes(masks, values), np.array(y_edges), np.array(x_edges))
     want_sums, want_counts = loop_cell_sums(values, masks, y_edges, x_edges)
-    assert sums.dtype == (np.float64 if luminance else np.int64)
-    assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
-    assert sums.shape == want_sums.shape and (sums == want_sums).all()
+    assert pooled.dtype == np.float64
+    assert pooled.shape == want_counts.shape + (4 if values.ndim == 4 else 2,)
+    assert np.array_equal(pooled[..., -1], want_counts)
+    sums = pooled[..., :-1].reshape(want_sums.shape)
+    assert (sums == want_sums).all()
 
 
 def test_masked_cell_sums_are_exact_at_camera_resolution():
     # One all-255 1080x1920 frame: each channel's sum, 255 * 2073600, is an
     # integer the float64 products hold exactly.
-    frame = np.full((1, 1080, 1920, 3), 255, dtype=np.uint8)
-    masks = np.ones((1, 1080, 1920), dtype=bool)
-    sums, counts = masked_cell_sums(frame, masks, np.array([0, 1080]), np.array([0, 1920]))
-    assert counts.tolist() == [[[1080 * 1920]]]
-    assert sums.dtype == np.int64 and sums.tolist() == [[[[255 * 1080 * 1920] * 3]]]
-    sums, counts = masked_cell_sums(frame, masks, np.array([0, 500, 1080]), np.array([0, 1919, 1920]))
-    assert counts.tolist() == [[[500 * 1919, 500], [580 * 1919, 580]]]
-    assert (sums == 255 * counts[..., None]).all()
-
-
-# The callers of masked_cell_sums, each returning its output array.
-REDUCERS = {
-    "grid_traces": lambda frames, masks, grid: grid_traces_of(frames, masks, grid, 30.0).samples,
-    "facial_aggregate": lambda frames, masks, grid: facial_aggregate_of(frames, masks),
-    "diffuse_weights": lambda lum, masks, grid: diffuse_weights_of(lum, grid, masks),
-}
-
-
-@pytest.mark.parametrize("caller", list(REDUCERS))
-@pytest.mark.parametrize("n_frames", [64, 640])
-def test_grid_traces_memory_bounded_by_chunk(n_frames, caller):
-    rng = np.random.default_rng(n_frames)
-    frames = rng.integers(0, 256, size=(n_frames, 96, 96, 3), dtype=np.uint8)
-    masks = rng.random((n_frames, 96, 96)) < 0.9
-    grid = build_grid((4, 4, 88, 88), rows=8, cols=8)
-    if caller == "diffuse_weights":
-        frames = frames.mean(axis=-1)  # the pipeline passes float64 luminance
-    tracemalloc.start()
-    try:
-        out = REDUCERS[caller](frames, masks, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # measured 4.9-10.3x: one chunk of float64 planes (masked values and the
-    # mask) plus the per-frame cell sums, which grow with the window, not the
-    # frame size
-    assert peak - out.nbytes < 12 * CHUNK_PLANE_BYTES
+    planes = masked_planes(
+        np.ones((1, 1080, 1920), dtype=bool), np.full((1, 1080, 1920, 3), 255, dtype=np.uint8)
+    )
+    pooled = pool_planes(planes, np.array([0, 1080]), np.array([0, 1920]))
+    assert pooled.tolist() == [[[[255 * 1080 * 1920] * 3 + [1080 * 1920]]]]
+    pooled = pool_planes(planes, np.array([0, 500, 1080]), np.array([0, 1919, 1920]))
+    assert pooled[..., -1].tolist() == [[[500 * 1919, 500], [580 * 1919, 580]]]
+    assert (pooled[..., :-1] == 255 * pooled[..., -1:]).all()
 
 
 def test_grid_traces_live_flags_and_carry_forward():

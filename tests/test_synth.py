@@ -6,7 +6,14 @@ from rppg.config import RunConfig
 from rppg.errors import InvalidSceneError
 from rppg.ingest import load_frame_sequence, load_landmarks, read_timeseries_csv
 from rppg.pipeline import run_pipeline
-from rppg.synth import SpecularPatch, SynthScene, blood_fraction_series, render, write_scene_dataset
+from rppg.synth import (
+    MAX_SCENE_BYTES,
+    SpecularPatch,
+    SynthScene,
+    blood_fraction_series,
+    render,
+    write_scene_dataset,
+)
 
 
 def quiet_scene(**kw):
@@ -48,6 +55,17 @@ def melanin(f_mel, delta=0.004):
 def test_invalid_scenes_rejected(kw):
     with pytest.raises(InvalidSceneError):
         quiet_scene(**kw)
+
+
+def test_scene_bytes_bounded_before_rendering():
+    # Only constructed, never rendered: the largest stack that fits, then
+    # one frame more.
+    frame_bytes = 512 * 512 * 3
+    n = MAX_SCENE_BYTES // frame_bytes
+    assert SynthScene(width=512, height=512, fps=10.0, duration_s=n / 10).n_frames == n
+    with pytest.raises(InvalidSceneError, match="bytes of frames"):
+        SynthScene(width=512, height=512, fps=10.0, duration_s=(n + 1) / 10)
+    assert SynthScene(width=32, height=32, duration_s=240.0).n_frames == 7200
 
 
 def test_frame_count_rounds_duration():
