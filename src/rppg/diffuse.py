@@ -5,9 +5,10 @@ I = m_d * D + m_s * (1/3, 1/3, 1/3): a diffuse chromaticity D scaled by
 shading plus an achromatic specular lobe. Following the real-time bilateral
 scheme of Yang, Wang & Ahuja (ECCV 2010), the maximum-chromaticity image
 sigma_max = I_max / (R + G + B) is iteratively smoothed by a joint bilateral
-filter (guided by the specular-stable minimum chromaticity) to estimate the
-maximum *diffuse* chromaticity Lambda per pixel; the specular magnitude then
-follows in closed form,
+filter (guided by the minimum chromaticity, which is not specular-stable:
+an achromatic lobe pulls it toward 1/3) to estimate the maximum *diffuse*
+chromaticity Lambda per pixel; the specular magnitude then follows in
+closed form,
 
     m_s = 3 * (I_max - Lambda * I_sum) / (1 - 3 * Lambda),
 
@@ -21,21 +22,16 @@ for large batch runs where only the *weighting* behaviour matters, not the
 reconstruction quality. The bilateral iteration stops per frame once no
 pixel moves by CONVERGENCE_TOL, or after MAX_ITERATIONS passes.
 
-Frames are processed in chunks sized by bytes, not by frame count: each
-chunk holds as many frames as fit CHUNK_PLANE_BYTES per float32 (t, h, w)
-plane, so the bilateral temporaries stay cache-sized whatever the frame
-size. The bilateral pass and its stopping rule are per frame, so results
-do not depend on the chunk size.
-
-The guide (the minimum chromaticity) never changes across a frame's
-passes, so the range weights of the window offsets, and their sum, are
-computed once per chunk (see _range_weights: 61 arrays for 121 offsets,
-as an offset and its mirror share one); each pass then only accumulates
-the weighted neighbours. As frames converge the table is compacted to the
-frames still iterating, one array at a time, so mirrored offsets keep
-sharing one copy. The channel sums, maxima and minima are taken once per
-chunk as plane operations. Results are bit-identical to recomputing the
-weights on every pass.
+The bilateral runs in chunks of as many frames as fit CHUNK_PLANE_BYTES per
+padded float32 plane: each frame gets r = WINDOW_PX // 2 pad rows and
+columns, and a chunk's blocks lie end to end after one block of pad, so
+offset (dy, dx) is the flat shift dy * (w + r) + dx and each weight and sum
+of an offset is one contiguous slice. Neighbours outside the frame read the
+pad, whose guide PAD_GUIDE makes their range weight exactly 0. The weights
+are computed once per chunk (61 rows for 121 offsets: an offset and its
+mirror share one) and compacted to the frames still iterating. Results do
+not depend on the chunk size and are bit-identical to recomputing the
+weights every pass over unpadded frames.
 """
 
 from __future__ import annotations
@@ -49,9 +45,10 @@ CONVERGENCE_TOL = 0.03
 MAX_ITERATIONS = 10
 ACHROMATIC_EPS = 0.005
 DARK_FLOOR = 1e-6
-# Bytes per float32 (t, h, w) plane in one chunk: 4 frames at 96x96, small
-# enough that a bilateral pass's temporaries stay close to the CPU caches.
+# Bytes per padded float32 plane of a chunk (4 frames at 96x96): cache-sized.
 CHUNK_PLANE_BYTES = 160 * 1024
+# The pad's guide: its range weight to any guide in [0, 1] underflows to 0.
+PAD_GUIDE = 2.0
 
 
 def frame_chunks(
@@ -78,83 +75,102 @@ def _chromaticities(total: np.ndarray, imax: np.ndarray, imin: np.ndarray):
     return smax, smin
 
 
-def _window_offsets(h: int, w: int) -> list[tuple[np.float32, tuple, tuple]]:
-    """(spatial weight, source index, target index) of each window offset d
-    over (t, h, w) planes, in row-major order of d, so offset i's mirror -d
-    is offset n - 1 - i.
-
-    The target pixel p takes its neighbour p + d. Slice ends are clamped
-    at 0: an offset beyond a small frame's edge selects nothing (a negative
-    end would wrap around).
-    """
+def _window_offsets(w: int) -> list[tuple[np.float32, int]]:
+    """(spatial weight, flat shift) of each window offset d = (dy, dx) in
+    row-major order of d, so offset i's mirror -d is offset n - 1 - i: in
+    w-wide padded blocks, target p takes its neighbour p + dy * (w + r) + dx."""
     radius = WINDOW_PX // 2
     inv_2ss = 1.0 / (2.0 * SPATIAL_SIGMA_PX**2)
-    offsets = []
-    for dy in range(-radius, radius + 1):
-        ys = slice(max(dy, 0), max(h + min(dy, 0), 0))
-        yt = slice(max(-dy, 0), max(h + min(-dy, 0), 0))
-        for dx in range(-radius, radius + 1):
-            xs = slice(max(dx, 0), max(w + min(dx, 0), 0))
-            xt = slice(max(-dx, 0), max(w + min(-dx, 0), 0))
-            ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
-            offsets.append((ws, (..., ys, xs), (..., yt, xt)))
-    return offsets
+    return [
+        (np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss)), dy * (w + radius) + dx)
+        for dy in range(-radius, radius + 1)
+        for dx in range(-radius, radius + 1)
+    ]
 
 
-def _range_weights(guide: np.ndarray, offsets) -> tuple[list[np.ndarray], np.ndarray]:
-    """Joint-bilateral weights of each window offset over a fixed guide
-    (t, h, w), and their sum den.
-
-    Returns one weight array per offset of the first half (and the centre);
-    offset i uses entry min(i, n - 1 - i). The weights of d serve its
-    mirror -d unshifted: the guide difference only changes sign, and the
-    target slice of -d is the source slice of d. den is the sum of every
-    offset's weights at its target pixels, in offset order.
+def _range_weights(guide: np.ndarray, offsets, table, den: np.ndarray, diff) -> None:
+    """Fills table and den (t, h + r, w + r) with each window offset's
+    joint-bilateral weights, and their offset-order sum, for a padded guide
+    (t + 1, h + r, w + r) whose first block is pad. Row k serves offset k and
+    its mirror n - 1 - k: at j, the weight j takes from j + s (s < 0 is
+    offset k's shift) and j + s takes from j. So offset i with shift s
+    weights target p by row[p + max(s, 0)]. diff is scratch.
     """
     inv_2sr = 1.0 / (2.0 * RANGE_SIGMA**2)
-    den = np.zeros_like(guide)
-    diff_buf = np.empty(guide.size, dtype=np.float32)
-    weights: list[np.ndarray] = []
-    last = len(offsets) - 1
-    for i, (ws, src, tgt) in enumerate(offsets):
+    flat, margin, diff = guide.reshape(-1), guide[0].size, diff.reshape(-1)[: den.size]
+    span, last = den.size - max(shift for _, shift in offsets), len(offsets) - 1
+    den.fill(0.0)
+    for i, (ws, shift) in enumerate(offsets):
+        row = table[min(i, last - i)].reshape(-1)
         if i <= last - i:
-            source = guide[src]
-            diff = diff_buf[: source.size].reshape(source.shape)
-            np.subtract(guide[tgt], source, out=diff)
-            wr = np.empty(source.shape, dtype=np.float32)
-            np.multiply(-inv_2sr, diff, out=wr)
-            wr *= diff
-            np.exp(wr, out=wr)
-            wr *= ws
-            weights.append(wr)
-        den[tgt] += weights[min(i, last - i)]
-    return weights, den
+            np.subtract(flat[margin:], flat[margin + shift : margin + shift + den.size], out=diff)
+            np.multiply(-inv_2sr, diff, out=row)
+            row *= diff
+            np.exp(row, out=row)
+            row *= ws
+        start = max(shift, 0)
+        den.reshape(-1)[:span] += row[start : start + span]
 
 
-def _joint_bilateral(lam: np.ndarray, weights, den: np.ndarray, offsets) -> np.ndarray:
-    """One joint-bilateral pass of lam (t, h, w) with _range_weights' table."""
-    num = np.zeros_like(lam)
-    prod_buf = np.empty(lam.size, dtype=np.float32)
-    last = len(offsets) - 1
-    for i, (_, src, tgt) in enumerate(offsets):
-        wr = weights[min(i, last - i)]
-        prod = prod_buf[: wr.size].reshape(wr.shape)
-        np.multiply(wr, lam[src], out=prod)
-        num[tgt] += prod
-    return num / den
+def _joint_bilateral(lam: np.ndarray, table, offsets, num: np.ndarray, prod) -> None:
+    """Joint-bilateral numerator of one pass into num (t, h + r, w + r), for lam
+    laid out as _range_weights' guide with any finite pad; prod is scratch."""
+    flat, margin, sums = lam.reshape(-1), lam[0].size, num.reshape(-1)
+    span, last = sums.size - max(shift for _, shift in offsets), len(offsets) - 1
+    prod = prod.reshape(-1)[:span]
+    sums.fill(0.0)
+    for i, (_, shift) in enumerate(offsets):
+        start = max(shift, 0)
+        row = table[min(i, last - i)].reshape(-1)[start : start + span]
+        np.multiply(row, flat[margin + shift : margin + shift + span], out=prod)
+        sums[:span] += prod
 
 
-def _reconstruct_diffuse(frames, lam, total, imax, imin) -> np.ndarray:
+def _smooth(smax: np.ndarray, lam: np.ndarray, smin: np.ndarray, chunks) -> None:
+    """Iterates lam (t, h, w) in place, chunk by chunk: the maximum of smax
+    and lam's joint bilateral guided by smin. All chunks share one set of
+    buffers, as fresh ones would be faulted in again for each."""
+    h, w = lam.shape[1:]
+    radius = WINDOW_PX // 2
+    offsets = _window_offsets(w)
+    blocks = (max((len(lam[sl]) for sl in chunks), default=0), h + radius, w + radius)
+    table = [np.empty(blocks, dtype=np.float32) for _ in range(len(offsets) // 2 + 1)]
+    pad, den, num, prod = np.empty((4, blocks[0] + 1, *blocks[1:]), dtype=np.float32)
+    for sl in chunks:
+        lam_c, smax_c = lam[sl], smax[sl]
+        live = np.arange(len(lam_c))  # frames still iterating
+        padded = pad[: live.size + 1]  # the guide, then the live lam, on one pad
+        padded.fill(PAD_GUIDE)
+        padded[1:, :h, :w] = smin[sl]
+        rows, sums = [row[: live.size] for row in table], den[: live.size]
+        with np.errstate(under="ignore"):  # on purpose, in the pad
+            _range_weights(padded, offsets, rows, sums, prod)
+        for _ in range(MAX_ITERATIONS):
+            if live.size == 0:
+                break
+            prev = padded[1 : live.size + 1, :h, :w]
+            prev[...] = lam_c[live]
+            _joint_bilateral(padded[: live.size + 1], rows, offsets, num[: live.size], prod)
+            new = num[: live.size, :h, :w]  # the numerator's frames, divided in place
+            np.divide(new, sums[:, :h, :w], out=new)
+            np.maximum(smax_c[live], new, out=new)
+            lam_c[live] = new
+            prev -= new  # the change, negated, in place
+            keep = np.abs(prev, out=prev).max(axis=(1, 2)) >= CONVERGENCE_TOL
+            live = live[keep]
+            if 0 < live.size < keep.size:
+                for a in (*rows, sums):  # one copy of one plane at a time
+                    a[: live.size] = a[keep]
+                rows, sums = [a[: live.size] for a in rows], sums[: live.size]
+
+
+def _reconstruct_diffuse(frames, lam) -> np.ndarray:
+    total, imax, imin = _channel_planes(frames)
     denom = 1.0 - 3.0 * lam
     chromatic = lam > (1.0 / 3.0 + ACHROMATIC_EPS)
-    ms = np.where(
-        chromatic,
-        3.0 * (imax - lam * total) / np.where(chromatic, denom, 1.0),
-        0.0,
-    )
+    ms = np.where(chromatic, 3.0 * (imax - lam * total) / np.where(chromatic, denom, 1.0), 0.0)
     ms = np.clip(ms, 0.0, 3.0 * imin)
-    out = frames - (ms / 3.0)[..., None]
-    return np.clip(out, 0.0, 255.0)
+    return np.clip(frames - (ms / 3.0)[..., None], 0.0, 255.0)
 
 
 def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
@@ -166,34 +182,17 @@ def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
     """
     frames = np.asarray(frames)
     out = np.empty(frames.shape, dtype=np.float32)
-    offsets = _window_offsets(*frames.shape[1:3])
-    for sl in frame_chunks(*frames.shape[:3]):
-        block = frames[sl].astype(np.float32)
-        total, imax, imin = _channel_planes(block)
-        smax, smin = _chromaticities(total, imax, imin)
-        weights, den = _range_weights(smin, offsets)
-        del smin  # only the weights needed the guide
-        lam = smax.copy()
-        live = np.arange(block.shape[0])  # frames still iterating
-        for _ in range(MAX_ITERATIONS):
-            if live.size == 0:
-                break
-            prev = lam[live]
-            new = np.maximum(smax[live], _joint_bilateral(prev, weights, den, offsets))
-            delta = np.abs(new - prev).max(axis=(1, 2))
-            lam[live] = new
-            done = delta < CONVERGENCE_TOL
-            if done.any():
-                # One array at a time, so compaction adds one plane at most.
-                keep = ~done
-                live = live[keep]
-                for k in range(len(weights)):
-                    weights[k] = weights[k][keep]
-                den = den[keep]
-        # Frames stopped by MAX_ITERATIONS still hold this chunk's weight
-        # table: release it before the next one is built.
-        del weights, den
-        out[sl] = _reconstruct_diffuse(block, lam, total, imax, imin)
+    n, h, w = frames.shape[:3]
+    chunks = frame_chunks(n, h + WINDOW_PX // 2, w + WINDOW_PX // 2, CHUNK_PLANE_BYTES)
+    # Until the last loop, the output's channels hold each frame's sigma_max,
+    # Lambda and guide, so no chunk's planes are alive next to _smooth's.
+    smax, lam, smin = (out[..., c] for c in range(3))
+    for sl in chunks:
+        smax[sl], smin[sl] = _chromaticities(*_channel_planes(frames[sl].astype(np.float32)))
+    lam[...] = smax
+    _smooth(smax, lam, smin, chunks)
+    for sl in chunks:
+        out[sl] = _reconstruct_diffuse(frames[sl].astype(np.float32), lam[sl].copy())
     return out
 
 

@@ -61,8 +61,8 @@ from .roi import build_grid, build_mask
 from .signals import PulseWaveform
 
 
-# Bytes per float32 (h, w) plane in one chunk of the pass: 4 of the diffuse
-# stage's chunks (17 frames at 96x96, 160 at 32x32), so reading and masking
+# Bytes per float32 (h, w) plane in one chunk of the pass: 4 of the pooling
+# sub-chunks (17 frames at 96x96, 160 at 32x32), so reading and masking
 # take enough frames per call to amortise their per-call work, while the
 # diffuse stage and the pooling split each chunk into cache-sized ones.
 PASS_PLANE_BYTES = 4 * CHUNK_PLANE_BYTES

@@ -196,6 +196,35 @@ def test_frames_converging_at_different_passes_bit_identical_to_reference():
     assert np.array_equal(estimate_diffuse_stack(frames), expect)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 40), st.integers(1, 40)
+)
+def test_stack_does_not_depend_on_the_chunk_size(seed, n, h, w):
+    # A frame's result never depends on the frames sharing its chunk, nor on
+    # where its block sits in the chunk: one frame per chunk, two, and the
+    # whole stack in one chunk all give the default's bytes.
+    frames = mixed_frames(n, h, w, seed=seed)
+    expect = estimate_diffuse_stack(frames)
+    plane = 4 * (h + diffuse.WINDOW_PX // 2) * (w + diffuse.WINDOW_PX // 2)
+    for plane_bytes in (1, 2 * plane, n * plane):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes)
+            assert np.array_equal(estimate_diffuse_stack(frames), expect), plane_bytes
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (4, 4), (12, 20)])
+def test_stack_does_not_depend_on_the_callers_fp_error_state(h, w):
+    # Range weights to the pad underflow to 0 on purpose: the stage allows
+    # that itself, so a caller that raises on every FP error gets the same
+    # bytes as one that ignores them.
+    frames = mixed_frames(6, h, w, seed=h + w)
+    with np.errstate(all="ignore"):
+        expect = estimate_diffuse_stack(frames)
+    with np.errstate(all="raise"):
+        assert np.array_equal(estimate_diffuse_stack(frames), expect)
+
+
 def test_frame_chunks_cover_frames_in_order():
     chunks = frame_chunks(10, 200, 300)  # one frame's plane exceeds the budget
     assert chunks == [slice(i, i + 1) for i in range(10)]

@@ -312,18 +312,20 @@ def working_memory(seq, cfg):
     return peak - kept
 
 
-def test_luminance_stage_memory_is_bounded_by_the_chunk():
+@pytest.mark.parametrize("size, long", [(16, 640), (48, 640), (96, 170)])
+def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
     # Uniform frames converge in one bilateral pass; noise frames take three
     # to five passes and stop at different ones, so each chunk's weight
     # table is compacted while it is alive. The pass's temporaries and that
-    # table bound the peak of the whole run, for 64 frames or 640.
-    uniform = pulsed_sequence(n=640, h=48, w=48).frames
-    noise = np.random.default_rng(6).integers(0, 256, size=(640, 48, 48, 3), dtype=np.uint8)
+    # table bound the peak of the whole run, for 64 frames or about ten pass
+    # chunks (640 frames at 48x48, 170 at 96x96; one holds all 640 at 16x16).
+    uniform = pulsed_sequence(n=long, h=size, w=size).frames
+    noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
     cfg = RunConfig(method="proposed", window_s=2.0, hop_s=1.0, grid_rows=4, grid_cols=4)
     peaks = [
         working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg)
         for frames in (uniform, noise)
-        for n in (64, 640)
+        for n in (64, long)
     ]
     # measured 78-81 planes: the pass chunk's frames, masks and diffuse
     # frames, and one diffuse chunk's bilateral table and temporaries
