@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `rppg` entry point: every command end to end,
-# then the exit codes of a malformed input (4), of a path that cannot be
+# then the exit codes of malformed inputs (4: a CSV row, a sidecar line that
+# holds two records, a sidecar one record short), of a path that cannot be
 # opened, as an input (3) or as an output (2), of diffuse frames dumped over
 # the recording they come from (2) and of a scene too big to render (9).
 #
@@ -37,6 +38,23 @@ rc=0
 rppg biophys --table melanin --points 3 --illuminant "$smoke/bad-illuminant.csv" || rc=$?
 test "$rc" -eq 4
 rppg biophys --table pixel-snr --out "$smoke/pixel-snr.csv"
+# a sidecar whose line 2 of 3 holds two records: exit 4, naming the line
+mkdir -p "$smoke/two-on-a-line"
+{
+  sed -n 1p "$smoke/landmarks.jsonl"
+  printf '%s %s\n' "$(sed -n 2p "$smoke/landmarks.jsonl")" "$(sed -n 3p "$smoke/landmarks.jsonl")"
+  sed -n 4p "$smoke/landmarks.jsonl"
+} > "$smoke/two-on-a-line/landmarks.jsonl"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/two-on-a-line/landmarks.jsonl" \
+  --method aggregate 2> "$smoke/two-on-a-line/stderr" || rc=$?
+test "$rc" -eq 4
+grep -q "landmarks.jsonl:2" "$smoke/two-on-a-line/stderr"
+# a sidecar one record short: exit 4
+sed '$d' "$smoke/landmarks.jsonl" > "$smoke/one-short.jsonl"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/one-short.jsonl" --method aggregate || rc=$?
+test "$rc" -eq 4
 # a path that cannot be opened: an input is exit 3, an output exit 2
 rc=0
 rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke" || rc=$?

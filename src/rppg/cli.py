@@ -164,7 +164,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "its frames would be overwritten"
         )
     seq = load_frame_sequence(args.frames)
-    records = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
+    bboxes, polygons = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
     dump = on_diffuse = None
     if args.dump_diffuse is not None:
         import numpy as np
@@ -176,7 +176,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         def on_diffuse(diffuse):
             dump.write(np.clip(np.rint(diffuse), 0, 255).astype(np.uint8))
 
-    result = run_pipeline(seq, records, cfg, on_diffuse=on_diffuse)
+    result = run_pipeline(seq, bboxes, cfg, on_diffuse, polygons)
     _emit(_json_dumps(result.report), args.out)
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))

@@ -21,7 +21,9 @@ in memory stay a plain ndarray; both answer frames[a:b] with a
 Landmarks ride in a JSON-lines sidecar, one record per frame:
 ``{"frame": i, "bbox": [x, y, w, h], "eyes": [[[x, y], ...], [...]],
 "mouth": [[x, y], ...]}``. Polygon vertex lists may be empty (no occluder),
-but one or two vertices is malformed.
+but one or two vertices is malformed. load_landmarks returns its columns: an
+(n, 4) int64 bbox array in frame order, and a polygon map from each frame
+that has any polygon to its (eye, eye, mouth) vertex lists.
 
 Ground truth is a two-column CSV with header ``time_s,value`` per signal
 (contact-PPG waveform or heart-rate numerics). read_two_column_csv, which
@@ -37,7 +39,8 @@ import re
 import struct
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,10 @@ RAW_HEADER = struct.Struct("<8s4I")
 
 HR_BPM_MIN = 30.0
 HR_BPM_MAX = 240.0
+
+_SCAN = json.JSONDecoder().scan_once  # a value at an index: (value, end)
+LANDMARK_BLOCK = 256  # sidecar lines parsed at a time, about 1 KB of objects each
+_FIELDS = ("frame", "bbox", "eyes", "mouth")
 
 
 @dataclass(frozen=True)
@@ -107,16 +114,6 @@ class FrameSequence:
     @property
     def duration_s(self) -> float:
         return self.count / self.fps
-
-
-@dataclass(frozen=True)
-class LandmarkRecord:
-    """Per-frame face geometry. bbox is (x, y, w, h) in pixels."""
-
-    frame: int
-    bbox: tuple[int, int, int, int]
-    eye_polygons: tuple[tuple[tuple[int, int], ...], ...]
-    mouth_polygon: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         fps, width, height, count = (manifest[k] for k in ("fps", "width", "height", "count"))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest: {exc}") from exc
-    if not all(map(_is_json_int, (width, height, count))):
+    if not _all((width, height, count), int):
         raise DataFormatError(f"{manifest_path}: width, height and count must be integers")
     if not _is_json_number(fps):
         raise DataFormatError(f"{manifest_path}: fps must be a finite number, got {fps!r}")
@@ -332,122 +329,125 @@ def load_frame_sequence(path: Path) -> FrameSequence:
 # ---------------------------------------------------------------------------
 
 
-def _is_json_int(v) -> bool:
-    """True for a JSON integer; bool is an int subclass in Python but not a JSON number."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _all(values, kind: type) -> bool:
+    """Whether every value is exactly a kind (a bool is no JSON integer)."""
+    return set(map(type, values)) <= {kind}
 
 
 def _is_json_number(v) -> bool:
     """True for a JSON number that is a finite float64 (json reads 1e400 as inf)."""
-    if _is_json_int(v):
+    if type(v) is int:
         return abs(v) <= sys.float_info.max
-    return isinstance(v, float) and math.isfinite(v)
+    return type(v) is float and math.isfinite(v)
 
 
-def _parse_polygon(raw, where: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(raw, list):
-        raise DataFormatError(f"{where}: polygon must be a list of [x, y] pairs")
-    if len(raw) == 0:
-        return ()
-    if len(raw) < 3:
-        raise DataFormatError(
-            f"{where}: polygon needs >= 3 vertices, got {len(raw)}"
-        )
-    verts = []
-    for v in raw:
-        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_json_int, v))):
-            raise DataFormatError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
-        verts.append((v[0], v[1]))
-    return tuple(verts)
+def _require(ok: bool) -> None:
+    if not ok:
+        raise ValueError("a record fails its checks")
 
 
-def _check_bbox(bbox, width: int, height: int, where: str) -> tuple[int, int, int, int]:
-    if not (isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_json_int, bbox))):
+def _check_record(record, width: int, height: int, where: str):
+    """A record's frame, or DataFormatError naming its first fault."""
+    try:
+        frame, bbox, eyes, mouth = (record[k] for k in _FIELDS)
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{where}: missing field: {exc}") from exc
+    if type(frame) is not int:
+        raise DataFormatError(f"{where}: frame must be an integer, got {frame!r}")
+    if not (isinstance(bbox, list) and len(bbox) == 4 and _all(bbox, int)):
         raise DataFormatError(f"{where}: bbox must be [x, y, w, h] integers, got {bbox!r}")
     x, y, w, h = bbox
     if w < 0 or h < 0:
         raise DataFormatError(f"{where}: bbox has negative extent {bbox}")
     if x < 0 or y < 0 or x + w > width or y + h > height:
-        raise DataFormatError(
-            f"{where}: bbox {bbox} exceeds frame bounds {width}x{height}"
-        )
-    return x, y, w, h
-
-
-def _check_polygon_in_bbox(poly, bbox, where: str) -> None:
-    x, y, w, h = bbox
-    for vx, vy in poly:
+        raise DataFormatError(f"{where}: bbox {bbox} exceeds frame bounds {width}x{height}")
+    if not (isinstance(eyes, list) and len(eyes) == 2):
+        raise DataFormatError(f"{where}: eyes must hold exactly two polygons")
+    polygons = (*eyes, mouth)
+    for poly in polygons:
+        if not isinstance(poly, list):
+            raise DataFormatError(f"{where}: polygon must be a list of [x, y] pairs")
+        if 0 < len(poly) < 3:
+            raise DataFormatError(f"{where}: polygon needs >= 3 vertices, got {len(poly)}")
+        for v in poly:
+            if not (isinstance(v, list) and len(v) == 2 and _all(v, int)):
+                raise DataFormatError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
+    for vx, vy in chain.from_iterable(polygons):
         if not (x <= vx <= x + w and y <= vy <= y + h):
-            raise DataFormatError(f"{where}: vertex ({vx}, {vy}) outside bbox {bbox}")
+            raise DataFormatError(f"{where}: vertex ({vx}, {vy}) outside bbox {tuple(bbox)}")
+    return frame
+
+
+def _columns(lines: list[str], width: int, height: int):
+    """The frames, (n, 4) int64 bboxes and polygon map of the records on lines,
+    scanned by one map in C, with frame and bbox checked as integer columns
+    and only records with polygons by _check_record. Raises where json.loads
+    or _check_record would fail on a line."""
+    lines = [ln.strip(" \t") for ln in lines]  # JSON whitespace; no line holds \n or \r
+    records, ends = zip(*map(_SCAN, lines, repeat(0)))
+    _require(ends == tuple(map(len, lines)))
+    frames, boxes, eyes, mouths = ([record[k] for record in records] for k in _FIELDS)
+    _require(_all(frames, int) and _all(boxes, list) and set(map(len, boxes)) == {4})
+    coords = tuple(chain.from_iterable(boxes))
+    _require(_all(coords, int))
+    bboxes = np.fromiter(coords, np.int64, len(coords)).reshape(-1, 4)
+    _require((bboxes >= 0).all() and (bboxes[:, 2:] <= (width, height) - bboxes[:, :2]).all())
+    shaped = [i for i, (e, m) in enumerate(zip(eyes, mouths)) if e != [[], []] or m != []]
+    for i in shaped:
+        _check_record(records[i], width, height, "")
+    return frames, bboxes, {frames[i]: (*eyes[i], mouths[i]) for i in shaped}
 
 
 def load_landmarks(
     path: Path, frame_count: int, width: int, height: int
-) -> tuple[LandmarkRecord, ...]:
+) -> tuple[np.ndarray, dict]:
     """Load and validate a JSONL sidecar against the owning frame sequence:
-    its records, one per frame in frame order."""
+    its (frame_count, 4) int64 bboxes in frame order, and its polygon map.
+    Where a block of lines fails _columns, or the frames do not cover 0..n-1
+    once each, the lines are checked again one by one to name the first fault."""
     path = Path(path)
-    records: dict[int, LandmarkRecord] = {}
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: no landmark records")
+    try:
+        blocks = [
+            _columns(lines[i : i + LANDMARK_BLOCK], width, height)
+            for i in range(0, len(lines), LANDMARK_BLOCK)
+        ]
+        frames = [f for block in blocks for f in block[0]]
+        _require(sorted(frames) == list(range(frame_count)))
+        bboxes = np.concatenate([block[1] for block in blocks])
+        return bboxes[np.argsort(frames)], {k: v for block in blocks for k, v in block[2].items()}
+    except (DataFormatError, ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        pass  # a fault, or frames not covered: named below
+    seen = set()
     for lineno, line in enumerate(lines, start=1):
         where = f"{path}:{lineno}"
         try:
-            obj = json.loads(line)
+            record = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
-        try:
-            frame = obj["frame"]
-            raw_bbox = obj["bbox"]
-            raw_eyes = obj["eyes"]
-            raw_mouth = obj["mouth"]
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"{where}: missing field: {exc}") from exc
-        if not _is_json_int(frame):
-            raise DataFormatError(f"{where}: frame must be an integer, got {frame!r}")
-        bbox = _check_bbox(raw_bbox, width, height, where)
-        if not (isinstance(raw_eyes, list) and len(raw_eyes) == 2):
-            raise DataFormatError(f"{where}: eyes must hold exactly two polygons")
-        eyes = tuple(_parse_polygon(p, where) for p in raw_eyes)
-        mouth = _parse_polygon(raw_mouth, where)
-        for poly in (*eyes, mouth):
-            _check_polygon_in_bbox(poly, bbox, where)
-        if frame in records:
+        frame = _check_record(record, width, height, where)
+        if frame in seen:
             raise DataFormatError(f"{where}: duplicate record for frame {frame}")
-        records[frame] = LandmarkRecord(
-            frame=frame, bbox=bbox, eye_polygons=eyes, mouth_polygon=mouth
-        )
-    if sorted(records) != list(range(frame_count)):
-        raise DataFormatError(
-            f"{path}: {len(records)} records do not cover frames 0..{frame_count - 1}"
-        )
-    return tuple(records[i] for i in range(frame_count))
+        seen.add(frame)
+    raise DataFormatError(f"{path}: {len(seen)} records do not cover frames 0..{frame_count - 1}")
 
 
-def write_landmarks(records: tuple[LandmarkRecord, ...], path: Path) -> None:
+def write_landmarks(bboxes: np.ndarray, path: Path) -> None:
+    """Write a sidecar whose frame i has the bbox bboxes[i] and no polygons."""
     with writing(path), open(path, "w") as fh:
-        for rec in records:
-            obj = {
-                "frame": rec.frame,
-                "bbox": list(rec.bbox),
-                "eyes": [[list(v) for v in poly] for poly in rec.eye_polygons],
-                "mouth": [list(v) for v in rec.mouth_polygon],
-            }
+        for frame, bbox in enumerate(bboxes.tolist()):
+            obj = {"frame": frame, "bbox": bbox, "eyes": [[], []], "mouth": []}
             fh.write(json.dumps(obj) + "\n")
 
 
-def smooth_bboxes(
-    records: tuple[LandmarkRecord, ...], alpha: float
-) -> tuple[LandmarkRecord, ...]:
+def smooth_bboxes(bboxes: np.ndarray, alpha: float) -> np.ndarray:
     """Exponentially smooth bbox jitter: s_t = alpha*s_{t-1} + (1-alpha)*b_t,
-    alpha in [0, 1) as RunConfig holds it."""
-    out = []
-    state = np.asarray(records[0].bbox, dtype=np.float64)
-    for rec in records:
-        state = alpha * state + (1.0 - alpha) * np.asarray(rec.bbox, dtype=np.float64)
-        out.append(replace(rec, bbox=tuple(int(round(v)) for v in state)))
-    return tuple(out)
+    alpha in [0, 1) as RunConfig holds it, each s_t rounded half to even."""
+    state = bboxes[0].astype(np.float64)
+    smoothed = [state := alpha * state + (1.0 - alpha) * bbox for bbox in bboxes]
+    return np.rint(smoothed).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ is built before any frame is read.
 
 The recording is read once, in chunks of PASS_PLANE_BYTES per float32 plane
 (diffuse.frame_chunks). For each chunk the pass builds the skin masks from
-the chunk's landmark records, and for proposed separates the diffuse frames
+its bbox rows and polygons, and for proposed separates the diffuse frames
 and takes their luminance. Each diffuse-sized sub-chunk is laid out once
 by masked_planes (RGB, luminance, mask), and pool_planes pools it into the
 cells of every window that overlaps it; windows with the same edges, such
@@ -56,7 +56,7 @@ from .diffuse import (
 )
 from .errors import SignalError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
-from .ingest import FrameSequence, LandmarkRecord, smooth_bboxes
+from .ingest import FrameSequence, smooth_bboxes
 from .roi import build_grid, build_mask
 from .signals import PulseWaveform
 
@@ -81,7 +81,8 @@ class PipelineResult:
 
 def _window_sums(
     seq: FrameSequence,
-    records,
+    bboxes: np.ndarray,
+    polygons: dict | None,
     slices: list[slice],
     grids: list[tuple[np.ndarray, np.ndarray]],
     separate: Callable[[np.ndarray], np.ndarray] | None,
@@ -99,7 +100,7 @@ def _window_sums(
     done = 0
     for chunk in frame_chunks(seq.count, height, width, PASS_PLANE_BYTES):
         frames = seq.frames[chunk]
-        masks = build_mask(records[chunk], width, height)
+        masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
         values = (frames,)
         if separate is not None:
             diffuse = separate(frames)
@@ -146,11 +147,13 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
 
 def run_pipeline(
     seq: FrameSequence,
-    records: tuple[LandmarkRecord, ...],
+    bboxes: np.ndarray,
     cfg: RunConfig,
     on_diffuse: Callable[[np.ndarray], None] | None = None,
+    polygons: dict | None = None,
 ) -> PipelineResult:
-    """Estimate the recording's heart rate in one pass over its frames.
+    """Estimate the recording's heart rate in one pass over its frames, from
+    its (n, 4) bboxes and polygon map (load_landmarks's, or none).
 
     For proposed, on_diffuse (if given) receives each chunk's float32
     diffuse frames (k, h, w, 3) in frame order, every frame of the
@@ -159,13 +162,13 @@ def run_pipeline(
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
-        records = smooth_bboxes(records, cfg.bbox_smoothing_alpha)
+        bboxes = smooth_bboxes(bboxes, cfg.bbox_smoothing_alpha)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
     if not slices:
         raise SignalError("no analysis windows fit in the recording")
     grids = [  # aggregate's one cell spans the frame
-        build_grid(records[sl.start].bbox, cfg.grid_rows, cfg.grid_cols)
+        build_grid(bboxes[sl.start], cfg.grid_rows, cfg.grid_cols)
         if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
         for sl in slices
     ]
@@ -181,7 +184,7 @@ def run_pipeline(
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, records, slices, grids, separate, on_diffuse)
+    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, on_diffuse)
     for i, pooled in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces

@@ -3,7 +3,9 @@
 The skin mask for a frame is the face bbox interior minus the eye and mouth
 polygon interiors. Polygon membership is decided with the even-odd rule,
 evaluated at pixel centers (x + 0.5, y + 0.5). Masks are built for a run of
-frames from their landmark records, one chunk of a recording at a time.
+frames from their rows of the (n, 4) bbox array and their entries in the
+polygon map (see ingest), one chunk of a recording at a time. Bboxes are
+filled frame by frame in frames taller than FILL_ROWS, else in one broadcast.
 
 The grid tiles the bbox row-major into rows x cols rectangular cells,
 stored as their row and column edges: x0 + [0, b, 2b, ..., bw] with
@@ -17,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
+
+FILL_ROWS = 48  # a Python iteration per frame costs about the ufunc loops of 44 rows
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -53,14 +57,18 @@ def bbox_mask(bbox, width: int, height: int) -> np.ndarray:
     return rows[..., :, None] & cols[..., None, :]
 
 
-def build_mask(records, width: int, height: int) -> np.ndarray:
-    """Skin masks of the frames whose landmark records are given (a slice of
-    load_landmarks's records), shape (len(records), height, width) bool."""
-    masks = bbox_mask(np.array([rec.bbox for rec in records]).reshape(-1, 4), width, height)
-    for m, rec in zip(masks, records):
-        for poly in (*rec.eye_polygons, rec.mouth_polygon):
-            if len(poly) >= 3:
-                m &= ~rasterize_polygon(poly, width, height)
+def build_mask(bboxes, width: int, height: int, polygons=None, first: int = 0) -> np.ndarray:
+    """Skin masks (n, height, width) bool of frames first, ..., first + n - 1
+    from their (n, 4) bboxes, less their polygons in load_landmarks's map."""
+    if height > FILL_ROWS:
+        masks = np.zeros((len(bboxes), height, width), dtype=bool)
+        for m, (x, y, w, h) in zip(masks, bboxes.tolist()):
+            m[y : y + h, x : x + w] = True
+    else:
+        masks = bbox_mask(bboxes, width, height)
+    for j in range(len(masks)) if polygons else ():
+        for poly in polygons.get(first + j, ()):
+            masks[j] &= ~rasterize_polygon(poly, width, height)
     return masks
 
 

@@ -32,7 +32,6 @@ from .errors import InvalidSceneError, writing
 from .ingest import (
     FrameSequence,
     GroundTruth,
-    LandmarkRecord,
     write_landmarks,
     write_raw_stream,
     write_frame_dir,
@@ -142,8 +141,8 @@ def _base_intensities(scene: SynthScene, ctx: SpectralContext, fb: np.ndarray) -
 
 
 def render(scene: SynthScene, ctx: SpectralContext | None = None):
-    """Render a scene; returns (FrameSequence, the LandmarkRecords of its
-    frames, GroundTruth)."""
+    """Render a scene; returns (FrameSequence, the (n, 4) int64 bboxes of its
+    frames, GroundTruth). Synthetic faces have no eye or mouth polygons."""
     ctx = ctx or SpectralContext.default()
     t, fb = blood_fraction_series(scene)
     base = _base_intensities(scene, ctx, fb)
@@ -154,8 +153,8 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
 
     noise = scene.noise
     frames = np.empty((scene.n_frames, h, w, 3), dtype=np.uint8)
-    records = []
     m = scene.motion_px
+    bboxes = np.tile([m, m, w - 2 * m, h - 2 * m], (scene.n_frames, 1))
     for i in range(scene.n_frames):
         clean = base[i][None, None, :] * albedo[:, :, None]
         if scene.specular is not None:
@@ -174,17 +173,7 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
 
         if m > 0:
             rng_m = np.random.default_rng((scene.seed, _STREAM_MOTION, i))
-            dx, dy = rng_m.integers(-m, m + 1, size=2)
-        else:
-            dx = dy = 0
-        records.append(
-            LandmarkRecord(
-                frame=i,
-                bbox=(m + int(dx), m + int(dy), w - 2 * m, h - 2 * m),
-                eye_polygons=((), ()),
-                mouth_polygon=(),
-            )
-        )
+            bboxes[i, :2] += rng_m.integers(-m, m + 1, size=2)
 
     seq = FrameSequence(frames=frames, fps=scene.fps)
     hr_t = np.arange(0.0, scene.duration_s - 1e-9, 1.0)
@@ -194,7 +183,7 @@ def render(scene: SynthScene, ctx: SpectralContext | None = None):
         hr_time_s=hr_t,
         hr_bpm=np.full(hr_t.shape, scene.hr_bpm),
     )
-    return seq, tuple(records), gt
+    return seq, bboxes, gt
 
 
 def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") -> dict:
@@ -203,7 +192,7 @@ def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") ->
     outdir = Path(outdir)
     with writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    seq, records, gt = render(scene)
+    seq, bboxes, gt = render(scene)
     if layout == "raw":
         frames_path = outdir / "frames.raw"
         write_raw_stream(seq, frames_path)
@@ -213,7 +202,7 @@ def write_scene_dataset(scene: SynthScene, outdir: Path, layout: str = "raw") ->
     else:
         raise InvalidSceneError(f"unknown dataset layout {layout!r}")
     landmarks_path = outdir / "landmarks.jsonl"
-    write_landmarks(records, landmarks_path)
+    write_landmarks(bboxes, landmarks_path)
     hr_path = outdir / "hr.csv"
     write_timeseries_csv(gt.hr_time_s, gt.hr_bpm, hr_path)
     ppg_path = outdir / "ppg.csv"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -13,8 +16,8 @@ from rppg.combine import (
     masked_planes,
     pool_planes,
 )
-from rppg.errors import SignalError
-from rppg.ingest import FrameSequence, LandmarkRecord
+from rppg.errors import DataFormatError, SignalError
+from rppg.ingest import FrameSequence, read_text
 from rppg.signals import PulseWaveform
 
 
@@ -24,13 +27,10 @@ def flat_sequence(n=64, h=12, w=16, fps=16.0, level=(120, 90, 70)) -> FrameSeque
     return FrameSequence(frames=frames, fps=fps)
 
 
-def full_sidecar(seq: FrameSequence, bbox=None) -> tuple[LandmarkRecord, ...]:
-    """One record per frame, bbox covering the whole frame, no cutouts."""
+def full_sidecar(seq: FrameSequence, bbox=None) -> np.ndarray:
+    """One (n, 4) bbox row per frame, covering the whole frame."""
     bbox = tuple(bbox) if bbox is not None else (0, 0, seq.width, seq.height)
-    return tuple(
-        LandmarkRecord(frame=i, bbox=bbox, eye_polygons=((), ()), mouth_polygon=())
-        for i in range(seq.count)
-    )
+    return np.tile(np.array(bbox, dtype=np.int64), (seq.count, 1))
 
 
 def pulsed_sequence(
@@ -145,3 +145,86 @@ def json_object_text(draw, fields: dict[str, list[str]], near: dict[str, list[st
             value = draw(st.sampled_from(pool))
             members.append(f'"{key}": {value}')
     return "{" + ", ".join(members) + "}"
+
+
+# ---------------------------------------------------------------------------
+# The landmark sidecar read one line at a time: the loader's oracle
+# ---------------------------------------------------------------------------
+
+
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_polygon(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{where}: polygon must be a list of [x, y] pairs")
+    if len(raw) == 0:
+        return raw
+    if len(raw) < 3:
+        raise DataFormatError(f"{where}: polygon needs >= 3 vertices, got {len(raw)}")
+    for v in raw:
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_json_int, v))):
+            raise DataFormatError(f"{where}: vertex {v!r} is not an [x, y] integer pair")
+    return raw
+
+
+def _check_bbox(bbox, width: int, height: int, where: str) -> tuple[int, int, int, int]:
+    if not (isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_json_int, bbox))):
+        raise DataFormatError(f"{where}: bbox must be [x, y, w, h] integers, got {bbox!r}")
+    x, y, w, h = bbox
+    if w < 0 or h < 0:
+        raise DataFormatError(f"{where}: bbox has negative extent {bbox}")
+    if x < 0 or y < 0 or x + w > width or y + h > height:
+        raise DataFormatError(f"{where}: bbox {bbox} exceeds frame bounds {width}x{height}")
+    return x, y, w, h
+
+
+def _check_polygon_in_bbox(poly, bbox, where: str) -> None:
+    x, y, w, h = bbox
+    for vx, vy in poly:
+        if not (x <= vx <= x + w and y <= vy <= y + h):
+            raise DataFormatError(f"{where}: vertex ({vx}, {vy}) outside bbox {bbox}")
+
+
+def load_landmarks_by_line(path: Path, frame_count: int, width: int, height: int):
+    """What ingest.load_landmarks returns or raises, from one json.loads and
+    one record check per line: the (frame_count, 4) bboxes in frame order and
+    the (eye, eye, mouth) vertex lists of the frames that have any."""
+    path = Path(path)
+    bboxes: dict[int, tuple[int, int, int, int]] = {}
+    polygons = {}
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: no landmark records")
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
+        try:
+            frame = obj["frame"]
+            raw_bbox = obj["bbox"]
+            raw_eyes = obj["eyes"]
+            raw_mouth = obj["mouth"]
+        except (KeyError, TypeError) as exc:
+            raise DataFormatError(f"{where}: missing field: {exc}") from exc
+        if not _is_json_int(frame):
+            raise DataFormatError(f"{where}: frame must be an integer, got {frame!r}")
+        bbox = _check_bbox(raw_bbox, width, height, where)
+        if not (isinstance(raw_eyes, list) and len(raw_eyes) == 2):
+            raise DataFormatError(f"{where}: eyes must hold exactly two polygons")
+        polys = tuple(_parse_polygon(p, where) for p in (*raw_eyes, raw_mouth))
+        for poly in polys:
+            _check_polygon_in_bbox(poly, bbox, where)
+        if frame in bboxes:
+            raise DataFormatError(f"{where}: duplicate record for frame {frame}")
+        bboxes[frame] = bbox
+        if any(polys):
+            polygons[frame] = polys
+    if sorted(bboxes) != list(range(frame_count)):
+        raise DataFormatError(
+            f"{path}: {len(bboxes)} records do not cover frames 0..{frame_count - 1}"
+        )
+    return np.array([bboxes[i] for i in range(frame_count)], dtype=np.int64), polygons

@@ -20,7 +20,6 @@ from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min_subtract
 from rppg.errors import MissingInputError
 from rppg.ingest import (
-    LandmarkRecord,
     load_frame_sequence,
     read_ppm,
     write_frame_dir,
@@ -337,17 +336,10 @@ def test_geometry_error_exits_5(dataset):
 
 def test_empty_region_exits_6(dataset, tmp_path):
     # mouth polygon swallows the whole bbox, leaving no skin pixels
-    covered = tuple(
-        LandmarkRecord(
-            frame=i,
-            bbox=(0, 0, 24, 24),
-            eye_polygons=((), ()),
-            mouth_polygon=((0, 0), (24, 0), (24, 24), (0, 24)),
-        )
-        for i in range(360)
-    )
+    mouth = [[0, 0], [24, 0], [24, 24], [0, 24]]
+    record = {"bbox": [0, 0, 24, 24], "eyes": [[], []], "mouth": mouth}
     marks = tmp_path / "covered.jsonl"
-    write_landmarks(covered, marks)
+    marks.write_text("".join(json.dumps({"frame": i, **record}) + "\n" for i in range(360)))
     assert main(["estimate", "--frames", dataset["frames"], "--landmarks", str(marks)]) == 6
 
 

@@ -381,7 +381,7 @@ def scene_windows(scene, rows, cols):
     seq, sidecar, _ = render(scene)
     masks = build_mask(sidecar, seq.width, seq.height)
     for sl in plan_windows(seq.duration_s, 10.0, 5.0).frame_slices(seq.fps, seq.count):
-        grid = build_grid(sidecar[sl.start].bbox, rows, cols)
+        grid = build_grid(sidecar[sl.start], rows, cols)
         yield grid_traces_of(seq.frames[sl], masks[sl], grid, seq.fps)
 
 

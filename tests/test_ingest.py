@@ -1,17 +1,17 @@
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rppg import errors
+from rppg import errors, ingest
 from rppg.ingest import (
     RAW_HEADER,
     RAW_MAGIC,
     FrameSequence,
-    LandmarkRecord,
     load_frame_dir,
     load_frame_sequence,
     load_ground_truth,
@@ -27,7 +27,7 @@ from rppg.ingest import (
     write_timeseries_csv,
 )
 
-from helpers import flat_sequence, json_object_text
+from helpers import flat_sequence, json_object_text, load_landmarks_by_line
 
 
 def rand_frames(rng, n=3, h=5, w=7):
@@ -329,19 +329,31 @@ def record_dict(frame, bbox=(1, 1, 6, 4), eyes=([], []), mouth=[]):
 
 
 def test_landmarks_round_trip(tmp_path):
-    sidecar = (
-        LandmarkRecord(
-            frame=0,
-            bbox=(1, 1, 6, 4),
-            eye_polygons=(((2, 2), (3, 2), (3, 3)), ()),
-            mouth_polygon=((2, 3), (4, 3), (4, 4), (2, 4)),
-        ),
-        LandmarkRecord(frame=1, bbox=(1, 1, 6, 4), eye_polygons=((), ()), mouth_polygon=()),
-    )
+    bboxes = np.array([[1, 1, 6, 4], [1, 1, 6, 4], [0, 0, 8, 6]])
     path = tmp_path / "lm.jsonl"
-    write_landmarks(sidecar, path)
-    back = load_landmarks(path, frame_count=2, width=8, height=6)
-    assert back == sidecar
+    write_landmarks(bboxes, path)
+    back, polygons = load_landmarks(path, frame_count=3, width=8, height=6)
+    assert back.dtype == np.int64
+    assert np.array_equal(back, bboxes)
+    assert polygons == {}
+
+
+def test_landmarks_polygon_map_holds_only_frames_with_polygons(tmp_path):
+    eye, mouth = [[2, 2], [3, 2], [3, 3]], [[2, 3], [4, 3], [4, 4], [2, 4]]
+    path = tmp_path / "lm.jsonl"
+    write_jsonl(path, [record_dict(0), record_dict(1, eyes=[eye, []], mouth=mouth), record_dict(2)])
+    bboxes, polygons = load_landmarks(path, frame_count=3, width=8, height=6)
+    assert bboxes.tolist() == [[1, 1, 6, 4]] * 3
+    assert polygons == {1: (eye, [], mouth)}
+
+
+def test_landmarks_in_any_line_order(tmp_path):
+    path = tmp_path / "lm.jsonl"
+    mouth = [[1, 1], [2, 1], [2, 2]]
+    write_jsonl(path, [record_dict(1, bbox=(0, 0, 2, 2)), record_dict(0, mouth=mouth)])
+    bboxes, polygons = load_landmarks(path, frame_count=2, width=8, height=6)
+    assert bboxes.tolist() == [[1, 1, 6, 4], [0, 0, 2, 2]]
+    assert polygons == {0: ([], [], mouth)}
 
 
 def test_landmarks_missing_frame(tmp_path):
@@ -399,9 +411,9 @@ def test_landmarks_short_polygon_is_malformed(tmp_path):
 def test_landmarks_empty_polygon_means_absent(tmp_path):
     path = tmp_path / "lm.jsonl"
     write_jsonl(path, [record_dict(0)])
-    sidecar = load_landmarks(path, frame_count=1, width=8, height=6)
-    assert sidecar[0].eye_polygons == ((), ())
-    assert sidecar[0].mouth_polygon == ()
+    bboxes, polygons = load_landmarks(path, frame_count=1, width=8, height=6)
+    assert bboxes.tolist() == [[1, 1, 6, 4]]
+    assert polygons == {}
 
 
 def test_landmarks_bad_json(tmp_path):
@@ -455,12 +467,121 @@ def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
     path.write_text("\n".join(lines) + "\n")
     try:
-        sidecar = load_landmarks(path, frame_count=2, width=8, height=8)
+        bboxes, _ = load_landmarks(path, frame_count=2, width=8, height=8)
     except errors.ToolkitError as exc:
         assert exc.exit_code == errors.DataFormatError.exit_code
         return
-    assert [r.frame for r in sidecar] == [0, 1]
+    assert bboxes.shape == (2, 4)
     assert all(type(json.loads(line)["frame"]) is int for line in lines)  # only JSON integers load
+
+
+RECORD_0 = '{"frame": 0, "bbox": [0, 0, 8, 8], "eyes": [[], []], "mouth": []}'
+RECORD_1 = (
+    '{"frame": 1, "bbox": [1, 1, 6, 6], "eyes": [[], []], "mouth": [[2, 5], [5, 5], [4, 6]]}'
+)
+INT64_PAST = str(2**63)
+
+# LANDMARK_FIELDS and integers past int64, where a column of them would overflow
+ORACLE_FIELDS = {
+    "frame": ["0", "1", "2", "-1", INT64_PAST],
+    "bbox": [
+        *LANDMARK_FIELDS["bbox"],
+        f"[{INT64_PAST}, 0, 8, 8]",
+        f"[0, 0, {2**63 - 1}, 8]",
+        f"[-{2**63 + 1}, 0, 1, 1]",
+    ],
+    "eyes": [
+        *LANDMARK_FIELDS["eyes"],
+        "[[[2, 2], [4, 2], [3, 3]], [[5, 5], [6, 5], [6, 6]]]",
+        f"[[[2, 2], [{INT64_PAST}, 2], [3, 3]], []]",
+        "[[], [], []]",
+        "[[], {}]",
+    ],
+    "mouth": [
+        *LANDMARK_FIELDS["mouth"],
+        "[[1, 1], [2, 2], [3]]",
+        "[[2, 2], [3, 3], [4, 4, 4]]",
+        "[1, 2, 3]",
+        "{}",
+    ],
+}
+ORACLE_RECORD = json_object_text(ORACLE_FIELDS, LANDMARK_NEAR)
+
+
+# Lines that one parse of the joined sidecar could misread: two records on
+# one line, a bare array or number, values past int64, and whitespace or a
+# byte-order mark around a record.
+ORACLE_LINES = st.one_of(
+    ORACLE_RECORD,
+    st.builds("{} {}".format, ORACLE_RECORD, ORACLE_RECORD),
+    st.builds("{}, {}".format, ORACLE_RECORD, ORACLE_RECORD),
+    st.builds("[{}]".format, ORACLE_RECORD),
+    st.sampled_from(["7", "-1.5", "[]", "[0, 1]", '"x"', "null", INT64_PAST, "[" * 200_000]),
+    st.sampled_from([" " + RECORD_0, RECORD_1 + "\t", "\ufeff" + RECORD_0]),
+    st.text(max_size=12),
+)
+
+
+def landmark_record(frame: int):
+    """The text of a record for an 8x8 frame; its polygons lie outside its
+    bbox only when the bbox is [3, 3, 5, 5]."""
+    return st.builds(
+        '{{"frame": {}, "bbox": {}, "eyes": [{}, []], "mouth": {}}}'.format,
+        st.just(frame),
+        st.sampled_from(["[0, 0, 8, 8]", "[1, 1, 6, 6]", "[2, 2, 4, 4]", "[3, 3, 5, 5]"]),
+        st.sampled_from(["[]", "[[2, 2], [4, 2], [3, 3]]"]),
+        st.sampled_from(["[]", "[[2, 5], [5, 5], [4, 6]]"]),
+    )
+
+
+@st.composite
+def sidecar_lines(draw):
+    """The two records of a 2-frame sidecar in either order, then up to three
+    edits: a line replaced by or preceded with one of ORACLE_LINES, a line
+    split in two, or two lines joined into one."""
+    lines = draw(st.permutations([draw(landmark_record(0)), draw(landmark_record(1))]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "split", "join"]))
+        if edit == "replace":
+            lines[i] = draw(ORACLE_LINES)
+        elif edit == "insert":
+            lines.insert(i, draw(ORACLE_LINES))
+        elif edit == "split":
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+        elif i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + draw(st.sampled_from(["", " ", ", "])) + lines[i + 1]]
+    return lines
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(lines=sidecar_lines(), block=st.sampled_from([1, 2, ingest.LANDMARK_BLOCK]))
+# splits and merges that keep the count: one joined parse reads two good records
+@example(lines=[RECORD_0[:-1] + ', "x": [1', '2]}, ' + RECORD_1], block=ingest.LANDMARK_BLOCK)
+@example(lines=[RECORD_0 + " " + RECORD_1], block=ingest.LANDMARK_BLOCK)
+@example(lines=[RECORD_1, RECORD_0.replace("[0, 0, 8, 8]", f"[0, 0, {INT64_PAST}, 8]")], block=1)
+@example(lines=[RECORD_0, RECORD_1.replace('"frame": 1', f'"frame": {INT64_PAST}')], block=1)
+@example(lines=[RECORD_0.replace('"frame": 0', '"frame": false'), RECORD_1], block=2)
+@example(lines=[RECORD_0, RECORD_0, RECORD_1.replace("6]]", "9]]")], block=2)
+@example(lines=[RECORD_1, "[" * 200_000], block=1)
+@example(lines=[RECORD_1, " " + RECORD_0 + "\t"], block=1)
+def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block):
+    # blocks of 1 and 2 lines check one sidecar in several columns
+    path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(ingest, "LANDMARK_BLOCK", block):
+        try:
+            want_bboxes, want_polygons = load_landmarks_by_line(path, 2, 8, 8)
+        except errors.DataFormatError as exc:
+            with pytest.raises(errors.DataFormatError) as got:
+                load_landmarks(path, frame_count=2, width=8, height=8)
+            assert str(got.value) == str(exc)
+            return
+        bboxes, polygons = load_landmarks(path, frame_count=2, width=8, height=8)
+    assert bboxes.dtype == want_bboxes.dtype
+    assert np.array_equal(bboxes, want_bboxes)
+    assert polygons == want_polygons
 
 
 # ---------------------------------------------------------------------------
@@ -469,28 +590,20 @@ def test_landmarks_parse_or_exit_4(tmp_path_factory, lines):
 
 
 def test_smooth_bboxes_fixed_point():
-    seq = flat_sequence(n=5, h=10, w=10)
-    sidecar = tuple(
-        LandmarkRecord(frame=i, bbox=(2, 3, 5, 4), eye_polygons=((), ()), mouth_polygon=())
-        for i in range(5)
-    )
-    out = smooth_bboxes(sidecar, alpha=0.9)
-    assert all(r.bbox == (2, 3, 5, 4) for r in out)
-    assert seq.count == len(out)
+    bboxes = np.tile([2, 3, 5, 4], (5, 1))
+    out = smooth_bboxes(bboxes, alpha=0.9)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, bboxes)
 
 
 def test_smooth_bboxes_matches_scalar_recursion():
     rng = np.random.default_rng(7)
     boxes = rng.integers(0, 20, size=(40, 4))
-    sidecar = tuple(
-        LandmarkRecord(frame=i, bbox=tuple(int(v) for v in b), eye_polygons=((), ()), mouth_polygon=())
-        for i, b in enumerate(boxes)
-    )
-    out = smooth_bboxes(sidecar, alpha=0.6)
+    out = smooth_bboxes(boxes, alpha=0.6)
     state = boxes[0].astype(float)
-    for rec, b in zip(out, boxes):
+    for got, b in zip(out, boxes):
         state = 0.6 * state + 0.4 * b
-        assert rec.bbox == tuple(int(round(v)) for v in state)
+        assert tuple(got) == tuple(int(round(v)) for v in state)
 
 
 # ---------------------------------------------------------------------------

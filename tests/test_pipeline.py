@@ -164,13 +164,13 @@ def test_each_frame_is_read_once_a_chunk_at_a_time(method):
 
 def test_every_grid_is_built_before_any_frame_is_read():
     seq, sidecar, _ = render(make_scene(duration_s=20.0))
-    records = list(sidecar)
-    records[300] = dataclasses.replace(records[300], bbox=(0, 0, 3, 3))  # third window
+    bboxes = sidecar.copy()
+    bboxes[300] = (0, 0, 3, 3)  # third window
     reads = []
     with pytest.raises(GeometryError, match="cannot host a"):
         run_pipeline(
             logged_reads(seq, reads),
-            tuple(records),
+            bboxes,
             RunConfig(method="snr", grid_rows=4, grid_cols=4),
         )
     assert reads == []

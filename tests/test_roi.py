@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.errors import GeometryError
-from rppg.ingest import LandmarkRecord
-from rppg.roi import bbox_mask, build_grid, build_mask, rasterize_polygon
+from rppg.roi import FILL_ROWS, bbox_mask, build_grid, build_mask, rasterize_polygon
 
 from helpers import flat_sequence, label_map
 
@@ -74,14 +73,9 @@ def test_bbox_mask():
 
 def test_build_mask_subtracts_polygons():
     seq = flat_sequence(n=2, h=10, w=10)
-    rec = LandmarkRecord(
-        frame=0,
-        bbox=(1, 1, 8, 8),
-        eye_polygons=(((2, 2), (4, 2), (4, 4), (2, 4)), ()),
-        mouth_polygon=((5, 5), (8, 5), (8, 8), (5, 8)),
-    )
-    rec2 = LandmarkRecord(frame=1, bbox=(1, 1, 8, 8), eye_polygons=((), ()), mouth_polygon=())
-    masks = build_mask((rec, rec2), seq.width, seq.height)
+    bboxes = np.array([[1, 1, 8, 8], [1, 1, 8, 8]])
+    polygons = {0: ([[2, 2], [4, 2], [4, 4], [2, 4]], [], [[5, 5], [8, 5], [8, 8], [5, 8]])}
+    masks = build_mask(bboxes, seq.width, seq.height, polygons)
     assert masks.shape == (2, 10, 10)
     # cutouts removed on frame 0 only
     assert not masks[0][3, 3]
@@ -91,6 +85,31 @@ def test_build_mask_subtracts_polygons():
     assert not masks[:, 0, :].any()
     # mask monotonicity: frame-0 mask is a subset of the bare bbox mask
     assert np.array_equal(masks[0] & masks[1], masks[0])
+
+
+@pytest.mark.parametrize(
+    "n, height, width", [(17, 96, 96), (160, 32, 32), (6, FILL_ROWS, 20), (6, FILL_ROWS + 1, 20)]
+)
+def test_build_mask_equals_a_per_frame_fill(n, height, width):
+    # bboxes filled in one broadcast (small frames) or frame by frame (tall
+    # ones): either way each frame's bbox less its polygons, frames offset by first
+    rng = np.random.default_rng(height)
+    xy = rng.integers(0, [width, height], size=(n, 2), endpoint=True)
+    bboxes = np.concatenate([xy, rng.integers(0, [width, height] - xy, endpoint=True)], axis=1)
+    first = 7
+    polygons = {}
+    for j in rng.choice(n, size=n // 2, replace=False):
+        x, y, w, h = bboxes[j]
+        eye, mouth = rng.integers([x, y], [x + w, y + h], size=(2, 3, 2), endpoint=True).tolist()
+        polygons[first + int(j)] = (eye, [], mouth)
+    masks = build_mask(bboxes, width, height, polygons, first)
+    assert masks.shape == (n, height, width) and masks.dtype == bool
+    for j, (x, y, w, h) in enumerate(bboxes):
+        expect = np.zeros((height, width), dtype=bool)
+        expect[y : y + h, x : x + w] = True
+        for poly in polygons.get(first + j, ()):
+            expect &= ~rasterize_polygon(poly, width, height)
+        assert np.array_equal(masks[j], expect)
 
 
 def test_build_grid_partitions_bbox():

@@ -79,11 +79,8 @@ def test_render_shapes_and_sidecar():
     assert seq.frames.shape == (240, 16, 16, 3)
     assert seq.frames.dtype == np.uint8
     assert seq.fps == 24.0
-    assert len(sidecar) == 240
-    for rec in sidecar:
-        assert rec.bbox == (0, 0, 16, 16)
-        assert rec.eye_polygons == ((), ())
-        assert rec.mouth_polygon == ()
+    assert sidecar.shape == (240, 4) and sidecar.dtype == np.int64
+    assert (sidecar == [0, 0, 16, 16]).all()
     assert np.all(gt.hr_bpm == 72.0)
     assert gt.hr_time_s[0] == 0.0 and gt.hr_time_s[-1] == 9.0
     assert gt.ppg_time_s.size == 240
@@ -169,9 +166,8 @@ def test_saturated_patch_loses_relative_modulation():
 def test_motion_jitters_bbox_within_frame():
     scene = quiet_scene(motion_px=3, duration_s=10.0)
     _, sidecar, _ = render(scene)
-    xs = np.array([r.bbox[0] for r in sidecar])
-    ys = np.array([r.bbox[1] for r in sidecar])
-    assert all(r.bbox[2] == 10 and r.bbox[3] == 10 for r in sidecar)
+    xs, ys = sidecar[:, 0], sidecar[:, 1]
+    assert (sidecar[:, 2:] == 10).all()
     assert xs.min() >= 0 and xs.max() <= 6
     assert ys.min() >= 0 and ys.max() <= 6
     assert xs.std() > 0  # jitter actually happens
@@ -252,8 +248,9 @@ def test_dataset_round_trip(tmp_path, layout):
     assert loaded.fps == scene.fps
     assert np.array_equal(loaded.frames[:], seq.frames)
 
-    again = load_landmarks(paths["landmarks"], scene.n_frames, 16, 16)
-    assert [r.bbox for r in again] == [r.bbox for r in sidecar]
+    again, polygons = load_landmarks(paths["landmarks"], scene.n_frames, 16, 16)
+    assert np.array_equal(again, sidecar)
+    assert polygons == {}
 
     t, hr = read_timeseries_csv(paths["hr"])
     assert np.all(hr == 72.0)
