@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from rppg.biophysics import SkinParams
-from rppg.config import RunConfig
+from rppg.config import DIFFUSE_ESTIMATORS, METHODS, RunConfig
 from rppg.pipeline import run_pipeline
 from rppg.synth import SpecularPatch, SynthScene, render
 
@@ -29,13 +29,13 @@ from rppg.synth import SpecularPatch, SynthScene, render
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--f-mel", type=float, nargs="+", default=(0.10, 0.25, 0.40))
-    ap.add_argument("--methods", nargs="+", default=("aggregate", "snr", "proposed"))
+    ap.add_argument("--methods", nargs="+", default=METHODS, choices=METHODS)
     ap.add_argument("--seeds", type=int, default=20, help="scenes per melanin level")
     ap.add_argument("--duration-s", type=float, default=30.0)
     ap.add_argument("--exposure", type=float, default=1.1)
     ap.add_argument("--grid", type=int, default=2, help="grid rows and cols")
     ap.add_argument("--diffuse-estimator", default="min_subtract",
-                    choices=("bilateral", "min_subtract"))
+                    choices=DIFFUSE_ESTIMATORS)
     ap.add_argument("--hr-seed", type=int, default=2024,
                     help="seed for the per-scene heart-rate draw")
     ap.add_argument("--out", type=Path, default=None, help="also write a CSV")

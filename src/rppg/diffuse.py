@@ -22,16 +22,17 @@ for large batch runs where only the *weighting* behaviour matters, not the
 reconstruction quality. The bilateral iteration stops per frame once no
 pixel moves by CONVERGENCE_TOL, or after MAX_ITERATIONS passes.
 
-The bilateral runs in chunks of as many frames as fit CHUNK_PLANE_BYTES per
-padded float32 plane: each frame gets r = WINDOW_PX // 2 pad rows and
-columns, and a chunk's blocks lie end to end after one block of pad, so
-offset (dy, dx) is the flat shift dy * (w + r) + dx and each weight and sum
-of an offset is one contiguous slice. Neighbours outside the frame read the
-pad, whose guide PAD_GUIDE makes their range weight exactly 0. The weights
-are computed once per chunk (61 rows for 121 offsets: an offset and its
-mirror share one) and compacted to the frames still iterating. Results do
-not depend on the chunk size and are bit-identical to recomputing the
-weights every pass over unpadded frames.
+The bilateral runs in diffuse chunks (frame_chunks, the one chunk rule):
+as many frames as fit CHUNK_PLANE_BYTES per padded float32 plane. Each
+frame gets r = WINDOW_PX // 2 pad rows and columns, and a chunk's blocks
+lie end to end after one block of pad, so offset (dy, dx) is the flat
+shift dy * (w + r) + dx and each weight and sum of an offset is one
+contiguous slice. Neighbours outside the frame read the pad, whose guide
+PAD_GUIDE makes their range weight exactly 0. The weights are computed
+once per chunk (61 rows for 121 offsets: an offset and its mirror share
+one) and compacted to the frames still iterating. Results do not depend on
+the chunk size and are bit-identical to recomputing the weights every pass
+over unpadded frames.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ CHUNK_PLANE_BYTES = 160 * 1024
 PAD_GUIDE = 2.0
 
 
-def frame_chunks(
-    n_frames: int, height: int, width: int, plane_bytes: int = CHUNK_PLANE_BYTES
-) -> list[slice]:
-    """Slices over n_frames frames, each holding at most plane_bytes of
-    float32 (h, w) planes and at least one frame."""
-    step = max(1, plane_bytes // (4 * height * width))
+def frame_chunks(n_frames: int, height: int, width: int, per: int = 1) -> list[slice]:
+    """Slices of per whole diffuse chunks over n_frames (h, w) frames, the
+    last maybe short. A diffuse chunk is as many frames, at least one, as fit
+    CHUNK_PLANE_BYTES per padded float32 plane, (h + r) x (w + r)."""
+    pad = WINDOW_PX // 2
+    step = per * max(1, CHUNK_PLANE_BYTES // (4 * (height + pad) * (width + pad)))
     return [slice(start, start + step) for start in range(0, n_frames, step)]
 
 
@@ -176,14 +177,13 @@ def _reconstruct_diffuse(frames, lam) -> np.ndarray:
 def estimate_diffuse_stack(frames: np.ndarray) -> np.ndarray:
     """Diffuse component of a uint8 frame stack (t, h, w, 3), as float32.
 
-    Frames are processed in byte-sized chunks (see frame_chunks); the
+    Frames are processed in diffuse chunks (see frame_chunks); the
     chromaticity smoothing iterates per frame until the max per-pixel change
     drops below CONVERGENCE_TOL or MAX_ITERATIONS passes have run.
     """
     frames = np.asarray(frames)
     out = np.empty(frames.shape, dtype=np.float32)
-    n, h, w = frames.shape[:3]
-    chunks = frame_chunks(n, h + WINDOW_PX // 2, w + WINDOW_PX // 2, CHUNK_PLANE_BYTES)
+    chunks = frame_chunks(*frames.shape[:3])
     # Until the last loop, the output's channels hold each frame's sigma_max,
     # Lambda and guide, so no chunk's planes are alive next to _smooth's.
     smax, lam, smin = (out[..., c] for c in range(3))

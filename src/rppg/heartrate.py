@@ -287,6 +287,11 @@ def select_hr(
             f"does not span the {band[0]}-{band[1]} Hz analysis band"
         )
     in_band = (f >= band[0]) & (f <= band[1])
+    if not in_band.any():
+        raise UsageError(
+            f"the {band[0]}-{band[1]} Hz analysis band holds no spectral bin "
+            f"(bins are {f[1] - f[0]:.4f} Hz apart)"
+        )
     peak_floor = power[in_band].max()
     if peak_floor <= 0.0:
         raise SignalError("no in-band power")

@@ -415,7 +415,7 @@ def load_landmarks(
             for i in range(0, len(lines), LANDMARK_BLOCK)
         ]
         frames = [f for block in blocks for f in block[0]]
-        _require(sorted(frames) == list(range(frame_count)))
+        _require(len(frames) == frame_count and sorted(frames) == list(range(frame_count)))
         bboxes = np.concatenate([block[1] for block in blocks])
         return bboxes[np.argsort(frames)], {k: v for block in blocks for k, v in block[2].items()}
     except (DataFormatError, ValueError, KeyError, TypeError, OverflowError, RecursionError):

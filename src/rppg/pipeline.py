@@ -7,13 +7,13 @@ re-anchor the cell grid to the face bbox at the start of every window so
 slow drift does not smear cells across face regions; every window's grid
 is built before any frame is read.
 
-The recording is read once, in chunks of PASS_PLANE_BYTES per float32 plane
-(diffuse.frame_chunks). For each chunk the pass builds the skin masks from
-its bbox rows and polygons, and for proposed separates the diffuse frames
-and takes their luminance. Each diffuse-sized sub-chunk is laid out once
-by masked_planes (RGB, luminance, mask), and pool_planes pools it into the
-cells of every window that overlaps it; windows with the same edges, such
-as aggregate's one cell spanning the frame, share one pooling. A window is
+The recording is read once, PASS_CHUNKS diffuse chunks (frame_chunks) at
+a time. For each such chunk the pass builds the skin masks from its bbox
+rows and polygons, and for proposed separates the diffuse frames and takes
+their luminance. Each diffuse chunk is laid out once by masked_planes
+(RGB, luminance, mask), and pool_planes pools it into the cells of every
+window that overlaps it; windows with the same edges, such as aggregate's
+one cell spanning the frame, share one pooling. A window is
 finished (traces, weights, combination) as soon as its last frame is read,
 and its sums are dropped, so peak memory is one chunk plus the per-frame
 cell sums of the open windows, whatever the length of the recording.
@@ -48,7 +48,6 @@ from .combine import (
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
 from .diffuse import (
-    CHUNK_PLANE_BYTES,
     diffuse_luminance,
     estimate_diffuse_stack,
     frame_chunks,
@@ -61,11 +60,11 @@ from .roi import build_grid, build_mask
 from .signals import PulseWaveform
 
 
-# Bytes per float32 (h, w) plane in one chunk of the pass: 4 of the pooling
-# sub-chunks (17 frames at 96x96, 160 at 32x32), so reading and masking
-# take enough frames per call to amortise their per-call work, while the
-# diffuse stage and the pooling split each chunk into cache-sized ones.
-PASS_PLANE_BYTES = 4 * CHUNK_PLANE_BYTES
+# Diffuse chunks in one chunk of the pass (16 frames at 96x96, 116 at
+# 32x32), so reading and masking take enough frames per call to amortise
+# their per-call work, while the bilateral and the pooling take the chunk's
+# cache-sized diffuse chunks, the same slices, one at a time.
+PASS_CHUNKS = 4
 # Windows per chrom_rows and periodogram call: the rows, waveforms and
 # spectra alive at the end of a window are one block's, so this stage too is
 # bounded by the window length, not the recording's.
@@ -98,7 +97,7 @@ def _window_sums(
     keys = [(tuple(y), tuple(x)) for y, x in grids]
     parts: list[list | None] = [[] for _ in slices]
     done = 0
-    for chunk in frame_chunks(seq.count, height, width, PASS_PLANE_BYTES):
+    for chunk in frame_chunks(seq.count, height, width, PASS_CHUNKS):
         frames = seq.frames[chunk]
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
         values = (frames,)

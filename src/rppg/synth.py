@@ -49,6 +49,9 @@ SECOND_HARMONIC_FRACTION = 0.25
 # largest scene takes about 2 minutes and 1.3 GB (a 10 s 1280x720 scene at
 # 30 fps fits). It also keeps the raw header's uint32 millihertz fps in range.
 MAX_SCENE_BYTES = 2**30
+# Frames per block of _base_intensities, whose (block, wavelengths) float64
+# reflectance and integrand would be 2.4 KB a frame for the whole scene.
+BASE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,16 @@ def blood_fraction_series(scene: SynthScene) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _base_intensities(scene: SynthScene, ctx: SpectralContext, fb: np.ndarray) -> np.ndarray:
-    """Clean per-frame RGB levels (n, 3) before texture, specular, noise."""
-    lam = ctx.wavelengths_nm
-    refl = reflectance_over_blood(scene.skin, lam, fb)
+    """Clean per-frame RGB levels (n, 3) before texture, specular, noise,
+    BASE_BLOCK frames at a time: each frame's row is its own."""
+    lam, scale = ctx.wavelengths_nm, 255.0 * scene.exposure
     out = np.empty((fb.size, 3))
-    for c, name in enumerate("rgb"):
-        w = ctx.illuminant * ctx.channel(name)
-        out[:, c] = 255.0 * scene.exposure * np.trapezoid(w * refl, lam) / np.trapezoid(w, lam)
+    for start in range(0, fb.size, BASE_BLOCK):
+        block = slice(start, start + BASE_BLOCK)
+        refl = reflectance_over_blood(scene.skin, lam, fb[block])
+        for c, name in enumerate("rgb"):
+            w = ctx.illuminant * ctx.channel(name)
+            out[block, c] = scale * np.trapezoid(w * refl, lam) / np.trapezoid(w, lam)
     return out
 
 

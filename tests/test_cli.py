@@ -27,7 +27,7 @@ from rppg.ingest import (
     write_raw_stream,
     write_timeseries_csv,
 )
-from rppg.pipeline import PASS_PLANE_BYTES
+from rppg.pipeline import PASS_CHUNKS
 from rppg.synth import SpecularPatch, SynthScene, write_scene_dataset
 
 from helpers import full_sidecar, pulsed_sequence
@@ -142,7 +142,7 @@ def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
     assert len(good) == 360
     # a frame of the pass's second chunk goes missing: found when that chunk
     # is read, after the first chunk's diffuse frames were written
-    first = frame_chunks(360, 24, 24, PASS_PLANE_BYTES)[0]
+    first = frame_chunks(360, 24, 24, PASS_CHUNKS)[0]
     assert first.stop < 300 < 359
     (paths["frames"] / "frame_000300.ppm").unlink()
     assert estimate(tmp_path / "fresh") == 3
@@ -314,9 +314,14 @@ def test_frame_dir_manifest_count_past_the_files_exits_3_before_allocating(datas
     assert peak < 16 << 20 < count * 96 * 96 * 3  # the manifest claims ~25 TiB
 
 
-def test_usage_errors_exit_2(dataset, tmp_path):
+def test_usage_errors_exit_2(dataset, tmp_path, capsys):
     assert main(run_estimate(dataset, "--notch-hz", "abc")) == 2
     assert main(run_estimate(dataset, "--method", "snr", "--snr-halfwidth-hz", "nan")) == 2
+    # bins of a 10 s window at 30 fps lie 0.0073 Hz apart: none is in the band
+    for method in ("aggregate", "snr", "proposed"):
+        band = ("--passband-lo-hz", "1.0", "--passband-hi-hz", "1.0001")
+        assert main(run_estimate(dataset, "--method", method, *band)) == 2
+        assert "1.0-1.0001 Hz analysis band holds no spectral bin" in capsys.readouterr().err
     ini = tmp_path / "bad.ini"
     ini.write_text("[pipeline]\nwindowing = 1\n")
     assert main(run_estimate(dataset, "--config", str(ini))) == 2

@@ -229,9 +229,13 @@ def test_frame_chunks_cover_frames_in_order():
     chunks = frame_chunks(10, 200, 300)  # one frame's plane exceeds the budget
     assert chunks == [slice(i, i + 1) for i in range(10)]
     per_chunk = frame_chunks(1, 8, 8)[0].stop
-    assert per_chunk * 8 * 8 * 4 <= diffuse.CHUNK_PLANE_BYTES
-    covered = np.concatenate([np.arange(100)[sl] for sl in frame_chunks(100, 8, 8)])
-    assert np.array_equal(covered, np.arange(100))
+    plane = 4 * (8 + diffuse.WINDOW_PX // 2) ** 2  # padded float32 plane
+    assert per_chunk * plane <= diffuse.CHUNK_PLANE_BYTES < (per_chunk + 1) * plane
+    for per in (1, 3):
+        chunks = frame_chunks(1000, 8, 8, per)
+        assert all(sl.stop - sl.start == per * per_chunk for sl in chunks)
+        covered = np.concatenate([np.arange(1000)[sl] for sl in chunks])
+        assert np.array_equal(covered, np.arange(1000))
 
 
 def test_stack_rejects_bad_shape():

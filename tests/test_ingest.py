@@ -361,6 +361,9 @@ def test_landmarks_missing_frame(tmp_path):
     write_jsonl(path, [record_dict(0), record_dict(2)])
     with pytest.raises(errors.DataFormatError, match="do not cover frames"):
         load_landmarks(path, frame_count=3, width=8, height=6)
+    # the record count is compared first: no range of 10**12 frames is built
+    with pytest.raises(errors.DataFormatError, match=r"2 records do not cover frames 0\.\.999999999999"):
+        load_landmarks(path, frame_count=10**12, width=8, height=6)
 
 
 def test_landmarks_duplicate_frame(tmp_path):

@@ -14,7 +14,7 @@ from rppg.diffuse import (
     frame_chunks,
     specular_free_min_subtract,
 )
-from rppg import pipeline
+from rppg import diffuse, pipeline
 from rppg.chrom import chrom_rows
 from rppg.errors import GeometryError, SignalError, UsageError
 from rppg.ingest import FrameReader, FrameSequence
@@ -155,8 +155,8 @@ def test_each_frame_is_read_once_a_chunk_at_a_time(method):
     cfg = RunConfig(method=method, grid_rows=2, grid_cols=2, diffuse_estimator="min_subtract")
     reads = []
     result = run_pipeline(logged_reads(seq, reads), sidecar, cfg)
-    chunks = frame_chunks(seq.count, 48, 48, pipeline.PASS_PLANE_BYTES)
-    assert len(chunks) == 9
+    chunks = frame_chunks(seq.count, 48, 48, pipeline.PASS_CHUNKS)
+    assert len(chunks) == 11
     # the frames after the last window (20 s of 20.3 s) are read too
     assert reads == [(sl.start, min(sl.stop, seq.count)) for sl in chunks]
     assert result.report == run_pipeline(seq, sidecar, cfg).report
@@ -271,13 +271,11 @@ def test_chunked_luminance_matches_whole_stack(estimator, separate):
     # The pass makes the diffuse frames chunk by chunk; they, and each
     # window's diffuse weights, equal those of the whole stack.
     h, w = 32, 40
-    pass_chunks = functools.partial(
-        frame_chunks, height=h, width=w, plane_bytes=pipeline.PASS_PLANE_BYTES
-    )
+    pass_chunks = functools.partial(frame_chunks, height=h, width=w, per=pipeline.PASS_CHUNKS)
     n = 2 * pass_chunks(1)[0].stop + 5
     seq = FrameSequence(frames=mixed_frames(n, h, w, seed=4), fps=30.0)
     cfg = RunConfig(
-        method="proposed", window_s=4.0, hop_s=3.0, grid_rows=2, grid_cols=3,
+        method="proposed", window_s=4.0, hop_s=2.0, grid_rows=2, grid_cols=3,
         diffuse_estimator=estimator,
     )
     chunks = []
@@ -288,11 +286,35 @@ def test_chunked_luminance_matches_whole_stack(estimator, separate):
     assert np.array_equal(np.concatenate(chunks), whole)
     grid = build_grid((0, 0, w, h), 2, 3)
     masks = np.ones((n, h, w), dtype=bool)
-    slices = pipeline.plan_windows(seq.duration_s, 4.0, 3.0).frame_slices(seq.fps, n)
+    slices = pipeline.plan_windows(seq.duration_s, 4.0, 2.0).frame_slices(seq.fps, n)
     assert len(slices) == len(result.window_weights) == 2
     for sl, entry in zip(slices, result.window_weights):
         expect = diffuse_weights_of(diffuse_luminance(whole[sl]), grid, masks[sl])
         assert entry["diffuse"] == expect.tolist()
+
+
+@pytest.mark.parametrize("h, w", [(96, 96), (32, 32), (24, 24), (40, 72)])
+def test_the_pass_separates_whole_diffuse_chunks(monkeypatch, h, w):
+    # Each call the pass makes to the bilateral is PASS_CHUNKS whole diffuse
+    # chunks, as many frames as fit CHUNK_PLANE_BYTES per padded float32
+    # plane, so the bilateral's chunks are the pooling's; only the call that
+    # holds the recording's last frame may end short.
+    calls = []
+
+    def separate(frames):
+        calls.append(len(frames))
+        return specular_free_min_subtract(frames)
+
+    monkeypatch.setattr(pipeline, "estimate_diffuse_stack", separate)
+    radius = diffuse.WINDOW_PX // 2
+    per = max(1, CHUNK_PLANE_BYTES // (4 * (h + radius) * (w + radius)))
+    n = max(3 * pipeline.PASS_CHUNKS * per, 120) + 5
+    seq = pulsed_sequence(n=n, h=h, w=w)
+    cfg = RunConfig(method="proposed", window_s=4.0, hop_s=3.0, grid_rows=2, grid_cols=2)
+    run_pipeline(seq, full_sidecar(seq), cfg)
+    assert sum(calls) == n
+    assert len(calls) > 2
+    assert [k % per for k in calls[:-1]] == [0] * (len(calls) - 1), (per, calls)
 
 
 def working_memory(seq, cfg):
@@ -318,7 +340,7 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
     # to five passes and stop at different ones, so each chunk's weight
     # table is compacted while it is alive. The pass's temporaries and that
     # table bound the peak of the whole run, for 64 frames or about ten pass
-    # chunks (640 frames at 48x48, 170 at 96x96; one holds all 640 at 16x16).
+    # chunks (640 frames at 48x48, 170 at 96x96; two hold all 640 at 16x16).
     uniform = pulsed_sequence(n=long, h=size, w=size).frames
     noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
     cfg = RunConfig(method="proposed", window_s=2.0, hop_s=1.0, grid_rows=4, grid_cols=4)
@@ -327,7 +349,7 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
         for frames in (uniform, noise)
         for n in (64, long)
     ]
-    # measured 78-81 planes: the pass chunk's frames, masks and diffuse
+    # measured 73-80 planes: the pass chunk's frames, masks and diffuse
     # frames, and one diffuse chunk's bilateral table and temporaries
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 

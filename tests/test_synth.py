@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rppg.biophysics import CameraNoiseParams, SkinParams
+from rppg import synth
+from rppg.biophysics import CameraNoiseParams, SkinParams, SpectralContext
 from rppg.config import RunConfig
 from rppg.errors import InvalidSceneError
 from rppg.ingest import load_frame_sequence, load_landmarks, read_timeseries_csv
@@ -114,6 +117,24 @@ def test_two_harmonic_pulse_shape():
     spec = np.abs(np.fft.rfft(fb - fb.mean()))
     f0_bin = int(round(1.2 * fb.size / 25.0))
     assert spec[2 * f0_bin] == pytest.approx(0.25 * spec[f0_bin], rel=1e-9)
+
+
+def test_base_intensities_are_made_a_block_of_frames_at_a_time(monkeypatch):
+    # a frame's levels are its own, so blocks give the bytes of one frame at
+    # a time, and a 600 s scene never holds its (n, 61) spectra whole
+    scene = quiet_scene(width=8, height=8, duration_s=600.0)
+    ctx = SpectralContext.default()
+    _, fb = blood_fraction_series(scene)
+    synth._base_intensities(scene, ctx, fb[:1])  # fills the caches
+    tracemalloc.start()
+    try:
+        levels = synth._base_intensities(scene, ctx, fb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20 < fb.size * ctx.wavelengths_nm.size * 8
+    monkeypatch.setattr(synth, "BASE_BLOCK", 1)
+    assert np.array_equal(synth._base_intensities(scene, ctx, fb[:600]), levels[:600])
 
 
 def test_melanin_darkens_and_flattens_the_pulse():
