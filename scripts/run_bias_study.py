@@ -22,6 +22,7 @@ import numpy as np
 
 from rppg.biophysics import SkinParams
 from rppg.config import DIFFUSE_ESTIMATORS, METHODS, RunConfig
+from rppg.errors import ToolkitError
 from rppg.pipeline import run_pipeline
 from rppg.synth import SpecularPatch, SynthScene, render
 
@@ -39,7 +40,34 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--hr-seed", type=int, default=2024,
                     help="seed for the per-scene heart-rate draw")
     ap.add_argument("--out", type=Path, default=None, help="also write a CSV")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    # every setting is checked here, before the first scene is rendered
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
+    if args.hr_seed < 0:
+        ap.error("--hr-seed must be non-negative")
+    try:
+        args.configs = {
+            m: RunConfig(method=m, grid_rows=args.grid, grid_cols=args.grid,
+                         diffuse_estimator=args.diffuse_estimator)
+            for m in args.methods
+        }
+        for f_mel in args.f_mel:
+            scene(args, f_mel, 0, 60.0)
+    except ToolkitError as exc:
+        ap.error(str(exc))
+    return args
+
+
+def scene(args: argparse.Namespace, f_mel: float, seed: int, hr: float) -> SynthScene:
+    return SynthScene(
+        width=24, height=24, fps=30.0, duration_s=args.duration_s,
+        hr_bpm=hr,
+        skin=SkinParams(f_mel=f_mel, f_blood=0.05, f_hg=0.45,
+                        delta_f_blood=0.004),
+        specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
+        exposure=args.exposure, seed=seed,
+    )
 
 
 def study(args: argparse.Namespace) -> dict[str, dict[float, float]]:
@@ -49,20 +77,9 @@ def study(args: argparse.Namespace) -> dict[str, dict[float, float]]:
         errs = {m: [] for m in args.methods}
         for seed in range(args.seeds):
             hr = float(hrs[seed])
-            scene = SynthScene(
-                width=24, height=24, fps=30.0, duration_s=args.duration_s,
-                hr_bpm=hr,
-                skin=SkinParams(f_mel=f_mel, f_blood=0.05, f_hg=0.45,
-                                delta_f_blood=0.004),
-                specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
-                exposure=args.exposure, seed=seed,
-            )
-            seq, sidecar, _ = render(scene)
+            seq, sidecar, _ = render(scene(args, f_mel, seed, hr))
             for method in args.methods:
-                cfg = RunConfig(method=method, grid_rows=args.grid,
-                                grid_cols=args.grid,
-                                diffuse_estimator=args.diffuse_estimator)
-                bpm = run_pipeline(seq, sidecar, cfg).report["video_bpm"]
+                bpm = run_pipeline(seq, sidecar, args.configs[method]).report["video_bpm"]
                 errs[method].append(abs(bpm - hr))
         for method in args.methods:
             mae[method][f_mel] = float(np.mean(errs[method]))

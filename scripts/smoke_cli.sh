@@ -3,7 +3,8 @@
 # then the exit codes of malformed inputs (4: a CSV row, a sidecar line that
 # holds two records, a sidecar one record short), of a path that cannot be
 # opened, as an input (3) or as an output (2), of diffuse frames dumped over
-# the recording they come from (2) and of a scene too big to render (9).
+# the recording they come from (2), of a noise model past float64 (2) and of
+# a scene too big to render (9).
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -38,6 +39,12 @@ rc=0
 rppg biophys --table melanin --points 3 --illuminant "$smoke/bad-illuminant.csv" || rc=$?
 test "$rc" -eq 4
 rppg biophys --table pixel-snr --out "$smoke/pixel-snr.csv"
+# a step that does not divide 300 nm: the grid stops at 694 nm
+rppg biophys --table melanin --points 3 --step-nm 7
+# a noise model whose full-scale variance overflows float64: exit 2
+rc=0
+rppg biophys --table pixel-snr --gain 1e-160 || rc=$?
+test "$rc" -eq 2
 # a sidecar whose line 2 of 3 holds two records: exit 4, naming the line
 mkdir -p "$smoke/two-on-a-line"
 {

@@ -40,7 +40,7 @@ optics summary. Tables cover 400-700 nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +141,9 @@ _SENSITIVITY_SIGMA_NM = 35.0
 
 
 def _default_grid(step_nm: float) -> np.ndarray:
-    n = int(round((WAVELENGTH_MAX_NM - WAVELENGTH_MIN_NM) / step_nm))
+    # the most steps that stay inside 400-700 nm; 1e-9 absorbs the rounding
+    # of a step that divides 300 nm, such as 0.3 or 0.01
+    n = math.floor((WAVELENGTH_MAX_NM - WAVELENGTH_MIN_NM) / step_nm + 1e-9)
     return WAVELENGTH_MIN_NM + step_nm * np.arange(n + 1)
 
 
@@ -325,6 +327,16 @@ class CameraNoiseParams:
             raise UsageError(f"gain must lie in (0, {MAX_GAIN:.6g}], got {self.gain}")
         if self.sigma_read < 0 or self.sigma_quant < 0:
             raise UsageError("noise sigmas must be non-negative")
+        # a pixel's variance grows with its level: full scale bounds them all
+        with np.errstate(over="ignore"):
+            var = 255.0 / np.float64(self.gain) + (np.float64(self.sigma_read) / self.gain) ** 2
+            var += np.float64(self.sigma_quant) ** 2
+        if not np.isfinite(var):
+            raise UsageError(
+                "the noise variance of a full-scale pixel, 255/gain + (sigma_read/gain)^2 + "
+                f"sigma_quant^2, overflows float64: gain {self.gain}, "
+                f"sigma_read {self.sigma_read}, sigma_quant {self.sigma_quant}"
+            )
 
 
 def camera_snr(p, noise: CameraNoiseParams = CameraNoiseParams()):
@@ -346,6 +358,30 @@ def camera_snr(p, noise: CameraNoiseParams = CameraNoiseParams()):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """The tables' settings: `points` melanin fractions from f_mel_min to
+    f_mel_max seen by one channel on a step_nm grid, and the pixel levels
+    level_min..level_max."""
+
+    channel: str = field(default="g", metadata={"choices": tuple(_CHANNEL_INDEX)})
+    f_mel_min: float = 0.02
+    f_mel_max: float = 0.45
+    points: int = 44
+    step_nm: float = DEFAULT_STEP_NM
+    level_min: int = 1
+    level_max: int = 255
+
+    def __post_init__(self):
+        if not 1 <= self.points <= MAX_MELANIN_POINTS:
+            raise UsageError(f"points must lie in [1, {MAX_MELANIN_POINTS}], got {self.points}")
+        if not 0 <= self.level_min <= self.level_max <= 255:
+            raise UsageError(
+                "pixel levels must satisfy 0 <= level_min <= level_max <= 255, "
+                f"got {self.level_min} and {self.level_max}"
+            )
+
+
 def melanin_sweep(
     f_mel_values,
     base: SkinParams = SkinParams(),
@@ -359,12 +395,7 @@ def melanin_sweep(
     ctx = ctx or SpectralContext.default()
     out = []
     for f_mel in f_mel_values:
-        params = SkinParams(
-            f_mel=float(f_mel),
-            f_blood=base.f_blood,
-            f_hg=base.f_hg,
-            delta_f_blood=base.delta_f_blood,
-        )
+        params = replace(base, f_mel=float(f_mel))
         out.append(
             (float(f_mel), signal_strength(params, ctx, channel), sinr(params, ctx, channel))
         )

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -27,11 +26,10 @@ import tempfile
 from pathlib import Path
 
 from .biophysics import (
-    DEFAULT_STEP_NM,
-    MAX_MELANIN_POINTS,
     CameraNoiseParams,
     SkinParams,
     SpectralContext,
+    Sweep,
     melanin_sweep,
     pixel_snr_sweep,
 )
@@ -47,9 +45,6 @@ from .evaluation import (
 from .ingest import FrameDirWriter, load_frame_sequence, load_landmarks
 from .pipeline import run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
-
-MELANIN_SWEEP_DEFAULT = (0.02, 0.45, 44)
-PIXEL_SWEEP_DEFAULT = (1, 255)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -127,13 +122,6 @@ def _field_values(args: argparse.Namespace, cls) -> dict:
     return values
 
 
-def _typed(kind: str):
-    """An argparse type for a flag that is not a field: parse_value of kind."""
-    parse = functools.partial(parse_value, kind)
-    parse.__name__ = kind  # argparse names the type in its error message
-    return parse
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -191,20 +179,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     records = load_manifest(args.manifest)
-    summary = cohort_report(records)
-    _emit(report_to_csv(summary), args.out)
-    if args.scatter is not None or args.bland_altman is not None:
-        pairs = [
-            (r.truth_bpm, r.estimate_bpm)
-            for r in records
-            if r.method == args.pairs_method
-        ]
-        if not pairs:
-            raise UsageError(f"no records with method {args.pairs_method!r}")
-        if args.scatter is not None:
-            _atomic_write_text(Path(args.scatter), scatter_csv(pairs))
-        if args.bland_altman is not None:
-            _atomic_write_text(Path(args.bland_altman), bland_altman_csv(pairs))
+    # pairs are selected before anything is written
+    pairs = [(r.truth_bpm, r.estimate_bpm) for r in records if r.method == args.pairs_method]
+    if not pairs and (args.scatter is not None or args.bland_altman is not None):
+        raise UsageError(f"no records with method {args.pairs_method!r}")
+    _emit(report_to_csv(cohort_report(records)), args.out)
+    if args.scatter is not None:
+        _atomic_write_text(Path(args.scatter), scatter_csv(pairs))
+    if args.bland_altman is not None:
+        _atomic_write_text(Path(args.bland_altman), bland_altman_csv(pairs))
     return 0
 
 
@@ -244,42 +227,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_context(args: argparse.Namespace) -> SpectralContext:
-    sens = None
-    if args.sensitivities is not None:
-        parts = [Path(p) for p in args.sensitivities.split(",")]
-        if len(parts) != 3:
-            raise UsageError("--sensitivities wants three CSVs: r.csv,g.csv,b.csv")
-        sens = (parts[0], parts[1], parts[2])
-    if args.illuminant is None and sens is None:
-        return SpectralContext.default(args.step_nm)
-    return SpectralContext.from_csv(
-        illuminant_csv=args.illuminant, sensitivity_csvs=sens, step_nm=args.step_nm
-    )
-
-
 def _cmd_biophys(args: argparse.Namespace) -> int:
+    sweep = Sweep(**_field_values(args, Sweep))
     base = SkinParams(**_field_values(args, SkinParams))
     noise = CameraNoiseParams(**_field_values(args, CameraNoiseParams))
     if args.table == "melanin":
         import numpy as np
 
-        if args.points < 1:
-            raise UsageError("--points must be at least 1")
-        if args.points > MAX_MELANIN_POINTS:
-            raise UsageError(f"--points must not exceed {MAX_MELANIN_POINTS}")
-        ctx = _spectral_context(args)
-        grid = np.linspace(args.f_mel_min, args.f_mel_max, args.points)
-        rows = melanin_sweep(grid, base, ctx, channel=args.channel)
+        sens = None
+        if args.sensitivities is not None:
+            sens = tuple(Path(p) for p in args.sensitivities.split(","))
+            if len(sens) != 3:
+                raise UsageError("--sensitivities wants three CSVs: r.csv,g.csv,b.csv")
+        ctx = SpectralContext.from_csv(args.illuminant, sens, sweep.step_nm)
+        grid = np.linspace(sweep.f_mel_min, sweep.f_mel_max, sweep.points)
+        rows = melanin_sweep(grid, base, ctx, channel=sweep.channel)
         lines = ["f_mel,signal,sinr"]
         lines += [f"{f!r},{m!r},{n!r}" for f, m, n in rows]
     else:
-        if args.level_min > args.level_max:
-            raise UsageError("--level-min must not exceed --level-max")
-        if args.level_min < 0 or args.level_max > 255:
-            raise UsageError("pixel level must lie in [0, 255]")
-        levels = range(args.level_min, args.level_max + 1)
-        rows = pixel_snr_sweep(levels, noise)
+        rows = pixel_snr_sweep(range(sweep.level_min, sweep.level_max + 1), noise)
         lines = ["level,snr"]
         lines += [f"{p!r},{s!r}" for p, s in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -330,17 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     bio = sub.add_parser("biophys", help="dump diagnostic tables")
     bio.add_argument("--table", choices=("melanin", "pixel-snr"), required=True)
     bio.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    bio.add_argument("--channel", choices=("r", "g", "b"), default="g")
-    bio.add_argument("--f-mel-min", type=_typed("float"), default=MELANIN_SWEEP_DEFAULT[0])
-    bio.add_argument("--f-mel-max", type=_typed("float"), default=MELANIN_SWEEP_DEFAULT[1])
-    bio.add_argument("--points", type=int, default=MELANIN_SWEEP_DEFAULT[2])
-    bio.add_argument("--step-nm", type=_typed("float"), default=DEFAULT_STEP_NM)
     bio.add_argument("--illuminant", type=Path, default=None, help="wavelength_nm,value CSV")
     bio.add_argument(
         "--sensitivities", default=None, help="three wavelength_nm,value CSVs: r,g,b"
     )
-    bio.add_argument("--level-min", type=int, default=PIXEL_SWEEP_DEFAULT[0])
-    bio.add_argument("--level-max", type=int, default=PIXEL_SWEEP_DEFAULT[1])
+    _add_field_flags(bio, Sweep)
     _add_field_flags(bio, SkinParams, skip=("f_mel",))
     _add_field_flags(bio, CameraNoiseParams)
     bio.set_defaults(func=_cmd_biophys)

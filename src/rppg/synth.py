@@ -111,6 +111,13 @@ class SynthScene:
                 f"a {self.width}x{self.height} scene of {self.duration_s} s at {self.fps} fps "
                 f"exceeds {MAX_SCENE_BYTES} bytes of frames"
             )
+        # SkinParams keeps delta_f_blood under 0.1 * f_blood, so it stays above 0
+        peak = float(blood_fraction_series(self)[1].max())
+        if peak >= 1.0:
+            raise InvalidSceneError(
+                f"f_blood {self.skin.f_blood} with delta_f_blood {self.skin.delta_f_blood} "
+                f"takes the blood fraction to {peak!r}, outside (0, 1)"
+            )
 
     @property
     def n_frames(self) -> int:

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from rppg.biophysics import (
     MAX_GAIN,
+    MAX_MELANIN_POINTS,
     MIN_STEP_NM,
     CameraNoiseParams,
     SkinParams,
     SpectralContext,
+    Sweep,
     _km_reflectance,
     camera_snr,
     dermal_reflectance,
@@ -293,6 +295,29 @@ def test_camera_noise_params_validation():
         CameraNoiseParams(sigma_quant=-0.5)
 
 
+# camera_snr squares sigma_read / gain: a model whose full-scale variance is
+# not a float64 is refused when it is built
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"gain": 1e-160},
+        {"sigma_read": 1e200},
+        {"sigma_quant": 1e200},
+        {"gain": 5e-324, "sigma_read": 0.0},  # 255 / gain alone overflows
+        {"sigma_read": float("nan")},
+    ],
+)
+def test_camera_noise_params_refuse_a_variance_past_float64(kwargs):
+    with pytest.raises(UsageError, match="variance of a full-scale pixel"):
+        CameraNoiseParams(**kwargs)
+
+
+def test_camera_noise_params_take_any_finite_variance():
+    noise = CameraNoiseParams(gain=1e-150)  # (sigma_read / gain)^2 = 2.25e300
+    assert 0.0 < camera_snr(255.0, noise) < 1e-140
+    assert pixel_snr_sweep([0, 255], CameraNoiseParams(sigma_quant=1e150))[1][1] > 0.0
+
+
 def test_spectral_context_default_layout():
     ctx = SpectralContext.default()
     assert ctx.wavelengths_nm[0] == 400.0
@@ -305,6 +330,20 @@ def test_spectral_context_default_layout():
     assert lam[np.argmax(ctx.channel("r"))] == 610.0
     assert lam[np.argmax(ctx.channel("G"))] == 540.0
     assert lam[np.argmax(ctx.channel("b"))] == 460.0
+
+
+# The grid takes the most whole steps that stay inside 400-700 nm; a step
+# that divides 300 nm ends on 700 nm.
+@pytest.mark.parametrize(
+    "step_nm, size",
+    [(7.0, 43), (0.7, 429), (0.011, 27273), (150.1, 2),
+     (5.0, 61), (2.5, 121), (0.3, 1001), (0.1, 3001), (0.01, 30001)],
+)
+def test_spectral_context_default_grid_stays_inside_the_band(step_nm, size):
+    lam = SpectralContext.default(step_nm).wavelengths_nm
+    assert lam.size == size
+    assert lam[0] == 400.0
+    assert lam[-1] <= 700.0 < lam[-1] + step_nm
 
 
 # steps under MIN_STEP_NM are refused before any grid is allocated: 1e-9 nm
@@ -376,6 +415,12 @@ def test_melanin_sweep_rows():
     assert np.ptp(sinrs) / sinrs.max() < 1e-9
     with pytest.raises(UsageError):
         melanin_sweep([])
+    # each row keeps the base's other fractions
+    base = SkinParams(f_blood=0.08, f_hg=0.4, delta_f_blood=0.002)
+    ctx = SpectralContext.default()
+    ((_, m, n),) = melanin_sweep([0.3], base, ctx, "r")
+    row = SkinParams(f_mel=0.3, f_blood=0.08, f_hg=0.4, delta_f_blood=0.002)
+    assert (m, n) == (signal_strength(row, ctx, "r"), sinr(row, ctx, "r"))
 
 
 def test_pixel_snr_sweep_rows():
@@ -385,3 +430,20 @@ def test_pixel_snr_sweep_rows():
     assert np.all(np.diff(snrs) > 0)
     with pytest.raises(UsageError):
         pixel_snr_sweep([])
+
+
+def test_sweep_validation():
+    assert Sweep() == Sweep(channel="g", f_mel_min=0.02, f_mel_max=0.45, points=44,
+                            step_nm=5.0, level_min=1, level_max=255)
+    Sweep(points=1)
+    Sweep(points=MAX_MELANIN_POINTS)
+    Sweep(level_min=0, level_max=0)
+    for kwargs in (
+        {"points": 0},
+        {"points": MAX_MELANIN_POINTS + 1},
+        {"level_min": -1},
+        {"level_max": 256},
+        {"level_min": 9, "level_max": 3},
+    ):
+        with pytest.raises(UsageError):
+            Sweep(**kwargs)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rppg
-from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams
+from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams, Sweep
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
 from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min_subtract
@@ -617,6 +617,24 @@ def test_synth_non_finite_floats_exit_2(tmp_path, flag):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("flag", ["--gain=1e-160", "--read-noise=1e200", "--quant-noise=1e200"])
+def test_noise_variance_past_float64_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "s"
+    assert main(["biophys", "--table", "pixel-snr", flag]) == 2
+    assert main(["synth", "--out", str(out), "--width", "16", "--height", "16",
+                 "--duration-s", "10", flag]) == 2
+    assert not out.exists()
+    assert "variance of a full-scale pixel" in capsys.readouterr().err
+
+
+def test_synth_blood_fraction_past_one_exits_9_before_the_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--f-blood", "0.95", "--delta-f-blood", "0.09"]) == 9
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "f_blood 0.95" in err and "delta_f_blood 0.09" in err
+
+
 def test_gain_past_the_poisson_limit_exits_2(tmp_path, capsys):
     out = tmp_path / "s"
     small = ["--width", "16", "--height", "16", "--duration-s", "10"]
@@ -741,6 +759,18 @@ def test_evaluate_error_paths(manifest_dir, tmp_path):
         assert main(["evaluate", "--manifest", str(typed)]) == 4, field
 
 
+@pytest.mark.parametrize("pair_flag", ["--scatter", "--bland-altman"])
+def test_evaluate_unmatched_pairs_method_writes_nothing(manifest_dir, capsys, pair_flag):
+    out, pairs = manifest_dir / "s.csv", manifest_dir / "pairs.csv"
+    rc = main(
+        ["evaluate", "--manifest", str(manifest_dir / "manifest.csv"), "--out", str(out),
+         pair_flag, str(pairs), "--pairs-method", "foo"]
+    )
+    assert rc == 2
+    assert "no records with method 'foo'" in capsys.readouterr().err
+    assert not out.exists() and not pairs.exists()
+
+
 def test_evaluate_manifest_not_utf8_exits_4(manifest_dir):
     manifest = manifest_dir / "latin1.csv"
     manifest.write_bytes(
@@ -798,6 +828,17 @@ def test_biophys_custom_spectra(tmp_path, capsys):
     assert main(["biophys", "--table", "melanin", "--sensitivities", "a.csv,b.csv"]) == 2
     assert main(["biophys", "--table", "melanin", "--points", "0"]) == 2
     assert main(["biophys", "--table", "pixel-snr", "--level-min", "9", "--level-max", "3"]) == 2
+    # every table checks every sweep setting, its own or not
+    assert main(["biophys", "--table", "melanin", "--points", "3", "--level-max", "999"]) == 2
+    assert main(["biophys", "--table", "pixel-snr", "--points", "0"]) == 2
+
+
+@pytest.mark.parametrize("step_nm, rows", [("7", 3), ("0.7", 3), ("150.1", 1)])
+def test_biophys_step_that_does_not_divide_the_band(capsys, step_nm, rows):
+    # the grid stops at the last step inside 700 nm
+    argv = ["biophys", "--table", "melanin", "--points", str(rows), "--step-nm", step_nm]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + rows
 
 
 @pytest.mark.parametrize(
@@ -847,11 +888,9 @@ def test_biophys_step_below_the_floor_exits_2(capsys):
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--step-nm", "--f-mel-min", "--f-mel-max"])
 def test_biophys_sweep_flags_rejected(capsys, flag, value):
-    try:
-        rc = main(["biophys", "--table", "melanin", "--points", "3", f"{flag}={value}"])
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == 2
+    # parsed by main, as every field flag is: argparse no longer exits itself
+    assert main(["biophys", "--table", "melanin", "--points", "3", f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err.startswith("rppg: error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +899,7 @@ def test_biophys_sweep_flags_rejected(capsys, flag, value):
 
 
 def _field_flags():
-    settings = (RunConfig, SynthScene, SkinParams, CameraNoiseParams)
+    settings = (RunConfig, SynthScene, SkinParams, CameraNoiseParams, Sweep)
     names = {f.name for cls in settings for f in dataclasses.fields(cls)}
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -882,27 +921,33 @@ def test_field_flags_cover_every_subcommand_that_takes_settings():
     assert commands == {"estimate", "synth", "biophys"}
     flags = {flag for _, flag in FIELD_FLAGS}
     assert {"--read-noise", "--quant-noise", "--no-shot-noise", "--two-harmonic",
-            "--notch-hz", "--bbox-smoothing-alpha"} <= flags
+            "--notch-hz", "--bbox-smoothing-alpha", "--channel", "--f-mel-min",
+            "--f-mel-max", "--points", "--step-nm", "--level-min", "--level-max"} <= flags
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "abc", "", "0", "-1"])
+@pytest.mark.parametrize(
+    "token", ["nan", "inf", "-inf", "1e400", "abc", "", "0", "-1", "1e-300", "1e300"]
+)
 @pytest.mark.parametrize("command, flag", FIELD_FLAGS)
 def test_no_flag_value_exits_1(dataset, tmp_path, capsys, command, flag, token):
-    base = {
-        "estimate": run_estimate(
+    bases = {
+        "estimate": [run_estimate(
             dataset, "--method", "proposed", "--diffuse-estimator", "min_subtract",
             "--grid-rows", "2", "--grid-cols", "2",
-        ),
-        "synth": ["synth", "--out", str(tmp_path / "s"), "--width", "16", "--height", "16",
-                  "--duration-s", "10"],
-        "biophys": ["biophys", "--table", "pixel-snr"],
+        )],
+        "synth": [["synth", "--out", str(tmp_path / "s"), "--width", "16", "--height", "16",
+                   "--duration-s", "10"]],
+        # both tables, so that the melanin-only settings are used too
+        "biophys": [["biophys", "--table", "pixel-snr"],
+                    ["biophys", "--table", "melanin", "--points", "3"]],
     }[command]
-    try:
-        rc = main([*base, f"{flag}={token}"])
-    except SystemExit as exc:  # argparse rejects the text itself
-        rc = exc.code
-    # 0 where the token is a valid value (e.g. --seed=0), else a documented code
-    assert rc == 0 or 2 <= rc <= 9, rc
+    for base in bases:
+        try:
+            rc = main([*base, f"{flag}={token}"])
+        except SystemExit as exc:  # argparse rejects the text itself
+            rc = exc.code
+        # 0 where the token is a valid value (e.g. --seed=0), else a documented code
+        assert rc == 0 or 2 <= rc <= 9, (base, rc)
 
 
 # ---------------------------------------------------------------------------

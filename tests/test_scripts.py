@@ -23,3 +23,27 @@ def test_bias_study_refuses_an_unknown_choice_before_rendering(capsys, flag, val
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid", "0"], "grid must be at least 1x1"),
+        (["--seeds", "0"], "--seeds must be at least 1"),
+        (["--hr-seed", "-1"], "--hr-seed must be non-negative"),
+        (["--f-mel", "1.5"], "f_mel must lie in (0, 1)"),
+        (["--duration-s", "5"], "at least one 10 s window"),
+        (["--exposure", "0"], "exposure must be positive"),
+    ],
+)
+def test_bias_study_checks_its_settings_before_rendering(capsys, monkeypatch, flags, message):
+    study = load_script("run_bias_study")
+
+    def no_render(scene):
+        raise AssertionError("a scene was rendered")
+
+    monkeypatch.setattr(study, "render", no_render)
+    with pytest.raises(SystemExit) as exc:
+        study.main(["--seeds", "1", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -71,6 +71,16 @@ def test_scene_bytes_bounded_before_rendering():
     assert SynthScene(width=32, height=32, duration_s=240.0).n_frames == 7200
 
 
+@pytest.mark.parametrize("two_harmonic", [False, True])
+def test_blood_fraction_past_one_is_refused_when_the_scene_is_built(two_harmonic):
+    skin = SkinParams(f_blood=0.95, delta_f_blood=0.09)
+    with pytest.raises(InvalidSceneError, match="f_blood 0.95 with delta_f_blood 0.09"):
+        quiet_scene(skin=skin, two_harmonic=two_harmonic)
+    # the series' own peak decides: 0.9 + 0.09 * 1.0 < 1 renders
+    fb = blood_fraction_series(quiet_scene(skin=SkinParams(f_blood=0.9, delta_f_blood=0.09)))[1]
+    assert fb.max() < 1.0
+
+
 def test_frame_count_rounds_duration():
     assert quiet_scene(duration_s=12.5, fps=30.0).n_frames == 375
     assert quiet_scene(duration_s=10.0, fps=24.0).n_frames == 240
