@@ -3,8 +3,9 @@
 # then the exit codes of malformed inputs (4: a CSV row, a sidecar line that
 # holds two records, a sidecar one record short), of a path that cannot be
 # opened, as an input (3) or as an output (2), of diffuse frames dumped over
-# the recording they come from (2), of a noise model past float64 (2) and of
-# a scene too big to render (9).
+# the recording they come from (2), of a PPM recording whose middle frame is
+# a directory (3, naming the frame) or is cut short (4), of a noise model
+# past float64 (2) and of a scene too big to render (9).
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -87,6 +88,24 @@ rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jso
   --method proposed --dump-diffuse "$smoke/ppm/frames" || rc=$?
 test "$rc" -eq 2
 diff -r "$smoke/ppm-before" "$smoke/ppm/frames"
+# a middle frame of 300 that is a directory: it is found when its chunk is
+# read, exit 3, naming the frame
+middle="$smoke/ppm-before/frame_000150.ppm"
+mv "$middle" "$smoke/frame_000150.ppm"
+mkdir "$middle"
+rc=0
+rppg estimate --frames "$smoke/ppm-before" --landmarks "$smoke/ppm/landmarks.jsonl" \
+  --method aggregate 2> "$smoke/ppm-middle.stderr" || rc=$?
+test "$rc" -eq 3
+grep -q "frame_000150.ppm: cannot be read" "$smoke/ppm-middle.stderr"
+# the same frame cut short: exit 4
+rmdir "$middle"
+head -c 100 "$smoke/frame_000150.ppm" > "$middle"
+rc=0
+rppg estimate --frames "$smoke/ppm-before" --landmarks "$smoke/ppm/landmarks.jsonl" \
+  --method aggregate 2> "$smoke/ppm-middle.stderr" || rc=$?
+test "$rc" -eq 4
+grep -q "frame_000150.ppm: PPM payload truncated" "$smoke/ppm-middle.stderr"
 rc=0
 rppg synth --out "$smoke/too-big" --duration-s 1e12 || rc=$?
 test "$rc" -eq 9

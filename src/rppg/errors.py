@@ -10,7 +10,9 @@ An operating-system failure on a path (missing, a directory, no
 permission, a name too long) is a MissingInputError (exit 3) when the path
 is an input and a UsageError (exit 2) when it is an output: every file
 open or mkdir in the package sits inside ``reading(path)`` or
-``writing(path)``, which apply that rule.
+``writing(path)``, which apply that rule. ``ingest.read_ppm``, called once
+per frame file, turns its OSError into ``unreadable(path, exc)`` itself,
+the error that ``reading`` raises, without the context manager's cost.
 """
 
 import contextlib
@@ -70,13 +72,18 @@ class InvalidSceneError(ToolkitError):
     exit_code = 9
 
 
+def unreadable(path, exc: OSError) -> MissingInputError:
+    """MissingInputError('{path}: cannot be read: ...'), for an input path's OSError."""
+    return MissingInputError(f"{path}: cannot be read: {exc.strerror}")
+
+
 @contextlib.contextmanager
 def reading(path):
-    """An OSError in the block becomes MissingInputError('{path}: cannot be read: ...')."""
+    """An OSError in the block becomes unreadable(path, exc)."""
     try:
         yield
     except OSError as exc:
-        raise MissingInputError(f"{path}: cannot be read: {exc.strerror}") from exc
+        raise unreadable(path, exc) from exc
 
 
 @contextlib.contextmanager

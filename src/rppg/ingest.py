@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffuse import frame_chunks
-from .errors import DataFormatError, MissingInputError, reading, writing
+from .errors import DataFormatError, MissingInputError, reading, unreadable, writing
 
 RAW_MAGIC = b"RPPGRAW1"
 RAW_HEADER = struct.Struct("<8s4I")
@@ -152,9 +152,24 @@ def read_text(path: Path) -> str:
 _PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*(?:\n|\Z))*(\S+)(?!\S)" * 3)
 
 
-def read_ppm(path: Path) -> np.ndarray:
-    with reading(path):
-        data = Path(path).read_bytes()
+def read_ppm(path: str | Path) -> np.ndarray:
+    """A binary PPM (P6, maxval 255) as an (h, w, 3) uint8 array over the
+    file's bytes; header tokens are ASCII decimal digits, and bytes past the
+    raster are ignored. The file is read by one os.open, fstat and read (a
+    short read is continued); an OSError on any of them is
+    errors.unreadable, as under errors.reading. A directory opens, and
+    fails at the read."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            data = os.read(fd, size + 1)  # at least one byte, so a directory fails
+            while len(data) < size and (more := os.read(fd, size - len(data))):
+                data += more
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise unreadable(path, exc) from exc
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
     header = _PPM_HEADER.match(data)
@@ -163,7 +178,9 @@ def read_ppm(path: Path) -> np.ndarray:
     tokens = list(header.groups())
     pos = header.end() + 1  # single whitespace after maxval
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        if not all(map(bytes.isdigit, tokens)):  # ASCII 0-9 only, not "+", "_" or "-"
+            raise ValueError("not decimal digits")
+        width, height, maxval = map(int, tokens)
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad PPM header tokens {tokens}") from exc
     if width < 1 or height < 1:
@@ -171,10 +188,9 @@ def read_ppm(path: Path) -> np.ndarray:
     if maxval != 255:
         raise DataFormatError(f"{path}: only 8-bit PPM supported (maxval {maxval})")
     need = width * height * 3
-    raster = data[pos : pos + need]
-    if len(raster) != need:
+    if len(data) - pos < need:
         raise DataFormatError(f"{path}: PPM payload truncated")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, 3)
 
 
 def write_ppm(frame: np.ndarray, path: Path) -> None:
@@ -211,8 +227,12 @@ def load_frame_dir(directory: Path) -> FrameSequence:
     if width < 1 or height < 1:
         raise DataFormatError(f"{manifest_path}: width and height must be >= 1")
 
+    # frame paths as strings, spelled as directory / name would spell them
+    base = os.fspath(directory)
+    prefix = "" if base == "." else os.path.join(base, "")
+
     def read_frame(i: int) -> np.ndarray:
-        fp = directory / _frame_name(i)
+        fp = prefix + _frame_name(i)
         frame = read_ppm(fp)
         if frame.shape != (height, width, 3):
             raise DataFormatError(

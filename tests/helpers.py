@@ -16,8 +16,8 @@ from rppg.combine import (
     masked_planes,
     pool_planes,
 )
-from rppg.errors import DataFormatError, SignalError
-from rppg.ingest import FrameSequence, read_text
+from rppg.errors import DataFormatError, SignalError, reading
+from rppg.ingest import _PPM_HEADER, FrameSequence, read_text
 from rppg.signals import PulseWaveform
 
 
@@ -228,3 +228,36 @@ def load_landmarks_by_line(path: Path, frame_count: int, width: int, height: int
             f"{path}: {len(bboxes)} records do not cover frames 0..{frame_count - 1}"
         )
     return np.array([bboxes[i] for i in range(frame_count)], dtype=np.int64), polygons
+
+
+# ---------------------------------------------------------------------------
+# A PPM file read through pathlib and int(): the frame reader's oracle
+# ---------------------------------------------------------------------------
+
+
+def read_ppm_by_pathlib(path: Path) -> np.ndarray:
+    """What ingest.read_ppm returns or raises, from Path.read_bytes under
+    errors.reading and a header read by int(), which also takes "+2", "1_0"
+    and "-3"; read_ppm takes only ASCII decimal digits."""
+    with reading(path):
+        data = Path(path).read_bytes()
+    if not data.startswith(b"P6"):
+        raise DataFormatError(f"{path}: not a binary PPM (P6) file")
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise DataFormatError(f"{path}: truncated PPM header")
+    tokens = list(header.groups())
+    pos = header.end() + 1
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad PPM header tokens {tokens}") from exc
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{path}: PPM size {width}x{height} is not positive")
+    if maxval != 255:
+        raise DataFormatError(f"{path}: only 8-bit PPM supported (maxval {maxval})")
+    need = width * height * 3
+    raster = data[pos : pos + need]
+    if len(raster) != need:
+        raise DataFormatError(f"{path}: PPM payload truncated")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)

@@ -27,7 +27,7 @@ from rppg.ingest import (
     write_timeseries_csv,
 )
 
-from helpers import flat_sequence, json_object_text, load_landmarks_by_line
+from helpers import flat_sequence, json_object_text, load_landmarks_by_line, read_ppm_by_pathlib
 
 
 def rand_frames(rng, n=3, h=5, w=7):
@@ -72,6 +72,9 @@ def test_ppm_reads_comments_and_split_header(tmp_path):
     img = read_ppm(path)
     assert img.shape == (2, 2, 3)
     assert img.tobytes() == payload
+    # leading zeros are digits too
+    path.write_bytes(b"P6 02 2 0255\n" + payload)
+    assert read_ppm(path).tobytes() == payload
 
 
 # each malformed file and the phrase of the check that must reject it
@@ -82,6 +85,10 @@ MALFORMED_PPM = {
     b"P6 2 2\n": "truncated PPM header",
     # a token split by backtracking would read 11 x 25 with maxval 5
     b"P6 11 255\n   ": "truncated PPM header",
+    # header tokens are ASCII decimal digits, which int() alone is not
+    b"P6 1_0 +1 0255\n" + bytes(30): "bad PPM header tokens",
+    b"P6 -1 1 255\n" + bytes(3): "bad PPM header tokens",
+    b"P6 1 1 \xd9\xa3\n" + bytes(3): "bad PPM header tokens",  # Arabic-Indic 3
 }
 
 
@@ -119,6 +126,8 @@ def ppm_files(draw):
 
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(ppm=ppm_files())
+@example(ppm=(b"P6 +2 1 255\n", bytes(6)))
+@example(ppm=(b"P6 1_0 1 255\n", bytes(30)))
 def test_ppm_header_parses_or_exits_4(tmp_path_factory, ppm):
     header, payload = ppm
     path = tmp_path_factory.mktemp("ppm") / "f.ppm"
@@ -130,6 +139,35 @@ def test_ppm_header_parses_or_exits_4(tmp_path_factory, ppm):
         return
     h, w, _ = frame.shape
     assert min(h, w) >= 1 and frame.tobytes() == payload[: h * w * 3]
+    # only ASCII decimal digits read as a number: "+2" and "1_0" exit 4
+    assert all(t.isdigit() for t in ingest._PPM_HEADER.match(header + payload).groups())
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(ppm=ppm_files())
+@example(ppm=(b"P6 # c\n2 2 255\n", bytes(12)))
+@example(ppm=(b"P6 -2 2 255\n", bytes(12)))
+def test_read_ppm_matches_the_pathlib_oracle(tmp_path_factory, ppm):
+    # the same array, or the same error; a header token other than ASCII
+    # digits, which int() may read, is always a bad token
+    header, payload = ppm
+    path = tmp_path_factory.mktemp("ppm") / "f.ppm"
+    path.write_bytes(header + payload)
+    outcomes = []
+    for read in (read_ppm_by_pathlib, read_ppm):
+        try:
+            outcomes.append(read(path))
+        except errors.ToolkitError as exc:
+            outcomes.append(exc)
+    want, got = outcomes
+    match = ingest._PPM_HEADER.match(header + payload) if header.startswith(b"P6") else None
+    if match and not all(t.isdigit() for t in match.groups()):
+        assert type(got) is errors.DataFormatError
+        assert str(got) == f"{path}: bad PPM header tokens {list(match.groups())}"
+    elif isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +292,39 @@ def test_frame_dir_missing_frame_file(tmp_path):
     (d / "frame_000002.ppm").unlink()
     with pytest.raises(errors.MissingInputError, match="frame_000002"):
         load_frame_dir(d)
+
+
+def test_frame_dir_middle_frame_faults_found_by_their_chunk(tmp_path):
+    seq = FrameSequence(frames=rand_frames(np.random.default_rng(3), n=5), fps=10.0)
+    d = tmp_path / "frames"
+    write_frame_dir(seq, d)
+    middle = d / "frame_000002.ppm"
+    # a directory opens, and fails at the read: exit 3, naming the file
+    middle.unlink()
+    middle.mkdir()
+    loaded = load_frame_dir(d)
+    with pytest.raises(errors.MissingInputError, match=r"frame_000002\.ppm: cannot be read: Is a directory"):
+        loaded.frames[1:4]
+    middle.rmdir()
+    # a truncated raster: exit 4
+    write_ppm(seq.frames[2], middle)
+    middle.write_bytes(middle.read_bytes()[:-1])
+    with pytest.raises(errors.DataFormatError, match=r"frame_000002\.ppm: PPM payload truncated"):
+        load_frame_dir(d).frames[1:4]
+    # a header with comments: the same pixels
+    middle.write_bytes(b"P6 # from a camera\n7 # width\n5\n# maxval next\n255\n" + seq.frames[2].tobytes())
+    assert np.array_equal(load_frame_dir(d).frames[1:4], seq.frames[1:4])
+
+
+def test_frame_dir_paths_are_spelled_as_pathlib_spells_them(tmp_path, monkeypatch):
+    seq = flat_sequence(n=3, h=4, w=4)
+    write_frame_dir(seq, tmp_path)
+    (tmp_path / "frame_000001.ppm").unlink()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(errors.MissingInputError, match=r"^frame_000001\.ppm: cannot be read"):
+        load_frame_dir(".").frames[:]
+    with pytest.raises(errors.MissingInputError, match=f"^{tmp_path}/frame_000001\\.ppm: "):
+        load_frame_dir(f"{tmp_path}/").frames[:]
 
 
 def test_frame_dir_dimension_mismatch(tmp_path):
@@ -483,6 +554,10 @@ RECORD_1 = (
     '{"frame": 1, "bbox": [1, 1, 6, 6], "eyes": [[], []], "mouth": [[2, 5], [5, 5], [4, 6]]}'
 )
 INT64_PAST = str(2**63)
+EDGE_POLYGON_0 = RECORD_0.replace('"mouth": []', '"mouth": [[0, 0], [8, 0], [8, 8], [0, 8]]')
+EYE_OUTSIDE_1 = (
+    '{"frame": 1, "bbox": [3, 3, 5, 5], "eyes": [[[2, 2], [4, 2], [3, 3]], []], "mouth": []}'
+)
 
 # LANDMARK_FIELDS and integers past int64, where a column of them would overflow
 ORACLE_FIELDS = {
@@ -569,6 +644,14 @@ def sidecar_lines(draw):
 @example(lines=[RECORD_0, RECORD_0, RECORD_1.replace("6]]", "9]]")], block=2)
 @example(lines=[RECORD_1, "[" * 200_000], block=1)
 @example(lines=[RECORD_1, " " + RECORD_0 + "\t"], block=1)
+# each vertex is checked against its own record's bbox: frame 1's eye lies
+# inside frame 0's bbox, not its own; frame 0's mouth lies on its bbox's edges
+@example(lines=[EDGE_POLYGON_0, RECORD_1], block=2)
+@example(lines=[EDGE_POLYGON_0, EYE_OUTSIDE_1], block=2)
+@example(lines=[EYE_OUTSIDE_1, EDGE_POLYGON_0], block=2)
+@example(lines=[RECORD_0, EYE_OUTSIDE_1], block=2)
+# a vertex of three coordinates and one of one
+@example(lines=[RECORD_0, RECORD_1.replace("[5, 5], [4, 6]", "[5, 5, 5], [4]")], block=2)
 def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block):
     # blocks of 1 and 2 lines check one sidecar in several columns
     path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
