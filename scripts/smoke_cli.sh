@@ -3,7 +3,9 @@
 # then the exit codes of malformed inputs (4: a CSV row, a sidecar line that
 # holds two records, a sidecar one record short), of a path that cannot be
 # opened, as an input (3) or as an output (2), of diffuse frames dumped over
-# the recording they come from (2), of a PPM recording whose middle frame is
+# the recording they come from (2), of an output that names an input (2: a
+# report over the recording, a summary over its manifest), of a PPM
+# recording whose middle frame is
 # a directory (3, naming the frame) or is cut short (4), of a noise model
 # past float64 (2) and of a scene too big to render (9).
 #
@@ -71,6 +73,18 @@ rc=0
 rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
   --method aggregate --out "$smoke" || rc=$?
 test "$rc" -eq 2
+# an output that names an input: exit 2, and the input keeps its bytes
+cp "$smoke/frames.raw" "$smoke/frames-before.raw"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --method aggregate --out "$smoke/frames.raw" || rc=$?
+test "$rc" -eq 2
+cmp "$smoke/frames.raw" "$smoke/frames-before.raw"
+cp "$smoke/manifest.csv" "$smoke/manifest-before.csv"
+rc=0
+rppg evaluate --manifest "$smoke/manifest.csv" --out "$smoke/manifest.csv" || rc=$?
+test "$rc" -eq 2
+cmp "$smoke/manifest.csv" "$smoke/manifest-before.csv"
 mkdir -p "$smoke/dump-taken/frame_000000.ppm"
 rc=0
 rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \

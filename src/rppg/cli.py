@@ -8,7 +8,9 @@ Subcommands:
 
 Every single-file output (--out, --dump-weights, --scatter, --bland-altman)
 is written atomically (temp file + rename); synth's files and the
---dump-diffuse frames are written in place. Errors map
+--dump-diffuse frames are written in place. An estimate or evaluate output
+that names one of the command's input files or another of its outputs is
+a usage error, found before any input is read. Errors map
 to stable exit codes: 2 usage or unwritable output, 3 missing or unreadable
 input, 4 malformed data, 5 geometry, 6 empty region, 7 signal, 8 model,
 9 invalid scene.
@@ -127,30 +129,50 @@ def _field_values(args: argparse.Namespace, cls) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_config(args: argparse.Namespace):
-    cfg_path = args.config
-    if cfg_path is None and os.environ.get(ENV_CONFIG_VAR):
-        cfg_path = Path(os.environ[ENV_CONFIG_VAR])
-    return load_run_config(cfg_path, _field_values(args, RunConfig))
+def _config_path(args: argparse.Namespace) -> Path | None:
+    """The INI file estimate reads: --config, else $RPPG_CONFIG, if either."""
+    if args.config is None and os.environ.get(ENV_CONFIG_VAR):
+        return Path(os.environ[ENV_CONFIG_VAR])
+    return args.config
 
 
 def _same_path(a, b) -> bool:
-    """Whether paths a and b both exist and name the same file or directory."""
+    """Whether paths a and b name the same file or directory: one that
+    exists, or one path once links and '..' are resolved."""
     try:
         return os.path.samefile(a, b)
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.path.realpath(a) == os.path.realpath(b)
     except (OSError, ValueError):
         return False
 
 
+def _check_outputs(outputs: dict, inputs: dict) -> None:
+    """A UsageError when an output path names an input or another output,
+    found before anything is read or written; None and "-" (stdout) name no
+    file."""
+    named = [(flag, path) for flag, path in outputs.items() if path not in (None, "-")]
+    for i, (flag, path) in enumerate(named):
+        for other, taken in [*inputs.items(), *named[:i]]:
+            if taken is not None and _same_path(path, taken):
+                raise UsageError(f"{flag} {path} is also {other}: it would be overwritten")
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg_path = _config_path(args)
+    _check_outputs(
+        {
+            "--out": args.out,
+            "--dump-weights": args.dump_weights,
+            "--dump-diffuse": args.dump_diffuse,
+        },
+        {"--frames": args.frames, "--landmarks": args.landmarks, "the config file": cfg_path},
+    )
+    cfg = load_run_config(cfg_path, _field_values(args, RunConfig))
     if args.dump_diffuse is not None and cfg.method != "proposed":
         raise UsageError("--dump-diffuse requires --method proposed")
-    if args.dump_diffuse is not None and _same_path(args.dump_diffuse, args.frames):
-        raise UsageError(
-            f"--dump-diffuse {args.dump_diffuse} is the --frames directory: "
-            "its frames would be overwritten"
-        )
     seq = load_frame_sequence(args.frames)
     bboxes, polygons = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
     dump = on_diffuse = None
@@ -178,6 +200,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_outputs(
+        {"--out": args.out, "--scatter": args.scatter, "--bland-altman": args.bland_altman},
+        {"--manifest": args.manifest},
+    )
     records = load_manifest(args.manifest)
     # pairs are selected before anything is written
     pairs = [(r.truth_bpm, r.estimate_bpm) for r in records if r.method == args.pairs_method]

@@ -17,7 +17,9 @@ This module owns the pixel-to-cell reduction and every cell weight:
 pool_planes pools masked_planes into cells by two exact float64 products,
 each one per frame. facial_aggregate, grid_traces and diffuse_weights take
 a window's per-frame sums and counts from pool_planes's output,
-(t, rows, cols, ...) and (t, rows, cols), not its pixels.
+(t, rows, cols, ...) and (t, rows, cols), not its pixels. diffuse_weights
+is a mean over the frames it is given, so the pipeline separates, and hands
+it the rows of, only one frame in pipeline.DIFFUSE_STRIDE.
 """
 
 from __future__ import annotations
@@ -164,10 +166,11 @@ def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cell diffuse-strength weights, normalized to sum to one.
 
     weight(cell) is the mean diffuse luminance, (R + G + B) / 3 of the
-    diffuse frames, over all (frame, masked pixel) pairs that fall in the
-    cell, from pool_planes's per-frame luminance sums (t, rows, cols) and
-    pixel counts (t, rows, cols); cells that never see a masked pixel get
-    weight zero.
+    diffuse frames, over the (frame, masked pixel) pairs of the t given
+    frames that fall in the cell, from pool_planes's per-frame luminance
+    sums (t, rows, cols) and pixel counts (t, rows, cols); cells that never
+    see a masked pixel get weight zero. The pipeline gives a window's
+    sampled frames (pipeline.DIFFUSE_STRIDE), not all of them.
     """
     sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()

@@ -9,14 +9,16 @@ is built before any frame is read.
 
 The recording is read once, PASS_CHUNKS diffuse chunks (frame_chunks) at
 a time. For each such chunk the pass builds the skin masks from its bbox
-rows and polygons, and for proposed separates the diffuse frames and takes
-their luminance. Each diffuse chunk is laid out once by masked_planes
-(RGB, luminance, mask), and pool_planes pools it into the cells of every
-window that overlaps it; windows with the same edges, such as aggregate's
-one cell spanning the frame, share one pooling. A window is
-finished (traces, weights, combination) as soon as its last frame is read,
-and its sums are dropped, so peak memory is one chunk plus the per-frame
-cell sums of the open windows, whatever the length of the recording.
+rows and polygons, and for proposed separates the chunk's sampled frames
+(see DIFFUSE_STRIDE) and takes their luminance. Each diffuse chunk is laid
+out once by masked_planes (RGB, luminance, mask), and pool_planes pools it
+into the cells of every window that overlaps it; windows with the same
+edges, such as aggregate's one cell spanning the frame, share one pooling.
+A window's diffuse weights read the sums of its sampled frames only. A
+window is finished (traces, weights, combination) as soon as its last
+frame is read, and its sums are dropped, so peak memory is one chunk plus
+the per-frame cell sums of the open windows, whatever the length of the
+recording.
 Per-frame sums do not depend on how the frames are chunked, so every
 result is that of pooling each window whole.
 
@@ -61,10 +63,16 @@ from .signals import PulseWaveform
 
 
 # Diffuse chunks in one chunk of the pass (16 frames at 96x96, 116 at
-# 32x32), so reading and masking take enough frames per call to amortise
-# their per-call work, while the bilateral and the pooling take the chunk's
-# cache-sized diffuse chunks, the same slices, one at a time.
+# 32x32), so reading, masking and separating take enough frames per call to
+# amortise their per-call work, while the pooling takes the chunk's
+# cache-sized diffuse chunks one at a time.
 PASS_CHUNKS = 4
+# proposed separates frame i of the recording when i % k == 0, with
+# k = min(DIFFUSE_STRIDE, the window's frame count) so that every window
+# holds a sampled frame: diffuse_weights is a mean over a window's frames,
+# and each frame is separated on its own, so results do not depend on the
+# chunking. k = 1 would separate every frame.
+DIFFUSE_STRIDE = 16
 # Windows per chrom_rows and periodogram call: the rows, waveforms and
 # spectra alive at the end of a window are one block's, so this stage too is
 # bounded by the window length, not the recording's.
@@ -86,12 +94,15 @@ def _window_sums(
     grids: list[tuple[np.ndarray, np.ndarray]],
     separate: Callable[[np.ndarray], np.ndarray] | None,
     on_diffuse: Callable[[np.ndarray], None] | None,
+    stride: int,
 ):
     """Each window's pool_planes sums over its frames and the edges grids[i],
     (t, rows, cols, channels + 1): RGB, the luminance of the diffuse frames
     that separate makes (if given), the pixel count. Each is yielded in window
-    order as soon as the window's last frame is read. Every chunk is read and
-    its diffuse frames go to on_diffuse, the tail after the last window too.
+    order as soon as the window's last frame is read. separate is handed the
+    frames whose index is a multiple of stride, and the luminance is 0 on the
+    others. Every chunk is read and, if on_diffuse is given, all its frames
+    are separated and go to it, the tail after the last window too.
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
@@ -102,11 +113,19 @@ def _window_sums(
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
         values = (frames,)
         if separate is not None:
-            diffuse = separate(frames)
-            if on_diffuse is not None:
+            sel = np.arange(-chunk.start % stride, len(frames), stride)
+            if on_diffuse is not None:  # the dump takes every frame
+                diffuse = separate(frames)
                 on_diffuse(diffuse)
-            values = (frames, diffuse_luminance(diffuse))
-            del diffuse
+                lum = diffuse_luminance(diffuse[sel])
+                del diffuse
+            else:  # a chunk may hold no sampled frame
+                lum = diffuse_luminance(separate(frames[sel])) if sel.size else 0.0
+            # the luminance plane is made after separating, and dropped with
+            # values, so that it is never alive next to the bilateral's buffers
+            values = (frames, np.zeros(frames.shape[:3]))
+            values[1][sel] = lum
+            del lum
         for sub in frame_chunks(len(frames), height, width):
             planes = masked_planes(masks[sub], *(v[sub] for v in values))
             first = chunk.start + sub.start
@@ -156,7 +175,8 @@ def run_pipeline(
 
     For proposed, on_diffuse (if given) receives each chunk's float32
     diffuse frames (k, h, w, 3) in frame order, every frame of the
-    recording once, as they are made.
+    recording once, as they are made. The diffuse weights read only the
+    frames of the DIFFUSE_STRIDE sample, with or without on_diffuse.
     """
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
@@ -171,7 +191,7 @@ def run_pipeline(
         if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
         for sl in slices
     ]
-    separate = None
+    separate, stride = None, min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
     if cfg.method == "proposed":
         separate = (
             specular_free_min_subtract
@@ -183,7 +203,7 @@ def run_pipeline(
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, on_diffuse)
+    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, on_diffuse, stride)
     for i, pooled in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces
@@ -197,7 +217,10 @@ def run_pipeline(
                 rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
             else:
-                w_dif = diffuse_weights(np.ascontiguousarray(pooled[..., 3]), counts)
+                sampled = slice(-slices[i].start % stride, None, stride)
+                w_dif = diffuse_weights(
+                    np.ascontiguousarray(pooled[sampled, ..., 3]), counts[sampled]
+                )
                 rows.append(combine_proposed(traces, w_snr, w_dif))
                 weight_log.append(
                     {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}

@@ -101,22 +101,31 @@ def test_estimate_dump_weights(dataset, tmp_path):
 
 
 def test_estimate_dump_diffuse(dataset, tmp_path):
+    # The dump is a side output: it holds every frame, although the weights
+    # read only one frame in DIFFUSE_STRIDE, and the report and weights are
+    # the bytes of a run without it.
     frames = load_frame_sequence(dataset["frames"]).frames[:]
     for estimator, separate in (
         ("min_subtract", specular_free_min_subtract),
         ("bilateral", estimate_diffuse_stack),
     ):
         ddir = tmp_path / estimator
-        rc = main(
-            run_estimate(
-                dataset,
-                "--out", str(tmp_path / "r.json"),
-                "--method", "proposed",
-                "--diffuse-estimator", estimator,
-                "--dump-diffuse", str(ddir),
+        outputs = {}
+        for dump in ((), ("--dump-diffuse", str(ddir))):
+            report, weights = tmp_path / f"r{len(dump)}.json", tmp_path / f"w{len(dump)}.json"
+            rc = main(
+                run_estimate(
+                    dataset,
+                    "--out", str(report),
+                    "--dump-weights", str(weights),
+                    "--method", "proposed",
+                    "--diffuse-estimator", estimator,
+                    *dump,
+                )
             )
-        )
-        assert rc == 0
+            assert rc == 0
+            outputs[dump] = (report.read_bytes(), weights.read_bytes())
+        assert len(set(outputs.values())) == 1
         seq = load_frame_sequence(ddir)
         assert seq.frames.shape == (360, 24, 24, 3)
         # byte-identical to the whole-stack estimate, rounded as the dump does
@@ -176,6 +185,51 @@ def test_dump_diffuse_into_the_frames_directory_exits_2(tmp_path):
         assert rc == 2
         assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
     assert not (tmp_path / "r.json").exists()
+
+
+def test_an_estimate_output_naming_an_input_or_another_output_exits_2(
+    dataset, tmp_path, monkeypatch, capsys
+):
+    # --out and --dump-weights may name neither an input (--frames,
+    # --landmarks, the config file) nor each other. That is found before
+    # any input is read: a missing --frames is not reached, every input
+    # keeps its bytes, and no output is written.
+    frames, landmarks = Path(dataset["frames"]), Path(dataset["landmarks"])
+    ini = tmp_path / "run.ini"
+    ini.write_text("[pipeline]\nmethod = aggregate\n")
+    (tmp_path / "link.raw").symlink_to(frames)
+    inputs = (frames, landmarks, ini)
+    before = [p.read_bytes() for p in inputs]
+    report = tmp_path / "r.json"
+    cases = [
+        (frames, "--out", frames),
+        (frames, "--out", tmp_path / "link.raw"),
+        (frames, "--out", landmarks),
+        (frames, "--config", ini, "--out", ini),
+        (frames, "--dump-weights", frames),
+        (frames, "--dump-weights", landmarks),
+        (frames, "--config", ini, "--dump-weights", ini),
+        (frames, "--out", report, "--dump-weights", report),
+        (frames, "--out", report, "--dump-weights", tmp_path / "sub" / ".." / "r.json"),
+        (tmp_path / "missing.raw", "--out", landmarks),
+    ]
+    for first, *extra in cases:
+        argv = ["estimate", "--frames", str(first), "--landmarks", str(landmarks), *map(str, extra)]
+        capsys.readouterr()
+        assert main(argv) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("rppg: error: --") and "would be overwritten" in err, err
+        assert [p.read_bytes() for p in inputs] == before
+        assert not report.exists()
+    monkeypatch.setenv("RPPG_CONFIG", str(ini))
+    assert main(run_estimate(dataset, "--out", str(ini))) == 2
+    assert "is also the config file" in capsys.readouterr().err
+    assert ini.read_bytes() == before[2]
+    # stdout is no file, and distinct files are fine
+    monkeypatch.delenv("RPPG_CONFIG")
+    weights = tmp_path / "w.json"
+    assert main(run_estimate(dataset, "--out", "-", "--dump-weights", str(weights))) == 0
+    assert main(run_estimate(dataset, "--out", str(report), "--dump-weights", str(weights))) == 0
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
@@ -695,6 +749,30 @@ def test_evaluate_summary_and_pair_files(manifest_dir, capsys):
     ba = (manifest_dir / "ba.csv").read_text().strip().split("\n")
     mean, diff = (float(v) for v in ba[1].split(","))
     assert diff == pytest.approx(est - gt)
+
+
+def test_an_evaluate_output_naming_the_manifest_or_another_output_exits_2(manifest_dir, capsys):
+    # --out, --scatter and --bland-altman may name neither --manifest nor
+    # each other; found before the manifest is read, and nothing is written
+    manifest = manifest_dir / "manifest.csv"
+    before = manifest.read_bytes()
+    out = manifest_dir / "out.csv"
+    cases = [
+        ("--out", manifest),
+        ("--scatter", manifest),
+        ("--bland-altman", manifest),
+        ("--out", out, "--scatter", out),
+        ("--out", out, "--bland-altman", out),
+        ("--scatter", out, "--bland-altman", manifest_dir / "." / "out.csv"),
+    ]
+    for extra in cases:
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(manifest), *map(str, extra)]) == 2, extra
+        assert "would be overwritten" in capsys.readouterr().err
+        assert manifest.read_bytes() == before
+        assert not out.exists()
+    missing = str(manifest_dir / "no.csv")
+    assert main(["evaluate", "--manifest", missing, "--out", missing]) == 2  # not 3: not read
 
 
 def test_written_reports_get_the_umask_mode(dataset, manifest_dir):

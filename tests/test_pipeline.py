@@ -263,13 +263,23 @@ def test_bbox_smoothing_path():
     assert abs(result.report["video_bpm"] - 72.0) <= 2.0
 
 
+def sampled(sl: slice, k: int) -> slice:
+    """The rows of window sl whose frame index is a multiple of k."""
+    return slice(-sl.start % k, None, k)
+
+
 @pytest.mark.parametrize(
     "estimator, separate",
     [("bilateral", estimate_diffuse_stack), ("min_subtract", specular_free_min_subtract)],
 )
-def test_chunked_luminance_matches_whole_stack(estimator, separate):
-    # The pass makes the diffuse frames chunk by chunk; they, and each
-    # window's diffuse weights, equal those of the whole stack.
+def test_chunked_luminance_matches_whole_stack(monkeypatch, estimator, separate):
+    # The pass separates the frames whose index is a multiple of k, chunk by
+    # chunk. At k = 1 (every frame) and at DIFFUSE_STRIDE, and with diffuse
+    # chunks of one frame, of the default size and of the whole recording,
+    # each window's diffuse weights equal those of the whole stack's
+    # luminance over the window's sampled rows, pooled in the pass's layout
+    # (diffuse_weights_of with frames). The dump gets every frame,
+    # as the whole stack's separation makes them, and changes no output.
     h, w = 32, 40
     pass_chunks = functools.partial(frame_chunks, height=h, width=w, per=pipeline.PASS_CHUNKS)
     n = 2 * pass_chunks(1)[0].stop + 5
@@ -278,46 +288,88 @@ def test_chunked_luminance_matches_whole_stack(estimator, separate):
         method="proposed", window_s=4.0, hop_s=2.0, grid_rows=2, grid_cols=3,
         diffuse_estimator=estimator,
     )
-    chunks = []
-    result = run_pipeline(seq, full_sidecar(seq), cfg, on_diffuse=chunks.append)
     whole = separate(seq.frames)
-    assert [len(c) for c in chunks] == [len(range(n)[sl]) for sl in pass_chunks(n)]
-    assert len(chunks) == 3
-    assert np.array_equal(np.concatenate(chunks), whole)
+    lum = diffuse_luminance(whole)
     grid = build_grid((0, 0, w, h), 2, 3)
     masks = np.ones((n, h, w), dtype=bool)
     slices = pipeline.plan_windows(seq.duration_s, 4.0, 2.0).frame_slices(seq.fps, n)
-    assert len(slices) == len(result.window_weights) == 2
-    for sl, entry in zip(slices, result.window_weights):
-        expect = diffuse_weights_of(diffuse_luminance(whole[sl]), grid, masks[sl])
-        assert entry["diffuse"] == expect.tolist()
+    assert len(slices) == 2
+    for k in (1, pipeline.DIFFUSE_STRIDE):
+        monkeypatch.setattr(pipeline, "DIFFUSE_STRIDE", k)
+        rows = [range(n)[sl][sampled(sl, k)] for sl in slices]
+        expect = [
+            diffuse_weights_of(lum[r], grid, masks[r], seq.frames[r]).tolist() for r in rows
+        ]
+        for plane_bytes in (1, CHUNK_PLANE_BYTES, 1 << 40):
+            monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes)
+            result = run_pipeline(seq, full_sidecar(seq), cfg)
+            assert [entry["diffuse"] for entry in result.window_weights] == expect, plane_bytes
+        monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", CHUNK_PLANE_BYTES)
+        chunks = []
+        dumped = run_pipeline(seq, full_sidecar(seq), cfg, on_diffuse=chunks.append)
+        assert [len(c) for c in chunks] == [len(range(n)[sl]) for sl in pass_chunks(n)]
+        assert len(chunks) == 3
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert dumped.report == result.report
+        assert dumped.window_weights == result.window_weights
 
 
 @pytest.mark.parametrize("h, w", [(96, 96), (32, 32), (24, 24), (40, 72)])
 def test_the_pass_separates_whole_diffuse_chunks(monkeypatch, h, w):
-    # Each call the pass makes to the bilateral is PASS_CHUNKS whole diffuse
-    # chunks, as many frames as fit CHUNK_PLANE_BYTES per padded float32
-    # plane, so the bilateral's chunks are the pooling's; only the call that
-    # holds the recording's last frame may end short.
+    # The pass reads PASS_CHUNKS whole diffuse chunks at a time, as many
+    # frames as fit CHUNK_PLANE_BYTES per padded float32 plane, and hands the
+    # bilateral one call per chunk: the chunk's frames whose index in the
+    # recording is a multiple of DIFFUSE_STRIDE. Every such frame goes once,
+    # in order, and no other frame goes at all.
     calls = []
 
     def separate(frames):
-        calls.append(len(frames))
+        calls.append(np.array(frames))
         return specular_free_min_subtract(frames)
 
     monkeypatch.setattr(pipeline, "estimate_diffuse_stack", separate)
+    k = pipeline.DIFFUSE_STRIDE
     radius = diffuse.WINDOW_PX // 2
     per = max(1, CHUNK_PLANE_BYTES // (4 * (h + radius) * (w + radius)))
     n = max(3 * pipeline.PASS_CHUNKS * per, 120) + 5
-    seq = pulsed_sequence(n=n, h=h, w=w)
+    seq = FrameSequence(frames=mixed_frames(n, h, w, seed=3), fps=30.0)
     cfg = RunConfig(method="proposed", window_s=4.0, hop_s=3.0, grid_rows=2, grid_cols=2)
     run_pipeline(seq, full_sidecar(seq), cfg)
-    assert sum(calls) == n
-    assert len(calls) > 2
-    assert [k % per for k in calls[:-1]] == [0] * (len(calls) - 1), (per, calls)
+    chunks = frame_chunks(n, h, w, pipeline.PASS_CHUNKS)
+    assert len(chunks) > 2
+    expect = [seq.frames[sl][sampled(sl, k)] for sl in chunks]
+    expect = [frames for frames in expect if len(frames)]  # a chunk with none has no call
+    assert len(calls) == len(expect), (per, [len(c) for c in calls])
+    for got, want in zip(calls, expect):
+        assert np.array_equal(got, want)
+    assert np.array_equal(np.concatenate(calls), seq.frames[::k])
 
 
-def working_memory(seq, cfg):
+def test_a_stride_above_the_window_length_samples_every_window(monkeypatch):
+    # k = min(DIFFUSE_STRIDE, n) for windows of n frames, so each window
+    # holds a sampled frame: here exactly one, for every window of 2.5 s
+    # hopped every 0.5 s, and its weights are that frame's.
+    monkeypatch.setattr(pipeline, "DIFFUSE_STRIDE", 10**6)
+    n, h, w = 150, 16, 16
+    seq = FrameSequence(frames=mixed_frames(n, h, w, seed=5), fps=30.0)
+    cfg = RunConfig(
+        method="proposed", window_s=2.5, hop_s=0.5, grid_rows=2, grid_cols=2,
+        diffuse_estimator="min_subtract",
+    )
+    result = run_pipeline(seq, full_sidecar(seq), cfg)
+    lum = diffuse_luminance(specular_free_min_subtract(seq.frames))
+    grid = build_grid((0, 0, w, h), 2, 2)
+    masks = np.ones((n, h, w), dtype=bool)
+    slices = pipeline.plan_windows(seq.duration_s, 2.5, 0.5).frame_slices(seq.fps, n)
+    assert len(slices) == len(result.window_weights) == 6
+    for sl, entry in zip(slices, result.window_weights):
+        rows = range(n)[sl][sampled(sl, 75)]
+        assert len(rows) == 1
+        expect = diffuse_weights_of(lum[rows], grid, masks[rows], seq.frames[rows])
+        assert entry["diffuse"] == expect.tolist()
+
+
+def working_memory(seq, cfg, on_diffuse=None):
     """tracemalloc peak of run_pipeline less what it returns (the waveforms,
     weights and report it keeps), after a short untraced run at the same
     rate fills the caches."""
@@ -326,7 +378,7 @@ def working_memory(seq, cfg):
     sidecar = full_sidecar(seq)
     tracemalloc.start()
     try:
-        result = run_pipeline(seq, sidecar, cfg)
+        result = run_pipeline(seq, sidecar, cfg, on_diffuse)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,17 +392,21 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
     # to five passes and stop at different ones, so each chunk's weight
     # table is compacted while it is alive. The pass's temporaries and that
     # table bound the peak of the whole run, for 64 frames or about ten pass
-    # chunks (640 frames at 48x48, 170 at 96x96; two hold all 640 at 16x16).
+    # chunks (640 frames at 48x48, 170 at 96x96; two hold all 640 at 16x16),
+    # whether the pass separates one frame in DIFFUSE_STRIDE or, for a
+    # diffuse dump, every frame.
     uniform = pulsed_sequence(n=long, h=size, w=size).frames
     noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
     cfg = RunConfig(method="proposed", window_s=2.0, hop_s=1.0, grid_rows=4, grid_cols=4)
     peaks = [
-        working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg)
+        working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg, on_diffuse)
         for frames in (uniform, noise)
         for n in (64, long)
+        for on_diffuse in (None, lambda diffuse: None)
     ]
-    # measured 73-80 planes: the pass chunk's frames, masks and diffuse
-    # frames, and one diffuse chunk's bilateral table and temporaries
+    # measured 6-21 planes, and 73-80 with the dump: the pass chunk's
+    # frames, masks and diffuse frames, and one diffuse chunk's bilateral
+    # table and temporaries
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
