@@ -4,10 +4,10 @@
 # holds two records, a sidecar one record short), of a path that cannot be
 # opened, as an input (3) or as an output (2), of diffuse frames dumped over
 # the recording they come from (2), of an output that names an input (2: a
-# report over the recording, a summary over its manifest), of a PPM
-# recording whose middle frame is
-# a directory (3, naming the frame) or is cut short (4), of a noise model
-# past float64 (2) and of a scene too big to render (9).
+# report over the recording, a summary over its manifest, a biophys table
+# over its illuminant), of a PPM recording whose middle frame is a
+# directory (3, naming the frame) or is cut short (4), of a noise model past
+# float64 (2) and of a scene too big to render (9).
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -42,6 +42,12 @@ rc=0
 rppg biophys --table melanin --points 3 --illuminant "$smoke/bad-illuminant.csv" || rc=$?
 test "$rc" -eq 4
 rppg biophys --table pixel-snr --out "$smoke/pixel-snr.csv"
+cp "$smoke/illuminant.csv" "$smoke/illuminant-before.csv"
+rc=0
+rppg biophys --table melanin --points 3 --illuminant "$smoke/illuminant.csv" \
+  --out "$smoke/illuminant.csv" || rc=$?
+test "$rc" -eq 2
+cmp "$smoke/illuminant.csv" "$smoke/illuminant-before.csv"
 # a step that does not divide 300 nm: the grid stops at 694 nm
 rppg biophys --table melanin --points 3 --step-nm 7
 # a noise model whose full-scale variance overflows float64: exit 2

@@ -254,18 +254,24 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_biophys(args: argparse.Namespace) -> int:
+    sens = [] if args.sensitivities is None else args.sensitivities.split(",")
+    _check_outputs(
+        {"--out": args.out},
+        {
+            "--illuminant": args.illuminant,
+            **{f"--sensitivities CSV {i + 1}": path for i, path in enumerate(sens)},
+        },
+    )
     sweep = Sweep(**_field_values(args, Sweep))
     base = SkinParams(**_field_values(args, SkinParams))
     noise = CameraNoiseParams(**_field_values(args, CameraNoiseParams))
     if args.table == "melanin":
         import numpy as np
 
-        sens = None
-        if args.sensitivities is not None:
-            sens = tuple(Path(p) for p in args.sensitivities.split(","))
-            if len(sens) != 3:
-                raise UsageError("--sensitivities wants three CSVs: r.csv,g.csv,b.csv")
-        ctx = SpectralContext.from_csv(args.illuminant, sens, sweep.step_nm)
+        if sens and len(sens) != 3:
+            raise UsageError("--sensitivities wants three CSVs: r.csv,g.csv,b.csv")
+        paths = tuple(Path(p) for p in sens) or None
+        ctx = SpectralContext.from_csv(args.illuminant, paths, sweep.step_nm)
         grid = np.linspace(sweep.f_mel_min, sweep.f_mel_max, sweep.points)
         rows = melanin_sweep(grid, base, ctx, channel=sweep.channel)
         lines = ["f_mel,signal,sinr"]

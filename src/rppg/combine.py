@@ -14,12 +14,18 @@ and one SNR pass give the weights, and snr reuses those same waveforms.
 The periodogram is heartrate's, the one the window rates are read from.
 
 This module owns the pixel-to-cell reduction and every cell weight:
-pool_planes pools masked_planes into cells by two exact float64 products,
-each one per frame. facial_aggregate, grid_traces and diffuse_weights take
-a window's per-frame sums and counts from pool_planes's output,
-(t, rows, cols, ...) and (t, rows, cols), not its pixels. diffuse_weights
-is a mean over the frames it is given, so the pipeline separates, and hands
-it the rows of, only one frame in pipeline.DIFFUSE_STRIDE.
+pool_planes pools masked_planes into cells by two products, each one per
+frame. Integer planes (uint8 RGB and the mask) are float32 while the frame
+height h keeps h * 255 <= 2**24: every sum of the first product is then an
+integer of at most h * 255, exact in float32, and the second product, whose
+sums reach h * w * 255, runs in float64, exact below 2**53. Each cell sum
+is thus the exact integer whatever BLAS kernel or thread count runs; taller
+frames and float values (the diffuse luminance) stay float64.
+facial_aggregate, grid_traces and diffuse_weights take a window's
+per-frame sums and counts from pool_planes's output, (t, rows, cols, ...)
+and (t, rows, cols), not its pixels. diffuse_weights is a mean over the
+frames it is given, so the pipeline separates, and pools the luminance
+of, only one frame in pipeline.DIFFUSE_STRIDE.
 """
 
 from __future__ import annotations
@@ -38,13 +44,16 @@ WEIGHT_EPS = 1e-12
 
 
 def masked_planes(masks: np.ndarray, *values: np.ndarray) -> np.ndarray:
-    """The float64 planes that pool_planes pools, (t, h, k + 1, w): the k
-    channels of the (t, h, w, ...) values arrays in turn, 0 where masks
-    (t, h, w) is False, then the mask itself."""
+    """The planes that pool_planes pools, (t, h, k + 1, w): the k channels
+    of the (t, h, w, ...) values arrays in turn, 0 where masks (t, h, w) is
+    False, then the mask itself. They are float32 if every values array is
+    uint8 and h * 255 <= 2**24 (frames up to 65,793 rows), so that the sums
+    of pool_planes's float32 product are exact integers; else float64."""
     t, h, w = masks.shape
+    exact32 = h * 255 <= 2**24 and all(v.dtype == np.uint8 for v in values)
     values = [np.moveaxis(v.reshape(t, h, w, -1), 3, 2) for v in values]
     ends = np.cumsum([v.shape[2] for v in values])
-    planes = np.empty((t, h, ends[-1] + 1, w))
+    planes = np.empty((t, h, ends[-1] + 1, w), np.float32 if exact32 else np.float64)
     for v, end in zip(values, ends):
         np.multiply(v, masks[:, :, None], out=planes[:, :, end - v.shape[2] : end])
     planes[:, :, -1] = masks
@@ -55,22 +64,23 @@ def pool_planes(planes: np.ndarray, y_edges, x_edges) -> np.ndarray:
     """Per-cell sums of masked_planes's planes (t, h, k + 1, w), float64
     (t, rows, cols, k + 1) with the pixel counts last; cell (r, c) spans
     [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]) of the frame.
-    0/1 indicators (rows, h) @ planes, then that @ (w, cols), both one
-    product per frame, sum each cell in pixel order: a frame's sums do not
-    depend on the other frames in the call (one gemm over all of them does
-    not promise that, as BLAS picks its kernel by size), and integer sums
-    below 2**53 are exact."""
+    0/1 indicators (rows, h) @ planes, in the planes' dtype, then that, as
+    float64, @ (w, cols), both one product per frame, sum each cell in pixel
+    order: a frame's sums do not depend on the other frames in the call (one
+    gemm over all of them does not promise that, as BLAS picks its kernel by
+    size). Integer sums are exact: below 2**24 in the float32 product (see
+    masked_planes), below 2**53 in the float64 ones."""
     t, h, k1, w = planes.shape
-    rows_of, cols_of = _indicator(y_edges, h), _indicator(x_edges, w).T
-    by_row = rows_of @ planes.reshape(t, h, k1 * w)
+    rows_of, cols_of = _indicator(y_edges, h, planes.dtype), _indicator(x_edges, w).T
+    by_row = (rows_of @ planes.reshape(t, h, k1 * w)).astype(np.float64, copy=False)
     pooled = by_row.reshape(t, -1, w) @ cols_of
     return np.moveaxis(pooled.reshape(t, len(rows_of), k1, -1), 2, 3)
 
 
-def _indicator(edges, n: int) -> np.ndarray:
-    """0/1 float64 (len(edges) - 1, n): (i, p) is 1 where edges[i] <= p < edges[i + 1]."""
+def _indicator(edges, n: int, dtype=np.float64) -> np.ndarray:
+    """0/1 (len(edges) - 1, n): (i, p) is 1 where edges[i] <= p < edges[i + 1]."""
     edges, px = np.asarray(edges)[:, None], np.arange(n)
-    return ((px >= edges[:-1]) & (px < edges[1:])).astype(np.float64)
+    return ((px >= edges[:-1]) & (px < edges[1:])).astype(dtype)
 
 
 def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -209,7 +209,8 @@ def periodogram(x: np.ndarray, fps: float):
     win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
     win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
     spec = np.fft.rfft(x * win, n=nfft)
-    power = spec.real**2 + spec.imag**2
+    power = spec.real**2
+    power += spec.imag**2  # in place: one power-sized temporary, not two
     power[..., 1:-1] *= 2  # one-sided; nfft is even, so the Nyquist bin has no mirror
     return np.fft.rfftfreq(nfft, 1.0 / fps), power
 

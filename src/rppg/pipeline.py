@@ -9,16 +9,19 @@ is built before any frame is read.
 
 The recording is read once, PASS_CHUNKS diffuse chunks (frame_chunks) at
 a time. For each such chunk the pass builds the skin masks from its bbox
-rows and polygons, and for proposed separates the chunk's sampled frames
-(see DIFFUSE_STRIDE) and takes their luminance. Each diffuse chunk is laid
-out once by masked_planes (RGB, luminance, mask), and pool_planes pools it
-into the cells of every window that overlaps it; windows with the same
-edges, such as aggregate's one cell spanning the frame, share one pooling.
-A window's diffuse weights read the sums of its sampled frames only. A
-window is finished (traces, weights, combination) as soon as its last
-frame is read, and its sums are dropped, so peak memory is one chunk plus
-the per-frame cell sums of the open windows, whatever the length of the
-recording.
+rows and polygons; each of its diffuse chunks is laid out once by
+masked_planes (RGB, mask: integers, so float32 and exact, see combine),
+and pool_planes pools it into the cells of every window that overlaps it;
+windows with the same edges, such as aggregate's one cell spanning the
+frame, share one pooling. For proposed the luminance is a second pool:
+the sampled frames (see DIFFUSE_STRIDE) and their masks are held across
+pass chunks and separated one diffuse chunk at a time, or sooner when a
+window that holds one is about to finish, and their luminance is laid out
+on its own float64 planes (luminance, mask) and pooled into the windows
+that hold them. A window is finished (traces, weights, combination) as
+soon as its last frame is read, and its sums are dropped, so peak memory
+is one chunk plus the per-frame cell sums of the open windows, whatever
+the length of the recording.
 Per-frame sums do not depend on how the frames are chunked, so every
 result is that of pooling each window whole.
 
@@ -63,9 +66,9 @@ from .signals import PulseWaveform
 
 
 # Diffuse chunks in one chunk of the pass (16 frames at 96x96, 116 at
-# 32x32), so reading, masking and separating take enough frames per call to
-# amortise their per-call work, while the pooling takes the chunk's
-# cache-sized diffuse chunks one at a time.
+# 32x32), so reading, masking and a diffuse dump's separating take enough
+# frames per call to amortise their per-call work, while the pooling takes
+# the chunk's cache-sized diffuse chunks one at a time.
 PASS_CHUNKS = 4
 # proposed separates frame i of the recording when i % k == 0, with
 # k = min(DIFFUSE_STRIDE, the window's frame count) so that every window
@@ -96,53 +99,84 @@ def _window_sums(
     on_diffuse: Callable[[np.ndarray], None] | None,
     stride: int,
 ):
-    """Each window's pool_planes sums over its frames and the edges grids[i],
-    (t, rows, cols, channels + 1): RGB, the luminance of the diffuse frames
-    that separate makes (if given), the pixel count. Each is yielded in window
-    order as soon as the window's last frame is read. separate is handed the
-    frames whose index is a multiple of stride, and the luminance is 0 on the
-    others. Every chunk is read and, if on_diffuse is given, all its frames
-    are separated and go to it, the tail after the last window too.
+    """Each window's pool_planes sums over the edges grids[i], yielded in
+    window order as soon as the window's last frame is read: (rgb, lum),
+    rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, lum
+    (t_s, rows, cols, 2) the luminance sums and pixel counts of its sampled
+    frames, those whose index is a multiple of stride, in the diffuse
+    frames that separate makes (None without separate).
+
+    The sampled frames are held across pass chunks and handed to separate
+    one diffuse chunk at a time, or sooner when a window that holds one is
+    about to be yielded; every sampled frame goes once, in order, the tail
+    after the last window too. If on_diffuse is given, every frame of each
+    pass chunk is separated instead and goes to it, and the luminance is
+    that of the sampled rows.
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
-    parts: list[list | None] = [[] for _ in slices]
+    rgb: list[list | None] = [[] for _ in slices]
+    lum: list[list | None] = [[] for _ in slices]
     done = 0
+
+    def pool(planes, first, step, parts):
+        """Pools planes, frames first, first + step, ..., into the parts of
+        every open window that holds one of them."""
+        pooled = {}  # windows with the same edges share their sums
+        for i in range(done, len(slices)):
+            sl = slices[i]
+            if sl.start >= first + step * len(planes):
+                break
+            a, b = (max(-((first - edge) // step), 0) for edge in (sl.start, sl.stop))
+            if a < b:
+                if keys[i] not in pooled:
+                    pooled[keys[i]] = pool_planes(planes, *grids[i])
+                parts[i].append(pooled[keys[i]][a:b])
+
+    def pool_luminance(diffuse, masks, first):
+        pool(masked_planes(masks, diffuse_luminance(diffuse)), first, stride, lum)
+
+    per = frame_chunks(1, height, width)[0].stop  # frames in one diffuse chunk
+    # (index, frame, mask) of the sampled frames not yet separated, copied
+    # so that no view keeps a whole pass chunk alive
+    held = []
+
+    def flush():
+        index, frames, masks = zip(*held)
+        pool_luminance(separate(np.stack(frames)), np.stack(masks), index[0])
+        held.clear()
+
     for chunk in frame_chunks(seq.count, height, width, PASS_CHUNKS):
         frames = seq.frames[chunk]
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
-        values = (frames,)
         if separate is not None:
-            sel = np.arange(-chunk.start % stride, len(frames), stride)
+            sel = slice(-chunk.start % stride, None, stride)
             if on_diffuse is not None:  # the dump takes every frame
                 diffuse = separate(frames)
                 on_diffuse(diffuse)
-                lum = diffuse_luminance(diffuse[sel])
+                if sel.start < len(frames):
+                    pool_luminance(diffuse[sel], masks[sel], chunk.start + sel.start)
                 del diffuse
-            else:  # a chunk may hold no sampled frame
-                lum = diffuse_luminance(separate(frames[sel])) if sel.size else 0.0
-            # the luminance plane is made after separating, and dropped with
-            # values, so that it is never alive next to the bilateral's buffers
-            values = (frames, np.zeros(frames.shape[:3]))
-            values[1][sel] = lum
-            del lum
+            else:
+                for j in range(sel.start, len(frames), stride):
+                    held.append((chunk.start + j, frames[j].copy(), masks[j].copy()))
+                    if len(held) == per:
+                        flush()
         for sub in frame_chunks(len(frames), height, width):
-            planes = masked_planes(masks[sub], *(v[sub] for v in values))
             first = chunk.start + sub.start
+            planes = masked_planes(masks[sub], frames[sub])
+            pool(planes, first, 1, rgb)
             stop = first + len(planes)
-            pooled = {}  # windows with the same edges share their sums
-            for i in range(done, len(slices)):
-                sl = slices[i]
-                if sl.start >= stop:
-                    break
-                if keys[i] not in pooled:
-                    pooled[keys[i]] = pool_planes(planes, *grids[i])
-                parts[i].append(pooled[keys[i]][max(sl.start - first, 0) : sl.stop - first])
-            del planes, pooled  # before a window is finished or the next chunk's are made
+            del planes  # before a window is finished or the next chunk's are made
             while done < len(slices) and slices[done].stop <= stop:
-                yield np.concatenate(parts[done])
-                parts[done] = None
+                if held and held[0][0] < slices[done].stop:
+                    flush()
+                sampled = np.concatenate(lum[done]) if separate is not None else None
+                yield np.concatenate(rgb[done]), sampled
+                rgb[done] = lum[done] = None
                 done += 1
+    if held:
+        flush()
 
 
 def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps: float):
@@ -204,7 +238,7 @@ def run_pipeline(
     bpm: list[float] = []
     weight_log: list[dict] = []
     window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, on_diffuse, stride)
-    for i, pooled in enumerate(window_sums):
+    for i, (pooled, lum) in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces
         counts = np.ascontiguousarray(pooled[..., -1])
@@ -217,10 +251,7 @@ def run_pipeline(
                 rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
             else:
-                sampled = slice(-slices[i].start % stride, None, stride)
-                w_dif = diffuse_weights(
-                    np.ascontiguousarray(pooled[sampled, ..., 3]), counts[sampled]
-                )
+                w_dif = diffuse_weights(np.ascontiguousarray(lum[..., 0]), lum[..., 1])
                 rows.append(combine_proposed(traces, w_snr, w_dif))
                 weight_log.append(
                     {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}

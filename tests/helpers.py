@@ -117,14 +117,11 @@ def facial_aggregate_of(frames, masks) -> np.ndarray:
     return facial_aggregate(*pooled_sums(frames, masks, ([0, height], [0, width])))
 
 
-def diffuse_weights_of(lum, edges, masks, frames=None) -> np.ndarray:
-    """diffuse_weights of luminance lum (t, h, w); given the RGB frames too,
-    lum is pooled after them, as the pass lays its planes out: float sums
-    can round by the layout, so this is the pass's result bit for bit."""
-    if frames is None:
-        return diffuse_weights(*pooled_sums(lum, masks, edges))
-    sums, counts = pooled_sums(np.concatenate([frames, lum[..., None]], axis=-1), masks, edges)
-    return diffuse_weights(np.ascontiguousarray(sums[..., 3]), counts)
+def diffuse_weights_of(lum, edges, masks) -> np.ndarray:
+    """diffuse_weights of luminance lum (t, h, w), pooled on its own planes
+    as the pass pools it: float sums can round by the layout, so this is the
+    pass's result bit for bit."""
+    return diffuse_weights(*pooled_sums(lum, masks, edges))
 
 
 # Values that break a JSON field: out of float range, not finite, the wrong

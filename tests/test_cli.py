@@ -911,6 +911,25 @@ def test_biophys_custom_spectra(tmp_path, capsys):
     assert main(["biophys", "--table", "pixel-snr", "--points", "0"]) == 2
 
 
+def test_biophys_out_may_not_name_a_spectrum_csv(tmp_path, capsys):
+    # --out may name neither --illuminant nor any --sensitivities CSV:
+    # exit 2 before anything is read, and each CSV keeps its bytes
+    csvs = [tmp_path / f"{name}.csv" for name in ("ill", "r", "g", "b")]
+    for path in csvs:
+        path.write_text("wavelength_nm,value\n400,0.5\n700,1.5\n")
+    ill, *sens = csvs
+    spectra = ["--illuminant", str(ill), "--sensitivities", ",".join(map(str, sens))]
+    for out, table in [*((p, "melanin") for p in csvs), (ill, "pixel-snr")]:
+        capsys.readouterr()
+        assert main(["biophys", "--table", table, *spectra, "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("rppg: error: --out") and "would be overwritten" in err, err
+        assert all(p.read_text() == "wavelength_nm,value\n400,0.5\n700,1.5\n" for p in csvs)
+    missing = str(tmp_path / "no.csv")
+    assert main(["biophys", "--table", "melanin", "--illuminant", missing, "--out", missing]) == 2
+    assert main(["biophys", "--table", "melanin", *spectra, "--out", str(tmp_path / "t.csv")]) == 0
+
+
 @pytest.mark.parametrize("step_nm, rows", [("7", 3), ("0.7", 3), ("150.1", 1)])
 def test_biophys_step_that_does_not_divide_the_band(capsys, step_nm, rows):
     # the grid stops at the last step inside 700 nm

@@ -219,6 +219,63 @@ def test_masked_cell_sums_are_exact_at_camera_resolution():
     assert (pooled[..., :-1] == 255 * pooled[..., -1:]).all()
 
 
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40)),
+    whole=st.booleans(),
+    full=st.booleans(),
+    saturated=st.booleans(),
+    data=st.data(),
+)
+def test_float32_pooling_of_uint8_frames_equals_float64_bit_for_bit(
+    shape, whole, full, saturated, data
+):
+    # uint8 RGB and mask planes pool in float32 (every first-product sum is
+    # an integer of at most h * 255 < 2**24) and the sums are those of the
+    # same frames as float64, bit for bit: all-255 frames under full masks
+    # reach the largest sums, and edges span the frame or cut it unevenly.
+    n, h, w = shape
+    frames, masks = random_scene(seed=data.draw(st.integers(0, 2**16)), n=n, h=h, w=w)
+    if saturated:
+        frames[...] = 255
+    if full:
+        masks[...] = True
+    edges = (
+        (np.array([0, h]), np.array([0, w]))
+        if whole
+        else (np.array(data.draw(edges_in(h, 8))), np.array(data.draw(edges_in(w, 8))))
+    )
+    planes = masked_planes(masks, frames)
+    assert planes.dtype == np.float32
+    reference = masked_planes(masks, frames.astype(np.float64))
+    assert reference.dtype == np.float64
+    pooled = pool_planes(planes, *edges)
+    assert pooled.dtype == np.float64
+    assert np.array_equal(pooled, pool_planes(reference, *edges))
+    if whole:
+        assert pooled[:, 0, 0].tolist() == [
+            [*f.sum(axis=(0, 1), where=m[..., None], dtype=np.int64).tolist(), int(m.sum())]
+            for f, m in zip(frames, masks)
+        ]
+
+
+@pytest.mark.parametrize("h", [2**24 // 255, 2**24 // 255 + 1])
+def test_pooling_is_exact_at_the_float32_row_limit(h):
+    # One column of h rows of 255, but 254 in the last row of channel 0:
+    # its sum is 255 * h - 1. Up to 65,793 rows every first-product sum is
+    # exact in float32; at 65,794 the planes are float64, where float32 would
+    # round the odd sum 16,777,469 past 2**24.
+    frames = np.full((2, h, 1, 3), 255, dtype=np.uint8)
+    frames[:, -1, :, 0] = 254
+    masks = np.ones((2, h, 1), dtype=bool)
+    planes = masked_planes(masks, frames)
+    assert planes.dtype == (np.float32 if h * 255 <= 2**24 else np.float64)
+    want = [[[[255 * h - 1, 255 * h, 255 * h, h]]]] * 2
+    assert pool_planes(planes, np.array([0, h]), np.array([0, 1])).tolist() == want
+    halves = pool_planes(planes, np.array([0, h // 2, h]), np.array([0, 1]))
+    assert halves.sum(axis=1).tolist() == [[[255 * h - 1, 255 * h, 255 * h, h]]] * 2
+
+
 def test_grid_traces_live_flags_and_carry_forward():
     frames = np.full((3, 4, 4, 3), 100, dtype=np.uint8)
     masks = np.zeros((3, 4, 4), dtype=bool)
