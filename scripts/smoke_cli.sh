@@ -108,6 +108,11 @@ rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jso
   --method proposed --dump-diffuse "$smoke/ppm/frames" || rc=$?
 test "$rc" -eq 2
 diff -r "$smoke/ppm-before" "$smoke/ppm/frames"
+rc=0
+rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jsonl" \
+  --out "$smoke/ppm/frames/frame_000005.ppm" || rc=$?
+test "$rc" -eq 2
+diff -r "$smoke/ppm-before" "$smoke/ppm/frames"
 # a middle frame of 300 that is a directory: it is found when its chunk is
 # read, exit 3, naming the frame
 middle="$smoke/ppm-before/frame_000150.ppm"

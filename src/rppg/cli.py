@@ -8,9 +8,12 @@ Subcommands:
 
 Every single-file output (--out, --dump-weights, --scatter, --bland-altman)
 is written atomically (temp file + rename); synth's files and the
---dump-diffuse frames are written in place. An estimate or evaluate output
-that names one of the command's input files or another of its outputs is
-a usage error, found before any input is read. Errors map
+--dump-diffuse frames are written in place, after the pass, one diffuse
+chunk at a time (the pass separates only the frames the weights sample),
+and their manifest once the run has succeeded. An output that names an
+input or another output, or a frame file or manifest of the --frames or
+--dump-diffuse directory, is a usage error, found before any input is
+read. Errors map
 to stable exit codes: 2 usage or unwritable output, 3 missing or unreadable
 input, 4 malformed data, 5 geometry, 6 empty region, 7 signal, 8 model,
 9 invalid scene.
@@ -23,9 +26,12 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from .biophysics import (
     CameraNoiseParams,
@@ -36,6 +42,7 @@ from .biophysics import (
     pixel_snr_sweep,
 )
 from .config import ENV_CONFIG_VAR, KINDS, RunConfig, load_run_config, parse_value
+from .diffuse import frame_chunks
 from .errors import MissingInputError, ToolkitError, UsageError, writing
 from .evaluation import (
     bland_altman_csv,
@@ -45,7 +52,7 @@ from .evaluation import (
     scatter_csv,
 )
 from .ingest import FrameDirWriter, load_frame_sequence, load_landmarks
-from .pipeline import run_pipeline
+from .pipeline import diffuse_estimator, run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
 
 
@@ -149,15 +156,29 @@ def _same_path(a, b) -> bool:
         return False
 
 
+def _in_frame_dir(path, directory) -> bool:
+    """Whether path, links resolved, names a frame or the manifest.json of a
+    frame directory (see ingest) in directory."""
+    with contextlib.suppress(OSError, ValueError):  # a path holding NUL, say
+        head, name = os.path.split(os.path.realpath(path))
+        frame_file = re.fullmatch(r"manifest\.json|frame_\d{6,}\.ppm", name)
+        return bool(frame_file) and _same_path(head, directory)
+    return False
+
+
 def _check_outputs(outputs: dict, inputs: dict) -> None:
-    """A UsageError when an output path names an input or another output,
-    found before anything is read or written; None and "-" (stdout) name no
-    file."""
+    """A UsageError when an output path names an input or another output, or
+    a frame directory's file while the other names that directory, found
+    before anything is read or written; None and "-" (stdout) name no file."""
     named = [(flag, path) for flag, path in outputs.items() if path not in (None, "-")]
     for i, (flag, path) in enumerate(named):
         for other, taken in [*inputs.items(), *named[:i]]:
-            if taken is not None and _same_path(path, taken):
-                raise UsageError(f"{flag} {path} is also {other}: it would be overwritten")
+            if taken is None:
+                continue
+            inside = _in_frame_dir(path, taken) or _in_frame_dir(taken, path)
+            if inside or _same_path(path, taken):
+                how = "overlaps" if inside else "is also"
+                raise UsageError(f"{flag} {path} {how} {other}: it would be overwritten")
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -175,18 +196,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError("--dump-diffuse requires --method proposed")
     seq = load_frame_sequence(args.frames)
     bboxes, polygons = load_landmarks(args.landmarks, seq.count, seq.width, seq.height)
-    dump = on_diffuse = None
+    dump = None
     if args.dump_diffuse is not None:
-        import numpy as np
-
-        # frames are written as the pass makes them; the manifest only
-        # once the run has succeeded
+        # before the pass, so an unwritable directory is found, a stale manifest gone
         dump = FrameDirWriter(Path(args.dump_diffuse), seq.fps, seq.width, seq.height)
-
-        def on_diffuse(diffuse):
-            dump.write(np.clip(np.rint(diffuse), 0, 255).astype(np.uint8))
-
-    result = run_pipeline(seq, bboxes, cfg, on_diffuse, polygons)
+    result = run_pipeline(seq, bboxes, cfg, polygons)
+    if dump is not None:
+        separate = diffuse_estimator(cfg.diffuse_estimator)
+        for chunk in frame_chunks(seq.count, seq.height, seq.width):
+            dump.write(np.clip(np.rint(separate(seq.frames[chunk])), 0, 255).astype(np.uint8))
     _emit(_json_dumps(result.report), args.out)
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))
@@ -266,8 +284,6 @@ def _cmd_biophys(args: argparse.Namespace) -> int:
     base = SkinParams(**_field_values(args, SkinParams))
     noise = CameraNoiseParams(**_field_values(args, CameraNoiseParams))
     if args.table == "melanin":
-        import numpy as np
-
         if sens and len(sens) != 3:
             raise UsageError("--sensitivities wants three CSVs: r.csv,g.csv,b.csv")
         paths = tuple(Path(p) for p in sens) or None

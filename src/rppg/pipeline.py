@@ -18,12 +18,13 @@ the sampled frames (see DIFFUSE_STRIDE) and their masks are held across
 pass chunks and separated one diffuse chunk at a time, or sooner when a
 window that holds one is about to finish, and their luminance is laid out
 on its own float64 planes (luminance, mask) and pooled into the windows
-that hold them. A window is finished (traces, weights, combination) as
-soon as its last frame is read, and its sums are dropped, so peak memory
-is one chunk plus the per-frame cell sums of the open windows, whatever
-the length of the recording.
-Per-frame sums do not depend on how the frames are chunked, so every
-result is that of pooling each window whole.
+that hold them; no other frame is separated (the CLI's --dump-diffuse
+separates every frame after the pass). A window is finished (traces,
+weights, combination) as soon as its last frame is read, and its sums are
+dropped, so peak memory is one chunk plus the per-frame cell sums of the
+open windows, whatever the length of the recording. Per-frame sums do
+not depend on how the frames are chunked, so every result is that of
+pooling each window whole.
 
 Windows are the rows of blocks, as grid cells are: every window has the
 same number of frames, so the pooled RGB traces of aggregate and proposed
@@ -66,9 +67,9 @@ from .signals import PulseWaveform
 
 
 # Diffuse chunks in one chunk of the pass (16 frames at 96x96, 116 at
-# 32x32), so reading, masking and a diffuse dump's separating take enough
-# frames per call to amortise their per-call work, while the pooling takes
-# the chunk's cache-sized diffuse chunks one at a time.
+# 32x32), so reading and masking take enough frames per call to amortise
+# their per-call work, while the pooling takes the chunk's cache-sized
+# diffuse chunks one at a time.
 PASS_CHUNKS = 4
 # proposed separates frame i of the recording when i % k == 0, with
 # k = min(DIFFUSE_STRIDE, the window's frame count) so that every window
@@ -96,7 +97,6 @@ def _window_sums(
     slices: list[slice],
     grids: list[tuple[np.ndarray, np.ndarray]],
     separate: Callable[[np.ndarray], np.ndarray] | None,
-    on_diffuse: Callable[[np.ndarray], None] | None,
     stride: int,
 ):
     """Each window's pool_planes sums over the edges grids[i], yielded in
@@ -109,9 +109,7 @@ def _window_sums(
     The sampled frames are held across pass chunks and handed to separate
     one diffuse chunk at a time, or sooner when a window that holds one is
     about to be yielded; every sampled frame goes once, in order, the tail
-    after the last window too. If on_diffuse is given, every frame of each
-    pass chunk is separated instead and goes to it, and the luminance is
-    that of the sampled rows.
+    after the last window too, and no other frame goes at all.
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
@@ -133,9 +131,6 @@ def _window_sums(
                     pooled[keys[i]] = pool_planes(planes, *grids[i])
                 parts[i].append(pooled[keys[i]][a:b])
 
-    def pool_luminance(diffuse, masks, first):
-        pool(masked_planes(masks, diffuse_luminance(diffuse)), first, stride, lum)
-
     per = frame_chunks(1, height, width)[0].stop  # frames in one diffuse chunk
     # (index, frame, mask) of the sampled frames not yet separated, copied
     # so that no view keeps a whole pass chunk alive
@@ -143,25 +138,18 @@ def _window_sums(
 
     def flush():
         index, frames, masks = zip(*held)
-        pool_luminance(separate(np.stack(frames)), np.stack(masks), index[0])
+        luminance = diffuse_luminance(separate(np.stack(frames)))
+        pool(masked_planes(np.stack(masks), luminance), index[0], stride, lum)
         held.clear()
 
     for chunk in frame_chunks(seq.count, height, width, PASS_CHUNKS):
         frames = seq.frames[chunk]
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
         if separate is not None:
-            sel = slice(-chunk.start % stride, None, stride)
-            if on_diffuse is not None:  # the dump takes every frame
-                diffuse = separate(frames)
-                on_diffuse(diffuse)
-                if sel.start < len(frames):
-                    pool_luminance(diffuse[sel], masks[sel], chunk.start + sel.start)
-                del diffuse
-            else:
-                for j in range(sel.start, len(frames), stride):
-                    held.append((chunk.start + j, frames[j].copy(), masks[j].copy()))
-                    if len(held) == per:
-                        flush()
+            for j in range(-chunk.start % stride, len(frames), stride):
+                held.append((chunk.start + j, frames[j].copy(), masks[j].copy()))
+                if len(held) == per:
+                    flush()
         for sub in frame_chunks(len(frames), height, width):
             first = chunk.start + sub.start
             planes = masked_planes(masks[sub], frames[sub])
@@ -197,21 +185,21 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
     return waves, bpm
 
 
+def diffuse_estimator(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The separation a diffuse_estimator setting names, looked up at each
+    call among this module's names (a wrapper set on them is called)."""
+    return specular_free_min_subtract if name == "min_subtract" else estimate_diffuse_stack
+
+
 def run_pipeline(
     seq: FrameSequence,
     bboxes: np.ndarray,
     cfg: RunConfig,
-    on_diffuse: Callable[[np.ndarray], None] | None = None,
     polygons: dict | None = None,
 ) -> PipelineResult:
     """Estimate the recording's heart rate in one pass over its frames, from
-    its (n, 4) bboxes and polygon map (load_landmarks's, or none).
-
-    For proposed, on_diffuse (if given) receives each chunk's float32
-    diffuse frames (k, h, w, 3) in frame order, every frame of the
-    recording once, as they are made. The diffuse weights read only the
-    frames of the DIFFUSE_STRIDE sample, with or without on_diffuse.
-    """
+    its (n, 4) bboxes and polygon map (load_landmarks's, or none); proposed
+    separates only the frames of the DIFFUSE_STRIDE sample."""
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
@@ -225,19 +213,14 @@ def run_pipeline(
         if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
         for sl in slices
     ]
-    separate, stride = None, min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
-    if cfg.method == "proposed":
-        separate = (
-            specular_free_min_subtract
-            if cfg.diffuse_estimator == "min_subtract"
-            else estimate_diffuse_stack
-        )
+    separate = diffuse_estimator(cfg.diffuse_estimator) if cfg.method == "proposed" else None
+    stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
 
     rows: list[np.ndarray] = []
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, on_diffuse, stride)
+    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, stride)
     for i, (pooled, lum) in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces

@@ -14,20 +14,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rppg
+from rppg import cli, diffuse, pipeline
 from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams, Sweep
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
-from rppg.diffuse import estimate_diffuse_stack, frame_chunks, specular_free_min_subtract
+from rppg.diffuse import (
+    CHUNK_PLANE_BYTES,
+    estimate_diffuse_stack,
+    frame_chunks,
+    specular_free_min_subtract,
+)
 from rppg.errors import MissingInputError
 from rppg.ingest import (
+    FrameSequence,
     load_frame_sequence,
-    read_ppm,
     write_frame_dir,
     write_landmarks,
     write_raw_stream,
     write_timeseries_csv,
 )
-from rppg.pipeline import PASS_CHUNKS
+from rppg.pipeline import run_pipeline
 from rppg.synth import SpecularPatch, SynthScene, write_scene_dataset
 
 from helpers import full_sidecar, pulsed_sequence
@@ -100,19 +106,25 @@ def test_estimate_dump_weights(dataset, tmp_path):
     assert sum(entries[0]["diffuse"]) == pytest.approx(1.0)
 
 
-def test_estimate_dump_diffuse(dataset, tmp_path):
-    # The dump is a side output: it holds every frame, although the weights
-    # read only one frame in DIFFUSE_STRIDE, and the report and weights are
-    # the bytes of a run without it.
+def test_estimate_dump_diffuse(dataset, monkeypatch, tmp_path):
+    # The dump is a side output: after the pass, whose weights read only one
+    # frame in DIFFUSE_STRIDE, it separates every frame one diffuse chunk at
+    # a time. With diffuse chunks of one frame, of the default size and of
+    # the whole recording, every frame equals the whole stack's separation,
+    # rounded as the dump rounds it, for both estimators, and the report and
+    # weights are the bytes of a run without the dump.
     frames = load_frame_sequence(dataset["frames"]).frames[:]
     for estimator, separate in (
         ("min_subtract", specular_free_min_subtract),
         ("bilateral", estimate_diffuse_stack),
     ):
-        ddir = tmp_path / estimator
-        outputs = {}
-        for dump in ((), ("--dump-diffuse", str(ddir))):
-            report, weights = tmp_path / f"r{len(dump)}.json", tmp_path / f"w{len(dump)}.json"
+        expect = np.clip(np.rint(separate(frames)), 0, 255).astype(np.uint8)
+        outputs = set()
+        for plane_bytes in (None, 1, CHUNK_PLANE_BYTES, 1 << 40):
+            ddir = tmp_path / f"{estimator}-{plane_bytes}"
+            dump = () if plane_bytes is None else ("--dump-diffuse", str(ddir))
+            monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes or CHUNK_PLANE_BYTES)
+            report, weights = tmp_path / "r.json", tmp_path / "w.json"
             rc = main(
                 run_estimate(
                     dataset,
@@ -124,18 +136,93 @@ def test_estimate_dump_diffuse(dataset, tmp_path):
                 )
             )
             assert rc == 0
-            outputs[dump] = (report.read_bytes(), weights.read_bytes())
-        assert len(set(outputs.values())) == 1
-        seq = load_frame_sequence(ddir)
-        assert seq.frames.shape == (360, 24, 24, 3)
-        # byte-identical to the whole-stack estimate, rounded as the dump does
-        expect = np.clip(np.rint(separate(frames)), 0, 255).astype(np.uint8)
-        assert np.array_equal(seq.frames[:], expect)
+            outputs.add((report.read_bytes(), weights.read_bytes()))
+            if dump:
+                seq = load_frame_sequence(ddir)
+                assert seq.frames.shape == (360, 24, 24, 3)
+                assert np.array_equal(seq.frames[:], expect), plane_bytes
+        assert len(outputs) == 1
     # min-subtract zeroes the per-pixel minimum channel
-    assert load_frame_sequence(tmp_path / "min_subtract").frames[:].min(axis=-1).max() == 0
+    frames = load_frame_sequence(tmp_path / f"min_subtract-{CHUNK_PLANE_BYTES}").frames[:]
+    assert frames.min(axis=-1).max() == 0
+
+
+@pytest.mark.parametrize(
+    "estimator, name",
+    [("bilateral", "estimate_diffuse_stack"), ("min_subtract", "specular_free_min_subtract")],
+)
+def test_dump_diffuse_separates_through_the_pipeline_names(dataset, monkeypatch, tmp_path,
+                                                           estimator, name):
+    # The dump looks its estimator up as rppg.pipeline's name at call time,
+    # as the pass does, so a wrapper set there (perfbench's tracer) sees the
+    # dump's calls: one per diffuse chunk, every frame once, in order, after
+    # the pass's calls on its sampled frames.
+    calls = []
+    real = getattr(pipeline, name)
+
+    def separate(frames):
+        calls.append(np.array(frames))
+        return real(frames)
+
+    monkeypatch.setattr(pipeline, name, separate)
+    frames = load_frame_sequence(dataset["frames"]).frames[:]
+    chunks = frame_chunks(len(frames), 24, 24)
+    rc = main(run_estimate(
+        dataset, "--method", "proposed", "--diffuse-estimator", estimator,
+        "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "d"),
+    ))
+    assert rc == 0
+    assert len(calls) > len(chunks)
+    assert [len(c) for c in calls[-len(chunks):]] == [len(range(360)[sl]) for sl in chunks]
+    assert np.array_equal(np.concatenate(calls[-len(chunks):]), frames)
+    assert np.array_equal(np.concatenate(calls[:-len(chunks)]), frames[::pipeline.DIFFUSE_STRIDE])
+
+
+@pytest.mark.parametrize("size, long", [(16, 640), (48, 640), (96, 170)])
+def test_diffuse_dump_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, size, long):
+    # After the pass, the dump reads, separates and writes one diffuse chunk
+    # at a time, so its tracemalloc peak above what the run holds when the
+    # pass returns stays under the pass's own bound
+    # (test_luminance_stage_memory_is_bounded_by_the_chunk), at the same
+    # shapes: uniform frames, which converge in one bilateral pass, and noise
+    # frames, which take three to five, 64 frames or about ten pass chunks.
+    uniform = pulsed_sequence(n=long, h=size, w=size).frames
+    noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
+    held = []
+
+    def pass_then_reset_peak(*args):
+        result = run_pipeline(*args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(cli, "run_pipeline", pass_then_reset_peak)
+    peaks = []
+    for frames in (uniform, noise):
+        for n in (64, long):
+            seq = FrameSequence(frames=frames[:n], fps=32.0)
+            write_raw_stream(seq, tmp_path / "rec.raw")
+            write_landmarks(full_sidecar(seq), tmp_path / "rec.jsonl")
+            tracemalloc.start()
+            try:
+                assert main([
+                    "estimate", "--frames", str(tmp_path / "rec.raw"),
+                    "--landmarks", str(tmp_path / "rec.jsonl"), "--method", "proposed",
+                    "--window-s", "2", "--hop-s", "1", "--grid-rows", "4", "--grid-cols", "4",
+                    "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "d"),
+                ]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - held.pop())
+            finally:
+                tracemalloc.stop()
+    # measured 47-71 planes: one diffuse chunk's frames, diffuse frames and
+    # rounding temporaries, and its bilateral table and temporaries
+    assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
 def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
+    # The dump's directory is made, and a stale manifest removed, before the
+    # pass; its frames are separated and written after the pass, and its
+    # manifest last, once the run has succeeded.
     scene = SynthScene(width=24, height=24, fps=30.0, duration_s=12.0, seed=2)
     paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
 
@@ -147,24 +234,21 @@ def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
         ])
 
     assert estimate(tmp_path / "diffuse") == 0
-    good = load_frame_sequence(tmp_path / "diffuse").frames[:]
-    assert len(good) == 360
-    # a frame of the pass's second chunk goes missing: found when that chunk
-    # is read, after the first chunk's diffuse frames were written
-    first = frame_chunks(360, 24, 24, PASS_CHUNKS)[0]
-    assert first.stop < 300 < 359
+    assert len(load_frame_sequence(tmp_path / "diffuse").frames) == 360
+    # a frame that cannot be written is a usage error, and no report or
+    # manifest follows
+    (tmp_path / "taken" / "frame_000000.ppm").mkdir(parents=True)
+    (tmp_path / "r.json").unlink()
+    assert estimate(tmp_path / "taken") == 2
+    assert not (tmp_path / "r.json").exists()
+    # a frame missing from the input is found by the pass, before the dump
+    # separates any frame: exit 3, and the directory is made but left empty
     (paths["frames"] / "frame_000300.ppm").unlink()
     assert estimate(tmp_path / "fresh") == 3
-    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
-    assert names == [f"frame_{i:06d}.ppm" for i in range(first.stop)]
-    for i in (0, first.stop - 1):
-        written = read_ppm(tmp_path / "fresh" / names[i])
-        assert np.array_equal(written, good[i])
+    assert list((tmp_path / "fresh").iterdir()) == []
     # over a finished tree, the failed run removes its manifest first
     assert estimate(tmp_path / "diffuse") == 3
-    # a frame that cannot be written is a usage error, and no manifest follows
-    (tmp_path / "taken" / "frame_000000.ppm").mkdir(parents=True)
-    assert estimate(tmp_path / "taken") == 2
+    assert not (tmp_path / "diffuse" / "manifest.json").exists()
     for ddir in ("fresh", "diffuse", "taken"):
         with pytest.raises(MissingInputError, match="manifest.json not found"):
             load_frame_sequence(tmp_path / ddir)
@@ -191,16 +275,20 @@ def test_an_estimate_output_naming_an_input_or_another_output_exits_2(
     dataset, tmp_path, monkeypatch, capsys
 ):
     # --out and --dump-weights may name neither an input (--frames,
-    # --landmarks, the config file) nor each other. That is found before
-    # any input is read: a missing --frames is not reached, every input
-    # keeps its bytes, and no output is written.
+    # --landmarks, the config file) nor each other, and no path may name the
+    # manifest.json or a frame_NNNNNN.ppm of the --frames or --dump-diffuse
+    # directory. That is found before any input is read: a missing --frames
+    # is not reached, every input keeps its bytes, and no output is written.
     frames, landmarks = Path(dataset["frames"]), Path(dataset["landmarks"])
     ini = tmp_path / "run.ini"
     ini.write_text("[pipeline]\nmethod = aggregate\n")
     (tmp_path / "link.raw").symlink_to(frames)
-    inputs = (frames, landmarks, ini)
+    ppm = tmp_path / "ppm"
+    write_frame_dir(pulsed_sequence(n=8, h=8, w=8), ppm)
+    inputs = (frames, landmarks, ini, ppm / "manifest.json", ppm / "frame_000005.ppm")
     before = [p.read_bytes() for p in inputs]
     report = tmp_path / "r.json"
+    dump = tmp_path / "dump"
     cases = [
         (frames, "--out", frames),
         (frames, "--out", tmp_path / "link.raw"),
@@ -212,6 +300,12 @@ def test_an_estimate_output_naming_an_input_or_another_output_exits_2(
         (frames, "--out", report, "--dump-weights", report),
         (frames, "--out", report, "--dump-weights", tmp_path / "sub" / ".." / "r.json"),
         (tmp_path / "missing.raw", "--out", landmarks),
+        # a manifest or frame file of the --frames or --dump-diffuse directory
+        (frames, "--dump-diffuse", dump, "--out", dump / "manifest.json"),
+        (frames, "--dump-diffuse", dump, "--dump-weights", dump / "frame_000003.ppm"),
+        (frames, "--dump-diffuse", dump, "--config", dump / "manifest.json"),
+        (ppm, "--out", ppm / "frame_000005.ppm"),
+        (ppm, "--dump-weights", ppm / "sub" / ".." / "manifest.json"),
     ]
     for first, *extra in cases:
         argv = ["estimate", "--frames", str(first), "--landmarks", str(landmarks), *map(str, extra)]

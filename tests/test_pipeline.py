@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import tracemalloc
 
 import numpy as np
@@ -57,18 +56,15 @@ def test_clean_scene_recovered_by_every_method(method):
 def test_bilateral_estimator_route():
     seq, sidecar, _ = CLEAN
     cfg = RunConfig(method="proposed", grid_rows=4, grid_cols=4, diffuse_estimator="bilateral")
-    chunks = []
-    result = run_pipeline(seq, sidecar, cfg, on_diffuse=chunks.append)
+    result = run_pipeline(seq, sidecar, cfg)
     assert abs(result.report["video_bpm"] - 72.0) <= 1.0
-    assert np.concatenate(chunks).shape == seq.frames.shape
+    assert len(result.window_weights[0]["diffuse"]) == 16
 
 
 def test_report_structure():
     seq, sidecar, _ = CLEAN
     cfg = RunConfig(method="snr", grid_rows=4, grid_cols=4)
-    chunks = []
-    result = run_pipeline(seq, sidecar, cfg, on_diffuse=chunks.append)
-    assert chunks == []  # diffuse frames are made for proposed only
+    result = run_pipeline(seq, sidecar, cfg)
     rep = result.report
     assert rep["schema_version"] == 1
     assert rep["method"] == "snr"
@@ -278,18 +274,16 @@ def test_chunked_luminance_matches_whole_stack(monkeypatch, estimator, separate)
     # chunks of one frame, of the default size and of the whole recording,
     # each window's diffuse weights equal those of the whole stack's
     # luminance over the window's sampled rows, pooled on its own planes as
-    # the pass pools it (diffuse_weights_of). The dump gets every frame,
-    # as the whole stack's separation makes them, and changes no output.
+    # the pass pools it (diffuse_weights_of). The diffuse dump's frames are
+    # checked against the whole stack in test_cli.
     h, w = 32, 40
-    pass_chunks = functools.partial(frame_chunks, height=h, width=w, per=pipeline.PASS_CHUNKS)
-    n = 2 * pass_chunks(1)[0].stop + 5
+    n = 2 * frame_chunks(1, h, w, pipeline.PASS_CHUNKS)[0].stop + 5
     seq = FrameSequence(frames=mixed_frames(n, h, w, seed=4), fps=30.0)
     cfg = RunConfig(
         method="proposed", window_s=4.0, hop_s=2.0, grid_rows=2, grid_cols=3,
         diffuse_estimator=estimator,
     )
-    whole = separate(seq.frames)
-    lum = diffuse_luminance(whole)
+    lum = diffuse_luminance(separate(seq.frames))
     grid = build_grid((0, 0, w, h), 2, 3)
     masks = np.ones((n, h, w), dtype=bool)
     slices = pipeline.plan_windows(seq.duration_s, 4.0, 2.0).frame_slices(seq.fps, n)
@@ -305,13 +299,6 @@ def test_chunked_luminance_matches_whole_stack(monkeypatch, estimator, separate)
             result = run_pipeline(seq, full_sidecar(seq), cfg)
             assert [entry["diffuse"] for entry in result.window_weights] == expect, plane_bytes
         monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", CHUNK_PLANE_BYTES)
-        chunks = []
-        dumped = run_pipeline(seq, full_sidecar(seq), cfg, on_diffuse=chunks.append)
-        assert [len(c) for c in chunks] == [len(range(n)[sl]) for sl in pass_chunks(n)]
-        assert len(chunks) == 3
-        assert np.array_equal(np.concatenate(chunks), whole)
-        assert dumped.report == result.report
-        assert dumped.window_weights == result.window_weights
 
 
 @pytest.mark.parametrize("h, w", [(96, 96), (32, 32), (24, 24), (40, 72)])
@@ -368,7 +355,7 @@ def test_a_stride_above_the_window_length_samples_every_window(monkeypatch):
         assert entry["diffuse"] == expect.tolist()
 
 
-def working_memory(seq, cfg, on_diffuse=None):
+def working_memory(seq, cfg):
     """tracemalloc peak of run_pipeline less what it returns (the waveforms,
     weights and report it keeps), after a short untraced run at the same
     rate fills the caches."""
@@ -377,7 +364,7 @@ def working_memory(seq, cfg, on_diffuse=None):
     sidecar = full_sidecar(seq)
     tracemalloc.start()
     try:
-        result = run_pipeline(seq, sidecar, cfg, on_diffuse)
+        result = run_pipeline(seq, sidecar, cfg)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,21 +378,18 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
     # to five passes and stop at different ones, so each chunk's weight
     # table is compacted while it is alive. The pass's temporaries and that
     # table bound the peak of the whole run, for 64 frames or about ten pass
-    # chunks (640 frames at 48x48, 170 at 96x96; two hold all 640 at 16x16),
-    # whether the pass separates one frame in DIFFUSE_STRIDE or, for a
-    # diffuse dump, every frame.
+    # chunks (640 frames at 48x48, 170 at 96x96; two hold all 640 at 16x16).
     uniform = pulsed_sequence(n=long, h=size, w=size).frames
     noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
     cfg = RunConfig(method="proposed", window_s=2.0, hop_s=1.0, grid_rows=4, grid_cols=4)
     peaks = [
-        working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg, on_diffuse)
+        working_memory(FrameSequence(frames=frames[:n], fps=32.0), cfg)
         for frames in (uniform, noise)
         for n in (64, long)
-        for on_diffuse in (None, lambda diffuse: None)
     ]
-    # measured 4-73 planes, and 47-80 with the dump: the pass chunk's
-    # frames, masks and diffuse frames, and one diffuse chunk's bilateral
-    # table and temporaries (the sampled frames fill whole diffuse chunks)
+    # measured 4-73 planes: the pass chunk's frames and masks, and one
+    # diffuse chunk's bilateral table and temporaries (the sampled frames
+    # fill whole diffuse chunks)
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
