@@ -7,7 +7,9 @@
 # report over the recording, a summary over its manifest, a biophys table
 # over its illuminant), of a PPM recording whose middle frame is a
 # directory (3, naming the frame) or is cut short (4), of a noise model past
-# float64 (2) and of a scene too big to render (9).
+# float64 (2) and of a scene too big to render (9). A frame directory
+# written over a longer one (a diffuse dump, a PPM synth) keeps only its
+# own frames.
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -102,6 +104,15 @@ rc=0
 rppg synth --out "$smoke/synth-taken" --width 24 --height 24 --duration-s 12 --seed 1 || rc=$?
 test "$rc" -eq 2
 rppg synth --out "$smoke/ppm" --layout ppm --width 16 --height 16 --duration-s 10 --seed 1
+# the 300 frames of a 10 s dump or synth over the 360 of a 12 s one: the
+# frames past 300 go, and the manifest counts what is left
+rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jsonl" \
+  --method proposed --out "$smoke/dump-over.json" --dump-diffuse "$smoke/diffuse"
+test "$(ls "$smoke/diffuse" | wc -l)" -eq 301
+test ! -e "$smoke/diffuse/frame_000300.ppm"
+rppg synth --out "$smoke/ppm-over" --layout ppm --width 16 --height 16 --duration-s 12 --seed 1
+rppg synth --out "$smoke/ppm-over" --layout ppm --width 16 --height 16 --duration-s 10 --seed 1
+test "$(ls "$smoke/ppm-over/frames" | wc -l)" -eq 301
 cp -R "$smoke/ppm/frames" "$smoke/ppm-before"
 rc=0
 rppg estimate --frames "$smoke/ppm/frames" --landmarks "$smoke/ppm/landmarks.jsonl" \

@@ -15,12 +15,20 @@ The periodogram is heartrate's, the one the window rates are read from.
 
 This module owns the pixel-to-cell reduction and every cell weight:
 pool_planes pools masked_planes into cells by two products, each one per
-frame. Integer planes (uint8 RGB and the mask) are float32 while the frame
-height h keeps h * 255 <= 2**24: every sum of the first product is then an
-integer of at most h * 255, exact in float32, and the second product, whose
-sums reach h * w * 255, runs in float64, exact below 2**53. Each cell sum
-is thus the exact integer whatever BLAS kernel or thread count runs; taller
-frames and float values (the diffuse luminance) stay float64.
+frame. The planes keep the order in which a frame is stored: a row holds
+its pixels' channels interleaved (R, G, B of one pixel, then of the next),
+then the row's mask. Masking is thus one contiguous multiply by
+build_mask's per-channel mask, with no strided read of the frames, and
+pool_planes de-interleaves the channels only after the row product, on a
+result rows/h the size of the planes. With one channel (the luminance) the
+interleaved rows are the planar ones, values then mask, so its float64
+products, whose sums round, keep their shapes and bits. Integer planes
+(uint8 RGB and the mask) are float32 while the frame height h keeps
+h * 255 <= 2**24: every sum of the first product is then an integer of at
+most h * 255, exact in float32, and the second product, whose sums reach
+h * w * 255, runs in float64, exact below 2**53. Each cell sum is thus the
+exact integer whatever BLAS kernel, thread count or order of summation
+runs; taller frames and float values (the diffuse luminance) stay float64.
 facial_aggregate, grid_traces and diffuse_weights take a window's
 per-frame sums and counts from pool_planes's output, (t, rows, cols, ...)
 and (t, rows, cols), not its pixels. diffuse_weights is a mean over the
@@ -43,38 +51,53 @@ from .signals import zero_mean
 WEIGHT_EPS = 1e-12
 
 
-def masked_planes(masks: np.ndarray, *values: np.ndarray) -> np.ndarray:
-    """The planes that pool_planes pools, (t, h, k + 1, w): the k channels
-    of the (t, h, w, ...) values arrays in turn, 0 where masks (t, h, w) is
-    False, then the mask itself. They are float32 if every values array is
-    uint8 and h * 255 <= 2**24 (frames up to 65,793 rows), so that the sums
-    of pool_planes's float32 product are exact integers; else float64."""
-    t, h, w = masks.shape
-    exact32 = h * 255 <= 2**24 and all(v.dtype == np.uint8 for v in values)
-    values = [np.moveaxis(v.reshape(t, h, w, -1), 3, 2) for v in values]
-    ends = np.cumsum([v.shape[2] for v in values])
-    planes = np.empty((t, h, ends[-1] + 1, w), np.float32 if exact32 else np.float64)
-    for v, end in zip(values, ends):
-        np.multiply(v, masks[:, :, None], out=planes[:, :, end - v.shape[2] : end])
-    planes[:, :, -1] = masks
+def masked_planes(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The planes that pool_planes pools, (t, h, (k + 1) * w), laid out as
+    the (t, h, w, k) or (t, h, w) values are stored: each row holds its
+    pixels' k channels in turn, 0 where masked out, then the mask. The first
+    k * w columns of masks (t, h, ...) mask values' row entries and its last
+    w are the pixel mask: build_mask's (t, h, 4 * w) for RGB, a pixel mask
+    (t, h, w) for one channel. The planes are float32 if values is uint8 and
+    h * 255 <= 2**24 (frames up to 65,793 rows), so that the sums of
+    pool_planes's float32 product are exact integers; else float64."""
+    t, h, w = values.shape[:3]
+    exact32 = h * 255 <= 2**24 and values.dtype == np.uint8
+    values = values.reshape(t, h, -1)
+    kw = values.shape[2]
+    planes = np.empty((t, h, kw + w), np.float32 if exact32 else np.float64)
+    np.multiply(values, masks[..., :kw], out=planes[..., :kw])
+    planes[..., kw:] = masks[..., -w:]
     return planes
 
 
-def pool_planes(planes: np.ndarray, y_edges, x_edges) -> np.ndarray:
-    """Per-cell sums of masked_planes's planes (t, h, k + 1, w), float64
-    (t, rows, cols, k + 1) with the pixel counts last; cell (r, c) spans
-    [y_edges[r], y_edges[r + 1]) x [x_edges[c], x_edges[c + 1]) of the frame.
-    0/1 indicators (rows, h) @ planes, in the planes' dtype, then that, as
-    float64, @ (w, cols), both one product per frame, sum each cell in pixel
-    order: a frame's sums do not depend on the other frames in the call (one
-    gemm over all of them does not promise that, as BLAS picks its kernel by
-    size). Integer sums are exact: below 2**24 in the float32 product (see
-    masked_planes), below 2**53 in the float64 ones."""
-    t, h, k1, w = planes.shape
-    rows_of, cols_of = _indicator(y_edges, h, planes.dtype), _indicator(x_edges, w).T
-    by_row = (rows_of @ planes.reshape(t, h, k1 * w)).astype(np.float64, copy=False)
-    pooled = by_row.reshape(t, -1, w) @ cols_of
-    return np.moveaxis(pooled.reshape(t, len(rows_of), k1, -1), 2, 3)
+def cell_indicators(y_edges, x_edges, height: int, width: int):
+    """The 0/1 cell indicators of a grid's edges over (height, width) frames
+    that pool_planes takes: rows (rows, height) float32, (r, y) 1 where
+    y_edges[r] <= y < y_edges[r + 1], and columns (width, cols) float64."""
+    return _indicator(y_edges, height, np.float32), _indicator(x_edges, width).T
+
+
+def pool_planes(planes: np.ndarray, rows_of: np.ndarray, cols_of: np.ndarray) -> np.ndarray:
+    """Per-cell sums of masked_planes's planes (t, h, (k + 1) * w), float64
+    (t, rows, cols, k + 1) with the pixel counts last, over the cells of
+    cell_indicators's rows_of and cols_of. rows_of @ planes, in the planes'
+    dtype, sums each row band with the channels still interleaved; the
+    result, rows/h the size of the planes, is de-interleaved into float64
+    (t, rows, k + 1, w) and taken @ cols_of. Both products run one frame at a
+    time and sum each cell in pixel order: a frame's sums do not depend on
+    the other frames in the call (one gemm over all of them does not promise
+    that, as BLAS picks its kernel by size). Integer sums are exact: below
+    2**24 in the float32 product (see masked_planes), below 2**53 in the
+    float64 ones."""
+    t, _, c = planes.shape
+    (rows, _), w = rows_of.shape, cols_of.shape[0]
+    k = c // w - 1
+    by_row = rows_of.astype(planes.dtype, copy=False) @ planes
+    split = np.empty((t, rows, k + 1, w))
+    split[:, :, :k] = np.moveaxis(by_row[..., : k * w].reshape(t, rows, w, k), 3, 2)
+    split[:, :, k] = by_row[..., k * w :]
+    pooled = split.reshape(t, rows * (k + 1), w) @ cols_of
+    return np.moveaxis(pooled.reshape(t, rows, k + 1, -1), 2, 3)
 
 
 def _indicator(edges, n: int, dtype=np.float64) -> np.ndarray:

@@ -205,6 +205,9 @@ def _frame_name(i: int) -> str:
     return f"frame_{i:06d}.ppm"
 
 
+_FRAME_NAME = re.compile(r"frame_(\d{6,})\.ppm")
+
+
 def load_frame_dir(directory: Path) -> FrameSequence:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -257,8 +260,10 @@ def load_frame_dir(directory: Path) -> FrameSequence:
 class FrameDirWriter:
     """Writes a frame directory chunk by chunk (write), then its manifest
     (finish). A stale manifest is removed first, so a directory whose writer
-    did not finish does not load. A directory, frame or manifest that cannot
-    be written is a UsageError."""
+    did not finish does not load, and finish removes the frame files that a
+    longer recording left past the new count, so the directory holds one
+    recording. A directory, frame or manifest that cannot be written is a
+    UsageError."""
 
     def __init__(self, directory: Path, fps: float, width: int, height: int):
         self.directory = Path(directory)
@@ -273,6 +278,13 @@ class FrameDirWriter:
             self.manifest["count"] += 1
 
     def finish(self) -> None:
+        count = self.manifest["count"]
+        with writing(self.directory), os.scandir(self.directory) as entries:
+            for entry in entries:  # stale frame files, named as _frame_name names them
+                match = _FRAME_NAME.fullmatch(entry.name)
+                i = int(match[1]) if match else -1
+                if i >= count and entry.name == _frame_name(i) and not entry.is_dir():
+                    os.unlink(entry.path)
         path = self.directory / "manifest.json"
         with writing(path):
             path.write_text(json.dumps(self.manifest, sort_keys=True))

@@ -9,16 +9,18 @@ is built before any frame is read.
 
 The recording is read once, PASS_CHUNKS diffuse chunks (frame_chunks) at
 a time. For each such chunk the pass builds the skin masks from its bbox
-rows and polygons; each of its diffuse chunks is laid out once by
+rows and polygons, one mask per channel, interleaved as the frames' rows
+are (build_mask); each of its diffuse chunks is laid out once by
 masked_planes (RGB, mask: integers, so float32 and exact, see combine),
-and pool_planes pools it into the cells of every window that overlaps it;
-windows with the same edges, such as aggregate's one cell spanning the
-frame, share one pooling. For proposed the luminance is a second pool:
-the sampled frames (see DIFFUSE_STRIDE) and their masks are held across
-pass chunks and separated one diffuse chunk at a time, or sooner when a
-window that holds one is about to finish, and their luminance is laid out
-on its own float64 planes (luminance, mask) and pooled into the windows
-that hold them; no other frame is separated (the CLI's --dump-diffuse
+and pool_planes pools it into the cells of every window that overlaps it,
+through 0/1 indicators built once per window; windows with the same
+edges, such as aggregate's one cell spanning the frame, share one pooling.
+For proposed the luminance is a second pool: the sampled frames (see
+DIFFUSE_STRIDE) and their pixel masks are held across pass chunks and
+separated one diffuse chunk at a time, or sooner when a window that holds
+one is about to finish, and their luminance is laid out on its own
+float64 planes (luminance, mask) and pooled into the windows that hold
+them; no other frame is separated (the CLI's --dump-diffuse
 separates every frame after the pass). A window is finished (traces,
 weights, combination) as soon as its last frame is read, and its sums are
 dropped, so peak memory is one chunk plus the per-frame cell sums of the
@@ -43,6 +45,7 @@ import numpy as np
 
 from .chrom import chrom_rows
 from .combine import (
+    cell_indicators,
     combine_benchmark_snr,
     combine_proposed,
     diffuse_weights,
@@ -113,6 +116,7 @@ def _window_sums(
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
+    cells: list[tuple | None] = [None] * len(slices)  # cell_indicators of open windows
     rgb: list[list | None] = [[] for _ in slices]
     lum: list[list | None] = [[] for _ in slices]
     done = 0
@@ -128,7 +132,9 @@ def _window_sums(
             a, b = (max(-((first - edge) // step), 0) for edge in (sl.start, sl.stop))
             if a < b:
                 if keys[i] not in pooled:
-                    pooled[keys[i]] = pool_planes(planes, *grids[i])
+                    if cells[i] is None:
+                        cells[i] = cell_indicators(*grids[i], height, width)
+                    pooled[keys[i]] = pool_planes(planes, *cells[i])
                 parts[i].append(pooled[keys[i]][a:b])
 
     per = frame_chunks(1, height, width)[0].stop  # frames in one diffuse chunk
@@ -147,7 +153,7 @@ def _window_sums(
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
         if separate is not None:
             for j in range(-chunk.start % stride, len(frames), stride):
-                held.append((chunk.start + j, frames[j].copy(), masks[j].copy()))
+                held.append((chunk.start + j, frames[j].copy(), masks[j, :, -width:].copy()))
                 if len(held) == per:
                     flush()
         for sub in frame_chunks(len(frames), height, width):
@@ -161,7 +167,7 @@ def _window_sums(
                     flush()
                 sampled = np.concatenate(lum[done]) if separate is not None else None
                 yield np.concatenate(rgb[done]), sampled
-                rgb[done] = lum[done] = None
+                rgb[done] = lum[done] = cells[done] = None
                 done += 1
     if held:
         flush()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
 from rppg.combine import (
+    cell_indicators,
     diffuse_weights,
     facial_aggregate,
     grid_traces,
@@ -95,13 +96,67 @@ def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
     return PulseWaveform(waves[0], fps)
 
 
+def channel_masks(masks, k: int = 3) -> np.ndarray:
+    """Pixel masks (t, h, w) laid out as masked_planes takes them for k
+    channels, (t, h, (k + 1) * w): each pixel's mask k times, then the pixel
+    mask (build_mask's layout for k = 3)."""
+    masks = np.asarray(masks)
+    return np.concatenate([np.repeat(masks, k, axis=-1), masks], axis=-1)
+
+
+def pooled(values, masks, edges) -> np.ndarray:
+    """pool_planes of the masked_planes of values (t, h, w, ...) under pixel
+    masks (t, h, w), over a grid's edges: (t, rows, cols, k + 1) float64."""
+    t, h, w = np.shape(masks)
+    k = int(np.prod(np.shape(values)[3:]))
+    planes = masked_planes(channel_masks(masks, k), np.asarray(values))
+    return pool_planes(planes, *cell_indicators(*edges, h, w))
+
+
 def pooled_sums(values, masks, edges) -> tuple[np.ndarray, np.ndarray]:
-    """pool_planes over the masked_planes of a whole stack, values (t, h, w,
-    ...) and masks (t, h, w), split as the pass hands it on: contiguous sums
-    (t, rows, cols, ...) and pixel counts (t, rows, cols), both float64."""
-    pooled = pool_planes(masked_planes(masks, values), *edges)
-    sums = pooled[..., :-1].reshape(pooled.shape[:3] + np.shape(values)[3:])
-    return np.ascontiguousarray(sums), np.ascontiguousarray(pooled[..., -1])
+    """pooled's sums and counts, split as the pass hands them on: contiguous
+    sums (t, rows, cols, ...) and pixel counts (t, rows, cols), both float64."""
+    cells = pooled(values, masks, edges)
+    sums = cells[..., :-1].reshape(cells.shape[:3] + np.shape(values)[3:])
+    return np.ascontiguousarray(sums), np.ascontiguousarray(cells[..., -1])
+
+
+# The oracle of the interleaved pooling: the same sums from channel-planar
+# planes (t, h, k + 1, w), each channel a plane of its own, with the 0/1
+# indicators built from the edges on every call.
+
+
+def planar_masked_planes(masks: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """The planar planes, (t, h, k + 1, w): the k channels of the (t, h, w,
+    ...) values arrays in turn, 0 where masks (t, h, w) is False, then the
+    mask itself. float32 if every values array is uint8 and h * 255 <= 2**24,
+    else float64."""
+    t, h, w = masks.shape
+    exact32 = h * 255 <= 2**24 and all(v.dtype == np.uint8 for v in values)
+    values = [np.moveaxis(v.reshape(t, h, w, -1), 3, 2) for v in values]
+    ends = np.cumsum([v.shape[2] for v in values])
+    planes = np.empty((t, h, ends[-1] + 1, w), np.float32 if exact32 else np.float64)
+    for v, end in zip(values, ends):
+        np.multiply(v, masks[:, :, None], out=planes[:, :, end - v.shape[2] : end])
+    planes[:, :, -1] = masks
+    return planes
+
+
+def planar_pool_planes(planes: np.ndarray, y_edges, x_edges) -> np.ndarray:
+    """Per-cell sums of planar_masked_planes's planes (t, h, k + 1, w),
+    float64 (t, rows, cols, k + 1): (rows, h) @ planes in the planes' dtype,
+    then as float64 @ (w, cols), one product per frame each."""
+    t, h, k1, w = planes.shape
+    rows_of = _planar_indicator(y_edges, h, planes.dtype)
+    cols_of = _planar_indicator(x_edges, w).T
+    by_row = (rows_of @ planes.reshape(t, h, k1 * w)).astype(np.float64, copy=False)
+    cells = by_row.reshape(t, -1, w) @ cols_of
+    return np.moveaxis(cells.reshape(t, len(rows_of), k1, -1), 2, 3)
+
+
+def _planar_indicator(edges, n: int, dtype=np.float64) -> np.ndarray:
+    edges, px = np.asarray(edges)[:, None], np.arange(n)
+    return ((px >= edges[:-1]) & (px < edges[1:])).astype(dtype)
 
 
 # The window-level compositions the pipeline makes from pool_planes's

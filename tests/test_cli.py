@@ -254,6 +254,27 @@ def test_failed_dump_diffuse_run_leaves_no_loadable_tree(tmp_path):
             load_frame_sequence(tmp_path / ddir)
 
 
+def test_dump_diffuse_over_a_longer_dump_leaves_one_recording(tmp_path):
+    # A 10 s dump over a 12 s one's directory: the frames past the new count
+    # are removed once the dump is written, so the directory holds the 300
+    # frames its manifest counts and nothing of the older run.
+    def dump(duration_s):
+        scene = SynthScene(width=16, height=16, fps=30.0, duration_s=duration_s, seed=2)
+        paths = write_scene_dataset(scene, tmp_path / f"scene-{duration_s}")
+        return main([
+            "estimate", "--frames", str(paths["frames"]), "--landmarks", str(paths["landmarks"]),
+            "--method", "proposed", "--diffuse-estimator", "min_subtract",
+            "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "d"),
+        ])
+
+    assert dump(12.0) == 0
+    assert len(list((tmp_path / "d").iterdir())) == 361
+    assert dump(10.0) == 0
+    names = sorted(p.name for p in (tmp_path / "d").iterdir())
+    assert names == sorted(["manifest.json", *(f"frame_{i:06d}.ppm" for i in range(300))])
+    assert len(load_frame_sequence(tmp_path / "d").frames) == 300
+
+
 def test_dump_diffuse_into_the_frames_directory_exits_2(tmp_path):
     scene = SynthScene(width=16, height=16, fps=30.0, duration_s=10.0, seed=2)
     paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")

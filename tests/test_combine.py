@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rppg.biophysics import CameraNoiseParams, SkinParams
 from rppg.chrom import chrom_rows
 from rppg.combine import (
+    cell_indicators,
     combine_benchmark_snr,
     combine_proposed,
     masked_planes,
@@ -15,16 +16,20 @@ from rppg.combine import (
 from rppg.diffuse import diffuse_luminance
 from rppg.errors import RegionError, SignalError
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
-from rppg.roi import build_grid, build_mask, rasterize_polygon
+from rppg.roi import FILL_ROWS, build_grid, build_mask, rasterize_polygon
 from rppg.signals import zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
 from helpers import (
+    channel_masks,
     chrom_one,
     diffuse_weights_of,
     facial_aggregate_of,
     grid_traces_of,
     label_map,
+    planar_masked_planes,
+    planar_pool_planes,
+    pooled,
 )
 
 
@@ -159,12 +164,9 @@ def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(case, lumina
     (n, h, w), edges, cuts = case
     frames, masks = random_scene(seed=seed, n=n, h=h, w=w)
     values = frames.mean(axis=-1) if luminance else frames  # float64 or uint8 RGB
-    whole = pool_planes(masked_planes(masks, values), *edges)
+    whole = pooled(values, masks, edges)
     bounds = [0, *cuts, n]
-    parts = [
-        pool_planes(masked_planes(masks[a:b], values[a:b]), *edges)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    parts = [pooled(values[a:b], masks[a:b], edges) for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
@@ -197,12 +199,12 @@ def test_masked_cell_sums_equal_a_loop_over_cells(y_edges, x_edges, luminance, s
     # exact in any order and the float products must match the loop too.
     frames, masks = random_scene(seed=seed, n=3, h=9, w=12)
     values = frames.sum(axis=-1) / 4 if luminance else frames
-    pooled = pool_planes(masked_planes(masks, values), np.array(y_edges), np.array(x_edges))
+    cells = pooled(values, masks, (np.array(y_edges), np.array(x_edges)))
     want_sums, want_counts = loop_cell_sums(values, masks, y_edges, x_edges)
-    assert pooled.dtype == np.float64
-    assert pooled.shape == want_counts.shape + (4 if values.ndim == 4 else 2,)
-    assert np.array_equal(pooled[..., -1], want_counts)
-    sums = pooled[..., :-1].reshape(want_sums.shape)
+    assert cells.dtype == np.float64
+    assert cells.shape == want_counts.shape + (4 if values.ndim == 4 else 2,)
+    assert np.array_equal(cells[..., -1], want_counts)
+    sums = cells[..., :-1].reshape(want_sums.shape)
     assert (sums == want_sums).all()
 
 
@@ -210,13 +212,14 @@ def test_masked_cell_sums_are_exact_at_camera_resolution():
     # One all-255 1080x1920 frame: each channel's sum, 255 * 2073600, is an
     # integer the float64 products hold exactly.
     planes = masked_planes(
-        np.ones((1, 1080, 1920), dtype=bool), np.full((1, 1080, 1920, 3), 255, dtype=np.uint8)
+        np.ones((1, 1080, 4 * 1920), dtype=bool),
+        np.full((1, 1080, 1920, 3), 255, dtype=np.uint8),
     )
-    pooled = pool_planes(planes, np.array([0, 1080]), np.array([0, 1920]))
-    assert pooled.tolist() == [[[[255 * 1080 * 1920] * 3 + [1080 * 1920]]]]
-    pooled = pool_planes(planes, np.array([0, 500, 1080]), np.array([0, 1919, 1920]))
-    assert pooled[..., -1].tolist() == [[[500 * 1919, 500], [580 * 1919, 580]]]
-    assert (pooled[..., :-1] == 255 * pooled[..., -1:]).all()
+    cells = pool_planes(planes, *cell_indicators([0, 1080], [0, 1920], 1080, 1920))
+    assert cells.tolist() == [[[[255 * 1080 * 1920] * 3 + [1080 * 1920]]]]
+    cells = pool_planes(planes, *cell_indicators([0, 500, 1080], [0, 1919, 1920], 1080, 1920))
+    assert cells[..., -1].tolist() == [[[500 * 1919, 500], [580 * 1919, 580]]]
+    assert (cells[..., :-1] == 255 * cells[..., -1:]).all()
 
 
 @settings(deadline=None, max_examples=80, derandomize=True)
@@ -245,18 +248,62 @@ def test_float32_pooling_of_uint8_frames_equals_float64_bit_for_bit(
         if whole
         else (np.array(data.draw(edges_in(h, 8))), np.array(data.draw(edges_in(w, 8))))
     )
-    planes = masked_planes(masks, frames)
+    planes = masked_planes(channel_masks(masks), frames)
     assert planes.dtype == np.float32
-    reference = masked_planes(masks, frames.astype(np.float64))
+    reference = masked_planes(channel_masks(masks), frames.astype(np.float64))
     assert reference.dtype == np.float64
-    pooled = pool_planes(planes, *edges)
-    assert pooled.dtype == np.float64
-    assert np.array_equal(pooled, pool_planes(reference, *edges))
+    cells = pool_planes(planes, *cell_indicators(*edges, h, w))
+    assert cells.dtype == np.float64
+    assert np.array_equal(cells, pool_planes(reference, *cell_indicators(*edges, h, w)))
     if whole:
-        assert pooled[:, 0, 0].tolist() == [
+        assert cells[:, 0, 0].tolist() == [
             [*f.sum(axis=(0, 1), where=m[..., None], dtype=np.int64).tolist(), int(m.sum())]
             for f, m in zip(frames, masks)
         ]
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    h=st.one_of(st.integers(1, FILL_ROWS), st.integers(FILL_ROWS + 1, FILL_ROWS + 16)),
+    w=st.integers(1, 40),
+    luminance=st.booleans(),
+    whole=st.booleans(),
+    saturated=st.booleans(),
+    data=st.data(),
+)
+def test_interleaved_pooling_equals_the_planar_oracle_bit_for_bit(
+    n, h, w, luminance, whole, saturated, data
+):
+    # build_mask's interleaved masks (filled in one broadcast up to FILL_ROWS
+    # rows, frame by frame above), less polygon holes, pool uint8 RGB and
+    # float64 luminance to the bits of the channel-planar layout: RGB sums
+    # are exact integers, and luminance (k = 1) keeps the planar layout and
+    # BLAS shapes. Cells span the frame or have edges past it.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+    if saturated:
+        frames[...] = 255
+    xy = rng.integers(0, [w, h], size=(n, 2), endpoint=True)
+    bboxes = np.concatenate([xy, rng.integers(0, [w, h] - xy, endpoint=True)], axis=1)
+    polygons = {}
+    for j in range(0, n, 2):  # a mouth triangle inside every other bbox
+        x, y, bw, bh = bboxes[j]
+        mouth = rng.integers([x, y], [x + bw, y + bh], size=(3, 2), endpoint=True).tolist()
+        polygons[j] = ([], [], mouth)
+    masks = build_mask(bboxes, w, h, polygons)
+    pixel = masks[..., -w:]
+    values = frames.mean(axis=-1) if luminance else frames
+    edges = (
+        (np.array([0, h]), np.array([0, w]))
+        if whole
+        else (np.array(data.draw(edges_in(h, 8))), np.array(data.draw(edges_in(w, 8))))
+    )
+    planes = masked_planes(pixel if luminance else masks, values)
+    oracle = planar_masked_planes(pixel, values)
+    assert planes.dtype == oracle.dtype
+    cells = pool_planes(planes, *cell_indicators(*edges, h, w))
+    assert np.array_equal(cells, planar_pool_planes(oracle, *edges))
 
 
 @pytest.mark.parametrize("h", [2**24 // 255, 2**24 // 255 + 1])
@@ -267,12 +314,12 @@ def test_pooling_is_exact_at_the_float32_row_limit(h):
     # round the odd sum 16,777,469 past 2**24.
     frames = np.full((2, h, 1, 3), 255, dtype=np.uint8)
     frames[:, -1, :, 0] = 254
-    masks = np.ones((2, h, 1), dtype=bool)
+    masks = np.ones((2, h, 4), dtype=bool)
     planes = masked_planes(masks, frames)
     assert planes.dtype == (np.float32 if h * 255 <= 2**24 else np.float64)
     want = [[[[255 * h - 1, 255 * h, 255 * h, h]]]] * 2
-    assert pool_planes(planes, np.array([0, h]), np.array([0, 1])).tolist() == want
-    halves = pool_planes(planes, np.array([0, h // 2, h]), np.array([0, 1]))
+    assert pool_planes(planes, *cell_indicators([0, h], [0, 1], h, 1)).tolist() == want
+    halves = pool_planes(planes, *cell_indicators([0, h // 2, h], [0, 1], h, 1))
     assert halves.sum(axis=1).tolist() == [[[255 * h - 1, 255 * h, 255 * h, h]]] * 2
 
 
@@ -436,7 +483,7 @@ def assert_matches_loop(traces):
 
 def scene_windows(scene, rows, cols):
     seq, sidecar, _ = render(scene)
-    masks = build_mask(sidecar, seq.width, seq.height)
+    masks = build_mask(sidecar, seq.width, seq.height)[..., -seq.width :]
     for sl in plan_windows(seq.duration_s, 10.0, 5.0).frame_slices(seq.fps, seq.count):
         grid = build_grid(sidecar[sl.start], rows, cols)
         yield grid_traces_of(seq.frames[sl], masks[sl], grid, seq.fps)

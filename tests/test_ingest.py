@@ -271,6 +271,26 @@ def test_frame_dir_round_trip(tmp_path):
     assert back.fps == pytest.approx(24.0)
 
 
+def test_frame_dir_over_a_longer_one_removes_its_stale_frames(tmp_path):
+    # Writing 3 frames over a directory that held 6 leaves frames 0-2 and the
+    # manifest; stale frame files past the count go, and every other name,
+    # a frame-like one included, stays.
+    d = tmp_path / "frames"
+    write_frame_dir(FrameSequence(frames=rand_frames(np.random.default_rng(3), n=6), fps=24.0), d)
+    others = ["notes.txt", "frame_0000004.ppm", "frame_000005.ppm.bak", "frame_00004.ppm"]
+    for name in others:
+        (d / name).write_text("kept")
+    (d / "frame_000009.ppm").mkdir()
+    seq = FrameSequence(frames=rand_frames(np.random.default_rng(4), n=3), fps=24.0)
+    write_frame_dir(seq, d)
+    frames = [f"frame_{i:06d}.ppm" for i in range(3)]
+    assert sorted(p.name for p in d.iterdir()) == sorted(
+        [*frames, "manifest.json", "frame_000009.ppm", *others]
+    )
+    assert all((d / name).read_text() == "kept" for name in others)
+    assert np.array_equal(load_frame_dir(d).frames[:], seq.frames)
+
+
 def test_frame_dir_missing_manifest(tmp_path):
     d = tmp_path / "frames"
     d.mkdir()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.errors import GeometryError
-from rppg.roi import FILL_ROWS, bbox_mask, build_grid, build_mask, rasterize_polygon
+from rppg.roi import FILL_ROWS, build_grid, build_mask, rasterize_polygon
 
 from helpers import flat_sequence, label_map
 
@@ -64,11 +64,12 @@ def test_rasterize_matches_oracle(poly):
     )
 
 
-def test_bbox_mask():
-    m = bbox_mask((2, 1, 3, 2), 8, 6)
-    expect = np.zeros((6, 8), dtype=bool)
-    expect[1:3, 2:5] = True
-    assert np.array_equal(m, expect)
+def channels(masks):
+    """build_mask's (n, h, 4w) masks as its four (n, h, w) channel masks: R, G,
+    B, then the pixel mask."""
+    n, h, w4 = masks.shape
+    rgb = masks[..., : w4 // 4 * 3].reshape(n, h, w4 // 4, 3)
+    return [rgb[..., 0], rgb[..., 1], rgb[..., 2], masks[..., w4 // 4 * 3 :]]
 
 
 def test_build_mask_subtracts_polygons():
@@ -76,15 +77,16 @@ def test_build_mask_subtracts_polygons():
     bboxes = np.array([[1, 1, 8, 8], [1, 1, 8, 8]])
     polygons = {0: ([[2, 2], [4, 2], [4, 4], [2, 4]], [], [[5, 5], [8, 5], [8, 8], [5, 8]])}
     masks = build_mask(bboxes, seq.width, seq.height, polygons)
-    assert masks.shape == (2, 10, 10)
-    # cutouts removed on frame 0 only
-    assert not masks[0][3, 3]
-    assert not masks[0][6, 6]
-    assert masks[1][3, 3] and masks[1][6, 6]
-    # outside the bbox never included
-    assert not masks[:, 0, :].any()
-    # mask monotonicity: frame-0 mask is a subset of the bare bbox mask
-    assert np.array_equal(masks[0] & masks[1], masks[0])
+    assert masks.shape == (2, 10, 40)
+    for m in channels(masks):
+        # cutouts removed on frame 0 only, from every channel
+        assert not m[0][3, 3]
+        assert not m[0][6, 6]
+        assert m[1][3, 3] and m[1][6, 6]
+        # outside the bbox never included
+        assert not m[:, 0, :].any()
+        # mask monotonicity: frame-0 mask is a subset of the bare bbox mask
+        assert np.array_equal(m[0] & m[1], m[0])
 
 
 @pytest.mark.parametrize(
@@ -92,10 +94,13 @@ def test_build_mask_subtracts_polygons():
 )
 def test_build_mask_equals_a_per_frame_fill(n, height, width):
     # bboxes filled in one broadcast (small frames) or frame by frame (tall
-    # ones): either way each frame's bbox less its polygons, frames offset by first
+    # ones): either way every channel is each frame's bbox less its
+    # polygons, frames offset by first. Some bboxes reach one pixel past the
+    # frame, as rounding smoothed ones can; no channel spills into the next.
     rng = np.random.default_rng(height)
     xy = rng.integers(0, [width, height], size=(n, 2), endpoint=True)
     bboxes = np.concatenate([xy, rng.integers(0, [width, height] - xy, endpoint=True)], axis=1)
+    bboxes[::3, 2:] += 1
     first = 7
     polygons = {}
     for j in rng.choice(n, size=n // 2, replace=False):
@@ -103,13 +108,14 @@ def test_build_mask_equals_a_per_frame_fill(n, height, width):
         eye, mouth = rng.integers([x, y], [x + w, y + h], size=(2, 3, 2), endpoint=True).tolist()
         polygons[first + int(j)] = (eye, [], mouth)
     masks = build_mask(bboxes, width, height, polygons, first)
-    assert masks.shape == (n, height, width) and masks.dtype == bool
+    assert masks.shape == (n, height, 4 * width) and masks.dtype == bool
     for j, (x, y, w, h) in enumerate(bboxes):
         expect = np.zeros((height, width), dtype=bool)
         expect[y : y + h, x : x + w] = True
         for poly in polygons.get(first + j, ()):
             expect &= ~rasterize_polygon(poly, width, height)
-        assert np.array_equal(masks[j], expect)
+        for m in channels(masks):
+            assert np.array_equal(m[j], expect)
 
 
 def test_build_grid_partitions_bbox():
