@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from rppg.biophysics import SkinParams
-from rppg.config import DIFFUSE_ESTIMATORS, METHODS, RunConfig
+from rppg.config import METHODS, RunConfig
 from rppg.errors import ToolkitError
 from rppg.pipeline import run_pipeline
 from rppg.synth import SpecularPatch, SynthScene, render
@@ -35,8 +35,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--duration-s", type=float, default=30.0)
     ap.add_argument("--exposure", type=float, default=1.1)
     ap.add_argument("--grid", type=int, default=2, help="grid rows and cols")
-    ap.add_argument("--diffuse-estimator", default="min_subtract",
-                    choices=DIFFUSE_ESTIMATORS)
     ap.add_argument("--hr-seed", type=int, default=2024,
                     help="seed for the per-scene heart-rate draw")
     ap.add_argument("--out", type=Path, default=None, help="also write a CSV")
@@ -48,8 +46,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         ap.error("--hr-seed must be non-negative")
     try:
         args.configs = {
-            m: RunConfig(method=m, grid_rows=args.grid, grid_cols=args.grid,
-                         diffuse_estimator=args.diffuse_estimator)
+            m: RunConfig(method=m, grid_rows=args.grid, grid_cols=args.grid)
             for m in args.methods
         }
         for f_mel in args.f_mel:

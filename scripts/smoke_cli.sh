@@ -7,9 +7,10 @@
 # report over the recording, a summary over its manifest, a biophys table
 # over its illuminant), of a PPM recording whose middle frame is a
 # directory (3, naming the frame) or is cut short (4), of a noise model past
-# float64 (2) and of a scene too big to render (9). A frame directory
-# written over a longer one (a diffuse dump, a PPM synth) keeps only its
-# own frames.
+# float64 (2), of the removed bilateral diffuse estimator, by flag or by
+# config file (2, naming min_subtract), and of a scene too big to render
+# (9). A frame directory written over a longer one (a diffuse dump, a PPM
+# synth) keeps only its own frames.
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -142,6 +143,18 @@ rppg estimate --frames "$smoke/ppm-before" --landmarks "$smoke/ppm/landmarks.jso
   --method aggregate 2> "$smoke/ppm-middle.stderr" || rc=$?
 test "$rc" -eq 4
 grep -q "frame_000150.ppm: PPM payload truncated" "$smoke/ppm-middle.stderr"
+# min_subtract is the one diffuse estimator: bilateral exits 2, naming it
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --diffuse-estimator bilateral 2> "$smoke/bilateral.stderr" || rc=$?
+test "$rc" -eq 2
+grep -q "min_subtract" "$smoke/bilateral.stderr"
+printf '[pipeline]\ndiffuse_estimator = bilateral\n' > "$smoke/bilateral.ini"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --config "$smoke/bilateral.ini" 2> "$smoke/bilateral.stderr" || rc=$?
+test "$rc" -eq 2
+grep -q "min_subtract" "$smoke/bilateral.stderr"
 rc=0
 rppg synth --out "$smoke/too-big" --duration-s 1e12 || rc=$?
 test "$rc" -eq 9

@@ -8,15 +8,15 @@ Subcommands:
 
 Every single-file output (--out, --dump-weights, --scatter, --bland-altman)
 is written atomically (temp file + rename); synth's files and the
---dump-diffuse frames are written in place, after the pass, one diffuse
-chunk at a time (the pass separates only the frames the weights sample),
-and their manifest once the run has succeeded. An output that names an
-input or another output, or a frame file or manifest of the --frames or
+--dump-diffuse frames (each pixel less its minimum channel, the one
+separation) are written in place, after the pass, one diffuse chunk at a
+time (the pass separates only the frames the weights sample), and their
+manifest once the run has succeeded. An output that names an input or
+another output, or a frame file or manifest of the --frames or
 --dump-diffuse directory, is a usage error, found before any input is
-read. Errors map
-to stable exit codes: 2 usage or unwritable output, 3 missing or unreadable
-input, 4 malformed data, 5 geometry, 6 empty region, 7 signal, 8 model,
-9 invalid scene.
+read. Errors map to stable exit codes: 2 usage or unwritable output, 3
+missing or unreadable input, 4 malformed data, 5 geometry, 6 empty region,
+7 signal, 8 model, 9 invalid scene.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pipeline
 from .biophysics import (
     CameraNoiseParams,
     SkinParams,
@@ -52,7 +53,7 @@ from .evaluation import (
     scatter_csv,
 )
 from .ingest import FrameDirWriter, load_frame_sequence, load_landmarks
-from .pipeline import diffuse_estimator, run_pipeline
+from .pipeline import run_pipeline
 from .synth import SpecularPatch, SynthScene, write_scene_dataset
 
 
@@ -202,9 +203,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         dump = FrameDirWriter(Path(args.dump_diffuse), seq.fps, seq.width, seq.height)
     result = run_pipeline(seq, bboxes, cfg, polygons)
     if dump is not None:
-        separate = diffuse_estimator(cfg.diffuse_estimator)
         for chunk in frame_chunks(seq.count, seq.height, seq.width):
-            dump.write(np.clip(np.rint(separate(seq.frames[chunk])), 0, 255).astype(np.uint8))
+            # looked up at call time, so a wrapper set on the pipeline's name sees the dump
+            separated = pipeline.specular_free_min_subtract(seq.frames[chunk])
+            dump.write(np.clip(np.rint(separated), 0, 255).astype(np.uint8))
     _emit(_json_dumps(result.report), args.out)
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))

@@ -23,7 +23,8 @@ from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ
 from .ingest import read_text
 
 METHODS = ("aggregate", "snr", "proposed")
-DIFFUSE_ESTIMATORS = ("bilateral", "min_subtract")
+# One estimator; the setting stays so that configs and reports naming it hold.
+DIFFUSE_ESTIMATORS = ("min_subtract",)
 ENV_CONFIG_VAR = "RPPG_CONFIG"
 REPORT_SCHEMA_VERSION = 1
 
@@ -41,7 +42,7 @@ class RunConfig:
     )
     grid_rows: int = 8
     grid_cols: int = 8
-    diffuse_estimator: str = field(default="bilateral", metadata={"choices": DIFFUSE_ESTIMATORS})
+    diffuse_estimator: str = field(default="min_subtract", metadata={"choices": DIFFUSE_ESTIMATORS})
     bbox_smoothing: bool = False
     bbox_smoothing_alpha: float = 0.9
 

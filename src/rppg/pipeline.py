@@ -15,18 +15,16 @@ masked_planes (RGB, mask: integers, so float32 and exact, see combine),
 and pool_planes pools it into the cells of every window that overlaps it,
 through 0/1 indicators built once per window; windows with the same
 edges, such as aggregate's one cell spanning the frame, share one pooling.
-For proposed the luminance is a second pool: the sampled frames (see
-DIFFUSE_STRIDE) and their pixel masks are held across pass chunks and
-separated one diffuse chunk at a time, or sooner when a window that holds
-one is about to finish, and their luminance is laid out on its own
-float64 planes (luminance, mask) and pooled into the windows that hold
-them; no other frame is separated (the CLI's --dump-diffuse
-separates every frame after the pass). A window is finished (traces,
-weights, combination) as soon as its last frame is read, and its sums are
-dropped, so peak memory is one chunk plus the per-frame cell sums of the
-open windows, whatever the length of the recording. Per-frame sums do
-not depend on how the frames are chunked, so every result is that of
-pooling each window whole.
+For proposed the luminance is a second pool: each pass chunk separates its
+own sampled frames (see DIFFUSE_STRIDE) in one specular_free_min_subtract
+call, lays their luminance out on its own float64 planes (luminance, mask)
+and pools it into the windows that hold them; no other frame is separated
+(the CLI's --dump-diffuse separates every frame after the pass). A window
+is finished (traces, weights, combination) as soon as its last frame is
+read, and its sums are dropped, so peak memory is one chunk plus the
+per-frame cell sums of the open windows, whatever the length of the
+recording. Per-frame sums do not depend on how the frames are chunked, so
+every result is that of pooling each window whole.
 
 Windows are the rows of blocks, as grid cells are: every window has the
 same number of frames, so the pooled RGB traces of aggregate and proposed
@@ -38,7 +36,6 @@ depend on the blocking; the video rate is the mean over every window.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +53,7 @@ from .combine import (
     snr_weights,
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
-from .diffuse import (
-    diffuse_luminance,
-    estimate_diffuse_stack,
-    frame_chunks,
-    specular_free_min_subtract,
-)
+from .diffuse import diffuse_luminance, frame_chunks, specular_free_min_subtract
 from .errors import SignalError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, smooth_bboxes
@@ -99,20 +91,14 @@ def _window_sums(
     polygons: dict | None,
     slices: list[slice],
     grids: list[tuple[np.ndarray, np.ndarray]],
-    separate: Callable[[np.ndarray], np.ndarray] | None,
-    stride: int,
+    stride: int | None,
 ):
     """Each window's pool_planes sums over the edges grids[i], yielded in
     window order as soon as the window's last frame is read: (rgb, lum),
     rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, lum
     (t_s, rows, cols, 2) the luminance sums and pixel counts of its sampled
-    frames, those whose index is a multiple of stride, in the diffuse
-    frames that separate makes (None without separate).
-
-    The sampled frames are held across pass chunks and handed to separate
-    one diffuse chunk at a time, or sooner when a window that holds one is
-    about to be yielded; every sampled frame goes once, in order, the tail
-    after the last window too, and no other frame goes at all.
+    frames, those whose index is a multiple of stride, in their
+    specular-free frames (None when stride is None).
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
@@ -137,25 +123,15 @@ def _window_sums(
                     pooled[keys[i]] = pool_planes(planes, *cells[i])
                 parts[i].append(pooled[keys[i]][a:b])
 
-    per = frame_chunks(1, height, width)[0].stop  # frames in one diffuse chunk
-    # (index, frame, mask) of the sampled frames not yet separated, copied
-    # so that no view keeps a whole pass chunk alive
-    held = []
-
-    def flush():
-        index, frames, masks = zip(*held)
-        luminance = diffuse_luminance(separate(np.stack(frames)))
-        pool(masked_planes(np.stack(masks), luminance), index[0], stride, lum)
-        held.clear()
-
     for chunk in frame_chunks(seq.count, height, width, PASS_CHUNKS):
         frames = seq.frames[chunk]
         masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
-        if separate is not None:
-            for j in range(-chunk.start % stride, len(frames), stride):
-                held.append((chunk.start + j, frames[j].copy(), masks[j, :, -width:].copy()))
-                if len(held) == per:
-                    flush()
+        if stride is not None:
+            j = -chunk.start % stride  # the chunk's sampled frames are j, j + stride, ...
+            if j < len(frames):
+                luminance = diffuse_luminance(specular_free_min_subtract(frames[j::stride]))
+                pool(masked_planes(masks[j::stride, :, -width:], luminance),
+                     chunk.start + j, stride, lum)
         for sub in frame_chunks(len(frames), height, width):
             first = chunk.start + sub.start
             planes = masked_planes(masks[sub], frames[sub])
@@ -163,14 +139,10 @@ def _window_sums(
             stop = first + len(planes)
             del planes  # before a window is finished or the next chunk's are made
             while done < len(slices) and slices[done].stop <= stop:
-                if held and held[0][0] < slices[done].stop:
-                    flush()
-                sampled = np.concatenate(lum[done]) if separate is not None else None
+                sampled = np.concatenate(lum[done]) if stride is not None else None
                 yield np.concatenate(rgb[done]), sampled
                 rgb[done] = lum[done] = cells[done] = None
                 done += 1
-    if held:
-        flush()
 
 
 def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps: float):
@@ -189,12 +161,6 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
             )
     bpm = estimate_video_hr(waves, fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
     return waves, bpm
-
-
-def diffuse_estimator(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """The separation a diffuse_estimator setting names, looked up at each
-    call among this module's names (a wrapper set on them is called)."""
-    return specular_free_min_subtract if name == "min_subtract" else estimate_diffuse_stack
 
 
 def run_pipeline(
@@ -219,14 +185,15 @@ def run_pipeline(
         if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
         for sl in slices
     ]
-    separate = diffuse_estimator(cfg.diffuse_estimator) if cfg.method == "proposed" else None
-    stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
+    stride = None  # proposed's luminance pool takes one frame in stride
+    if cfg.method == "proposed":
+        stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
 
     rows: list[np.ndarray] = []
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, separate, stride)
+    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, stride)
     for i, (pooled, lum) in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces

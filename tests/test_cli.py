@@ -18,12 +18,7 @@ from rppg import cli, diffuse, pipeline
 from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams, Sweep
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
-from rppg.diffuse import (
-    CHUNK_PLANE_BYTES,
-    estimate_diffuse_stack,
-    frame_chunks,
-    specular_free_min_subtract,
-)
+from rppg.diffuse import CHUNK_PLANE_BYTES, frame_chunks, specular_free_min_subtract
 from rppg.errors import MissingInputError
 from rppg.ingest import (
     FrameSequence,
@@ -111,64 +106,52 @@ def test_estimate_dump_diffuse(dataset, monkeypatch, tmp_path):
     # frame in DIFFUSE_STRIDE, it separates every frame one diffuse chunk at
     # a time. With diffuse chunks of one frame, of the default size and of
     # the whole recording, every frame equals the whole stack's separation,
-    # rounded as the dump rounds it, for both estimators, and the report and
-    # weights are the bytes of a run without the dump.
+    # rounded as the dump rounds it, and the report and weights are the
+    # bytes of a run without the dump.
     frames = load_frame_sequence(dataset["frames"]).frames[:]
-    for estimator, separate in (
-        ("min_subtract", specular_free_min_subtract),
-        ("bilateral", estimate_diffuse_stack),
-    ):
-        expect = np.clip(np.rint(separate(frames)), 0, 255).astype(np.uint8)
-        outputs = set()
-        for plane_bytes in (None, 1, CHUNK_PLANE_BYTES, 1 << 40):
-            ddir = tmp_path / f"{estimator}-{plane_bytes}"
-            dump = () if plane_bytes is None else ("--dump-diffuse", str(ddir))
-            monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes or CHUNK_PLANE_BYTES)
-            report, weights = tmp_path / "r.json", tmp_path / "w.json"
-            rc = main(
-                run_estimate(
-                    dataset,
-                    "--out", str(report),
-                    "--dump-weights", str(weights),
-                    "--method", "proposed",
-                    "--diffuse-estimator", estimator,
-                    *dump,
-                )
+    expect = np.clip(np.rint(specular_free_min_subtract(frames)), 0, 255).astype(np.uint8)
+    outputs = set()
+    for plane_bytes in (None, 1, CHUNK_PLANE_BYTES, 1 << 40):
+        ddir = tmp_path / f"dump-{plane_bytes}"
+        dump = () if plane_bytes is None else ("--dump-diffuse", str(ddir))
+        monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes or CHUNK_PLANE_BYTES)
+        report, weights = tmp_path / "r.json", tmp_path / "w.json"
+        rc = main(
+            run_estimate(
+                dataset,
+                "--out", str(report),
+                "--dump-weights", str(weights),
+                "--method", "proposed",
+                *dump,
             )
-            assert rc == 0
-            outputs.add((report.read_bytes(), weights.read_bytes()))
-            if dump:
-                seq = load_frame_sequence(ddir)
-                assert seq.frames.shape == (360, 24, 24, 3)
-                assert np.array_equal(seq.frames[:], expect), plane_bytes
-        assert len(outputs) == 1
+        )
+        assert rc == 0
+        outputs.add((report.read_bytes(), weights.read_bytes()))
+        if dump:
+            seq = load_frame_sequence(ddir)
+            assert seq.frames.shape == (360, 24, 24, 3)
+            assert np.array_equal(seq.frames[:], expect), plane_bytes
+    assert len(outputs) == 1
     # min-subtract zeroes the per-pixel minimum channel
-    frames = load_frame_sequence(tmp_path / f"min_subtract-{CHUNK_PLANE_BYTES}").frames[:]
-    assert frames.min(axis=-1).max() == 0
+    assert expect.min(axis=-1).max() == 0
 
 
-@pytest.mark.parametrize(
-    "estimator, name",
-    [("bilateral", "estimate_diffuse_stack"), ("min_subtract", "specular_free_min_subtract")],
-)
-def test_dump_diffuse_separates_through_the_pipeline_names(dataset, monkeypatch, tmp_path,
-                                                           estimator, name):
-    # The dump looks its estimator up as rppg.pipeline's name at call time,
+def test_dump_diffuse_separates_through_the_pipeline_name(dataset, monkeypatch, tmp_path):
+    # The dump looks the separation up as rppg.pipeline's name at call time,
     # as the pass does, so a wrapper set there (perfbench's tracer) sees the
     # dump's calls: one per diffuse chunk, every frame once, in order, after
     # the pass's calls on its sampled frames.
     calls = []
-    real = getattr(pipeline, name)
 
     def separate(frames):
         calls.append(np.array(frames))
-        return real(frames)
+        return specular_free_min_subtract(frames)
 
-    monkeypatch.setattr(pipeline, name, separate)
+    monkeypatch.setattr(pipeline, "specular_free_min_subtract", separate)
     frames = load_frame_sequence(dataset["frames"]).frames[:]
     chunks = frame_chunks(len(frames), 24, 24)
     rc = main(run_estimate(
-        dataset, "--method", "proposed", "--diffuse-estimator", estimator,
+        dataset, "--method", "proposed",
         "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "d"),
     ))
     assert rc == 0
@@ -184,8 +167,7 @@ def test_diffuse_dump_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, size
     # at a time, so its tracemalloc peak above what the run holds when the
     # pass returns stays under the pass's own bound
     # (test_luminance_stage_memory_is_bounded_by_the_chunk), at the same
-    # shapes: uniform frames, which converge in one bilateral pass, and noise
-    # frames, which take three to five, 64 frames or about ten pass chunks.
+    # shapes: uniform and noise frames, 64 frames or about ten pass chunks.
     uniform = pulsed_sequence(n=long, h=size, w=size).frames
     noise = np.random.default_rng(6).integers(0, 256, size=(long, size, size, 3), dtype=np.uint8)
     held = []
@@ -214,8 +196,8 @@ def test_diffuse_dump_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, size
                 peaks.append(tracemalloc.get_traced_memory()[1] - held.pop())
             finally:
                 tracemalloc.stop()
-    # measured 47-71 planes: one diffuse chunk's frames, diffuse frames and
-    # rounding temporaries, and its bilateral table and temporaries
+    # measured 3.5-8.5 planes: one diffuse chunk's frames, specular-free
+    # frames and rounding temporaries
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
@@ -483,7 +465,7 @@ def test_frame_dir_manifest_count_past_the_files_exits_3_before_allocating(datas
     assert peak < 16 << 20 < count * 96 * 96 * 3  # the manifest claims ~25 TiB
 
 
-def test_usage_errors_exit_2(dataset, tmp_path, capsys):
+def test_usage_errors_exit_2(dataset, tmp_path, capsys, monkeypatch):
     assert main(run_estimate(dataset, "--notch-hz", "abc")) == 2
     assert main(run_estimate(dataset, "--method", "snr", "--snr-halfwidth-hz", "nan")) == 2
     # bins of a 10 s window at 30 fps lie 0.0073 Hz apart: none is in the band
@@ -497,6 +479,19 @@ def test_usage_errors_exit_2(dataset, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate"])  # argparse: missing required flags
     assert exc.value.code == 2
+    # min_subtract is the one diffuse estimator, by flag, file or environment
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(run_estimate(dataset, "--diffuse-estimator", "bilateral"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bilateral'" in err and "min_subtract" in err
+    ini.write_text("[pipeline]\ndiffuse_estimator = bilateral\n")
+    assert main(run_estimate(dataset, "--config", str(ini))) == 2
+    assert "one of ('min_subtract',), got 'bilateral'" in capsys.readouterr().err
+    monkeypatch.setenv("RPPG_CONFIG", str(ini))
+    assert main(run_estimate(dataset)) == 2
+    assert "one of ('min_subtract',), got 'bilateral'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--hop-s", "1e-9"), ("--window-s", "0.01")])

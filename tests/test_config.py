@@ -18,7 +18,7 @@ def test_defaults():
     assert cfg.snr_halfwidth_hz == 0.1
     assert cfg.notch_hz == ()
     assert (cfg.grid_rows, cfg.grid_cols) == (8, 8)
-    assert cfg.diffuse_estimator == "bilateral"
+    assert cfg.diffuse_estimator == "min_subtract"
     assert cfg.bbox_smoothing is False
 
 
@@ -27,6 +27,7 @@ def test_defaults():
     [
         {"method": "pca"},
         {"diffuse_estimator": "retinex"},
+        {"diffuse_estimator": "bilateral"},
         {"window_s": 0.0},
         {"hop_s": -1.0},
         {"passband_lo_hz": 0.0},
@@ -40,7 +41,7 @@ def test_defaults():
     ],
 )
 def test_invalid_configs_rejected(kw):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="min_subtract" if "diffuse_estimator" in kw else None):
         RunConfig(**kw)
 
 
@@ -114,6 +115,7 @@ def test_bad_values_rejected(tmp_path):
         "[pipeline]\nnotch_hz = 1.0, x\n",
         "[pipeline]\nwindow_s = nan\n",
         "[pipeline]\nnotch_hz = 1.0, inf\n",
+        "[pipeline]\ndiffuse_estimator = bilateral\n",
         "not an ini file at all [",
     ):
         p = tmp_path / "run.ini"

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rppg import diffuse
-from rppg.diffuse import (
-    diffuse_luminance,
-    estimate_diffuse_stack,
-    frame_chunks,
-    specular_free_min_subtract,
-)
+from rppg.diffuse import diffuse_luminance, frame_chunks, specular_free_min_subtract
 from rppg.errors import DataFormatError, RegionError
 from rppg.ingest import FrameSequence
 from rppg.roi import build_grid
@@ -19,8 +14,8 @@ from helpers import diffuse_weights_of, label_map, mixed_frames
 
 
 def estimate_diffuse(frame):
-    """The diffuse estimate of one (h, w, 3) frame."""
-    return estimate_diffuse_stack(np.asarray(frame)[None])[0]
+    """The specular-free estimate of one (h, w, 3) frame."""
+    return specular_free_min_subtract(np.asarray(frame)[None])[0]
 
 DIFFUSE_RGB = np.array([120.0, 80.0, 60.0])
 
@@ -40,14 +35,13 @@ def patch_mask(h=20, w=20, rect=(8, 8, 4, 4)):
 
 
 # ---------------------------------------------------------------------------
-# Bilateral estimator
+# Separation
 # ---------------------------------------------------------------------------
 
 
 def test_specular_free_frame_is_fixed_point():
-    frame = np.full((16, 16, 3), DIFFUSE_RGB, dtype=np.uint8)
-    out = estimate_diffuse(frame)
-    assert np.abs(out.astype(float) - frame).max() <= 1.0
+    frame = np.full((16, 16, 3), DIFFUSE_RGB - DIFFUSE_RGB.min(), dtype=np.uint8)
+    assert np.array_equal(estimate_diffuse(frame), frame)
 
 
 def test_all_black_stays_black():
@@ -56,15 +50,12 @@ def test_all_black_stays_black():
 
 
 def test_white_patch_removed_within_tolerance():
+    # an unclipped achromatic patch over a uniform body is removed exactly:
+    # every pixel comes out as the body less its minimum channel
     frame = patch_frame()
     out = estimate_diffuse(frame)
-    on = patch_mask()
-    # on the patch: strictly lower than input and within 5 levels of the
-    # known diffuse layer underneath
-    assert np.all(out[on] < frame[on])
-    assert np.abs(out[on] - DIFFUSE_RGB).max() <= 5.0
-    # off the patch: unchanged within 1 level
-    assert np.abs(out[~on] - frame[~on]).max() <= 1.0
+    assert np.all(out[patch_mask()] < frame[patch_mask()])
+    assert np.array_equal(np.unique(out.reshape(-1, 3), axis=0), [DIFFUSE_RGB - DIFFUSE_RGB.min()])
 
 
 def test_non_amplification_on_patch_scene():
@@ -84,152 +75,21 @@ def test_non_amplification_random_frames(frame):
 def test_approximate_idempotence():
     frame = patch_frame()
     once = np.clip(np.rint(estimate_diffuse(frame)), 0, 255).astype(np.uint8)
-    twice = estimate_diffuse(once)
-    assert np.abs(twice - once.astype(np.float32)).max() <= 2.0
+    assert np.array_equal(estimate_diffuse(once), once)
 
 
 def test_stack_matches_per_frame_estimates():
     frames = np.stack([patch_frame(), patch_frame(add=30.0)])
-    stack = estimate_diffuse_stack(frames)
-    assert np.allclose(stack[0], estimate_diffuse(frames[0]))
-    assert np.allclose(stack[1], estimate_diffuse(frames[1]))
-
-
-# Reference: the brute-force kernel, range weights recomputed for every
-# offset on every pass, and the 3-wide channel-axis reductions, over whole
-# 512-frame chunks. The production kernel must match it bit for bit.
-
-
-def reference_chromaticities(frames):
-    total = frames.sum(axis=-1)
-    dark = total < diffuse.DARK_FLOOR
-    safe = np.where(dark, 1.0, total)
-    smax = np.where(dark, 1.0 / 3.0, frames.max(axis=-1) / safe).astype(np.float32)
-    smin = np.where(dark, 1.0 / 3.0, frames.min(axis=-1) / safe).astype(np.float32)
-    return smax, smin
-
-
-def reference_joint_bilateral(lam, guide):
-    radius = diffuse.WINDOW_PX // 2
-    inv_2ss = 1.0 / (2.0 * diffuse.SPATIAL_SIGMA_PX**2)
-    inv_2sr = 1.0 / (2.0 * diffuse.RANGE_SIGMA**2)
-    num = np.zeros_like(lam)
-    den = np.zeros_like(lam)
-    h, w = lam.shape[-2:]
-    for dy in range(-radius, radius + 1):
-        ys = slice(max(dy, 0), max(h + min(dy, 0), 0))
-        yt = slice(max(-dy, 0), max(h + min(-dy, 0), 0))
-        for dx in range(-radius, radius + 1):
-            xs = slice(max(dx, 0), max(w + min(dx, 0), 0))
-            xt = slice(max(-dx, 0), max(w + min(-dx, 0), 0))
-            ws = np.float32(np.exp(-(dy * dy + dx * dx) * inv_2ss))
-            diff = guide[..., yt, xt] - guide[..., ys, xs]
-            wr = np.exp((-inv_2sr) * diff * diff)
-            wr *= ws
-            num[..., yt, xt] += wr * lam[..., ys, xs]
-            den[..., yt, xt] += wr
-    return num / den
-
-
-def reference_reconstruct_diffuse(frames, lam):
-    total = frames.sum(axis=-1)
-    imax = frames.max(axis=-1)
-    imin = frames.min(axis=-1)
-    denom = 1.0 - 3.0 * lam
-    chromatic = lam > (1.0 / 3.0 + diffuse.ACHROMATIC_EPS)
-    ms = np.where(
-        chromatic,
-        3.0 * (imax - lam * total) / np.where(chromatic, denom, 1.0),
-        0.0,
-    )
-    ms = np.clip(ms, 0.0, 3.0 * imin)
-    out = frames - (ms / 3.0)[..., None]
-    return np.clip(out, 0.0, 255.0).astype(np.float32)
-
-
-def reference_diffuse_stack(frames, chunk=512, active_counts=None):
-    """The brute-force estimate; appends each pass's count of iterating
-    frames to active_counts when given."""
-    out = np.empty(frames.shape, dtype=np.float32)
-    for start in range(0, frames.shape[0], chunk):
-        block = frames[start : start + chunk].astype(np.float32)
-        smax, smin = reference_chromaticities(block)
-        lam = smax.copy()
-        active = np.ones(block.shape[0], dtype=bool)
-        for _ in range(diffuse.MAX_ITERATIONS):
-            if not active.any():
-                break
-            if active_counts is not None:
-                active_counts.append(int(active.sum()))
-            smoothed = reference_joint_bilateral(lam[active], smin[active])
-            new = np.maximum(smax[active], smoothed)
-            delta = np.abs(new - lam[active]).max(axis=(1, 2))
-            lam[active] = new
-            active[np.nonzero(active)[0][delta < diffuse.CONVERGENCE_TOL]] = False
-        out[start : start + chunk] = reference_reconstruct_diffuse(block, lam)
-    return out
-
-
-@pytest.mark.parametrize("h, w", [(12, 20), (32, 32)])
-def test_stack_bit_identical_to_reference(h, w):
-    per_chunk = frame_chunks(1, h, w)[0].stop
-    n = 2 * per_chunk + 3  # three chunks, the last one partial
-    frames = mixed_frames(n, h, w, seed=h)
-    assert len(frame_chunks(n, h, w)) == 3
-    assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
-
-
-@pytest.mark.parametrize("h, w", [(1, 1), (3, 8), (4, 4), (8, 3)])
-def test_frames_under_window_radius_bit_identical_to_reference(h, w):
-    # Offsets reach past the frame edge: they must contribute nothing.
-    frames = mixed_frames(5, h, w, seed=h * 10 + w)
-    assert np.array_equal(estimate_diffuse_stack(frames), reference_diffuse_stack(frames))
-
-
-def test_frames_converging_at_different_passes_bit_identical_to_reference():
-    # Noise frames take several passes, and some stop before the others:
-    # the weight table is compacted to the frames still iterating.
-    frames = np.random.default_rng(1).integers(0, 256, size=(9, 32, 32, 3), dtype=np.uint8)
-    counts = []
-    expect = reference_diffuse_stack(frames, active_counts=counts)
-    assert counts == [9, 9, 9, 7]
-    assert np.array_equal(estimate_diffuse_stack(frames), expect)
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 40), st.integers(1, 40)
-)
-def test_stack_does_not_depend_on_the_chunk_size(seed, n, h, w):
-    # A frame's result never depends on the frames sharing its chunk, nor on
-    # where its block sits in the chunk: one frame per chunk, two, and the
-    # whole stack in one chunk all give the default's bytes.
-    frames = mixed_frames(n, h, w, seed=seed)
-    expect = estimate_diffuse_stack(frames)
-    plane = 4 * (h + diffuse.WINDOW_PX // 2) * (w + diffuse.WINDOW_PX // 2)
-    for plane_bytes in (1, 2 * plane, n * plane):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes)
-            assert np.array_equal(estimate_diffuse_stack(frames), expect), plane_bytes
-
-
-@pytest.mark.parametrize("h, w", [(1, 1), (4, 4), (12, 20)])
-def test_stack_does_not_depend_on_the_callers_fp_error_state(h, w):
-    # Range weights to the pad underflow to 0 on purpose: the stage allows
-    # that itself, so a caller that raises on every FP error gets the same
-    # bytes as one that ignores them.
-    frames = mixed_frames(6, h, w, seed=h + w)
-    with np.errstate(all="ignore"):
-        expect = estimate_diffuse_stack(frames)
-    with np.errstate(all="raise"):
-        assert np.array_equal(estimate_diffuse_stack(frames), expect)
+    stack = specular_free_min_subtract(frames)
+    assert np.array_equal(stack[0], estimate_diffuse(frames[0]))
+    assert np.array_equal(stack[1], estimate_diffuse(frames[1]))
 
 
 def test_frame_chunks_cover_frames_in_order():
     chunks = frame_chunks(10, 200, 300)  # one frame's plane exceeds the budget
     assert chunks == [slice(i, i + 1) for i in range(10)]
     per_chunk = frame_chunks(1, 8, 8)[0].stop
-    plane = 4 * (8 + diffuse.WINDOW_PX // 2) ** 2  # padded float32 plane
+    plane = 4 * (8 + diffuse.CHUNK_MARGIN_PX) ** 2  # float32 plane with its margin
     assert per_chunk * plane <= diffuse.CHUNK_PLANE_BYTES < (per_chunk + 1) * plane
     for per in (1, 3):
         chunks = frame_chunks(1000, 8, 8, per)
@@ -245,18 +105,13 @@ def test_stack_rejects_bad_shape():
         FrameSequence(np.zeros((4, 4, 4), dtype=np.uint8), 30.0)
 
 
-# ---------------------------------------------------------------------------
-# Min-subtract fallback
-# ---------------------------------------------------------------------------
-
-
 FRAMES_11 = mixed_frames(6, 9, 12, seed=11)
 
 
 def test_min_subtract_bit_identical_to_channel_axis_form():
     inputs = (
         FRAMES_11,
-        estimate_diffuse_stack(FRAMES_11),
+        FRAMES_11.astype(np.float32) / 3,
         np.random.default_rng(11).uniform(0, 255, size=(3, 7, 5, 3)),
     )
     for frames in inputs:
@@ -300,11 +155,11 @@ def test_diffuse_luminance_shapes():
 
 
 def test_diffuse_luminance_bit_identical_to_channel_axis_form():
-    # What the pipeline and the tests feed it: uint8 RGB and both
-    # estimators' float32 stacks.
+    # What the pipeline and the tests feed it: uint8 RGB and the
+    # estimator's float32 stacks.
     inputs = (
         FRAMES_11,
-        estimate_diffuse_stack(FRAMES_11),
+        FRAMES_11.astype(np.float32) / 3,
         specular_free_min_subtract(FRAMES_11),
     )
     for frames in inputs:
@@ -373,7 +228,7 @@ def test_weights_match_bincount_loop_oracle():
     masks[3:, 1:4, 1:4] = False  # a cell empties mid-window
     inputs = (
         diffuse_luminance(frames),  # of uint8 RGB
-        diffuse_luminance(estimate_diffuse_stack(frames)),  # of a float32 diffuse stack
+        diffuse_luminance(specular_free_min_subtract(frames)),  # of a float32 diffuse stack
         frames.mean(axis=-1),  # float64 luminance
     )
     cases = (
@@ -403,11 +258,11 @@ def test_highlight_cell_suppressed_vs_raw_weighting():
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
     raw_w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
-    dif_w = diffuse_weights_of(diffuse_luminance(estimate_diffuse_stack(frames)), grid, masks)
+    dif_w = diffuse_weights_of(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
     assert raw_w[1] > 0.25
     assert dif_w[1] < raw_w[1]
-    # highlight recovered to within a few levels, so the cell sits back
-    # near the symmetric baseline
+    # the unclipped highlight is removed, so the cell sits back at the
+    # symmetric baseline
     assert dif_w[1] < 0.26
 
 

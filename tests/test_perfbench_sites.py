@@ -26,6 +26,9 @@ REMOVED = {
     ("rppg.heartrate", "psd"),
     # windows are the rows of one chrom_rows call, as the cells are
     ("rppg.pipeline", "chrom"),
+    # the bilateral estimator is gone: every separation is
+    # specular_free_min_subtract, so diffuse.estimate_diffuse_stack.* read 0
+    ("rppg.pipeline", "estimate_diffuse_stack"),
 }
 
 

@@ -13,9 +13,7 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--methods", "foo"), ("--diffuse-estimator", "bilatreal")]
-)
+@pytest.mark.parametrize("flag, value", [("--methods", "foo")])
 def test_bias_study_refuses_an_unknown_choice_before_rendering(capsys, flag, value):
     study = load_script("run_bias_study")
     with pytest.raises(SystemExit) as exc:
