@@ -8,8 +8,8 @@
 # over its illuminant), of a PPM recording whose middle frame is a
 # directory (3, naming the frame) or is cut short (4), of a noise model past
 # float64 (2), of the removed bilateral diffuse estimator, by flag or by
-# config file (2, naming min_subtract), and of a scene too big to render
-# (9). A frame directory written over a longer one (a diffuse dump, a PPM
+# config file (2, naming min_subtract), of a window too long to round to
+# frames (7, no traceback), and of a scene too big to render (9). A frame directory written over a longer one (a diffuse dump, a PPM
 # synth) keeps only its own frames.
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
@@ -155,6 +155,13 @@ rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" 
   --config "$smoke/bilateral.ini" 2> "$smoke/bilateral.stderr" || rc=$?
 test "$rc" -eq 2
 grep -q "min_subtract" "$smoke/bilateral.stderr"
+# a window of 1e308 s: no window fits, exit 7 with no traceback
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --window-s 1e308 2> "$smoke/huge-window.stderr" || rc=$?
+test "$rc" -eq 7
+grep -q "no analysis windows fit" "$smoke/huge-window.stderr"
+if grep -q "Traceback" "$smoke/huge-window.stderr"; then exit 1; fi
 rc=0
 rppg synth --out "$smoke/too-big" --duration-s 1e12 || rc=$?
 test "$rc" -eq 9

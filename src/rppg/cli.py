@@ -9,8 +9,8 @@ Subcommands:
 Every single-file output (--out, --dump-weights, --scatter, --bland-altman)
 is written atomically (temp file + rename); synth's files and the
 --dump-diffuse frames (each pixel less its minimum channel, the one
-separation) are written in place, after the pass, one diffuse chunk at a
-time (the pass separates only the frames the weights sample), and their
+separation; the pass pools only the sampled frames' minimum channel) are
+written in place, after the pass, one diffuse chunk at a time, and their
 manifest once the run has succeeded. An output that names an input or
 another output, or a frame file or manifest of the --frames or
 --dump-diffuse directory, is a usage error, found before any input is
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
+from . import diffuse
 from .biophysics import (
     CameraNoiseParams,
     SkinParams,
@@ -43,7 +43,6 @@ from .biophysics import (
     pixel_snr_sweep,
 )
 from .config import ENV_CONFIG_VAR, KINDS, RunConfig, load_run_config, parse_value
-from .diffuse import frame_chunks
 from .errors import MissingInputError, ToolkitError, UsageError, writing
 from .evaluation import (
     bland_altman_csv,
@@ -203,10 +202,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         dump = FrameDirWriter(Path(args.dump_diffuse), seq.fps, seq.width, seq.height)
     result = run_pipeline(seq, bboxes, cfg, polygons)
     if dump is not None:
-        for chunk in frame_chunks(seq.count, seq.height, seq.width):
-            # looked up at call time, so a wrapper set on the pipeline's name sees the dump
-            separated = pipeline.specular_free_min_subtract(seq.frames[chunk])
-            dump.write(np.clip(np.rint(separated), 0, 255).astype(np.uint8))
+        for chunk in diffuse.frame_chunks(seq.count, seq.height, seq.width):
+            dump.write(diffuse.specular_free_min_subtract(seq.frames[chunk]))
     _emit(_json_dumps(result.report), args.out)
     if args.dump_weights is not None:
         _atomic_write_text(Path(args.dump_weights), _json_dumps(result.window_weights))

@@ -3,10 +3,10 @@
 * aggregate - unweighted mean of every masked pixel (the usual benchmark).
 * snr - per-cell CHROM waveforms averaged with two-harmonic-SNR weights.
 * proposed - per-cell *RGB traces* averaged with the product of the SNR
-  weight and a diffuse-strength weight, so chrominance inference runs once
-  on a single debiased trace. Weighting in RGB space keeps cells with weak
-  diffuse reflection (strong melanin attenuation or specular pollution)
-  from diluting the pulse before inference.
+  weight and the mean diffuse luminance weight, so chrominance inference
+  runs once on a single debiased trace. Weighting in RGB space keeps cells
+  with weak diffuse reflection (strong melanin attenuation or specular
+  pollution) from diluting the pulse before inference.
 
 Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
 cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
@@ -20,20 +20,18 @@ its pixels' channels interleaved (R, G, B of one pixel, then of the next),
 then the row's mask. Masking is thus one contiguous multiply by
 build_mask's per-channel mask, with no strided read of the frames, and
 pool_planes de-interleaves the channels only after the row product, on a
-result rows/h the size of the planes. With one channel (the luminance) the
-interleaved rows are the planar ones, values then mask, so its float64
-products, whose sums round, keep their shapes and bits. Integer planes
-(uint8 RGB and the mask) are float32 while the frame height h keeps
+result rows/h the size of the planes. Integer planes (uint8 RGB, the
+uint8 min channel and the mask) are float32 while the frame height h keeps
 h * 255 <= 2**24: every sum of the first product is then an integer of at
 most h * 255, exact in float32, and the second product, whose sums reach
 h * w * 255, runs in float64, exact below 2**53. Each cell sum is thus the
 exact integer whatever BLAS kernel, thread count or order of summation
-runs; taller frames and float values (the diffuse luminance) stay float64.
-facial_aggregate, grid_traces and diffuse_weights take a window's
-per-frame sums and counts from pool_planes's output, (t, rows, cols, ...)
-and (t, rows, cols), not its pixels. diffuse_weights is a mean over the
-frames it is given, so the pipeline separates, and pools the luminance
-of, only one frame in pipeline.DIFFUSE_STRIDE.
+runs; taller frames stay float64. facial_aggregate, grid_traces and
+diffuse_weights take a window's per-frame sums and counts from
+pool_planes's output, (t, rows, cols, ...) and (t, rows, cols), not its
+pixels. diffuse_weights is a mean over the frames it is given, so the
+pipeline pools the min channel of only one frame in
+pipeline.DIFFUSE_STRIDE.
 """
 
 from __future__ import annotations
@@ -195,21 +193,21 @@ def snr_weights(
     return w / total
 
 
-def diffuse_weights(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-cell diffuse-strength weights, normalized to sum to one.
+def diffuse_weights(sums: np.ndarray, mins: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cell mean diffuse luminance weights, normalized to sum to one.
 
-    weight(cell) is the mean diffuse luminance, (R + G + B) / 3 of the
-    diffuse frames, over the (frame, masked pixel) pairs of the t given
-    frames that fall in the cell, from pool_planes's per-frame luminance
-    sums (t, rows, cols) and pixel counts (t, rows, cols); cells that never
-    see a masked pixel get weight zero. The pipeline gives a window's
-    sampled frames (pipeline.DIFFUSE_STRIDE), not all of them.
+    A pixel's diffuse luminance under min_subtract is mean(R, G, B) less
+    min(R, G, B). From pool_planes's per-frame RGB sums (t, rows, cols, 3),
+    min channel sums and pixel counts (t, rows, cols), integers below 2**53,
+    a cell's weight is its exact Σ(R + G + B) - 3 Σmin over 3 x its pixel
+    count in the t given frames (the pipeline gives a window's sampled
+    frames, pipeline.DIFFUSE_STRIDE); a cell with no masked pixel gets 0.
     """
-    sums = sums.sum(axis=0).ravel()
     counts = counts.sum(axis=0).ravel()
     if counts.sum() == 0:
         raise RegionError("no masked pixels fall inside the grid")
-    weights = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    tripled = (sums.sum(axis=(0, 3)) - 3 * mins.sum(axis=0)).ravel()
+    weights = np.where(counts > 0, tripled / np.maximum(3 * counts, 1), 0.0)
     total = weights.sum()
     if total <= 0:
         # all-black diffuse region: no luminance evidence, weight evenly

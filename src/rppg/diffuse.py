@@ -6,7 +6,8 @@ shading plus an achromatic specular lobe. specular_free_min_subtract
 subtracts each pixel's minimum channel, which removes any such lobe
 exactly, along with part of the diffuse body colour: the result serves
 the diffuse *weighting*, not a reconstruction of the skin. A white-clipped
-pixel, which breaks the model, comes out 0.
+pixel, which breaks the model, comes out 0. The pass pools only
+min_channel (see combine.diffuse_weights); --dump-diffuse separates.
 
 frame_chunks is the one chunk rule of the package: the pass, the diffuse
 dump and the stream readers take frames as many at a time as fit
@@ -35,19 +36,12 @@ def frame_chunks(n_frames: int, height: int, width: int, per: int = 1) -> list[s
     return [slice(start, start + step) for start in range(0, n_frames, step)]
 
 
+def min_channel(frames: np.ndarray) -> np.ndarray:
+    """Each pixel's minimum channel of a (..., 3) stack, in its dtype."""
+    return np.minimum(np.minimum(frames[..., 0], frames[..., 1]), frames[..., 2])
+
+
 def specular_free_min_subtract(frames: np.ndarray) -> np.ndarray:
-    """Specular-free stack (t, h, w, 3), as float32: each pixel less its
-    minimum channel."""
-    frames = np.asarray(frames).astype(np.float32)
-    imin = np.minimum(np.minimum(frames[..., 0], frames[..., 1]), frames[..., 2])
-    frames -= imin[..., None]
-    return frames
-
-
-def diffuse_luminance(diffuse_frames: np.ndarray) -> np.ndarray:
-    """(R + G + B) / 3 of a (..., 3) diffuse stack, as float64."""
-    d = np.asarray(diffuse_frames)
-    lum = np.add(d[..., 0], d[..., 1], dtype=np.float64)
-    lum += d[..., 2]
-    lum /= 3
-    return lum
+    """Specular-free stack (t, h, w, 3), in the frames' dtype: each pixel
+    less its minimum channel."""
+    return frames - min_channel(frames)[..., None]

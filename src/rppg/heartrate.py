@@ -376,8 +376,11 @@ class WindowPlan:
 
         Every slice holds round(window_s * fps) frames. A start that would
         run the window past the recording (its rounding and the length's
-        can add up to one frame) moves back to end on the last frame.
+        can add up to one frame) moves back to end on the last frame. With
+        no starts there are no slices, whatever the window's length.
         """
+        if not self.starts:
+            return []
         n = int(round(self.window_s * fps))
         starts = (min(int(round(s * fps)), n_frames - n) for s in self.starts)
         return [slice(start, start + n) for start in starts]

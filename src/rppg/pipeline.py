@@ -15,14 +15,15 @@ masked_planes (RGB, mask: integers, so float32 and exact, see combine),
 and pool_planes pools it into the cells of every window that overlaps it,
 through 0/1 indicators built once per window; windows with the same
 edges, such as aggregate's one cell spanning the frame, share one pooling.
-For proposed the luminance is a second pool: each pass chunk separates its
-own sampled frames (see DIFFUSE_STRIDE) in one specular_free_min_subtract
-call, lays their luminance out on its own float64 planes (luminance, mask)
-and pools it into the windows that hold them; no other frame is separated
-(the CLI's --dump-diffuse separates every frame after the pass). A window
-is finished (traces, weights, combination) as soon as its last frame is
-read, and its sums are dropped, so peak memory is one chunk plus the
-per-frame cell sums of the open windows, whatever the length of the
+For proposed the minimum channel is a second pool: each pass chunk takes
+the min_channel of its own sampled frames (see DIFFUSE_STRIDE) in one call
+and pools it, uint8 on float32 planes as the RGB, into the windows that
+hold them; diffuse_weights reads the diffuse sums from those and the
+sampled frames' RGB sums (the CLI's --dump-diffuse separates every frame
+after the pass). Nothing the pass pools is float, so every sum is exact. A
+window is finished (traces, weights, combination) as soon as its last
+frame is read, and its sums are dropped, so peak memory is one chunk plus
+the per-frame cell sums of the open windows, whatever the length of the
 recording. Per-frame sums do not depend on how the frames are chunked, so
 every result is that of pooling each window whole.
 
@@ -53,7 +54,7 @@ from .combine import (
     snr_weights,
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
-from .diffuse import diffuse_luminance, frame_chunks, specular_free_min_subtract
+from .diffuse import frame_chunks, min_channel
 from .errors import SignalError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, smooth_bboxes
@@ -66,11 +67,11 @@ from .signals import PulseWaveform
 # their per-call work, while the pooling takes the chunk's cache-sized
 # diffuse chunks one at a time.
 PASS_CHUNKS = 4
-# proposed separates frame i of the recording when i % k == 0, with
-# k = min(DIFFUSE_STRIDE, the window's frame count) so that every window
-# holds a sampled frame: diffuse_weights is a mean over a window's frames,
-# and each frame is separated on its own, so results do not depend on the
-# chunking. k = 1 would separate every frame.
+# proposed pools the min channel of frame i of the recording when
+# i % k == 0, with k = min(DIFFUSE_STRIDE, the window's frame count) so that
+# every window holds a sampled frame: diffuse_weights is a mean over a
+# window's sampled frames, and its sums are exact, so results do not depend
+# on the chunking. k = 1 would sample every frame.
 DIFFUSE_STRIDE = 16
 # Windows per chrom_rows and periodogram call: the rows, waveforms and
 # spectra alive at the end of a window are one block's, so this stage too is
@@ -94,17 +95,17 @@ def _window_sums(
     stride: int | None,
 ):
     """Each window's pool_planes sums over the edges grids[i], yielded in
-    window order as soon as the window's last frame is read: (rgb, lum),
-    rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, lum
-    (t_s, rows, cols, 2) the luminance sums and pixel counts of its sampled
-    frames, those whose index is a multiple of stride, in their
-    specular-free frames (None when stride is None).
+    window order as soon as the window's last frame is read: (rgb, mins),
+    rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, mins
+    (t_s, rows, cols, 2) the min_channel sums and pixel counts of its
+    sampled frames, those whose index is a multiple of stride (None when
+    stride is None).
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
     cells: list[tuple | None] = [None] * len(slices)  # cell_indicators of open windows
     rgb: list[list | None] = [[] for _ in slices]
-    lum: list[list | None] = [[] for _ in slices]
+    mins: list[list | None] = [[] for _ in slices]
     done = 0
 
     def pool(planes, first, step, parts):
@@ -129,9 +130,8 @@ def _window_sums(
         if stride is not None:
             j = -chunk.start % stride  # the chunk's sampled frames are j, j + stride, ...
             if j < len(frames):
-                luminance = diffuse_luminance(specular_free_min_subtract(frames[j::stride]))
-                pool(masked_planes(masks[j::stride, :, -width:], luminance),
-                     chunk.start + j, stride, lum)
+                pool(masked_planes(masks[j::stride, :, -width:], min_channel(frames[j::stride])),
+                     chunk.start + j, stride, mins)
         for sub in frame_chunks(len(frames), height, width):
             first = chunk.start + sub.start
             planes = masked_planes(masks[sub], frames[sub])
@@ -139,9 +139,9 @@ def _window_sums(
             stop = first + len(planes)
             del planes  # before a window is finished or the next chunk's are made
             while done < len(slices) and slices[done].stop <= stop:
-                sampled = np.concatenate(lum[done]) if stride is not None else None
+                sampled = np.concatenate(mins[done]) if stride is not None else None
                 yield np.concatenate(rgb[done]), sampled
-                rgb[done] = lum[done] = cells[done] = None
+                rgb[done] = mins[done] = cells[done] = None
                 done += 1
 
 
@@ -171,7 +171,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Estimate the recording's heart rate in one pass over its frames, from
     its (n, 4) bboxes and polygon map (load_landmarks's, or none); proposed
-    separates only the frames of the DIFFUSE_STRIDE sample."""
+    pools the min channel of only the frames of the DIFFUSE_STRIDE sample."""
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
     if cfg.bbox_smoothing:
@@ -185,7 +185,7 @@ def run_pipeline(
         if cfg.method != "aggregate" else (np.array([0, seq.height]), np.array([0, seq.width]))
         for sl in slices
     ]
-    stride = None  # proposed's luminance pool takes one frame in stride
+    stride = None  # proposed's min pool takes one frame in stride
     if cfg.method == "proposed":
         stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
 
@@ -194,7 +194,7 @@ def run_pipeline(
     bpm: list[float] = []
     weight_log: list[dict] = []
     window_sums = _window_sums(seq, bboxes, polygons, slices, grids, stride)
-    for i, (pooled, lum) in enumerate(window_sums):
+    for i, (pooled, mins) in enumerate(window_sums):
         start_s = plan.starts[i]
         sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces
         counts = np.ascontiguousarray(pooled[..., -1])
@@ -207,7 +207,8 @@ def run_pipeline(
                 rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
             else:
-                w_dif = diffuse_weights(np.ascontiguousarray(lum[..., 0]), lum[..., 1])
+                rgb = pooled[-slices[i].start % stride :: stride]  # the sampled frames' sums
+                w_dif = diffuse_weights(rgb[..., :3], mins[..., 0], rgb[..., -1])
                 rows.append(combine_proposed(traces, w_snr, w_dif))
                 weight_log.append(
                     {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}

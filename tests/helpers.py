@@ -172,11 +172,26 @@ def facial_aggregate_of(frames, masks) -> np.ndarray:
     return facial_aggregate(*pooled_sums(frames, masks, ([0, height], [0, width])))
 
 
-def diffuse_weights_of(lum, edges, masks) -> np.ndarray:
-    """diffuse_weights of luminance lum (t, h, w), pooled on its own planes
-    as the pass pools it: float sums can round by the layout, so this is the
-    pass's result bit for bit."""
-    return diffuse_weights(*pooled_sums(lum, masks, edges))
+def diffuse_sums_of(frames, masks, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int64 oracle of the sums diffuse_weights reads, from uint8 frames
+    (t, h, w, 3) under pixel masks (t, h, w) over a grid's edges, by
+    label_map and integer einsum, not by the pooling: RGB sums
+    (t, rows, cols, 3), min channel sums and pixel counts (t, rows, cols)."""
+    t, h, w = np.shape(masks)
+    rows, cols = len(edges[0]) - 1, len(edges[1]) - 1
+    cells = label_map(edges, w, h)[..., None] == np.arange(rows * cols)  # (h, w, n)
+    inside = (np.asarray(masks)[..., None] & cells).astype(np.int64)  # (t, h, w, n)
+    frames = np.asarray(frames, dtype=np.int64)
+    rgb = np.einsum("thwc,thwn->tnc", frames, inside)
+    mins = np.einsum("thw,thwn->tn", frames.min(axis=-1), inside)
+    grid = (t, rows, cols)
+    return rgb.reshape(grid + (3,)), mins.reshape(grid), inside.sum(axis=(1, 2)).reshape(grid)
+
+
+def diffuse_weights_of(frames, edges, masks) -> np.ndarray:
+    """diffuse_weights of diffuse_sums_of's exact sums: the pass pools the
+    same integers, so this is the pass's result bit for bit."""
+    return diffuse_weights(*diffuse_sums_of(frames, masks, edges))
 
 
 # Values that break a JSON field: out of float range, not finite, the wrong

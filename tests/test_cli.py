@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rppg
-from rppg import cli, diffuse, pipeline
+from rppg import cli, diffuse
 from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams, Sweep
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
@@ -106,10 +106,11 @@ def test_estimate_dump_diffuse(dataset, monkeypatch, tmp_path):
     # frame in DIFFUSE_STRIDE, it separates every frame one diffuse chunk at
     # a time. With diffuse chunks of one frame, of the default size and of
     # the whole recording, every frame equals the whole stack's separation,
-    # rounded as the dump rounds it, and the report and weights are the
-    # bytes of a run without the dump.
+    # uint8 as the frames are, and the report and weights are the bytes of a
+    # run without the dump.
     frames = load_frame_sequence(dataset["frames"]).frames[:]
-    expect = np.clip(np.rint(specular_free_min_subtract(frames)), 0, 255).astype(np.uint8)
+    expect = specular_free_min_subtract(frames)
+    assert expect.dtype == np.uint8
     outputs = set()
     for plane_bytes in (None, 1, CHUNK_PLANE_BYTES, 1 << 40):
         ddir = tmp_path / f"dump-{plane_bytes}"
@@ -136,18 +137,18 @@ def test_estimate_dump_diffuse(dataset, monkeypatch, tmp_path):
     assert expect.min(axis=-1).max() == 0
 
 
-def test_dump_diffuse_separates_through_the_pipeline_name(dataset, monkeypatch, tmp_path):
-    # The dump looks the separation up as rppg.pipeline's name at call time,
-    # as the pass does, so a wrapper set there (perfbench's tracer) sees the
-    # dump's calls: one per diffuse chunk, every frame once, in order, after
-    # the pass's calls on its sampled frames.
+def test_dump_diffuse_separates_through_the_diffuse_name(dataset, monkeypatch, tmp_path):
+    # The dump looks the separation up as rppg.diffuse's name at call time,
+    # so a wrapper set there sees every call: one per diffuse chunk, every
+    # frame once, in order. The pass separates no frame: it pools only the
+    # sampled frames' min channel.
     calls = []
 
     def separate(frames):
         calls.append(np.array(frames))
         return specular_free_min_subtract(frames)
 
-    monkeypatch.setattr(pipeline, "specular_free_min_subtract", separate)
+    monkeypatch.setattr(diffuse, "specular_free_min_subtract", separate)
     frames = load_frame_sequence(dataset["frames"]).frames[:]
     chunks = frame_chunks(len(frames), 24, 24)
     rc = main(run_estimate(
@@ -155,10 +156,8 @@ def test_dump_diffuse_separates_through_the_pipeline_name(dataset, monkeypatch, 
         "--out", str(tmp_path / "r.json"), "--dump-diffuse", str(tmp_path / "d"),
     ))
     assert rc == 0
-    assert len(calls) > len(chunks)
-    assert [len(c) for c in calls[-len(chunks):]] == [len(range(360)[sl]) for sl in chunks]
-    assert np.array_equal(np.concatenate(calls[-len(chunks):]), frames)
-    assert np.array_equal(np.concatenate(calls[:-len(chunks)]), frames[::pipeline.DIFFUSE_STRIDE])
+    assert [len(c) for c in calls] == [len(range(360)[sl]) for sl in chunks]
+    assert np.array_equal(np.concatenate(calls), frames)
 
 
 @pytest.mark.parametrize("size, long", [(16, 640), (48, 640), (96, 170)])
@@ -196,8 +195,8 @@ def test_diffuse_dump_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, size
                 peaks.append(tracemalloc.get_traced_memory()[1] - held.pop())
             finally:
                 tracemalloc.stop()
-    # measured 3.5-8.5 planes: one diffuse chunk's frames, specular-free
-    # frames and rounding temporaries
+    # measured 0.8-1.7 planes: one diffuse chunk's uint8 frames, its min
+    # channel and its uint8 diffuse frames
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
@@ -520,6 +519,13 @@ def test_signal_error_exits_7(dataset):
 @pytest.mark.parametrize("method", ["aggregate", "snr"])
 def test_window_longer_than_the_recording_exits_7_for_every_method(dataset, method):
     assert main(run_estimate(dataset, "--method", method, "--window-s", "20")) == 7
+
+
+def test_window_too_long_to_count_in_frames_exits_7(dataset, capsys):
+    # 1e308 s is 3e309 frames at 30 fps, past float range: no window fits,
+    # so the run ends in exit 7 before any window is counted in frames.
+    assert main(run_estimate(dataset, "--window-s", "1e308")) == 7
+    assert "no analysis windows fit" in capsys.readouterr().err
 
 
 def test_model_error_exits_8():

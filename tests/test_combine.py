@@ -13,7 +13,7 @@ from rppg.combine import (
     pool_planes,
     snr_weights,
 )
-from rppg.diffuse import diffuse_luminance
+from rppg.diffuse import min_channel
 from rppg.errors import RegionError, SignalError
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
 from rppg.roi import FILL_ROWS, build_grid, build_mask, rasterize_polygon
@@ -23,6 +23,7 @@ from rppg.synth import SpecularPatch, SynthScene, render
 from helpers import (
     channel_masks,
     chrom_one,
+    diffuse_sums_of,
     diffuse_weights_of,
     facial_aggregate_of,
     grid_traces_of,
@@ -206,6 +207,20 @@ def test_masked_cell_sums_equal_a_loop_over_cells(y_edges, x_edges, luminance, s
     assert np.array_equal(cells[..., -1], want_counts)
     sums = cells[..., :-1].reshape(want_sums.shape)
     assert (sums == want_sums).all()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(y_edges=edges_in(9), x_edges=edges_in(12), seed=st.integers(0, 2**16))
+def test_rgb_and_min_pools_equal_the_int64_diffuse_oracle(y_edges, x_edges, seed):
+    # proposed pools uint8 RGB and the uint8 min channel: both pools' sums
+    # are the exact integers of diffuse_sums_of, which diffuse_weights reads.
+    frames, masks = random_scene(seed=seed, n=3, h=9, w=12)
+    edges = (np.array(y_edges), np.array(x_edges))
+    rgb, mins, counts = diffuse_sums_of(frames, masks, edges)
+    cells = pooled(frames, masks, edges)
+    min_cells = pooled(min_channel(frames), masks, edges)
+    assert (cells[..., :3] == rgb).all() and (cells[..., 3] == counts).all()
+    assert (min_cells[..., 0] == mins).all() and (min_cells[..., 1] == counts).all()
 
 
 def test_masked_cell_sums_are_exact_at_camera_resolution():
@@ -411,9 +426,9 @@ def test_weights_are_one_normalized_float64_per_cell(seed, shape, scene, mask_p,
     masks = np.random.default_rng(seed).random(frames.shape[:3]) < mask_p
     masks[:, 0, 0] = True  # keep cell 0 live
     edges = build_grid((0, 0, 8, 8), *shape)
-    lum = np.zeros(frames.shape[:3]) if dark else diffuse_luminance(frames)
     snr_w = snr_weights(grid_traces_of(frames, masks, edges, 30.0))
-    for w in (snr_w, diffuse_weights_of(lum, edges, masks)):
+    dif_w = diffuse_weights_of(np.zeros_like(frames) if dark else frames, edges, masks)
+    for w in (snr_w, dif_w):
         assert w.dtype == np.float64 and w.shape == (shape[0] * shape[1],)
         assert np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12
 

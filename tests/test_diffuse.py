@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rppg import diffuse
-from rppg.diffuse import diffuse_luminance, frame_chunks, specular_free_min_subtract
+from rppg.combine import diffuse_weights
+from rppg.diffuse import frame_chunks, min_channel, specular_free_min_subtract
 from rppg.errors import DataFormatError, RegionError
 from rppg.ingest import FrameSequence
 from rppg.roi import build_grid
 
-from helpers import diffuse_weights_of, label_map, mixed_frames
+from helpers import diffuse_sums_of, diffuse_weights_of, label_map, mixed_frames
 
 
 def estimate_diffuse(frame):
@@ -74,7 +75,8 @@ def test_non_amplification_random_frames(frame):
 
 def test_approximate_idempotence():
     frame = patch_frame()
-    once = np.clip(np.rint(estimate_diffuse(frame)), 0, 255).astype(np.uint8)
+    once = estimate_diffuse(frame)
+    assert once.dtype == np.uint8
     assert np.array_equal(estimate_diffuse(once), once)
 
 
@@ -109,15 +111,16 @@ FRAMES_11 = mixed_frames(6, 9, 12, seed=11)
 
 
 def test_min_subtract_bit_identical_to_channel_axis_form():
+    # in the frames' own dtype: uint8 frames give uint8 diffuse frames
     inputs = (
         FRAMES_11,
         FRAMES_11.astype(np.float32) / 3,
         np.random.default_rng(11).uniform(0, 255, size=(3, 7, 5, 3)),
     )
     for frames in inputs:
-        f = frames.astype(np.float32)
-        expect = f - f.min(axis=-1, keepdims=True)
-        assert np.array_equal(specular_free_min_subtract(frames), expect), frames.dtype
+        out = specular_free_min_subtract(frames)
+        assert out.dtype == frames.dtype
+        assert np.array_equal(out, frames - frames.min(axis=-1, keepdims=True)), frames.dtype
 
 
 def test_min_subtract_removes_additive_achromatic_layer():
@@ -143,36 +146,47 @@ def test_min_subtract_kills_saturated_highlights():
 
 
 # ---------------------------------------------------------------------------
-# Luminance and weights
+# Min channel and weights
 # ---------------------------------------------------------------------------
 
 
-def test_diffuse_luminance_shapes():
-    stack = np.arange(2 * 3 * 4 * 3, dtype=np.float32).reshape(2, 3, 4, 3)
-    lum = diffuse_luminance(stack)
-    assert lum.shape == (2, 3, 4)
-    assert np.allclose(lum, stack.mean(axis=-1))
+def test_min_channel_shapes():
+    stack = np.arange(2 * 3 * 4 * 3, dtype=np.uint8).reshape(2, 3, 4, 3)
+    mins = min_channel(stack)
+    assert mins.shape == (2, 3, 4) and mins.dtype == np.uint8
+    assert np.array_equal(mins, stack[..., 0])
 
 
-def test_diffuse_luminance_bit_identical_to_channel_axis_form():
-    # What the pipeline and the tests feed it: uint8 RGB and the
-    # estimator's float32 stacks.
+def test_min_channel_bit_identical_to_channel_axis_form():
+    # What the pass feeds it, uint8 RGB, and float stacks, in their dtype.
     inputs = (
         FRAMES_11,
         FRAMES_11.astype(np.float32) / 3,
-        specular_free_min_subtract(FRAMES_11),
+        FRAMES_11[:, ::-1, ::2],  # a strided view
     )
     for frames in inputs:
-        lum = diffuse_luminance(frames)
-        assert lum.dtype == np.float64
-        assert np.array_equal(lum, frames.mean(axis=-1, dtype=np.float64)), frames.dtype
+        mins = min_channel(frames)
+        assert mins.dtype == frames.dtype
+        assert np.array_equal(mins, frames.min(axis=-1)), frames.dtype
+
+
+def raw_weights_of(frames, grid, masks):
+    """diffuse_weights with no minimum subtracted: the weights of the raw
+    luminance (R + G + B) / 3."""
+    rgb, mins, counts = diffuse_sums_of(frames, masks, grid)
+    return diffuse_weights(rgb, 0 * mins, counts)
+
+
+def diffuse_lum(frames):
+    """The per-pixel diffuse luminance of min_subtract, float64 (t, h, w)."""
+    return frames.mean(axis=-1) - frames.min(axis=-1)
 
 
 def test_uniform_frames_give_uniform_weights():
-    frames = np.full((3, 8, 8, 3), 90, dtype=np.uint8)
+    frames = np.full((3, 8, 8, 3), DIFFUSE_RGB, dtype=np.uint8)
     masks = np.ones((3, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(frames, grid, masks)
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
@@ -182,9 +196,9 @@ def test_weights_match_loop_oracle():
     masks = rng.random((4, 8, 12)) < 0.6
     masks[:, 0, 0] = True
     grid = build_grid((1, 0, 10, 8), rows=2, cols=3)
-    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(frames, grid, masks)
     labels = label_map(grid, 12, 8)
-    lum = frames.astype(float).mean(axis=-1)
+    lum = diffuse_lum(frames)
     expect = np.zeros(6)
     for i in range(6):
         vals = [
@@ -198,12 +212,10 @@ def test_weights_match_loop_oracle():
     assert np.allclose(w, expect, atol=1e-9)
 
 
-def loop_diffuse_weights(diffuse_frames, grid, masks):
-    """Reference: the per-frame label_map/bincount loop that diffuse_weights
-    replaced."""
+def loop_diffuse_weights(lum, grid, masks):
+    """Reference: the per-frame label_map/bincount loop over a float64
+    per-pixel luminance lum (t, h, w) that diffuse_weights replaced."""
     masks = np.asarray(masks, dtype=bool)
-    d = np.asarray(diffuse_frames)
-    lum = d.astype(np.float64) if d.shape == masks.shape else d.mean(axis=-1, dtype=np.float64)
     labels = label_map(grid, masks.shape[2], masks.shape[1])
     n = (grid[0].size - 1) * (grid[1].size - 1)
     sums = np.zeros(n)
@@ -226,10 +238,9 @@ def test_weights_match_bincount_loop_oracle():
     frames = mixed_frames(6, 9, 12, seed=9)
     masks = np.random.default_rng(9).random((6, 9, 12)) < 0.7
     masks[3:, 1:4, 1:4] = False  # a cell empties mid-window
-    inputs = (
-        diffuse_luminance(frames),  # of uint8 RGB
-        diffuse_luminance(specular_free_min_subtract(frames)),  # of a float32 diffuse stack
-        frames.mean(axis=-1),  # float64 luminance
+    weights = (  # of the diffuse and of the raw luminance
+        (diffuse_weights_of, diffuse_lum(frames)),
+        (raw_weights_of, frames.mean(axis=-1)),
     )
     cases = (
         ((1, 1, 10, 7), 2, 3),  # uneven remainder cells
@@ -239,14 +250,14 @@ def test_weights_match_bincount_loop_oracle():
     )
     for bbox, rows, cols in cases:
         grid = build_grid(bbox, rows=rows, cols=cols)
-        for d in inputs:
-            w = diffuse_weights_of(d, grid, masks)
-            expect = loop_diffuse_weights(d, grid, masks)
-            assert np.allclose(w, expect, rtol=1e-12, atol=0.0), (bbox, d.dtype)
+        for weights_of, lum in weights:
+            w = weights_of(frames, grid, masks)
+            expect = loop_diffuse_weights(lum, grid, masks)
+            assert np.allclose(w, expect, rtol=1e-12, atol=0.0), (bbox, weights_of)
     outside = build_grid((-20, 0, 12, 9), rows=2, cols=2)  # wholly outside
-    for d in inputs:
+    for weights_of, _ in weights:
         with pytest.raises(RegionError, match="no masked pixels fall inside the grid"):
-            diffuse_weights_of(d, outside, masks)
+            weights_of(frames, outside, masks)
 
 
 def test_highlight_cell_suppressed_vs_raw_weighting():
@@ -257,8 +268,8 @@ def test_highlight_cell_suppressed_vs_raw_weighting():
     frames = np.clip(frames, 0, 255).astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
-    dif_w = diffuse_weights_of(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
+    raw_w = raw_weights_of(frames, grid, masks)
+    dif_w = diffuse_weights_of(frames, grid, masks)
     assert raw_w[1] > 0.25
     assert dif_w[1] < raw_w[1]
     # the unclipped highlight is removed, so the cell sits back at the
@@ -272,8 +283,8 @@ def test_saturated_cell_suppressed_by_min_subtract():
     frames = frames.astype(np.uint8)
     masks = np.ones((2, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    raw_w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
-    sf_w = diffuse_weights_of(diffuse_luminance(specular_free_min_subtract(frames)), grid, masks)
+    raw_w = raw_weights_of(frames, grid, masks)
+    sf_w = diffuse_weights_of(frames, grid, masks)
     assert sf_w[1] < 0.25 < raw_w[1]
 
 
@@ -282,7 +293,7 @@ def test_weights_empty_mask_raises():
     masks = np.zeros((1, 8, 8), dtype=bool)
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
     with pytest.raises(RegionError, match="no masked pixels fall inside the grid"):
-        diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+        diffuse_weights_of(frames, grid, masks)
 
 
 def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
@@ -290,7 +301,7 @@ def test_weights_all_black_fall_back_to_uniform_over_covered_cells():
     masks = np.zeros((2, 8, 8), dtype=bool)
     masks[:, 0:4, :] = True  # only the top half has masked pixels
     grid = build_grid((0, 0, 8, 8), rows=2, cols=2)
-    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(frames, grid, masks)
     assert np.allclose(w, [0.5, 0.5, 0.0, 0.0])
 
 
@@ -303,6 +314,6 @@ def test_weight_normalization_property(seed, rows, cols):
     if not masks.any():
         masks[0, 3, 3] = True
     grid = build_grid((0, 0, 6, 6), rows=rows, cols=cols)
-    w = diffuse_weights_of(diffuse_luminance(frames), grid, masks)
+    w = diffuse_weights_of(frames, grid, masks)
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-9

@@ -458,6 +458,15 @@ def test_frame_slices_align_to_fps():
     assert plan.frame_slices(25.0, 485)[-1] == slice(187, 485)
 
 
+def test_frame_slices_of_a_plan_without_starts_are_empty():
+    # A window past the recording has no start, so no slice, even where its
+    # length in frames is past float range.
+    for window_s in (20.0, 1e308):
+        plan = plan_windows(12.0, window_s, 5.0)
+        assert plan.starts == ()
+        assert plan.frame_slices(30.0, 360) == []
+
+
 def test_frame_slices_sweep_equal_lengths_inside_the_recording():
     for fps in (12.5, 24.0, 25.0, 29.97, 30.0, 59.94):
         for window_s in (5.0, 7.3, 10.0, 11.9):

@@ -29,6 +29,13 @@ REMOVED = {
     # the bilateral estimator is gone: every separation is
     # specular_free_min_subtract, so diffuse.estimate_diffuse_stack.* read 0
     ("rppg.pipeline", "estimate_diffuse_stack"),
+    # the pass pools the min channel and diffuse_weights reads the diffuse
+    # sums from it and the RGB sums: no luminance is made, so
+    # diffuse.diffuse_luminance.self_s reads 0
+    ("rppg.pipeline", "diffuse_luminance"),
+    # the pass separates no frame and the dump calls rppg.diffuse's name, so
+    # diffuse.specular_free_min_subtract.* and diffuse.frames_in read 0
+    ("rppg.pipeline", "specular_free_min_subtract"),
 }
 
 

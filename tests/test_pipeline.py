@@ -6,12 +6,7 @@ import pytest
 
 from rppg.biophysics import CameraNoiseParams, SkinParams
 from rppg.config import RunConfig
-from rppg.diffuse import (
-    CHUNK_PLANE_BYTES,
-    diffuse_luminance,
-    frame_chunks,
-    specular_free_min_subtract,
-)
+from rppg.diffuse import CHUNK_PLANE_BYTES, frame_chunks, min_channel
 from rppg import diffuse, pipeline
 from rppg.chrom import chrom_rows
 from rppg.errors import GeometryError, SignalError, UsageError
@@ -256,18 +251,16 @@ def sampled(sl: slice, k: int) -> slice:
 
 
 def test_chunked_luminance_matches_whole_stack(monkeypatch):
-    # The pass separates the frames whose index is a multiple of k, chunk by
-    # chunk. At k = 1 (every frame) and at DIFFUSE_STRIDE, and with diffuse
-    # chunks of one frame, of the default size and of the whole recording,
-    # each window's diffuse weights equal those of the whole stack's
-    # luminance over the window's sampled rows, pooled on its own planes as
-    # the pass pools it (diffuse_weights_of). The diffuse dump's frames are
-    # checked against the whole stack in test_cli.
+    # The pass pools the min channel of the frames whose index is a multiple
+    # of k, chunk by chunk. At k = 1 (every frame) and at DIFFUSE_STRIDE, and
+    # with diffuse chunks of one frame, of the default size and of the whole
+    # recording, each window's diffuse weights equal, bit for bit, those of
+    # the int64 oracle of its sampled rows' sums (diffuse_weights_of). The
+    # diffuse dump's frames are checked against the whole stack in test_cli.
     h, w = 32, 40
     n = 2 * frame_chunks(1, h, w, pipeline.PASS_CHUNKS)[0].stop + 5
     seq = FrameSequence(frames=mixed_frames(n, h, w, seed=4), fps=30.0)
     cfg = RunConfig(method="proposed", window_s=4.0, hop_s=2.0, grid_rows=2, grid_cols=3)
-    lum = diffuse_luminance(specular_free_min_subtract(seq.frames))
     grid = build_grid((0, 0, w, h), 2, 3)
     masks = np.ones((n, h, w), dtype=bool)
     slices = pipeline.plan_windows(seq.duration_s, 4.0, 2.0).frame_slices(seq.fps, n)
@@ -276,7 +269,7 @@ def test_chunked_luminance_matches_whole_stack(monkeypatch):
         monkeypatch.setattr(pipeline, "DIFFUSE_STRIDE", k)
         rows = [range(n)[sl][sampled(sl, k)] for sl in slices]
         expect = [
-            diffuse_weights_of(lum[r], grid, masks[r]).tolist() for r in rows
+            diffuse_weights_of(seq.frames[r], grid, masks[r]).tolist() for r in rows
         ]
         for plane_bytes in (1, CHUNK_PLANE_BYTES, 1 << 40):
             monkeypatch.setattr(diffuse, "CHUNK_PLANE_BYTES", plane_bytes)
@@ -287,16 +280,17 @@ def test_chunked_luminance_matches_whole_stack(monkeypatch):
 
 @pytest.mark.parametrize("h, w", [(96, 96), (32, 32), (24, 24), (40, 72)])
 def test_each_pass_chunk_separates_its_own_sampled_frames(monkeypatch, h, w):
-    # Each pass chunk separates the frames whose index in the recording is a
-    # multiple of DIFFUSE_STRIDE in one call, looked up as rppg.pipeline's
-    # name: every such frame goes once, in order, and no other frame goes.
+    # Each pass chunk takes the min channel of the frames whose index in the
+    # recording is a multiple of DIFFUSE_STRIDE in one call, looked up as
+    # rppg.pipeline's name: every such frame goes once, in order, and no
+    # other frame goes.
     calls = []
 
-    def separate(frames):
+    def take_min(frames):
         calls.append(np.array(frames))
-        return specular_free_min_subtract(frames)
+        return min_channel(frames)
 
-    monkeypatch.setattr(pipeline, "specular_free_min_subtract", separate)
+    monkeypatch.setattr(pipeline, "min_channel", take_min)
     k = pipeline.DIFFUSE_STRIDE
     n = max(2 * frame_chunks(1, h, w, pipeline.PASS_CHUNKS)[0].stop, 240) + 5
     seq = FrameSequence(frames=mixed_frames(n, h, w, seed=3), fps=30.0)
@@ -316,7 +310,6 @@ def test_a_stride_above_the_window_length_samples_every_window(monkeypatch):
     seq = FrameSequence(frames=mixed_frames(n, h, w, seed=5), fps=30.0)
     cfg = RunConfig(method="proposed", window_s=2.5, hop_s=0.5, grid_rows=2, grid_cols=2)
     result = run_pipeline(seq, full_sidecar(seq), cfg)
-    lum = diffuse_luminance(specular_free_min_subtract(seq.frames))
     grid = build_grid((0, 0, w, h), 2, 2)
     masks = np.ones((n, h, w), dtype=bool)
     slices = pipeline.plan_windows(seq.duration_s, 2.5, 0.5).frame_slices(seq.fps, n)
@@ -324,7 +317,7 @@ def test_a_stride_above_the_window_length_samples_every_window(monkeypatch):
     for sl, entry in zip(slices, result.window_weights):
         rows = range(n)[sl][sampled(sl, 75)]
         assert len(rows) == 1
-        expect = diffuse_weights_of(lum[rows], grid, masks[rows])
+        expect = diffuse_weights_of(seq.frames[rows], grid, masks[rows])
         assert entry["diffuse"] == expect.tolist()
 
 
@@ -358,15 +351,15 @@ def test_luminance_stage_memory_is_bounded_by_the_chunk(size, long):
         for frames in (uniform, noise)
         for n in (64, long)
     ]
-    # measured 3.5-9 planes: the pass chunk's frames and masks, and its
-    # sampled frames' specular-free stack and luminance planes
+    # measured 3.4-8.6 planes: the pass chunk's frames and masks, and its
+    # sampled frames' min channel and its planes
     assert max(peaks) < 96 * CHUNK_PLANE_BYTES, [p / CHUNK_PLANE_BYTES for p in peaks]
 
 
 @pytest.mark.parametrize("method", ["aggregate", "snr", "proposed"])
 def test_run_pipeline_memory_does_not_grow_with_the_recording(method):
     # 20 s and 80 s (3 and 15 windows of 10 s) of 48x48 frames: frames,
-    # masks, diffuse frames and cell sums live one chunk at a time, and the
+    # masks, min channels and cell sums live one chunk at a time, and the
     # end stage one block of windows at a time, so the working peak stays
     # put (measured within 4 %: aggregate's peak is the end stage's, whose
     # block holds 3 windows at 20 s and 8 at 80 s).
