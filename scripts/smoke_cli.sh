@@ -9,8 +9,10 @@
 # directory (3, naming the frame) or is cut short (4), of a noise model past
 # float64 (2), of the removed bilateral diffuse estimator, by flag or by
 # config file (2, naming min_subtract), of a window too long to round to
-# frames (7, no traceback), and of a scene too big to render (9). A frame directory written over a longer one (a diffuse dump, a PPM
-# synth) keeps only its own frames.
+# frames (7, no traceback), of a scene too big to render (9), and of a
+# report whose method holds a comma (4, naming the report, no summary
+# written). A frame directory written over a longer one (a diffuse dump, a
+# PPM synth) keeps only its own frames.
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -27,6 +29,18 @@ done
   done
 } > "$smoke/manifest.csv"
 rppg evaluate --manifest "$smoke/manifest.csv" --out "$smoke/cohort.csv"
+# a method with a comma would split the summary's rows: exit 4, no summary
+mkdir -p "$smoke/comma"
+printf '{"method": "a,b", "video_bpm": 72.0}\n' > "$smoke/comma/report.json"
+cp "$smoke/hr.csv" "$smoke/comma/hr.csv"
+printf 'report,ground_truth,skin_tone,condition,viewpoint\nreport.json,hr.csv,medium,room,front\n' \
+  > "$smoke/comma/manifest.csv"
+rc=0
+rppg evaluate --manifest "$smoke/comma/manifest.csv" --out "$smoke/comma/cohort.csv" \
+  2> "$smoke/comma/stderr" || rc=$?
+test "$rc" -eq 4
+grep -q "report.json" "$smoke/comma/stderr"
+test ! -e "$smoke/comma/cohort.csv"
 rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
   --method proposed --grid-rows 2 --grid-cols 2 \
   --out "$smoke/dump.json" --dump-diffuse "$smoke/diffuse"

@@ -17,21 +17,15 @@ This module owns the pixel-to-cell reduction and every cell weight:
 pool_planes pools masked_planes into cells by two products, each one per
 frame. The planes keep the order in which a frame is stored: a row holds
 its pixels' channels interleaved (R, G, B of one pixel, then of the next),
-then the row's mask. Masking is thus one contiguous multiply by
-build_mask's per-channel mask, with no strided read of the frames, and
-pool_planes de-interleaves the channels only after the row product, on a
-result rows/h the size of the planes. Integer planes (uint8 RGB, the
-uint8 min channel and the mask) are float32 while the frame height h keeps
-h * 255 <= 2**24: every sum of the first product is then an integer of at
-most h * 255, exact in float32, and the second product, whose sums reach
-h * w * 255, runs in float64, exact below 2**53. Each cell sum is thus the
-exact integer whatever BLAS kernel, thread count or order of summation
-runs; taller frames stay float64. facial_aggregate, grid_traces and
-diffuse_weights take a window's per-frame sums and counts from
-pool_planes's output, (t, rows, cols, ...) and (t, rows, cols), not its
-pixels. diffuse_weights is a mean over the frames it is given, so the
-pipeline pools the min channel of only one frame in
-pipeline.DIFFUSE_STRIDE.
+then the row's mask, so masking is one contiguous multiply by build_mask's
+per-channel mask. Integer planes (uint8 RGB or min channel, the mask) pool
+to their exact integer sums, in float32 then float64 (see masked_planes),
+whatever BLAS kernel, thread count or order of summation runs.
+facial_aggregate, grid_traces and diffuse_weights take a window's
+per-frame sums and counts from pool_planes's output, (t, rows, cols, ...)
+and (t, rows, cols), not its pixels. diffuse_weights is a mean over the
+frames it is given, so the pipeline pools the min channel of only one
+frame in pipeline.DIFFUSE_STRIDE.
 """
 
 from __future__ import annotations
@@ -43,28 +37,28 @@ import numpy as np
 
 from .chrom import chrom_rows
 from .errors import RegionError, SignalError
-from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, harmonic_snr, periodogram
+from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, _band, harmonic_snr, periodogram
 from .signals import zero_mean
 
 WEIGHT_EPS = 1e-12
 
 
 def masked_planes(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The planes that pool_planes pools, (t, h, (k + 1) * w), laid out as
-    the (t, h, w, k) or (t, h, w) values are stored: each row holds its
-    pixels' k channels in turn, 0 where masked out, then the mask. The first
-    k * w columns of masks (t, h, ...) mask values' row entries and its last
-    w are the pixel mask: build_mask's (t, h, 4 * w) for RGB, a pixel mask
-    (t, h, w) for one channel. The planes are float32 if values is uint8 and
-    h * 255 <= 2**24 (frames up to 65,793 rows), so that the sums of
-    pool_planes's float32 product are exact integers; else float64."""
-    t, h, w = values.shape[:3]
+    """The planes that pool_planes pools, as wide as masks (t, h, c), laid
+    out as the (t, h, w, k) or (t, h, w) values are stored: each row holds
+    its pixels' k channels in turn, masked by masks' first k * w columns,
+    then a copy of masks' columns past those: build_mask's (t, h, 4 * w)
+    adds the pixel mask to RGB, a pixel mask (t, h, w) nothing to one
+    channel. The planes are float32 if values is uint8 and h * 255 <= 2**24
+    (frames up to 65,793 rows), so that the sums of pool_planes's float32
+    product are exact integers; else float64."""
+    t, h = values.shape[:2]
     exact32 = h * 255 <= 2**24 and values.dtype == np.uint8
     values = values.reshape(t, h, -1)
     kw = values.shape[2]
-    planes = np.empty((t, h, kw + w), np.float32 if exact32 else np.float64)
+    planes = np.empty(masks.shape, np.float32 if exact32 else np.float64)
     np.multiply(values, masks[..., :kw], out=planes[..., :kw])
-    planes[..., kw:] = masks[..., -w:]
+    planes[..., kw:] = masks[..., kw:]
     return planes
 
 
@@ -76,17 +70,17 @@ def cell_indicators(y_edges, x_edges, height: int, width: int):
 
 
 def pool_planes(planes: np.ndarray, rows_of: np.ndarray, cols_of: np.ndarray) -> np.ndarray:
-    """Per-cell sums of masked_planes's planes (t, h, (k + 1) * w), float64
-    (t, rows, cols, k + 1) with the pixel counts last, over the cells of
-    cell_indicators's rows_of and cols_of. rows_of @ planes, in the planes'
-    dtype, sums each row band with the channels still interleaved; the
-    result, rows/h the size of the planes, is de-interleaved into float64
+    """Per-cell sums of masked_planes's planes (t, h, (k + 1) * w), k
+    interleaved channels then one plane (RGB's mask, whose counts come last,
+    or, with k = 0, one channel), float64 (t, rows, cols, k + 1), over the
+    cells of cell_indicators's rows_of and cols_of. rows_of @ planes, in the
+    planes' dtype, sums each row band with the channels still interleaved;
+    the result, rows/h the size of the planes, is de-interleaved into float64
     (t, rows, k + 1, w) and taken @ cols_of. Both products run one frame at a
     time and sum each cell in pixel order: a frame's sums do not depend on
     the other frames in the call (one gemm over all of them does not promise
     that, as BLAS picks its kernel by size). Integer sums are exact: below
-    2**24 in the float32 product (see masked_planes), below 2**53 in the
-    float64 ones."""
+    2**24 in float32 (see masked_planes), below 2**53 in float64."""
     t, _, c = planes.shape
     (rows, _), w = rows_of.shape, cols_of.shape[0]
     k = c // w - 1
@@ -178,8 +172,8 @@ def snr_weights(
     w = np.zeros(traces.n_cells)
     if cells.size:
         freqs, power = periodogram(waves[cells], traces.fps)
-        in_band = (freqs >= band[0]) & (freqs <= band[1])
-        if in_band.any():
+        in_band = _band(freqs, *band)
+        if freqs[in_band].size:
             band_power = power[:, in_band]
             peak = band_power.argmax(axis=1)
             has_peak = band_power[np.arange(cells.size), peak] > 0.0

@@ -123,6 +123,8 @@ def load_manifest(path: Path) -> list[CohortRecord]:
             raise DataFormatError(f"{report_path}: not a valid report: {exc}") from exc
         if not isinstance(method, str):
             raise DataFormatError(f"{report_path}: method must be a JSON string, got {method!r}")
+        if any(ch in method for ch in ',"\r\n'):  # it heads summary CSV rows
+            raise DataFormatError(f"{report_path}: method {method!r} has a comma, quote or line break")
         # a JSON number: bools and numeric strings do not count
         if not _is_json_number(est):
             raise DataFormatError(

@@ -18,9 +18,10 @@ edges, such as aggregate's one cell spanning the frame, share one pooling.
 For proposed the minimum channel is a second pool: each pass chunk takes
 the min_channel of its own sampled frames (see DIFFUSE_STRIDE) in one call
 and pools it, uint8 on float32 planes as the RGB, into the windows that
-hold them; diffuse_weights reads the diffuse sums from those and the
-sampled frames' RGB sums (the CLI's --dump-diffuse separates every frame
-after the pass). Nothing the pass pools is float, so every sum is exact. A
+hold them, under the pixel mask alone; diffuse_weights reads the diffuse
+sums from those and the sampled frames' RGB sums and counts (the CLI's
+--dump-diffuse separates every frame after the pass). Nothing the pass
+pools is float, so every sum is exact. A
 window is finished (traces, weights, combination) as soon as its last
 frame is read, and its sums are dropped, so peak memory is one chunk plus
 the per-frame cell sums of the open windows, whatever the length of the
@@ -97,9 +98,8 @@ def _window_sums(
     """Each window's pool_planes sums over the edges grids[i], yielded in
     window order as soon as the window's last frame is read: (rgb, mins),
     rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, mins
-    (t_s, rows, cols, 2) the min_channel sums and pixel counts of its
-    sampled frames, those whose index is a multiple of stride (None when
-    stride is None).
+    (t_s, rows, cols, 1) the min_channel sums of its sampled frames, those
+    whose index is a multiple of stride (None when stride is None).
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rppg.cli import main
 from rppg.errors import DataFormatError, MissingInputError, ToolkitError
 from rppg.evaluation import (
     CohortKey,
@@ -274,3 +276,21 @@ def test_manifest_and_reports_parse_or_exit_3_or_4(tmp_path_factory, header, row
         assert exc.exit_code in (MissingInputError.exit_code, DataFormatError.exit_code)
         return
     assert summary["methods"]
+
+
+@pytest.mark.parametrize("method", ["a,b\nc", "a,b", "a\nb", "a\rb", "proposed\r\n", '"q'])
+def test_a_method_that_breaks_the_summary_csv_exits_4_before_any_write(tmp_path, capsys, method):
+    # the method heads the summary's rows: a comma or line break in it
+    # would split them, and a quote would open a field that runs on into the
+    # next rows, so the report is refused and nothing is written
+    (tmp_path / "report.json").write_text(json.dumps({"method": method, "video_bpm": 72.0}))
+    (tmp_path / "hr.csv").write_text("time_s,value\n0,72\n1,74\n")
+    (tmp_path / "manifest.csv").write_text(
+        "report,ground_truth,skin_tone,condition,viewpoint\nreport.json,hr.csv,dark,room,front\n"
+    )
+    with pytest.raises(DataFormatError, match="report.json"):
+        load_manifest(tmp_path / "manifest.csv")
+    out = tmp_path / "summary.csv"
+    assert main(["evaluate", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(out)]) == 4
+    assert "report.json" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,6 +11,7 @@ from rppg.heartrate import (
     FILTER_BLOCK,
     FILTER_ORDER,
     PASSBAND_HZ,
+    _band,
     _bandpass_sos,
     _bandpass_step,
     _prominent_peaks,
@@ -174,7 +175,7 @@ def test_periodogram_matches_scipy(n, fps, rows, seed):
 
 def scipy_prominent_peaks(x, keep, floor):
     peaks, _ = scipy.signal.find_peaks(x, prominence=floor)
-    return peaks[keep[peaks]]
+    return peaks[np.isin(peaks, np.arange(x.size)[keep])]
 
 
 # rows with plateaus, ties and flat runs (few levels), and peaks at either end
@@ -188,14 +189,17 @@ PEAK_ROWS = st.one_of(
 @settings(deadline=None, max_examples=400, derandomize=True)
 @given(
     x=PEAK_ROWS,
-    keep_bits=st.one_of(st.just(-1), st.integers(0, 2**40 - 1)),
+    # a band of bins, as _band gives: the whole row, or any start and stop,
+    # an empty band when start >= stop
+    keep=st.one_of(
+        st.just(slice(0, 40)), st.builds(slice, st.integers(0, 41), st.integers(0, 41))
+    ),
     floor=st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(0.0, 5.0)),
 )
 # a peak as high as the one being scanned does not stop the scan
-@example(x=np.array([0.0, 2.0, 1.0, 2.0, 0.0]), keep_bits=-1, floor=1.5)
-@example(x=np.array([3.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 0.0, 3.0]), keep_bits=-1, floor=1.0)
-def test_prominent_peaks_match_scipy_find_peaks(x, keep_bits, floor):
-    keep = (keep_bits >> np.arange(x.size)) & 1 == 1  # -1 keeps every sample
+@example(x=np.array([0.0, 2.0, 1.0, 2.0, 0.0]), keep=slice(0, 40), floor=1.5)
+@example(x=np.array([3.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 0.0, 3.0]), keep=slice(0, 40), floor=1.0)
+def test_prominent_peaks_match_scipy_find_peaks(x, keep, floor):
     assert np.array_equal(_prominent_peaks(x, keep, floor), scipy_prominent_peaks(x, keep, floor))
 
 
@@ -203,10 +207,41 @@ def test_prominent_peaks_on_spectra_match_scipy_find_peaks():
     rng = np.random.default_rng(11)
     for fps, n in ((30.0, 300), (24.0, 240), (60.0, 600)):
         freqs, power = periodogram(rng.standard_normal((20, n)), fps)
-        in_band = (freqs >= PASSBAND_HZ[0]) & (freqs <= PASSBAND_HZ[1])
+        in_band = _band(freqs, *PASSBAND_HZ)
         for row in power:
             floor = 0.05 * row[in_band].max()
             assert np.array_equal(_prominent_peaks(row, in_band, floor), scipy_prominent_peaks(row, in_band, floor))
+
+
+# ---------------------------------------------------------------------------
+# Bands of bins
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    fps=st.sampled_from([24.0, 29.97, 30.0, 60.0]),
+    n=st.sampled_from([64, 240, 300, 301, 600]),
+    closed=st.booleans(),
+    data=st.data(),
+)
+def test_band_selects_the_bins_of_the_boolean_definition(fps, n, closed, data):
+    # lo and hi mostly fall on bins, so that ties with the edges occur; in
+    # about half the draws lo > hi, an empty band
+    freqs = np.fft.rfftfreq(1 << (8 * n - 1).bit_length(), 1.0 / fps)
+    edge = st.one_of(st.sampled_from(freqs.tolist()), st.floats(-1.0, freqs[-1] + 1.0))
+    lo, hi = data.draw(edge), data.draw(edge)
+    if closed:
+        want = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+    else:
+        want = np.flatnonzero((freqs > lo) & (freqs < hi))
+    band = _band(freqs, lo, hi, closed)
+    assert np.array_equal(np.arange(freqs.size)[band], want)
+    # the array form gives each band's edges
+    edges = _band(freqs, np.array([lo, hi]), np.array([hi, lo]), closed)
+    assert (edges.start[0], edges.stop[0]) == (band.start, band.stop)
+    if lo > hi:
+        assert band.start >= band.stop  # what harmonic_snr's row slices rely on
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +382,16 @@ def test_select_hr_band_coverage_required():
         select_hr(f, np.ones_like(f))
 
 
+def test_select_hr_rival_peak_exactly_w_away_adds_nothing():
+    # Dyadic bins, w = 0.125 Hz: the rival at 1.125 Hz sits exactly w above
+    # the candidate at 1.0 Hz, and the 2.0 and 2.5 Hz bins sit exactly on
+    # the rival's harmonic band edges. With open bands the candidate scores
+    # 10 + 2 and the rival 11, so 60 bpm wins; with closed bands each would
+    # take the other's power and the rival's edges, 23 against 24.
+    f, p = synthetic_psd(df=0.0625, peaks=[(1.0, 10.0), (1.125, 11.0), (2.0, 2.0), (2.5, 1.0)])
+    assert select_hr(f, p, halfwidth_hz=0.125) == 60.0
+
+
 def test_select_hr_on_real_tone():
     assert select_hr(*spectrum_of(tone(1.2))) == pytest.approx(72.0, abs=0.5)
 
@@ -418,6 +463,27 @@ def test_harmonic_snr_rows_use_inclusive_bands_around_their_own_peaks():
     # peak 1.0: 5 bins in [0.75, 1.25] + 9 in [1.5, 2.5]; peak 2.0: 5 + 9 in [3.5, 4.5]
     assert snr.tolist() == [14 / 50, 14 / 50, 0.0]
     assert harmonic_snr(freqs, power[0], 1.0, halfwidth_hz=0.125) == 8 / 56  # one row
+
+
+def test_two_harmonic_snr_equals_the_criterion_6_formula_exactly():
+    # criterion 6's formula: the compacted bins of each closed band summed,
+    # over total less that; draws as criterion 6 makes them
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        n = int(rng.integers(64, 257))
+        fps = float(rng.uniform(8.0, 60.0))
+        x = rng.normal(size=n)
+        x -= x.mean()
+        peak = float(rng.uniform(0.8, 3.4))
+        f, power = scipy.signal.periodogram(
+            x, fs=fps, window="hann", nfft=1 << (8 * n - 1).bit_length(), detrend=False
+        )
+        num = power[(f >= peak - 0.1) & (f <= peak + 0.1)].sum()
+        num += power[(f >= 2 * peak - 0.2) & (f <= 2 * peak + 0.2)].sum()
+        total = power.sum()
+        den = total - num
+        want = 100.0 if den <= 1e-12 * total else float(min(max(num / den, 0.0), 100.0))
+        assert two_harmonic_snr(PulseWaveform(x, fps), peak) == want
 
 
 def test_snr_clamped_to_cap():
