@@ -8,11 +8,14 @@
 # over its illuminant), of a PPM recording whose middle frame is a
 # directory (3, naming the frame) or is cut short (4), of a noise model past
 # float64 (2), of the removed bilateral diffuse estimator, by flag or by
-# config file (2, naming min_subtract), of a window too long to round to
-# frames (7, no traceback), of a scene too big to render (9), and of a
-# report whose method holds a comma (4, naming the report, no summary
-# written). A frame directory written over a longer one (a diffuse dump, a
-# PPM synth) keeps only its own frames.
+# config file (2, naming min_subtract), of the removed passband and SNR
+# half-width settings (2: --snr-halfwidth-hz 0.1, a config file with
+# passband_hi_hz = 3.5), of --dump-weights - over a landmarks file named -
+# (2, the file unchanged: - is stdout only for --out), of a window too long
+# to round to frames (7, no traceback), of a scene too big to render (9),
+# and of a report whose method holds a comma (4, naming the report, no
+# summary written). A frame directory written over a longer one (a diffuse
+# dump, a PPM synth) keeps only its own frames.
 #
 # Usage: bash scripts/smoke_cli.sh OUTDIR
 set -eu
@@ -176,6 +179,23 @@ rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" 
 test "$rc" -eq 7
 grep -q "no analysis windows fit" "$smoke/huge-window.stderr"
 if grep -q "Traceback" "$smoke/huge-window.stderr"; then exit 1; fi
+# the band and the SNR half-width are constants: their flag or key exits 2
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --snr-halfwidth-hz 0.1 || rc=$?
+test "$rc" -eq 2
+printf '[pipeline]\npassband_hi_hz = 3.5\n' > "$smoke/passband.ini"
+rc=0
+rppg estimate --frames "$smoke/frames.raw" --landmarks "$smoke/landmarks.jsonl" \
+  --config "$smoke/passband.ini" || rc=$?
+test "$rc" -eq 2
+# - is stdout only for --out: --dump-weights - names the landmarks file -
+mkdir -p "$smoke/dash"
+cp "$smoke/landmarks.jsonl" "$smoke/dash/-"
+rc=0
+(cd "$smoke/dash" && rppg estimate --frames ../frames.raw --landmarks - --dump-weights -) || rc=$?
+test "$rc" -eq 2
+cmp "$smoke/dash/-" "$smoke/landmarks.jsonl"
 rc=0
 rppg synth --out "$smoke/too-big" --duration-s 1e12 || rc=$?
 test "$rc" -eq 9

@@ -169,8 +169,9 @@ def _in_frame_dir(path, directory) -> bool:
 def _check_outputs(outputs: dict, inputs: dict) -> None:
     """A UsageError when an output path names an input or another output, or
     a frame directory's file while the other names that directory, found
-    before anything is read or written; None and "-" (stdout) name no file."""
-    named = [(flag, path) for flag, path in outputs.items() if path not in (None, "-")]
+    before anything is read or written. None names no file, and neither does
+    "-" for --out (stdout); to any other output "-" is a file name."""
+    named = [(f, p) for f, p in outputs.items() if p is not None and (f, p) != ("--out", "-")]
     for i, (flag, path) in enumerate(named):
         for other, taken in [*inputs.items(), *named[:i]]:
             if taken is None:

@@ -11,7 +11,8 @@
 Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
 cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
 and one SNR pass give the weights, and snr reuses those same waveforms.
-The periodogram is heartrate's, the one the window rates are read from.
+The periodogram is heartrate's, the one the window rates are read from,
+as are the SNR's band and half-width (PASSBAND_HZ, SNR_HALFWIDTH_HZ).
 
 This module owns the pixel-to-cell reduction and every cell weight:
 pool_planes pools masked_planes into cells by two products, each one per
@@ -37,7 +38,7 @@ import numpy as np
 
 from .chrom import chrom_rows
 from .errors import RegionError, SignalError
-from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ, _band, harmonic_snr, periodogram
+from .heartrate import PASSBAND_HZ, _band, harmonic_snr, periodogram
 from .signals import zero_mean
 
 WEIGHT_EPS = 1e-12
@@ -151,16 +152,12 @@ def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
     return GridTraces(samples=samples, live=live, fps=fps)
 
 
-def snr_weights(
-    traces: GridTraces,
-    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-    band: tuple[float, float] = PASSBAND_HZ,
-) -> np.ndarray:
+def snr_weights(traces: GridTraces) -> np.ndarray:
     """Two-harmonic SNR per live cell, normalized to sum to one.
 
     The live cells' CHROM waveforms get one batched periodogram; each cell's
-    SNR is taken on that spectrum around the cell's own dominant in-band
-    peak. Cells without usable spectra (zero channel mean, no in-band
+    SNR is taken on that spectrum around the cell's own dominant peak in
+    PASSBAND_HZ. Cells without usable spectra (zero channel mean, no in-band
     power, zero total power) get weight zero; if no cell produces any SNR
     the live cells share the weight evenly (no spectral evidence to prefer
     one over another).
@@ -172,14 +169,11 @@ def snr_weights(
     w = np.zeros(traces.n_cells)
     if cells.size:
         freqs, power = periodogram(waves[cells], traces.fps)
-        in_band = _band(freqs, *band)
-        if freqs[in_band].size:
-            band_power = power[:, in_band]
-            peak = band_power.argmax(axis=1)
-            has_peak = band_power[np.arange(cells.size), peak] > 0.0
-            w[cells[has_peak]] = harmonic_snr(
-                freqs, power[has_peak], freqs[in_band][peak[has_peak]], halfwidth_hz
-            )
+        in_band = _band(freqs, *PASSBAND_HZ)
+        band_power = power[:, in_band]
+        peak = band_power.argmax(axis=1)
+        has_peak = band_power[np.arange(cells.size), peak] > 0.0
+        w[cells[has_peak]] = harmonic_snr(freqs, power[has_peak], freqs[in_band][peak[has_peak]])
     total = w.sum()
     if total <= 0.0:
         w[traces.live] = 1.0 / int(traces.live.sum())

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UsageError
-from .heartrate import PASSBAND_HZ, SNR_HALFWIDTH_HZ
 from .ingest import read_text
 
 METHODS = ("aggregate", "snr", "proposed")
@@ -34,17 +33,15 @@ class RunConfig:
     method: str = field(default="proposed", metadata={"choices": METHODS})
     window_s: float = 10.0
     hop_s: float = 5.0
-    passband_lo_hz: float = PASSBAND_HZ[0]
-    passband_hi_hz: float = PASSBAND_HZ[1]
-    snr_halfwidth_hz: float = SNR_HALFWIDTH_HZ
     notch_hz: tuple[float, ...] = field(
         default=(), metadata={"help": "comma-separated frequencies to suppress, e.g. 0.5,1.0"}
     )
     grid_rows: int = 8
     grid_cols: int = 8
     diffuse_estimator: str = field(default="min_subtract", metadata={"choices": DIFFUSE_ESTIMATORS})
-    bbox_smoothing: bool = False
-    bbox_smoothing_alpha: float = 0.9
+    bbox_smoothing_alpha: float = field(
+        default=0.0, metadata={"help": "EMA weight of the previous bbox, in [0, 1); 0 = off"}
+    )
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -58,18 +55,10 @@ class RunConfig:
             raise UsageError(f"notch_hz must be finite, got {self.notch_hz}")
         if self.window_s <= 0 or self.hop_s <= 0:
             raise UsageError("window_s and hop_s must be positive")
-        if not 0 < self.passband_lo_hz < self.passband_hi_hz:
-            raise UsageError("passband must satisfy 0 < lo < hi")
-        if self.snr_halfwidth_hz <= 0:
-            raise UsageError("snr_halfwidth_hz must be positive")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise UsageError("grid must be at least 1x1")
         if not 0.0 <= self.bbox_smoothing_alpha < 1.0:
             raise UsageError("bbox_smoothing_alpha must lie in [0, 1)")
-
-    @property
-    def passband_hz(self) -> tuple[float, float]:
-        return (self.passband_lo_hz, self.passband_hi_hz)
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)

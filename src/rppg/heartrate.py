@@ -18,7 +18,12 @@ scoring: a candidate at p Hz scores the power in the open bands (p - w,
 p + w) and (2p - 2w, 2p + 2w), which rejects sub-harmonic and motion peaks
 that lack a first harmonic, and leaves out a rival peak exactly w away.
 Every band is one run of bins, found by one search per edge (_band); the
-analysis band and the two SNR bands are closed, [lo, hi].
+analysis band and the two SNR bands are closed, [lo, hi]. The band-pass,
+peak search and SNR share one band and half-width, PASSBAND_HZ and
+SNR_HALFWIDTH_HZ, which no setting moves. The spectra are of waveforms
+that chrom_rows has passed (fps > 7 Hz, >= 2 s), so they reach fps / 2 >
+3.5 Hz with bins at most 1/16 Hz apart (nfft >= 8 n >= 16 fps): the
+analysis band always holds bins, and select_hr and snr_weights trust that.
 
 Cells and windows share one spectral core: periodogram and harmonic_snr
 work on a leading row axis, so the spectra of all grid cells of a window,
@@ -282,25 +287,10 @@ def suppress_artifacts(freqs: np.ndarray, power: np.ndarray, notch_hz) -> np.nda
     return power
 
 
-def select_hr(
-    freqs: np.ndarray,
-    power: np.ndarray,
-    band: tuple[float, float] = PASSBAND_HZ,
-    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-) -> float:
+def select_hr(freqs: np.ndarray, power: np.ndarray) -> float:
     """Harmonic-scored peak selection on one power row; returns heart rate in bpm."""
     f = freqs
-    if f[0] > band[0] or f[-1] < band[1]:
-        raise UsageError(
-            f"spectrum covers {f[0]:.3f}-{f[-1]:.3f} Hz, "
-            f"does not span the {band[0]}-{band[1]} Hz analysis band"
-        )
-    in_band = _band(f, *band)
-    if f[in_band].size == 0:
-        raise UsageError(
-            f"the {band[0]}-{band[1]} Hz analysis band holds no spectral bin "
-            f"(bins are {f[1] - f[0]:.4f} Hz apart)"
-        )
+    in_band = _band(f, *PASSBAND_HZ)
     peak_floor = power[in_band].max()
     if peak_floor <= 0.0:
         raise SignalError("no in-band power")
@@ -308,7 +298,7 @@ def select_hr(
     if peaks.size == 0:
         raise SignalError("no in-band spectral peaks above the prominence floor")
     peaks = peaks[np.argsort(power[peaks])[::-1][:MAX_PEAKS]]
-    w = halfwidth_hz
+    w = SNR_HALFWIDTH_HZ
     # open bands: a rival peak exactly w away adds nothing to the score
     scores = [
         float(power[_band(f, f[p] - w, f[p] + w, closed=False)].sum())
@@ -319,12 +309,7 @@ def select_hr(
     return 60.0 * float(f[best])
 
 
-def harmonic_snr(
-    freqs: np.ndarray,
-    power: np.ndarray,
-    peak_hz,
-    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-) -> np.ndarray:
+def harmonic_snr(freqs: np.ndarray, power: np.ndarray, peak_hz) -> np.ndarray:
     """Two-harmonic SNR of each power row (..., n_freqs) around its peak_hz (...).
 
     Signal power is the sum of the bins in [p-w, p+w] plus those in
@@ -333,10 +318,8 @@ def harmonic_snr(
     reports the cap, and a row whose total power is under MIN_TOTAL_POWER
     reports 0.
     """
-    if halfwidth_hz <= 0:
-        raise UsageError("halfwidth must be positive")
     p = np.broadcast_to(np.asarray(peak_hz, dtype=np.float64), power.shape[:-1])
-    w = halfwidth_hz
+    w = SNR_HALFWIDTH_HZ
     # every row's band edges in one search per edge; each row sums its own runs
     one, two = _band(freqs, p - w, p + w), _band(freqs, 2.0 * p - 2.0 * w, 2.0 * p + 2.0 * w)
     edges = (e.ravel().tolist() for e in (one.start, one.stop, two.start, two.stop))
@@ -351,20 +334,15 @@ def harmonic_snr(
     return np.where(total < MIN_TOTAL_POWER, 0.0, snr)
 
 
-def two_harmonic_snr(
-    wave: PulseWaveform,
-    peak_hz: float,
-    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-    band: tuple[float, float] = PASSBAND_HZ,
-) -> float:
-    """Signal-to-noise ratio of a pulse waveform around a known rate
-    (harmonic_snr of its periodogram); a zero spectrum raises."""
-    if not band[0] <= peak_hz <= band[1]:
-        raise UsageError(f"peak {peak_hz} Hz outside the {band} Hz band")
+def two_harmonic_snr(wave: PulseWaveform, peak_hz: float) -> float:
+    """Signal-to-noise ratio of a pulse waveform around a known rate in
+    PASSBAND_HZ (harmonic_snr of its periodogram); a zero spectrum raises."""
+    if not PASSBAND_HZ[0] <= peak_hz <= PASSBAND_HZ[1]:
+        raise UsageError(f"peak {peak_hz} Hz outside the {PASSBAND_HZ} Hz band")
     freqs, power = periodogram(wave.samples, wave.fps)
     if power.sum() < MIN_TOTAL_POWER:
         raise SignalError("total spectral power is zero")
-    return float(harmonic_snr(freqs, power, peak_hz, halfwidth_hz))
+    return float(harmonic_snr(freqs, power, peak_hz))
 
 
 @dataclass(frozen=True)
@@ -401,13 +379,7 @@ def plan_windows(duration_s: float, window_s: float, hop_s: float) -> WindowPlan
     return WindowPlan(window_s=window_s, hop_s=hop_s, starts=tuple(starts))
 
 
-def estimate_video_hr(
-    waves: np.ndarray,
-    fps: float,
-    notch_hz=(),
-    band: tuple[float, float] = PASSBAND_HZ,
-    halfwidth_hz: float = SNR_HALFWIDTH_HZ,
-) -> tuple[float, ...]:
+def estimate_video_hr(waves: np.ndarray, fps: float, notch_hz=()) -> tuple[float, ...]:
     """Per-window harmonic peak selection: the rate of each window in bpm.
 
     waves (n_windows, n) holds one pulse waveform per window, all at fps;
@@ -416,7 +388,4 @@ def estimate_video_hr(
     """
     waves = np.asarray(waves, dtype=np.float64)
     freqs, power = periodogram(waves, fps)
-    return tuple(
-        select_hr(freqs, suppress_artifacts(freqs, row, notch_hz), band, halfwidth_hz)
-        for row in power
-    )
+    return tuple(select_hr(freqs, suppress_artifacts(freqs, row, notch_hz)) for row in power)

@@ -159,7 +159,7 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
                 f"window {first + j} (start {starts[first + j]} s): "
                 f"channel means {rows[j].mean(axis=0)} must all be positive"
             )
-    bpm = estimate_video_hr(waves, fps, cfg.notch_hz, cfg.passband_hz, cfg.snr_halfwidth_hz)
+    bpm = estimate_video_hr(waves, fps, cfg.notch_hz)
     return waves, bpm
 
 
@@ -174,7 +174,7 @@ def run_pipeline(
     pools the min channel of only the frames of the DIFFUSE_STRIDE sample."""
     if min(cfg.window_s, cfg.hop_s) * seq.fps < 1:
         raise UsageError(f"window_s and hop_s must each span one frame at {seq.fps} fps")
-    if cfg.bbox_smoothing:
+    if cfg.bbox_smoothing_alpha:
         bboxes = smooth_bboxes(bboxes, cfg.bbox_smoothing_alpha)
     plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
     slices = plan.frame_slices(seq.fps, seq.count)
@@ -202,7 +202,7 @@ def run_pipeline(
             rows.append(facial_aggregate(sums, counts))
         else:
             traces = grid_traces(sums, counts, seq.fps)
-            w_snr = snr_weights(traces, cfg.snr_halfwidth_hz, cfg.passband_hz)
+            w_snr = snr_weights(traces)
             if cfg.method == "snr":
                 rows.append(combine_benchmark_snr(traces, w_snr))
                 weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})

@@ -29,6 +29,7 @@ from .biophysics import (
     reflectance_over_blood,
 )
 from .errors import InvalidSceneError, writing
+from .heartrate import PASSBAND_HZ
 from .ingest import (
     FrameSequence,
     GroundTruth,
@@ -82,11 +83,11 @@ class SynthScene:
     def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise InvalidSceneError("frames must be at least 8x8")
-        if self.fps <= 7.0:
+        if self.fps <= 2.0 * PASSBAND_HZ[1]:
             raise InvalidSceneError("fps must exceed 7 Hz")
         if self.duration_s < 10.0:
             raise InvalidSceneError("scene must cover at least one 10 s window")
-        if not 42.0 <= self.hr_bpm <= 210.0:
+        if not 60.0 * PASSBAND_HZ[0] <= self.hr_bpm <= 60.0 * PASSBAND_HZ[1]:
             raise InvalidSceneError("hr_bpm must lie in [42, 210]")
         if not 0.0 <= self.texture_amplitude <= 0.5:
             raise InvalidSceneError("texture_amplitude must lie in [0, 0.5]")

@@ -466,18 +466,18 @@ def test_frame_dir_manifest_count_past_the_files_exits_3_before_allocating(datas
 
 def test_usage_errors_exit_2(dataset, tmp_path, capsys, monkeypatch):
     assert main(run_estimate(dataset, "--notch-hz", "abc")) == 2
-    assert main(run_estimate(dataset, "--method", "snr", "--snr-halfwidth-hz", "nan")) == 2
-    # bins of a 10 s window at 30 fps lie 0.0073 Hz apart: none is in the band
-    for method in ("aggregate", "snr", "proposed"):
-        band = ("--passband-lo-hz", "1.0", "--passband-hi-hz", "1.0001")
-        assert main(run_estimate(dataset, "--method", method, *band)) == 2
-        assert "1.0-1.0001 Hz analysis band holds no spectral bin" in capsys.readouterr().err
     ini = tmp_path / "bad.ini"
-    ini.write_text("[pipeline]\nwindowing = 1\n")
-    assert main(run_estimate(dataset, "--config", str(ini))) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate"])  # argparse: missing required flags
-    assert exc.value.code == 2
+    # an unknown key, and keys of settings the toolkit no longer has
+    for line in ("windowing = 1", "passband_lo_hz = 0.7", "bbox_smoothing = true"):
+        ini.write_text(f"[pipeline]\n{line}\n")
+        assert main(run_estimate(dataset, "--config", str(ini))) == 2
+        assert "unknown config key" in capsys.readouterr().err
+    # argparse: missing required flags, and the flags of removed settings
+    for argv in (["estimate"], run_estimate(dataset, "--snr-halfwidth-hz", "0.1"),
+                 run_estimate(dataset, "--bbox-smoothing")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     # min_subtract is the one diffuse estimator, by flag, file or environment
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -865,6 +865,42 @@ def test_evaluate_summary_and_pair_files(manifest_dir, capsys):
     ba = (manifest_dir / "ba.csv").read_text().strip().split("\n")
     mean, diff = (float(v) for v in ba[1].split(","))
     assert diff == pytest.approx(est - gt)
+
+
+def tree_bytes(path: Path) -> dict:
+    """Every file under path (or path itself) by its relative name, as bytes."""
+    if path.is_file():
+        return {".": path.read_bytes()}
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", ["landmarks", "frames", "manifest"])
+def test_a_dash_output_is_stdout_only_for_out(
+    dataset, manifest_dir, tmp_path, monkeypatch, capsys, case
+):
+    # To --dump-weights, --dump-diffuse and --scatter a "-" is a path in the
+    # working directory like any other, so one that names an input "-" is
+    # an overlap, found before anything is read or written.
+    if case == "landmarks":
+        monkeypatch.chdir(tmp_path)
+        Path("-").write_bytes(Path(dataset["landmarks"]).read_bytes())
+        argv = ["estimate", "--frames", dataset["frames"], "--landmarks", "-", "--dump-weights", "-"]
+    elif case == "frames":
+        scene = SynthScene(width=16, height=16, fps=30.0, duration_s=10.0, seed=2)
+        paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
+        monkeypatch.chdir(tmp_path / "scene")
+        paths["frames"].rename("-")
+        argv = ["estimate", "--frames", "-", "--landmarks", str(paths["landmarks"]),
+                "--method", "proposed", "--dump-diffuse", "-"]
+    else:
+        monkeypatch.chdir(manifest_dir)
+        Path("-").write_bytes(Path("manifest.csv").read_bytes())
+        argv = ["evaluate", "--manifest", "-", "--scatter", "-"]
+    before = tree_bytes(Path("-"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "would be overwritten" in capsys.readouterr().err
+    assert tree_bytes(Path("-")) == before
 
 
 def test_an_evaluate_output_naming_the_manifest_or_another_output_exits_2(manifest_dir, capsys):

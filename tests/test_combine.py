@@ -459,7 +459,7 @@ def test_combine_benchmark_is_weighted_waveform_mean():
 # ---------------------------------------------------------------------------
 
 
-def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
+def loop_snr_weights(traces):
     """Reference: one CHROM, one peak-picking PSD and one SNR PSD per cell."""
     w = np.zeros(traces.n_cells)
     for i in np.nonzero(traces.live)[0]:
@@ -468,12 +468,12 @@ def loop_snr_weights(traces, halfwidth_hz=0.1, band=(0.7, 3.5)):
         except SignalError:
             continue
         freqs, power = periodogram(wave.samples, wave.fps)
-        in_band = (freqs >= band[0]) & (freqs <= band[1])
+        in_band = (freqs >= 0.7) & (freqs <= 3.5)
         if not in_band.any() or power[in_band].max() <= 0.0:
             continue
         peak_hz = float(freqs[in_band][np.argmax(power[in_band])])
         try:
-            w[i] = two_harmonic_snr(wave, peak_hz, halfwidth_hz, band)
+            w[i] = two_harmonic_snr(wave, peak_hz)
         except SignalError:
             continue
     total = w.sum()

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,10 @@ def test_defaults():
     assert cfg.method == "proposed"
     assert cfg.window_s == 10.0
     assert cfg.hop_s == 5.0
-    assert cfg.passband_hz == (0.7, 3.5)
-    assert cfg.snr_halfwidth_hz == 0.1
     assert cfg.notch_hz == ()
     assert (cfg.grid_rows, cfg.grid_cols) == (8, 8)
     assert cfg.diffuse_estimator == "min_subtract"
-    assert cfg.bbox_smoothing is False
+    assert cfg.bbox_smoothing_alpha == 0.0
 
 
 @pytest.mark.parametrize(
@@ -30,12 +30,8 @@ def test_defaults():
         {"diffuse_estimator": "bilateral"},
         {"window_s": 0.0},
         {"hop_s": -1.0},
-        {"passband_lo_hz": 0.0},
-        {"passband_lo_hz": 4.0, "passband_hi_hz": 3.5},
-        {"snr_halfwidth_hz": 0.0},
         {"grid_rows": 0},
         {"bbox_smoothing_alpha": 1.0},
-        {"snr_halfwidth_hz": float("nan")},
         {"window_s": float("inf")},
         {"hop_s": float("nan")},
     ],
@@ -65,18 +61,25 @@ def test_config_file_parsing(tmp_path):
         "method = snr\n"
         "grid_rows = 4\n"
         "grid_cols = 6\n"
-        "passband_hi_hz = 3.0\n"
         "notch_hz = 1.0, 2.5\n"
-        "bbox_smoothing = true\n"
+        "bbox_smoothing_alpha = 0.8\n"
     )
     cfg = load_run_config(p)
     assert cfg.method == "snr"
     assert (cfg.grid_rows, cfg.grid_cols) == (4, 6)
-    assert cfg.passband_hi_hz == 3.0
     assert cfg.notch_hz == (1.0, 2.5)
-    assert cfg.bbox_smoothing is True
+    assert cfg.bbox_smoothing_alpha == 0.8
     # untouched keys keep their defaults
     assert cfg.window_s == 10.0
+
+
+def test_readme_config_example_loads(tmp_path):
+    # README's [pipeline] example may name only settings that RunConfig has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(\[pipeline\]\n.*?)```", readme, re.S)
+    p = tmp_path / "pipeline.ini"
+    p.write_text(example)
+    assert load_run_config(p).as_dict().keys() >= set(re.findall(r"^(\w+) =", example, re.M))
 
 
 def test_overrides_beat_file(tmp_path):
@@ -102,16 +105,18 @@ def test_missing_config_file(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "run.ini"
-    p.write_text("[pipeline]\nwindowing = 10\n")
-    with pytest.raises(UsageError):
-        load_run_config(p)
+    # an unknown key, and keys of settings the toolkit no longer has
+    for line in ("windowing = 10", "passband_lo_hz = 0.7", "bbox_smoothing = true"):
+        p.write_text(f"[pipeline]\n{line}\n")
+        with pytest.raises(UsageError, match="unknown config key"):
+            load_run_config(p)
 
 
 def test_bad_values_rejected(tmp_path):
     for body in (
         "[pipeline]\ngrid_rows = many\n",
         "[pipeline]\nwindow_s = ten\n",
-        "[pipeline]\nbbox_smoothing = maybe\n",
+        "[pipeline]\nbbox_smoothing_alpha = maybe\n",
         "[pipeline]\nnotch_hz = 1.0, x\n",
         "[pipeline]\nwindow_s = nan\n",
         "[pipeline]\nnotch_hz = 1.0, inf\n",

@@ -238,9 +238,7 @@ def test_pipeline_is_deterministic():
 
 def test_bbox_smoothing_path():
     seq, sidecar, _ = render(make_scene(motion_px=2, seed=9))
-    cfg = RunConfig(method="proposed", grid_rows=4, grid_cols=4,
-                    bbox_smoothing=True,
-                    bbox_smoothing_alpha=0.8)
+    cfg = RunConfig(method="proposed", grid_rows=4, grid_cols=4, bbox_smoothing_alpha=0.8)
     result = run_pipeline(seq, sidecar, cfg)
     assert abs(result.report["video_bpm"] - 72.0) <= 2.0
 
