@@ -6,7 +6,9 @@ and recombined as S = Xf - alpha*Yf with alpha = sigma(Xf)/sigma(Yf). The
 alpha ratio adapts the specular/skin-tone rejection to the actual window.
 
 The extraction is batched over a leading trace axis, pyVHR's multi-patch
-layout: chrom_rows band-passes every row's Xs and Ys in one filter call.
+layout: chrom_rows band-passes every row's Xs and Ys in one filter call,
+on the one (2, k, n) array they are written into, and takes each
+waveform's mean off in place.
 The rows are the grid cells of one window (GridTraces.waveforms), or the
 pooled traces of every window of a recording (run_pipeline). Rows are
 independent: a row's waveform is bit-identical to a one-row call on it.
@@ -36,14 +38,20 @@ def chrom_rows(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]
     means = samples.mean(axis=1)
     ok = np.all(means > SIGMA_FLOOR, axis=1)
     rn, gn, bn = np.moveaxis(samples / np.where(ok[:, None], means, 1.0)[:, None, :], -1, 0)
-    xs = 3.0 * rn - 2.0 * gn
-    ys = 1.5 * rn + gn - 1.5 * bn
-    xf, yf = bandpass_series(np.stack((xs, ys)), fps)
+    xy = np.empty((2,) + rn.shape)
+    xs, ys = xy
+    np.multiply(3.0, rn, out=xs)
+    xs -= 2.0 * gn
+    np.multiply(1.5, rn, out=ys)
+    ys += gn
+    ys -= 1.5 * bn
+    xf, yf = bandpass_series(xy, fps)
     sigma_y = yf.std(axis=-1)
     flat = sigma_y < SIGMA_FLOOR
     alpha = np.where(flat, 0.0, xf.std(axis=-1) / np.where(flat, 1.0, sigma_y))
-    s = xf - alpha[:, None] * yf
-    waves = s - s.mean(axis=-1, keepdims=True)
+    waves = alpha[:, None] * yf
+    np.subtract(xf, waves, out=waves)
+    waves -= waves.mean(axis=-1, keepdims=True)
     waves[~ok] = 0.0
     return waves, ok
 

@@ -168,12 +168,15 @@ def snr_weights(traces: GridTraces) -> np.ndarray:
     cells = np.flatnonzero(traces.live & ok)
     w = np.zeros(traces.n_cells)
     if cells.size:
-        freqs, power = periodogram(waves[cells], traces.fps)
+        freqs, power = periodogram(waves if cells.size == w.size else waves[cells], traces.fps)
         in_band = _band(freqs, *PASSBAND_HZ)
         band_power = power[:, in_band]
         peak = band_power.argmax(axis=1)
         has_peak = band_power[np.arange(cells.size), peak] > 0.0
-        w[cells[has_peak]] = harmonic_snr(freqs, power[has_peak], freqs[in_band][peak[has_peak]])
+        # every row's SNR (each row's is its own), so that no row is copied;
+        # a row with no in-band power keeps weight zero
+        snr = harmonic_snr(freqs, power, freqs[in_band][peak])
+        w[cells] = np.where(has_peak, snr, 0.0)
     total = w.sum()
     if total <= 0.0:
         w[traces.live] = 1.0 / int(traces.live.sum())

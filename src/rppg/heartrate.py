@@ -150,31 +150,38 @@ def _bandpass_step(fps: float) -> np.ndarray:
     return g
 
 
-def _sosfilt_steps(g: np.ndarray, x: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One sosfilt pass along the rows of x (k, t) from their states (k, s),
-    FILTER_BLOCK samples per step of G (_bandpass_step)."""
+def _sosfilt_steps(g: np.ndarray, x: np.ndarray, states: np.ndarray) -> None:
+    """One sosfilt pass along the rows of x (k, t), in place, from their
+    states (k, s), FILTER_BLOCK samples per step of G (_bandpass_step). t is
+    a multiple of FILTER_BLOCK; x may be a reversed view. Each block is read
+    into the step before its output overwrites it."""
     b = FILTER_BLOCK
-    t = x.shape[1]
-    # zeros after the last sample leave the output up to it as it is
-    x = np.concatenate((x, np.zeros((x.shape[0], -t % b))), axis=1)
-    y = np.empty_like(x)
     step = np.empty((x.shape[0], 1, g.shape[0]))
+    out = np.empty_like(step)
+    step[:, 0, b:] = states
     for start in range(0, x.shape[1], b):
-        step[:, 0, :b] = x[:, start : start + b]
-        step[:, 0, b:] = states
+        block = x[:, start : start + b]
+        step[:, 0, :b] = block
         # Each row is its own (1, b + s) @ (b + s, b + s) product, one gemv
         # per row: a row's result does not depend on the other rows, which
         # one gemm over all of them does not promise.
-        out = np.matmul(step, g)[:, 0]
-        y[:, start : start + b] = out[:, :b]
-        states = out[:, b:]
-    return y[:, :t]
+        np.matmul(step, g, out=out)
+        block[...] = out[:, 0, :b]
+        step[:, 0, b:] = out[:, 0, b:]
 
 
 def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
     """Zero-phase Butterworth band-pass (PASSBAND_HZ) of a raw sample array,
     along its last axis: scipy.signal.sosfiltfilt with its odd extension of
-    padlen = min(21, n - 1) samples and sosfilt_zi initial conditions."""
+    padlen = min(21, n - 1) samples and sosfilt_zi initial conditions.
+
+    Both passes run in place in one buffer per call, laid out as [m zeros]
+    [odd extension, rows, odd extension][m zeros] with m = -t % FILTER_BLOCK
+    for the t extended samples, so that each pass is whole FILTER_BLOCK
+    steps that end on zeros, which leave the output up to the last sample
+    as it is. The forward pass steps over all but the leading margin; the
+    backward pass steps over all but the trailing one, which the forward
+    pass has filled, reversed. The result is a view of that buffer."""
     if fps <= 2.0 * PASSBAND_HZ[1]:
         raise SignalError(
             f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
@@ -184,16 +191,19 @@ def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
     sos = _bandpass_sos(float(fps))
     pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
     rows = x.reshape(-1, n)
+    t = n + 2 * pad
+    m = -t % FILTER_BLOCK
+    buf = np.zeros((rows.shape[0], t + 2 * m))
+    ext = buf[:, m : m + t]
+    ext[:, pad : pad + n] = rows
     if pad > 0:
-        rows = np.concatenate(
-            (2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]),
-            axis=1,
-        )
+        np.subtract(2 * rows[:, :1], rows[:, pad:0:-1], out=ext[:, :pad])
+        np.subtract(2 * rows[:, -1:], rows[:, -2 : -pad - 2 : -1], out=ext[:, -pad:])
     zi = _sosfilt_zi(sos).reshape(1, -1)
     g = _bandpass_step(float(fps))
-    y = _sosfilt_steps(g, rows, zi * rows[:, :1])
-    y = _sosfilt_steps(g, y[:, ::-1], zi * y[:, -1:])[:, ::-1]
-    return y[:, pad : pad + n].reshape(x.shape)
+    _sosfilt_steps(g, buf[:, m:], zi * ext[:, :1])
+    _sosfilt_steps(g, buf[:, m + t - 1 :: -1], zi * ext[:, -1:])
+    return ext[:, pad : pad + n].reshape(x.shape)
 
 
 def _next_pow2(n: int) -> int:
@@ -212,9 +222,11 @@ def periodogram(x: np.ndarray, fps: float):
     # to density, summed with Python's sum as SciPy does
     win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
     win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
-    spec = np.fft.rfft(x * win, n=nfft)
-    power = spec.real**2
-    power += spec.imag**2  # in place: one power-sized temporary, not two
+    spec = np.fft.rfft(x * win, n=nfft).view(np.float64)
+    # re**2 and im**2 in place, interleaved as rfft stores them; their pairs
+    # add into the power, the one new spectrum-sized array
+    np.square(spec, out=spec)
+    power = spec[..., 0::2] + spec[..., 1::2]
     power[..., 1:-1] *= 2  # one-sided; nfft is even, so the Nyquist bin has no mirror
     return np.fft.rfftfreq(nfft, 1.0 / fps), power
 

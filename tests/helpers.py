@@ -18,6 +18,13 @@ from rppg.combine import (
     pool_planes,
 )
 from rppg.errors import DataFormatError, SignalError, reading
+from rppg.heartrate import (
+    FILTER_BLOCK,
+    PSD_PAD_FACTOR,
+    _bandpass_sos,
+    _bandpass_step,
+    _sosfilt_zi,
+)
 from rppg.ingest import _PPM_HEADER, FrameSequence, read_text
 from rppg.signals import PulseWaveform
 
@@ -192,6 +199,62 @@ def diffuse_weights_of(frames, edges, masks) -> np.ndarray:
     """diffuse_weights of diffuse_sums_of's exact sums: the pass pools the
     same integers, so this is the pass's result bit for bit."""
     return diffuse_weights(*diffuse_sums_of(frames, masks, edges))
+
+
+# The spectral path with its copies: heartrate's periodogram and band-pass
+# as they were before they worked in place, the oracles they are held to
+# bit for bit.
+
+
+def periodogram_by_copies(x: np.ndarray, fps: float) -> np.ndarray:
+    """heartrate.periodogram's power from spec.real**2 plus spec.imag**2, two
+    new spectrum-sized arrays, then the one-sided doubling."""
+    n = x.shape[-1]
+    nfft = 1 << (PSD_PAD_FACTOR * n - 1).bit_length()
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
+    spec = np.fft.rfft(x * win, n=nfft)
+    power = spec.real**2
+    power += spec.imag**2
+    power[..., 1:-1] *= 2
+    return power
+
+
+def _sosfilt_steps_by_copies(g, x, states):
+    """One sosfilt pass along the rows of x (k, t) into a new array, the rows
+    zero-padded by concatenation to whole FILTER_BLOCK steps."""
+    b = FILTER_BLOCK
+    t = x.shape[1]
+    x = np.concatenate((x, np.zeros((x.shape[0], -t % b))), axis=1)
+    y = np.empty_like(x)
+    step = np.empty((x.shape[0], 1, g.shape[0]))
+    for start in range(0, x.shape[1], b):
+        step[:, 0, :b] = x[:, start : start + b]
+        step[:, 0, b:] = states
+        out = np.matmul(step, g)[:, 0]
+        y[:, start : start + b] = out[:, :b]
+        states = out[:, b:]
+    return y[:, :t]
+
+
+def bandpass_by_copies(x: np.ndarray, fps: float) -> np.ndarray:
+    """heartrate.bandpass_series with the odd extension concatenated to the
+    rows and each pass into a new array, the second over the reversed first."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    sos = _bandpass_sos(float(fps))
+    pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
+    rows = x.reshape(-1, n)
+    if pad > 0:
+        rows = np.concatenate(
+            (2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]),
+            axis=1,
+        )
+    zi = _sosfilt_zi(sos).reshape(1, -1)
+    g = _bandpass_step(float(fps))
+    y = _sosfilt_steps_by_copies(g, rows, zi * rows[:, :1])
+    y = _sosfilt_steps_by_copies(g, y[:, ::-1], zi * y[:, -1:])[:, ::-1]
+    return y[:, pad : pad + n].reshape(x.shape)
 
 
 # Values that break a JSON field: out of float range, not finite, the wrong

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from rppg.biophysics import CameraNoiseParams, SkinParams
 from rppg.chrom import chrom_rows
 from rppg.combine import (
+    GridTraces,
     cell_indicators,
     combine_benchmark_snr,
     combine_proposed,
@@ -537,6 +540,37 @@ def test_batched_snr_zero_channel_mean_cell_among_good_cells():
     assert w[1] == 0.0 and np.all(w[[0, 2, 3]] > 0.0)
     with pytest.raises(SignalError, match="positive weight but no waveform"):
         combine_benchmark_snr(traces, np.array([0.4, 0.2, 0.2, 0.2]))
+
+
+def test_batched_snr_flat_cell_among_textured_cells():
+    frames, masks, grid, fps = grid_scene(seed=13, noise_cell=(1, 0))
+    frames[:, :4, 4:] = 90  # cell 1 is flat: its waveform is rounding residue
+    traces = grid_traces_of(frames, masks, grid, fps)
+    w = assert_matches_loop(traces)
+    assert w[1] == 0.0 and np.all(w[[0, 2, 3]] > 0.0)
+    # a cell with no in-band power at all (no peak) keeps weight 0 although
+    # its SNR is taken with the others', and the others keep theirs
+    waves, ok = traces.waveforms
+    waves[1] = 0.0
+    assert np.array_equal(assert_matches_loop(traces), w)
+
+
+def test_snr_weights_memory_is_a_few_spectra():
+    # with the waveforms cached, the peak is periodogram's spectrum and power:
+    # no copy of the power block, nor of the waveforms when every cell is kept
+    rng = np.random.default_rng(8)
+    pulse = 3.0 * np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
+    samples = np.array([150.0, 110.0, 80.0]) + rng.normal(0.0, 1.0, (64, 300, 3))
+    traces = GridTraces(samples=samples + pulse[:, None], live=np.ones(64, bool), fps=30.0)
+    power = periodogram(traces.waveforms[0], 30.0)[1]
+    tracemalloc.start()
+    try:
+        w = snr_weights(traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(w > 0.0)
+    assert peak <= 3.5 * power.nbytes + 64 * 1024
 
 
 def test_batched_snr_even_fallback_on_flat_cells():

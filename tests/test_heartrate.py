@@ -27,6 +27,8 @@ from rppg.heartrate import (
 )
 from rppg.signals import PulseWaveform, zero_mean
 
+from helpers import bandpass_by_copies, periodogram_by_copies
+
 
 def tone(hz, n=300, fps=30.0, amp=1.0, phase=0.0):
     t = np.arange(n) / fps
@@ -128,7 +130,8 @@ def test_bandpass_matches_scipy_sosfiltfilt_on_long_rows(n, fps):
 
 def test_bandpass_memory_is_linear_in_the_window():
     # the filter keeps one cache-sized step matrix per frame rate, whatever
-    # the window length, and allocates a few copies of the rows it filters
+    # the window length, and filters both passes in place in one buffer a
+    # little longer than the rows it filters
     fps = 60.0
     step = _bandpass_step(fps)
     bandpass_series(np.zeros((2, 64)), fps)
@@ -140,7 +143,7 @@ def test_bandpass_memory_is_linear_in_the_window():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * x.nbytes + 64 * 1024
+        assert peak <= 2 * x.nbytes + 64 * 1024
         assert _bandpass_step(fps) is step
     assert step.shape == (FILTER_BLOCK + 2 * FILTER_ORDER,) * 2
 
@@ -172,6 +175,41 @@ def test_periodogram_matches_scipy(n, fps, rows, seed):
     assert p1.shape == p0.shape
     assert np.abs(f1 - f0).max() <= 1e-13 * f0[-1]
     assert np.abs(p1 - p0).max() <= 1e-13 * np.abs(p0).max()
+
+
+SPECTRAL_FPS = st.sampled_from([8.0, 24.0, 29.97, 30.0, 60.0])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(rows=st.integers(1, 70), n=st.integers(1, 700), fps=SPECTRAL_FPS, seed=st.integers(0, 2**32 - 1))
+@example(rows=3, n=3600, fps=60.0, seed=7)
+@example(rows=1, n=1, fps=8.0, seed=0)
+def test_bandpass_in_place_equals_the_concatenated_passes(rows, n, fps, seed):
+    x = np.random.default_rng(seed).standard_normal((rows, n))
+    assert np.array_equal(bandpass_series(x, fps), bandpass_by_copies(x, fps))
+    assert np.array_equal(bandpass_series(x[0], fps), bandpass_by_copies(x[0], fps))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(rows=st.integers(1, 70), n=st.integers(64, 700), fps=SPECTRAL_FPS, seed=st.integers(0, 2**32 - 1))
+@example(rows=3, n=3600, fps=60.0, seed=7)
+def test_periodogram_in_place_equals_the_two_squares(rows, n, fps, seed):
+    x = np.random.default_rng(seed).standard_normal((rows, n))
+    assert np.array_equal(periodogram(x, fps)[1], periodogram_by_copies(x, fps))
+    assert np.array_equal(periodogram(x[0], fps)[1], periodogram_by_copies(x[0], fps))
+
+
+def test_periodogram_memory_is_its_spectrum_and_power():
+    # rfft's complex spectrum, squared in place, and the power it adds into
+    x = np.random.default_rng(4).standard_normal((64, 300))
+    power = periodogram(x, 30.0)[1]
+    tracemalloc.start()
+    try:
+        periodogram(x, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * power.nbytes + 64 * 1024
 
 
 def scipy_prominent_peaks(x, keep, floor):
