@@ -8,9 +8,10 @@
   with weak diffuse reflection (strong melanin attenuation or specular
   pollution) from diluting the pulse before inference.
 
-Grid cells are handled as one (n_cells, n_frames, 3) block per window, not
-cell by cell: one batched CHROM (GridTraces.waveforms), one periodogram
-and one SNR pass give the weights, and snr reuses those same waveforms.
+Grid cells are handled as one time-major (n_frames, n_cells, 3) block per
+window, not cell by cell, in the frame order pool_planes yields: one batched
+CHROM (GridTraces.waveforms, (n_cells, n_frames)), one periodogram and one
+SNR pass give the weights, and snr reuses those same waveforms.
 The periodogram is heartrate's, the one the window rates are read from,
 as are the SNR's band and half-width (PASSBAND_HZ, SNR_HALFWIDTH_HZ).
 
@@ -111,7 +112,8 @@ def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridTraces:
-    """Per-cell mean RGB traces. samples: (n_cells, n_frames, 3), row-major cells.
+    """Per-cell mean RGB traces. samples: (n_frames, n_cells, 3), time-major,
+    the cells of a frame in row-major order.
 
     Cells with no masked pixels in the first frame are dead (live=False) and
     excluded from weighting; cells that go empty in a later frame carry the
@@ -124,7 +126,7 @@ class GridTraces:
 
     @property
     def n_cells(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[1]
 
     @cached_property
     def waveforms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +138,19 @@ class GridTraces:
 
 def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
     """Mean masked RGB per grid cell and frame, from pool_planes's RGB sums
-    (t, rows, cols, 3) and pixel counts (t, rows, cols) over a grid's edges."""
+    (t, rows, cols, 3) and pixel counts (t, rows, cols) (views) over a grid's edges."""
     n_frames, rows, cols = counts.shape
     n_cells = rows * cols
-    sums = np.moveaxis(sums.reshape(n_frames, n_cells, 3), 0, 1)
-    counts = counts.reshape(n_frames, n_cells).T
+    counts = counts.reshape(n_frames, n_cells)
     filled = counts > 0
-    samples = np.zeros((n_cells, n_frames, 3))
-    np.divide(sums, counts[..., None], out=samples, where=filled[..., None])
-    for i in np.flatnonzero(~filled.all(axis=1)):
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty cells are fixed below
+        samples = sums.reshape(n_frames, n_cells, 3) / counts[..., None]
+    for i in np.flatnonzero(~filled.all(axis=0)):
         # carry the last filled sample forward (zeros before the first one)
-        last = np.maximum.accumulate(np.where(filled[i], np.arange(n_frames), 0))
-        samples[i] = samples[i, last]
-    live = filled[:, :1].any(axis=1)
-    return GridTraces(samples=samples, live=live, fps=fps)
+        samples[~filled[:, i], i] = 0.0
+        last = np.maximum.accumulate(np.where(filled[:, i], np.arange(n_frames), 0))
+        samples[:, i] = samples[last, i]
+    return GridTraces(samples=samples, live=filled[0], fps=fps)
 
 
 def snr_weights(traces: GridTraces) -> np.ndarray:
@@ -235,4 +236,5 @@ def combine_proposed(
             "snr and diffuse weights have no overlapping support"
         )
     w = product / total
-    return np.tensordot(w, traces.samples, axes=1)
+    # over a (cells, frames x 3) copy: the BLAS product layout the reports' bits rest on
+    return np.tensordot(w, traces.samples, axes=(0, 1))

@@ -101,14 +101,18 @@ def _bandpass_sos(fps: float) -> np.ndarray:
     return sos
 
 
-def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
-    """scipy.signal.sosfilt_zi: each section's state for a unit step input."""
+@lru_cache(maxsize=32)
+def _sosfilt_zi(fps: float) -> np.ndarray:
+    """scipy.signal.sosfilt_zi of _bandpass_sos(fps): each section's state
+    for a unit step input. Read-only, since callers share it."""
+    sos = _bandpass_sos(fps)
     zi = np.empty((sos.shape[0], 2))
     scale = 1.0
     for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
         i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
         zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
         scale *= b.sum() / a.sum()
+    zi.flags.writeable = False
     return zi
 
 
@@ -181,33 +185,44 @@ def bandpass_series(x: np.ndarray, fps: float) -> np.ndarray:
     steps that end on zeros, which leave the output up to the last sample
     as it is. The forward pass steps over all but the leading margin; the
     backward pass steps over all but the trailing one, which the forward
-    pass has filled, reversed. The result is a view of that buffer."""
+    pass has filled, reversed. x, of any strides, is read into the buffer
+    once; the result is a view of it."""
     if fps <= 2.0 * PASSBAND_HZ[1]:
         raise SignalError(
             f"fps {fps} leaves no headroom above the {PASSBAND_HZ[1]} Hz band edge"
         )
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    sos = _bandpass_sos(float(fps))
-    pad = min(3 * (2 * sos.shape[0] + 1), n - 1)
-    rows = x.reshape(-1, n)
+    zi = _sosfilt_zi(float(fps)).reshape(1, -1)
+    pad = min(3 * (zi.size + 1), n - 1)  # zi holds two states per section
     t = n + 2 * pad
     m = -t % FILTER_BLOCK
-    buf = np.zeros((rows.shape[0], t + 2 * m))
-    ext = buf[:, m : m + t]
-    ext[:, pad : pad + n] = rows
+    buf = np.zeros(x.shape[:-1] + (t + 2 * m,))
+    ext = buf[..., m : m + t]
+    ext[..., pad : pad + n] = x
     if pad > 0:
-        np.subtract(2 * rows[:, :1], rows[:, pad:0:-1], out=ext[:, :pad])
-        np.subtract(2 * rows[:, -1:], rows[:, -2 : -pad - 2 : -1], out=ext[:, -pad:])
-    zi = _sosfilt_zi(sos).reshape(1, -1)
+        np.subtract(2 * x[..., :1], x[..., pad:0:-1], out=ext[..., :pad])
+        np.subtract(2 * x[..., -1:], x[..., -2 : -pad - 2 : -1], out=ext[..., -pad:])
+    rows = buf.reshape(-1, t + 2 * m)
     g = _bandpass_step(float(fps))
-    _sosfilt_steps(g, buf[:, m:], zi * ext[:, :1])
-    _sosfilt_steps(g, buf[:, m + t - 1 :: -1], zi * ext[:, -1:])
-    return ext[:, pad : pad + n].reshape(x.shape)
+    _sosfilt_steps(g, rows[:, m:], zi * rows[:, m : m + 1])
+    _sosfilt_steps(g, rows[:, m + t - 1 :: -1], zi * rows[:, m + t - 1 : m + t])
+    return ext[..., pad : pad + n]
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
+
+
+@lru_cache(maxsize=32)
+def _hann(n: int, fps: float) -> np.ndarray:
+    """scipy.signal.periodogram's periodic Hann window of n samples scaled to
+    density at fps, in its operation order: summed with Python's sum as
+    SciPy does. Read-only, since callers share it."""
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
+    win.flags.writeable = False
+    return win
 
 
 def periodogram(x: np.ndarray, fps: float):
@@ -218,11 +233,8 @@ def periodogram(x: np.ndarray, fps: float):
         raise SignalError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
     nfft = _next_pow2(PSD_PAD_FACTOR * n)
     # scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft,
-    # detrend=False), in its operation order: a periodic Hann window scaled
-    # to density, summed with Python's sum as SciPy does
-    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
-    win = win * (1 / np.sqrt(sum(win**2) / (1.0 / fps)))
-    spec = np.fft.rfft(x * win, n=nfft).view(np.float64)
+    # detrend=False), in its operation order
+    spec = np.fft.rfft(x * _hann(n, float(fps)), n=nfft).view(np.float64)
     # re**2 and im**2 in place, interleaved as rfft stores them; their pairs
     # add into the power, the one new spectrum-sized array
     np.square(spec, out=spec)
@@ -332,18 +344,27 @@ def harmonic_snr(freqs: np.ndarray, power: np.ndarray, peak_hz) -> np.ndarray:
     """
     p = np.broadcast_to(np.asarray(peak_hz, dtype=np.float64), power.shape[:-1])
     w = SNR_HALFWIDTH_HZ
-    # every row's band edges in one search per edge; each row sums its own runs
+    # every row's band edges in one search per edge
     one, two = _band(freqs, p - w, p + w), _band(freqs, 2.0 * p - 2.0 * w, 2.0 * p + 2.0 * w)
-    edges = (e.ravel().tolist() for e in (one.start, one.stop, two.start, two.stop))
-    rows = zip(power.reshape(-1, freqs.size), *edges)
-    num = np.array([x[a:b].sum() + x[c:d].sum() for x, a, b, c, d in rows], np.float64)
-    num = num.reshape(p.shape)
+    rows = power.reshape(-1, freqs.size)
+    num = (_run_sums(rows, one) + _run_sums(rows, two)).reshape(p.shape)
     total = power.sum(axis=-1)
     den = total - num
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.clip(num / den, 0.0, SNR_CAP)
     snr = np.where(den <= 1e-12 * total, SNR_CAP, snr)
     return np.where(total < MIN_TOTAL_POWER, 0.0, snr)
+
+
+def _run_sums(rows: np.ndarray, band: slice) -> np.ndarray:
+    """rows[i, band.start[i] : band.stop[i]].sum() of each row i of rows (k, n),
+    bit for bit: the runs of one length are gathered and summed as one block."""
+    starts, lengths = np.ravel(band.start), np.ravel(band.stop - band.start)
+    sums = np.empty(rows.shape[0])
+    for length in set(lengths.tolist()):  # np.unique here raised peak RSS by ~0.9 MB
+        i = np.flatnonzero(lengths == length)
+        sums[i] = rows[i[:, None], starts[i, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def two_harmonic_snr(wave: PulseWaveform, peak_hz: float) -> float:

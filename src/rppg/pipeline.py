@@ -28,9 +28,10 @@ the per-frame cell sums of the open windows, whatever the length of the
 recording. Per-frame sums do not depend on how the frames are chunked, so
 every result is that of pooling each window whole.
 
-Windows are the rows of blocks, as grid cells are: every window has the
-same number of frames, so the pooled RGB traces of aggregate and proposed
-go through one chrom_rows call per WINDOW_BLOCK windows, (k, n, 3), and the
+Traces stay time-major, as the pass pools them: a window's sums reach
+grid_traces as views, and its RGB trace is (n, 3). Every window has the
+same number of frames, so the RGB traces of aggregate and proposed go
+through one chrom_rows call per WINDOW_BLOCK windows, (n, k, 3), and the
 pulse waveforms of all three methods through one estimate_video_hr
 periodogram per block, (k, n). Rows are independent, so the rates do not
 depend on the blocking; the video rate is the mean over every window.
@@ -147,12 +148,13 @@ def _window_sums(
 
 def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps: float):
     """The pulse waveforms (k, n) and rates of the block of windows first,
-    first + 1, ... from their pooled rows: one chrom_rows call (aggregate,
-    proposed; snr rows are waveforms already) and one estimate_video_hr
-    periodogram."""
-    waves = np.stack(rows)
-    if cfg.method != "snr":
-        waves, ok = chrom_rows(waves, fps)
+    first + 1, ... from their pooled rows: one chrom_rows call on the (n, 3)
+    RGB rows stacked time-major (aggregate, proposed; snr rows are waveforms
+    already) and one estimate_video_hr periodogram."""
+    if cfg.method == "snr":
+        waves = np.stack(rows)
+    else:
+        waves, ok = chrom_rows(np.stack(rows, axis=1), fps)
         if not ok.all():
             j = int(np.argmin(ok))
             raise SignalError(
@@ -196,8 +198,7 @@ def run_pipeline(
     window_sums = _window_sums(seq, bboxes, polygons, slices, grids, stride)
     for i, (pooled, mins) in enumerate(window_sums):
         start_s = plan.starts[i]
-        sums = np.ascontiguousarray(pooled[..., :3])  # contiguous: strided views slow grid_traces
-        counts = np.ascontiguousarray(pooled[..., -1])
+        sums, counts = pooled[..., :3], pooled[..., -1]
         if cfg.method == "aggregate":
             rows.append(facial_aggregate(sums, counts))
         else:

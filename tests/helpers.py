@@ -24,6 +24,7 @@ from rppg.heartrate import (
     _bandpass_sos,
     _bandpass_step,
     _sosfilt_zi,
+    bandpass_series,
 )
 from rppg.ingest import _PPM_HEADER, FrameSequence, read_text
 from rppg.signals import PulseWaveform
@@ -95,9 +96,9 @@ def label_map(edges, width: int, height: int) -> np.ndarray:
 
 
 def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
-    """CHROM of one (n, 3) RGB trace: the one-row chrom_rows call. A zero
-    channel mean raises, as the pipeline does for a window."""
-    waves, ok = chrom_rows(np.asarray(samples, dtype=np.float64)[None], fps)
+    """CHROM of one (n, 3) RGB trace: the one-row (n, 1, 3) chrom_rows call.
+    A zero channel mean raises, as the pipeline does for a window."""
+    waves, ok = chrom_rows(np.asarray(samples, dtype=np.float64)[:, None], fps)
     if not ok[0]:
         raise SignalError(f"channel means {np.mean(samples, axis=0)}")
     return PulseWaveform(waves[0], fps)
@@ -121,11 +122,10 @@ def pooled(values, masks, edges) -> np.ndarray:
 
 
 def pooled_sums(values, masks, edges) -> tuple[np.ndarray, np.ndarray]:
-    """pooled's sums and counts, split as the pass hands them on: contiguous
+    """pooled's sums and counts, split as the pass hands them on, as views:
     sums (t, rows, cols, ...) and pixel counts (t, rows, cols), both float64."""
     cells = pooled(values, masks, edges)
-    sums = cells[..., :-1].reshape(cells.shape[:3] + np.shape(values)[3:])
-    return np.ascontiguousarray(sums), np.ascontiguousarray(cells[..., -1])
+    return cells[..., :-1].reshape(cells.shape[:3] + np.shape(values)[3:]), cells[..., -1]
 
 
 # The oracle of the interleaved pooling: the same sums from channel-planar
@@ -250,11 +250,59 @@ def bandpass_by_copies(x: np.ndarray, fps: float) -> np.ndarray:
             (2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]),
             axis=1,
         )
-    zi = _sosfilt_zi(sos).reshape(1, -1)
+    zi = _sosfilt_zi(float(fps)).reshape(1, -1)
     g = _bandpass_step(float(fps))
     y = _sosfilt_steps_by_copies(g, rows, zi * rows[:, :1])
     y = _sosfilt_steps_by_copies(g, y[:, ::-1], zi * y[:, -1:])[:, ::-1]
     return y[:, pad : pad + n].reshape(x.shape)
+
+
+# The row-major cell layout, (cells, frames, 3), that the pooled sums were
+# transposed into before the cell traces stayed time-major: chrom_rows and
+# grid_traces as they were, the oracles the time-major code is held to bit
+# for bit.
+
+
+def chrom_rows_row_major(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]:
+    """chrom_rows of row-major traces (k, n, 3): the channel means taken down
+    the strided frame axis, Xs and Ys written as (2, k, n) rows."""
+    samples = np.asarray(samples, dtype=np.float64)
+    means = samples.mean(axis=1)
+    ok = np.all(means > 1e-12, axis=1)
+    rn, gn, bn = np.moveaxis(samples / np.where(ok[:, None], means, 1.0)[:, None, :], -1, 0)
+    xy = np.empty((2,) + rn.shape)
+    xs, ys = xy
+    np.multiply(3.0, rn, out=xs)
+    xs -= 2.0 * gn
+    np.multiply(1.5, rn, out=ys)
+    ys += gn
+    ys -= 1.5 * bn
+    xf, yf = bandpass_series(xy, fps)
+    sigma_y = yf.std(axis=-1)
+    flat = sigma_y < 1e-12
+    alpha = np.where(flat, 0.0, xf.std(axis=-1) / np.where(flat, 1.0, sigma_y))
+    waves = alpha[:, None] * yf
+    np.subtract(xf, waves, out=waves)
+    waves -= waves.mean(axis=-1, keepdims=True)
+    waves[~ok] = 0.0
+    return waves, ok
+
+
+def grid_traces_row_major(sums: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grid_traces's samples as row-major (n_cells, n_frames, 3), and its live
+    flags, from pool_planes's sums (t, rows, cols, 3) and counts (t, rows,
+    cols): the sums transposed, then divided where a cell has pixels."""
+    n_frames, rows, cols = counts.shape
+    n_cells = rows * cols
+    sums = np.moveaxis(sums.reshape(n_frames, n_cells, 3), 0, 1)
+    counts = counts.reshape(n_frames, n_cells).T
+    filled = counts > 0
+    samples = np.zeros((n_cells, n_frames, 3))
+    np.divide(sums, counts[..., None], out=samples, where=filled[..., None])
+    for i in np.flatnonzero(~filled.all(axis=1)):
+        last = np.maximum.accumulate(np.where(filled[i], np.arange(n_frames), 0))
+        samples[i] = samples[i, last]
+    return samples, filled[:, 0]
 
 
 # Values that break a JSON field: out of float range, not finite, the wrong

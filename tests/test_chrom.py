@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rppg.chrom import chrom_rows
 from rppg.errors import SignalError
 from rppg.heartrate import periodogram
 
-from helpers import chrom_one
+from helpers import chrom_one, chrom_rows_row_major
 
 
 def modulated_trace(n=300, fps=30.0, hz=1.2, amp=(0.0, 1.0, 0.0), base=(120.0, 150.0, 90.0)):
@@ -65,7 +67,7 @@ def test_dc_rejection_argmax_invariant_under_large_offset():
 def test_zero_channel_mean_rejected():
     samples = np.full((128, 3), 50.0)
     samples[:, 2] = 0.0
-    waves, ok = chrom_rows(np.stack([samples, modulated_trace(n=128)]), 30.0)
+    waves, ok = chrom_rows(np.stack([samples, modulated_trace(n=128)], axis=1), 30.0)
     assert ok.tolist() == [False, True]
     assert not waves[0].any() and waves[1].any()
 
@@ -99,3 +101,60 @@ def test_alpha_zero_branch_keeps_x_chrominance():
     xf = bandpass_series(xs, fps)
     expect = xf - xf.mean()
     assert np.max(np.abs(wave.samples - expect)) < 1e-9 * max(1.0, np.abs(expect).max())
+
+
+TRACE_KINDS = ("pulse", "flat", "dead", "zero-mean")
+
+
+def trace_block(kinds, n, fps, seed):
+    """Time-major RGB traces (n, len(kinds), 3): a noisy pulse, a flat trace
+    (alpha 0), a dead trace (no blue, so no waveform) or one whose red is
+    zero-mean noise (its mean a rounding residue of either sign)."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(20.0, 200.0, (len(kinds), 3))
+    pulse = np.sin(2 * np.pi * rng.uniform(0.7, 3.5) * np.arange(n) / fps)
+    block = base + rng.normal(0.0, 1.0, (n, len(kinds), 3)) + pulse[:, None, None]
+    for i, kind in enumerate(kinds):
+        if kind == "flat":
+            block[:, i] = base[i]
+        elif kind == "dead":
+            block[:, i, 2] = 0.0
+        elif kind == "zero-mean":
+            block[:, i, 0] -= block[:, i, 0].mean()
+    return block
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    kinds=st.lists(st.sampled_from(TRACE_KINDS), min_size=1, max_size=70),
+    fps=st.sampled_from([8.0, 24.0, 29.97, 30.0, 60.0]),
+    extra=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=["pulse"], fps=30.0, extra=240, seed=1)
+@example(kinds=list(TRACE_KINDS) * 17 + ["pulse", "flat"], fps=30.0, extra=240, seed=2)
+def test_time_major_chrom_rows_equals_the_row_major_oracle(kinds, fps, extra, seed):
+    # the time-major means, Xs and Ys give the row-major path's bits, and
+    # every row is its own one-row (n, 1, 3) call
+    block = trace_block(kinds, int(np.ceil(2 * fps)) + extra, fps, seed)
+    waves, ok = chrom_rows(block, fps)
+    want, want_ok = chrom_rows_row_major(np.moveaxis(block, 1, 0), fps)
+    assert np.array_equal(ok, want_ok) and np.array_equal(waves, want)
+    for i in range(len(kinds)):
+        one, one_ok = chrom_rows(np.ascontiguousarray(block[:, i : i + 1]), fps)
+        assert one_ok[0] == ok[i] and np.array_equal(one[0], waves[i])
+
+
+def test_chrom_rows_memory_is_about_twice_its_input():
+    # the normalized traces, then Xs and Ys, then the band-pass buffer: the
+    # first is dropped before the last is made
+    block = trace_block(["pulse"] * 64, 300, 30.0, seed=5)
+    chrom_rows(block, 30.0)
+    tracemalloc.start()
+    try:
+        waves, ok = chrom_rows(block, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and waves.shape == (64, 300)
+    assert peak <= 2.25 * block.nbytes + 64 * 1024

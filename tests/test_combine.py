@@ -12,6 +12,7 @@ from rppg.combine import (
     cell_indicators,
     combine_benchmark_snr,
     combine_proposed,
+    grid_traces,
     masked_planes,
     pool_planes,
     snr_weights,
@@ -30,6 +31,7 @@ from helpers import (
     diffuse_weights_of,
     facial_aggregate_of,
     grid_traces_of,
+    grid_traces_row_major,
     label_map,
     planar_masked_planes,
     planar_pool_planes,
@@ -97,11 +99,12 @@ def test_facial_aggregate_uniform_frame_is_exact():
 
 
 def loop_grid_traces(frames, masks, grid, fps):
-    """Reference: the per-frame bincount loop that grid_traces replaced."""
+    """Reference: the per-frame bincount loop that grid_traces replaced,
+    time-major samples (n_frames, n_cells, 3)."""
     n_frames = frames.shape[0]
     labels = label_map(grid, frames.shape[2], frames.shape[1])
     n = (grid[0].size - 1) * (grid[1].size - 1)
-    samples = np.zeros((n, n_frames, 3))
+    samples = np.zeros((n_frames, n, 3))
     live = np.zeros(n, dtype=bool)
     for t in range(n_frames):
         sel = masks[t] & (labels >= 0)
@@ -111,11 +114,11 @@ def loop_grid_traces(frames, masks, grid, fps):
         filled = counts > 0
         for c in range(3):
             sums = np.bincount(lab, weights=vals[:, c], minlength=n)
-            samples[filled, t, c] = sums[filled] / counts[filled]
+            samples[t, filled, c] = sums[filled] / counts[filled]
         if t == 0:
             live = filled
         else:
-            samples[~filled, t, :] = samples[~filled, t - 1, :]  # carry forward
+            samples[t, ~filled, :] = samples[t - 1, ~filled, :]  # carry forward
     return samples, live
 
 
@@ -138,7 +141,29 @@ def test_grid_traces_matches_loop_oracle():
         assert np.array_equal(traces.samples, samples), bbox
         assert np.array_equal(traces.live, live), bbox
     first = grid_traces_of(frames, masks, build_grid((1, 1, 10, 7), 2, 3), 25.0)
-    assert np.array_equal(first.samples[0, 3:], np.repeat(first.samples[0, 2:3], 3, axis=0))
+    assert np.array_equal(first.samples[3:, 0], np.repeat(first.samples[2:3, 0], 3, axis=0))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 8), st.integers(1, 8)),
+    empty_p=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_major_grid_traces_equals_the_row_major_oracle(shape, empty_p, seed):
+    # sums and counts as the pass hands them on, views of one (t, rows, cols,
+    # 4) block; dead cells, and cell 0 emptying halfway through the window
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.0, 1e4, shape + (4,))
+    block[..., -1] = rng.integers(0, 50, shape)
+    block[..., -1][rng.random(shape) < empty_p] = 0.0
+    block[: shape[0] // 2 + 1, 0, 0, -1] = 7.0
+    block[shape[0] // 2 + 1 :, 0, 0, -1] = 0.0
+    block[..., :3] *= block[..., -1:] > 0
+    traces = grid_traces(block[..., :3], block[..., -1], 30.0)
+    samples, live = grid_traces_row_major(block[..., :3], block[..., -1])
+    assert np.array_equal(traces.samples, np.moveaxis(samples, 0, 1))
+    assert np.array_equal(traces.live, live) and live[0]
 
 
 def edges_in(size, cells=4):
@@ -354,7 +379,7 @@ def test_grid_traces_live_flags_and_carry_forward():
     traces = grid_traces_of(frames, masks, grid, 30.0)
     assert traces.live.tolist() == [True, False, False, True]
     # bottom-right cell: frame 0 sampled, frames 1-2 carried forward
-    assert np.allclose(traces.samples[3], 100.0)
+    assert np.allclose(traces.samples[:, 3], 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +404,7 @@ def test_snr_weights_match_direct_per_cell_snr():
     w = snr_weights(traces)
     raw = np.zeros(4)
     for i in range(4):
-        wave = chrom_one(traces.samples[i], traces.fps)
+        wave = chrom_one(traces.samples[:, i], traces.fps)
         freqs, power = periodogram(wave.samples, wave.fps)
         band = (freqs >= 0.7) & (freqs <= 3.5)
         peak = float(freqs[band][np.argmax(power[band])])
@@ -452,7 +477,7 @@ def test_combine_benchmark_is_weighted_waveform_mean():
     wave = combine_benchmark_snr(traces, weights)
     expect = np.zeros(frames.shape[0])
     for i, wi in enumerate(weights):
-        expect += wi * chrom_one(traces.samples[i], traces.fps).samples
+        expect += wi * chrom_one(traces.samples[:, i], traces.fps).samples
     assert wave.shape == expect.shape
     assert np.allclose(wave, zero_mean(expect), atol=1e-12)
 
@@ -467,7 +492,7 @@ def loop_snr_weights(traces):
     w = np.zeros(traces.n_cells)
     for i in np.nonzero(traces.live)[0]:
         try:
-            wave = chrom_one(traces.samples[i], traces.fps)
+            wave = chrom_one(traces.samples[:, i], traces.fps)
         except SignalError:
             continue
         freqs, power = periodogram(wave.samples, wave.fps)
@@ -488,9 +513,9 @@ def loop_snr_weights(traces):
 
 def loop_combine_benchmark_snr(traces, weights):
     """Reference: a second CHROM pass per positive-weight cell."""
-    acc = np.zeros(traces.samples.shape[1])
+    acc = np.zeros(traces.samples.shape[0])
     for i in np.nonzero(weights > 0)[0]:
-        acc += weights[i] * chrom_one(traces.samples[i], traces.fps).samples
+        acc += weights[i] * chrom_one(traces.samples[:, i], traces.fps).samples
     return zero_mean(acc)
 
 
@@ -560,8 +585,8 @@ def test_snr_weights_memory_is_a_few_spectra():
     # no copy of the power block, nor of the waveforms when every cell is kept
     rng = np.random.default_rng(8)
     pulse = 3.0 * np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
-    samples = np.array([150.0, 110.0, 80.0]) + rng.normal(0.0, 1.0, (64, 300, 3))
-    traces = GridTraces(samples=samples + pulse[:, None], live=np.ones(64, bool), fps=30.0)
+    samples = np.array([150.0, 110.0, 80.0]) + rng.normal(0.0, 1.0, (300, 64, 3))
+    traces = GridTraces(samples=samples + pulse[:, None, None], live=np.ones(64, bool), fps=30.0)
     power = periodogram(traces.waveforms[0], 30.0)[1]
     tracemalloc.start()
     try:
@@ -598,7 +623,7 @@ def test_chrom_is_row_zero_of_batched_chrom():
     waves, ok = chrom_rows(traces.samples, fps)
     assert ok.all()
     for i in range(traces.n_cells):
-        assert np.array_equal(chrom_one(traces.samples[i], traces.fps).samples, waves[i])
+        assert np.array_equal(chrom_one(traces.samples[:, i], traces.fps).samples, waves[i])
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +639,7 @@ def test_combine_proposed_product_weighting_oracle():
     out = combine_proposed(traces, snr_w, dif_w)
     product = snr_w * dif_w
     product /= product.sum()
-    expect = np.tensordot(product, traces.samples, axes=(0, 0))
+    expect = np.tensordot(product, traces.samples, axes=(0, 1))
     assert out.shape == (frames.shape[0], 3)
     assert np.allclose(out, expect, atol=1e-12)
 
@@ -628,7 +653,7 @@ def test_combine_proposed_zeroes_dead_cells():
     out = combine_proposed(traces, snr_w, dif_w)
     live_product = np.array([0.0, 0.01, 0.01, 0.01])
     live_product /= live_product.sum()
-    expect = np.tensordot(live_product, traces.samples, axes=(0, 0))
+    expect = np.tensordot(live_product, traces.samples, axes=(0, 1))
     assert np.allclose(out, expect, atol=1e-12)
 
 
@@ -646,7 +671,7 @@ def test_single_cell_grid_reduces_to_aggregate():
     grid1 = build_grid((0, 0, 8, 8), rows=1, cols=1)
     traces = grid_traces_of(frames, masks, grid1, fps)
     agg = facial_aggregate_of(frames, masks)
-    assert np.allclose(traces.samples[0], agg, atol=1e-12)
+    assert np.allclose(traces.samples[:, 0], agg, atol=1e-12)
     one = np.array([1.0])
     assert np.allclose(combine_proposed(traces, one, one), agg, atol=1e-12)
     assert np.allclose(

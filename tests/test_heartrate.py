@@ -12,6 +12,7 @@ from rppg.heartrate import (
     FILTER_BLOCK,
     FILTER_ORDER,
     PASSBAND_HZ,
+    SNR_HALFWIDTH_HZ,
     _band,
     _bandpass_sos,
     _bandpass_step,
@@ -188,6 +189,9 @@ def test_bandpass_in_place_equals_the_concatenated_passes(rows, n, fps, seed):
     x = np.random.default_rng(seed).standard_normal((rows, n))
     assert np.array_equal(bandpass_series(x, fps), bandpass_by_copies(x, fps))
     assert np.array_equal(bandpass_series(x[0], fps), bandpass_by_copies(x[0], fps))
+    # a transposed view, as chrom_rows passes its time-major Xs and Ys
+    transposed = np.ascontiguousarray(x.T).T
+    assert np.array_equal(bandpass_series(transposed, fps), bandpass_by_copies(x, fps))
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
@@ -197,6 +201,37 @@ def test_periodogram_in_place_equals_the_two_squares(rows, n, fps, seed):
     x = np.random.default_rng(seed).standard_normal((rows, n))
     assert np.array_equal(periodogram(x, fps)[1], periodogram_by_copies(x, fps))
     assert np.array_equal(periodogram(x[0], fps)[1], periodogram_by_copies(x[0], fps))
+
+
+def test_cached_filter_and_window_constants_are_read_only():
+    for fps in (8.0, 29.97, 60.0):
+        zi = heartrate._sosfilt_zi(fps)
+        assert zi is heartrate._sosfilt_zi(fps)
+        assert np.allclose(zi, scipy.signal.sosfilt_zi(_bandpass_sos(fps)), rtol=1e-12, atol=0.0)
+        win = heartrate._hann(300, fps)
+        assert win is heartrate._hann(300, fps)
+        for shared in (zi, win, _bandpass_step(fps)):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    rows=st.integers(1, 80),
+    n=st.integers(64, 700),
+    fps=st.floats(8.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_sums_equal_the_per_row_slice_sums(rows, n, fps, seed):
+    # one gather and sum per run length, bit for bit each row's own slice sum,
+    # over harmonic_snr's two bands around peaks anywhere in the passband
+    rng = np.random.default_rng(seed)
+    freqs, power = periodogram(rng.standard_normal((rows, n)), fps)
+    p, w = rng.uniform(*PASSBAND_HZ, rows), SNR_HALFWIDTH_HZ
+    for band in (_band(freqs, p - w, p + w), _band(freqs, 2 * p - 2 * w, 2 * p + 2 * w)):
+        want = [x[a:b].sum() for x, a, b in zip(power, band.start, band.stop)]
+        assert np.array_equal(heartrate._run_sums(power, band), want)
 
 
 def test_periodogram_memory_is_its_spectrum_and_power():

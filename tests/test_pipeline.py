@@ -159,7 +159,8 @@ def test_every_grid_is_built_before_any_frame_is_read():
 
 
 def counted_chrom_rows(monkeypatch):
-    """The sample blocks that run_pipeline passes to chrom_rows."""
+    """The time-major sample blocks (n, k, 3) that run_pipeline passes to
+    chrom_rows."""
     calls = []
 
     def counted(samples, fps):
@@ -176,13 +177,13 @@ def test_one_chrom_rows_call_per_block_of_windows(monkeypatch, method):
     calls = counted_chrom_rows(monkeypatch)
     cfg = RunConfig(method=method, grid_rows=2, grid_cols=2)
     result = run_pipeline(seq, sidecar, cfg)
-    assert [c.shape for c in calls] == [(3, 300, 3)]
+    assert [c.shape for c in calls] == [(300, 3, 3)]
     assert len(result.waveforms) == 3
     # 11 windows: a full block of WINDOW_BLOCK, then the rest
     calls.clear()
     result = run_pipeline(seq, sidecar, dataclasses.replace(cfg, hop_s=1.0))
     assert pipeline.WINDOW_BLOCK == 8
-    assert [c.shape for c in calls] == [(8, 300, 3), (3, 300, 3)]
+    assert [c.shape for c in calls] == [(300, 8, 3), (300, 3, 3)]
     assert len(result.waveforms) == len(result.report["windows"]) == 11
 
 
@@ -192,7 +193,7 @@ def test_aggregate_rows_pooled_once_equal_per_window_calls(monkeypatch):
     seq, sidecar, _ = render(make_scene(duration_s=20.0, motion_px=2, seed=3))
     calls = counted_chrom_rows(monkeypatch)
     run_pipeline(seq, sidecar, RunConfig(method="aggregate", window_s=7.3, hop_s=1.1))
-    rows = np.concatenate(calls)
+    rows = np.moveaxis(np.concatenate(calls, axis=1), 1, 0)
     slices = pipeline.plan_windows(seq.duration_s, 7.3, 1.1).frame_slices(seq.fps, seq.count)
     assert len(rows) == len(slices) == 12
     masks = build_mask(sidecar, seq.width, seq.height)[..., -seq.width :]
@@ -211,7 +212,7 @@ def test_window_rows_equal_one_row_chrom_calls(fps):
     masks = np.ones(seq.frames.shape[:3], dtype=bool)
     for sl, wave in zip(slices, result.waveforms):
         trace = facial_aggregate_of(seq.frames[sl], masks[sl])
-        one, ok = chrom_rows(trace[None], fps)
+        one, ok = chrom_rows(trace[:, None], fps)
         assert ok[0] and np.array_equal(wave.samples, one[0])
 
 
