@@ -60,7 +60,8 @@ FILTER_BLOCK = 32
 @lru_cache(maxsize=32)
 def _bandpass_sos(fps: float) -> np.ndarray:
     """scipy.signal.butter(FILTER_ORDER, PASSBAND_HZ, btype="bandpass",
-    output="sos", fs=fps), step by step in its operation order."""
+    output="sos", fs=fps), step by step in its operation order. Read-only,
+    since callers share it."""
     n = FILTER_ORDER
     wn = np.asarray(PASSBAND_HZ, dtype=np.float64) / (fps / 2)
     # analog low-pass prototype, and the band edges prewarped at fs = 2
@@ -98,6 +99,7 @@ def _bandpass_sos(fps: float) -> np.ndarray:
         sos[section, :3] = np.poly(zeros)
         sos[section, 3:] = np.poly([p1, p2])
     sos[0, :3] *= k
+    sos.flags.writeable = False
     return sos
 
 

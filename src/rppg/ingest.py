@@ -13,10 +13,13 @@ Loading checks a recording's header and size (for a frame directory: its
 manifest, and that its first and last frames exist at the stated size) but
 reads no pixels: FrameSequence.frames is then a FrameReader, which reads
 frames[a:b] from disk when asked, so a pass over the recording in chunks
-holds one chunk at a time. A frame-directory frame that is missing or
-mis-sized in mid-sequence is found when its chunk is read. Frames rendered
-in memory stay a plain ndarray; both answer frames[a:b] with a
-(b - a, h, w, 3) uint8 array.
+holds one chunk at a time. A frame-directory chunk is read a file at a
+time: a file in write_ppm's header form by one os.open and os.readv (POSIX
+only) of its header and raster, the raster straight into the chunk, and
+any other file again by read_ppm, the one PPM parser. A frame-directory
+frame that is missing or mis-sized in mid-sequence is found when its chunk
+is read. Frames rendered in memory stay a plain ndarray; both answer
+frames[a:b] with a (b - a, h, w, 3) uint8 array.
 
 Landmarks ride in a JSON-lines sidecar, one record per frame:
 ``{"frame": i, "bbox": [x, y, w, h], "eyes": [[[x, y], ...], [...]],
@@ -193,11 +196,16 @@ def read_ppm(path: str | Path) -> np.ndarray:
     return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, 3)
 
 
+def _ppm_header(width: int, height: int) -> bytes:
+    """The header that write_ppm writes, which load_frame_dir reads by readv."""
+    return f"P6\n{width} {height}\n255\n".encode("ascii")
+
+
 def write_ppm(frame: np.ndarray, path: Path) -> None:
     frame = np.ascontiguousarray(frame, dtype=np.uint8)
     h, w = frame.shape[:2]
     with writing(path), open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(_ppm_header(w, h))
         fh.write(frame.tobytes())
 
 
@@ -244,10 +252,28 @@ def load_frame_dir(directory: Path) -> FrameSequence:
             )
         return frame
 
+    # A file that write_ppm wrote is its header and raster: one readv lands
+    # the raster in the chunk. Any other file (another header form, a short
+    # one, one that cannot be read) is read again by read_frame, which
+    # parses it or raises its error.
+    header = _ppm_header(width, height)
+    size = len(header) + height * width * 3
+
     def read(start: int, stop: int) -> np.ndarray:
         frames = np.empty((stop - start, height, width, 3), dtype=np.uint8)
+        flat = frames.reshape(stop - start, height * width * 3)
+        head = bytearray(len(header))
         for j in range(stop - start):
-            frames[j] = read_frame(start + j)
+            try:
+                fd = os.open(prefix + _frame_name(start + j), os.O_RDONLY)
+                try:
+                    got = os.readv(fd, (head, flat[j]))
+                finally:
+                    os.close(fd)
+            except OSError:
+                got = 0
+            if got != size or head != header:
+                frames[j] = read_frame(start + j)
         return frames
 
     # The files must back the manifest: its first and last frames exist at

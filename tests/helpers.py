@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from rppg.heartrate import (
     _sosfilt_zi,
     bandpass_series,
 )
-from rppg.ingest import _PPM_HEADER, FrameSequence, read_text
+from rppg.ingest import _PPM_HEADER, FrameSequence, read_ppm, read_text
 from rppg.signals import PulseWaveform
 
 
@@ -445,3 +446,30 @@ def read_ppm_by_pathlib(path: Path) -> np.ndarray:
     if len(raster) != need:
         raise DataFormatError(f"{path}: PPM payload truncated")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+
+
+# ---------------------------------------------------------------------------
+# A frame directory read file by file: the chunk reader's oracle
+# ---------------------------------------------------------------------------
+
+
+def read_frame_dir_by_files(directory, start: int, stop: int) -> np.ndarray:
+    """frames[start:stop] of a frame directory as ingest.load_frame_dir read
+    them before the one-readv path: read_ppm on each file, then its size
+    against the manifest's, with the paths spelled as load_frame_dir spells
+    them."""
+    manifest = json.loads(read_text(Path(directory) / "manifest.json"))
+    width, height = manifest["width"], manifest["height"]
+    base = os.fspath(directory)
+    prefix = "" if base == "." else os.path.join(base, "")
+    frames = np.empty((stop - start, height, width, 3), dtype=np.uint8)
+    for j in range(stop - start):
+        fp = f"{prefix}frame_{start + j:06d}.ppm"
+        frame = read_ppm(fp)
+        if frame.shape != (height, width, 3):
+            raise DataFormatError(
+                f"{fp}: frame is {frame.shape[1]}x{frame.shape[0]}, "
+                f"manifest says {width}x{height}"
+            )
+        frames[j] = frame
+    return frames

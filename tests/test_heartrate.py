@@ -210,7 +210,7 @@ def test_cached_filter_and_window_constants_are_read_only():
         assert np.allclose(zi, scipy.signal.sosfilt_zi(_bandpass_sos(fps)), rtol=1e-12, atol=0.0)
         win = heartrate._hann(300, fps)
         assert win is heartrate._hann(300, fps)
-        for shared in (zi, win, _bandpass_step(fps)):
+        for shared in (_bandpass_sos(fps), zi, win, _bandpass_step(fps)):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 1.0

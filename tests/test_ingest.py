@@ -27,7 +27,13 @@ from rppg.ingest import (
     write_timeseries_csv,
 )
 
-from helpers import flat_sequence, json_object_text, load_landmarks_by_line, read_ppm_by_pathlib
+from helpers import (
+    flat_sequence,
+    json_object_text,
+    load_landmarks_by_line,
+    read_frame_dir_by_files,
+    read_ppm_by_pathlib,
+)
 
 
 def rand_frames(rng, n=3, h=5, w=7):
@@ -354,6 +360,93 @@ def test_frame_dir_dimension_mismatch(tmp_path):
     write_ppm(np.zeros((3, 4, 3), dtype=np.uint8), d / "frame_000001.ppm")
     with pytest.raises(errors.DataFormatError, match="manifest says"):
         load_frame_dir(d)
+
+
+def test_frame_dir_reads_write_ppm_files_without_the_fallback(tmp_path, monkeypatch):
+    # a file in write_ppm's header form is read by one readv; read_ppm, the
+    # fallback, reads only a file in another form
+    seq = FrameSequence(frames=rand_frames(np.random.default_rng(5), n=40, h=6, w=9), fps=30.0)
+    d = tmp_path / "frames"
+    write_frame_dir(seq, d)
+    loaded = load_frame_dir(d)
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_ppm(path)
+
+    monkeypatch.setattr(ingest, "read_ppm", counted)
+    assert np.array_equal(loaded.frames[:], seq.frames) and calls == []
+    middle = d / "frame_000017.ppm"
+    middle.write_bytes(b"P6 # from a camera\n9 6\n255\n" + seq.frames[17].tobytes())
+    assert np.array_equal(loaded.frames[:], seq.frames) and calls == [str(middle)]
+
+
+# A middle frame's file, written by kind from the frame (h, w, 3) and a drawn
+# cut or size change; None leaves no file, and a directory stands in for one.
+FRAME_FILES = {
+    "canonical": lambda f, k: ppm_bytes(f),
+    "comments": lambda f, k: b"P6 # cam\n%d #w\n%d\n# maxval\n255\n" % f.shape[1::-1] + f.tobytes(),
+    "whitespace": lambda f, k: b"P6\t %d\r\n%d  255 " % f.shape[1::-1] + f.tobytes(),
+    "past the raster": lambda f, k: ppm_bytes(f) + bytes(k),
+    "short raster": lambda f, k: ppm_bytes(f)[: -(k % f.size + 1)],
+    "short header": lambda f, k: ppm_bytes(f)[: k % (len(ppm_bytes(f)) - f.size)],
+    "other size": lambda f, k: ppm_bytes(np.zeros((f.shape[0] + k % 2, f.shape[1] + 1 - k % 2, 3), np.uint8)),
+    "maxval": lambda f, k: b"P6\n%d %d\n%d\n" % (*f.shape[1::-1], (254, 65535, 0)[k % 3]) + f.tobytes(),
+    "directory": None,
+    "missing": None,
+}
+
+
+def ppm_bytes(frame: np.ndarray) -> bytes:
+    """What write_ppm writes for frame."""
+    h, w, _ = frame.shape
+    return b"P6\n%d %d\n255\n" % (w, h) + frame.tobytes()
+
+
+@st.composite
+def frame_dirs(draw):
+    n = draw(st.integers(3, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(FRAME_FILES)), min_size=n - 2, max_size=n - 2))
+    cuts = draw(st.lists(st.integers(0, 40), min_size=n - 2, max_size=n - 2))
+    start = draw(st.integers(0, n))
+    return draw(st.integers(1, 5)), draw(st.integers(1, 5)), kinds, cuts, start, draw(st.integers(start, n))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=frame_dirs())
+@example(case=(3, 2, ["comments", "missing", "canonical"], [0, 0, 0], 0, 5))
+@example(case=(3, 2, ["directory", "short header"], [0, 5], 1, 3))
+def test_frame_dir_chunks_match_the_file_by_file_oracle(tmp_path_factory, case):
+    # the same array, or the same error (exit 3 or 4), as read_ppm file by file
+    width, height, kinds, cuts, start, stop = case
+    n = len(kinds) + 2
+    seq = FrameSequence(frames=rand_frames(np.random.default_rng(n), n=n, h=height, w=width), fps=10.0)
+    d = tmp_path_factory.mktemp("frames")
+    write_frame_dir(seq, d)
+    for i, (kind, cut) in enumerate(zip(kinds, cuts), start=1):
+        path = d / f"frame_{i:06d}.ppm"
+        if FRAME_FILES[kind] is not None:
+            path.write_bytes(FRAME_FILES[kind](seq.frames[i], cut))
+            continue
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+    outcomes = []
+    for read in (lambda: load_frame_dir(d).frames[start:stop], lambda: read_frame_dir_by_files(d, start, stop)):
+        try:
+            outcomes.append(read())
+        except errors.ToolkitError as exc:
+            outcomes.append(exc)
+    got, want = outcomes
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        assert got.exit_code in (errors.MissingInputError.exit_code, errors.DataFormatError.exit_code)
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        readable = ("canonical", "comments", "whitespace", "past the raster")
+        if all(kinds[i - 1] in readable for i in range(max(start, 1), min(stop, n - 1))):
+            assert np.array_equal(got, seq.frames[start:stop])
 
 
 FRAME_DIR_FIELDS = {
