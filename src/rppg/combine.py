@@ -9,22 +9,23 @@
   pollution) from diluting the pulse before inference.
 
 Grid cells are handled as one time-major (n_frames, n_cells, 3) block per
-window, not cell by cell, in the frame order pool_planes yields: one batched
+window, not cell by cell, in the frame order pool_cells yields: one batched
 CHROM (GridTraces.waveforms, (n_cells, n_frames)), one periodogram and one
 SNR pass give the weights, and snr reuses those same waveforms.
 The periodogram is heartrate's, the one the window rates are read from,
 as are the SNR's band and half-width (PASSBAND_HZ, SNR_HALFWIDTH_HZ).
 
 This module owns the pixel-to-cell reduction and every cell weight:
-pool_planes pools masked_planes into cells by two products, each one per
-frame. The planes keep the order in which a frame is stored: a row holds
-its pixels' channels interleaved (R, G, B of one pixel, then of the next),
-then the row's mask, so masking is one contiguous multiply by build_mask's
-per-channel mask. Integer planes (uint8 RGB or min channel, the mask) pool
-to their exact integer sums, in float32 then float64 (see masked_planes),
-whatever BLAS kernel, thread count or order of summation runs.
+pool_cells pools uint8 frames (RGB or the min channel) into cells by two
+products, each one per frame, under build_mask's masks: the bbox folds
+into the cell indicators as a row and a column indicator, and only
+polygon holes are zeroed pixel by pixel. The frames keep the order in
+which they are stored, each row its pixels' channels interleaved, until
+the column product de-interleaves them. Integer values pool to their
+exact integer sums, in float32 then float64 (see pool_cells), whatever
+BLAS kernel, thread count or order of summation runs.
 facial_aggregate, grid_traces and diffuse_weights take a window's
-per-frame sums and counts from pool_planes's output, (t, rows, cols, ...)
+per-frame sums and counts from pool_cells's output, (t, rows, cols, ...)
 and (t, rows, cols), not its pixels. diffuse_weights is a mean over the
 frames it is given, so the pipeline pools the min channel of only one
 frame in pipeline.DIFFUSE_STRIDE.
@@ -45,53 +46,51 @@ from .signals import zero_mean
 WEIGHT_EPS = 1e-12
 
 
-def masked_planes(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The planes that pool_planes pools, as wide as masks (t, h, c), laid
-    out as the (t, h, w, k) or (t, h, w) values are stored: each row holds
-    its pixels' k channels in turn, masked by masks' first k * w columns,
-    then a copy of masks' columns past those: build_mask's (t, h, 4 * w)
-    adds the pixel mask to RGB, a pixel mask (t, h, w) nothing to one
-    channel. The planes are float32 if values is uint8 and h * 255 <= 2**24
-    (frames up to 65,793 rows), so that the sums of pool_planes's float32
-    product are exact integers; else float64."""
-    t, h = values.shape[:2]
-    exact32 = h * 255 <= 2**24 and values.dtype == np.uint8
-    values = values.reshape(t, h, -1)
-    kw = values.shape[2]
-    planes = np.empty(masks.shape, np.float32 if exact32 else np.float64)
-    np.multiply(values, masks[..., :kw], out=planes[..., :kw])
-    planes[..., kw:] = masks[..., kw:]
-    return planes
-
-
-def cell_indicators(y_edges, x_edges, height: int, width: int):
+def cell_indicators(y_edges, x_edges, height: int, width: int, k: int):
     """The 0/1 cell indicators of a grid's edges over (height, width) frames
-    that pool_planes takes: rows (rows, height) float32, (r, y) 1 where
-    y_edges[r] <= y < y_edges[r + 1], and columns (width, cols) float64."""
-    return _indicator(y_edges, height, np.float32), _indicator(x_edges, width).T
+    that pool_cells takes for k channels: rows (rows, height) float32, (r, y)
+    1 where y_edges[r] <= y < y_edges[r + 1]; columns (width, cols) float64;
+    and their spread (k * width, cols * (k + 1)) float64, which takes channel
+    c of pixel x, row x * k + c as a frame row stores it, to column
+    j * (k + 1) + c for every cell column j that holds x."""
+    cols_of = _indicator(x_edges, width).T
+    spread = np.einsum("xj,cd->xcjd", cols_of, np.eye(k, k + 1)).reshape(k * width, -1)
+    return _indicator(y_edges, height, np.float32), cols_of, spread
 
 
-def pool_planes(planes: np.ndarray, rows_of: np.ndarray, cols_of: np.ndarray) -> np.ndarray:
-    """Per-cell sums of masked_planes's planes (t, h, (k + 1) * w), k
-    interleaved channels then one plane (RGB's mask, whose counts come last,
-    or, with k = 0, one channel), float64 (t, rows, cols, k + 1), over the
-    cells of cell_indicators's rows_of and cols_of. rows_of @ planes, in the
-    planes' dtype, sums each row band with the channels still interleaved;
-    the result, rows/h the size of the planes, is de-interleaved into float64
-    (t, rows, k + 1, w) and taken @ cols_of. Both products run one frame at a
-    time and sum each cell in pixel order: a frame's sums do not depend on
-    the other frames in the call (one gemm over all of them does not promise
-    that, as BLAS picks its kernel by size). Integer sums are exact: below
-    2**24 in float32 (see masked_planes), below 2**53 in float64."""
-    t, _, c = planes.shape
-    (rows, _), w = rows_of.shape, cols_of.shape[0]
-    k = c // w - 1
-    by_row = rows_of.astype(planes.dtype, copy=False) @ planes
-    split = np.empty((t, rows, k + 1, w))
-    split[:, :, :k] = np.moveaxis(by_row[..., : k * w].reshape(t, rows, w, k), 3, 2)
-    split[:, :, k] = by_row[..., k * w :]
-    pooled = split.reshape(t, rows * (k + 1), w) @ cols_of
-    return np.moveaxis(pooled.reshape(t, rows, k + 1, -1), 2, 3)
+def pool_cells(values: np.ndarray, ys, xs, holes, cells) -> list[np.ndarray]:
+    """Per-cell sums of values (t, h, w, k), or (t, h, w) with k = 1, under
+    each frame's skin mask, over every grid in cells (cell_indicators's for
+    k): float64 (t, rows, cols, k + 1) per grid, the k channel sums, then
+    the pixel counts. Frame i's mask is build_mask's: its bbox, rows ys[i]
+    by columns xs[i], less holes[i] (none when holes is None).
+
+    values is cast once, with its holes zeroed, to float32 if it is uint8
+    and h * 255 <= 2**24 (frames up to 65,793 rows), else float64. Per grid,
+    rows_of * ys[i] @ frame i, in that dtype, sums each row band inside the
+    bbox, channels still interleaved; times xs[i] in float64, @ spread sums
+    the bbox columns of each cell and de-interleaves the channels. A count
+    is the cell's bbox rows times its bbox columns, less its hole pixels.
+    Both products run one frame at a time, so a frame's sums do not depend
+    on the other frames in the call (BLAS picks its kernel by size).
+    Integer sums are exact: below 2**24 in float32, below 2**53 in float64."""
+    t, h, w = values.shape[:3]
+    exact32 = h * 255 <= 2**24 and values.dtype == np.uint8
+    planes = values.reshape(t, h, -1).astype(np.float32 if exact32 else np.float64)
+    k = planes.shape[2] // w
+    if holes is not None:  # a contiguous multiply: boolean indexing is 5x slower
+        planes *= np.stack((~holes,) * k, axis=-1).reshape(planes.shape)
+        holes = holes.astype(planes.dtype)
+    xs_k = np.repeat(xs, k, axis=1)[:, None]  # as a frame row stores its channels
+    out = []
+    for rows_of, cols_of, spread in cells:
+        rows_t = rows_of.astype(planes.dtype, copy=False) * ys[:, None]
+        pooled = (np.multiply(rows_t @ planes, xs_k) @ spread).reshape(t, len(rows_of), -1, k + 1)
+        pooled[..., k] = (ys @ rows_of.T)[..., None] * (xs @ cols_of)[:, None]
+        if holes is not None:
+            pooled[..., k] -= (rows_t @ holes * xs[:, None]) @ cols_of
+        out.append(pooled)
+    return out
 
 
 def _indicator(edges, n: int, dtype=np.float64) -> np.ndarray:
@@ -101,7 +100,7 @@ def _indicator(edges, n: int, dtype=np.float64) -> np.ndarray:
 
 
 def facial_aggregate(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean RGB over all masked pixels, per frame, (t, 3), from pool_planes's
+    """Mean RGB over all masked pixels, per frame, (t, 3), from pool_cells's
     RGB sums (t, 1, 1, 3) and pixel counts (t, 1, 1) of one cell spanning
     the frame."""
     empty = np.flatnonzero(counts[:, 0, 0] == 0)
@@ -137,7 +136,7 @@ class GridTraces:
 
 
 def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
-    """Mean masked RGB per grid cell and frame, from pool_planes's RGB sums
+    """Mean masked RGB per grid cell and frame, from pool_cells's RGB sums
     (t, rows, cols, 3) and pixel counts (t, rows, cols) (views) over a grid's edges."""
     n_frames, rows, cols = counts.shape
     n_cells = rows * cols
@@ -189,7 +188,7 @@ def diffuse_weights(sums: np.ndarray, mins: np.ndarray, counts: np.ndarray) -> n
     """Per-cell mean diffuse luminance weights, normalized to sum to one.
 
     A pixel's diffuse luminance under min_subtract is mean(R, G, B) less
-    min(R, G, B). From pool_planes's per-frame RGB sums (t, rows, cols, 3),
+    min(R, G, B). From pool_cells's per-frame RGB sums (t, rows, cols, 3),
     min channel sums and pixel counts (t, rows, cols), integers below 2**53,
     a cell's weight is its exact Σ(R + G + B) - 3 Σmin over 3 x its pixel
     count in the t given frames (the pipeline gives a window's sampled

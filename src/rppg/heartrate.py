@@ -418,9 +418,9 @@ def estimate_video_hr(waves: np.ndarray, fps: float, notch_hz=()) -> tuple[float
     """Per-window harmonic peak selection: the rate of each window in bpm.
 
     waves (n_windows, n) holds one pulse waveform per window, all at fps;
-    the windows share one periodogram call. run_pipeline passes at least
-    one window.
+    each window's periodogram is taken in turn, so one spectrum is alive at
+    a time. Rows are independent, so the rates are those of one periodogram
+    call over all the windows. run_pipeline passes at least one window.
     """
-    waves = np.asarray(waves, dtype=np.float64)
-    freqs, power = periodogram(waves, fps)
-    return tuple(select_hr(freqs, suppress_artifacts(freqs, row, notch_hz)) for row in power)
+    spectra = (periodogram(wave, fps) for wave in np.asarray(waves, dtype=np.float64))
+    return tuple(select_hr(f, suppress_artifacts(f, power, notch_hz)) for f, power in spectra)

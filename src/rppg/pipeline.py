@@ -8,33 +8,33 @@ slow drift does not smear cells across face regions; every window's grid
 is built before any frame is read.
 
 The recording is read once, PASS_CHUNKS diffuse chunks (frame_chunks) at
-a time. For each such chunk the pass builds the skin masks from its bbox
-rows and polygons, one mask per channel, interleaved as the frames' rows
-are (build_mask); each of its diffuse chunks is laid out once by
-masked_planes (RGB, mask: integers, so float32 and exact, see combine),
-and pool_planes pools it into the cells of every window that overlaps it,
-through 0/1 indicators built once per window; windows with the same
-edges, such as aggregate's one cell spanning the frame, share one pooling.
-For proposed the minimum channel is a second pool: each pass chunk takes
-the min_channel of its own sampled frames (see DIFFUSE_STRIDE) in one call
-and pools it, uint8 on float32 planes as the RGB, into the windows that
-hold them, under the pixel mask alone; diffuse_weights reads the diffuse
-sums from those and the sampled frames' RGB sums and counts (the CLI's
---dump-diffuse separates every frame after the pass). Nothing the pass
-pools is float, so every sum is exact. A
-window is finished (traces, weights, combination) as soon as its last
-frame is read, and its sums are dropped, so peak memory is one chunk plus
-the per-frame cell sums of the open windows, whatever the length of the
-recording. Per-frame sums do not depend on how the frames are chunked, so
-every result is that of pooling each window whole.
+a time. For each such chunk build_mask gives each frame's bbox as a row and
+a column indicator, and a hole map only where a frame has polygons; no
+per-pixel mask is made. pool_cells pools each of its diffuse chunks into
+the cells of every window that overlaps it, straight from the uint8 frames
+(cast once to float32, exact, see combine), through 0/1 indicators built
+once per window; windows with the same edges, such as aggregate's one cell
+spanning the frame, share one pooling. For proposed the minimum channel is
+a second pool: each pass chunk takes the min_channel of its own sampled
+frames (see DIFFUSE_STRIDE) in one call and pools it through the same
+function and masks into the windows that hold them; diffuse_weights reads
+the diffuse sums from those and the sampled frames' RGB sums and counts
+(the CLI's --dump-diffuse separates every frame after the pass). Nothing
+the pass pools is float, so every sum is exact. A window is finished
+(traces, weights, combination) as soon as its last frame is read, and its
+sums are dropped, so peak memory is one chunk plus the per-frame cell sums
+of the open windows, whatever the length of the recording. Per-frame sums
+do not depend on how the frames are chunked, so every result is that of
+pooling each window whole.
 
 Traces stay time-major, as the pass pools them: a window's sums reach
 grid_traces as views, and its RGB trace is (n, 3). Every window has the
 same number of frames, so the RGB traces of aggregate and proposed go
 through one chrom_rows call per WINDOW_BLOCK windows, (n, k, 3), and the
-pulse waveforms of all three methods through one estimate_video_hr
-periodogram per block, (k, n). Rows are independent, so the rates do not
-depend on the blocking; the video rate is the mean over every window.
+pulse waveforms of all three methods through one estimate_video_hr call
+per block, (k, n), which takes their periodograms one window at a time.
+Rows are independent, so the rates do not depend on the blocking; the
+video rate is the mean over every window.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from .combine import (
     diffuse_weights,
     facial_aggregate,
     grid_traces,
-    masked_planes,
-    pool_planes,
+    pool_cells,
     snr_weights,
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
@@ -75,9 +74,10 @@ PASS_CHUNKS = 4
 # window's sampled frames, and its sums are exact, so results do not depend
 # on the chunking. k = 1 would sample every frame.
 DIFFUSE_STRIDE = 16
-# Windows per chrom_rows and periodogram call: the rows, waveforms and
-# spectra alive at the end of a window are one block's, so this stage too is
-# bounded by the window length, not the recording's.
+# Windows per chrom_rows call; estimate_video_hr then takes their spectra
+# one at a time. The rows and waveforms alive at the end of a window are one
+# block's, so this stage too is bounded by the window length, not the
+# recording's.
 WINDOW_BLOCK = 8
 
 
@@ -96,49 +96,56 @@ def _window_sums(
     grids: list[tuple[np.ndarray, np.ndarray]],
     stride: int | None,
 ):
-    """Each window's pool_planes sums over the edges grids[i], yielded in
+    """Each window's pool_cells sums over the edges grids[i], yielded in
     window order as soon as the window's last frame is read: (rgb, mins),
     rgb (t, rows, cols, 4) the RGB sums and pixel counts of its frames, mins
-    (t_s, rows, cols, 1) the min_channel sums of its sampled frames, those
-    whose index is a multiple of stride (None when stride is None).
+    (t_s, rows, cols, 2) the min_channel sums and pixel counts of its sampled
+    frames, those whose index is a multiple of stride (None when stride is
+    None).
     """
     height, width = seq.height, seq.width
     keys = [(tuple(y), tuple(x)) for y, x in grids]
-    cells: list[tuple | None] = [None] * len(slices)  # cell_indicators of open windows
+    cells: list[dict | None] = [{} for _ in slices]  # cell_indicators of open windows, by k
     rgb: list[list | None] = [[] for _ in slices]
     mins: list[list | None] = [[] for _ in slices]
     done = 0
 
-    def pool(planes, first, step, parts):
-        """Pools planes, frames first, first + step, ..., into the parts of
-        every open window that holds one of them."""
-        pooled = {}  # windows with the same edges share their sums
+    def pool(values, masks, first, step, parts):
+        """Pools values, frames first, first + step, ..., under their
+        build_mask masks into the parts of every open window that holds one
+        of them; windows with the same edges share one pooling."""
+        k = values[0, 0, 0].size
+        spans, shared = [], {}
         for i in range(done, len(slices)):
             sl = slices[i]
-            if sl.start >= first + step * len(planes):
+            if sl.start >= first + step * len(values):
                 break
             a, b = (max(-((first - edge) // step), 0) for edge in (sl.start, sl.stop))
             if a < b:
-                if keys[i] not in pooled:
-                    if cells[i] is None:
-                        cells[i] = cell_indicators(*grids[i], height, width)
-                    pooled[keys[i]] = pool_planes(planes, *cells[i])
-                parts[i].append(pooled[keys[i]][a:b])
+                spans.append((i, a, b))
+                if k not in cells[i]:
+                    cells[i][k] = cell_indicators(*grids[i], height, width, k)
+                shared.setdefault(keys[i], cells[i][k])
+        pooled = dict(zip(shared, pool_cells(values, *masks, shared.values())))
+        for i, a, b in spans:
+            parts[i].append(pooled[keys[i]][a:b])
 
     for chunk in frame_chunks(seq.count, height, width, PASS_CHUNKS):
         frames = seq.frames[chunk]
-        masks = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
+        ys, xs, holes = build_mask(bboxes[chunk], width, height, polygons, chunk.start)
+
+        def masks(part):  # the masks of the chunk's frames in part
+            return ys[part], xs[part], None if holes is None else holes[part]
+
         if stride is not None:
             j = -chunk.start % stride  # the chunk's sampled frames are j, j + stride, ...
             if j < len(frames):
-                pool(masked_planes(masks[j::stride, :, -width:], min_channel(frames[j::stride])),
-                     chunk.start + j, stride, mins)
+                part = slice(j, None, stride)
+                pool(min_channel(frames[part]), masks(part), chunk.start + j, stride, mins)
         for sub in frame_chunks(len(frames), height, width):
             first = chunk.start + sub.start
-            planes = masked_planes(masks[sub], frames[sub])
-            pool(planes, first, 1, rgb)
-            stop = first + len(planes)
-            del planes  # before a window is finished or the next chunk's are made
+            pool(frames[sub], masks(sub), first, 1, rgb)
+            stop = chunk.start + min(sub.stop, len(frames))
             while done < len(slices) and slices[done].stop <= stop:
                 sampled = np.concatenate(mins[done]) if stride is not None else None
                 yield np.concatenate(rgb[done]), sampled
@@ -150,7 +157,7 @@ def _block_rates(rows: list[np.ndarray], first: int, starts, cfg: RunConfig, fps
     """The pulse waveforms (k, n) and rates of the block of windows first,
     first + 1, ... from their pooled rows: one chrom_rows call on the (n, 3)
     RGB rows stacked time-major (aggregate, proposed; snr rows are waveforms
-    already) and one estimate_video_hr periodogram."""
+    already) and one estimate_video_hr call."""
     if cfg.method == "snr":
         waves = np.stack(rows)
     else:

@@ -4,10 +4,10 @@ The skin mask for a frame is the face bbox interior minus the eye and mouth
 polygon interiors. Polygon membership is decided with the even-odd rule,
 evaluated at pixel centers (x + 0.5, y + 0.5). Masks are built for a run of
 frames from their rows of the (n, 4) bbox array and their entries in the
-polygon map (see ingest), one chunk of a recording at a time, and laid out
-as combine.masked_planes takes them: a mask per channel, interleaved as a
-frame row stores its pixels, then the pixel mask. Bboxes are filled frame
-by frame in frames taller than FILL_ROWS, else in one broadcast.
+polygon map (see ingest), one chunk of a recording at a time, as
+combine.pool_cells takes them: the bbox is a rectangle, so it is kept as a
+row and a column indicator per frame, and only a chunk with a polygon has
+a hole map, each frame's union of polygon interiors.
 
 The grid tiles the bbox row-major into rows x cols rectangular cells,
 stored as their row and column edges: x0 + [0, b, 2b, ..., bw] with
@@ -21,12 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
-
-# Taller frames fill their masks frame by frame, others in one broadcast: on
-# a pass chunk of square frames' masks the broadcast leads up to 64 rows
-# (52 against 60 us at 64), the loop from about 66 (46 against 51 us at 96),
-# timed on a 2-vCPU x86-64 host with NumPy 2.4.
-FILL_ROWS = 64
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -54,26 +48,24 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     return inside
 
 
-def build_mask(bboxes, width: int, height: int, polygons=None, first: int = 0) -> np.ndarray:
+def build_mask(bboxes, width: int, height: int, polygons=None, first: int = 0):
     """Skin masks of frames first, ..., first + n - 1 from their (n, 4) bboxes,
-    less their polygons in load_landmarks's map, laid out as masked_planes
-    takes them: (n, height, 4 * width) bool, each row the mask of its pixels'
-    R, G and B in turn, as a frame row is stored, then the pixel mask."""
-    n = len(bboxes)
-    if height > FILL_ROWS:
-        masks = np.zeros((n, height, 4 * width), dtype=bool)
-    else:  # pixel p's channels are columns 3p to 3p + 2, its pixel mask 3 * width + p
-        x, y, w, h = bboxes.T[..., None]
-        py, px = np.arange(height), np.concatenate([np.arange(3 * width) // 3, np.arange(width)])
-        masks = ((py >= y) & (py < y + h))[:, :, None] & ((px >= x) & (px < x + w))[:, None, :]
-    rgb, pixel = masks[..., : 3 * width].reshape(n, height, width, 3), masks[..., 3 * width :]
-    for r, p, (x, y, w, h) in zip(rgb, pixel, bboxes.tolist()) if height > FILL_ROWS else ():
-        r[y : y + h, x : x + w] = p[y : y + h, x : x + w] = True
-    for j in range(n) if polygons else ():
+    less their polygons in load_landmarks's map, as pool_cells takes them:
+    (ys, xs, holes), the bboxes' 0/1 row indicators ys (n, height) float32
+    and column indicators xs (n, width) float64, and holes (n, height,
+    width) bool, each frame's union of polygon interiors, or None when no
+    frame has a polygon. Frame j's mask is outer(ys[j], xs[j]) less holes[j]."""
+    x, y, w, h = np.asarray(bboxes).T[..., None]
+    py, px = np.arange(height), np.arange(width)
+    ys = ((py >= y) & (py < y + h)).astype(np.float32)
+    xs = ((px >= x) & (px < x + w)).astype(np.float64)
+    holes = None
+    for j in range(len(ys)) if polygons else ():
         for poly in polygons.get(first + j, ()):
-            hole = rasterize_polygon(poly, width, height)
-            rgb[j][hole] = pixel[j][hole] = False
-    return masks
+            if holes is None:
+                holes = np.zeros((len(ys), height, width), dtype=bool)
+            holes[j] |= rasterize_polygon(poly, width, height)
+    return ys, xs, holes
 
 
 def build_grid(bbox, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ from rppg.combine import (
     diffuse_weights,
     facial_aggregate,
     grid_traces,
-    masked_planes,
-    pool_planes,
+    pool_cells,
 )
 from rppg.errors import DataFormatError, SignalError, reading
 from rppg.heartrate import (
@@ -28,6 +27,7 @@ from rppg.heartrate import (
     bandpass_series,
 )
 from rppg.ingest import _PPM_HEADER, FrameSequence, read_ppm, read_text
+from rppg.roi import build_mask, rasterize_polygon
 from rppg.signals import PulseWaveform
 
 
@@ -105,21 +105,28 @@ def chrom_one(samples: np.ndarray, fps: float) -> PulseWaveform:
     return PulseWaveform(waves[0], fps)
 
 
-def channel_masks(masks, k: int = 3) -> np.ndarray:
-    """Pixel masks (t, h, w) laid out as masked_planes takes them for k
-    channels, (t, h, (k + 1) * w): each pixel's mask k times, then the pixel
-    mask (build_mask's layout for k = 3)."""
-    masks = np.asarray(masks)
-    return np.concatenate([np.repeat(masks, k, axis=-1), masks], axis=-1)
+def pixel_masks(bboxes, width: int, height: int, polygons=None) -> np.ndarray:
+    """Each frame's skin mask (n, height, width) bool, filled frame by frame:
+    its bbox less the rasterize_polygon interiors of its polygons, frame j's
+    in polygons[j]."""
+    masks = np.zeros((len(bboxes), height, width), dtype=bool)
+    for j, (x, y, w, h) in enumerate(np.asarray(bboxes).tolist()):
+        masks[j, y : y + h, x : x + w] = True
+        for poly in (polygons or {}).get(j, ()):
+            masks[j] &= ~rasterize_polygon(poly, width, height)
+    return masks
 
 
 def pooled(values, masks, edges) -> np.ndarray:
-    """pool_planes of the masked_planes of values (t, h, w, ...) under pixel
-    masks (t, h, w), over a grid's edges: (t, rows, cols, k + 1) float64."""
+    """pool_cells of values (t, h, w, ...) under pixel masks (t, h, w), over
+    a grid's edges: (t, rows, cols, k + 1) float64. The masks go in as
+    frame-wide bboxes whose holes are the pixels outside them."""
     t, h, w = np.shape(masks)
-    k = int(np.prod(np.shape(values)[3:]))
-    planes = masked_planes(channel_masks(masks, k), np.asarray(values))
-    return pool_planes(planes, *cell_indicators(*edges, h, w))
+    values = np.asarray(values)
+    ys, xs, _ = build_mask(np.tile([0, 0, w, h], (t, 1)), w, h)
+    k = int(np.prod(values.shape[3:]))
+    [cells] = pool_cells(values, ys, xs, ~np.asarray(masks), [cell_indicators(*edges, h, w, k)])
+    return cells
 
 
 def pooled_sums(values, masks, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +136,9 @@ def pooled_sums(values, masks, edges) -> tuple[np.ndarray, np.ndarray]:
     return cells[..., :-1].reshape(cells.shape[:3] + np.shape(values)[3:]), cells[..., -1]
 
 
-# The oracle of the interleaved pooling: the same sums from channel-planar
-# planes (t, h, k + 1, w), each channel a plane of its own, with the 0/1
-# indicators built from the edges on every call.
+# The oracle of pool_cells: the same sums from channel-planar planes
+# (t, h, k + 1, w), each channel a plane of its own times a per-pixel mask,
+# then the mask, with the 0/1 indicators built from the edges on every call.
 
 
 def planar_masked_planes(masks: np.ndarray, *values: np.ndarray) -> np.ndarray:
@@ -167,7 +174,7 @@ def _planar_indicator(edges, n: int, dtype=np.float64) -> np.ndarray:
     return ((px >= edges[:-1]) & (px < edges[1:])).astype(dtype)
 
 
-# The window-level compositions the pipeline makes from pool_planes's
+# The window-level compositions the pipeline makes from pool_cells's
 # output: pool a whole window's pixels, then reduce its per-frame sums.
 
 
@@ -291,7 +298,7 @@ def chrom_rows_row_major(samples: np.ndarray, fps: float) -> tuple[np.ndarray, n
 
 def grid_traces_row_major(sums: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """grid_traces's samples as row-major (n_cells, n_frames, 3), and its live
-    flags, from pool_planes's sums (t, rows, cols, 3) and counts (t, rows,
+    flags, from pool_cells's sums (t, rows, cols, 3) and counts (t, rows,
     cols): the sums transposed, then divided where a cell has pixels."""
     n_frames, rows, cols = counts.shape
     n_cells = rows * cols

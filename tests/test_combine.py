@@ -13,19 +13,17 @@ from rppg.combine import (
     combine_benchmark_snr,
     combine_proposed,
     grid_traces,
-    masked_planes,
-    pool_planes,
+    pool_cells,
     snr_weights,
 )
 from rppg.diffuse import min_channel
 from rppg.errors import RegionError, SignalError
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
-from rppg.roi import FILL_ROWS, build_grid, build_mask, rasterize_polygon
+from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import zero_mean
 from rppg.synth import SpecularPatch, SynthScene, render
 
 from helpers import (
-    channel_masks,
     chrom_one,
     diffuse_sums_of,
     diffuse_weights_of,
@@ -33,6 +31,7 @@ from helpers import (
     grid_traces_of,
     grid_traces_row_major,
     label_map,
+    pixel_masks,
     planar_masked_planes,
     planar_pool_planes,
     pooled,
@@ -174,28 +173,135 @@ def edges_in(size, cells=4):
 
 
 @st.composite
-def split_stacks(draw):
-    """(n, h, w) of a stack of up to 80 frames of up to 64x64, the edges of a
-    grid of up to 8x8 cells over it, and the cuts that split the stack."""
-    n, h, w = draw(st.integers(2, 80)), draw(st.integers(1, 64)), draw(st.integers(1, 64))
-    edges = (np.array(draw(edges_in(h, 8))), np.array(draw(edges_in(w, 8))))
-    cuts = draw(st.lists(st.integers(1, n - 1), max_size=6, unique=True).map(sorted))
-    return (n, h, w), edges, cuts
+def skin_chunks(draw, max_n=6, max_side=40):
+    """A run of frames as the pass pools them: (frames (n, h, w, 3) uint8,
+    bboxes (n, 4), polygons {frame: (eye, eye, mouth)}, edges). The edges
+    are those of a grid of up to 8x8 cells over a base bbox, which may reach
+    past the frame. Each frame's bbox is the base one jittered by up to its
+    own size and clipped to the frame (maybe one pixel past it, as rounded
+    smoothed bboxes reach), so it cuts through cells or misses whole grid
+    rows or columns. About half the frames have polygons, their vertices on
+    or inside the bbox: free ones, an eye pair that overlaps each other and
+    the mouth, or a mouth that is the bbox itself."""
+    n, h, w = draw(st.integers(1, max_n)), draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bx, by = draw(st.integers(-3, w - 1)), draw(st.integers(-3, h - 1))
+    bw, bh = draw(st.integers(cols, max(cols, w + 3))), draw(st.integers(rows, max(rows, h + 3)))
+    edges = build_grid((bx, by, bw, bh), rows, cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+    if draw(st.booleans()):
+        frames[...] = 255  # the largest sums
+    jitter = rng.integers(-1, 2, size=(n, 4)) * rng.integers(0, [bw, bh, bw, bh], size=(n, 4), endpoint=True)
+    x0 = np.clip(bx + jitter[:, 0], 0, w)
+    y0 = np.clip(by + jitter[:, 1], 0, h)
+    x1 = np.clip(bx + bw + jitter[:, 2], x0, w + rng.integers(0, 2, n))
+    y1 = np.clip(by + bh + jitter[:, 3], y0, h + rng.integers(0, 2, n))
+    bboxes = np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
+    polygons = {}
+    for j, (x, y, bw_j, bh_j) in enumerate(bboxes.tolist()):
+        kind = draw(st.sampled_from(["none", "none", "free", "overlap", "bbox"]))
+
+        def vertices(k):
+            return rng.integers([x, y], [x + bw_j, y + bh_j], size=(k, 2), endpoint=True).tolist()
+
+        if kind == "free":
+            polygons[j] = (vertices(3), [], vertices(4))
+        elif kind == "overlap":
+            eye = vertices(3)
+            polygons[j] = (eye, [[min(vx + 1, x + bw_j), vy] for vx, vy in eye], eye + vertices(1))
+        elif kind == "bbox":
+            polygons[j] = ([], [], [[x, y], [x + bw_j, y], [x + bw_j, y + bh_j], [x, y + bh_j]])
+    return frames, bboxes, polygons, edges
+
+
+def pooled_chunk(values, bboxes, polygons, edges, first=0):
+    """pool_cells of values under build_mask's masks of frames first, ...,
+    over one grid's edges."""
+    h, w = values.shape[1:3]
+    ys, xs, holes = build_mask(bboxes, w, h, polygons, first)
+    k = 1 if values.ndim == 3 else values.shape[3]
+    [cells] = pool_cells(values, ys, xs, holes, [cell_indicators(*edges, h, w, k)])
+    return cells
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(chunk=skin_chunks(), min_pool=st.booleans())
+@example(  # the bbox misses the grid's first row and last column; overlapping holes
+    chunk=(
+        np.arange(2 * 8 * 9 * 3, dtype=np.uint8).reshape(2, 8, 9, 3),
+        np.array([[1, 3, 5, 5], [0, 0, 9, 8]]),
+        {0: ([[1, 3], [4, 3], [2, 6]], [[2, 3], [5, 3], [3, 6]], [[1, 4], [6, 4], [6, 8], [1, 8]])},
+        build_grid((0, 0, 9, 8), 4, 3),
+    ),
+    min_pool=False,
+)
+def test_interleaved_pooling_equals_the_planar_oracle_bit_for_bit(chunk, min_pool):
+    # Each frame's bbox, folded into the row and column indicators, less its
+    # holes, zeroed in the cast and their pooled count subtracted, pools
+    # uint8 RGB (k = 3) and the min channel (k = 1) to the bits of the
+    # channel-planar layout under a per-frame filled mask: sums and counts
+    # are exact integers. A second grid, spanning the frame, pooled in the
+    # same call, gets the sums of a call of its own.
+    frames, bboxes, polygons, edges = chunk
+    n, h, w = frames.shape[:3]
+    values = min_channel(frames) if min_pool else frames
+    oracle = planar_masked_planes(pixel_masks(bboxes, w, h, polygons), values)
+    cells = pooled_chunk(values, bboxes, polygons, edges)
+    assert cells.shape == (n, len(edges[0]) - 1, len(edges[1]) - 1, oracle.shape[2])
+    assert np.array_equal(cells, planar_pool_planes(oracle, *edges))
+    whole = (np.array([0, h]), np.array([0, w]))
+    k = oracle.shape[2] - 1
+    ys, xs, holes = build_mask(bboxes, w, h, polygons)
+    both = pool_cells(values, ys, xs, holes, [cell_indicators(*g, h, w, k) for g in (edges, whole)])
+    assert np.array_equal(both[0], cells)
+    assert np.array_equal(both[1], pooled_chunk(values, bboxes, polygons, whole))
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
-@given(case=split_stacks(), luminance=st.booleans(), seed=st.integers(0, 2**16))
-def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(case, luminance, seed):
-    # The streaming pass pools a window chunk by chunk and concatenates the
-    # per-frame sums: they must equal, bit for bit, one call over the stack.
-    # Float luminance (in thirds) is not summed exactly, so only a product
-    # per frame keeps each frame's summation order the same in any call.
-    (n, h, w), edges, cuts = case
-    frames, masks = random_scene(seed=seed, n=n, h=h, w=w)
+@given(chunk=skin_chunks(max_n=3, max_side=12), luminance=st.booleans())
+def test_bbox_and_hole_cell_sums_equal_a_loop_over_cells(chunk, luminance):
+    # Luminance is float64 in quarter steps, so its sums are exact in any
+    # order and the float64 products must match the loop too.
+    frames, bboxes, polygons, (y_edges, x_edges) = chunk
+    values = frames.sum(axis=-1) / 4 if luminance else frames
+    cells = pooled_chunk(values, bboxes, polygons, (y_edges, x_edges))
+    masks = pixel_masks(bboxes, frames.shape[2], frames.shape[1], polygons)
+    want_sums, want_counts = loop_cell_sums(values, masks, y_edges, x_edges)
+    assert cells.dtype == np.float64
+    assert np.array_equal(cells[..., -1], want_counts)
+    assert (cells[..., :-1].reshape(want_sums.shape) == want_sums).all()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(chunk=skin_chunks(max_n=4, max_side=16))
+def test_rgb_and_min_pools_equal_the_int64_diffuse_oracle(chunk):
+    # proposed pools uint8 RGB and the uint8 min channel: both pools' sums
+    # are the exact integers of diffuse_sums_of, which diffuse_weights reads.
+    frames, bboxes, polygons, edges = chunk
+    masks = pixel_masks(bboxes, frames.shape[2], frames.shape[1], polygons)
+    rgb, mins, counts = diffuse_sums_of(frames, masks, edges)
+    cells = pooled_chunk(frames, bboxes, polygons, edges)
+    min_cells = pooled_chunk(min_channel(frames), bboxes, polygons, edges)
+    assert (cells[..., :3] == rgb).all() and (cells[..., 3] == counts).all()
+    assert (min_cells[..., 0] == mins).all() and (min_cells[..., 1] == counts).all()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(chunk=skin_chunks(max_n=80, max_side=64), luminance=st.booleans(), data=st.data())
+def test_masked_cell_sums_do_not_depend_on_how_the_frames_are_split(chunk, luminance, data):
+    # The streaming pass pools a window chunk by chunk, each with its own
+    # build_mask call, and concatenates the per-frame sums: they must equal,
+    # bit for bit, one call over the stack. Float luminance (in thirds) is
+    # not summed exactly, so only products taken per frame keep each frame's
+    # summation order the same in any call.
+    frames, bboxes, polygons, edges = chunk
+    n = len(frames)
     values = frames.mean(axis=-1) if luminance else frames  # float64 or uint8 RGB
-    whole = pooled(values, masks, edges)
-    bounds = [0, *cuts, n]
-    parts = [pooled(values[a:b], masks[a:b], edges) for a, b in zip(bounds, bounds[1:])]
+    whole = pooled_chunk(values, bboxes, polygons, edges)
+    cuts = data.draw(st.lists(st.integers(1, max(1, n - 1)), max_size=6, unique=True).map(sorted))
+    bounds = [0, *(c for c in cuts if c < n), n]
+    parts = [pooled_chunk(values[a:b], bboxes[a:b], polygons, edges, a) for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
@@ -223,151 +329,79 @@ def loop_cell_sums(values, masks, y_edges, x_edges):
     seed=st.integers(0, 2**16),
 )
 def test_masked_cell_sums_equal_a_loop_over_cells(y_edges, x_edges, luminance, seed):
-    # Edges may lie partly or wholly outside the frame, and clipping can
-    # empty a cell. Luminance is float64 in quarter steps, so its sums are
-    # exact in any order and the float products must match the loop too.
+    # Any pixel mask (frame-wide bboxes whose holes are the rest): edges may
+    # lie partly or wholly outside the frame, and clipping can empty a cell.
     frames, masks = random_scene(seed=seed, n=3, h=9, w=12)
     values = frames.sum(axis=-1) / 4 if luminance else frames
     cells = pooled(values, masks, (np.array(y_edges), np.array(x_edges)))
     want_sums, want_counts = loop_cell_sums(values, masks, y_edges, x_edges)
-    assert cells.dtype == np.float64
     assert cells.shape == want_counts.shape + (4 if values.ndim == 4 else 2,)
     assert np.array_equal(cells[..., -1], want_counts)
     sums = cells[..., :-1].reshape(want_sums.shape)
     assert (sums == want_sums).all()
 
 
-@settings(deadline=None, max_examples=60, derandomize=True)
-@given(y_edges=edges_in(9), x_edges=edges_in(12), seed=st.integers(0, 2**16))
-def test_rgb_and_min_pools_equal_the_int64_diffuse_oracle(y_edges, x_edges, seed):
-    # proposed pools uint8 RGB and the uint8 min channel: both pools' sums
-    # are the exact integers of diffuse_sums_of, which diffuse_weights reads.
-    frames, masks = random_scene(seed=seed, n=3, h=9, w=12)
-    edges = (np.array(y_edges), np.array(x_edges))
-    rgb, mins, counts = diffuse_sums_of(frames, masks, edges)
-    cells = pooled(frames, masks, edges)
-    min_cells = pooled(min_channel(frames), masks, edges)
-    assert (cells[..., :3] == rgb).all() and (cells[..., 3] == counts).all()
-    assert (min_cells[..., 0] == mins).all() and (min_cells[..., 1] == counts).all()
-
-
 def test_masked_cell_sums_are_exact_at_camera_resolution():
     # One all-255 1080x1920 frame: each channel's sum, 255 * 2073600, is an
-    # integer the float64 products hold exactly.
-    planes = masked_planes(
-        np.ones((1, 1080, 4 * 1920), dtype=bool),
-        np.full((1, 1080, 1920, 3), 255, dtype=np.uint8),
-    )
-    cells = pool_planes(planes, *cell_indicators([0, 1080], [0, 1920], 1080, 1920))
-    assert cells.tolist() == [[[[255 * 1080 * 1920] * 3 + [1080 * 1920]]]]
-    cells = pool_planes(planes, *cell_indicators([0, 500, 1080], [0, 1919, 1920], 1080, 1920))
+    # integer the float64 products hold exactly; a one-pixel-narrower bbox
+    # leaves the last column out of every sum.
+    frames = np.full((1, 1080, 1920, 3), 255, dtype=np.uint8)
+    grids = [
+        cell_indicators(*edges, 1080, 1920, 3)
+        for edges in (([0, 1080], [0, 1920]), ([0, 500, 1080], [0, 1919, 1920]))
+    ]
+    ys, xs, holes = build_mask(np.array([[0, 0, 1920, 1080]]), 1920, 1080)
+    whole, cells = pool_cells(frames, ys, xs, holes, grids)
+    assert whole.tolist() == [[[[255 * 1080 * 1920] * 3 + [1080 * 1920]]]]
     assert cells[..., -1].tolist() == [[[500 * 1919, 500], [580 * 1919, 580]]]
     assert (cells[..., :-1] == 255 * cells[..., -1:]).all()
+    ys, xs, holes = build_mask(np.array([[0, 0, 1919, 1080]]), 1920, 1080)
+    [narrow] = pool_cells(frames, ys, xs, holes, grids[1:])
+    assert narrow[..., -1].tolist() == [[[500 * 1919, 0], [580 * 1919, 0]]]
 
 
 @settings(deadline=None, max_examples=80, derandomize=True)
-@given(
-    shape=st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40)),
-    whole=st.booleans(),
-    full=st.booleans(),
-    saturated=st.booleans(),
-    data=st.data(),
-)
-def test_float32_pooling_of_uint8_frames_equals_float64_bit_for_bit(
-    shape, whole, full, saturated, data
-):
-    # uint8 RGB and mask planes pool in float32 (every first-product sum is
-    # an integer of at most h * 255 < 2**24) and the sums are those of the
-    # same frames as float64, bit for bit: all-255 frames under full masks
-    # reach the largest sums, and edges span the frame or cut it unevenly.
-    n, h, w = shape
-    frames, masks = random_scene(seed=data.draw(st.integers(0, 2**16)), n=n, h=h, w=w)
-    if saturated:
-        frames[...] = 255
-    if full:
-        masks[...] = True
-    edges = (
-        (np.array([0, h]), np.array([0, w]))
-        if whole
-        else (np.array(data.draw(edges_in(h, 8))), np.array(data.draw(edges_in(w, 8))))
-    )
-    planes = masked_planes(channel_masks(masks), frames)
-    assert planes.dtype == np.float32
-    reference = masked_planes(channel_masks(masks), frames.astype(np.float64))
-    assert reference.dtype == np.float64
-    cells = pool_planes(planes, *cell_indicators(*edges, h, w))
+@given(chunk=skin_chunks(), min_pool=st.booleans())
+def test_float32_pooling_of_uint8_frames_equals_float64_bit_for_bit(chunk, min_pool):
+    # uint8 values pool in float32 (every row-product sum is an integer of
+    # at most h * 255 < 2**24) to the sums of the same values as float64,
+    # bit for bit.
+    frames, bboxes, polygons, edges = chunk
+    values = min_channel(frames) if min_pool else frames
+    cells = pooled_chunk(values, bboxes, polygons, edges)
     assert cells.dtype == np.float64
-    assert np.array_equal(cells, pool_planes(reference, *cell_indicators(*edges, h, w)))
-    if whole:
-        assert cells[:, 0, 0].tolist() == [
-            [*f.sum(axis=(0, 1), where=m[..., None], dtype=np.int64).tolist(), int(m.sum())]
-            for f, m in zip(frames, masks)
-        ]
+    assert np.array_equal(cells, pooled_chunk(values.astype(np.float64), bboxes, polygons, edges))
 
 
-@settings(deadline=None, max_examples=80, derandomize=True)
-@given(
-    n=st.integers(1, 6),
-    h=st.one_of(st.integers(1, FILL_ROWS), st.integers(FILL_ROWS + 1, FILL_ROWS + 16)),
-    w=st.integers(1, 40),
-    luminance=st.booleans(),
-    whole=st.booleans(),
-    saturated=st.booleans(),
-    data=st.data(),
-)
-def test_interleaved_pooling_equals_the_planar_oracle_bit_for_bit(
-    n, h, w, luminance, whole, saturated, data
-):
-    # build_mask's interleaved masks (filled in one broadcast up to FILL_ROWS
-    # rows, frame by frame above), less polygon holes, pool uint8 RGB and
-    # float64 luminance to the bits of the channel-planar layout: RGB sums
-    # are exact integers, and luminance (k = 1) keeps the planar layout and
-    # BLAS shapes. Under the pixel mask alone luminance pools to its sums
-    # and no counts, as the min pool does. Cells span the frame or have
-    # edges past it.
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
-    if saturated:
-        frames[...] = 255
-    xy = rng.integers(0, [w, h], size=(n, 2), endpoint=True)
-    bboxes = np.concatenate([xy, rng.integers(0, [w, h] - xy, endpoint=True)], axis=1)
-    polygons = {}
-    for j in range(0, n, 2):  # a mouth triangle inside every other bbox
-        x, y, bw, bh = bboxes[j]
-        mouth = rng.integers([x, y], [x + bw, y + bh], size=(3, 2), endpoint=True).tolist()
-        polygons[j] = ([], [], mouth)
-    masks = build_mask(bboxes, w, h, polygons)
-    pixel = masks[..., -w:]
-    values = frames.mean(axis=-1) if luminance else frames
-    edges = (
-        (np.array([0, h]), np.array([0, w]))
-        if whole
-        else (np.array(data.draw(edges_in(h, 8))), np.array(data.draw(edges_in(w, 8))))
-    )
-    planes = masked_planes(pixel if luminance else masks, values)
-    oracle = planar_masked_planes(pixel, values)
-    if luminance:
-        oracle = np.ascontiguousarray(oracle[:, :, :1])
-    assert planes.shape == (n, h, oracle.shape[2] * w) and planes.dtype == oracle.dtype
-    cells = pool_planes(planes, *cell_indicators(*edges, h, w))
-    assert np.array_equal(cells, planar_pool_planes(oracle, *edges))
+class CastSpy(np.ndarray):
+    """An array that records the dtype of every astype call on it or its views."""
+
+    casts: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        CastSpy.casts.append(np.dtype(dtype))
+        return np.asarray(self).astype(dtype, *args, **kwargs)
 
 
 @pytest.mark.parametrize("h", [2**24 // 255, 2**24 // 255 + 1])
-def test_pooling_is_exact_at_the_float32_row_limit(h):
+def test_pooling_is_exact_at_the_float32_row_limit(h, monkeypatch):
     # One column of h rows of 255, but 254 in the last row of channel 0:
-    # its sum is 255 * h - 1. Up to 65,793 rows every first-product sum is
-    # exact in float32; at 65,794 the planes are float64, where float32 would
-    # round the odd sum 16,777,469 past 2**24.
-    frames = np.full((2, h, 1, 3), 255, dtype=np.uint8)
+    # its sum is 255 * h - 1. Up to 65,793 rows every row-product sum is
+    # exact in float32; at 65,794 the product runs in float64, where float32
+    # would round the odd sum 16,777,469 past 2**24. Frame 1's hole, its
+    # first row, takes 255 from each sum and 1 from the count. Both dtypes
+    # give these sums, so the frames record the dtype of their one cast.
+    monkeypatch.setattr(CastSpy, "casts", [])
+    frames = np.full((2, h, 1, 3), 255, dtype=np.uint8).view(CastSpy)
     frames[:, -1, :, 0] = 254
-    masks = np.ones((2, h, 4), dtype=bool)
-    planes = masked_planes(masks, frames)
-    assert planes.dtype == (np.float32 if h * 255 <= 2**24 else np.float64)
-    want = [[[[255 * h - 1, 255 * h, 255 * h, h]]]] * 2
-    assert pool_planes(planes, *cell_indicators([0, h], [0, 1], h, 1)).tolist() == want
-    halves = pool_planes(planes, *cell_indicators([0, h // 2, h], [0, 1], h, 1))
-    assert halves.sum(axis=1).tolist() == [[[255 * h - 1, 255 * h, 255 * h, h]]] * 2
+    polygons = {1: ([], [], [[0, 0], [1, 0], [1, 1], [0, 1]])}
+    whole = [255 * h - 1, 255 * h, 255 * h, h]
+    want = [[[whole]], [[[s - 255 for s in whole[:3]] + [h - 1]]]]
+    bboxes = np.array([[0, 0, 1, h]] * 2)
+    assert pooled_chunk(frames, bboxes, polygons, ([0, h], [0, 1])).tolist() == want
+    halves = pooled_chunk(frames, bboxes, polygons, ([0, h // 2, h], [0, 1]))
+    assert halves.sum(axis=1, keepdims=True).tolist() == want
+    assert CastSpy.casts == [np.float32 if h * 255 <= 2**24 else np.float64] * 2
 
 
 def test_grid_traces_live_flags_and_carry_forward():
@@ -530,7 +564,7 @@ def assert_matches_loop(traces):
 
 def scene_windows(scene, rows, cols):
     seq, sidecar, _ = render(scene)
-    masks = build_mask(sidecar, seq.width, seq.height)[..., -seq.width :]
+    masks = pixel_masks(sidecar, seq.width, seq.height)
     for sl in plan_windows(seq.duration_s, 10.0, 5.0).frame_slices(seq.fps, seq.count):
         grid = build_grid(sidecar[sl.start], rows, cols)
         yield grid_traces_of(seq.frames[sl], masks[sl], grid, seq.fps)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rppg.errors import GeometryError
-from rppg.roi import FILL_ROWS, build_grid, build_mask, rasterize_polygon
+from rppg.roi import build_grid, build_mask, rasterize_polygon
 
-from helpers import flat_sequence, label_map
+from helpers import flat_sequence, label_map, pixel_masks
 
 
 def brute_force_rasterize(poly, width, height):
@@ -64,39 +64,39 @@ def test_rasterize_matches_oracle(poly):
     )
 
 
-def channels(masks):
-    """build_mask's (n, h, 4w) masks as its four (n, h, w) channel masks: R, G,
-    B, then the pixel mask."""
-    n, h, w4 = masks.shape
-    rgb = masks[..., : w4 // 4 * 3].reshape(n, h, w4 // 4, 3)
-    return [rgb[..., 0], rgb[..., 1], rgb[..., 2], masks[..., w4 // 4 * 3 :]]
+def masks_of(ys, xs, holes):
+    """build_mask's (ys, xs, holes) as each frame's pixel mask (n, h, w): the
+    outer product of its bbox indicators, less its holes."""
+    masks = (ys[:, :, None] * xs[:, None, :]) == 1
+    return masks if holes is None else masks & ~holes
 
 
 def test_build_mask_subtracts_polygons():
     seq = flat_sequence(n=2, h=10, w=10)
     bboxes = np.array([[1, 1, 8, 8], [1, 1, 8, 8]])
     polygons = {0: ([[2, 2], [4, 2], [4, 4], [2, 4]], [], [[5, 5], [8, 5], [8, 8], [5, 8]])}
-    masks = build_mask(bboxes, seq.width, seq.height, polygons)
-    assert masks.shape == (2, 10, 40)
-    for m in channels(masks):
-        # cutouts removed on frame 0 only, from every channel
-        assert not m[0][3, 3]
-        assert not m[0][6, 6]
-        assert m[1][3, 3] and m[1][6, 6]
-        # outside the bbox never included
-        assert not m[:, 0, :].any()
-        # mask monotonicity: frame-0 mask is a subset of the bare bbox mask
-        assert np.array_equal(m[0] & m[1], m[0])
+    ys, xs, holes = build_mask(bboxes, seq.width, seq.height, polygons)
+    assert ys.shape == (2, 10) and xs.shape == (2, 10) and holes.shape == (2, 10, 10)
+    m = masks_of(ys, xs, holes)
+    # cutouts removed on frame 0 only
+    assert not m[0][3, 3]
+    assert not m[0][6, 6]
+    assert m[1][3, 3] and m[1][6, 6]
+    assert not holes[1].any()
+    # outside the bbox never included
+    assert not m[:, 0, :].any()
+    # mask monotonicity: frame-0 mask is a subset of the bare bbox mask
+    assert np.array_equal(m[0] & m[1], m[0])
+    # no polygon in the chunk: no hole map
+    assert build_mask(bboxes, seq.width, seq.height, polygons, first=1)[2] is None
 
 
-@pytest.mark.parametrize(
-    "n, height, width", [(17, 96, 96), (160, 32, 32), (6, FILL_ROWS, 20), (6, FILL_ROWS + 1, 20)]
-)
+@pytest.mark.parametrize("n, height, width", [(17, 96, 96), (160, 32, 32), (6, 64, 20), (6, 65, 20)])
 def test_build_mask_equals_a_per_frame_fill(n, height, width):
-    # bboxes filled in one broadcast (small frames) or frame by frame (tall
-    # ones): either way every channel is each frame's bbox less its
-    # polygons, frames offset by first. Some bboxes reach one pixel past the
-    # frame, as rounding smoothed ones can; no channel spills into the next.
+    # The outer product of each frame's row and column indicators, less its
+    # holes, is the frame's bbox less its polygons, frames offset by first.
+    # Some bboxes reach one pixel past the frame, as rounding smoothed ones
+    # can; the indicators stop at the frame's edge.
     rng = np.random.default_rng(height)
     xy = rng.integers(0, [width, height], size=(n, 2), endpoint=True)
     bboxes = np.concatenate([xy, rng.integers(0, [width, height] - xy, endpoint=True)], axis=1)
@@ -107,15 +107,13 @@ def test_build_mask_equals_a_per_frame_fill(n, height, width):
         x, y, w, h = bboxes[j]
         eye, mouth = rng.integers([x, y], [x + w, y + h], size=(2, 3, 2), endpoint=True).tolist()
         polygons[first + int(j)] = (eye, [], mouth)
-    masks = build_mask(bboxes, width, height, polygons, first)
-    assert masks.shape == (n, height, 4 * width) and masks.dtype == bool
-    for j, (x, y, w, h) in enumerate(bboxes):
-        expect = np.zeros((height, width), dtype=bool)
-        expect[y : y + h, x : x + w] = True
-        for poly in polygons.get(first + j, ()):
-            expect &= ~rasterize_polygon(poly, width, height)
-        for m in channels(masks):
-            assert np.array_equal(m[j], expect)
+    ys, xs, holes = build_mask(bboxes, width, height, polygons, first)
+    assert ys.shape == (n, height) and ys.dtype == np.float32
+    assert xs.shape == (n, width) and xs.dtype == np.float64
+    assert holes.shape == (n, height, width) and holes.dtype == bool
+    assert set(np.unique(ys)) | set(np.unique(xs)) <= {0.0, 1.0}
+    expect = pixel_masks(bboxes, width, height, {j - first: p for j, p in polygons.items()})
+    assert np.array_equal(masks_of(ys, xs, holes), expect)
 
 
 def test_build_grid_partitions_bbox():
