@@ -1,12 +1,12 @@
 """Skin-tone bias study on a synthetic cohort.
 
-Renders seeded scenes at several melanin fractions, each with a saturated
-specular band across the lower half of the face, and compares combination
-methods by mean absolute heart-rate error per melanin level. The default
-scene is deliberately small and dim so that plain facial aggregation sits
-on its detection cliff at the darkest level while diffuse-gated weighting
-still locks; the printed "improvement" row is MAE(aggregate) - MAE(method)
-and should grow toward darker tones for the proposed method.
+Renders synth.bias_scene (acceptance criterion 4's scene) at several melanin
+fractions and compares combination methods by mean absolute heart-rate error
+per melanin level. The scene is a small, dim face with a saturated specular
+band across its lower half, so that plain facial aggregation sits on its
+detection cliff at the darkest level while diffuse-gated weighting still
+locks; the printed "improvement" row is MAE(aggregate) - MAE(method) and
+should grow toward darker tones for the proposed method.
 
 Example:
     python3 scripts/run_bias_study.py --seeds 20 --out bias.csv
@@ -20,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from rppg.biophysics import SkinParams
 from rppg.config import METHODS, RunConfig
 from rppg.errors import ToolkitError
 from rppg.pipeline import run_pipeline
-from rppg.synth import SpecularPatch, SynthScene, render
+from rppg.synth import bias_scene, render
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -50,21 +49,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             for m in args.methods
         }
         for f_mel in args.f_mel:
-            scene(args, f_mel, 0, 60.0)
+            bias_scene(f_mel, 60.0, 0, args.duration_s, args.exposure)
     except ToolkitError as exc:
         ap.error(str(exc))
     return args
-
-
-def scene(args: argparse.Namespace, f_mel: float, seed: int, hr: float) -> SynthScene:
-    return SynthScene(
-        width=24, height=24, fps=30.0, duration_s=args.duration_s,
-        hr_bpm=hr,
-        skin=SkinParams(f_mel=f_mel, f_blood=0.05, f_hg=0.45,
-                        delta_f_blood=0.004),
-        specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
-        exposure=args.exposure, seed=seed,
-    )
 
 
 def study(args: argparse.Namespace) -> dict[str, dict[float, float]]:
@@ -74,7 +62,7 @@ def study(args: argparse.Namespace) -> dict[str, dict[float, float]]:
         errs = {m: [] for m in args.methods}
         for seed in range(args.seeds):
             hr = float(hrs[seed])
-            seq, sidecar, _ = render(scene(args, f_mel, seed, hr))
+            seq, sidecar, _ = render(bias_scene(f_mel, hr, seed, args.duration_s, args.exposure))
             for method in args.methods:
                 bpm = run_pipeline(seq, sidecar, args.configs[method]).report["video_bpm"]
                 errs[method].append(abs(bpm - hr))

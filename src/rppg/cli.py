@@ -26,14 +26,13 @@ import contextlib
 import dataclasses
 import json
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import diffuse
+from . import diffuse, ingest
 from .biophysics import (
     CameraNoiseParams,
     SkinParams,
@@ -161,7 +160,7 @@ def _in_frame_dir(path, directory) -> bool:
     frame directory (see ingest) in directory."""
     with contextlib.suppress(OSError, ValueError):  # a path holding NUL, say
         head, name = os.path.split(os.path.realpath(path))
-        frame_file = re.fullmatch(r"manifest\.json|frame_\d{6,}\.ppm", name)
+        frame_file = name == ingest.MANIFEST or ingest.FRAME_NAME.fullmatch(name)
         return bool(frame_file) and _same_path(head, directory)
     return False
 

@@ -213,14 +213,15 @@ def _frame_name(i: int) -> str:
     return f"frame_{i:06d}.ppm"
 
 
-_FRAME_NAME = re.compile(r"frame_(\d{6,})\.ppm")
+FRAME_NAME = re.compile(r"frame_(\d{6,})\.ppm")
+MANIFEST = "manifest.json"
 
 
 def load_frame_dir(directory: Path) -> FrameSequence:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
+    manifest_path = directory / MANIFEST
     if not manifest_path.exists():
-        raise MissingInputError(f"{directory}: manifest.json not found")
+        raise MissingInputError(f"{directory}: {MANIFEST} not found")
     try:
         manifest = json.loads(read_text(manifest_path))
         fps, width, height, count = (manifest[k] for k in ("fps", "width", "height", "count"))
@@ -295,7 +296,7 @@ class FrameDirWriter:
         self.directory = Path(directory)
         with writing(directory):
             self.directory.mkdir(parents=True, exist_ok=True)
-            (self.directory / "manifest.json").unlink(missing_ok=True)
+            (self.directory / MANIFEST).unlink(missing_ok=True)
         self.manifest = {"fps": fps, "width": width, "height": height, "count": 0}
 
     def write(self, frames: np.ndarray) -> None:
@@ -307,11 +308,11 @@ class FrameDirWriter:
         count = self.manifest["count"]
         with writing(self.directory), os.scandir(self.directory) as entries:
             for entry in entries:  # stale frame files, named as _frame_name names them
-                match = _FRAME_NAME.fullmatch(entry.name)
+                match = FRAME_NAME.fullmatch(entry.name)
                 i = int(match[1]) if match else -1
                 if i >= count and entry.name == _frame_name(i) and not entry.is_dir():
                     os.unlink(entry.path)
-        path = self.directory / "manifest.json"
+        path = self.directory / MANIFEST
         with writing(path):
             path.write_text(json.dumps(self.manifest, sort_keys=True))
 

@@ -12,6 +12,7 @@ model (Poisson with variance p/g, Gaussian sigma_r/g, integer rounding).
 
 Rendering is deterministic: all randomness derives from per-frame
 counter-based generator streams seeded from (seed, stream tag, frame).
+bias_scene is the one definition of the skin-tone bias scene.
 """
 
 from __future__ import annotations
@@ -123,6 +124,20 @@ class SynthScene:
     @property
     def n_frames(self) -> int:
         return int(round(self.duration_s * self.fps))
+
+
+def bias_scene(f_mel: float, hr_bpm: float, seed: int, duration_s: float = 30.0,
+               exposure: float = 1.1) -> SynthScene:
+    """The skin-tone bias scene of acceptance criterion 4 and the bias study:
+    a dim 24x24 face whose lower half carries a saturated specular band. It
+    was calibrated so that plain facial aggregation sits on its detection
+    cliff at f_mel 0.40 while the diffuse-gated combination still locks."""
+    return SynthScene(
+        width=24, height=24, fps=30.0, duration_s=duration_s, hr_bpm=hr_bpm,
+        skin=SkinParams(f_mel=f_mel, f_blood=0.05, f_hg=0.45, delta_f_blood=0.004),
+        specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
+        exposure=exposure, seed=seed,
+    )
 
 
 def _pulse_shape(phase: np.ndarray, two_harmonic: bool) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rppg.biophysics import CameraNoiseParams, SkinParams
+from rppg.biophysics import CameraNoiseParams
 from rppg.chrom import chrom_rows
 from rppg.combine import (
     GridTraces,
@@ -21,7 +21,7 @@ from rppg.errors import RegionError, SignalError
 from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
 from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import zero_mean
-from rppg.synth import SpecularPatch, SynthScene, render
+from rppg.synth import SynthScene, bias_scene, render
 
 from helpers import (
     chrom_one,
@@ -580,13 +580,7 @@ def test_batched_snr_matches_loop_on_criterion_1_scene():
 
 
 def test_batched_snr_matches_loop_on_bias_scene():
-    scene = SynthScene(
-        width=24, height=24, fps=30.0, duration_s=30.0, hr_bpm=70.0,
-        skin=SkinParams(f_mel=0.40, f_blood=0.05, f_hg=0.45, delta_f_blood=0.004),
-        specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
-        exposure=1.1, seed=1,
-    )
-    for traces in scene_windows(scene, 2, 2):
+    for traces in scene_windows(bias_scene(0.40, 70.0, 1), 2, 2):
         assert_matches_loop(traces)
 
 

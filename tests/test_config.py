@@ -12,6 +12,8 @@ from rppg.errors import MissingInputError, ToolkitError, UsageError
 
 
 def test_defaults():
+    # min_subtract is the only diffuse estimator, so RunConfig() is criteria 4
+    # and 8's config: this pin stands in for their default-config twins.
     cfg = RunConfig()
     assert cfg.method == "proposed"
     assert cfg.window_s == 10.0

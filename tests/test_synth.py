@@ -292,3 +292,26 @@ def test_dataset_round_trip(tmp_path, layout):
 def test_dataset_rejects_unknown_layout(tmp_path):
     with pytest.raises(InvalidSceneError):
         write_scene_dataset(quiet_scene(), tmp_path / "x", layout="mp4")
+
+
+def test_bias_scene_is_criterion_4s_scene():
+    # criterion 4's levels, seeds and heart-rate draw, and its scene spelled
+    # as that frozen test spells it; one seed per level is rendered too
+    hrs = np.random.default_rng(2024).uniform(55.0, 83.0, 20)
+    for f_mel, rendered_seed in zip((0.10, 0.25, 0.40), (0, 9, 19)):
+        for seed in range(20):
+            hr = float(hrs[seed])
+            frozen = SynthScene(
+                width=24, height=24, fps=30.0, duration_s=30.0, hr_bpm=hr,
+                skin=SkinParams(f_mel=f_mel, f_blood=0.05, f_hg=0.45, delta_f_blood=0.004),
+                specular=SpecularPatch(rect=(0, 12, 24, 12), strength=255.0),
+                exposure=1.1, seed=seed,
+            )
+            scene = synth.bias_scene(f_mel, hr, seed)
+            assert scene == frozen
+            if seed == rendered_seed:
+                (seq, bboxes, gt), (ref, ref_bboxes, ref_gt) = render(scene), render(frozen)
+                assert np.array_equal(seq.frames, ref.frames)
+                assert np.array_equal(bboxes, ref_bboxes)
+                for name, value in vars(gt).items():
+                    assert np.array_equal(value, getattr(ref_gt, name)), name
