@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,18 +58,21 @@ from .synth import SpecularPatch, SynthScene, write_scene_dataset
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write text to path through a temp file and a rename; a path that
     cannot be written (a directory, a name too long) is a UsageError. The
-    file gets the mode open() would give it, 0o666 less the umask."""
+    temp file is created 0o666, so the kernel gives it the mode open()
+    would, 0o666 less the umask, and the rename keeps that mode."""
     path = Path(path)
     with writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        while True:
+            tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue  # another writer's temp file: draw another name
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            # mkstemp made the file 0600, and os.replace keeps that mode
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -304,7 +307,10 @@ def _cmd_biophys(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once a process; main runs the command named by
+    args.command as _cmd_<command>, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rppg", description="remote photoplethysmography toolkit"
     )
@@ -318,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--dump-diffuse", default=None, help="write diffuse frames as a PPM dir")
     est.add_argument("--config", type=Path, default=None, help="INI config file")
     _add_field_flags(est, RunConfig)
-    est.set_defaults(func=_cmd_estimate)
 
     ev = sub.add_parser("evaluate", help="cohort agreement statistics from a manifest")
     ev.add_argument("--manifest", type=Path, required=True)
@@ -330,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="proposed",
         help="method whose pairs feed --scatter/--bland-altman",
     )
-    ev.set_defaults(func=_cmd_evaluate)
 
     sy = sub.add_parser("synth", help="render a synthetic face dataset")
     sy.add_argument("--out", type=Path, required=True, help="output directory")
@@ -338,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--specular", default=None, help="x,y,w,h,strength additive patch")
     for cls in (SynthScene, SkinParams, CameraNoiseParams):
         _add_field_flags(sy, cls)
-    sy.set_defaults(func=_cmd_synth)
 
     bio = sub.add_parser("biophys", help="dump diagnostic tables")
     bio.add_argument("--table", choices=("melanin", "pixel-snr"), required=True)
@@ -350,16 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(bio, Sweep)
     _add_field_flags(bio, SkinParams, skip=("f_mel",))
     _add_field_flags(bio, CameraNoiseParams)
-    bio.set_defaults(func=_cmd_biophys)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ToolkitError as exc:
         print(f"rppg: error: {exc}", file=sys.stderr)
         return exc.exit_code

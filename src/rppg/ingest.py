@@ -26,7 +26,11 @@ Landmarks ride in a JSON-lines sidecar, one record per frame:
 "mouth": [[x, y], ...]}``. Polygon vertex lists may be empty (no occluder),
 but one or two vertices is malformed. load_landmarks returns its columns: an
 (n, 4) int64 bbox array in frame order, and a polygon map from each frame
-that has any polygon to its (eye, eye, mouth) vertex lists.
+that has any polygon to its (eye, eye, mouth) vertex lists. A sidecar whose
+every line is a record as json.dumps writes it (write_landmarks' form) is
+decoded by one regex pass over blocks of lines and checked as integer
+columns; any other sidecar, or one that fails a check, is read line by line
+by json.loads, which gives the same columns or names the first fault.
 
 Ground truth is a two-column CSV with header ``time_s,value`` per signal
 (contact-PPG waveform or heart-rate numerics). read_two_column_csv, which
@@ -43,7 +47,7 @@ import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +61,7 @@ RAW_HEADER = struct.Struct("<8s4I")
 HR_BPM_MIN = 30.0
 HR_BPM_MAX = 240.0
 
-_SCAN = json.JSONDecoder().scan_once  # a value at an index: (value, end)
-LANDMARK_BLOCK = 256  # sidecar lines parsed at a time, about 1 KB of objects each
+LANDMARK_BLOCK = 1 << 14  # sidecar bytes decoded at a time, rounded up to a whole line
 _FIELDS = ("frame", "bbox", "eyes", "mouth")
 
 
@@ -134,12 +137,18 @@ class GroundTruth:
 
 
 def read_text(path: Path) -> str:
-    """A UTF-8 text file's contents; other bytes raise DataFormatError, and a
-    path that cannot be opened as a file (missing, a directory, a name too
-    long, no permission) MissingInputError."""
+    """A UTF-8 text file's contents, newlines read as text-mode open() reads
+    them; other bytes raise DataFormatError, and a path that cannot be
+    opened as a file (missing, a directory, a name too long, no permission)
+    MissingInputError."""
+    with reading(path):
+        data = Path(path).read_bytes()
+    return _utf8(path, data).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _utf8(path: Path, data: bytes) -> str:
     try:
-        with reading(path):
-            return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not a text file: {exc}") from exc
 
@@ -258,17 +267,20 @@ def load_frame_dir(directory: Path) -> FrameSequence:
     # one, one that cannot be read) is read again by read_frame, which
     # parses it or raises its error.
     header = _ppm_header(width, height)
-    size = len(header) + height * width * 3
+    step = height * width * 3  # a frame's raster bytes
+    size = len(header) + step
 
     def read(start: int, stop: int) -> np.ndarray:
         frames = np.empty((stop - start, height, width, 3), dtype=np.uint8)
-        flat = frames.reshape(stop - start, height * width * 3)
+        if start == stop:
+            return frames  # a view with no bytes cannot be cast to one of bytes
+        raster = memoryview(frames).cast("B")
         head = bytearray(len(header))
         for j in range(stop - start):
             try:
                 fd = os.open(prefix + _frame_name(start + j), os.O_RDONLY)
                 try:
-                    got = os.readv(fd, (head, flat[j]))
+                    got = os.readv(fd, (head, raster[j * step : (j + 1) * step]))
                 finally:
                     os.close(fd)
             except OSError:
@@ -437,49 +449,65 @@ def _check_record(record, width: int, height: int, where: str):
     return frame
 
 
-def _columns(lines: list[str], width: int, height: int):
-    """The frames, (n, 4) int64 bboxes and polygon map of the records on lines,
-    scanned by one map in C, with frame and bbox checked as integer columns
-    and only records with polygons by _check_record. Raises where json.loads
-    or _check_record would fail on a line."""
-    lines = [ln.strip(" \t") for ln in lines]  # JSON whitespace; no line holds \n or \r
-    records, ends = zip(*map(_SCAN, lines, repeat(0)))
-    _require(ends == tuple(map(len, lines)))
-    frames, boxes, eyes, mouths = ([record[k] for record in records] for k in _FIELDS)
-    _require(_all(frames, int) and _all(boxes, list) and set(map(len, boxes)) == {4})
-    coords = tuple(chain.from_iterable(boxes))
-    _require(_all(coords, int))
-    bboxes = np.fromiter(coords, np.int64, len(coords)).reshape(-1, 4)
-    _require((bboxes >= 0).all() and (bboxes[:, 2:] <= (width, height) - bboxes[:, :2]).all())
-    shaped = [i for i, (e, m) in enumerate(zip(eyes, mouths)) if e != [[], []] or m != []]
-    for i in shaped:
-        _check_record(records[i], width, height, "")
-    return frames, bboxes, {frames[i]: (*eyes[i], mouths[i]) for i in shaped}
+# A record as json.dumps writes it: keys in order, ", " and ": " separators,
+# integers as JSON spells them below 10**18 (so that no column overflows
+# int64), each polygon a list of [x, y] pairs. ^ and $ (before a \n or at
+# the end) make each match one whole line, less a \r before its \n.
+_INT = rb"(?:0|[1-9][0-9]{0,17})"
+_POLYGON = rb"(\[(?:\[I, I\](?:, \[I, I\])*)?\])".replace(b"I", _INT)
+_RECORD = re.compile(
+    rb'^\{"frame": (I), "bbox": \[(I), (I), (I), (I)\], "eyes": \[P, P\], "mouth": P\}\r?$'
+    .replace(b"I", _INT)
+    .replace(b"P", _POLYGON),
+    re.MULTILINE,
+)
+_SPACES = bytes.maketrans(b"[],", b"   ")  # a polygon's text to its integers
 
 
-def load_landmarks(
-    path: Path, frame_count: int, width: int, height: int
-) -> tuple[np.ndarray, dict]:
-    """Load and validate a JSONL sidecar against the owning frame sequence:
-    its (frame_count, 4) int64 bboxes in frame order, and its polygon map.
-    Where a block of lines fails _columns, or the frames do not cover 0..n-1
-    once each, the lines are checked again one by one to name the first fault."""
-    path = Path(path)
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+def _dumps_form_columns(data: bytes, frame_count: int, width: int, height: int):
+    """The (frame_count, 4) bboxes in frame order and the polygon map of a
+    sidecar whose every line is a record in json.dumps' form, decoded by
+    _RECORD a block of lines at a time and checked as integer columns.
+    Raises ValueError where a line is in another form or a check fails."""
+    _require(data.count(b"\n") + (not data.endswith(b"\n")) == frame_count)
+    cols = np.empty((frame_count, 5), np.int64)  # frame, x, y, w, h
+    polygons = {}
+    pos = row = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + LANDMARK_BLOCK - 1) + 1 or len(data)
+        rows = _RECORD.findall(data, pos, end)
+        _require(rows)
+        frame, x, y, w, h, *shapes = zip(*rows)
+        block = np.fromstring(b" ".join(chain(frame, x, y, w, h)), np.int64, sep=" ")
+        block = block.reshape(5, len(rows)).T
+        _require((block[:, 3:] <= (width, height) - block[:, 1:3]).all())
+        if max(map(len, chain(*shapes))) > 2:  # a polygon other than "[]"
+            text = b",".join(chain.from_iterable(zip(*shapes)))
+            poly = json.loads(b"[%b]" % text)  # each record's eye, eye and mouth
+            counts = np.fromiter(map(len, poly), np.intp, len(poly)).reshape(-1, 3)
+            _require(((counts == 0) | (counts >= 3)).all())
+            xy = np.fromstring(text.translate(_SPACES), np.int64, sep=" ").reshape(-1, 2)
+            box = np.repeat(block[:, 1:], counts.sum(1), axis=0)
+            _require(((box[:, :2] <= xy) & (xy <= box[:, :2] + box[:, 2:])).all())
+            triples = zip(block[:, 0].tolist(), zip(poly[0::3], poly[1::3], poly[2::3]))
+            polygons.update(compress(triples, counts.any(1).tolist()))
+        cols[row : row + len(rows)] = block
+        pos, row = end, row + len(rows)
+    _require(row == frame_count)  # each line holds one record
+    order = np.argsort(cols[:, 0])
+    _require((cols[order, 0] == np.arange(frame_count)).all())
+    return cols[order, 1:], polygons
+
+
+def _line_by_line_columns(path: Path, text: str, frame_count: int, width: int, height: int):
+    """The (frame_count, 4) bboxes in frame order and the polygon map of the
+    records on text's non-blank lines, each read by json.loads and checked by
+    _check_record; DataFormatError names the first faulty line, or the
+    frames not covered."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: no landmark records")
-    try:
-        blocks = [
-            _columns(lines[i : i + LANDMARK_BLOCK], width, height)
-            for i in range(0, len(lines), LANDMARK_BLOCK)
-        ]
-        frames = [f for block in blocks for f in block[0]]
-        _require(len(frames) == frame_count and sorted(frames) == list(range(frame_count)))
-        bboxes = np.concatenate([block[1] for block in blocks])
-        return bboxes[np.argsort(frames)], {k: v for block in blocks for k, v in block[2].items()}
-    except (DataFormatError, ValueError, KeyError, TypeError, OverflowError, RecursionError):
-        pass  # a fault, or frames not covered: named below
-    seen = set()
+    bboxes, polygons = {}, {}
     for lineno, line in enumerate(lines, start=1):
         where = f"{path}:{lineno}"
         try:
@@ -487,10 +515,34 @@ def load_landmarks(
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
         frame = _check_record(record, width, height, where)
-        if frame in seen:
+        if frame in bboxes:
             raise DataFormatError(f"{where}: duplicate record for frame {frame}")
-        seen.add(frame)
-    raise DataFormatError(f"{path}: {len(seen)} records do not cover frames 0..{frame_count - 1}")
+        bboxes[frame] = record["bbox"]
+        if record["eyes"] != [[], []] or record["mouth"] != []:
+            polygons[frame] = (*record["eyes"], record["mouth"])
+    if len(bboxes) != frame_count or sorted(bboxes) != list(range(frame_count)):
+        raise DataFormatError(
+            f"{path}: {len(bboxes)} records do not cover frames 0..{frame_count - 1}"
+        )
+    return np.array([bboxes[i] for i in range(frame_count)], np.int64), polygons
+
+
+def load_landmarks(
+    path: Path, frame_count: int, width: int, height: int
+) -> tuple[np.ndarray, dict]:
+    """Load and validate a JSONL sidecar against the owning frame sequence:
+    its (frame_count, 4) int64 bboxes in frame order, and its polygon map.
+    The file is read once; a sidecar in json.dumps' form throughout is
+    decoded as columns, and any other, or one that fails a check, line by
+    line, which names the first fault."""
+    path = Path(path)
+    with reading(path):
+        data = path.read_bytes()
+    try:
+        return _dumps_form_columns(data, frame_count, width, height)
+    except ValueError:
+        pass  # another form, or a fault: read line by line below
+    return _line_by_line_columns(path, _utf8(path, data), frame_count, width, height)
 
 
 def write_landmarks(bboxes: np.ndarray, path: Path) -> None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -942,6 +943,40 @@ def test_written_reports_get_the_umask_mode(dataset, manifest_dir):
     assert (rc_estimate, rc_evaluate) == (0, 0)
     assert report.stat().st_mode & 0o777 == 0o644
     assert summary.stat().st_mode & 0o777 == 0o644
+
+
+def test_written_reports_leave_the_umask_alone(dataset, tmp_path):
+    # the umask belongs to the process: setting it to 0 and back, even for
+    # a moment, lets other threads create files 0666 meanwhile
+    out, weights = tmp_path / "r.json", tmp_path / "w.json"
+    old = os.umask(0o027)
+    try:
+        with mock.patch.object(os, "umask", side_effect=AssertionError("umask")) as umask:
+            rc = main(run_estimate(dataset, "--out", str(out), "--dump-weights", str(weights)))
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert umask.call_count == 0
+    assert out.stat().st_mode & 0o777 == weights.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "w.json"]
+
+
+def test_main_builds_one_parser_and_looks_commands_up_per_call(dataset, monkeypatch):
+    # a wrapper installed at cli._cmd_estimate after the parser is built, as
+    # a tracer installs one, still receives the next call
+    build_parser.cache_clear()
+    assert main(run_estimate(dataset, "--method", "aggregate")) == 0
+    seen = []
+
+    def wrapper(args):
+        seen.append(args.command)
+        return estimate(args)
+
+    estimate = cli._cmd_estimate
+    monkeypatch.setattr(cli, "_cmd_estimate", wrapper)
+    assert main(run_estimate(dataset, "--method", "aggregate")) == 0
+    assert seen == ["estimate"]
+    assert build_parser.cache_info().misses == 1
 
 
 def test_evaluate_error_paths(manifest_dir, tmp_path):

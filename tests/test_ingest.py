@@ -18,6 +18,7 @@ from rppg.ingest import (
     load_landmarks,
     load_raw_stream,
     read_ppm,
+    read_text,
     read_timeseries_csv,
     smooth_bboxes,
     write_frame_dir,
@@ -610,6 +611,15 @@ def test_landmarks_bad_json(tmp_path):
         load_landmarks(path, frame_count=1, width=8, height=6)
 
 
+def test_read_text_reads_newlines_as_text_mode_open_does(tmp_path):
+    path = tmp_path / "t.ini"
+    path.write_bytes(b"[a]\r\nx = 1\ry = 2\n\r\n\xc3\xa9\r")
+    assert read_text(path) == path.read_text(encoding="utf-8") == "[a]\nx = 1\ny = 2\n\n\u00e9\n"
+    path.write_bytes(b"x = \xe9\r\n")
+    with pytest.raises(errors.DataFormatError, match="not a text file"):
+        read_text(path)
+
+
 def test_landmarks_empty_file(tmp_path):
     path = tmp_path / "lm.jsonl"
     path.write_text("")
@@ -713,15 +723,31 @@ ORACLE_LINES = st.one_of(
 )
 
 
+def compact(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
+def reordered(record: dict) -> str:
+    return json.dumps(dict(reversed(record.items())))
+
+
+def extra_key(record: dict) -> str:
+    return json.dumps({**record, "source": [0, 1]})
+
+
 def landmark_record(frame: int):
-    """The text of a record for an 8x8 frame; its polygons lie outside its
-    bbox only when the bbox is [3, 3, 5, 5]."""
+    """The text of a record for an 8x8 frame, mostly in json.dumps' form (the
+    form decoded as columns), else compact, with its keys reversed or with an
+    extra key; its polygons lie outside its bbox only when the bbox is
+    [3, 3, 5, 5]."""
     return st.builds(
-        '{{"frame": {}, "bbox": {}, "eyes": [{}, []], "mouth": {}}}'.format,
-        st.just(frame),
-        st.sampled_from(["[0, 0, 8, 8]", "[1, 1, 6, 6]", "[2, 2, 4, 4]", "[3, 3, 5, 5]"]),
-        st.sampled_from(["[]", "[[2, 2], [4, 2], [3, 3]]"]),
-        st.sampled_from(["[]", "[[2, 5], [5, 5], [4, 6]]"]),
+        lambda form, bbox, eye, mouth: form(
+            {"frame": frame, "bbox": bbox, "eyes": [eye, []], "mouth": mouth}
+        ),
+        st.sampled_from([json.dumps, json.dumps, json.dumps, compact, reordered, extra_key]),
+        st.sampled_from([[0, 0, 8, 8], [1, 1, 6, 6], [2, 2, 4, 4], [3, 3, 5, 5]]),
+        st.sampled_from([[], [[2, 2], [4, 2], [3, 3]]]),
+        st.sampled_from([[], [[2, 5], [5, 5], [4, 6]]]),
     )
 
 
@@ -746,29 +772,50 @@ def sidecar_lines(draw):
     return lines
 
 
+LF, CRLF = {"newline": "\n", "final": True}, {"newline": "\r\n", "final": True}
+
+
 @settings(deadline=None, max_examples=300, derandomize=True)
-@given(lines=sidecar_lines(), block=st.sampled_from([1, 2, ingest.LANDMARK_BLOCK]))
+@given(
+    lines=sidecar_lines(),
+    block=st.sampled_from([1, 100, ingest.LANDMARK_BLOCK]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
 # splits and merges that keep the count: one joined parse reads two good records
-@example(lines=[RECORD_0[:-1] + ', "x": [1', '2]}, ' + RECORD_1], block=ingest.LANDMARK_BLOCK)
-@example(lines=[RECORD_0 + " " + RECORD_1], block=ingest.LANDMARK_BLOCK)
-@example(lines=[RECORD_1, RECORD_0.replace("[0, 0, 8, 8]", f"[0, 0, {INT64_PAST}, 8]")], block=1)
-@example(lines=[RECORD_0, RECORD_1.replace('"frame": 1', f'"frame": {INT64_PAST}')], block=1)
-@example(lines=[RECORD_0.replace('"frame": 0', '"frame": false'), RECORD_1], block=2)
-@example(lines=[RECORD_0, RECORD_0, RECORD_1.replace("6]]", "9]]")], block=2)
-@example(lines=[RECORD_1, "[" * 200_000], block=1)
-@example(lines=[RECORD_1, " " + RECORD_0 + "\t"], block=1)
+@example(lines=[RECORD_0[:-1] + ', "x": [1', '2]}, ' + RECORD_1], block=ingest.LANDMARK_BLOCK, **LF)
+@example(lines=[RECORD_0 + " " + RECORD_1], block=ingest.LANDMARK_BLOCK, **LF)
+@example(lines=[RECORD_1, RECORD_0.replace("[0, 0, 8, 8]", f"[0, 0, {INT64_PAST}, 8]")], block=1, **LF)
+@example(lines=[RECORD_0, RECORD_1.replace('"frame": 1', f'"frame": {INT64_PAST}')], block=1, **LF)
+@example(lines=[RECORD_0.replace('"frame": 0', '"frame": false'), RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0, RECORD_0, RECORD_1.replace("6]]", "9]]")], block=100, **LF)
+@example(lines=[RECORD_1, "[" * 200_000], block=1, **LF)
+@example(lines=[RECORD_1, " " + RECORD_0 + "\t"], block=1, **LF)
 # each vertex is checked against its own record's bbox: frame 1's eye lies
 # inside frame 0's bbox, not its own; frame 0's mouth lies on its bbox's edges
-@example(lines=[EDGE_POLYGON_0, RECORD_1], block=2)
-@example(lines=[EDGE_POLYGON_0, EYE_OUTSIDE_1], block=2)
-@example(lines=[EYE_OUTSIDE_1, EDGE_POLYGON_0], block=2)
-@example(lines=[RECORD_0, EYE_OUTSIDE_1], block=2)
+@example(lines=[EDGE_POLYGON_0, RECORD_1], block=100, **LF)
+@example(lines=[EDGE_POLYGON_0, EYE_OUTSIDE_1], block=100, **LF)
+@example(lines=[EYE_OUTSIDE_1, EDGE_POLYGON_0], block=100, **LF)
+@example(lines=[RECORD_0, EYE_OUTSIDE_1], block=100, **LF)
 # a vertex of three coordinates and one of one
-@example(lines=[RECORD_0, RECORD_1.replace("[5, 5], [4, 6]", "[5, 5, 5], [4]")], block=2)
-def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block):
-    # blocks of 1 and 2 lines check one sidecar in several columns
+@example(lines=[RECORD_0, RECORD_1.replace("[5, 5], [4, 6]", "[5, 5, 5], [4]")], block=100, **LF)
+# CRLF, a last line with no newline, and the forms that are read line by line
+@example(lines=[RECORD_1, EDGE_POLYGON_0], block=1, **CRLF)
+@example(lines=[EDGE_POLYGON_0, RECORD_1], block=ingest.LANDMARK_BLOCK, newline="\n", final=False)
+@example(lines=[RECORD_0, RECORD_1], block=1, newline="\r\n", final=False)
+@example(lines=[RECORD_0, compact(json.loads(RECORD_1))], block=100, **LF)
+@example(lines=[reordered(json.loads(RECORD_0)), RECORD_1], block=100, **CRLF)
+@example(lines=[RECORD_0, extra_key(json.loads(RECORD_1))], block=100, **LF)
+# text before a record, and integers that _RECORD does not take
+@example(lines=[RECORD_1, RECORD_1 + " " + RECORD_0], block=100, **LF)
+@example(lines=[RECORD_0, RECORD_1.replace("[1, 1, 6, 6]", "[01, 1, 6, 6]")], block=100, **LF)
+@example(lines=[RECORD_0.replace("[0, 0, 8, 8]", "[-1, 0, 8, 8]"), RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0.replace('"frame": 0', '"frame": -0'), RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0, RECORD_1.replace('"frame": 1', f'"frame": {10**18}')], block=100, **LF)
+def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block, newline, final):
+    # blocks of 1 and 100 bytes decode one sidecar a line or two at a time
     path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes((newline.join(lines) + (newline if final else "")).encode("utf-8"))
     with mock.patch.object(ingest, "LANDMARK_BLOCK", block):
         try:
             want_bboxes, want_polygons = load_landmarks_by_line(path, 2, 8, 8)
@@ -781,6 +828,38 @@ def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block)
     assert bboxes.dtype == want_bboxes.dtype
     assert np.array_equal(bboxes, want_bboxes)
     assert polygons == want_polygons
+
+
+@pytest.mark.parametrize("polygons", [False, True])
+def test_landmarks_in_dumps_form_are_decoded_as_columns(tmp_path, polygons):
+    # write_landmarks' sidecar, and one with an eye and a mouth in every
+    # record, load without the line-by-line path; a compact copy of either
+    # loads through it to the same columns
+    n = 700  # several blocks
+    rng = np.random.default_rng(0)
+    boxes = np.column_stack([rng.integers(0, 4, (n, 2)), rng.integers(10, 20, (n, 2))])
+    path = tmp_path / "lm.jsonl"
+    write_landmarks(boxes, path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    if polygons:
+        for r in records:
+            x, y, w, h = r["bbox"]
+            r["eyes"] = [[[x, y], [x + w, y], [x + w // 2, y + h // 2]], []]
+            r["mouth"] = [[x + 1, y + h], [x + w, y + h], [x + w, y + 1], [x + 2, y + 2]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with mock.patch.object(ingest, "_line_by_line_columns", side_effect=AssertionError):
+        bboxes, shapes = load_landmarks(path, frame_count=n, width=24, height=24)
+    assert bboxes.dtype == np.int64 and bboxes.flags.c_contiguous
+    assert np.array_equal(bboxes, boxes)
+    assert shapes == {r["frame"]: (*r["eyes"], r["mouth"]) for r in records if polygons}
+    lines = path.read_text().splitlines()
+    path.write_text("".join(compact(json.loads(line)) + "\n" for line in lines))
+    with mock.patch.object(
+        ingest, "_line_by_line_columns", wraps=ingest._line_by_line_columns
+    ) as by_line:
+        again = load_landmarks(path, frame_count=n, width=24, height=24)
+    assert by_line.call_count == 1
+    assert np.array_equal(again[0], bboxes) and again[1] == shapes
 
 
 # ---------------------------------------------------------------------------
