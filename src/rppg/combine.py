@@ -142,8 +142,11 @@ def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
     n_cells = rows * cols
     counts = counts.reshape(n_frames, n_cells)
     filled = counts > 0
+    sums = sums.reshape(n_frames, n_cells, 3)
+    samples = np.empty((n_frames, n_cells, 3))
     with np.errstate(divide="ignore", invalid="ignore"):  # empty cells are fixed below
-        samples = sums.reshape(n_frames, n_cells, 3) / counts[..., None]
+        for c in range(3):  # a channel at a time: a broadcast's inner loop is 3 long
+            np.divide(sums[..., c], counts, out=samples[..., c])
     for i in np.flatnonzero(~filled.all(axis=0)):
         # carry the last filled sample forward (zeros before the first one)
         samples[~filled[:, i], i] = 0.0

@@ -13,13 +13,14 @@ Loading checks a recording's header and size (for a frame directory: its
 manifest, and that its first and last frames exist at the stated size) but
 reads no pixels: FrameSequence.frames is then a FrameReader, which reads
 frames[a:b] from disk when asked, so a pass over the recording in chunks
-holds one chunk at a time. A frame-directory chunk is read a file at a
-time: a file in write_ppm's header form by one os.open and os.readv (POSIX
-only) of its header and raster, the raster straight into the chunk, and
-any other file again by read_ppm, the one PPM parser. A frame-directory
-frame that is missing or mis-sized in mid-sequence is found when its chunk
-is read. Frames rendered in memory stay a plain ndarray; both answer
-frames[a:b] with a (b - a, h, w, 3) uint8 array.
+holds one chunk at a time. A frame-directory chunk opens its directory
+once and each file by its name in it (POSIX only): one os.readv a file
+lands its header in the chunk's header buffer and its raster straight in
+the chunk, and the headers and sizes are checked once a chunk. A file not
+in write_ppm's header form is read again by read_ppm, the one PPM parser.
+A frame-directory frame that is missing or mis-sized in mid-sequence is
+found when its chunk is read. Frames rendered in memory stay a plain
+ndarray; both answer frames[a:b] with a (b - a, h, w, 3) uint8 array.
 
 Landmarks ride in a JSON-lines sidecar, one record per frame:
 ``{"frame": i, "bbox": [x, y, w, h], "eyes": [[[x, y], ...], [...]],
@@ -28,9 +29,11 @@ but one or two vertices is malformed. load_landmarks returns its columns: an
 (n, 4) int64 bbox array in frame order, and a polygon map from each frame
 that has any polygon to its (eye, eye, mouth) vertex lists. A sidecar whose
 every line is a record as json.dumps writes it (write_landmarks' form) is
-decoded by one regex pass over blocks of lines and checked as integer
-columns; any other sidecar, or one that fails a check, is read line by line
-by json.loads, which gives the same columns or names the first fault.
+decoded a block of lines at a time: the block less its digits must be the
+records' skeleton, its integers are read by byte arithmetic, one to each
+slot of the skeleton, and they are checked as integer columns. Any other
+sidecar, or one that fails a check, is read line by line by json.loads,
+which gives the same columns or names the first fault.
 
 Ground truth is a two-column CSV with header ``time_s,value`` per signal
 (contact-PPG waveform or heart-rate numerics). read_two_column_csv, which
@@ -47,7 +50,7 @@ import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,34 @@ FRAME_NAME = re.compile(r"frame_(\d{6,})\.ppm")
 MANIFEST = "manifest.json"
 
 
+def _readv_dir(directory: str, names: list[str], heads: memoryview, raster: memoryview):
+    """The bytes that one os.readv of each named file in directory, opened
+    once, lands in its slice of heads and then of raster (each split into
+    len(names) equal slices); 0 where a file or the directory cannot be
+    opened or read."""
+    n = len(names)
+    hl, step = len(heads) // n, len(raster) // n
+    got = [0] * n
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError:
+        return got
+    try:
+        for j, name in enumerate(names):
+            try:
+                fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+                try:
+                    buffers = heads[j * hl : (j + 1) * hl], raster[j * step : (j + 1) * step]
+                    got[j] = os.readv(fd, buffers)
+                finally:
+                    os.close(fd)
+            except OSError:
+                pass
+    finally:
+        os.close(dir_fd)
+    return got
+
+
 def load_frame_dir(directory: Path) -> FrameSequence:
     directory = Path(directory)
     manifest_path = directory / MANIFEST
@@ -263,30 +294,27 @@ def load_frame_dir(directory: Path) -> FrameSequence:
         return frame
 
     # A file that write_ppm wrote is its header and raster: one readv lands
-    # the raster in the chunk. Any other file (another header form, a short
-    # one, one that cannot be read) is read again by read_frame, which
-    # parses it or raises its error.
+    # the header in the chunk's header buffer and the raster in the chunk,
+    # and the headers and sizes are checked once a chunk. Any other file
+    # (another header form, a short one, one that cannot be read) is read
+    # again by read_frame, which parses it or raises its error.
     header = _ppm_header(width, height)
     step = height * width * 3  # a frame's raster bytes
     size = len(header) + step
 
     def read(start: int, stop: int) -> np.ndarray:
-        frames = np.empty((stop - start, height, width, 3), dtype=np.uint8)
-        if start == stop:
+        n = stop - start
+        frames = np.empty((n, height, width, 3), dtype=np.uint8)
+        if n == 0:
             return frames  # a view with no bytes cannot be cast to one of bytes
         raster = memoryview(frames).cast("B")
-        head = bytearray(len(header))
-        for j in range(stop - start):
-            try:
-                fd = os.open(prefix + _frame_name(start + j), os.O_RDONLY)
-                try:
-                    got = os.readv(fd, (head, raster[j * step : (j + 1) * step]))
-                finally:
-                    os.close(fd)
-            except OSError:
-                got = 0
-            if got != size or head != header:
-                frames[j] = read_frame(start + j)
+        heads = bytearray(n * len(header))
+        names = [_frame_name(i) for i in range(start, stop)]
+        got = _readv_dir(base, names, memoryview(heads), raster)
+        if got.count(size) < n or heads != header * n:
+            for j in range(n):
+                if got[j] != size or heads[j * len(header) : (j + 1) * len(header)] != header:
+                    frames[j] = read_frame(start + j)
         return frames
 
     # The files must back the manifest: its first and last frames exist at
@@ -449,51 +477,106 @@ def _check_record(record, width: int, height: int, where: str):
     return frame
 
 
-# A record as json.dumps writes it: keys in order, ", " and ": " separators,
-# integers as JSON spells them below 10**18 (so that no column overflows
-# int64), each polygon a list of [x, y] pairs. ^ and $ (before a \n or at
-# the end) make each match one whole line, less a \r before its \n.
-_INT = rb"(?:0|[1-9][0-9]{0,17})"
-_POLYGON = rb"(\[(?:\[I, I\](?:, \[I, I\])*)?\])".replace(b"I", _INT)
-_RECORD = re.compile(
-    rb'^\{"frame": (I), "bbox": \[(I), (I), (I), (I)\], "eyes": \[P, P\], "mouth": P\}\r?$'
-    .replace(b"I", _INT)
+# A record as json.dumps writes it, less its digits (its skeleton): keys in
+# order, ", " and ": " separators, each polygon a list of [x, y] pairs. A
+# polygon's skeleton is 6 bytes a vertex ("[[, ], [, ]]"), or "[]". ^ and $
+# (before a \n or at the end) make each match one whole line, less a \r
+# before its \n.
+_TEMPLATE = b'{"frame": , "bbox": [, , , ], "eyes": [[], []], "mouth": []}\n'
+_POLYGON = rb"(\[(?:\[, \](?:, \[, \])*)?\])"
+_SKELETON = re.compile(
+    rb'^\{"frame": , "bbox": \[, , , \], "eyes": \[P, P\], "mouth": P\}\r?$'
     .replace(b"P", _POLYGON),
     re.MULTILINE,
 )
-_SPACES = bytes.maketrans(b"[],", b"   ")  # a polygon's text to its integers
+_DIGITS = b"0123456789"
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _slots(skeleton: bytes) -> np.ndarray:
+    """The offsets in a skeleton of the records above at which their
+    integers go: the " " or "[" before each "," and the " " before each "]"."""
+    s = np.frombuffer(skeleton, np.uint8)
+    before, after = s[:-1], s[1:]
+    comma, space = after == ord(","), before == ord(" ")
+    slot = (comma & (space | (before == ord("[")))) | (space & (after == ord("]")))
+    return np.flatnonzero(slot) + 1
+
+
+_TEMPLATE_SLOTS = _slots(_TEMPLATE)
+
+
+def _integers(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 value of each run of ASCII digits in text, and the offset
+    of each in text's skeleton (text less its digits). A run must spell an
+    integer as JSON does, below 10**18 so that no column overflows int64,
+    else ValueError."""
+    digits = np.frombuffer(text, np.uint8) - 48  # wraps: below 10 for "0"-"9" only
+    at = np.flatnonzero(digits < 10)
+    digits = digits[at]
+    edge = np.empty(at.size + 1, bool)  # where a run starts, and the end
+    edge[0] = edge[-1] = True
+    np.not_equal(at[1:], at[:-1] + 1, out=edge[1:-1])
+    edge = np.flatnonzero(edge)
+    first, length = edge[:-1], np.diff(edge)
+    _require(length.max(initial=0) <= 18 and ((digits[first] != 0) | (length == 1)).all())
+    place = np.repeat(edge[1:], length) - np.arange(1, at.size + 1)  # from the run's end
+    return np.add.reduceat(_POW10[place] * digits, first), at[first] - first
 
 
 def _dumps_form_columns(data: bytes, frame_count: int, width: int, height: int):
     """The (frame_count, 4) bboxes in frame order and the polygon map of a
-    sidecar whose every line is a record in json.dumps' form, decoded by
-    _RECORD a block of lines at a time and checked as integer columns.
-    Raises ValueError where a line is in another form or a check fails."""
+    sidecar whose every line is a record in json.dumps' form, decoded a
+    block of lines at a time: the block's skeleton is checked line by line,
+    each of its integers must fill one slot of it, and they are checked as
+    columns. Raises ValueError where a line is in another form or a check
+    fails."""
     _require(data.count(b"\n") + (not data.endswith(b"\n")) == frame_count)
     cols = np.empty((frame_count, 5), np.int64)  # frame, x, y, w, h
     polygons = {}
     pos = row = 0
     while pos < len(data):
         end = data.find(b"\n", pos + LANDMARK_BLOCK - 1) + 1 or len(data)
-        rows = _RECORD.findall(data, pos, end)
-        _require(rows)
-        frame, x, y, w, h, *shapes = zip(*rows)
-        block = np.fromstring(b" ".join(chain(frame, x, y, w, h)), np.int64, sep=" ")
-        block = block.reshape(5, len(rows)).T
-        _require((block[:, 3:] <= (width, height) - block[:, 1:3]).all())
-        if max(map(len, chain(*shapes))) > 2:  # a polygon other than "[]"
-            text = b",".join(chain.from_iterable(zip(*shapes)))
-            poly = json.loads(b"[%b]" % text)  # each record's eye, eye and mouth
-            counts = np.fromiter(map(len, poly), np.intp, len(poly)).reshape(-1, 3)
-            _require(((counts == 0) | (counts >= 3)).all())
-            xy = np.fromstring(text.translate(_SPACES), np.int64, sep=" ").reshape(-1, 2)
-            box = np.repeat(block[:, 1:], counts.sum(1), axis=0)
+        text = data[pos:end]
+        skeleton = text.translate(None, _DIGITS)
+        n = len(skeleton) // len(_TEMPLATE)
+        if skeleton == _TEMPLATE * n:  # n polygon-free lines, each ending in \n
+            slots = (np.arange(n)[:, None] * len(_TEMPLATE) + _TEMPLATE_SLOTS).ravel()
+            vertices = np.zeros((n, 3), np.intp)
+        else:
+            n = text.count(b"\n") + (not text.endswith(b"\n"))
+            shapes = _SKELETON.findall(skeleton)
+            _require(len(shapes) == n)
+            slots = _slots(skeleton)
+            vertices = np.fromiter(map(len, chain.from_iterable(shapes)), np.intp, 3 * n)
+            vertices = vertices.reshape(n, 3) // 6
+            _require(((vertices == 0) | (vertices >= 3)).all())
+        ints, offsets = _integers(text)
+        _require(np.array_equal(offsets, slots))
+        if not vertices.any():
+            block = ints.reshape(n, 5)
+        else:
+            # each line's frame and bbox, then its vertices' x and y in turn
+            per_line = vertices.sum(1)
+            runs = 5 + 2 * per_line
+            head = (np.cumsum(runs) - runs)[:, None] + np.arange(5)
+            block = ints[head]
+            vertex = np.ones(ints.size, bool)
+            vertex[head] = False
+            xy = ints[vertex].reshape(-1, 2)
+            box = np.repeat(block[:, 1:], per_line, axis=0)
             _require(((box[:, :2] <= xy) & (xy <= box[:, :2] + box[:, 2:])).all())
-            triples = zip(block[:, 0].tolist(), zip(poly[0::3], poly[1::3], poly[2::3]))
-            polygons.update(compress(triples, counts.any(1).tolist()))
-        cols[row : row + len(rows)] = block
-        pos, row = end, row + len(rows)
-    _require(row == frame_count)  # each line holds one record
+            # a line's polygons are xy[a:b], xy[b:c] and xy[c:d]
+            ends = np.cumsum(vertices).reshape(n, 3)
+            bounds = np.column_stack([ends[:, 2] - per_line, ends])
+            have = vertices.any(1)
+            xy = xy.tolist()
+            for frame, (a, b, c, d) in zip(block[have, 0].tolist(), bounds[have].tolist()):
+                polygons[frame] = (xy[a:b], xy[b:c], xy[c:d])
+        _require((block[:, 3:] <= (width, height) - block[:, 1:3]).all())
+        cols[row : row + n] = block
+        pos, row = end, row + n
+    _require(row == frame_count)  # an empty file counts one line, and has no block
     order = np.argsort(cols[:, 0])
     _require((cols[order, 0] == np.arange(frame_count)).all())
     return cols[order, 1:], polygons
@@ -504,27 +587,48 @@ def _line_by_line_columns(path: Path, text: str, frame_count: int, width: int, h
     records on text's non-blank lines, each read by json.loads and checked by
     _check_record; DataFormatError names the first faulty line, or the
     frames not covered."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # no more records than characters: a frame count past that is not covered
+    bboxes = np.empty((min(frame_count, len(text)), 4), np.int64)
+    seen, others = bytearray(len(bboxes)), set()  # frames past bboxes, if any
+    polygons = {}
+    lineno = pos = 0
+    while pos < len(text):
+        # a block of whole lines: a cut after a \n splits lines as
+        # str.splitlines splits the whole text
+        end = text.find("\n", pos + LANDMARK_BLOCK - 1) + 1 or len(text)
+        frames, boxes = [], []
+        for line in text[pos:end].splitlines():
+            if not line.strip():
+                continue
+            lineno += 1
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
+            frame = _check_record(record, width, height, where)
+            inside = 0 <= frame < len(seen)
+            if seen[frame] if inside else frame in others:
+                raise DataFormatError(f"{where}: duplicate record for frame {frame}")
+            if inside:
+                seen[frame] = 1
+                frames.append(frame)
+                boxes.append(record["bbox"])
+            else:
+                others.add(frame)
+            if record["eyes"] != [[], []] or record["mouth"] != []:
+                polygons[frame] = (*record["eyes"], record["mouth"])
+        if frames:
+            bboxes[frames] = boxes
+        pos = end
+    if not lineno:
         raise DataFormatError(f"{path}: no landmark records")
-    bboxes, polygons = {}, {}
-    for lineno, line in enumerate(lines, start=1):
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"{where}: bad JSON: {exc}") from exc
-        frame = _check_record(record, width, height, where)
-        if frame in bboxes:
-            raise DataFormatError(f"{where}: duplicate record for frame {frame}")
-        bboxes[frame] = record["bbox"]
-        if record["eyes"] != [[], []] or record["mouth"] != []:
-            polygons[frame] = (*record["eyes"], record["mouth"])
-    if len(bboxes) != frame_count or sorted(bboxes) != list(range(frame_count)):
+    if others or seen.count(0) or len(seen) < frame_count:
+        records = len(seen) - seen.count(0) + len(others)
         raise DataFormatError(
-            f"{path}: {len(bboxes)} records do not cover frames 0..{frame_count - 1}"
+            f"{path}: {records} records do not cover frames 0..{frame_count - 1}"
         )
-    return np.array([bboxes[i] for i in range(frame_count)], np.int64), polygons
+    return bboxes, polygons
 
 
 def load_landmarks(

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import struct
 from unittest import mock
 
@@ -450,6 +452,42 @@ def test_frame_dir_chunks_match_the_file_by_file_oracle(tmp_path_factory, case):
             assert np.array_equal(got, seq.frames[start:stop])
 
 
+def open_fds() -> int | None:
+    """The process's open file descriptors, where /proc lists them (Linux)."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_frame_dir_chunk_reads_odd_files_as_read_ppm_does_and_closes_its_fds(tmp_path, monkeypatch):
+    # a chunk holding a file in another header form, a short file and a
+    # missing one: each is read, or its error raised, as read_frame reads
+    # it, and no fd of the chunk's directory or files stays open
+    seq = FrameSequence(frames=rand_frames(np.random.default_rng(7), n=6, h=4, w=5), fps=10.0)
+    d = tmp_path / "frames"
+    write_frame_dir(seq, d)
+    other = d / "frame_000001.ppm"
+    other.write_bytes(FRAME_FILES["comments"](seq.frames[1], 0))
+    loaded = load_frame_dir(d)
+    calls = []
+    monkeypatch.setattr(ingest, "read_ppm", lambda path: calls.append(path) or read_ppm(path))
+    fds = open_fds()
+    assert np.array_equal(loaded.frames[:], seq.frames) and calls == [str(other)]
+    assert open_fds() == fds
+    (d / "frame_000003.ppm").write_bytes(ppm_bytes(seq.frames[3])[:-2])
+    (d / "frame_000004.ppm").unlink()
+    for start, stop in ((0, 6), (4, 6)):
+        with pytest.raises(errors.ToolkitError) as want:
+            read_frame_dir_by_files(d, start, stop)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            loaded.frames[start:stop]
+        assert open_fds() == fds
+    # a directory that is gone: the first frame's error, as read_ppm gives it
+    d.rename(tmp_path / "moved")
+    first = re.escape(str(d / "frame_000000.ppm"))
+    with pytest.raises(errors.MissingInputError, match=f"^{first}: cannot be read"):
+        loaded.frames[0:2]
+    assert open_fds() == fds
+
+
 FRAME_DIR_FIELDS = {
     "fps": ["30.0", "12.5", "0", "25"],
     "width": ["8", "4"],
@@ -806,12 +844,24 @@ LF, CRLF = {"newline": "\n", "final": True}, {"newline": "\r\n", "final": True}
 @example(lines=[RECORD_0, compact(json.loads(RECORD_1))], block=100, **LF)
 @example(lines=[reordered(json.loads(RECORD_0)), RECORD_1], block=100, **CRLF)
 @example(lines=[RECORD_0, extra_key(json.loads(RECORD_1))], block=100, **LF)
-# text before a record, and integers that _RECORD does not take
+# text before a record, and integers that the column decode does not take
 @example(lines=[RECORD_1, RECORD_1 + " " + RECORD_0], block=100, **LF)
 @example(lines=[RECORD_0, RECORD_1.replace("[1, 1, 6, 6]", "[01, 1, 6, 6]")], block=100, **LF)
 @example(lines=[RECORD_0.replace("[0, 0, 8, 8]", "[-1, 0, 8, 8]"), RECORD_1], block=100, **LF)
 @example(lines=[RECORD_0.replace('"frame": 0', '"frame": -0'), RECORD_1], block=100, **LF)
 @example(lines=[RECORD_0, RECORD_1.replace('"frame": 1', f'"frame": {10**18}')], block=100, **LF)
+# what only the skeleton check (the lines less their digits) can get wrong:
+# an empty slot, alone or with its digit moved into a key or an empty
+# polygon, and two integers in one slot
+@example(lines=[RECORD_0.replace('"frame": 0', '"frame": '), RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0.replace('{"frame": 0', '{"fr0ame": '), RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0.replace('"frame": 0', '"frame": ').replace("[[], []]", "[[0], []]"), RECORD_1], block=1, **LF)
+@example(lines=[RECORD_0, RECORD_1.replace("[1, 1, 6, 6]", "[1, 1 1, 6, 6]")], block=100, **LF)
+# polygons of 1, 2 and 3 vertices in one record
+@example(lines=[RECORD_0, RECORD_1.replace("[[], []]", "[[[2, 2]], [[2, 2], [3, 3]]]")], block=100, **LF)
+# a block edge inside a polygon line, and a polygon-free block then a polygon block
+@example(lines=[RECORD_0, RECORD_1], block=100, **LF)
+@example(lines=[RECORD_0, RECORD_1], block=1, **LF)
 def test_landmarks_match_the_line_by_line_oracle(tmp_path_factory, lines, block, newline, final):
     # blocks of 1 and 100 bytes decode one sidecar a line or two at a time
     path = tmp_path_factory.mktemp("marks") / "lm.jsonl"
