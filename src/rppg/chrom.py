@@ -8,9 +8,10 @@ alpha ratio adapts the specular/skin-tone rejection to the actual window.
 The extraction is batched over k time-major traces, (n, k, 3), pyVHR's
 multi-patch layout as the pooling yields it: Xs and Ys are written into one
 (2, n, k) array, which the band-pass reads, transposed, into its filter
-buffer. The traces are the grid cells of one window (GridTraces.waveforms),
-or the RGB traces of every window of a recording (run_pipeline). They are
-independent: a waveform is bit-identical to a one-trace (n, 1, 3) call.
+buffer. The traces are the grid cells of a batch of windows
+(GridTraces.waveforms), or the RGB traces of a block of windows
+(run_pipeline). They are independent: a waveform is bit-identical to a
+one-trace (n, 1, 3) call.
 """
 
 from __future__ import annotations

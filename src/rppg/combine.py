@@ -8,10 +8,14 @@
   with weak diffuse reflection (strong melanin attenuation or specular
   pollution) from diluting the pulse before inference.
 
-Grid cells are handled as one time-major (n_frames, n_cells, 3) block per
-window, not cell by cell, in the frame order pool_cells yields: one batched
-CHROM (GridTraces.waveforms, (n_cells, n_frames)), one periodogram and one
-SNR pass give the weights, and snr reuses those same waveforms.
+Grid cells are handled as one time-major (n_frames, n_cells, 3) block, not
+cell by cell, in the frame order pool_cells yields. A block holds the cells
+of one window, or of a batch of windows side by side (the pipeline's
+CELL_BLOCK): one batched CHROM (GridTraces.waveforms, (n_cells, n_frames)),
+one periodogram and one SNR pass give the weights, which each window then
+normalizes over its own cells, and snr reuses those same waveforms through
+each window's slice of the block (GridTraces[cells]). Rows are independent
+in all three, so a window's weights do not depend on its batch.
 The periodogram is heartrate's, the one the window rates are read from,
 as are the SNR's band and half-width (PASSBAND_HZ, SNR_HALFWIDTH_HZ).
 
@@ -134,10 +138,20 @@ class GridTraces:
         ok (n_cells,)); a cell with a zero channel mean has ok False."""
         return chrom_rows(self.samples, self.fps)
 
+    def __getitem__(self, cells: slice) -> GridTraces:
+        """The traces of a run of cells, such as one window of a batch, as
+        views that share this block's waveforms (set in the slice's cache,
+        as cached_property would)."""
+        part = GridTraces(samples=self.samples[:, cells], live=self.live[cells], fps=self.fps)
+        waves, ok = self.waveforms
+        vars(part)["waveforms"] = waves[cells], ok[cells]
+        return part
+
 
 def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
     """Mean masked RGB per grid cell and frame, from pool_cells's RGB sums
-    (t, rows, cols, 3) and pixel counts (t, rows, cols) (views) over a grid's edges."""
+    (t, rows, cols, 3) and pixel counts (t, rows, cols) (views) over a grid's
+    edges, or over the grids of a batch of windows stacked along the rows."""
     n_frames, rows, cols = counts.shape
     n_cells = rows * cols
     counts = counts.reshape(n_frames, n_cells)
@@ -155,36 +169,38 @@ def grid_traces(sums: np.ndarray, counts: np.ndarray, fps: float) -> GridTraces:
     return GridTraces(samples=samples, live=filled[0], fps=fps)
 
 
-def snr_weights(traces: GridTraces) -> np.ndarray:
-    """Two-harmonic SNR per live cell, normalized to sum to one.
+def snr_weights(traces: GridTraces, cells: int | None = None) -> np.ndarray:
+    """Two-harmonic SNR per live cell, normalized to sum to one in each window.
 
-    The live cells' CHROM waveforms get one batched periodogram; each cell's
-    SNR is taken on that spectrum around the cell's own dominant peak in
-    PASSBAND_HZ. Cells without usable spectra (zero channel mean, no in-band
-    power, zero total power) get weight zero; if no cell produces any SNR
-    the live cells share the weight evenly (no spectral evidence to prefer
-    one over another).
+    traces holds the cells of one window, or of a batch of windows of cells
+    cells each, side by side (cells None: one window). The live cells'
+    CHROM waveforms get one batched periodogram; each cell's SNR is taken on
+    that spectrum around the cell's own dominant peak in PASSBAND_HZ. Cells
+    without usable spectra (zero channel mean, no in-band power, zero total
+    power) get weight zero; if no cell of a window produces any SNR, its
+    live cells share the weight evenly (no spectral evidence to prefer one
+    over another). A window with no live cell raises RegionError.
     """
-    if not traces.live.any():
+    live = traces.live.reshape(-1, cells or traces.n_cells)
+    n_live = live.sum(axis=1, keepdims=True)
+    if not n_live.all():
         raise RegionError("every grid cell is empty in the first frame")
     waves, ok = traces.waveforms
-    cells = np.flatnonzero(traces.live & ok)
-    w = np.zeros(traces.n_cells)
-    if cells.size:
-        freqs, power = periodogram(waves if cells.size == w.size else waves[cells], traces.fps)
+    usable = np.flatnonzero(traces.live & ok)
+    w = np.zeros(live.shape)
+    if usable.size:
+        freqs, power = periodogram(waves if usable.size == w.size else waves[usable], traces.fps)
         in_band = _band(freqs, *PASSBAND_HZ)
         band_power = power[:, in_band]
         peak = band_power.argmax(axis=1)
-        has_peak = band_power[np.arange(cells.size), peak] > 0.0
+        has_peak = band_power[np.arange(usable.size), peak] > 0.0
         # every row's SNR (each row's is its own), so that no row is copied;
         # a row with no in-band power keeps weight zero
         snr = harmonic_snr(freqs, power, freqs[in_band][peak])
-        w[cells] = np.where(has_peak, snr, 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        w[traces.live] = 1.0 / int(traces.live.sum())
-        return w
-    return w / total
+        w.flat[usable] = np.where(has_peak, snr, 0.0)
+    total = w.sum(axis=1, keepdims=True)
+    even = total <= 0.0
+    return np.where(even, live / n_live, w / np.where(even, 1.0, total)).ravel()
 
 
 def diffuse_weights(sums: np.ndarray, mins: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -26,10 +26,10 @@ that chrom_rows has passed (fps > 7 Hz, >= 2 s), so they reach fps / 2 >
 analysis band always holds bins, and select_hr and snr_weights trust that.
 
 Cells and windows share one spectral core: periodogram and harmonic_snr
-work on a leading row axis, so the spectra of all grid cells of a window,
-and of all windows of a recording (of one length, WindowPlan.frame_slices),
-are each taken in one call, (n_rows, n). suppress_artifacts and select_hr
-then work on one (freqs, power) row; two_harmonic_snr is the one-row case.
+work on a leading row axis, so the spectra of all grid cells of a batch of
+windows (of one length, WindowPlan.frame_slices) are taken in one call,
+(n_rows, n). suppress_artifacts and select_hr then work on one (freqs,
+power) row; two_harmonic_snr is the one-row case.
 """
 
 from __future__ import annotations

@@ -20,21 +20,33 @@ frames (see DIFFUSE_STRIDE) in one call and pools it through the same
 function and masks into the windows that hold them; diffuse_weights reads
 the diffuse sums from those and the sampled frames' RGB sums and counts
 (the CLI's --dump-diffuse separates every frame after the pass). Nothing
-the pass pools is float, so every sum is exact. A window is finished
-(traces, weights, combination) as soon as its last frame is read, and its
-sums are dropped, so peak memory is one chunk plus the per-frame cell sums
-of the open windows, whatever the length of the recording. Per-frame sums
-do not depend on how the frames are chunked, so every result is that of
-pooling each window whole.
+the pass pools is float, so every sum is exact. Per-frame sums do not
+depend on how the frames are chunked, so every result is that of pooling
+each window whole.
+
+A window is finished (traces, weights, combination) once its last frame is
+read: aggregate's at once, a grid window's (snr, proposed) in a cell batch.
+A closed grid window's sums wait in the open batch, which is finished when
+it holds as many whole windows as CELL_BLOCK cells take (at least one, so
+an 8x8 window is a batch of its own). The batch's cells, side by side, go
+through one grid_traces, one CHROM, one periodogram and one SNR pass
+(snr_weights); each window then normalizes its own weights and is combined
+alone, in window order. Rows are independent in those passes, so a
+window's results do not depend on its batch. If the pass fails (a missing
+or malformed frame file), the batch's windows are finished first, so a
+window's own error comes before a fault in a later frame. Each window's
+sums are dropped once it is finished, so peak memory is one chunk plus the
+per-frame cell sums of the open windows and of one batch, whatever the
+length of the recording.
 
 Traces stay time-major, as the pass pools them: a window's sums reach
-grid_traces as views, and its RGB trace is (n, 3). Every window has the
-same number of frames, so the RGB traces of aggregate and proposed go
-through one chrom_rows call per WINDOW_BLOCK windows, (n, k, 3), and the
-pulse waveforms of all three methods through one estimate_video_hr call
-per block, (k, n), which takes their periodograms one window at a time.
-Rows are independent, so the rates do not depend on the blocking; the
-video rate is the mean over every window.
+grid_traces as views (a batch's as one copy), and its RGB trace is (n, 3).
+Every window has the same number of frames, so the RGB traces of aggregate
+and proposed go through one chrom_rows call per WINDOW_BLOCK windows,
+(n, k, 3), and the pulse waveforms of all three methods through one
+estimate_video_hr call per block, (k, n), which takes their periodograms
+one window at a time. Rows are independent, so the rates do not depend on
+the blocking; the video rate is the mean over every window.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from .combine import (
 )
 from .config import REPORT_SCHEMA_VERSION, RunConfig
 from .diffuse import frame_chunks, min_channel
-from .errors import SignalError, UsageError
+from .errors import RegionError, SignalError, ToolkitError, UsageError
 from .heartrate import estimate_video_hr, plan_windows
 from .ingest import FrameSequence, smooth_bboxes
 from .roi import build_grid, build_mask
@@ -79,6 +91,14 @@ DIFFUSE_STRIDE = 16
 # block's, so this stage too is bounded by the window length, not the
 # recording's.
 WINDOW_BLOCK = 8
+# Cells per batch of closed grid windows (snr, proposed): a batch holds as
+# many whole windows as fit, and at least one, so a window of more cells
+# (the default 8x8 grid) is a batch of its own. A batch's cells take one
+# grid_traces, one CHROM and one snr_weights call, whose fixed cost a
+# small-grid window would otherwise pay alone; the rows and spectra alive
+# are one batch's. 24 takes a 30 s recording's five 2x2 windows at once
+# and peaks lower than 32 on longer ones, at the same speed.
+CELL_BLOCK = 24
 
 
 @dataclass
@@ -198,34 +218,75 @@ def run_pipeline(
     if cfg.method == "proposed":
         stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
 
-    rows: list[np.ndarray] = []
+    cells = cfg.grid_rows * cfg.grid_cols  # per grid window
+    rows: list[np.ndarray] = []  # pulse rows not yet rated, fewer than WINDOW_BLOCK
     waves: list[np.ndarray] = []
     bpm: list[float] = []
     weight_log: list[dict] = []
-    window_sums = _window_sums(seq, bboxes, polygons, slices, grids, stride)
-    for i, (pooled, mins) in enumerate(window_sums):
-        start_s = plan.starts[i]
-        sums, counts = pooled[..., :3], pooled[..., -1]
-        if cfg.method == "aggregate":
-            rows.append(facial_aggregate(sums, counts))
-        else:
-            traces = grid_traces(sums, counts, seq.fps)
-            w_snr = snr_weights(traces)
+
+    def rate():
+        block_waves, block_bpm = _block_rates(rows, len(bpm), plan.starts, cfg, seq.fps)
+        waves.extend(block_waves)
+        bpm.extend(block_bpm)
+        rows.clear()
+
+    def add_row(row: np.ndarray):
+        rows.append(row)
+        if len(rows) == WINDOW_BLOCK:
+            rate()
+
+    def finish(batch: list):
+        """Traces, weights and combination of a batch of closed grid windows
+        [(index, pooled, mins)]: their cells side by side take one grid_traces
+        and one snr_weights call, and each window its own combination, in
+        window order."""
+        sums = batch[0][1] if len(batch) == 1 else np.concatenate([b[1] for b in batch], axis=1)
+        traces = grid_traces(sums[..., :3], sums[..., -1], seq.fps)
+        try:
+            w_batch = snr_weights(traces, cells)
+        except RegionError:
+            if len(batch) == 1:
+                raise
+            # a window with no live cell: one window at a time, so that an
+            # earlier window's own error is raised first
+            for window in batch:
+                finish([window])
+            return
+        for j, (i, pooled, mins) in enumerate(batch):
+            part = slice(j * cells, (j + 1) * cells)
+            window, w_snr = traces[part], w_batch[part]
+            entry = {"start_s": plan.starts[i], "snr": w_snr.tolist()}
             if cfg.method == "snr":
-                rows.append(combine_benchmark_snr(traces, w_snr))
-                weight_log.append({"start_s": start_s, "snr": w_snr.tolist()})
+                row = combine_benchmark_snr(window, w_snr)
             else:
                 rgb = pooled[-slices[i].start % stride :: stride]  # the sampled frames' sums
                 w_dif = diffuse_weights(rgb[..., :3], mins[..., 0], rgb[..., -1])
-                rows.append(combine_proposed(traces, w_snr, w_dif))
-                weight_log.append(
-                    {"start_s": start_s, "snr": w_snr.tolist(), "diffuse": w_dif.tolist()}
-                )
-        if len(rows) == WINDOW_BLOCK or i == len(slices) - 1:
-            block_waves, block_bpm = _block_rates(rows, len(bpm), plan.starts, cfg, seq.fps)
-            waves.extend(block_waves)
-            bpm.extend(block_bpm)
-            rows = []
+                row = combine_proposed(window, w_snr, w_dif)
+                entry["diffuse"] = w_dif.tolist()
+            weight_log.append(entry)
+            add_row(row)
+
+    batch: list = []  # closed grid windows not yet finished
+    per_batch = max(1, CELL_BLOCK // cells)
+    try:
+        for i, (pooled, mins) in enumerate(_window_sums(seq, bboxes, polygons, slices, grids, stride)):
+            if cfg.method == "aggregate":
+                add_row(facial_aggregate(pooled[..., :3], pooled[..., -1]))
+            else:
+                batch.append((i, pooled, mins))
+                if len(batch) == per_batch:
+                    closed, batch = batch, []
+                    finish(closed)
+    except (ToolkitError, OSError):
+        # a fault of the pass (a missing or malformed frame file) comes after
+        # the errors of the windows closed before it
+        if batch:
+            finish(batch)
+        raise
+    if batch:
+        finish(batch)
+    if rows:
+        rate()
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from rppg.chrom import chrom_rows
 from rppg.combine import (
     cell_indicators,
+    combine_benchmark_snr,
+    combine_proposed,
     diffuse_weights,
     facial_aggregate,
     grid_traces,
     pool_cells,
+    snr_weights,
 )
 from rppg.errors import DataFormatError, SignalError, reading
 from rppg.heartrate import (
@@ -25,9 +28,12 @@ from rppg.heartrate import (
     _bandpass_step,
     _sosfilt_zi,
     bandpass_series,
+    estimate_video_hr,
+    plan_windows,
 )
 from rppg.ingest import _PPM_HEADER, FrameSequence, read_ppm, read_text
-from rppg.roi import build_mask, rasterize_polygon
+from rppg.pipeline import DIFFUSE_STRIDE
+from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import PulseWaveform
 
 
@@ -207,6 +213,38 @@ def diffuse_weights_of(frames, edges, masks) -> np.ndarray:
     """diffuse_weights of diffuse_sums_of's exact sums: the pass pools the
     same integers, so this is the pass's result bit for bit."""
     return diffuse_weights(*diffuse_sums_of(frames, masks, edges))
+
+
+def run_pipeline_by_windows(seq: FrameSequence, bboxes, cfg, polygons=None):
+    """run_pipeline's result for a grid method (snr, proposed), one window at
+    a time, as the pipeline finished windows before it batched their cells:
+    each window's frames pooled whole under their pixel masks, then
+    grid_traces -> snr_weights -> combine_benchmark_snr or combine_proposed
+    (with the diffuse weights of the window's DIFFUSE_STRIDE sample) -> a
+    one-row CHROM for proposed -> the window's rate. Returns the report's
+    windows, its video_bpm, the weight log and the waveforms (rows)."""
+    plan = plan_windows(seq.duration_s, cfg.window_s, cfg.hop_s)
+    slices = plan.frame_slices(seq.fps, seq.count)
+    masks = pixel_masks(bboxes, seq.width, seq.height, polygons)
+    stride = min(DIFFUSE_STRIDE, slices[0].stop - slices[0].start)
+    windows, log, waves = [], [], []
+    for start_s, sl in zip(plan.starts, slices):
+        grid = build_grid(bboxes[sl.start], cfg.grid_rows, cfg.grid_cols)
+        traces = grid_traces_of(seq.frames[sl], masks[sl], grid, seq.fps)
+        w_snr = snr_weights(traces)
+        entry = {"start_s": start_s, "snr": w_snr.tolist()}
+        if cfg.method == "snr":
+            wave = combine_benchmark_snr(traces, w_snr)
+        else:
+            rows = range(seq.count)[sl][-sl.start % stride :: stride]
+            w_dif = diffuse_weights_of(seq.frames[rows], grid, masks[rows])
+            wave = chrom_one(combine_proposed(traces, w_snr, w_dif), seq.fps).samples
+            entry["diffuse"] = w_dif.tolist()
+        log.append(entry)
+        waves.append(wave)
+        [bpm] = estimate_video_hr(wave[None], seq.fps, cfg.notch_hz)
+        windows.append({"start_s": start_s, "bpm": bpm})
+    return windows, float(np.mean([w["bpm"] for w in windows])), log, waves
 
 
 # The spectral path with its copies: heartrate's periodogram and band-pass

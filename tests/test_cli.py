@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rppg
-from rppg import cli, diffuse
+from rppg import cli, diffuse, pipeline
 from rppg.biophysics import MAX_GAIN, MAX_MELANIN_POINTS, CameraNoiseParams, SkinParams, Sweep
 from rppg.cli import build_parser, main
 from rppg.config import RunConfig
@@ -510,6 +510,37 @@ def test_empty_region_exits_6(dataset, tmp_path):
     marks = tmp_path / "covered.jsonl"
     marks.write_text("".join(json.dumps({"frame": i, **record}) + "\n" for i in range(360)))
     assert main(["estimate", "--frames", dataset["frames"], "--landmarks", str(marks)]) == 6
+
+
+@pytest.mark.parametrize("method", ["snr", "proposed"])
+def test_a_window_error_comes_before_a_later_missing_frame(tmp_path, capsys, method):
+    # A 2x2 grid finishes its five 10 s windows in one cell batch. Window 0
+    # has no live cell (a mouth polygon covers frame 0's bbox), and a frame
+    # of window 1, read in a later pass chunk than window 0's last frame,
+    # is missing: window 0's own error wins (exit 6), as when each window was
+    # finished on its last frame. A missing frame inside window 0 comes
+    # first (exit 3).
+    scene = SynthScene(width=24, height=24, fps=30.0, duration_s=30.0, seed=4)
+    paths = write_scene_dataset(scene, tmp_path / "scene", layout="ppm")
+    lines = paths["landmarks"].read_text().splitlines()
+    first = json.loads(lines[0])
+    x, y, w, h = first["bbox"]
+    first["mouth"] = [[x, y], [x + w, y], [x + w, y + h], [x, y + h]]
+    paths["landmarks"].write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    argv = [
+        "estimate", "--frames", str(paths["frames"]), "--landmarks", str(paths["landmarks"]),
+        "--method", method, "--grid-rows", "2", "--grid-cols", "2", "--out", str(tmp_path / "r.json"),
+    ]
+    chunk = frame_chunks(1, 24, 24, pipeline.PASS_CHUNKS)[0].stop
+    assert 299 // chunk < 400 // chunk  # window 0 ends a chunk before the hole
+    (paths["frames"] / "frame_000400.ppm").unlink()
+    capsys.readouterr()
+    assert main(argv) == 6
+    assert capsys.readouterr().err == "rppg: error: every grid cell is empty in the first frame\n"
+    (paths["frames"] / "frame_000100.ppm").unlink()
+    assert main(argv) == 3
+    assert "frame_000100.ppm" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_signal_error_exits_7(dataset):

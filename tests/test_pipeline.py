@@ -9,7 +9,7 @@ from rppg.config import RunConfig
 from rppg.diffuse import CHUNK_PLANE_BYTES, frame_chunks, min_channel
 from rppg import diffuse, pipeline
 from rppg.chrom import chrom_rows
-from rppg.errors import GeometryError, SignalError, UsageError
+from rppg.errors import GeometryError, RegionError, SignalError, UsageError
 from rppg.ingest import FrameReader, FrameSequence
 from rppg.pipeline import run_pipeline
 from rppg.roi import build_grid
@@ -22,6 +22,7 @@ from helpers import (
     mixed_frames,
     pixel_masks,
     pulsed_sequence,
+    run_pipeline_by_windows,
 )
 
 
@@ -217,6 +218,72 @@ def test_window_rows_equal_one_row_chrom_calls(fps):
         assert ok[0] and np.array_equal(wave.samples, one[0])
 
 
+@pytest.fixture(scope="module")
+def batch_scene():
+    """38 s of noisy pulsed 24x24 frames under a moving 16x17 bbox: 35
+    windows of 4 s hopped every second."""
+    seq = pulsed_sequence(n=1140, h=24, w=24, noise=3.0, seed=11)
+    t = np.arange(seq.count) / seq.fps
+    bboxes = np.stack(
+        [
+            3 + np.rint(3 * np.sin(2 * np.pi * t / 7)),
+            3 + np.rint(2 * np.cos(2 * np.pi * t / 5)),
+            np.full(t.size, 16),
+            np.full(t.size, 17),
+        ],
+        axis=1,
+    ).astype(np.int64)
+    return seq, bboxes
+
+
+@pytest.mark.parametrize("method", ["snr", "proposed"])
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 8])
+def test_cell_batches_equal_finishing_each_window_alone(batch_scene, method, grid):
+    # Windows are finished CELL_BLOCK cells at a time, so from one window
+    # (4x4, 8x8) to CELL_BLOCK windows (1x1) share a grid_traces, CHROM and
+    # snr_weights call, and the last batch of the 35 holds fewer. Every
+    # window's weights, waveform and rate are those of finishing it alone,
+    # bit for bit. Every third window's first frame has a hole over its
+    # grid's cell 0, so that cell is dead in that window (not at 1x1, where
+    # the window would have no live cell).
+    seq, bboxes = batch_scene
+    cfg = RunConfig(method=method, window_s=4.0, hop_s=1.0, grid_rows=grid, grid_cols=grid)
+    slices = pipeline.plan_windows(seq.duration_s, 4.0, 1.0).frame_slices(seq.fps, seq.count)
+    per_batch = max(1, pipeline.CELL_BLOCK // grid**2)
+    assert len(slices) == 35 and (per_batch == 1 or 35 % per_batch)
+    polygons = {}
+    for sl in slices[:: 3] if grid > 1 else ():
+        y, x = (edges[:2] for edges in build_grid(bboxes[sl.start], grid, grid))
+        polygons[sl.start] = ([[x[0], y[0]], [x[1], y[0]], [x[1], y[1]], [x[0], y[1]]], [], [])
+    result = run_pipeline(seq, bboxes, cfg, polygons)
+    windows, video_bpm, log, waves = run_pipeline_by_windows(seq, bboxes, cfg, polygons)
+    assert result.report["windows"] == windows
+    assert result.report["video_bpm"] == video_bpm
+    assert result.window_weights == log
+    assert all(np.array_equal(a.samples, b) for a, b in zip(result.waveforms, waves, strict=True))
+    if grid > 1:
+        assert all(log[k]["snr"][0] == 0.0 for k in range(0, 35, 3))
+        assert all(log[k]["snr"][0] > 0.0 for k in range(1, 35, 3))
+
+
+def test_an_earlier_window_error_comes_before_a_window_with_no_live_cell():
+    # Windows 0 and 1 of a 2x2 grid share a cell batch. Window 0's cells have
+    # no waveform (a zero blue channel), so its even weights fall on cells
+    # without one (SignalError, raised by its combination); window 1 has no
+    # live cell (RegionError, raised by the batch's snr_weights). Window 0's
+    # error comes first, as when each window was finished alone.
+    seq = pulsed_sequence(n=600, h=12, w=16, noise=2.0, seed=2)
+    frames = seq.frames.copy()
+    frames[:300, ..., 2] = 0
+    polygons = {150: ([[0, 0], [16, 0], [16, 12], [0, 12]], [], [])}
+    cfg = RunConfig(method="snr", grid_rows=2, grid_cols=2)
+    with pytest.raises(SignalError, match="positive weight but no waveform"):
+        run_pipeline(FrameSequence(frames=frames, fps=seq.fps), full_sidecar(seq), cfg, polygons)
+    frames[:300, ..., 2] = seq.frames[:300, ..., 2]
+    with pytest.raises(RegionError, match="every grid cell is empty in the first frame"):
+        run_pipeline(FrameSequence(frames=frames, fps=seq.fps), full_sidecar(seq), cfg, polygons)
+
+
 def test_single_cell_grid_reduces_to_aggregation():
     seq, sidecar, _ = NOISY
     base = run_pipeline(seq, sidecar, RunConfig(method="aggregate"))
@@ -367,5 +434,22 @@ def test_run_pipeline_memory_does_not_grow_with_the_recording(method):
     short, long = (
         working_memory(pulsed_sequence(n=n, h=48, w=48, noise=2.0, seed=1), cfg)
         for n in (600, 2400)
+    )
+    assert long <= 1.1 * short, (short, long)
+
+
+@pytest.mark.parametrize("method", ["snr", "proposed"])
+@pytest.mark.parametrize("grid", [1, 2])
+def test_cell_batch_memory_does_not_grow_with_the_recording(method, grid):
+    # 60 s and 240 s (the first 60 s four times over) of 16x16 frames, 10 s
+    # windows hopped every second: 51 and 231 windows, more than one batch
+    # of CELL_BLOCK cells either way (24 windows at 1x1, 6 at 2x2), so both
+    # working peaks are one batch's.
+    cfg = RunConfig(method=method, hop_s=1.0, grid_rows=grid, grid_cols=grid)
+    assert 51 * grid * grid > pipeline.CELL_BLOCK
+    clip = pulsed_sequence(n=1800, h=16, w=16, noise=2.0, seed=1).frames
+    short, long = (
+        working_memory(FrameSequence(frames=np.tile(clip, (k, 1, 1, 1)), fps=30.0), cfg)
+        for k in (1, 4)
     )
     assert long <= 1.1 * short, (short, long)
