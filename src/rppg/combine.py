@@ -12,10 +12,11 @@ Grid cells are handled as one time-major (n_frames, n_cells, 3) block, not
 cell by cell, in the frame order pool_cells yields. A block holds the cells
 of one window, or of a batch of windows side by side (the pipeline's
 CELL_BLOCK): one batched CHROM (GridTraces.waveforms, (n_cells, n_frames)),
-one periodogram and one SNR pass give the weights, which each window then
+then periodograms and SNRs one block of rows at a time
+(heartrate.periodogram_blocks) give the weights, which each window then
 normalizes over its own cells, and snr reuses those same waveforms through
 each window's slice of the block (GridTraces[cells]). Rows are independent
-in all three, so a window's weights do not depend on its batch.
+in all three, so a window's weights do not depend on its batch or block.
 The periodogram is heartrate's, the one the window rates are read from,
 as are the SNR's band and half-width (PASSBAND_HZ, SNR_HALFWIDTH_HZ).
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .chrom import chrom_rows
 from .errors import RegionError, SignalError
-from .heartrate import PASSBAND_HZ, _band, harmonic_snr, periodogram
+from .heartrate import PASSBAND_HZ, _band, harmonic_snr, periodogram_blocks
 from .signals import zero_mean
 
 WEIGHT_EPS = 1e-12
@@ -174,8 +175,10 @@ def snr_weights(traces: GridTraces, cells: int | None = None) -> np.ndarray:
 
     traces holds the cells of one window, or of a batch of windows of cells
     cells each, side by side (cells None: one window). The live cells'
-    CHROM waveforms get one batched periodogram; each cell's SNR is taken on
-    that spectrum around the cell's own dominant peak in PASSBAND_HZ. Cells
+    CHROM waveforms take their periodograms one block at a time
+    (periodogram_blocks), and each block is reduced to its cells' SNRs,
+    each taken around the cell's own dominant peak in PASSBAND_HZ, before
+    the next is taken, so one block of spectra is alive at a time. Cells
     without usable spectra (zero channel mean, no in-band power, zero total
     power) get weight zero; if no cell of a window produces any SNR, its
     live cells share the weight evenly (no spectral evidence to prefer one
@@ -189,15 +192,16 @@ def snr_weights(traces: GridTraces, cells: int | None = None) -> np.ndarray:
     usable = np.flatnonzero(traces.live & ok)
     w = np.zeros(live.shape)
     if usable.size:
-        freqs, power = periodogram(waves if usable.size == w.size else waves[usable], traces.fps)
-        in_band = _band(freqs, *PASSBAND_HZ)
-        band_power = power[:, in_band]
-        peak = band_power.argmax(axis=1)
-        has_peak = band_power[np.arange(usable.size), peak] > 0.0
-        # every row's SNR (each row's is its own), so that no row is copied;
-        # a row with no in-band power keeps weight zero
-        snr = harmonic_snr(freqs, power, freqs[in_band][peak])
-        w.flat[usable] = np.where(has_peak, snr, 0.0)
+        spectra = periodogram_blocks(waves if usable.size == w.size else waves[usable], traces.fps)
+        for rows, freqs, power in spectra:
+            in_band = _band(freqs, *PASSBAND_HZ)
+            band_power = power[:, in_band]
+            peak = band_power.argmax(axis=1)
+            has_peak = band_power[np.arange(len(power)), peak] > 0.0
+            # every row's SNR (each row's is its own), so that no row is
+            # copied; a row with no in-band power keeps weight zero
+            snr = harmonic_snr(freqs, power, freqs[in_band][peak])
+            w.flat[usable[rows]] = np.where(has_peak, snr, 0.0)
     total = w.sum(axis=1, keepdims=True)
     even = total <= 0.0
     return np.where(even, live / n_live, w / np.where(even, 1.0, total)).ravel()

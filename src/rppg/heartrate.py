@@ -26,10 +26,15 @@ that chrom_rows has passed (fps > 7 Hz, >= 2 s), so they reach fps / 2 >
 analysis band always holds bins, and select_hr and snr_weights trust that.
 
 Cells and windows share one spectral core: periodogram and harmonic_snr
-work on a leading row axis, so the spectra of all grid cells of a batch of
-windows (of one length, WindowPlan.frame_slices) are taken in one call,
-(n_rows, n). suppress_artifacts and select_hr then work on one (freqs,
-power) row; two_harmonic_snr is the one-row case.
+work on a leading row axis (n_rows, n). periodogram_blocks is the one block
+rule for spectra, as diffuse.frame_chunks is for frames: it takes the rows
+of a batch of cells or of windows (of one length, WindowPlan.frame_slices)
+spectrum_rows(n) at a time, a cache-sized block (SPECTRUM_BLOCK_BYTES),
+all in one spectrum buffer per call. snr_weights and estimate_video_hr
+reduce each block to per-row results before the next is taken, so the
+spectra alive are one block's, whatever the number of rows.
+suppress_artifacts and select_hr then work on one (freqs, power) row;
+two_harmonic_snr is the one-row case.
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ MAX_PEAKS = 5
 PEAK_PROMINENCE_FRAC = 0.05
 SNR_CAP = 100.0
 MIN_TOTAL_POWER = 1e-15
+# Bytes of complex spectrum per block of periodogram_blocks (10 rows at
+# n = 300): a block stays in cache, and no spectrum-sized array is made per
+# window. Larger blocks cut the per-block cost but grow the heap past
+# glibc's trim threshold: a warm 120 s 32x32 snr call faulted 6.0 K pages
+# in afresh at 384 KiB and 7.6 K at 512 KiB, against about 3 K here.
+SPECTRUM_BLOCK_BYTES = 320 * 1024
+# Rows per block at least, so that a long window's block (a row's spectrum
+# is 256 KiB at n = 3600) does not pay the per-block cost row by row.
+SPECTRUM_MIN_ROWS = 4
 # Samples per step of a band-pass pass: each step is one gemv per row with a
 # (FILTER_BLOCK + 6)-square matrix, which stays in cache.
 FILTER_BLOCK = 32
@@ -227,22 +241,61 @@ def _hann(n: int, fps: float) -> np.ndarray:
     return win
 
 
+def _nfft(n: int) -> int:
+    """The periodogram's FFT length for n samples: >= PSD_PAD_FACTOR x n."""
+    if n < PSD_MIN_SAMPLES:
+        raise SignalError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
+    return _next_pow2(PSD_PAD_FACTOR * n)
+
+
+def _periodogram_into(x: np.ndarray, fps: float, spec: np.ndarray) -> np.ndarray:
+    """The periodograms of the rows of x (..., n), made in spec (..., nfft //
+    2 + 1), complex: scipy.signal.periodogram(x, fs=fps, window="hann",
+    nfft=nfft, detrend=False), in its operation order. Returns the power, a
+    view of spec's imaginary parts."""
+    n = x.shape[-1]
+    np.fft.rfft(x * _hann(n, float(fps)), n=2 * (spec.shape[-1] - 1), out=spec)
+    # re**2 and im**2 in place, interleaved as rfft stores them; each pair
+    # adds into its im, so the spectrum is the one array made
+    parts = spec.view(np.float64)
+    np.square(parts, out=parts)
+    power = parts[..., 1::2]
+    np.add(parts[..., 0::2], power, out=power)
+    power[..., 1:-1] *= 2  # one-sided; nfft is even, so the Nyquist bin has no mirror
+    return power
+
+
 def periodogram(x: np.ndarray, fps: float):
     """Hann-tapered periodograms of the rows of x (..., n), zero-padded to
     >= PSD_PAD_FACTOR x n. Returns (freqs, power (..., n_freqs))."""
-    n = x.shape[-1]
-    if n < PSD_MIN_SAMPLES:
-        raise SignalError(f"need >= {PSD_MIN_SAMPLES} samples, got {n}")
-    nfft = _next_pow2(PSD_PAD_FACTOR * n)
-    # scipy.signal.periodogram(x, fs=fps, window="hann", nfft=nfft,
-    # detrend=False), in its operation order
-    spec = np.fft.rfft(x * _hann(n, float(fps)), n=nfft).view(np.float64)
-    # re**2 and im**2 in place, interleaved as rfft stores them; their pairs
-    # add into the power, the one new spectrum-sized array
-    np.square(spec, out=spec)
-    power = spec[..., 0::2] + spec[..., 1::2]
-    power[..., 1:-1] *= 2  # one-sided; nfft is even, so the Nyquist bin has no mirror
-    return np.fft.rfftfreq(nfft, 1.0 / fps), power
+    nfft = _nfft(x.shape[-1])
+    spec = np.empty(x.shape[:-1] + (nfft // 2 + 1,), dtype=np.complex128)
+    return np.fft.rfftfreq(nfft, 1.0 / fps), _periodogram_into(x, fps, spec)
+
+
+def spectrum_rows(n: int) -> int:
+    """Rows per block of periodogram_blocks for n samples a row: as many as
+    fit SPECTRUM_BLOCK_BYTES of complex spectrum (8 x nfft bytes a row, to
+    within one bin), and at least SPECTRUM_MIN_ROWS."""
+    return max(SPECTRUM_MIN_ROWS, SPECTRUM_BLOCK_BYTES // (8 * _nfft(n)))
+
+
+def periodogram_blocks(x: np.ndarray, fps: float):
+    """periodogram of the rows of x (k, n), spectrum_rows(n) rows at a time:
+    yields (rows, freqs, power) per block, rows the slice of x's rows and
+    power (len(rows), n_freqs) their periodogram. One spectrum buffer, of
+    one block or of k rows if fewer, is made per call and takes every block,
+    so a block's power is overwritten by the next: reduce it before the next
+    is taken. Rows are independent, so each row's bits are those of one
+    periodogram call over all of x; memory is one block's, whatever k is."""
+    k, n = x.shape
+    nfft = _nfft(n)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / fps)
+    step = spectrum_rows(n)
+    spec = np.empty((min(k, step), nfft // 2 + 1), dtype=np.complex128)
+    for start in range(0, k, step):
+        rows = slice(start, min(start + step, k))
+        yield rows, freqs, _periodogram_into(x[rows], fps, spec[: rows.stop - start])
 
 
 def _prominent_peaks(x: np.ndarray, keep: slice, min_prominence: float) -> np.ndarray:
@@ -418,9 +471,12 @@ def estimate_video_hr(waves: np.ndarray, fps: float, notch_hz=()) -> tuple[float
     """Per-window harmonic peak selection: the rate of each window in bpm.
 
     waves (n_windows, n) holds one pulse waveform per window, all at fps;
-    each window's periodogram is taken in turn, so one spectrum is alive at
-    a time. Rows are independent, so the rates are those of one periodogram
-    call over all the windows. run_pipeline passes at least one window.
+    their periodograms are taken a block at a time (periodogram_blocks), so
+    one block of spectra is alive at a time. Rows are independent, so the
+    rates are those of one periodogram call over all the windows.
+    run_pipeline passes at least one window.
     """
-    spectra = (periodogram(wave, fps) for wave in np.asarray(waves, dtype=np.float64))
-    return tuple(select_hr(f, suppress_artifacts(f, power, notch_hz)) for f, power in spectra)
+    rates = []
+    for _, f, power in periodogram_blocks(np.asarray(waves, dtype=np.float64), fps):
+        rates.extend(select_hr(f, suppress_artifacts(f, row, notch_hz)) for row in power)
+    return tuple(rates)

@@ -29,9 +29,9 @@ read: aggregate's at once, a grid window's (snr, proposed) in a cell batch.
 A closed grid window's sums wait in the open batch, which is finished when
 it holds as many whole windows as CELL_BLOCK cells take (at least one, so
 an 8x8 window is a batch of its own). The batch's cells, side by side, go
-through one grid_traces, one CHROM, one periodogram and one SNR pass
-(snr_weights); each window then normalizes its own weights and is combined
-alone, in window order. Rows are independent in those passes, so a
+through one grid_traces, one CHROM and one snr_weights call, which takes
+their spectra a block of rows at a time; each window then normalizes its
+own weights and is combined alone, in window order. Rows are independent in those passes, so a
 window's results do not depend on its batch. If the pass fails (a missing
 or malformed frame file), the batch's windows are finished first, so a
 window's own error comes before a fault in a later frame. Each window's
@@ -45,8 +45,8 @@ Every window has the same number of frames, so the RGB traces of aggregate
 and proposed go through one chrom_rows call per WINDOW_BLOCK windows,
 (n, k, 3), and the pulse waveforms of all three methods through one
 estimate_video_hr call per block, (k, n), which takes their periodograms
-one window at a time. Rows are independent, so the rates do not depend on
-the blocking; the video rate is the mean over every window.
+through heartrate's spectrum blocks. Rows are independent, so the rates do
+not depend on the blocking; the video rate is the mean over every window.
 """
 
 from __future__ import annotations
@@ -87,17 +87,18 @@ PASS_CHUNKS = 4
 # on the chunking. k = 1 would sample every frame.
 DIFFUSE_STRIDE = 16
 # Windows per chrom_rows call; estimate_video_hr then takes their spectra
-# one at a time. The rows and waveforms alive at the end of a window are one
-# block's, so this stage too is bounded by the window length, not the
-# recording's.
+# a block at a time (heartrate.periodogram_blocks). The rows and waveforms
+# alive at the end of a window are one block's, so this stage too is
+# bounded by the window length, not the recording's.
 WINDOW_BLOCK = 8
 # Cells per batch of closed grid windows (snr, proposed): a batch holds as
 # many whole windows as fit, and at least one, so a window of more cells
 # (the default 8x8 grid) is a batch of its own. A batch's cells take one
 # grid_traces, one CHROM and one snr_weights call, whose fixed cost a
-# small-grid window would otherwise pay alone; the rows and spectra alive
-# are one batch's. 24 takes a 30 s recording's five 2x2 windows at once
-# and peaks lower than 32 on longer ones, at the same speed.
+# small-grid window would otherwise pay alone; the rows alive are one
+# batch's, and the spectra one block of them. 24 takes a 30 s recording's
+# five 2x2 windows at once and peaks lower than 32 on longer ones, at the
+# same speed.
 CELL_BLOCK = 24
 
 

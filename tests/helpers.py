@@ -20,16 +20,21 @@ from rppg.combine import (
     pool_cells,
     snr_weights,
 )
-from rppg.errors import DataFormatError, SignalError, reading
+from rppg.errors import DataFormatError, RegionError, SignalError, reading
 from rppg.heartrate import (
     FILTER_BLOCK,
+    PASSBAND_HZ,
     PSD_PAD_FACTOR,
+    _band,
     _bandpass_sos,
     _bandpass_step,
     _sosfilt_zi,
     bandpass_series,
     estimate_video_hr,
+    harmonic_snr,
+    periodogram,
     plan_windows,
+    spectrum_rows,
 )
 from rppg.ingest import _PPM_HEADER, FrameSequence, read_ppm, read_text
 from rppg.pipeline import DIFFUSE_STRIDE
@@ -264,6 +269,37 @@ def periodogram_by_copies(x: np.ndarray, fps: float) -> np.ndarray:
     power += spec.imag**2
     power[..., 1:-1] *= 2
     return power
+
+
+def block_edge_rows(n: int) -> list[int]:
+    """Row counts around heartrate's spectrum blocks for n samples a row:
+    one row, a block less one, one block, a block and one, an 8x8 window's
+    64 cells and two such windows' and one."""
+    block = spectrum_rows(n)
+    return [1, block - 1, block, block + 1, 64, 129]
+
+
+def snr_weights_by_one_periodogram(traces, cells: int | None = None) -> np.ndarray:
+    """combine.snr_weights as it was before it took its spectra a block at a
+    time: one periodogram over every usable row, then one harmonic_snr."""
+    live = traces.live.reshape(-1, cells or traces.n_cells)
+    n_live = live.sum(axis=1, keepdims=True)
+    if not n_live.all():
+        raise RegionError("every grid cell is empty in the first frame")
+    waves, ok = traces.waveforms
+    usable = np.flatnonzero(traces.live & ok)
+    w = np.zeros(live.shape)
+    if usable.size:
+        freqs, power = periodogram(waves if usable.size == w.size else waves[usable], traces.fps)
+        in_band = _band(freqs, *PASSBAND_HZ)
+        band_power = power[:, in_band]
+        peak = band_power.argmax(axis=1)
+        has_peak = band_power[np.arange(usable.size), peak] > 0.0
+        snr = harmonic_snr(freqs, power, freqs[in_band][peak])
+        w.flat[usable] = np.where(has_peak, snr, 0.0)
+    total = w.sum(axis=1, keepdims=True)
+    even = total <= 0.0
+    return np.where(even, live / n_live, w / np.where(even, 1.0, total)).ravel()
 
 
 def _sosfilt_steps_by_copies(g, x, states):

@@ -18,12 +18,13 @@ from rppg.combine import (
 )
 from rppg.diffuse import min_channel
 from rppg.errors import RegionError, SignalError
-from rppg.heartrate import periodogram, plan_windows, two_harmonic_snr
+from rppg.heartrate import periodogram, plan_windows, spectrum_rows, two_harmonic_snr
 from rppg.roi import build_grid, build_mask, rasterize_polygon
 from rppg.signals import zero_mean
 from rppg.synth import SynthScene, bias_scene, render
 
 from helpers import (
+    block_edge_rows,
     chrom_one,
     diffuse_sums_of,
     diffuse_weights_of,
@@ -35,6 +36,7 @@ from helpers import (
     planar_masked_planes,
     planar_pool_planes,
     pooled,
+    snr_weights_by_one_periodogram,
 )
 
 
@@ -609,8 +611,9 @@ def test_batched_snr_flat_cell_among_textured_cells():
 
 
 def test_snr_weights_memory_is_a_few_spectra():
-    # with the waveforms cached, the peak is periodogram's spectrum and power:
-    # no copy of the power block, nor of the waveforms when every cell is kept
+    # with the waveforms cached, the peak is one block of spectra
+    # (periodogram_blocks) and its tapered rows: no copy of the power, nor
+    # of the waveforms when every cell is kept
     rng = np.random.default_rng(8)
     pulse = 3.0 * np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
     samples = np.array([150.0, 110.0, 80.0]) + rng.normal(0.0, 1.0, (300, 64, 3))
@@ -624,6 +627,77 @@ def test_snr_weights_memory_is_a_few_spectra():
         tracemalloc.stop()
     assert np.all(w > 0.0)
     assert peak <= 3.5 * power.nbytes + 64 * 1024
+
+
+def test_snr_weights_memory_is_a_few_waveforms_and_two_blocks():
+    # 64 cells of a 60 s window at 60 fps (n = 3600, nfft 32768), one of them
+    # dead, so that the usable waveforms are copied: with the waveforms
+    # cached, the peak is a few waveform-sized arrays and the spectrum
+    # blocks, not one spectrum of every row (25 MB with its power)
+    n, fps = 3600, 60.0
+    rng = np.random.default_rng(9)
+    pulse = 3.0 * np.sin(2 * np.pi * 1.2 * np.arange(n) / fps)
+    samples = np.array([150.0, 110.0, 80.0]) + rng.normal(0.0, 1.0, (n, 64, 3))
+    live = np.ones(64, bool)
+    live[5] = False
+    traces = GridTraces(samples=samples + pulse[:, None, None], live=live, fps=fps)
+    waves = traces.waveforms[0]
+    block = spectrum_rows(n) * (32768 // 2 + 1) * 16  # a block's complex spectrum
+    tracemalloc.start()
+    try:
+        w = snr_weights(traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w[5] == 0.0 and np.all(np.delete(w, 5) > 0.0)
+    assert peak <= 3 * waves.nbytes + 2 * block, (peak, waves.nbytes, block)
+
+
+SNR_ROW_KINDS = ("pulse", "dead", "flat", "no blue", "silent")
+
+
+def snr_scene(rows: int, n: int, kinds: list[str], seed: int) -> GridTraces:
+    """rows cells of n samples, each a kind drawn from kinds: a pulse in
+    noise, dead (empty in the first frame), flat (one colour), no blue (a
+    zero channel mean, so no waveform) or silent (its waveform zeroed, so no
+    in-band power)."""
+    fps = 60.0 if n > 1000 else 30.0
+    rng = np.random.default_rng(seed)
+    kind = rng.choice(kinds, size=rows)
+    t = np.arange(n) / fps
+    pulse = np.sin(2 * np.pi * rng.uniform(0.8, 3.0, rows) * t[:, None])
+    samples = np.array([150.0, 110.0, 80.0]) + 2.0 * pulse[..., None]
+    samples += rng.normal(0.0, 1.0, samples.shape)
+    samples[:, kind == "flat"] = 90.0
+    samples[:, kind == "no blue", 2] = 0.0
+    traces = GridTraces(samples=samples, live=kind != "dead", fps=fps)
+    traces.waveforms[0][kind == "silent"] = 0.0
+    return traces
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(
+    n=st.sampled_from([64, 300, 3600]),
+    pick=st.integers(0, 5),
+    kinds=st.lists(st.sampled_from(SNR_ROW_KINDS), min_size=1, max_size=3).map(lambda k: ["pulse", *k]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3600, pick=5, kinds=["pulse", "dead", "flat", "no blue", "silent"], seed=1)
+@example(n=300, pick=3, kinds=["pulse", "no blue"], seed=2)
+@example(n=64, pick=4, kinds=["dead"], seed=3)
+def test_snr_weights_equal_one_periodogram_over_every_row(n, pick, kinds, seed):
+    # snr_weights takes its spectra a block of rows at a time; its weights
+    # are those of one periodogram over every usable row, bit for bit, for
+    # row counts on either side of a block, one window or one per cell
+    traces = snr_scene(block_edge_rows(n)[pick], n, kinds, seed)
+    for cells in (None, 1):
+        try:
+            want = snr_weights_by_one_periodogram(traces, cells)
+        except RegionError:
+            with pytest.raises(RegionError):
+                snr_weights(traces, cells)
+            continue
+        assert np.array_equal(snr_weights(traces, cells), want)
 
 
 def test_batched_snr_even_fallback_on_flat_cells():

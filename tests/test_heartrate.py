@@ -28,7 +28,7 @@ from rppg.heartrate import (
 )
 from rppg.signals import PulseWaveform, zero_mean
 
-from helpers import bandpass_by_copies, periodogram_by_copies
+from helpers import bandpass_by_copies, block_edge_rows, periodogram_by_copies
 
 
 def tone(hz, n=300, fps=30.0, amp=1.0, phase=0.0):
@@ -700,6 +700,29 @@ def test_estimate_video_hr_matches_per_window_oracle(notch_hz):
         waves = windows_at(fps, n)
         bpm = estimate_video_hr(rows(*waves), fps, notch_hz)
         assert list(bpm) == per_window_oracle(waves, notch_hz)
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(
+    n=st.sampled_from([64, 300, 3600]),
+    pick=st.integers(0, 5),
+    notch_hz=st.sampled_from([(), (1.0, 1.25)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3600, pick=5, notch_hz=(), seed=1)
+def test_estimate_video_hr_blocks_equal_the_per_window_rates(n, pick, notch_hz, seed):
+    # the windows' spectra are taken a block at a time: each window's rate is
+    # that of its own periodogram, for window counts on either side of a block
+    fps = 60.0 if n > 1000 else 30.0
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / fps
+    k = block_edge_rows(n)[pick]
+    waves = np.sin(2 * np.pi * rng.uniform(0.8, 3.0, (k, 1)) * t) + 0.4 * rng.standard_normal((k, n))
+    want = []
+    for wave in waves:
+        freqs, power = periodogram(wave, fps)
+        want.append(select_hr(freqs, suppress_artifacts(freqs, power, notch_hz)))
+    assert list(estimate_video_hr(waves, fps, notch_hz)) == want
 
 
 def test_estimate_video_hr_notch_covering_the_whole_spectrum(monkeypatch):
